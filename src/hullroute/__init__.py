@@ -5,6 +5,8 @@ holes, abstract each hole to its convex hull with distributed
 protocols, and answer routing queries with provable detour bounds.
 """
 
+import logging as _logging
+
 from .errors import (
     AssumptionViolationError,
     BoundViolationError,
@@ -64,5 +66,8 @@ from .scenario import (
 from .simengine import Channel, Message, RoundEngine
 
 __version__ = "0.1.0"
+
+# the library logs; only an application (such as the CLI) prints the logs
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 __all__ = [name for name in dir() if not name.startswith("_")]

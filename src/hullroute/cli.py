@@ -13,7 +13,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import HullrouteError
@@ -180,7 +179,7 @@ def cmd_render(args) -> int:
 
 
 def _bench_one(n: int, seed: int, backend: str, sample: int):
-    t0 = time.time()
+    t0 = time.perf_counter()
     topo = generate_scenario(scaling_spec(n, seed=seed))
     cfg = PipelineConfig(
         backend=backend, query_count=sample, query_seed=seed, strict=False
@@ -194,18 +193,19 @@ def _bench_one(n: int, seed: int, backend: str, sample: int):
         "total_messages": rep.message_stats["total_messages"],
         "max_ratio": rep.max_ratio,
         "bounds_ok": rep.bounds_ok,
-        "seconds": round(time.time() - t0, 2),
+        "seconds": round(time.perf_counter() - t0, 2),
     }
 
 
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    jobs = [(n, seed) for n in sizes for seed in range(args.seed, args.seed + args.repeats)]
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        rows = list(
-            pool.map(lambda js: _bench_one(js[0], js[1], args.backend, args.sample), jobs)
-        )
-    rows.sort(key=lambda r: (r["n_target"], r["seed"]))
+    # one row at a time: the work is pure Python, so threads would only
+    # contend for the interpreter lock and inflate every row's seconds
+    rows = [
+        _bench_one(n, seed, args.backend, args.sample)
+        for n in sizes
+        for seed in range(args.seed, args.seed + args.repeats)
+    ]
     for row in rows:
         print(json.dumps(row, sort_keys=True))
     if args.out:
@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sizes", default="512,2048", help="comma-separated node targets")
     b.add_argument("--seed", type=int, default=5)
     b.add_argument("--repeats", type=int, default=1)
-    b.add_argument("--threads", type=int, default=2)
     b.add_argument("--sample", type=int, default=50)
     b.add_argument("--backend", choices=backends, default=BACKEND_VIS)
     b.add_argument("--out")

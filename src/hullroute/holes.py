@@ -11,6 +11,7 @@ the result is something the nodes themselves could know.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from .errors import (
     AssumptionViolationError,
@@ -128,18 +129,18 @@ def form_rings(g: PlanarGraph, boundary: set[NodeId]) -> list[HoleRing]:
 
 
 def classify_rings(
-    engine: RoundEngine, rings: list[HoleRing]
+    engine: RoundEngine, rings: Sequence[HoleRing]
 ) -> dict[int, PointerJumpResult]:
-    """Run election + exact ranking on each ring; set kind by angle sum.
+    """Run election + exact ranking on every ring; set kind by angle sum.
 
-    Rings run one after another through the engine.  Returns the jump
+    All rings run concurrently through the engine.  Returns the jump
     results keyed by ring_id so later stages reuse the election.
     """
-    jumps: dict[int, PointerJumpResult] = {}
+    members = {r.ring_id: r.members for r in rings}
+    jumps = pointer_jumping(engine, members)
+    rank_ring(engine, members, jumps)
     for r in rings:
-        jump = pointer_jumping(engine, r.members)
-        rank_ring(engine, r.members, jump)
-        jumps[r.ring_id] = jump
+        jump = jumps[r.ring_id]
         r.orientation_sum = jump.angle_total
         if abs(jump.angle_total - 360.0) <= ANGLE_TOL:
             r.kind = KIND_OUTER_BOUNDARY
@@ -227,17 +228,26 @@ def compute_bays(ring: HoleRing, hull_nodes: list[NodeId]) -> list[Bay]:
 
 def build_hull_abstraction(
     engine: RoundEngine,
-    ring: HoleRing,
-    jump: PointerJumpResult | None = None,
+    rings: Sequence[HoleRing],
+    jumps: Mapping[int, PointerJumpResult] | None = None,
     seed: int = 0,
-) -> tuple[HullAbstraction, RingProtocolResult]:
-    """Distributed hull, bays, and one dominating set per bay."""
-    proto = ring_protocol(engine, ring.members, jump)
-    bays = compute_bays(ring, proto.hull)
-    sets: dict[int, set[NodeId]] = {}
-    for i, bay in enumerate(bays):
-        sets[i], _ = dominating_set(engine, bay.members, seed * 7919 + i)
-    return HullAbstraction(ring.ring_id, proto.hull, bays, sets), proto
+) -> tuple[dict[int, HullAbstraction], dict[int, RingProtocolResult]]:
+    """Distributed hull, bays, and one dominating set per bay, per ring.
+
+    The rings run concurrently, then every bay of every ring runs its
+    dominating set concurrently.  Results are keyed by ring_id.
+    """
+    protos = ring_protocol(engine, {r.ring_id: r.members for r in rings}, jumps)
+    bays = {r.ring_id: compute_bays(r, protos[r.ring_id].hull) for r in rings}
+    paths = {(rid, i): bay.members for rid, bs in bays.items() for i, bay in enumerate(bs)}
+    sets = dominating_set(engine, paths, {key: seed * 7919 + key[1] for key in paths})
+    abstractions = {
+        rid: HullAbstraction(
+            rid, protos[rid].hull, bs, {i: sets[(rid, i)][0] for i in range(len(bs))}
+        )
+        for rid, bs in bays.items()
+    }
+    return abstractions, protos
 
 
 def hole_report(

@@ -7,6 +7,11 @@ assignment, bitonic sorting across the (padded) hypercube, distributed
 convex hull by tangent merging, a broadcast tree over all nodes, hull
 reference distribution, and the per-bay dominating set.
 
+The ring protocols take a mapping of rings (key -> members, ring order)
+and run every ring in the same engine phases, one session per ring, so
+a step costs the rounds of its slowest ring rather than the sum over
+rings.  A single ring is the one-entry case.
+
 Ring nodes address each other only through ids they have learned:
 successors are radio neighbors, every longer link is created by an
 explicit introduction riding a protocol message.  The engine rejects
@@ -19,11 +24,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Any, Callable, Hashable, Mapping
 
-from .errors import SimulationAbortError
+from .errors import DegenerateInputError, SimulationAbortError
 from .geometry import Orientation, Point, orientation, signed_turn_angle
 from .ldel import NodeId
-from .simengine import Message, RoundEngine
+from .simengine import Handler, Message, PhaseReport, RoundEngine
 
 
 @dataclass(frozen=True)
@@ -100,24 +106,60 @@ def _turn_angles(points: dict[NodeId, Point], members: list[NodeId]) -> dict[Nod
 
 
 # ---------------------------------------------------------------------------
+# waves: one engine phase runs the same step for every ring
+
+
+@dataclass
+class _Session:
+    """One ring's (or bay's) part in a wave: who runs it, how, and for how long."""
+
+    members: list[NodeId]
+    handler: Handler
+    max_rounds: int
+    finish: Callable[[PhaseReport], Any] = lambda report: None
+
+
+def _run_wave(
+    engine: RoundEngine, label: str, sessions: Mapping[Hashable, _Session]
+) -> dict[Hashable, Any]:
+    """Run every session in one phase; returns each session's finish()."""
+    reports = engine.run_sessions(
+        label,
+        {key: (s.members, s.handler) for key, s in sessions.items()},
+        max((s.max_rounds for s in sessions.values()), default=0),
+    )
+    return {key: s.finish(reports[key]) for key, s in sessions.items()}
+
+
+# ---------------------------------------------------------------------------
 # pointer jumping
 
 
-def pointer_jumping(engine: RoundEngine, members: list[NodeId]) -> PointerJumpResult:
-    """Leader election by pointer doubling along the ring.
+def pointer_jumping(
+    engine: RoundEngine, rings: Mapping[Hashable, list[NodeId]]
+) -> dict[Hashable, PointerJumpResult]:
+    """Leader election by pointer doubling along each ring.
 
     Every round each active node introduces its current successor to its
     current predecessor and vice versa, doubling the bridged span.  A
     node is done when the minimum id on its predecessor side equals the
     one on its successor side, which forces both to be the global
     minimum.  Done nodes serve one extra round so late partners still
-    receive their final update.
+    receive their final update.  All rings run at once; each result's
+    jump_rounds counts that ring's own rounds.
     """
-    k = len(members)
     pts = engine.topo.points
+    return _run_wave(
+        engine,
+        "pointer_jumping",
+        {key: _jump_session(engine, pts, members) for key, members in rings.items()},
+    )
+
+
+def _jump_session(engine: RoundEngine, pts, members: list[NodeId]) -> _Session:
+    k = len(members)
     succ0, pred0 = _ring_maps(members)
     angle = _turn_angles(pts, members)
-    member_set = set(members)
 
     st: dict[NodeId, dict] = {}
     for v in members:
@@ -136,7 +178,6 @@ def pointer_jumping(engine: RoundEngine, members: list[NodeId]) -> PointerJumpRe
     edges: list[JumpEdge] = [
         JumpEdge((v, succ0[v]), st[v]["l_succ"], 0, st[v]["a_succ"]) for v in members
     ]
-    jump_rounds = 0
 
     def check_done(s: dict) -> None:
         if not s["done"] and s["l_pred"] == s["l_succ"]:
@@ -147,8 +188,6 @@ def pointer_jumping(engine: RoundEngine, members: list[NodeId]) -> PointerJumpRe
         check_done(st[v])  # k == 1 degenerate guard; rings are >= 3
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        if v not in member_set:
-            return True
         s = st[v]
         grew = False
         for m in inbox:
@@ -192,19 +231,21 @@ def pointer_jumping(engine: RoundEngine, members: list[NodeId]) -> PointerJumpRe
             s["msgs"] += 1
         return False
 
-    report = engine.run_phase("pointer_jumping", handler, max_rounds=2 * k + 8)
-    jump_rounds = report.rounds - 1  # final round only flushes deliveries
-    leader = min(members)
-    for v in members:
-        if st[v]["l_pred"] != leader or st[v]["l_succ"] != leader:
-            raise SimulationAbortError(v, engine.round_no, "ring min did not converge")
-    return PointerJumpResult(
-        leader=leader,
-        jump_edges=edges,
-        jump_rounds=max(jump_rounds, 1),
-        known_min={v: st[v]["l_pred"] for v in members},
-        messages_per_node={v: st[v]["msgs"] for v in members},
-    )
+    def finish(report: PhaseReport) -> PointerJumpResult:
+        leader = min(members)
+        for v in members:
+            if st[v]["l_pred"] != leader or st[v]["l_succ"] != leader:
+                raise SimulationAbortError(v, engine.round_no, "ring min did not converge")
+        return PointerJumpResult(
+            leader=leader,
+            jump_edges=edges,
+            # the ring's final round only flushes deliveries
+            jump_rounds=max(report.rounds - 1, 1),
+            known_min={v: st[v]["l_pred"] for v in members},
+            messages_per_node={v: st[v]["msgs"] for v in members},
+        )
+
+    return _Session(members, handler, 2 * k + 8, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +253,35 @@ def pointer_jumping(engine: RoundEngine, members: list[NodeId]) -> PointerJumpRe
 
 
 def rank_ring(
-    engine: RoundEngine, members: list[NodeId], result: PointerJumpResult
+    engine: RoundEngine,
+    rings: Mapping[Hashable, list[NodeId]],
+    results: Mapping[Hashable, PointerJumpResult],
 ) -> None:
-    """List ranking anchored at the leader, by request/reply doubling.
+    """List ranking anchored at each ring's leader, by request/reply doubling.
 
     The ring is cut at the leader: every node accumulates the turn-angle
     sum and node count of the arc from itself forward to the node just
     before the leader.  The leader's own chain wraps the full ring, so
     it ends up with the exact ring size and total angle, independent of
-    whether the size is a power of two.
+    whether the size is a power of two.  Fills in each result.
     """
     pts = engine.topo.points
+    _run_wave(
+        engine,
+        "ring_ranking",
+        {
+            key: _rank_session(engine, pts, members, results[key])
+            for key, members in rings.items()
+        },
+    )
+
+
+def _rank_session(
+    engine: RoundEngine, pts, members: list[NodeId], result: PointerJumpResult
+) -> _Session:
     angle = _turn_angles(pts, members)
     succ0, _ = _ring_maps(members)
     leader = result.leader
-    member_set = set(members)
 
     st = {
         v: {"nxt": succ0[v], "a": angle[v], "c": 1, "pending": False, "msgs": 0}
@@ -263,22 +318,17 @@ def rank_ring(
             s["msgs"] += 1
         return s["nxt"] == leader
 
-    member_only = {v: st[v] for v in members}
+    def finish(report: PhaseReport) -> None:
+        result.suffix_angle = {v: st[v]["a"] for v in members}
+        result.suffix_count = {v: st[v]["c"] for v in members}
+        result.angle_total = st[leader]["a"]
+        result.ring_size = st[leader]["c"]
+        if result.ring_size != len(members):
+            raise SimulationAbortError(
+                leader, engine.round_no, "ranking pass lost nodes on the ring"
+            )
 
-    def guard(eng, v, inbox):
-        if v not in member_set:
-            return True
-        return handler(eng, v, inbox)
-
-    engine.run_phase("ring_ranking", guard, max_rounds=6 * len(members) + 16)
-    result.suffix_angle = {v: member_only[v]["a"] for v in members}
-    result.suffix_count = {v: member_only[v]["c"] for v in members}
-    result.angle_total = member_only[leader]["a"]
-    result.ring_size = member_only[leader]["c"]
-    if result.ring_size != len(members):
-        raise SimulationAbortError(
-            leader, engine.round_no, "ranking pass lost nodes on the ring"
-        )
+    return _Session(members, handler, 6 * len(members) + 16, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +336,11 @@ def rank_ring(
 
 
 def assign_hypercube_ids(
-    engine: RoundEngine, members: list[NodeId], result: PointerJumpResult
-) -> HypercubeOverlay:
-    """Recursive rank distribution from the leader over jump edges.
+    engine: RoundEngine,
+    rings: Mapping[Hashable, list[NodeId]],
+    results: Mapping[Hashable, PointerJumpResult],
+) -> dict[Hashable, HypercubeOverlay]:
+    """Recursive rank distribution from each leader over jump edges.
 
     The node bridged by the leader's level-j jump edge receives the id
     with bit j set, then hands out ids below its own budget bit to its
@@ -296,6 +348,19 @@ def assign_hypercube_ids(
     slots hosted by the leader.  The received rank must agree with the
     ranking pass; any mismatch is a protocol bug and aborts.
     """
+    return _run_wave(
+        engine,
+        "hypercube_ids",
+        {
+            key: _hypercube_session(engine, members, results[key])
+            for key, members in rings.items()
+        },
+    )
+
+
+def _hypercube_session(
+    engine: RoundEngine, members: list[NodeId], result: PointerJumpResult
+) -> _Session:
     k = result.ring_size
     leader = result.leader
     d = max(1, math.ceil(math.log2(k)))
@@ -305,11 +370,10 @@ def assign_hypercube_ids(
     while len(ordered) < k:
         ordered.append(succ0[ordered[-1]])
     rank_of = {v: i for i, v in enumerate(ordered)}
-    member_set = set(members)
 
     assigned: dict[NodeId, int] = {leader: 0}
     budget: dict[NodeId, int] = {leader: d}
-    seeded = {leader}
+    dealt: set[NodeId] = set()
 
     def fanout(eng: RoundEngine, v: NodeId) -> None:
         b = budget[v]
@@ -327,8 +391,6 @@ def assign_hypercube_ids(
             )
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        if v not in member_set:
-            return True
         for m in inbox:
             if m.tag != "hc_assign":
                 continue
@@ -342,16 +404,17 @@ def assign_hypercube_ids(
             assigned[v] = got
             budget[v] = m.payload["budget"]
             fanout(eng, v)
-        if v == leader and v not in seeded_done:
-            seeded_done.add(v)
+        if v == leader and v not in dealt:
+            dealt.add(v)
             fanout(eng, v)
-        return v in assigned or v not in member_set
+        return v in assigned
 
-    seeded_done: set[NodeId] = set()
-    engine.run_phase("hypercube_ids", handler, max_rounds=2 * d + 6)
-    if len(assigned) != k or len(set(assigned.values())) != k:
-        raise SimulationAbortError(leader, engine.round_no, "id assignment incomplete")
-    return HypercubeOverlay(dimension=d, id_map=assigned, leader=leader, members=ordered)
+    def finish(report: PhaseReport) -> HypercubeOverlay:
+        if len(assigned) != k or len(set(assigned.values())) != k:
+            raise SimulationAbortError(leader, engine.round_no, "id assignment incomplete")
+        return HypercubeOverlay(dimension=d, id_map=assigned, leader=leader, members=ordered)
+
+    return _Session(members, handler, 2 * d + 6, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -363,81 +426,102 @@ SENTINEL = (math.inf, math.inf, -1)
 
 def hypercube_sort(
     engine: RoundEngine,
-    cube: HypercubeOverlay,
-    keys: dict[NodeId, tuple],
-) -> tuple[list[tuple], int]:
-    """Batcher bitonic sort; slot i ends holding the i-th smallest key.
+    cubes: Mapping[Hashable, HypercubeOverlay],
+    keys: Mapping[Hashable, dict[NodeId, tuple]],
+) -> dict[Hashable, tuple[list[tuple], int]]:
+    """Batcher bitonic sort per cube; slot i ends holding the i-th smallest key.
 
     Exactly d(d+1)/2 compare-exchange stages, each a one round-trip
     exchange between slots differing in one bit.  The lower slot always
     initiates; virtual slots (leader-hosted, sentinel keys) never
     initiate toward a real slot because real slots occupy the lowest
-    indices.  Returns (keys by slot, stage count).
+    indices.  The stage list of a smaller cube is a prefix of a larger
+    cube's, so stage by stage every cube still sorting runs in one
+    phase.  Returns (keys by slot, stage count) per cube.
     """
-    d = cube.dimension
-    n = cube.slots
-    slot_key: list[tuple] = [
-        tuple(keys[cube.host_of(s)]) if s < len(cube.members) else SENTINEL
-        for s in range(n)
-    ]
-    hosts = set(cube.members) | {cube.leader}
-    stages = 0
+    slot_keys: dict[Hashable, list[tuple]] = {}
+    hosted: dict[Hashable, dict[NodeId, list[int]]] = {}
+    for key, cube in cubes.items():
+        slot_keys[key] = [
+            tuple(keys[key][cube.host_of(s)]) if s < len(cube.members) else SENTINEL
+            for s in range(cube.slots)
+        ]
+        hosted[key] = {}
+        for s in range(cube.slots):
+            hosted[key].setdefault(cube.host_of(s), []).append(s)
 
-    for kblk in range(1, d + 1):
+    top = max((cube.dimension for cube in cubes.values()), default=0)
+    for kblk in range(1, top + 1):
         for j in range(kblk - 1, -1, -1):
-            stages += 1
-            dist = 1 << j
-            started: set[NodeId] = set()
+            _run_wave(
+                engine,
+                f"bitonic_{kblk}_{j}",
+                {
+                    key: _sort_stage(cube, slot_keys[key], hosted[key], kblk, 1 << j)
+                    for key, cube in cubes.items()
+                    if cube.dimension >= kblk
+                },
+            )
+    return {
+        key: (slot_keys[key], cube.dimension * (cube.dimension + 1) // 2)
+        for key, cube in cubes.items()
+    }
 
-            def stage_handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-                if v not in hosts:
-                    return True
-                if v not in started:
-                    started.add(v)
-                    for i in range(n):
-                        partner = i ^ dist
-                        if partner < i or cube.host_of(i) != v:
-                            continue
-                        hj = cube.host_of(partner)
-                        asc = ((i >> kblk) & 1) == 0
-                        if hj == v:
-                            a, b = slot_key[i], slot_key[partner]
-                            if (asc and a > b) or (not asc and a < b):
-                                slot_key[i], slot_key[partner] = b, a
-                        else:
-                            kid = int(slot_key[i][2])
-                            eng.send(
-                                v,
-                                hj,
-                                {"slot": i, "asc": asc, "key": list(slot_key[i])},
-                                tag="bs_key",
-                                # the key's owner id travels with the key
-                                intro_ids=(kid,) if kid >= 0 else (),
-                            )
-                for m in inbox:
-                    if m.tag == "bs_key":
-                        i, asc = m.payload["slot"], m.payload["asc"]
-                        ki = tuple(m.payload["key"])
-                        jslot = i ^ dist
-                        kj = slot_key[jslot]
-                        lo, hi = (ki, kj) if ki <= kj else (kj, ki)
-                        keep, give = (hi, lo) if asc else (lo, hi)
-                        slot_key[jslot] = keep
-                        gid = int(give[2])
-                        eng.send(
-                            v,
-                            m.src,
-                            {"slot": i, "key": list(give)},
-                            tag="bs_ret",
-                            intro_ids=(gid,) if gid >= 0 else (),
-                        )
-                    elif m.tag == "bs_ret":
-                        slot_key[m.payload["slot"]] = tuple(m.payload["key"])
-                return True
 
-            engine.run_phase(f"bitonic_{kblk}_{j}", stage_handler, max_rounds=4)
+def _sort_stage(
+    cube: HypercubeOverlay,
+    slot_key: list[tuple],
+    hosted: dict[NodeId, list[int]],
+    kblk: int,
+    dist: int,
+) -> _Session:
+    started: set[NodeId] = set()
 
-    return slot_key, stages
+    def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
+        if v not in started:
+            started.add(v)
+            for i in hosted[v]:
+                partner = i ^ dist
+                if partner < i:
+                    continue
+                hj = cube.host_of(partner)
+                asc = ((i >> kblk) & 1) == 0
+                if hj == v:
+                    a, b = slot_key[i], slot_key[partner]
+                    if (asc and a > b) or (not asc and a < b):
+                        slot_key[i], slot_key[partner] = b, a
+                else:
+                    kid = int(slot_key[i][2])
+                    eng.send(
+                        v,
+                        hj,
+                        {"slot": i, "asc": asc, "key": list(slot_key[i])},
+                        tag="bs_key",
+                        # the key's owner id travels with the key
+                        intro_ids=(kid,) if kid >= 0 else (),
+                    )
+        for m in inbox:
+            if m.tag == "bs_key":
+                i, asc = m.payload["slot"], m.payload["asc"]
+                ki = tuple(m.payload["key"])
+                jslot = i ^ dist
+                kj = slot_key[jslot]
+                lo, hi = (ki, kj) if ki <= kj else (kj, ki)
+                keep, give = (hi, lo) if asc else (lo, hi)
+                slot_key[jslot] = keep
+                gid = int(give[2])
+                eng.send(
+                    v,
+                    m.src,
+                    {"slot": i, "key": list(give)},
+                    tag="bs_ret",
+                    intro_ids=(gid,) if gid >= 0 else (),
+                )
+            elif m.tag == "bs_ret":
+                slot_key[m.payload["slot"]] = tuple(m.payload["key"])
+        return True
+
+    return _Session(cube.members, handler, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +585,10 @@ def _local_bridge(ac: list, bc: list, s: int) -> tuple[int, int]:
 
 def parallel_convex_hull(
     engine: RoundEngine,
-    cube: HypercubeOverlay,
-    slot_keys: list[tuple],
-) -> tuple[list[NodeId], dict[NodeId, Point]]:
-    """Divide and conquer over subcube dimensions.
+    cubes: Mapping[Hashable, HypercubeOverlay],
+    slot_keys: Mapping[Hashable, list[tuple]],
+) -> dict[Hashable, tuple[list[NodeId], dict[NodeId, Point]]]:
+    """Divide and conquer over subcube dimensions, every cube at once.
 
     Each block keeps its sub-hull as upper/lower x-sorted chains at the
     block's lowest slot.  Merging two blocks finds the upper and lower
@@ -512,214 +596,244 @@ def parallel_convex_hull(
     probing the right leader, which answers tangent feet from single
     points locally.  A failed search ships the right chains whole and
     merges locally, preserving round bounds at the price of one big
-    message.  After the last merge the ring leader broadcasts the hull
-    back over the jump-edge tree.
+    message.  After the last merge each ring leader broadcasts its hull
+    back over the jump-edge tree.  Returns (ccw hull ids, hull points)
+    per cube.
     """
-    d = cube.dimension
-    n = cube.slots
-    k = len(cube.members)
-    chains: dict[int, dict[str, list]] = {}
-    for s in range(n):
-        key = slot_keys[s]
-        if key[2] >= 0:
-            pt = [key[0], key[1], key[2]]
-            chains[s] = {"u": [pt], "l": [pt]}
-        else:
-            chains[s] = {"u": [], "l": []}
-
-    hosts = set(cube.members) | {cube.leader}
-
-    for level in range(1, d + 1):
-        half = 1 << (level - 1)
-        pairs: dict[int, dict] = {}
-        for base in range(0, n, 1 << level):
-            pairs[base] = {
-                "bslot": base + half,
-                "A": cube.host_of(base),
-                "B": cube.host_of(base + half),
-                "stage": "init",
-                "side": 1,
-                "lo": 0,
-                "hi": 0,
-                "probes": 0,
-                "feet": {},
-            }
-        started: set[NodeId] = set()
-
-        def _a_probe(eng, v, base, p):
-            au = chains[base]["u" if p["side"] == 1 else "l"]
-            if p["lo"] > p["hi"] or p["probes"] > 2 * (len(au).bit_length() + 2):
-                p["stage"] = "ship"
-                eng.send(v, p["B"], {"base": base}, tag="hs")
-                return
-            mid = (p["lo"] + p["hi"]) // 2
-            p["mid"] = mid
-            p["probes"] += 1
-            eng.send(
-                v,
-                p["B"],
-                {"base": base, "side": p["side"], "pt": au[mid][:2]},
-                tag="hp",
-            )
-
-        def _a_found(eng, v, base, p, jb):
-            p["feet"][p["side"]] = (p["mid"], jb)
-            if p["side"] == 1:
-                p["side"] = -1
-                p["lo"], p["hi"] = 0, len(chains[base]["l"]) - 1
-                p["probes"] = 0
-                _a_probe(eng, v, base, p)
+    chains: dict[Hashable, dict[int, dict[str, list]]] = {}
+    for key, cube in cubes.items():
+        chains[key] = {}
+        for s in range(cube.slots):
+            sk = slot_keys[key][s]
+            if sk[2] >= 0:
+                pt = [sk[0], sk[1], sk[2]]
+                chains[key][s] = {"u": [pt], "l": [pt]}
             else:
-                ju = p["feet"][1][1]
-                jl = p["feet"][-1][1]
-                p["stage"] = "suffix"
-                eng.send(v, p["B"], {"base": base, "ju": ju, "jl": jl}, tag="hq")
+                chains[key][s] = {"u": [], "l": []}
 
-        def _assemble(base, p, bu, bl):
-            iu = p["feet"][1][0]
-            il = p["feet"][-1][0]
-            chains[base]["u"] = chains[base]["u"][: iu + 1] + bu
-            chains[base]["l"] = chains[base]["l"][: il + 1] + bl
-            p["stage"] = "done"
+    top = max((cube.dimension for cube in cubes.values()), default=0)
+    for level in range(1, top + 1):
+        _run_wave(
+            engine,
+            f"hull_merge_{level}",
+            {
+                key: _merge_session(engine, cube, chains[key], level)
+                for key, cube in cubes.items()
+                if cube.dimension >= level
+            },
+        )
 
-        def merge_handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-            if v not in hosts:
-                return True
-            if v not in started:
-                started.add(v)
-                for base, p in pairs.items():
-                    if p["A"] != v or p["stage"] != "init":
-                        continue
-                    bslot = p["bslot"]
-                    if p["A"] == p["B"]:
-                        # right block hosted by the same node (virtual slots):
-                        # merge locally, message-free
-                        bu, bl = chains[bslot]["u"], chains[bslot]["l"]
-                        if not chains[base]["u"]:
-                            chains[base] = {"u": list(bu), "l": list(bl)}
-                            p["stage"] = "done"
-                        elif not bu:
-                            p["stage"] = "done"
-                        else:
-                            iu, ju = _local_bridge(chains[base]["u"], bu, 1)
-                            il, jl = _local_bridge(chains[base]["l"], bl, -1)
-                            p["feet"] = {1: (iu, ju), -1: (il, jl)}
-                            _assemble(base, p, bu[ju:], bl[jl:])
-                        continue
-                    p["stage"] = "search"
-                    p["lo"], p["hi"] = 0, len(chains[base]["u"]) - 1
-                    _a_probe(eng, v, base, p)
-            for m in inbox:
-                d_ = m.payload
-                base = d_["base"]
-                p = pairs[base]
-                if m.tag == "hp":
-                    side = d_["side"]
-                    bc = chains[p["bslot"]]["u" if side == 1 else "l"]
-                    if not bc:
-                        eng.send(v, m.src, {"base": base, "empty": True}, tag="ha")
-                        continue
-                    idx = _point_tangent(d_["pt"], bc, side)
-                    eng.send(
-                        v,
-                        m.src,
-                        {"base": base, "empty": False, "idx": idx, "b": bc[idx][:2]},
-                        tag="ha",
-                    )
-                elif m.tag == "ha":
-                    if d_["empty"]:
-                        p["stage"] = "done"
-                        continue
-                    ac = chains[base]["u" if p["side"] == 1 else "l"]
-                    mid, b, s = p["mid"], d_["b"], p["side"]
-                    a = ac[mid]
-                    nxt_bad = mid + 1 < len(ac) and _side(a, b, ac[mid + 1]) == s
-                    prv_bad = mid > 0 and _side(a, b, ac[mid - 1]) == s
-                    if nxt_bad:
-                        p["lo"] = mid + 1
-                        _a_probe(eng, v, base, p)
-                    elif prv_bad:
-                        p["hi"] = mid - 1
-                        _a_probe(eng, v, base, p)
-                    else:
-                        # full-chain verification; bisection can stop at a
-                        # locally-flat vertex on degenerate inputs
-                        if all(
-                            _side(a, b, q) != s for q in ac if q is not a
-                        ):
-                            # slide over collinear predecessors so the foot
-                            # is the smallest valid index; keeps interior
-                            # collinear vertices out of the merged chain
-                            while mid > 0 and _side(ac[mid - 1], b, a) == 0:
-                                mid -= 1
-                                a = ac[mid]
-                            p["mid"] = mid
-                            _a_found(eng, v, base, p, d_["idx"])
-                        else:
-                            p["stage"] = "ship"
-                            eng.send(v, p["B"], {"base": base}, tag="hs")
-                elif m.tag == "hs":
-                    bslot = pairs[base]["bslot"]
-                    ids = [int(q[2]) for q in chains[bslot]["u"] + chains[bslot]["l"]]
-                    eng.send(
-                        v,
-                        m.src,
-                        {"base": base, "u": chains[bslot]["u"], "l": chains[bslot]["l"]},
-                        tag="hc",
-                        intro_ids=tuple(sorted(set(ids))),
-                    )
-                elif m.tag == "hc":
-                    bu, bl = d_["u"], d_["l"]
+    hulls: dict[Hashable, list] = {}
+    for key in cubes:
+        lower, upper = chains[key][0]["l"], chains[key][0]["u"]
+        if len({tuple(q[:2]) for q in lower + upper}) < 3:
+            raise DegenerateInputError("hull of fewer than 3 distinct points")
+        hulls[key] = [q for q in lower] + [q for q in reversed(upper[1:-1])]
+    _run_wave(
+        engine,
+        "hull_broadcast",
+        {key: _hull_broadcast_session(engine, cube, hulls[key]) for key, cube in cubes.items()},
+    )
+    return {
+        key: (
+            [int(q[2]) for q in ccw],
+            {int(q[2]): Point(q[0], q[1]) for q in ccw},
+        )
+        for key, ccw in hulls.items()
+    }
+
+
+def _merge_session(
+    engine: RoundEngine,
+    cube: HypercubeOverlay,
+    chains: dict[int, dict[str, list]],
+    level: int,
+) -> _Session:
+    """Merge every pair of 2^(level-1)-slot blocks of one cube."""
+    n = cube.slots
+    half = 1 << (level - 1)
+    pairs: dict[int, dict] = {}
+    for base in range(0, n, 1 << level):
+        pairs[base] = {
+            "bslot": base + half,
+            "A": cube.host_of(base),
+            "B": cube.host_of(base + half),
+            "stage": "init",
+            "side": 1,
+            "lo": 0,
+            "hi": 0,
+            "probes": 0,
+            "feet": {},
+        }
+    started: set[NodeId] = set()
+
+    def _a_probe(eng, v, base, p):
+        au = chains[base]["u" if p["side"] == 1 else "l"]
+        if p["lo"] > p["hi"] or p["probes"] > 2 * (len(au).bit_length() + 2):
+            p["stage"] = "ship"
+            eng.send(v, p["B"], {"base": base}, tag="hs")
+            return
+        mid = (p["lo"] + p["hi"]) // 2
+        p["mid"] = mid
+        p["probes"] += 1
+        eng.send(
+            v,
+            p["B"],
+            {"base": base, "side": p["side"], "pt": au[mid][:2]},
+            tag="hp",
+        )
+
+    def _a_found(eng, v, base, p, jb):
+        p["feet"][p["side"]] = (p["mid"], jb)
+        if p["side"] == 1:
+            p["side"] = -1
+            p["lo"], p["hi"] = 0, len(chains[base]["l"]) - 1
+            p["probes"] = 0
+            _a_probe(eng, v, base, p)
+        else:
+            ju = p["feet"][1][1]
+            jl = p["feet"][-1][1]
+            p["stage"] = "suffix"
+            eng.send(v, p["B"], {"base": base, "ju": ju, "jl": jl}, tag="hq")
+
+    def _assemble(base, p, bu, bl):
+        iu = p["feet"][1][0]
+        il = p["feet"][-1][0]
+        chains[base]["u"] = chains[base]["u"][: iu + 1] + bu
+        chains[base]["l"] = chains[base]["l"][: il + 1] + bl
+        p["stage"] = "done"
+
+    def merge_handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
+        if v not in started:
+            started.add(v)
+            for base, p in pairs.items():
+                if p["A"] != v or p["stage"] != "init":
+                    continue
+                bslot = p["bslot"]
+                if p["A"] == p["B"]:
+                    # right block hosted by the same node (virtual slots):
+                    # merge locally, message-free
+                    bu, bl = chains[bslot]["u"], chains[bslot]["l"]
                     if not chains[base]["u"]:
                         chains[base] = {"u": list(bu), "l": list(bl)}
-                    elif bu:
+                        p["stage"] = "done"
+                    elif not bu:
+                        p["stage"] = "done"
+                    else:
                         iu, ju = _local_bridge(chains[base]["u"], bu, 1)
                         il, jl = _local_bridge(chains[base]["l"], bl, -1)
                         p["feet"] = {1: (iu, ju), -1: (il, jl)}
-                        chains[base]["u"] = chains[base]["u"][: iu + 1] + bu[ju:]
-                        chains[base]["l"] = chains[base]["l"][: il + 1] + bl[jl:]
+                        _assemble(base, p, bu[ju:], bl[jl:])
+                    continue
+                p["stage"] = "search"
+                p["lo"], p["hi"] = 0, len(chains[base]["u"]) - 1
+                _a_probe(eng, v, base, p)
+        for m in inbox:
+            d_ = m.payload
+            base = d_["base"]
+            p = pairs[base]
+            if m.tag == "hp":
+                side = d_["side"]
+                bc = chains[p["bslot"]]["u" if side == 1 else "l"]
+                if not bc:
+                    eng.send(v, m.src, {"base": base, "empty": True}, tag="ha")
+                    continue
+                idx = _point_tangent(d_["pt"], bc, side)
+                eng.send(
+                    v,
+                    m.src,
+                    {"base": base, "empty": False, "idx": idx, "b": bc[idx][:2]},
+                    tag="ha",
+                )
+            elif m.tag == "ha":
+                if d_["empty"]:
                     p["stage"] = "done"
-                elif m.tag == "hq":
-                    bslot = pairs[base]["bslot"]
-                    bu = chains[bslot]["u"][d_["ju"] :]
-                    bl = chains[bslot]["l"][d_["jl"] :]
-                    ids = [int(q[2]) for q in bu + bl]
-                    eng.send(
-                        v,
-                        m.src,
-                        {"base": base, "u": bu, "l": bl},
-                        tag="hr",
-                        intro_ids=tuple(sorted(set(ids))),
-                    )
-                elif m.tag == "hr":
-                    _assemble(base, p, d_["u"], d_["l"])
-            # the started block moved every A-side pair out of "init"
-            return all(p["stage"] == "done" for p in pairs.values() if p["A"] == v)
+                    continue
+                ac = chains[base]["u" if p["side"] == 1 else "l"]
+                mid, b, s = p["mid"], d_["b"], p["side"]
+                a = ac[mid]
+                nxt_bad = mid + 1 < len(ac) and _side(a, b, ac[mid + 1]) == s
+                prv_bad = mid > 0 and _side(a, b, ac[mid - 1]) == s
+                if nxt_bad:
+                    p["lo"] = mid + 1
+                    _a_probe(eng, v, base, p)
+                elif prv_bad:
+                    p["hi"] = mid - 1
+                    _a_probe(eng, v, base, p)
+                else:
+                    # full-chain verification; bisection can stop at a
+                    # locally-flat vertex on degenerate inputs
+                    if all(
+                        _side(a, b, q) != s for q in ac if q is not a
+                    ):
+                        # slide over collinear predecessors so the foot
+                        # is the smallest valid index; keeps interior
+                        # collinear vertices out of the merged chain
+                        while mid > 0 and _side(ac[mid - 1], b, a) == 0:
+                            mid -= 1
+                            a = ac[mid]
+                        p["mid"] = mid
+                        _a_found(eng, v, base, p, d_["idx"])
+                    else:
+                        p["stage"] = "ship"
+                        eng.send(v, p["B"], {"base": base}, tag="hs")
+            elif m.tag == "hs":
+                bslot = pairs[base]["bslot"]
+                ids = [int(q[2]) for q in chains[bslot]["u"] + chains[bslot]["l"]]
+                eng.send(
+                    v,
+                    m.src,
+                    {"base": base, "u": chains[bslot]["u"], "l": chains[bslot]["l"]},
+                    tag="hc",
+                    intro_ids=tuple(sorted(set(ids))),
+                )
+            elif m.tag == "hc":
+                bu, bl = d_["u"], d_["l"]
+                if not chains[base]["u"]:
+                    chains[base] = {"u": list(bu), "l": list(bl)}
+                elif bu:
+                    iu, ju = _local_bridge(chains[base]["u"], bu, 1)
+                    il, jl = _local_bridge(chains[base]["l"], bl, -1)
+                    p["feet"] = {1: (iu, ju), -1: (il, jl)}
+                    chains[base]["u"] = chains[base]["u"][: iu + 1] + bu[ju:]
+                    chains[base]["l"] = chains[base]["l"][: il + 1] + bl[jl:]
+                p["stage"] = "done"
+            elif m.tag == "hq":
+                bslot = pairs[base]["bslot"]
+                bu = chains[bslot]["u"][d_["ju"] :]
+                bl = chains[bslot]["l"][d_["jl"] :]
+                ids = [int(q[2]) for q in bu + bl]
+                eng.send(
+                    v,
+                    m.src,
+                    {"base": base, "u": bu, "l": bl},
+                    tag="hr",
+                    intro_ids=tuple(sorted(set(ids))),
+                )
+            elif m.tag == "hr":
+                _assemble(base, p, d_["u"], d_["l"])
+        # the started block moved every A-side pair out of "init"
+        return all(p["stage"] == "done" for p in pairs.values() if p["A"] == v)
 
-        engine.run_phase(f"hull_merge_{level}", merge_handler, max_rounds=8 * n + 40)
+    def finish(report: PhaseReport) -> None:
         for p in pairs.values():
             if p["stage"] != "done":
                 raise SimulationAbortError(p["A"], engine.round_no, "merge incomplete")
 
-    top = chains[0]
-    lower, upper = top["l"], top["u"]
-    if len({tuple(q[:2]) for q in lower + upper}) < 3:
-        from .errors import DegenerateInputError
+    return _Session(cube.members, merge_handler, 8 * n + 40, finish)
 
-        raise DegenerateInputError("hull of fewer than 3 distinct points")
-    ccw = [q for q in lower] + [q for q in reversed(upper[1:-1])]
-    hull_ids = [int(q[2]) for q in ccw]
-    hull_pts = {int(q[2]): Point(q[0], q[1]) for q in ccw}
 
-    # leader broadcasts the finished hull down the jump-edge binomial tree
+def _hull_broadcast_session(
+    engine: RoundEngine, cube: HypercubeOverlay, ccw: list
+) -> _Session:
+    """The leader sends the finished hull down the jump-edge binomial tree."""
+    k = len(cube.members)
     d_bits = cube.dimension
     payload = {"hull": [[q[0], q[1], int(q[2])] for q in ccw]}
-    intro = tuple(sorted(set(hull_ids)))
+    intro = tuple(sorted({int(q[2]) for q in ccw}))
     got: set[NodeId] = set()
 
     def bcast_handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        if v not in hosts:
-            return True
         if v == cube.leader and v not in got:
             got.add(v)
             for i in range(d_bits - 1, -1, -1):
@@ -749,10 +863,11 @@ def parallel_convex_hull(
                     )
         return v in got
 
-    engine.run_phase("hull_broadcast", bcast_handler, max_rounds=2 * d_bits + 6)
-    if len(got) != k:
-        raise SimulationAbortError(cube.leader, engine.round_no, "hull broadcast gap")
-    return hull_ids, hull_pts
+    def finish(report: PhaseReport) -> None:
+        if len(got) != k:
+            raise SimulationAbortError(cube.leader, engine.round_no, "hull broadcast gap")
+
+    return _Session(cube.members, bcast_handler, 2 * d_bits + 6, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -853,22 +968,35 @@ def distribute_hulls(
 
 
 def dominating_set(
-    engine: RoundEngine, path: list[NodeId], seed: int
-) -> tuple[set[NodeId], int]:
-    """Randomized dominating set of a boundary sub-path (degree <= 2).
+    engine: RoundEngine,
+    paths: Mapping[Hashable, list[NodeId]],
+    seeds: Mapping[Hashable, int],
+) -> dict[Hashable, tuple[set[NodeId], int]]:
+    """Randomized dominating set of each boundary sub-path (degree <= 2).
 
     Phases of two rounds each: every uncovered node joins with
     probability 1/2 and announces to its path neighbors, which then
     count themselves covered.  A phase cap with deterministic join
-    keeps termination and validity unconditional.  Returns (set,
-    phases used).
+    keeps termination and validity unconditional.  All paths run at
+    once.  Returns (set, phases used) per path.
     """
+    out = {key: (set(path), 0) for key, path in paths.items() if len(path) <= 1}
+    out.update(
+        _run_wave(
+            engine,
+            "dominating_set",
+            {
+                key: _dominating_session(engine, path, seeds[key])
+                for key, path in paths.items()
+                if len(path) > 1
+            },
+        )
+    )
+    return {key: out[key] for key in paths}
+
+
+def _dominating_session(engine: RoundEngine, path: list[NodeId], seed: int) -> _Session:
     m = len(path)
-    if m == 0:
-        return set(), 0
-    if m == 1:
-        return {path[0]}, 0
-    pos = {v: i for i, v in enumerate(path)}
     nbrs: dict[NodeId, list[NodeId]] = {}
     for i, v in enumerate(path):
         nbrs[v] = []
@@ -881,11 +1009,8 @@ def dominating_set(
     covered: set[NodeId] = set()
     cap = 4 * math.ceil(math.log2(m + 2)) + 8
     state = {v: {"phase": 0, "parity": 0} for v in path}
-    path_set = set(path)
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        if v not in path_set:
-            return True
         s = state[v]
         for msg in inbox:
             if msg.tag == "ds_join" and msg.src in nbrs[v]:
@@ -907,11 +1032,13 @@ def dominating_set(
         s["parity"] = 1
         return False
 
-    engine.run_phase("dominating_set", handler, max_rounds=4 * cap + 20)
-    for v in path:
-        if v not in in_ds and not any(nb in in_ds for nb in nbrs[v]):
-            raise SimulationAbortError(v, engine.round_no, "domination gap")
-    return in_ds, max(s["phase"] for s in state.values())
+    def finish(report: PhaseReport) -> tuple[set[NodeId], int]:
+        for v in path:
+            if v not in in_ds and not any(nb in in_ds for nb in nbrs[v]):
+                raise SimulationAbortError(v, engine.round_no, "domination gap")
+        return in_ds, max(s["phase"] for s in state.values())
+
+    return _Session(path, handler, 4 * cap + 20, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -930,27 +1057,36 @@ class RingProtocolResult:
 
 def ring_protocol(
     engine: RoundEngine,
-    members: list[NodeId],
-    jump: PointerJumpResult | None = None,
-) -> RingProtocolResult:
+    rings: Mapping[Hashable, list[NodeId]],
+    jumps: Mapping[Hashable, PointerJumpResult] | None = None,
+) -> dict[Hashable, RingProtocolResult]:
     """Leader election, ranking, hypercube, sort, hull, broadcast.
 
-    An already-completed election/ranking result can be passed in so the
-    ring is not re-elected when classification already ran it.
+    Every ring runs each step in the same phase.  Completed
+    election/ranking results can be passed in so the rings are not
+    re-elected when classification already ran it.
     """
-    if jump is None:
-        jump = pointer_jumping(engine, members)
-        rank_ring(engine, members, jump)
-    cube = assign_hypercube_ids(engine, members, jump)
+    if jumps is None:
+        jumps = pointer_jumping(engine, rings)
+        rank_ring(engine, rings, jumps)
+    cubes = assign_hypercube_ids(engine, rings, jumps)
     pts = engine.topo.points
-    keys = {v: (pts[v].x, pts[v].y, v) for v in members}
-    slot_keys, stages = hypercube_sort(engine, cube, keys)
-    hull, hull_pts = parallel_convex_hull(engine, cube, slot_keys)
-    return RingProtocolResult(
-        members=list(members),
-        jump=jump,
-        cube=cube,
-        sort_stages=stages,
-        hull=hull,
-        hull_points=hull_pts,
+    keys = {
+        key: {v: (pts[v].x, pts[v].y, v) for v in members}
+        for key, members in rings.items()
+    }
+    sorted_keys = hypercube_sort(engine, cubes, keys)
+    hulls = parallel_convex_hull(
+        engine, cubes, {key: slots for key, (slots, _) in sorted_keys.items()}
     )
+    return {
+        key: RingProtocolResult(
+            members=list(members),
+            jump=jumps[key],
+            cube=cubes[key],
+            sort_stages=sorted_keys[key][1],
+            hull=hulls[key][0],
+            hull_points=hulls[key][1],
+        )
+        for key, members in rings.items()
+    }

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -45,6 +46,8 @@ from .simengine import RoundEngine
 LDEL_BUILD_ROUNDS = 5
 # boundary flags travel one hop so ring neighbors agree
 RING_DETECT_ROUNDS = 1
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -113,14 +116,6 @@ def _check_connected(topo: HybridTopology) -> None:
         )
 
 
-def _longrange_per_node(transcript: Sequence[dict], upto: int) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for line in transcript[:upto]:
-        if line["channel"] == "longrange" and line["src"] is not None:
-            counts[line["src"]] = counts.get(line["src"], 0) + 1
-    return counts
-
-
 class Pipeline:
     """Holds one topology, one engine, and everything built on them."""
 
@@ -137,15 +132,24 @@ class Pipeline:
         self.router: Router | None = None
         self.phase_rounds: dict[str, int] = {}
         self.protocol_rounds = 0
-        self._abstraction_transcript_len = 0
+        # per-node long-range sends and ad hoc sends of the latest build
+        self.build_longrange: dict[int, int] = {}
+        self.build_adhoc = 0
         self._knows_after_build: dict[int, set[int]] | None = None
 
     # -- abstraction phases --------------------------------------------------
 
     def build_abstraction(self) -> None:
+        """Every phase in dependency order; rings run concurrently in two waves.
+
+        Wave one is every closed ring (classification, then hull, bays and
+        dominating sets); wave two is the outer-hole arcs, which hang off
+        the outer boundary's hull from wave one.
+        """
         eng = self.engine
         cfg = self.config
         start = eng.round_no
+        lr_start, adhoc_start = dict(eng.longrange_sent), eng.adhoc_sent
 
         def mark(label: str, begin: int) -> None:
             self.phase_rounds[label] = eng.round_no - begin
@@ -160,18 +164,15 @@ class Pipeline:
         self.rings = form_rings(self.g, detect_boundary_nodes(self.g))
         mark("ring_detect", t)
 
-        t = eng.round_no
+        wave = t = eng.round_no
+        own_before = dict(eng.session_rounds)
         jumps = classify_rings(eng, self.rings)
         mark("classification", t)
 
         t = eng.round_no
-        self.abstractions = {}
-        self.protos = {}
-        for r in self.rings:
-            self.abstractions[r.ring_id], self.protos[r.ring_id] = build_hull_abstraction(
-                eng, r, jump=jumps[r.ring_id]
-            )
+        self.abstractions, self.protos = build_hull_abstraction(eng, self.rings, jumps)
         mark("ring_hulls", t)
+        self._log_wave("closed rings", self.rings, own_before, eng.round_no - wave)
 
         t = eng.round_no
         outer = next(r for r in self.rings if r.kind == KIND_OUTER_BOUNDARY)
@@ -181,12 +182,13 @@ class Pipeline:
             hull_nodes=self.abstractions[outer.ring_id].hull_nodes,
             first_id=max(r.ring_id for r in self.rings) + 1,
         )
-        for arc in arcs:
-            self.abstractions[arc.ring_id], self.protos[arc.ring_id] = build_hull_abstraction(
-                eng, arc
-            )
+        own_before = dict(eng.session_rounds)
+        arc_abstractions, arc_protos = build_hull_abstraction(eng, arcs)
+        self.abstractions.update(arc_abstractions)
+        self.protos.update(arc_protos)
         self.rings = self.rings + arcs
         mark("outer_holes", t)
+        self._log_wave("outer-hole arcs", arcs, own_before, eng.round_no - t)
 
         if self.tree is None:
             t = eng.round_no
@@ -199,11 +201,41 @@ class Pipeline:
         mark("hull_distribution", t)
 
         self.protocol_rounds = eng.round_no - start
-        self._abstraction_transcript_len = len(eng.transcript)
+        self.build_longrange = {
+            v: c - lr_start.get(v, 0)
+            for v, c in eng.longrange_sent.items()
+            if c > lr_start.get(v, 0)
+        }
+        self.build_adhoc = eng.adhoc_sent - adhoc_start
         # snapshot before queries: routing teaches endpoints each other's
         # ids, which is not abstraction storage
         self._knows_after_build = {v: set(self.topo.knows[v]) for v in self.topo.ids}
         self.router = Router(self.g, self.rings, self.abstractions, backend=cfg.backend)
+
+    def _log_wave(
+        self, wave: str, rings: list[HoleRing], own_before: dict, wave_rounds: int
+    ) -> None:
+        """One debug line for the wave, one per ring with its own rounds.
+
+        A ring's own rounds are its sessions' rounds: election through
+        hull broadcast, plus the slowest of its bays' dominating sets.
+        """
+        if not log.isEnabledFor(logging.DEBUG):
+            return
+        own = self.engine.session_rounds
+
+        def rounds(key) -> int:
+            return own.get(key, 0) - own_before.get(key, 0)
+
+        log.debug("wave %s: %d rings in %d rounds", wave, len(rings), wave_rounds)
+        for r in rings:
+            ab = self.abstractions[r.ring_id]
+            bays = max((rounds((r.ring_id, i)) for i in range(len(ab.bay_areas))), default=0)
+            log.debug(
+                "ring %d %s: size %d, hull %d, own rounds %d",
+                r.ring_id, r.kind, len(r.members), len(ab.hull_nodes),
+                rounds(r.ring_id) + bays,
+            )
 
     def _hull_refs(self):
         refs: list[tuple[int, float, float, int]] = []
@@ -228,9 +260,11 @@ class Pipeline:
             ring_members.update(r.members)
         boundary = ring_members - hull_nodes
         other = set(self.topo.ids) - ring_members
-        snapshot = getattr(self, "_knows_after_build", None) or self.topo.knows
+        if self._knows_after_build is None:
+            raise NotReadyError("abstraction not built")
         delta = {
-            v: len(snapshot[v] - self.baseline_knows[v]) for v in self.topo.ids
+            v: len(self._knows_after_build[v] - self.baseline_knows[v])
+            for v in self.topo.ids
         }
         sum_hull = sum(
             len(self.abstractions[r.ring_id].hull_nodes)
@@ -296,7 +330,7 @@ class Pipeline:
             "ok": all(row["ok"] for row in ring_rows),
         }
 
-        lr = _longrange_per_node(self.engine.transcript, self._abstraction_transcript_len)
+        lr = self.build_longrange
         lr_max = max(lr.values()) if lr else 0
         lr_budget = cfg.c_longrange * log2n**2
         bounds["longrange_per_node"] = {
@@ -313,6 +347,9 @@ class Pipeline:
                 "bound": storage[cls]["budget"],
                 "ok": storage[cls]["ok"],
             }
+        for name, b in bounds.items():
+            if not b["ok"]:
+                log.warning("bound %s failed: %s", name, _bound_summary(b))
         bounds["_storage_detail"] = storage
         return bounds
 
@@ -352,26 +389,17 @@ class Pipeline:
         eng = self.engine
         bounds = self.bound_audit()
         storage = bounds.pop("_storage_detail")
-        lr = _longrange_per_node(eng.transcript, self._abstraction_transcript_len)
-        adhoc_total = sum(
-            1
-            for line in eng.transcript[: self._abstraction_transcript_len]
-            if line["channel"] == "adhoc"
-        )
+        lr = self.build_longrange
         message_stats = {
             "total_messages": eng.total_messages,
             "total_bytes": eng.total_bytes,
-            "abstraction_adhoc": adhoc_total,
+            "abstraction_adhoc": self.build_adhoc,
             "abstraction_longrange": sum(lr.values()),
             "longrange_per_node_max": max(lr.values()) if lr else 0,
             "longrange_per_node_mean": (sum(lr.values()) / len(lr)) if lr else 0.0,
             "max_longrange_per_node_round": eng.max_longrange_per_node_round,
         }
-        flat = {
-            k: v
-            for k, v in bounds.items()
-        }
-        ok = all(v["ok"] for v in flat.values())
+        ok = all(v["ok"] for v in bounds.values())
         rows = []
         for res in results:
             rows.append(
@@ -448,14 +476,11 @@ class Pipeline:
         _check_connected(self.topo)
         tree_before = (self.tree.root, sorted(self.tree.parent.items()))
         start_round = self.engine.round_no
-        start_len = len(self.engine.transcript)
+        tree_charges = self.engine.charged["broadcast_tree"]
         self.router = None
         self.build_abstraction()
         rounds = self.engine.round_no - start_round
-        charged_tree = any(
-            line["tag"].startswith("charge:broadcast_tree")
-            for line in self.engine.transcript[start_len:]
-        )
+        charged_tree = self.engine.charged["broadcast_tree"] != tree_charges
         n = len(self.topo.points)
         log2n = math.log2(n) if n > 1 else 1.0
         budget = self.config.c3 * log2n**2
@@ -470,6 +495,8 @@ class Pipeline:
             "idle_rounds": interval,
             "abstraction_digest": self.abstraction_digest(),
         }
+        if not out["ok"]:
+            log.warning("recompute bound failed: %d rounds, bound %.1f", rounds, budget)
         if self.config.strict and not out["ok"]:
             raise BoundViolationError(f"recompute bound violated: {out}", report=out)
         return out
@@ -498,6 +525,14 @@ def abstraction_to_dict(
             sorted(ab.dominating_sets[i]) for i in sorted(ab.dominating_sets)
         ]
     return out
+
+
+def _bound_summary(b: dict) -> str:
+    if "rings" in b:
+        bad = [row["ring_id"] for row in b["rings"] if not row["ok"]]
+        return f"rings {bad}"
+    measured = b.get("measured", b.get("measured_max"))
+    return f"measured {measured} > bound {b['bound']:.1f}"
 
 
 def run_pipeline(topo: HybridTopology, config: PipelineConfig | None = None) -> ExperimentReport:

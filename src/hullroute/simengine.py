@@ -7,19 +7,25 @@ whose id the sender currently knows.  Delivering a message teaches the
 receiver the sender's id (caller id), and a message may introduce
 further ids the sender knows, which the receiver learns on delivery.
 
+Protocols for many rings run side by side in one phase.  Each ring (or
+bay) is a session: its messages carry the session as a header, so a
+node on two rings keeps the two conversations apart, and each session
+reports the round at which it alone went quiet.
+
 The engine is also the bookkeeper: every send is appended to a
-transcript and counted into per-phase and per-node tallies, so round
-and message bounds can be checked after a run instead of trusted.
+transcript and counted into per-phase, per-session and per-node
+tallies, so round and message bounds can be checked after a run
+instead of trusted.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import (
     IllegalIntroductionError,
@@ -47,6 +53,8 @@ class Message:
     channel: Channel
     tag: str
     intro_ids: tuple[NodeId, ...] = ()
+    # header like src/dst: routes the message to its session's handler call
+    session: Hashable = None
 
 
 @dataclass
@@ -63,19 +71,31 @@ Handler = Callable[["RoundEngine", NodeId, list[Message]], bool]
 
 
 class RoundEngine:
-    def __init__(self, topo: HybridTopology, transcript_path: str | Path | None = None):
+    def __init__(self, topo: HybridTopology):
         self.topo = topo
         self.round_no = 0
         self.total_messages = 0
         self.total_bytes = 0
         self.max_longrange_per_node_round = 0
+        # running tallies; a caller diffs two snapshots to window them
+        self.longrange_sent: dict[NodeId, int] = defaultdict(int)
+        self.adhoc_sent = 0
+        self.charged: dict[str, int] = defaultdict(int)
+        self.session_rounds: dict[Hashable, int] = defaultdict(int)
         self.phase_reports: list[PhaseReport] = []
         self.transcript: list[dict] = []
-        self._transcript_path = Path(transcript_path) if transcript_path else None
+        # the session whose handler runs now; sends are stamped with it
+        self.session: Hashable = None
+        self._sessions: dict[Hashable, list[NodeId]] | None = None
         self._outbox: list[Message] = []
-        self._inbox: dict[NodeId, list[Message]] = defaultdict(list)
+        self._inbox: dict[Hashable, dict[NodeId, list[Message]]] = defaultdict(
+            lambda: defaultdict(list)
+        )
         self._lr_this_round: dict[NodeId, int] = defaultdict(int)
         self._phase: PhaseReport | None = None
+        self._reports: dict[Hashable, PhaseReport] = {}
+        # reports a send is counted into: the phase's and its session's
+        self._tallies: tuple[PhaseReport, ...] = ()
 
     # -- sending ---------------------------------------------------------
 
@@ -116,12 +136,13 @@ class RoundEngine:
                 raise IllegalIntroductionError(
                     f"round {self.round_no}: {src} introduces id {x} it does not know"
                 )
-        msg = Message(src, dst, payload, channel, tag, tuple(intro_ids))
+        msg = Message(src, dst, payload, channel, tag, tuple(intro_ids), self.session)
         self._outbox.append(msg)
+        # the session header, like src and dst, is not part of the size
         nbytes = canonical_bytes(
             {"tag": tag, "data": payload, "intro": sorted(intro_ids)}
         )
-        self._record(
+        self.transcript.append(
             {
                 "round": self.round_no,
                 "src": src,
@@ -133,21 +154,24 @@ class RoundEngine:
         )
         self.total_messages += 1
         self.total_bytes += nbytes
-        if self._phase:
-            self._phase.bytes_total += nbytes
-            if channel is Channel.ADHOC:
-                self._phase.messages_adhoc += 1
-            else:
-                self._phase.messages_longrange += 1
+        peak = 0
         if channel is Channel.LONGRANGE:
+            self.longrange_sent[src] += 1
             self._lr_this_round[src] += 1
             peak = self._lr_this_round[src]
             self.max_longrange_per_node_round = max(
                 self.max_longrange_per_node_round, peak
             )
-            if self._phase:
-                self._phase.max_longrange_per_node_round = max(
-                    self._phase.max_longrange_per_node_round, peak
+        else:
+            self.adhoc_sent += 1
+        for rep in self._tallies:
+            rep.bytes_total += nbytes
+            if channel is Channel.ADHOC:
+                rep.messages_adhoc += 1
+            else:
+                rep.messages_longrange += 1
+                rep.max_longrange_per_node_round = max(
+                    rep.max_longrange_per_node_round, peak
                 )
 
     def delete_id(self, v: NodeId, w: NodeId) -> None:
@@ -155,7 +179,8 @@ class RoundEngine:
 
     def collect(self, v: NodeId) -> list[Message]:
         """Drain v's inbox; for traffic driven outside run_phase."""
-        return self._inbox.pop(v, [])
+        box = self._inbox.get(None)
+        return box.pop(v, []) if box else []
 
     # -- round advancement -------------------------------------------------
 
@@ -170,14 +195,15 @@ class RoundEngine:
             self.topo.learn(m.dst, m.src)
             for x in m.intro_ids:
                 self.topo.learn(m.dst, x)
-            self._inbox[m.dst].append(m)
+            self._inbox[m.session][m.dst].append(m)
 
     def charge_rounds(self, n: int, label: str) -> None:
         """Account for a harness-assisted phase without simulating it."""
         self.round_no += n
+        self.charged[label] += n
         if self._phase:
             self._phase.rounds += n
-        self._record(
+        self.transcript.append(
             {
                 "round": self.round_no,
                 "src": None,
@@ -190,44 +216,94 @@ class RoundEngine:
 
     # -- phase driver ------------------------------------------------------
 
+    def run_sessions(
+        self,
+        label: str,
+        sessions: Mapping[Hashable, tuple[Iterable[NodeId], Handler]],
+        max_rounds: int,
+    ) -> dict[Hashable, PhaseReport]:
+        """Run one phase for several sessions at once.
+
+        Each session is (members, handler).  A session's handler is
+        called for its members (and any node holding its mail) with that
+        session's mail only, and whatever it sends carries the session.
+        Returns one report per session, counting the rounds until that
+        session went quiet.
+        """
+        if not sessions:
+            return {}
+        handlers = {key: h for key, (_, h) in sessions.items()}
+
+        def dispatch(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
+            return handlers[eng.session](eng, v, inbox)
+
+        self._sessions = {key: sorted(members) for key, (members, _) in sessions.items()}
+        try:
+            self.run_phase(label, dispatch, max_rounds)
+            return self._reports
+        finally:
+            self._sessions = None
+
     def run_phase(self, label: str, handler: Handler, max_rounds: int) -> PhaseReport:
         """Run handlers each round, ascending node id, until quiescent.
 
-        A phase is finished when every handler reported done and no
-        message is in flight or undelivered.  Overrunning max_rounds
+        Without sessions every node is one session and is called every
+        round.  With sessions (see run_sessions) only the members of a
+        session still running, and any node with mail for it, are
+        called.  A session is finished when every node called for it
+        reported done and none of its messages is in flight; the phase
+        is finished when every session is.  Overrunning max_rounds
         aborts the simulation rather than looping forever.
         """
         report = PhaseReport(label=label)
+        running = {
+            key: (members, set(members))
+            for key, members in (self._sessions or {None: self.topo.ids}).items()
+        }
+        self._reports = {key: PhaseReport(label=label) for key in running}
         self._phase = report
         try:
-            for _ in range(max_rounds + 1):
-                all_done = True
-                for v in self.topo.ids:
-                    inbox = self._inbox.pop(v, [])
-                    try:
-                        done = handler(self, v, inbox)
-                    except Exception as e:
-                        if isinstance(e, (IllegalSendError, IllegalIntroductionError)):
+            for rounds in range(max_rounds + 1):
+                finished = []
+                for key, (members, member_set) in running.items():
+                    self.session = key
+                    self._tallies = (report, self._reports[key])
+                    box = self._inbox.pop(key, {})
+                    wake = members
+                    if not box.keys() <= member_set:
+                        wake = sorted(member_set | box.keys())
+                    all_done = True
+                    for v in wake:
+                        try:
+                            done = handler(self, v, box.pop(v, []))
+                        except (IllegalSendError, IllegalIntroductionError):
                             raise
-                        raise SimulationAbortError(v, self.round_no, repr(e)) from e
-                    all_done = all_done and bool(done)
-                if all_done and not self._outbox and not self._inbox:
+                        except Exception as e:
+                            raise SimulationAbortError(v, self.round_no, repr(e)) from e
+                        all_done = all_done and bool(done)
+                    if all_done:
+                        finished.append(key)
+                self.session = None
+                in_flight = {m.session for m in self._outbox}
+                for key in finished:
+                    if key not in in_flight:
+                        del running[key]
+                        self._reports[key].rounds = rounds
+                        if key is not None:
+                            self.session_rounds[key] += rounds
+                if not running:
                     return report
                 self.step_round()
             raise SimulationAbortError(
                 -1, self.round_no, f"phase {label!r} exceeded {max_rounds} rounds"
             )
         finally:
+            self.session = None
+            self._tallies = ()
             self._phase = None
             self.phase_reports.append(report)
 
     # -- transcript ----------------------------------------------------------
-
-    def _record(self, line: dict) -> None:
-        self.transcript.append(line)
-        if self._transcript_path:
-            with self._transcript_path.open("a") as fh:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
 
     def write_transcript(self, path: str | Path) -> None:
         with Path(path).open("w") as fh:

@@ -375,7 +375,7 @@ def test_10_dominating_sets(stacks):
                 m = len(bay.members)
                 sizes = []
                 for seed in range(100):
-                    ds, _ = dominating_set(pipe.engine, bay.members, seed=1000 + seed)
+                    ds, _ = dominating_set(pipe.engine, {0: bay.members}, {0: 1000 + seed})[0]
                     sizes.append(len(ds))
                     for i, v in enumerate(bay.members):
                         around = {v}

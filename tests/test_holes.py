@@ -318,7 +318,8 @@ def test_hull_abstraction_on_star():
     topo = build_udg(pts)
     engine = RoundEngine(topo)
     ring = HoleRing(ring_id=0, members=members)
-    ha, proto = build_hull_abstraction(engine, ring, seed=11)
+    abstractions, protos = build_hull_abstraction(engine, [ring], seed=11)
+    ha, proto = abstractions[0], protos[0]
     assert ha.hull_nodes == proto.hull
     assert sorted(ha.hull_nodes) == [0, 3, 6, 9]
     assert len(ha.bay_areas) == 4
@@ -338,7 +339,8 @@ def test_hull_abstraction_reuses_election(grid):
     jumps = classify_rings(engine, [inner])
     elected = sum(1 for t in engine.transcript if t["tag"] == "pj_succ")
     assert elected > 0
-    ha, proto = build_hull_abstraction(engine, inner, jump=jumps[inner.ring_id])
+    abstractions, protos = build_hull_abstraction(engine, [inner], jumps)
+    ha, proto = abstractions[inner.ring_id], protos[inner.ring_id]
     again = sum(1 for t in engine.transcript if t["tag"] == "pj_succ")
     assert again == elected  # no second election
     assert proto.jump is jumps[inner.ring_id]
@@ -348,8 +350,9 @@ def test_hull_abstraction_reuses_election(grid):
 def test_distributed_hull_matches_centralized_on_rings(grid):
     topo, g, _, rings, _, jumps = grid
     engine = RoundEngine(topo)
+    protos = ring_protocol(engine, {r.ring_id: r.members for r in rings})
     for r in rings:
-        proto = ring_protocol(engine, r.members)
+        proto = protos[r.ring_id]
         want = hull_node_ids(g.points, r.members)
         assert proto.hull == want
         got = sorted(tuple(topo.points[v]) for v in proto.hull)
@@ -358,11 +361,7 @@ def test_distributed_hull_matches_centralized_on_rings(grid):
 
 def test_hole_report_shape(grid):
     topo, g, _, rings, _, jumps = grid
-    engine = RoundEngine(topo)
-    abstractions = {}
-    for r in rings:
-        ha, _ = build_hull_abstraction(engine, r)
-        abstractions[r.ring_id] = ha
+    abstractions, _ = build_hull_abstraction(RoundEngine(topo), rings)
     rep = hole_report(rings, abstractions)
     assert len(rep) == len(rings)
     for row in rep:

@@ -69,7 +69,7 @@ KS = [2, 3, 4, 5, 8, 12, 16, 17, 33]
 @pytest.mark.parametrize("k", KS)
 def test_pointer_jumping_elects_min_id(k):
     engine, members = ring_engine(k, seed=k)
-    res = pointer_jumping(engine, members)
+    res = pointer_jumping(engine, {0: members})[0]
     assert res.leader == min(members)
     assert set(res.known_min.values()) == {res.leader}
     bound = math.ceil(math.log2(k)) + 1
@@ -81,7 +81,7 @@ def test_pointer_jumping_shuffled_ids():
     # leadership must follow ids, not ring positions
     ids = [104, 101, 107, 100, 106, 103, 102, 105, 108, 110, 109]
     engine, members = ring_engine(len(ids), ids=ids, seed=4)
-    res = pointer_jumping(engine, members)
+    res = pointer_jumping(engine, {0: members})[0]
     assert res.leader == 100
     assert set(res.known_min.values()) == {100}
 
@@ -89,7 +89,7 @@ def test_pointer_jumping_shuffled_ids():
 def test_jump_edges_carry_arc_minima_and_angles():
     engine, members = ring_engine(13, seed=3, jitter=0.02)
     angle = turn_angles(engine, members)
-    res = pointer_jumping(engine, members)
+    res = pointer_jumping(engine, {0: members})[0]
     k = len(members)
     assert res.jump_edges, "no overlay edges built"
     for e in res.jump_edges:
@@ -102,6 +102,26 @@ def test_jump_edges_carry_arc_minima_and_angles():
         assert e.angle_sum == pytest.approx(sum(angle[x] for x in walked), abs=1e-9)
 
 
+def test_mixed_wave_reports_each_rings_own_rounds():
+    # a k=4 circle just outside a k=40 circle; both elect in the same phases
+    small, small_ids = circle_points(4, ids=range(100, 104))
+    big, big_ids = circle_points(40)
+    small = {v: Point(p.x + 6.4, p.y) for v, p in small.items()}
+    rings = {"small": small_ids, "big": big_ids}
+    engine = RoundEngine(build_udg({**small, **big}))
+    res = pointer_jumping(engine, rings)
+    for key, members in rings.items():
+        k = len(members)
+        assert res[key].jump_rounds <= math.ceil(math.log2(k)) + 1
+        assert res[key].leader == min(members)
+        # the same rounds and messages as a ring running alone
+        alone = pointer_jumping(ring_engine(k, ids=members)[0], {key: members})[key]
+        assert res[key].jump_rounds == alone.jump_rounds
+        assert res[key].messages_per_node == alone.messages_per_node
+    assert res["small"].jump_rounds < res["big"].jump_rounds
+    assert engine.phase_reports[-1].rounds == res["big"].jump_rounds + 1
+
+
 # ---------------------------------------------------------------------------
 # exact ranking
 
@@ -110,8 +130,8 @@ def test_jump_edges_carry_arc_minima_and_angles():
 def test_ranking_suffix_sums_match_direct_walk(k):
     engine, members = ring_engine(k, seed=k + 50, jitter=0.02)
     angle = turn_angles(engine, members)
-    res = pointer_jumping(engine, members)
-    rank_ring(engine, members, res)
+    res = pointer_jumping(engine, {0: members})[0]
+    rank_ring(engine, {0: members}, {0: res})
     assert res.ring_size == k
     # ccw polygon walk turns left overall
     assert res.angle_total == pytest.approx(-360.0, abs=1e-6)
@@ -127,8 +147,8 @@ def test_ranking_suffix_sums_match_direct_walk(k):
 def test_ranking_angle_total_flips_sign_clockwise():
     engine, members = ring_engine(9, seed=77)
     cw = [members[0]] + members[1:][::-1]
-    res = pointer_jumping(engine, cw)
-    rank_ring(engine, cw, res)
+    res = pointer_jumping(engine, {0: cw})[0]
+    rank_ring(engine, {0: cw}, {0: res})
     assert res.angle_total == pytest.approx(360.0, abs=1e-6)
 
 
@@ -139,9 +159,9 @@ def test_ranking_angle_total_flips_sign_clockwise():
 @pytest.mark.parametrize("k", [3, 4, 8, 12, 16, 17])
 def test_hypercube_ids_follow_ring_rank(k):
     engine, members = ring_engine(k, seed=k + 9)
-    res = pointer_jumping(engine, members)
-    rank_ring(engine, members, res)
-    cube = assign_hypercube_ids(engine, members, res)
+    res = pointer_jumping(engine, {0: members})[0]
+    rank_ring(engine, {0: members}, {0: res})
+    cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
     d = max(1, math.ceil(math.log2(k)))
     assert cube.dimension == d
     assert cube.slots == 1 << d
@@ -160,9 +180,9 @@ def test_hypercube_ids_follow_ring_rank(k):
 
 def test_virtual_slots_host_at_leader():
     engine, members = ring_engine(12, seed=21)
-    res = pointer_jumping(engine, members)
-    rank_ring(engine, members, res)
-    cube = assign_hypercube_ids(engine, members, res)
+    res = pointer_jumping(engine, {0: members})[0]
+    rank_ring(engine, {0: members}, {0: res})
+    cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
     for s in range(12, 16):
         assert cube.host_of(s) == res.leader
     assert cube.host_of(0) == res.leader
@@ -175,18 +195,18 @@ def test_virtual_slots_host_at_leader():
 @pytest.mark.parametrize("k", [4, 7, 12, 16, 23])
 def test_bitonic_sort_orders_slots(k):
     engine, members = ring_engine(k, seed=k + 123, jitter=0.03)
-    res = pointer_jumping(engine, members)
-    rank_ring(engine, members, res)
-    cube = assign_hypercube_ids(engine, members, res)
+    res = pointer_jumping(engine, {0: members})[0]
+    rank_ring(engine, {0: members}, {0: res})
+    cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
     pts = engine.topo.points
     keys = {v: (pts[v].x, pts[v].y, v) for v in members}
-    slot_keys, stages = hypercube_sort(engine, cube, keys)
+    slot_keys, stages = hypercube_sort(engine, {0: cube}, {0: keys})[0]
     d = cube.dimension
     assert stages == d * (d + 1) // 2
     assert slot_keys[:k] == sorted(keys.values())
     assert all(sk == SENTINEL for sk in slot_keys[k:])
     # deterministic and stable on a second run
-    again, _ = hypercube_sort(engine, cube, keys)
+    again, _ = hypercube_sort(engine, {0: cube}, {0: keys})[0]
     assert again == slot_keys
 
 
@@ -200,7 +220,7 @@ HULL_CASES = [(3, 0.0), (4, 0.0), (5, 0.0), (8, 0.03), (12, 0.03), (16, 0.0), (1
 @pytest.mark.parametrize("k,jitter", HULL_CASES)
 def test_parallel_hull_equals_centralized(k, jitter):
     engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
-    res = ring_protocol(engine, members)
+    res = ring_protocol(engine, {0: members})[0]
     pts = engine.topo.points
     coord_of = {v: (pts[v].x, pts[v].y) for v in members}
     id_at = {c: v for v, c in coord_of.items()}
@@ -232,7 +252,7 @@ def test_parallel_hull_drops_collinear_perimeter_points():
     pts = rect_ring_points(4, 3)
     engine = RoundEngine(build_udg(pts))
     members = list(range(len(pts)))
-    res = ring_protocol(engine, members)
+    res = ring_protocol(engine, {0: members})[0]
     coord_of = {v: (pts[v].x, pts[v].y) for v in members}
     id_at = {c: v for v, c in coord_of.items()}
     want = [id_at[c] for c in brute_hull_ccw(list(coord_of.values()))]
@@ -247,7 +267,7 @@ def test_ring_protocol_on_cavity_ring():
     ring = next(list(f) for f in g.faces if len(f) == 8)
     assert sorted(ring) == [8, 9, 13, 14, 17, 18, 22, 23]
     engine = RoundEngine(topo)
-    res = ring_protocol(engine, ring)
+    res = ring_protocol(engine, {0: ring})[0]
     assert res.jump.leader == 8
     assert res.jump.ring_size == 8
     # bounded faces are walked ccw
@@ -307,7 +327,7 @@ def test_distribute_hulls_floods_once_and_forgets():
 
 def test_dominating_set_singleton_path():
     eng = line_engine(1)
-    ds, phases = dominating_set(eng, [0], seed=5)
+    ds, phases = dominating_set(eng, {0: [0]}, {0: 5})[0]
     assert ds == {0}
     assert phases == 0
 
@@ -326,7 +346,7 @@ def test_dominating_set_always_valid(m):
     path = list(range(m))
     for seed in range(25):
         eng = line_engine(m)
-        ds, phases = dominating_set(eng, path, seed)
+        ds, phases = dominating_set(eng, {0: path}, {0: seed})[0]
         assert ds <= set(path)
         assert covers(path, ds)
         assert phases <= 4 * math.ceil(math.log2(m + 2)) + 9
@@ -338,13 +358,13 @@ def test_dominating_set_mean_size_bound():
     sizes = []
     for seed in range(100):
         eng = line_engine(m)
-        ds, _ = dominating_set(eng, path, seed)
+        ds, _ = dominating_set(eng, {0: path}, {0: seed})[0]
         sizes.append(len(ds))
     assert sum(sizes) / len(sizes) <= 3 * math.ceil(m / 3)
 
 
 def test_dominating_set_deterministic_per_seed():
     path = list(range(12))
-    a, _ = dominating_set(line_engine(12), path, seed=42)
-    b, _ = dominating_set(line_engine(12), path, seed=42)
+    a, _ = dominating_set(line_engine(12), {0: path}, {0: 42})[0]
+    b, _ = dominating_set(line_engine(12), {0: path}, {0: 42})[0]
     assert a == b

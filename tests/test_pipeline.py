@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -14,11 +15,11 @@ from hullroute.errors import (
     NodeLookupError,
     NotReadyError,
 )
-from hullroute.geometry import Point
+from hullroute.geometry import Point, Polygon
 from hullroute.ldel import build_udg
 from hullroute.pipeline import Pipeline, PipelineConfig, periodic_recompute, run_pipeline
 from hullroute.render import render_svg
-from hullroute.scenario import ScenarioSpec, fixture_topology, generate_scenario
+from hullroute.scenario import ScenarioSpec, fixture_topology, generate_scenario, scaling_spec
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +146,86 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# concurrent rings: same messages and abstraction as running rings one by one
+
+
+# Recorded from the ring-by-ring build: messages and bytes of the build, the
+# sha256 of its sorted (node, long-range sends) pairs, and abstraction_digest().
+SERIAL_BUILD = {
+    "grid36-hole4": (
+        2583, 239161,
+        "4247d055a8dcda0604854516ff7a01519e866b4a05e1da59e7381cb04d2b0710",
+        "7ea20af8dda20938d6806f80e444ef1f7b0d7b32dde9cc76afa9ff88f1db87e7",
+    ),
+    "crescent-24": (
+        17698, 1598176,
+        "510bb78c6325333f596cdd0c6cb0ce61c6c8665a073ff95664ed911bf23d43eb",
+        "30cd2654187717c193ba3a267d481b33a02227ee86f7095dc680a530c50ae4c8",
+    ),
+    "star12-4": (
+        27346, 2454251,
+        "6161643269dfba9176c2ee2840de6663f9b91740f6ce669d27f8acc10184aa8d",
+        "e866a7167284bdb2c70b267d2f19c2af609b6dbb6a89e183faf70b36e52e5e5e",
+    ),
+    "scale-512-1": (
+        41033, 3698441,
+        "477a6dffabf7c8ea370de4120f20ce3d40ac1b17f3cdd0549799df58be045b12",
+        "a0ecd3b2c6ded5689b7b14851ccc49df3c05d7d964a4d09d864d8e790506bb12",
+    ),
+}
+
+
+def _longrange_recount(transcript) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for line in transcript:
+        if line["channel"] == "longrange":
+            counts[line["src"]] = counts.get(line["src"], 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(SERIAL_BUILD))
+def test_concurrent_build_matches_serial_build(name):
+    if name == "scale-512-1":
+        topo = generate_scenario(scaling_spec(512, 1))
+    else:
+        topo = fixture_topology(name)
+    pipe = Pipeline(topo, PipelineConfig())
+    pipe.build_abstraction()
+    messages, nbytes, lr_digest, digest = SERIAL_BUILD[name]
+    eng = pipe.engine
+    assert (eng.total_messages, eng.total_bytes) == (messages, nbytes)
+    assert pipe.abstraction_digest() == digest
+    # the engine's running tallies agree with a recount of the transcript
+    assert pipe.build_longrange == _longrange_recount(eng.transcript)
+    assert pipe.build_adhoc == sum(1 for t in eng.transcript if t["channel"] == "adhoc")
+    pairs = json.dumps(sorted(pipe.build_longrange.items()))
+    assert hashlib.sha256(pairs.encode()).hexdigest() == lr_digest
+
+
+def _square(cx: float, cy: float, side: float = 1.5) -> Polygon:
+    h = side / 2
+    return Polygon(
+        (Point(cx - h, cy - h), Point(cx + h, cy - h), Point(cx + h, cy + h), Point(cx - h, cy + h))
+    )
+
+
+def test_protocol_rounds_do_not_grow_with_hole_count():
+    built = {}
+    for k in (1, 4):
+        centres = [(2.2, 2.2), (6.6, 2.2), (2.2, 6.6), (6.6, 6.6)][:k]
+        spec = ScenarioSpec(seed=3, mode="grid", region=(0.0, 0.0, 8.8, 8.8), spacing=0.55,
+                            obstacles=[_square(x, y) for x, y in centres], name=f"holes{k}")
+        pipe = Pipeline(generate_scenario(spec), PipelineConfig())
+        pipe.build_abstraction()
+        assert sum(r.kind == "InnerHole" for r in pipe.rings) == k
+        built[k] = pipe
+    one, four = built[1], built[4]
+    assert four.protocol_rounds <= one.protocol_rounds
+    for phase in ("classification", "ring_hulls"):
+        assert four.phase_rounds[phase] <= one.phase_rounds[phase], phase
+
+
+# ---------------------------------------------------------------------------
 # periodic recompute
 
 
@@ -158,6 +239,22 @@ def test_recompute_without_movement_is_identical():
     assert out["idle_rounds"] == 50
     assert out["abstraction_digest"] == d0
     assert out["rounds"] <= out["bound"]
+
+
+def test_audit_window_is_the_latest_build():
+    pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig(query_count=10, query_seed=1))
+    rep = pipe.run()
+    first = dict(pipe.build_longrange)
+    out = pipe.periodic_recompute()
+    assert out["abstraction_digest"] == pipe.abstraction_digest()
+    # an unmoved network rebuilds with the very same messages
+    assert pipe.build_longrange == first
+    again = pipe.report([], {"per_case": {}, "max_ratio": 0.0, "count": 0})
+    for key in ("abstraction_adhoc", "abstraction_longrange", "longrange_per_node_max"):
+        assert again.message_stats[key] == rep.message_stats[key], key
+    assert again.bounds["longrange_per_node"] == rep.bounds["longrange_per_node"]
+    build = rep.message_stats["abstraction_adhoc"] + rep.message_stats["abstraction_longrange"]
+    assert again.message_stats["total_messages"] >= 2 * build  # two builds, one window
 
 
 def test_recompute_after_small_move_rebuilds_cleanly():

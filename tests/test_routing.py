@@ -56,9 +56,7 @@ def build_stack(name):
     eng = RoundEngine(topo)
     rings = form_rings(g, detect_boundary_nodes(g))
     jumps = classify_rings(eng, rings)
-    abstractions = {}
-    for r in rings:
-        abstractions[r.ring_id], _ = build_hull_abstraction(eng, r, jump=jumps[r.ring_id])
+    abstractions, _ = build_hull_abstraction(eng, rings, jumps)
     outer = next(r for r in rings if r.kind == KIND_OUTER_BOUNDARY)
     arcs = detect_outer_holes(
         g, outer, hull_nodes=abstractions[outer.ring_id].hull_nodes, first_id=len(rings)
@@ -67,8 +65,8 @@ def build_stack(name):
         a, b = arc.members[0], arc.members[-1]
         topo.learn(a, b)
         topo.learn(b, a)
-    for arc in arcs:
-        abstractions[arc.ring_id], _ = build_hull_abstraction(eng, arc)
+    arc_abstractions, _ = build_hull_abstraction(eng, arcs)
+    abstractions.update(arc_abstractions)
     return topo, g, eng, rings + arcs, abstractions
 
 

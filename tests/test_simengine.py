@@ -158,3 +158,83 @@ def test_longrange_per_round_peak(line3):
     eng.step_round()
     eng.send(0, 2, None, channel=Channel.LONGRANGE)
     assert eng.max_longrange_per_node_round == 2
+
+
+# ---------------------------------------------------------------------------
+# sessions: several protocols in one phase
+
+
+def test_sessions_sharing_nodes_are_demultiplexed(line3):
+    eng = RoundEngine(line3)
+    got: dict[str, list] = {"a": [], "b": []}
+    calls = {"a": 0, "b": 0}
+
+    def pingpong(engine, v, inbox):
+        calls["a"] += 1
+        for m in inbox:
+            got["a"].append((engine.round_no, v, m.payload, m.session))
+            if m.payload == "ping":
+                engine.send(v, m.src, "pong")
+        if engine.round_no == 0 and v == 0:
+            engine.send(0, 1, "ping")
+        return True
+
+    def relay(engine, v, inbox):
+        # hop count rides along 0 -> 1 -> 2 -> 1 -> 0
+        calls["b"] += 1
+        for m in inbox:
+            got["b"].append((engine.round_no, v, m.payload, m.session))
+            if m.payload < 4:
+                engine.send(v, v + 1 if m.payload < 2 else v - 1, m.payload + 1)
+        if engine.round_no == 0 and v == 0:
+            engine.send(0, 1, 1)
+        return True
+
+    reports = eng.run_sessions(
+        "shared", {"a": ([1, 0], pingpong), "b": ([0, 1, 2], relay)}, max_rounds=10
+    )
+    assert got["a"] == [(1, 1, "ping", "a"), (2, 0, "pong", "a")]
+    assert got["b"] == [(1, 1, 1, "b"), (2, 2, 2, "b"), (3, 1, 3, "b"), (4, 0, 4, "b")]
+    assert reports["a"].rounds == 2 and reports["b"].rounds == 4
+    assert reports["a"].messages_adhoc == 2 and reports["b"].messages_adhoc == 4
+    # a quiet session is no longer called
+    assert calls == {"a": 3 * 2, "b": 5 * 3}
+    phase = eng.phase_reports[-1]
+    assert phase.label == "shared"
+    assert phase.rounds == 4 and phase.messages_adhoc == 6
+    assert eng.session_rounds == {"a": 2, "b": 4}
+    assert eng.session is None
+
+
+def test_sessions_wake_members_and_mail_holders_only(line3):
+    eng = RoundEngine(line3)
+    calls = []
+
+    def handler(engine, v, inbox):
+        calls.append((engine.round_no, v, [m.payload for m in inbox]))
+        if engine.round_no == 0:
+            engine.send(0, 1, "hi")
+        return True
+
+    reports = eng.run_sessions("solo", {"s": ([0], handler)}, max_rounds=3)
+    assert calls == [(0, 0, []), (1, 0, []), (1, 1, ["hi"])]
+    assert reports["s"].rounds == 1
+
+
+def test_no_sessions_runs_no_phase(line3):
+    eng = RoundEngine(line3)
+    assert eng.run_sessions("empty", {}, max_rounds=3) == {}
+    assert eng.phase_reports == [] and eng.round_no == 0
+
+
+def test_running_tallies_by_channel(line3):
+    line3.learn(0, 2)
+    eng = RoundEngine(line3)
+    eng.send(0, 2, None, channel=Channel.LONGRANGE)
+    eng.send(0, 1, None)
+    eng.step_round()
+    eng.send(0, 2, None, channel=Channel.LONGRANGE)
+    eng.charge_rounds(3, "tree")
+    assert dict(eng.longrange_sent) == {0: 2}
+    assert eng.adhoc_sent == 1
+    assert eng.charged == {"tree": 3}
