@@ -223,6 +223,12 @@ def test_protocol_rounds_do_not_grow_with_hole_count():
     assert four.protocol_rounds <= one.protocol_rounds
     for phase in ("classification", "ring_hulls"):
         assert four.phase_rounds[phase] <= one.phase_rounds[phase], phase
+    # rings of one wave keep their own jump rounds: small arcs stay small
+    rows = four.bound_audit()["pointer_jumping"]["rings"]
+    assert all(row["jump_rounds"] <= row["round_bound"] for row in rows)
+    arc_ids = {r.ring_id for r in four.rings if r.kind == "OuterHole"}
+    arcs = [row["jump_rounds"] for row in rows if row["ring_id"] in arc_ids]
+    assert min(arcs) < max(arcs)
 
 
 # ---------------------------------------------------------------------------
