@@ -1042,7 +1042,7 @@ def _dominating_session(engine: RoundEngine, path: list[NodeId], seed: int) -> _
 
 
 # ---------------------------------------------------------------------------
-# combined per-ring driver
+# combined driver: every step, every ring
 
 
 @dataclass
