@@ -49,6 +49,7 @@ from .routing import (
     BACKEND_VIS,
     RouteResult,
     Router,
+    WaypointGraph,
     build_overlay_delaunay,
     build_visibility_graph,
     chew_route,

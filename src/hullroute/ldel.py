@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -54,6 +55,7 @@ class HybridTopology:
         self._ids = sorted(self.points)
         self._index = {v: i for i, v in enumerate(self._ids)}
         self._coords = np.array([self.points[v] for v in self._ids], dtype=float)
+        self._udg: csr_matrix | None = None
 
     @property
     def ids(self) -> list[NodeId]:
@@ -76,10 +78,28 @@ class HybridTopology:
     def forget(self, v: NodeId, w: NodeId) -> None:
         self.knows[v].discard(w)
 
+    def udg_matrix(self) -> csr_matrix:
+        """Radio links weighted by length, rows and columns in `ids` order.
+
+        Built on first use and kept until a node moves.
+        """
+        if self._udg is None:
+            rows, cols, vals = [], [], []
+            for v in self._ids:
+                pv = self.points[v]
+                for w in self.adhoc[v]:
+                    rows.append(self._index[v])
+                    cols.append(self._index[w])
+                    vals.append(dist(pv, self.points[w]))
+            n = len(self._ids)
+            self._udg = csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return self._udg
+
     def move_node(self, v: NodeId, pos: Point) -> None:
         """Reposition one node and refresh its radio links."""
         if v not in self.points:
             raise NodeLookupError(f"unknown node {v}")
+        self._udg = None
         self.points[v] = Point(*pos)
         self._coords[self._index[v]] = pos
         for w in self.adhoc[v]:
@@ -158,15 +178,6 @@ class PlanarGraph:
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return edge_key(u, v) in self.edges
-
-    def node_at(self, p: Point) -> NodeId:
-        for v, q in self.points.items():
-            if abs(q[0] - p[0]) <= 1e-9 and abs(q[1] - p[1]) <= 1e-9:
-                return v
-        raise NodeLookupError(f"no node at position {tuple(p)}")
-
-    def face_size(self, f: int) -> int:
-        return len(self.faces[f])
 
     def is_blocked_face(self, f: int) -> bool:
         """Faces a route cannot cross: holes (>= 4 nodes) and the outer face."""
@@ -374,7 +385,3 @@ def _check_euler(g: PlanarGraph) -> None:
             f"Euler check failed: V={v} E={e} F={f} gives {v - e + f}"
         )
 
-
-def faces_of(g: PlanarGraph) -> list[tuple[NodeId, ...]]:
-    """All faces: bounded ones counterclockwise, the outer face clockwise."""
-    return list(g.faces)

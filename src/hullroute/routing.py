@@ -1,25 +1,29 @@
 """Path finding over the planarized radio network.
 
 Three layers live here. `chew_route` walks the corridor of triangles that
-the straight segment between two node positions crosses, and either reaches
-the far endpoint or stops on the first node of an obstructing hole. Above
-it sit two waypoint graphs over the hole hulls: a full visibility graph and
-a constrained-Delaunay thinning of it. `Router` ties everything together:
-it classifies a query into one of five cases by hull containment, fetches
-waypoints from the selected backend, realizes every leg with `chew_route`,
-and drives the actual transmission through the round engine so that data
-only ever rides ad hoc links.
+the straight segment between two nodes crosses, and either reaches the far
+node or stops on the first node of an obstructing hole. Above it sits one
+waypoint graph over the hole hulls: the full visibility graph, or its
+constrained-Delaunay thinning. `Router` ties everything together: it
+classifies a query into one of five cases by hull containment, fetches
+waypoint node ids from the backend it built, realizes every leg with
+`chew_route`, and drives the actual transmission through the round engine
+so that data only ever rides ad hoc links.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from scipy.sparse.csgraph import dijkstra
+
 from .errors import (
     AssumptionViolationError,
+    DegenerateInputError,
     DispatchError,
     GeometryInconsistencyError,
     NoPathError,
@@ -55,6 +59,8 @@ BACKEND_VIS = "visibility"
 BACKEND_ODEL = "overlay-delaunay"
 
 _CELL = 1.0  # spatial hash pitch; edges are never longer than the radio radius
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +161,15 @@ def _vertex_on_segment(g: PlanarGraph, s: NodeId, t: NodeId) -> NodeId | None:
     return best[1] if best else None
 
 
-def chew_route(g: PlanarGraph, s: NodeId, target: Point) -> tuple[list[NodeId], object]:
-    """Walk from s toward a node position along the crossed-face corridor.
+def chew_route(g: PlanarGraph, s: NodeId, t: NodeId) -> tuple[list[NodeId], object]:
+    """Walk from s toward node t along the crossed-face corridor.
 
     Returns (path, outcome). The path always starts at s; on ReachedTarget
-    it ends at the node occupying `target`, on HitHoleNode it ends at a node
-    of the first blocked face the segment enters.
+    it ends at t, on HitHoleNode it ends at a node of the first blocked face
+    the segment enters.
     """
-    if s not in g.points:
-        raise NodeLookupError(f"unknown start node {s}")
-    t = g.node_at(target)
+    if s not in g.points or t not in g.points:
+        raise NodeLookupError(f"unknown walk endpoint {s} or {t}")
     if t == s:
         return [s], ReachedTarget()
     if g.has_edge(s, t):
@@ -173,10 +178,10 @@ def chew_route(g: PlanarGraph, s: NodeId, target: Point) -> tuple[list[NodeId], 
     # a vertex sitting exactly on the segment splits the walk in two
     mid = _vertex_on_segment(g, s, t)
     if mid is not None:
-        p1, o1 = chew_route(g, s, g.points[mid])
+        p1, o1 = chew_route(g, s, mid)
         if not isinstance(o1, ReachedTarget):
             return p1, o1
-        p2, o2 = chew_route(g, mid, target)
+        p2, o2 = chew_route(g, mid, t)
         return p1 + p2[1:], o2
 
     ps, pt = g.points[s], g.points[t]
@@ -277,14 +282,9 @@ def hull_polygon(points: Mapping[NodeId, Point], hole_id: int, hull_nodes: Seque
 
 
 @dataclass
-class VisibilityGraph:
-    hulls: list[HullPolygon]
-    positions: dict[NodeId, Point]
-    adj: dict[NodeId, dict[NodeId, float]]
+class WaypointGraph:
+    """Hull vertices, their positions, length-weighted adjacency, hull edges."""
 
-
-@dataclass
-class OverlayDelaunay:
     hulls: list[HullPolygon]
     positions: dict[NodeId, Point]
     adj: dict[NodeId, dict[NodeId, float]]
@@ -352,7 +352,7 @@ def _hull_vertex_sets(hulls: Sequence[HullPolygon]):
     return positions, boundary
 
 
-def build_visibility_graph(hulls: Sequence[HullPolygon]) -> VisibilityGraph:
+def build_visibility_graph(hulls: Sequence[HullPolygon]) -> WaypointGraph:
     """All-pairs visibility over hull vertices; hull edges always included."""
     _check_disjoint(hulls)
     positions, boundary = _hull_vertex_sets(hulls)
@@ -364,7 +364,7 @@ def build_visibility_graph(hulls: Sequence[HullPolygon]) -> VisibilityGraph:
                 w = dist(positions[u], positions[v])
                 adj[u][v] = w
                 adj[v][u] = w
-    return VisibilityGraph(list(hulls), positions, adj)
+    return WaypointGraph(list(hulls), positions, adj, boundary)
 
 
 def _angle_at(w: Point, u: Point, v: Point) -> float:
@@ -378,30 +378,22 @@ def _angle_at(w: Point, u: Point, v: Point) -> float:
     return math.acos(max(-1.0, min(1.0, c)))
 
 
-def build_overlay_delaunay(hulls: Sequence[HullPolygon]) -> OverlayDelaunay:
-    """Constrained Delaunay over hull vertices with hull edges forced.
+def build_overlay_delaunay(vis: WaypointGraph) -> WaypointGraph:
+    """Constrained Delaunay thinning of a visibility graph; hull edges stay.
 
-    An edge uv admits an empty circle among the witness set iff the largest
-    inscribed angle on its left plus the largest on its right stays below
-    pi. Witnesses are restricted to vertices visible from both endpoints,
-    which is what confines circles to the free space around the hulls.
+    A visible edge uv admits an empty circle among the witness set iff the
+    largest inscribed angle on its left plus the largest on its right stays
+    below pi. Witnesses are the vertices visible from both endpoints, which
+    is what confines circles to the free space around the hulls.
     """
-    _check_disjoint(hulls)
-    positions, boundary = _hull_vertex_sets(hulls)
-    verts = sorted(positions)
-    n = len(verts)
-    vis: dict[tuple[NodeId, NodeId], bool] = {}
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            e = edge_key(u, v)
-            vis[e] = e in boundary or not _blocked(positions[u], positions[v], hulls)
-
+    positions, boundary, vadj = vis.positions, vis.constraints, vis.adj
+    n = len(positions)
     kept: list[tuple[NodeId, NodeId]] = []
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            e = edge_key(u, v)
-            if not vis[e]:
+    for u, nbrs in vadj.items():
+        for v in nbrs:
+            if v < u:
                 continue
+            e = (u, v)
             if e in boundary:
                 kept.append(e)
                 continue
@@ -409,10 +401,8 @@ def build_overlay_delaunay(hulls: Sequence[HullPolygon]) -> OverlayDelaunay:
             max_l = 0.0
             max_r = 0.0
             ok = True
-            for w in verts:
-                if w == u or w == v:
-                    continue
-                if not (vis[edge_key(u, w)] and vis[edge_key(v, w)]):
+            for w in nbrs:
+                if w == v or w not in vadj[v]:
                     continue
                 pw = positions[w]
                 side = cross(pu, pv, pw)
@@ -432,7 +422,7 @@ def build_overlay_delaunay(hulls: Sequence[HullPolygon]) -> OverlayDelaunay:
     # planarity pass: constraints always win; among the rest the longer
     # edge of a crossing pair dies, ties by lexicographic order
     def length(e):
-        return dist(positions[e[0]], positions[e[1]])
+        return vadj[e[0]][e[1]]
 
     kept_sorted = sorted(kept, key=lambda e: (e not in boundary, length(e), e))
     final: list[tuple[NodeId, NodeId]] = []
@@ -455,51 +445,53 @@ def build_overlay_delaunay(hulls: Sequence[HullPolygon]) -> OverlayDelaunay:
         w = length((u, v))
         adj[u][v] = w
         adj[v][u] = w
-    return OverlayDelaunay(list(hulls), positions, adj, set(boundary))
+    return WaypointGraph(vis.hulls, positions, adj, boundary)
 
 
+# temporary endpoint ids sort before every node id, so of two equally long
+# chains the one that reaches a temporary endpoint directly wins
 _TEMP_SRC = -1
 _TEMP_DST = -2
 
 
-def overlay_shortest_path(graph, src: Point | NodeId, dst: Point | NodeId) -> list[Point]:
-    """Euclidean shortest waypoint chain, lexicographic tie-break.
+def overlay_shortest_path(
+    graph: WaypointGraph, s: NodeId, t: NodeId, points: Mapping[NodeId, Point]
+) -> list[NodeId]:
+    """Euclidean shortest waypoint chain from s to t, lexicographic tie-break.
 
-    Non-vertex endpoints are inserted temporarily with visibility edges to
-    every graph vertex (and, when both ends are temporary, to each other).
+    The target, and the source unless it is a graph vertex, is inserted
+    temporarily at its position in `points` with visibility edges to every
+    graph vertex (and, when both ends are temporary, to each other). So the
+    last hop may come from any vertex that sees t, also on a thinned graph.
+    Returns node ids.
     """
-    pos: dict[NodeId, Point] = dict(graph.positions)
+    for v in (s, t):
+        if v not in points:
+            raise NodeLookupError(f"no position for waypoint endpoint {v}")
+    if s == t:
+        return [s]
     adj: dict[NodeId, dict[NodeId, float]] = {v: dict(nb) for v, nb in graph.adj.items()}
 
-    def insert(x: Point, tmp: NodeId) -> NodeId:
-        pos[tmp] = x
+    def insert(x: NodeId, tmp: NodeId) -> NodeId:
+        p = points[x]
         adj[tmp] = {}
-        for v, p in graph.positions.items():
-            if not _blocked(x, p, graph.hulls):
-                w = dist(x, p)
+        for v, q in graph.positions.items():
+            if not _blocked(p, q, graph.hulls):
+                w = dist(p, q)
                 adj[tmp][v] = w
                 adj[v][tmp] = w
         return tmp
 
-    def resolve(x: Point | NodeId, tmp: NodeId) -> NodeId:
-        if isinstance(x, Point):
-            return insert(x, tmp)
-        if x not in graph.positions:
-            raise NodeLookupError(f"{x} is not an overlay vertex")
-        return x
-
-    a = resolve(src, _TEMP_SRC)
-    b = resolve(dst, _TEMP_DST)
-    if a == _TEMP_SRC and b == _TEMP_DST and pos[a] != pos[b]:
-        if not _blocked(pos[a], pos[b], graph.hulls):
-            w = dist(pos[a], pos[b])
-            adj[a][b] = w
-            adj[b][a] = w
-    if a == b or pos[a] == pos[b]:
-        return [pos[a]]
+    a = s if s in graph.positions else insert(s, _TEMP_SRC)
+    b = insert(t, _TEMP_DST)
+    if a == _TEMP_SRC and not _blocked(points[s], points[t], graph.hulls):
+        w = dist(points[s], points[t])
+        adj[a][b] = w
+        adj[b][a] = w
 
     # carry the node sequence in the heap so equal lengths settle on the
     # lexicographically smallest sequence
+    ends = {a: s, b: t}
     heap: list[tuple[float, tuple[NodeId, ...]]] = [(0.0, (a,))]
     settled: set[NodeId] = set()
     while heap:
@@ -509,11 +501,11 @@ def overlay_shortest_path(graph, src: Point | NodeId, dst: Point | NodeId) -> li
             continue
         settled.add(v)
         if v == b:
-            return [pos[q] for q in seq]
+            return _dedup_consecutive([ends.get(q, q) for q in seq])
         for w in sorted(adj[v]):
             if w not in settled:
                 heapq.heappush(heap, (d + adj[v][w], seq + (w,)))
-    raise NoPathError(f"overlay disconnects {src} from {dst}")
+    raise NoPathError(f"overlay disconnects {s} from {t}")
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +575,9 @@ class Router:
                     self._face_ring[frozenset(ring.members)] = ctx
         if self.outer is None:
             raise NotReadyError("outer boundary ring missing")
-        hulls = [c.polygon for c in self.obstacles]
-        self.vis = build_visibility_graph(hulls)
-        self.odel = build_overlay_delaunay(hulls)
+        vis = build_visibility_graph([c.polygon for c in self.obstacles])
+        self.waypoints = vis if backend == BACKEND_VIS else build_overlay_delaunay(vis)
+        self._replans = 0  # waypoint re-plans of the current query
 
     # -- construction helpers ----------------------------------------------
 
@@ -605,10 +597,6 @@ class Router:
             ring, ab, poly, pts, pos_of, set(ab.hull_nodes), bay_polys,
             closed=ring.kind != KIND_OUTER_HOLE,
         )
-
-    @property
-    def waypoint_graph(self):
-        return self.vis if self.backend == BACKEND_VIS else self.odel
 
     # -- placement ----------------------------------------------------------
 
@@ -678,7 +666,7 @@ class Router:
 
     def _leg(self, cur: NodeId, tgt: NodeId) -> tuple[list[NodeId], HitHoleNode | None]:
         """Chew toward tgt; recover along the ring when both live on the hit ring."""
-        path, out = chew_route(self.g, cur, self.g.points[tgt])
+        path, out = chew_route(self.g, cur, tgt)
         if isinstance(out, ReachedTarget):
             return path, None
         ctx = self._ring_of_face(out.face)
@@ -690,31 +678,28 @@ class Router:
     # -- case 1: both endpoints outside all hulls ------------------------------
 
     def _route_outside(self, s: NodeId, t: NodeId) -> tuple[list[NodeId], str, list[tuple[float, float]]]:
-        path, out = chew_route(self.g, s, self.g.points[t])
+        path, out = chew_route(self.g, s, t)
         if isinstance(out, ReachedTarget):
             return path, "Visible", []
         legs: list[tuple[float, float]] = []
         budget = 4 * len(self.obstacles) + 8
-        graph = self.waypoint_graph
+        points = self.g.points
         while budget > 0:
             budget -= 1
             ctx = self._ring_of_face(out.face)
             walk = self._nearest_hull(ctx, out.node)
             path += walk[1:]
-            h0 = path[-1]
-            src = h0 if h0 in graph.positions else self.g.points[h0]
-            wps = overlay_shortest_path(graph, src, self.g.points[t])
+            chain = overlay_shortest_path(self.waypoints, path[-1], t, points)
             done = True
-            for wa, wb in zip(wps, wps[1:]):
-                a_node = self.g.node_at(wa)
-                b_node = self.g.node_at(wb)
-                leg_path, hit = self._leg(a_node, b_node)
+            for a, b in zip(chain, chain[1:]):
+                leg_path, hit = self._leg(a, b)
                 path += leg_path[1:]
                 if hit is not None:
                     out = hit  # re-plan from the new hole node
+                    self._replans += 1
                     done = False
                     break
-                legs.append((dist(wa, wb), _polyline_length(self.g, leg_path)))
+                legs.append((dist(points[a], points[b]), _polyline_length(self.g, leg_path)))
             if done:
                 return path, "Case1", legs
         raise NoPathError(f"waypoint replanning budget exhausted between {s} and {t}")
@@ -724,7 +709,7 @@ class Router:
     def _bay_core(self, ctx: _RingCtx, bay_idx: int | None, a: NodeId, b: NodeId) -> tuple[list[NodeId], int]:
         """Route a→b when the straight segment stays inside one bay area."""
         pa, pb = self.g.points[a], self.g.points[b]
-        path, out = chew_route(self.g, a, pb)
+        path, out = chew_route(self.g, a, b)
         if isinstance(out, ReachedTarget):
             return path, 0
         h0 = out.node
@@ -744,7 +729,7 @@ class Router:
         pt_node = self._ds_nearest(ctx, ds, t_pt)
 
         sub = self._bay_subpath(ctx, bay_idx, p1, pt_node)
-        extremes = self._extreme_points(ctx, sub)
+        extremes = _extreme_points(self.g.points, sub)
         e_t = next(
             (e for e in extremes if not segment_crosses_polygon(self.g.points[e], pb, ctx.ring_pts)),
             extremes[-1] if extremes else None,
@@ -805,22 +790,6 @@ class Router:
                 return strip[i : j + 1] if i <= j else strip[j : i + 1][::-1]
         return self._ring_walk(ctx, p1, pt)
 
-    def _extreme_points(self, ctx: _RingCtx, sub: Sequence[NodeId]) -> list[NodeId]:
-        """Convex hull of the sub-path, ordered by position along it."""
-        uniq = list(dict.fromkeys(sub))
-        if len(uniq) <= 2:
-            return uniq
-        pts = {v: self.g.points[v] for v in uniq}
-        try:
-            hull = convex_hull_oracle(list(pts.values()))
-        except Exception:
-            return [uniq[0], uniq[-1]]
-        hull_set = {(p.x, p.y) for p in hull}
-        order = {v: i for i, v in enumerate(uniq)}
-        ex = [v for v in uniq if (pts[v].x, pts[v].y) in hull_set]
-        ex.sort(key=lambda v: order[v])
-        return ex
-
     # -- bay exits for cases 2-4 -----------------------------------------------
 
     def _bay_exit(self, ctx: _RingCtx, bay_idx: int | None, x: NodeId, toward: Point) -> NodeId:
@@ -838,13 +807,20 @@ class Router:
 
     # -- public queries ----------------------------------------------------------
 
-    def route(self, engine: RoundEngine, s: NodeId, t: NodeId) -> RouteResult:
-        if getattr(engine, "_phase", None) is not None:
+    def _open_query(self, engine: RoundEngine, s: NodeId, t: NodeId, case: str) -> RouteResult | None:
+        """Reject a query mid-phase or on unknown nodes; answer s == t at once."""
+        if engine._phase is not None:
             raise NotReadyError("route query during a protocol phase")
         if s not in self.g.points or t not in self.g.points:
             raise NodeLookupError(f"route endpoints {s},{t} not in graph")
+        self._replans = 0
         if s == t:
-            return RouteResult([s], 0.0, 0.0, 0.0, 1.0, "Visible", 0, 0, self.backend)
+            return RouteResult([s], 0.0, 0.0, 0.0, 1.0, case, 0, 0, self.backend)
+        return None
+
+    def route(self, engine: RoundEngine, s: NodeId, t: NodeId) -> RouteResult:
+        if (trivial := self._open_query(engine, s, t, "Visible")) is not None:
+            return trivial
 
         ls, lt = self.locate(s), self.locate(t)
         if ls is None and lt is None:
@@ -916,12 +892,8 @@ class Router:
         return path, case, legs, e_route
 
     def route_bay(self, engine: RoundEngine, s: NodeId, t: NodeId) -> RouteResult:
-        if getattr(engine, "_phase", None) is not None:
-            raise NotReadyError("route query during a protocol phase")
-        if s not in self.g.points or t not in self.g.points:
-            raise NodeLookupError(f"route endpoints {s},{t} not in graph")
-        if s == t:
-            return RouteResult([s], 0.0, 0.0, 0.0, 1.0, "Case5", 0, 0, self.backend)
+        if (trivial := self._open_query(engine, s, t, "Case5")) is not None:
+            return trivial
         ls, lt = self.locate(s), self.locate(t)
         if ls is None or lt is None or ls[0] is not lt[0] or ls[1] != lt[1] or ls[1] is None:
             raise DispatchError(f"{s} and {t} do not share a bay")
@@ -962,8 +934,26 @@ class Router:
         sl = dist(self.g.points[s], self.g.points[t])
         d = _udg_shortest(topo, s, t)
         ratio = length / d if d > 0 else 1.0
+        log.debug("query %d->%d: %s, %d hops, %d replans", s, t, case, len(path) - 1, self._replans)
         return RouteResult(list(path), length, d, sl, ratio, case, rounds, lr,
                            self.backend, e_route, legs)
+
+
+def _extreme_points(points: Mapping[NodeId, Point], sub: Sequence[NodeId]) -> list[NodeId]:
+    """Convex hull of a bay sub-path, ordered by position along it."""
+    uniq = list(dict.fromkeys(sub))
+    if len(uniq) <= 2:
+        return uniq
+    pts = {v: points[v] for v in uniq}
+    try:
+        hull = convex_hull_oracle(list(pts.values()))
+    except DegenerateInputError:  # the sub-path is collinear
+        return [uniq[0], uniq[-1]]
+    hull_set = {(p.x, p.y) for p in hull}
+    order = {v: i for i, v in enumerate(uniq)}
+    ex = [v for v in uniq if (pts[v].x, pts[v].y) in hull_set]
+    ex.sort(key=lambda v: order[v])
+    return ex
 
 
 def _dedup_consecutive(path: Sequence[NodeId]) -> list[NodeId]:
@@ -975,61 +965,26 @@ def _dedup_consecutive(path: Sequence[NodeId]) -> list[NodeId]:
 
 
 def _udg_shortest(topo: HybridTopology, s: NodeId, t: NodeId) -> float:
-    """Edge-weighted Dijkstra over the unit-disk adjacency."""
+    """Shortest unit-disk path length: Dijkstra from s on the cached matrix."""
     if s == t:
         return 0.0
-    points = topo.points
-    nbrs = topo.adhoc
-    dist_to = {s: 0.0}
-    heap = [(0.0, s)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v == t:
-            return d
-        if d > dist_to.get(v, math.inf):
-            continue
-        for w in nbrs.get(v, ()):
-            nd = d + dist(points[v], points[w])
-            if nd < dist_to.get(w, math.inf) - 1e-15:
-                dist_to[w] = nd
-                heapq.heappush(heap, (nd, w))
-    raise NoPathError(f"no unit-disk path between {s} and {t}")
+    d = float(dijkstra(topo.udg_matrix(), directed=False, indices=topo.index_of(s))[topo.index_of(t)])
+    if not math.isfinite(d):
+        raise NoPathError(f"no unit-disk path between {s} and {t}")
+    return d
 
 
 def measure_competitiveness(topo: HybridTopology, results: Sequence[RouteResult]) -> dict:
-    """Recompute d(s,t) on the unit-disk graph and aggregate ratios per case.
+    """Aggregate competitive ratios per case.
 
-    Uses a sparse all-pairs-from-sources Dijkstra so big batches stay cheap.
+    Each result carries d(s,t) from `_udg_shortest` on `topo` as it stood
+    when the query ran, so a later node move does not rewrite its ratio.
     """
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as cs_dijkstra
-
-    ids = sorted(topo.points)
-    index = {v: i for i, v in enumerate(ids)}
-    rows, cols, vals = [], [], []
-    for v in ids:
-        for w in topo.adhoc.get(v, ()):
-            rows.append(index[v])
-            cols.append(index[w])
-            vals.append(dist(topo.points[v], topo.points[w]))
-    mat = csr_matrix((vals, (rows, cols)), shape=(len(ids), len(ids)))
-
-    sources = sorted({r.path[0] for r in results if r.path})
-    src_row = {v: i for i, v in enumerate(sources)}
-    dmat = cs_dijkstra(mat, directed=False, indices=[index[v] for v in sources])
-
     per_case: dict[str, dict] = {}
     overall_max = 0.0
     for r in results:
         if not r.path:
             continue
-        s, t = r.path[0], r.path[-1]
-        d = float(dmat[src_row[s], index[t]])
-        if not np.isfinite(d):
-            raise NoPathError(f"no unit-disk path between {s} and {t}")
-        r.udg_shortest = d
-        r.competitive_ratio = r.euclidean_length / d if d > 0 else 1.0
         slot = per_case.setdefault(r.case_taken, {"count": 0, "max_ratio": 0.0, "sum": 0.0})
         slot["count"] += 1
         slot["max_ratio"] = max(slot["max_ratio"], r.competitive_ratio)

@@ -178,7 +178,7 @@ def test_02_chew_bound(stacks):
         if len(pairs) > 900:
             pairs = random.Random(1).sample(pairs, 900)
         for s, t in pairs:
-            path, out = chew_route(g, s, topo.points[t])
+            path, out = chew_route(g, s, t)
             if not isinstance(out, ReachedTarget):
                 continue
             reached += 1

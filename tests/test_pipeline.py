@@ -202,6 +202,32 @@ def test_concurrent_build_matches_serial_build(name):
     assert hashlib.sha256(pairs.encode()).hexdigest() == lr_digest
 
 
+# sha256 of the `queries` rows of Pipeline.run() with query_count=100 and
+# query_seed=11, recorded from the router that still mapped waypoint
+# positions back to node ids; any change to a route, case or ratio shows
+ROUTE_ROWS = {
+    ("crescent-24", "overlay-delaunay"): "ff50706ab9dc53063cfb57df0be6eff2257e9e52d62b1f325a9ec4a0898d52e4",
+    ("crescent-24", "visibility"): "ff50706ab9dc53063cfb57df0be6eff2257e9e52d62b1f325a9ec4a0898d52e4",
+    ("grid36-hole4", "overlay-delaunay"): "510ffb124bcf524235c8d90d68ed2c0e95a496975fb5ec35c2948521fa7c7abe",
+    ("grid36-hole4", "visibility"): "510ffb124bcf524235c8d90d68ed2c0e95a496975fb5ec35c2948521fa7c7abe",
+    ("scale-512-1", "overlay-delaunay"): "23d6eb1aa423d2c1b04d6cdd9829d29f5b42edaf90e5df9b7a6cfc47f866df45",
+    ("scale-512-1", "visibility"): "18712666500c91a8ccc8cf4bf4b835c1e24a7420badff0f0a47604313882e004",
+    ("star12-4", "overlay-delaunay"): "505bbc2cc53518eefa9efe7a9af8e5d09c1e5963c68572baa544d0492c1e86cc",
+    ("star12-4", "visibility"): "351bfce4815a125c550c0e7218d33214d5585fe283db6df3cc2e15c345d4d3a3",
+}
+
+
+@pytest.mark.parametrize("name,backend", sorted(ROUTE_ROWS))
+def test_route_rows_match_pinned_digests(name, backend):
+    if name == "scale-512-1":
+        topo = generate_scenario(scaling_spec(512, 1))
+    else:
+        topo = fixture_topology(name)
+    rep = Pipeline(topo, PipelineConfig(backend=backend, query_count=100, query_seed=11)).run()
+    rows = json.dumps(rep.queries, sort_keys=True)
+    assert hashlib.sha256(rows.encode()).hexdigest() == ROUTE_ROWS[(name, backend)]
+
+
 def _square(cx: float, cy: float, side: float = 1.5) -> Polygon:
     h = side / 2
     return Polygon(

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import random
+import re
 
 import pytest
 
-from oracles import brute_cdt, brute_visible
+from oracles import brute_cdt, brute_dijkstra, brute_udg_edges, brute_visible
+
+import hullroute.routing as routing_mod
 
 from hullroute.errors import (
     AssumptionViolationError,
@@ -39,6 +43,8 @@ from hullroute.routing import (
     HullPolygon,
     ReachedTarget,
     Router,
+    _extreme_points,
+    _udg_shortest,
     build_overlay_delaunay,
     build_visibility_graph,
     chew_route,
@@ -99,7 +105,7 @@ def path_length(g, path):
 def test_chew_adjacent_pair_is_trivial(grid):
     topo, g, *_ = grid
     u, v = sorted(g.edges)[0]
-    path, out = chew_route(g, u, g.points[v])
+    path, out = chew_route(g, u, v)
     assert path == [u, v]
     assert isinstance(out, ReachedTarget)
     assert path_length(g, path) <= 5.9 * dist(g.points[u], g.points[v])
@@ -110,7 +116,7 @@ def test_chew_visible_pairs_within_bound(grid):
     ids = sorted(topo.points)
     reached = 0
     for s, t in itertools.combinations(ids, 2):
-        path, out = chew_route(g, s, topo.points[t])
+        path, out = chew_route(g, s, t)
         assert path[0] == s
         if isinstance(out, ReachedTarget):
             reached += 1
@@ -126,7 +132,7 @@ def test_chew_blocked_pair_stops_on_blocking_ring(grid):
     s, t = 4, 12
     # the straight segment really does cross the hole (independent check)
     assert not brute_visible(topo.points[s], topo.points[t], [ring_poly])
-    path, out = chew_route(g, s, topo.points[t])
+    path, out = chew_route(g, s, t)
     assert isinstance(out, HitHoleNode)
     assert out.node in inner.members
     assert path[-1] == out.node
@@ -154,7 +160,7 @@ def test_chew_visits_only_crossed_faces(grid):
     checked = 0
     while checked < 40:
         s, t = rng.sample(ids, 2)
-        path, out = chew_route(g, s, topo.points[t])
+        path, out = chew_route(g, s, t)
         if not isinstance(out, ReachedTarget) or len(path) < 3:
             continue
         allowed = set()
@@ -174,7 +180,7 @@ def test_chew_passes_vertex_sitting_on_segment():
     }
     topo = build_udg(pts)
     g = build_ldel2(topo)
-    path, out = chew_route(g, 0, Point(1.6, 0.0))
+    path, out = chew_route(g, 0, 4)
     assert isinstance(out, ReachedTarget)
     assert path == [0, 3, 4]
 
@@ -182,9 +188,9 @@ def test_chew_passes_vertex_sitting_on_segment():
 def test_chew_rejects_unknown_positions(grid):
     topo, g, *_ = grid
     with pytest.raises(NodeLookupError):
-        chew_route(g, 0, Point(99.0, 99.0))
+        chew_route(g, 0, 10_000)
     with pytest.raises(NodeLookupError):
-        chew_route(g, 10_000, topo.points[0])
+        chew_route(g, 10_000, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +248,11 @@ def test_visibility_allows_shared_tangent_edge():
 
 def test_visibility_includes_all_hull_edges(grid):
     *_, router = grid
-    for hull in router.vis.hulls:
+    for hull in router.waypoints.hulls:
         k = len(hull.nodes)
         for i in range(k):
             u, v = hull.nodes[i], hull.nodes[(i + 1) % k]
-            assert v in router.vis.adj[u], (hull.hole_id, u, v)
+            assert v in router.waypoints.adj[u], (hull.hole_id, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +261,7 @@ def test_visibility_includes_all_hull_edges(grid):
 
 def test_overlay_single_triangle_keeps_its_edges():
     tri = HullPolygon(0, (1, 2, 3), (Point(0, 0), Point(1, 0), Point(0.4, 0.9)))
-    od = build_overlay_delaunay([tri])
+    od = build_overlay_delaunay(build_visibility_graph([tri]))
     edges = {(u, v) for u in od.adj for v in od.adj[u] if u < v}
     assert edges == {(1, 2), (1, 3), (2, 3)}
 
@@ -263,7 +269,7 @@ def test_overlay_single_triangle_keeps_its_edges():
 def test_overlay_two_triangles_matches_circle_oracle():
     t1 = HullPolygon(0, (1, 2, 3), (Point(0, 0), Point(1.1, 0.1), Point(0.4, 0.9)))
     t2 = HullPolygon(1, (4, 5, 6), (Point(2.3, 0.2), Point(3.2, 0.4), Point(2.6, 1.2)))
-    od = build_overlay_delaunay([t1, t2])
+    od = build_overlay_delaunay(build_visibility_graph([t1, t2]))
     got = {(u, v) for u in od.adj for v in od.adj[u] if u < v}
     _, expected = brute_cdt(
         [((1, 2, 3), list(t1.pts)), ((4, 5, 6), list(t2.pts))]
@@ -277,8 +283,8 @@ def test_overlay_on_fixture_hulls_is_planar_and_constrained(grid, star):
     from hullroute.geometry import segments_properly_intersect
 
     for stack in (grid, star):
-        *_, router = stack
-        od = router.odel
+        topo, g, eng, rings, ab, _ = stack
+        od = Router(g, rings, ab, backend=BACKEND_ODEL).waypoints
         edges = sorted({(u, v) for u in od.adj for v in od.adj[u] if u < v})
         n = len(od.positions)
         if n >= 3:
@@ -300,46 +306,64 @@ def test_overlay_on_fixture_hulls_is_planar_and_constrained(grid, star):
 # overlay shortest path
 
 
+def square_positions(vg, **ends):
+    """Graph vertex positions plus named endpoints 100, 101, ... in order."""
+    pts = dict(vg.positions)
+    pts.update({100 + i: p for i, p in enumerate(ends.values())})
+    return pts
+
+
 def test_shortest_path_direct_when_visible():
     vg = build_visibility_graph([square_hull(0, 10)])
-    wps = overlay_shortest_path(vg, Point(-1.0, -1.0), Point(-1.0, 2.0))
-    assert wps == [Point(-1.0, -1.0), Point(-1.0, 2.0)]
+    pts = square_positions(vg, s=Point(-1.0, -1.0), t=Point(-1.0, 2.0))
+    assert overlay_shortest_path(vg, 100, 101, pts) == [100, 101]
 
 
 def test_shortest_path_same_endpoint_is_single_waypoint():
     vg = build_visibility_graph([square_hull(0, 10)])
-    wps = overlay_shortest_path(vg, Point(-1.0, 0.5), Point(-1.0, 0.5))
-    assert wps == [Point(-1.0, 0.5)]
+    pts = square_positions(vg, s=Point(-1.0, 0.5))
+    assert overlay_shortest_path(vg, 100, 100, pts) == [100]
+    assert overlay_shortest_path(vg, 12, 12, pts) == [12]
 
 
 def test_shortest_path_detours_around_square():
     vg = build_visibility_graph([square_hull(0, 10)])
-    src, dst = Point(-0.5, 0.55), Point(1.5, 0.45)
-    wps = overlay_shortest_path(vg, src, dst)
-    total = sum(dist(a, b) for a, b in zip(wps, wps[1:]))
-    top = [src, Point(0, 1), Point(1, 1), dst]
-    bottom = [src, Point(0, 0), Point(1, 0), dst]
+    pts = square_positions(vg, s=Point(-0.5, 0.55), t=Point(1.5, 0.45))
+    chain = overlay_shortest_path(vg, 100, 101, pts)
+    total = sum(dist(pts[a], pts[b]) for a, b in zip(chain, chain[1:]))
+    top = [100, 13, 12, 101]
+    bottom = [100, 10, 11, 101]
     best = min(
-        sum(dist(a, b) for a, b in zip(w, w[1:])) for w in (top, bottom)
+        sum(dist(pts[a], pts[b]) for a, b in zip(w, w[1:])) for w in (top, bottom)
     )
     assert total == pytest.approx(best, abs=1e-12)
-    assert wps in (top, bottom)
-    assert len(wps) == 4
+    assert chain in (top, bottom)
 
 
 def test_shortest_path_tie_breaks_lexicographically():
     vg = build_visibility_graph([square_hull(0, 10)])
-    wps = overlay_shortest_path(vg, Point(-0.5, 0.5), Point(1.5, 0.5))
+    pts = square_positions(vg, s=Point(-0.5, 0.5), t=Point(1.5, 0.5))
     # both detours tie exactly; the lower corner ids (10, 11) must win
-    assert wps == [Point(-0.5, 0.5), Point(0, 0), Point(1, 0), Point(1.5, 0.5)]
+    assert overlay_shortest_path(vg, 100, 101, pts) == [100, 10, 11, 101]
+
+
+def test_shortest_path_temporary_target_sorts_before_vertices():
+    vg = build_visibility_graph([square_hull(0, 10)])
+    pts = square_positions(vg, s=Point(-1.0, 0.0), t=Point(2.0, 0.0))
+    # from corner 10 the target (inserted first-sorting) is reached along
+    # the bottom edge; the tie via vertex 11 loses to the direct last hop
+    assert overlay_shortest_path(vg, 10, 101, pts) == [10, 101]
+    # a vertex target ends the chain once, as itself
+    assert overlay_shortest_path(vg, 100, 12, pts) == [100, 13, 12]
 
 
 def test_shortest_path_unreachable_raises():
     vg = build_visibility_graph([square_hull(0, 10)])
+    pts = square_positions(vg, s=Point(0.5, 0.5), t=Point(2.0, 2.0))
     with pytest.raises(NoPathError):
-        overlay_shortest_path(vg, Point(0.5, 0.5), Point(2.0, 2.0))
+        overlay_shortest_path(vg, 100, 101, pts)
     with pytest.raises(NodeLookupError):
-        overlay_shortest_path(vg, 999, Point(2.0, 2.0))
+        overlay_shortest_path(vg, 999, 101, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +450,16 @@ def test_route_waypoint_legs_within_chew_bound(grid):
 
 def test_route_geometric_bends_are_hull_vertices(grid):
     topo, g, eng, rings, ab, router = grid
-    hull_positions = set(router.vis.positions.values())
     found = 0
     for s, t in itertools.combinations(sorted(topo.points), 2):
         if router.locate(s) is not None or router.locate(t) is not None:
             continue
-        wps = overlay_shortest_path(router.vis, topo.points[s], topo.points[t])
-        if len(wps) <= 2:
+        chain = overlay_shortest_path(router.waypoints, s, t, topo.points)
+        assert chain[0] == s and chain[-1] == t
+        if len(chain) <= 2:
             continue
-        for bend in wps[1:-1]:
-            assert bend in hull_positions
+        for bend in chain[1:-1]:
+            assert bend in router.waypoints.positions
         found += 1
         if found >= 50:
             break
@@ -543,6 +567,84 @@ def test_router_requires_classified_rings_and_abstractions(grid):
         Router(g, rings, ab, backend="magic")
 
 
+def test_router_builds_only_its_backend(grid, monkeypatch):
+    topo, g, eng, rings, ab, _ = grid
+    calls = {"disjoint": 0, "overlay": 0}
+    check, thin = routing_mod._check_disjoint, routing_mod.build_overlay_delaunay
+
+    def counted_check(hulls):
+        calls["disjoint"] += 1
+        return check(hulls)
+
+    def counted_thin(vis):
+        calls["overlay"] += 1
+        return thin(vis)
+
+    monkeypatch.setattr(routing_mod, "_check_disjoint", counted_check)
+    monkeypatch.setattr(routing_mod, "build_overlay_delaunay", counted_thin)
+    vis = Router(g, rings, ab, backend=BACKEND_VIS).waypoints
+    assert calls == {"disjoint": 1, "overlay": 0}
+    od = Router(g, rings, ab, backend=BACKEND_ODEL).waypoints
+    assert calls == {"disjoint": 2, "overlay": 1}
+    # the thinning keeps a subset of the visibility edges, hull edges included
+    assert od.constraints == vis.constraints
+    assert all(set(od.adj[v]) <= set(vis.adj[v]) for v in od.adj)
+
+
+def test_udg_oracle_follows_moved_nodes():
+    topo = fixture_topology("grid36-hole4")
+    s, t = topo.ids[0], topo.ids[-1]
+    before = _udg_shortest(topo, s, t)
+    assert before == pytest.approx(brute_dijkstra(topo.points, brute_udg_edges(topo.points), s)[t])
+    p = topo.points[s]
+    topo.move_node(t, Point(p.x + 0.13, p.y + 0.07))
+    after = _udg_shortest(topo, s, t)
+    fresh = build_udg(dict(topo.points))
+    assert after == _udg_shortest(fresh, s, t) == pytest.approx(math.hypot(0.13, 0.07))
+    assert after < before
+
+
+def test_extreme_points_of_collinear_sub_path_are_its_ends():
+    pts = {7: Point(0.0, 0.0), 3: Point(0.5, 0.5), 9: Point(1.0, 1.0), 4: Point(2.0, 2.0)}
+    assert _extreme_points(pts, [7, 3, 9, 4]) == [7, 4]
+    pts[3] = Point(0.5, 0.9)
+    assert _extreme_points(pts, [7, 3, 9, 4]) == [7, 3, 4]
+
+
+def test_route_logs_one_line_per_query_with_replans(grid, caplog, monkeypatch):
+    topo, g, eng, rings, ab, router = grid
+    pairs = sample_pairs(topo, 40, seed=4)
+    line = re.compile(r"query (\d+)->(\d+): (\w+), (\d+) hops, (\d+) replans")
+    with caplog.at_level(logging.DEBUG, logger="hullroute.routing"):
+        results = []
+        for s, t in pairs:
+            topo.learn(s, t)
+            results.append(router.route(eng, s, t))
+    rows = [line.fullmatch(r.getMessage()).groups() for r in caplog.records]
+    assert rows == [
+        (str(s), str(t), r.case_taken, str(len(r.path) - 1), "0") for (s, t), r in zip(pairs, results)
+    ]
+
+    # a waypoint leg that stops on a hole makes the router plan again
+    s, t, res = next((s, t, r) for (s, t), r in zip(pairs, results) if r.case_taken == "Case1")
+    _, first_hit = chew_route(g, s, t)
+    leg = router._leg
+    stops = []
+
+    def stop_once(cur, tgt):
+        if not stops:
+            stops.append(cur)
+            return [cur], HitHoleNode(cur, first_hit.face)
+        return leg(cur, tgt)
+
+    monkeypatch.setattr(router, "_leg", stop_once)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hullroute.routing"):
+        again = router.route(eng, s, t)
+    assert again.path == res.path
+    assert caplog.records[-1].getMessage().endswith(", 1 replans")
+
+
 def test_route_rejected_during_protocol_phase(grid):
     topo, g, eng, rings, ab, router = grid
     hits = []
@@ -566,8 +668,11 @@ def test_measure_competitiveness_agrees_with_router(grid):
         results.append(router.route(eng, s, t))
     own = [r.udg_shortest for r in results]
     report = measure_competitiveness(topo, results)
+    edges = brute_udg_edges(topo.points)
     for r, before in zip(results, own):
-        assert r.udg_shortest == pytest.approx(before, rel=1e-12)
+        assert r.udg_shortest == before
+        s, t = r.path[0], r.path[-1]
+        assert r.udg_shortest == pytest.approx(brute_dijkstra(topo.points, edges, s)[t], rel=1e-12)
         assert r.competitive_ratio >= 1.0 - 1e-9
     assert report["count"] == len(results)
     assert report["max_ratio"] == pytest.approx(max(r.competitive_ratio for r in results))
