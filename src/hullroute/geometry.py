@@ -17,8 +17,6 @@ from .errors import DegenerateInputError
 
 # Tolerance for normalized orientation / cocircularity determinants.
 EPS = 1e-12
-# Tolerance for angle sums in degrees.
-ANGLE_EPS = 1e-6
 
 
 class Point(NamedTuple):
@@ -34,11 +32,6 @@ class Orientation(Enum):
 
 def dist(p: Point, q: Point) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
-def dist2(p: Point, q: Point) -> float:
-    dx, dy = p[0] - q[0], p[1] - q[1]
-    return dx * dx + dy * dy
 
 
 def cross(o: Point, a: Point, b: Point) -> float:
@@ -72,48 +65,6 @@ def circumcenter(a: Point, b: Point, c: Point) -> tuple[Point, float]:
     uy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
     center = Point(ux, uy)
     return center, dist(center, a)
-
-
-def in_circumcircle(a: Point, b: Point, c: Point, p: Point) -> bool:
-    """True iff p lies strictly inside the circle through a, b, c.
-
-    The triple is reordered counterclockwise before the determinant test,
-    so the answer does not depend on the order the triangle is handed in.
-    """
-    o = orientation(a, b, c)
-    if o is Orientation.COLLINEAR:
-        raise DegenerateInputError(f"collinear points have no circumcircle: {a}, {b}, {c}")
-    if o is Orientation.RIGHT:
-        b, c = c, b
-    rows = []
-    norms = 1.0
-    for q in (a, b, c):
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        lift = dx * dx + dy * dy
-        rows.append((dx, dy, lift))
-        norms *= math.sqrt(dx * dx + dy * dy + lift * lift)
-    det = (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[2][1] * rows[1][2])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[2][0] * rows[1][2])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[2][0] * rows[1][1])
-    )
-    if norms == 0.0:
-        return False  # p coincides with a vertex: on the circle, not inside
-    return det / norms > EPS
-
-
-def gabriel_disk_empty(u: Point, v: Point, others: Iterable[Point]) -> bool:
-    """True iff the disk with diameter uv contains none of `others` strictly."""
-    mx, my = (u[0] + v[0]) / 2.0, (u[1] + v[1]) / 2.0
-    r2 = dist2(u, v) / 4.0
-    tol = r2 * 4.0 * EPS
-    for w in others:
-        if w == u or w == v:
-            continue
-        dx, dy = w[0] - mx, w[1] - my
-        if dx * dx + dy * dy < r2 - tol:
-            return False
-    return True
 
 
 def segments_properly_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:

@@ -16,8 +16,9 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from scipy.sparse.csgraph import dijkstra
 
@@ -58,8 +59,6 @@ CASE1_BOUND_ODEL = 35.37
 BACKEND_VIS = "visibility"
 BACKEND_ODEL = "overlay-delaunay"
 
-_CELL = 1.0  # spatial hash pitch; edges are never longer than the radio radius
-
 log = logging.getLogger(__name__)
 
 
@@ -80,89 +79,13 @@ class HitHoleNode:
     face: int
 
 
-def _cells_of_bbox(x0: float, y0: float, x1: float, y1: float) -> Iterable[tuple[int, int]]:
-    for cx in range(int(math.floor(x0 / _CELL)), int(math.floor(x1 / _CELL)) + 1):
-        for cy in range(int(math.floor(y0 / _CELL)), int(math.floor(y1 / _CELL)) + 1):
-            yield cx, cy
-
-
-def _walk_index(g: PlanarGraph):
-    """Edge/face/node buckets on a unit grid, built once per graph."""
-    idx = getattr(g, "_walk_index", None)
-    if idx is not None:
-        return idx
-    ecell: dict[tuple[int, int], list[tuple[NodeId, NodeId]]] = {}
-    for u, v in g.edges:
-        pu, pv = g.points[u], g.points[v]
-        for c in _cells_of_bbox(min(pu.x, pv.x), min(pu.y, pv.y), max(pu.x, pv.x), max(pu.y, pv.y)):
-            ecell.setdefault(c, []).append((u, v))
-    fcell: dict[tuple[int, int], list[int]] = {}
-    for fi, cyc in enumerate(g.faces):
-        if fi == g.outer_face:
-            continue
-        xs = [g.points[v].x for v in cyc]
-        ys = [g.points[v].y for v in cyc]
-        for c in _cells_of_bbox(min(xs), min(ys), max(xs), max(ys)):
-            fcell.setdefault(c, []).append(fi)
-    ncell: dict[tuple[int, int], list[NodeId]] = {}
-    for v, p in g.points.items():
-        ncell.setdefault((int(math.floor(p.x / _CELL)), int(math.floor(p.y / _CELL))), []).append(v)
-    idx = (ecell, fcell, ncell)
-    g._walk_index = idx
-    return idx
-
-
-def _segment_cells(ps: Point, pt: Point) -> set[tuple[int, int]]:
-    # sample densely enough that no crossed cell is skipped, then widen by one
-    length = dist(ps, pt)
-    steps = max(2, int(length / (_CELL * 0.45)) + 2)
-    seen: set[tuple[int, int]] = set()
-    for i in range(steps + 1):
-        t = i / steps
-        x = ps.x + (pt.x - ps.x) * t
-        y = ps.y + (pt.y - ps.y) * t
-        cx, cy = int(math.floor(x / _CELL)), int(math.floor(y / _CELL))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                seen.add((cx + dx, cy + dy))
-    return seen
-
-
-def _locate_face(g: PlanarGraph, p: Point) -> int:
-    _, fcell, _ = _walk_index(g)
-    c = (int(math.floor(p.x / _CELL)), int(math.floor(p.y / _CELL)))
-    for fi in fcell.get(c, ()):
-        poly = [g.points[v] for v in g.faces[fi]]
-        if point_in_polygon(p, poly, strict=True):
-            return fi
-    return g.outer_face
-
-
-def _cut_param(ps: Point, pt: Point, pu: Point, pv: Point) -> float:
-    denom = (pt.x - ps.x) * (pv.y - pu.y) - (pt.y - ps.y) * (pv.x - pu.x)
-    return ((pu.x - ps.x) * (pv.y - pu.y) - (pu.y - ps.y) * (pv.x - pu.x)) / denom
-
-
-def _vertex_on_segment(g: PlanarGraph, s: NodeId, t: NodeId) -> NodeId | None:
-    """Earliest graph vertex lying strictly inside segment st, if any."""
-    ps, pt = g.points[s], g.points[t]
-    _, _, ncell = _walk_index(g)
-    best: tuple[float, NodeId] | None = None
-    for c in _segment_cells(ps, pt):
-        for v in ncell.get(c, ()):
-            if v == s or v == t:
-                continue
-            p = g.points[v]
-            if not _on_segment(p, ps, pt):
-                continue
-            par = ((p.x - ps.x) * (pt.x - ps.x) + (p.y - ps.y) * (pt.y - ps.y)) / dist(ps, pt) ** 2
-            if 1e-9 < par < 1.0 - 1e-9 and (best is None or (par, v) < best):
-                best = (par, v)
-    return best[1] if best else None
-
-
 def chew_route(g: PlanarGraph, s: NodeId, t: NodeId) -> tuple[list[NodeId], object]:
     """Walk from s toward node t along the crossed-face corridor.
+
+    The walk steps from face to face on `face_left`: it starts in the face
+    that st leaves s through, and leaves each triangle through the one other
+    edge st properly crosses. A vertex lying on st splits the walk in two;
+    each vertex is tested once, when the walk first meets it.
 
     Returns (path, outcome). The path always starts at s; on ReachedTarget
     it ends at t, on HitHoleNode it ends at a node of the first blocked face
@@ -175,76 +98,40 @@ def chew_route(g: PlanarGraph, s: NodeId, t: NodeId) -> tuple[list[NodeId], obje
     if g.has_edge(s, t):
         return [s, t], ReachedTarget()
 
-    # a vertex sitting exactly on the segment splits the walk in two
-    mid = _vertex_on_segment(g, s, t)
-    if mid is not None:
-        p1, o1 = chew_route(g, s, mid)
-        if not isinstance(o1, ReachedTarget):
-            return p1, o1
-        p2, o2 = chew_route(g, mid, t)
-        return p1 + p2[1:], o2
-
     ps, pt = g.points[s], g.points[t]
-    ecell, _, _ = _walk_index(g)
-    seen: set[tuple[NodeId, NodeId]] = set()
-    cuts: list[tuple[float, tuple[NodeId, NodeId]]] = []
-    for c in _segment_cells(ps, pt):
-        for e in ecell.get(c, ()):
-            if e in seen:
-                continue
-            seen.add(e)
-            u, v = e
-            if u in (s, t) or v in (s, t):
-                continue
-            if segments_properly_intersect(ps, pt, g.points[u], g.points[v]):
-                cuts.append((_cut_param(ps, pt, g.points[u], g.points[v]), e))
-    cuts.sort(key=lambda c: c[0])
-
-    # face of each interval between consecutive cuts; None marks slivers
-    # too thin to probe (the walk never depends on them)
-    bounds = [0.0] + [c[0] for c in cuts] + [1.0]
-    region_faces: list[int | None] = []
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        if hi - lo < 1e-9:
-            region_faces.append(None)
-            continue
-        m = (lo + hi) / 2.0
-        region_faces.append(_locate_face(g, Point(ps.x + (pt.x - ps.x) * m, ps.y + (pt.y - ps.y) * m)))
-
-    blocked_at = None
-    for i, fi in enumerate(region_faces):
-        if fi is not None and g.is_blocked_face(fi):
-            blocked_at = i
+    spokes = g.adj[s]
+    for v in spokes:
+        if _on_segment(g.points[v], ps, pt):
+            return _split_walk(g, s, v, t)
+    # st leaves s left of the last spoke clockwise of it (spokes are ccw)
+    angles = [math.atan2(g.points[w].y - ps.y, g.points[w].x - ps.x) for w in spokes]
+    a, b = s, spokes[bisect_right(angles, math.atan2(pt.y - ps.y, pt.x - ps.x)) - 1]
+    face = g.face_left[(a, b)]
+    # entry edges (left end, right end) of every face after the first
+    crossed: list[tuple[NodeId, NodeId]] = []
+    while not g.is_blocked_face(face):
+        c = next(v for v in g.faces[face] if v != a and v != b)
+        if c == t:
             break
+        if _on_segment(g.points[c], ps, pt):
+            return _split_walk(g, s, c, t)
+        if segments_properly_intersect(ps, pt, g.points[b], g.points[c]):
+            a, b = c, b
+        elif segments_properly_intersect(ps, pt, g.points[c], g.points[a]):
+            a, b = a, c
+        else:
+            raise GeometryInconsistencyError(f"corridor walk {s}->{t}: no exit from face {face}")
+        crossed.append((a, b))
+        face = g.face_left[(a, b)]
 
-    upto = len(cuts) if blocked_at is None else blocked_at
-    left: list[NodeId] = [s]
-    right: list[NodeId] = [s]
-    for _, (u, v) in cuts[:upto]:
-        lu = cross(ps, pt, g.points[u]) > 0.0
-        a, b = (u, v) if lu else (v, u)
-        if left[-1] != a:
-            left.append(a)
-        if right[-1] != b:
-            right.append(b)
-
-    if blocked_at is None:
-        left.append(t)
-        right.append(t)
-        path = min(left, right, key=lambda p: (_polyline_length(g, p), p))
+    left = _dedup_consecutive([s] + [u for u, _ in crossed])
+    right = _dedup_consecutive([s] + [v for _, v in crossed])
+    if not g.is_blocked_face(face):
+        path = min(left + [t], right + [t], key=lambda p: (_polyline_length(g, p), p))
         _check_walkable(g, path)
         return path, ReachedTarget()
 
-    if blocked_at == 0:
-        # segment leaves s straight into the blocked face; s borders it
-        return [s], HitHoleNode(s, region_faces[0])
-
-    face = region_faces[blocked_at]
-    cands = []
-    for chain in (left, right):
-        if chain[-1] in g.faces[face]:
-            cands.append(chain)
+    cands = [chain for chain in (left, right) if chain[-1] in g.faces[face]]
     if not cands:
         raise GeometryInconsistencyError(
             f"corridor walk {s}->{t}: no chain ends on blocked face {face}"
@@ -252,6 +139,15 @@ def chew_route(g: PlanarGraph, s: NodeId, t: NodeId) -> tuple[list[NodeId], obje
     path = min(cands, key=lambda p: (_polyline_length(g, p), p))
     _check_walkable(g, path)
     return path, HitHoleNode(path[-1], face)
+
+
+def _split_walk(g: PlanarGraph, s: NodeId, mid: NodeId, t: NodeId) -> tuple[list[NodeId], object]:
+    """Walk s->mid, then mid->t unless the first half is blocked."""
+    p1, o1 = chew_route(g, s, mid)
+    if not isinstance(o1, ReachedTarget):
+        return p1, o1
+    p2, o2 = chew_route(g, mid, t)
+    return p1 + p2[1:], o2
 
 
 def _polyline_length(g: PlanarGraph, path: Sequence[NodeId]) -> float:
@@ -470,24 +366,24 @@ def overlay_shortest_path(
             raise NodeLookupError(f"no position for waypoint endpoint {v}")
     if s == t:
         return [s]
-    adj: dict[NodeId, dict[NodeId, float]] = {v: dict(nb) for v, nb in graph.adj.items()}
+    # edges of the temporary endpoints, kept beside the graph's own
+    temp: dict[NodeId, dict[NodeId, float]] = {}
+
+    def link(u: NodeId, v: NodeId, w: float) -> None:
+        temp.setdefault(u, {})[v] = w
+        temp.setdefault(v, {})[u] = w
 
     def insert(x: NodeId, tmp: NodeId) -> NodeId:
         p = points[x]
-        adj[tmp] = {}
         for v, q in graph.positions.items():
             if not _blocked(p, q, graph.hulls):
-                w = dist(p, q)
-                adj[tmp][v] = w
-                adj[v][tmp] = w
+                link(tmp, v, dist(p, q))
         return tmp
 
     a = s if s in graph.positions else insert(s, _TEMP_SRC)
     b = insert(t, _TEMP_DST)
     if a == _TEMP_SRC and not _blocked(points[s], points[t], graph.hulls):
-        w = dist(points[s], points[t])
-        adj[a][b] = w
-        adj[b][a] = w
+        link(a, b, dist(points[s], points[t]))
 
     # carry the node sequence in the heap so equal lengths settle on the
     # lexicographically smallest sequence
@@ -502,9 +398,10 @@ def overlay_shortest_path(
         settled.add(v)
         if v == b:
             return _dedup_consecutive([ends.get(q, q) for q in seq])
-        for w in sorted(adj[v]):
+        nbrs = graph.adj.get(v, {}) | temp.get(v, {})
+        for w in sorted(nbrs):
             if w not in settled:
-                heapq.heappush(heap, (d + adj[v][w], seq + (w,)))
+                heapq.heappush(heap, (d + nbrs[w], seq + (w,)))
     raise NoPathError(f"overlay disconnects {s} from {t}")
 
 

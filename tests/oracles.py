@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is deliberately naive: O(n^2)/O(n^3) scans, direct
-formulas, no shared code with the package beyond the Point tuple.
+formulas, no shared code with the package beyond the Point tuple. The one
+exception is `brute_corridor`, which uses the package's segment predicates
+so that it checks the corridor walk and not their tolerances.
 """
 
 from __future__ import annotations
@@ -401,3 +403,94 @@ def brute_cdt(polygons):
                 edges.add(e)
                 break
     return pos, edges
+
+
+def face_boxes(g):
+    """Every bounded face of a PlanarGraph with its polygon and bounding box."""
+    out = []
+    for fi, cyc in enumerate(g.faces):
+        if fi == g.outer_face:
+            continue
+        poly = [g.points[v] for v in cyc]
+        xs, ys = [p[0] for p in poly], [p[1] for p in poly]
+        out.append((fi, poly, min(xs), max(xs), min(ys), max(ys)))
+    return out
+
+
+def brute_corridor(g, s, t, boxes=None):
+    """Reference corridor walk over a PlanarGraph, by scanning everything.
+
+    Every edge st properly crosses, sorted by crossing parameter; the face
+    of each interval between crossings by point location over all faces;
+    a split at the earliest vertex on st. Returns (path, None) when t is
+    reached, else (path, (hole node, blocked face)). Pass `face_boxes(g)`
+    as `boxes` to walk many pairs of one graph.
+    """
+    from hullroute.geometry import _on_segment, point_in_polygon, segments_properly_intersect
+
+    if boxes is None:
+        boxes = face_boxes(g)
+    if s == t:
+        return [s], None
+    if (min(s, t), max(s, t)) in g.edges:
+        return [s, t], None
+    ps, pt = g.points[s], g.points[t]
+    dx, dy = pt[0] - ps[0], pt[1] - ps[1]
+
+    on_st = [
+        ((p[0] - ps[0]) * dx + (p[1] - ps[1]) * dy, v)
+        for v, p in g.points.items()
+        if v not in (s, t) and _on_segment(p, ps, pt)
+    ]
+    if on_st:
+        mid = min(on_st)[1]
+        p1, hit = brute_corridor(g, s, mid, boxes)
+        if hit is not None:
+            return p1, hit
+        p2, hit = brute_corridor(g, mid, t, boxes)
+        return p1 + p2[1:], hit
+
+    cuts = []
+    sx0, sx1, sy0, sy1 = min(ps[0], pt[0]), max(ps[0], pt[0]), min(ps[1], pt[1]), max(ps[1], pt[1])
+    for u, v in g.edges:
+        pu, pv = g.points[u], g.points[v]
+        if max(pu[0], pv[0]) < sx0 or min(pu[0], pv[0]) > sx1:
+            continue
+        if max(pu[1], pv[1]) < sy0 or min(pu[1], pv[1]) > sy1:
+            continue
+        if segments_properly_intersect(ps, pt, pu, pv):
+            ex, ey = pv[0] - pu[0], pv[1] - pu[1]
+            par = ((pu[0] - ps[0]) * ey - (pu[1] - ps[1]) * ex) / (dx * ey - dy * ex)
+            cuts.append((par, u, v))
+    cuts.sort()
+
+    def face_at(par):
+        x, y = ps[0] + dx * par, ps[1] + dy * par
+        for fi, poly, x0, x1, y0, y1 in boxes:
+            if x0 <= x <= x1 and y0 <= y <= y1 and point_in_polygon((x, y), poly, strict=True):
+                return fi
+        return g.outer_face
+
+    bounds = [0.0] + [c[0] for c in cuts] + [1.0]
+    left, right = [s], [s]
+    for i in range(len(bounds) - 1):
+        face = face_at((bounds[i] + bounds[i + 1]) / 2.0)
+        if face == g.outer_face or len(g.faces[face]) >= 4:
+            ends = [c for c in (left, right) if c[-1] in g.faces[face]]
+            path = min(ends, key=lambda c: (_chain_length(g.points, c), c))
+            return path, (path[-1], face)
+        if i == len(cuts):
+            break
+        _, u, v = cuts[i]
+        pu = g.points[u]
+        a, b = (u, v) if dx * (pu[1] - ps[1]) - dy * (pu[0] - ps[0]) > 0.0 else (v, u)
+        if left[-1] != a:
+            left.append(a)
+        if right[-1] != b:
+            right.append(b)
+    path = min(left + [t], right + [t], key=lambda c: (_chain_length(g.points, c), c))
+    return path, None
+
+
+def _chain_length(points, chain):
+    return sum(odist(points[a], points[b]) for a, b in zip(chain, chain[1:]))

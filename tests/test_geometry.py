@@ -12,9 +12,6 @@ from hullroute.geometry import (
     Polygon,
     convex_hull_oracle,
     circumcenter,
-    dist,
-    gabriel_disk_empty,
-    in_circumcircle,
     orientation,
     point_in_polygon,
     polygon_signed_area,
@@ -22,7 +19,7 @@ from hullroute.geometry import (
     segments_properly_intersect,
     signed_turn_angle,
 )
-from oracles import brute_hull, ocircumcircle, shoelace
+from oracles import brute_hull, shoelace
 
 
 def test_orientation_basic():
@@ -43,58 +40,9 @@ def test_orientation_antisymmetry_sampled():
             assert o1.value == -o2.value
 
 
-def test_in_circumcircle_examples():
-    a, b, c = Point(0, 0), Point(2, 0), Point(1, 1)
-    # dropped below the chord: still inside the circle centered at (1, 0)
-    center, r = ocircumcircle(a, b, c)
-    assert center == pytest.approx((1.0, 0.0))
-    assert r == pytest.approx(1.0)
-    assert in_circumcircle(a, b, c, Point(1, -0.99)) is True
-    assert in_circumcircle(a, b, c, Point(1, -1.01)) is False
-    assert in_circumcircle(a, b, c, Point(5, 5)) is False
-
-
-def test_in_circumcircle_order_invariance():
-    rng = random.Random(11)
-    for _ in range(200):
-        pts = [Point(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(4)]
-        a, b, c, p = pts
-        if orientation(a, b, c) is Orientation.COLLINEAR:
-            continue
-        base = in_circumcircle(a, b, c, p)
-        for tri in [(a, c, b), (b, a, c), (c, b, a), (b, c, a), (c, a, b)]:
-            assert in_circumcircle(*tri, p) == base
-
-
-def test_in_circumcircle_matches_center_distance():
-    rng = random.Random(3)
-    for _ in range(300):
-        a, b, c, p = (Point(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(4))
-        if orientation(a, b, c) is Orientation.COLLINEAR:
-            continue
-        center, r = ocircumcircle(a, b, c)
-        want = dist(center, p) < r - 1e-9
-        only_if = dist(center, p) < r + 1e-9
-        got = in_circumcircle(a, b, c, p)
-        if want:
-            assert got
-        if not only_if:
-            assert not got
-
-
 def test_collinear_circumcircle_rejected():
     with pytest.raises(DegenerateInputError):
-        in_circumcircle(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1))
-    with pytest.raises(DegenerateInputError):
         circumcenter(Point(0, 0), Point(1, 0), Point(2, 0))
-
-
-def test_gabriel_disk():
-    u, v = Point(0, 0), Point(1, 0)
-    assert gabriel_disk_empty(u, v, [Point(0.5, 0.6)]) is True
-    assert gabriel_disk_empty(u, v, [Point(0.5, 0.4)]) is False
-    # boundary point does not violate emptiness
-    assert gabriel_disk_empty(u, v, [Point(0.5, 0.5)]) is True
 
 
 def test_segments_properly_intersect():

@@ -10,7 +10,14 @@ import re
 
 import pytest
 
-from oracles import brute_cdt, brute_dijkstra, brute_udg_edges, brute_visible
+from oracles import (
+    brute_cdt,
+    brute_corridor,
+    brute_dijkstra,
+    brute_udg_edges,
+    brute_visible,
+    face_boxes,
+)
 
 import hullroute.routing as routing_mod
 
@@ -23,6 +30,7 @@ from hullroute.errors import (
 )
 from hullroute.geometry import (
     Point,
+    _on_segment,
     dist,
     point_in_polygon,
     segment_polygon_params,
@@ -191,6 +199,42 @@ def test_chew_rejects_unknown_positions(grid):
         chew_route(g, 0, 10_000)
     with pytest.raises(NodeLookupError):
         chew_route(g, 10_000, 0)
+
+
+def test_chew_walk_matches_brute_corridor():
+    """The face-to-face walk equals a walk that scans every edge and face.
+
+    No fixture puts a vertex on a segment between two others, so an exact
+    triangular lattice, whose rows and 60-degree lines do, joins them.
+    """
+    h = 0.5
+    lattice = {
+        6 * j + i: Point(h * i + h / 2 * (j % 2), h * math.sqrt(3) / 2 * j)
+        for j in range(6)
+        for i in range(6)
+    }
+    seen = set()
+    for name in ("grid36-hole4", "cshape-40", "lattice", "star12-4", "crescent-24"):
+        g = build_ldel2(build_udg(lattice) if name == "lattice" else fixture_topology(name))
+        ids, boxes = sorted(g.points), face_boxes(g)
+        if len(ids) <= 40:
+            pairs = list(itertools.permutations(ids, 2))
+        else:
+            rng = random.Random(5)
+            pairs = [tuple(rng.sample(ids, 2)) for _ in range(900)]
+        for s, t in pairs:
+            path, out = chew_route(g, s, t)
+            hit = None if isinstance(out, ReachedTarget) else (out.node, out.face)
+            assert (path, hit) == brute_corridor(g, s, t, boxes), (name, s, t)
+            if hit is None:
+                ps, pt = g.points[s], g.points[t]
+                if any(_on_segment(g.points[v], ps, pt) for v in path[1:-1]):
+                    seen.add("split on a vertex of st")
+            elif path == [s]:
+                seen.add("blocked at s")
+            if hit is not None and t in g.faces[out.face]:
+                seen.add("blocked face holds t")
+    assert seen == {"split on a vertex of st", "blocked at s", "blocked face holds t"}
 
 
 # ---------------------------------------------------------------------------
