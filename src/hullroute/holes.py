@@ -24,6 +24,7 @@ from .geometry import (
     dist,
     polygon_perimeter,
     polygon_signed_area,
+    _on_segment,
 )
 from .ldel import NodeId, PlanarGraph
 from .overlay import (
@@ -206,6 +207,8 @@ def detect_outer_holes(
         if dist(g.points[a], g.points[b]) <= radius:
             continue
         arc = [outer.members[j % k] for j in range(a_i, b_i + 1)]
+        if all(_on_segment(g.points[v], g.points[a], g.points[b]) for v in arc):
+            continue  # a straight stretch of boundary encloses nothing
         ring = _measured_ring(first_id + len(out), arc, g.points)
         ring.kind = KIND_OUTER_HOLE
         ring.orientation_sum = 360.0 if polygon_signed_area(

@@ -270,6 +270,8 @@ def build_ldel2(topo: HybridTopology) -> PlanarGraph:
 
     # Gabriel edges: any node inside the diametral disk of a radio link is
     # itself a common neighbor, so scanning all nodes equals scanning 1-hop.
+    # The disk is closed: of the two diagonals of a cocircular cell, whose
+    # other corners sit on the circle, neither is Gabriel.
     for u in ids:
         pu = pts[u]
         for v in topo.adhoc[u]:
@@ -278,7 +280,7 @@ def build_ldel2(topo: HybridTopology) -> PlanarGraph:
             pv = pts[v]
             mid = ((pu[0] + pv[0]) / 2.0, (pu[1] + pv[1]) / 2.0)
             r = dist(pu, pv) / 2.0
-            near = tree.query_ball_point(mid, r * (1.0 - EPS))
+            near = tree.query_ball_point(mid, r * (1.0 + EPS))
             if all(ids[i] in (u, v) for i in near):
                 e = edge_key(u, v)
                 edges.add(e)

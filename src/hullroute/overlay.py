@@ -528,6 +528,11 @@ def _sort_stage(
 # distributed convex hull by tangent merging
 
 
+# bisection budget per tangent search, in probes per bit of the chain
+# length; past it the right block ships its chains whole
+_PROBE_SLACK = 2
+
+
 def _side(a, b, q) -> int:
     o = orientation(Point(a[0], a[1]), Point(b[0], b[1]), Point(q[0], q[1]))
     if o is Orientation.LEFT:
@@ -537,50 +542,19 @@ def _side(a, b, q) -> int:
     return 0
 
 
-def _point_tangent(pt, chain: list, s: int) -> int:
-    """Index of the tangent foot from external pt onto an x-sorted chain.
+def _chain(seq: list, s: int) -> list:
+    """Monotone chain over x-sorted points, bending strictly away from side s.
 
-    No chain vertex may lie strictly on side s of the line pt->foot.
-    Among collinear candidates the largest index wins, which drops
-    interior collinear vertices from the merged chain.
+    Collinear and inward turns are popped, so of collinear candidates the
+    farthest survives.  `_chain([pt] + bc, s)[1]` is the tangent foot from
+    pt onto bc; `_chain(a + b, s)` merges two x-separated chains.
     """
-    best = -1
-    for i in range(len(chain)):
-        ok = True
-        for j, q in enumerate(chain):
-            if j != i and _side(pt, chain[i], q) == s:
-                ok = False
-                break
-        if ok:
-            best = i
-    if best < 0:
-        raise SimulationAbortError(-1, -1, "no tangent foot found")
-    return best
-
-
-def _local_bridge(ac: list, bc: list, s: int) -> tuple[int, int]:
-    """Exact bridge between two x-sorted chains; fallback path.
-
-    Valid bridge: no vertex of either chain strictly on side s of the
-    bridge line.  Tie-breaks keep the smallest A index and the largest
-    B index so collinear interior vertices are excluded.
-    """
-    for i in range(len(ac)):
-        for j in range(len(bc) - 1, -1, -1):
-            a, b = ac[i], bc[j]
-            good = True
-            for q in ac:
-                if q is not a and _side(a, b, q) == s:
-                    good = False
-                    break
-            if good:
-                for q in bc:
-                    if q is not b and _side(a, b, q) == s:
-                        good = False
-                        break
-            if good:
-                return i, j
-    raise SimulationAbortError(-1, -1, "no bridge found")
+    out: list = []
+    for q in seq:
+        while len(out) >= 2 and _side(out[-2], out[-1], q) != -s:
+            out.pop()
+        out.append(q)
+    return out
 
 
 def parallel_convex_hull(
@@ -593,12 +567,12 @@ def parallel_convex_hull(
     Each block keeps its sub-hull as upper/lower x-sorted chains at the
     block's lowest slot.  Merging two blocks finds the upper and lower
     common tangents: the left leader binary-searches its own chain,
-    probing the right leader, which answers tangent feet from single
-    points locally.  A failed search ships the right chains whole and
-    merges locally, preserving round bounds at the price of one big
-    message.  After the last merge each ring leader broadcasts its hull
-    back over the jump-edge tree.  Returns (ccw hull ids, hull points)
-    per cube.
+    probing the right leader, which answers each probe point's tangent
+    foot with a local monotone chain.  A failed search ships the right
+    chains whole and merges them by the same chain, preserving round
+    bounds at the price of one big message.  After the last merge each
+    ring leader broadcasts its hull back over the jump-edge tree.
+    Returns (ccw hull ids, hull points) per cube.
     """
     chains: dict[Hashable, dict[int, dict[str, list]]] = {}
     for key, cube in cubes.items():
@@ -669,7 +643,7 @@ def _merge_session(
 
     def _a_probe(eng, v, base, p):
         au = chains[base]["u" if p["side"] == 1 else "l"]
-        if p["lo"] > p["hi"] or p["probes"] > 2 * (len(au).bit_length() + 2):
+        if p["lo"] > p["hi"] or p["probes"] > _PROBE_SLACK * (len(au).bit_length() + 2):
             p["stage"] = "ship"
             eng.send(v, p["B"], {"base": base}, tag="hs")
             return
@@ -709,21 +683,9 @@ def _merge_session(
             for base, p in pairs.items():
                 if p["A"] != v or p["stage"] != "init":
                     continue
-                bslot = p["bslot"]
                 if p["A"] == p["B"]:
-                    # right block hosted by the same node (virtual slots):
-                    # merge locally, message-free
-                    bu, bl = chains[bslot]["u"], chains[bslot]["l"]
-                    if not chains[base]["u"]:
-                        chains[base] = {"u": list(bu), "l": list(bl)}
-                        p["stage"] = "done"
-                    elif not bu:
-                        p["stage"] = "done"
-                    else:
-                        iu, ju = _local_bridge(chains[base]["u"], bu, 1)
-                        il, jl = _local_bridge(chains[base]["l"], bl, -1)
-                        p["feet"] = {1: (iu, ju), -1: (il, jl)}
-                        _assemble(base, p, bu[ju:], bl[jl:])
+                    # the right block is empty virtual padding hosted by the leader
+                    p["stage"] = "done"
                     continue
                 p["stage"] = "search"
                 p["lo"], p["hi"] = 0, len(chains[base]["u"]) - 1
@@ -738,7 +700,7 @@ def _merge_session(
                 if not bc:
                     eng.send(v, m.src, {"base": base, "empty": True}, tag="ha")
                     continue
-                idx = _point_tangent(d_["pt"], bc, side)
+                idx = bc.index(_chain([d_["pt"]] + bc, side)[1])
                 eng.send(
                     v,
                     m.src,
@@ -788,15 +750,8 @@ def _merge_session(
                     intro_ids=tuple(sorted(set(ids))),
                 )
             elif m.tag == "hc":
-                bu, bl = d_["u"], d_["l"]
-                if not chains[base]["u"]:
-                    chains[base] = {"u": list(bu), "l": list(bl)}
-                elif bu:
-                    iu, ju = _local_bridge(chains[base]["u"], bu, 1)
-                    il, jl = _local_bridge(chains[base]["l"], bl, -1)
-                    p["feet"] = {1: (iu, ju), -1: (il, jl)}
-                    chains[base]["u"] = chains[base]["u"][: iu + 1] + bu[ju:]
-                    chains[base]["l"] = chains[base]["l"][: il + 1] + bl[jl:]
+                chains[base]["u"] = _chain(chains[base]["u"] + d_["u"], 1)
+                chains[base]["l"] = _chain(chains[base]["l"] + d_["l"], -1)
                 p["stage"] = "done"
             elif m.tag == "hq":
                 bslot = pairs[base]["bslot"]

@@ -32,6 +32,7 @@ from .errors import (
     NotReadyError,
 )
 from .geometry import (
+    Orientation,
     Point,
     convex_hull_oracle,
     cross,
@@ -41,6 +42,7 @@ from .geometry import (
     segment_polygon_params,
     segments_properly_intersect,
     _on_segment,
+    orientation,
 )
 from .holes import (
     KIND_INNER,
@@ -187,53 +189,44 @@ class WaypointGraph:
     constraints: set[tuple[NodeId, NodeId]]
 
 
-def _edges_cross_transversally(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    # strict sign changes on both supporting lines; collinear overlap (two
-    # hulls sharing a tangent edge) keeps interiors disjoint and is fine
-    sq = dist(q1, q2) ** 2
-    sp = dist(p1, p2) ** 2
-    if sp == 0.0 or sq == 0.0:
-        return False
-    eps = 1e-12
-    t1, t2 = cross(q1, q2, p1) / sq, cross(q1, q2, p2) / sq
-    t3, t4 = cross(p1, p2, q1) / sp, cross(p1, p2, q2) / sp
-    return ((t1 > eps and t2 < -eps) or (t1 < -eps and t2 > eps)) and (
-        (t3 > eps and t4 < -eps) or (t3 < -eps and t4 > eps)
+def _apart(poly: Sequence[Point], pts: Sequence[Point]) -> bool:
+    """True when an edge line of the ccw convex poly has all pts on or right of it.
+
+    The points, and so their convex hull, then keep out of poly's open
+    interior.
+    """
+    n = len(poly)
+    return any(
+        all(orientation(poly[i], poly[(i + 1) % n], q) is not Orientation.LEFT for q in pts)
+        for i in range(n)
     )
+
+
+def _crosses_hull(a: Point, b: Point, pts: Sequence[Point]) -> bool:
+    """True iff the open segment ab meets the open interior of the ccw hull.
+
+    Separating axes of a segment and a convex polygon: the hull's edge
+    lines, and the line ab itself, which separates unless hull vertices
+    lie strictly on both of its sides.
+    """
+    if _apart(pts, (a, b)):
+        return False
+    sides = {orientation(a, b, q) for q in pts}
+    return Orientation.LEFT in sides and Orientation.RIGHT in sides
 
 
 def _check_disjoint(hulls: Sequence[HullPolygon]) -> None:
     """Reject hull pairs whose interiors overlap; shared edges are allowed."""
     for i, a in enumerate(hulls):
         for b in hulls[i + 1 :]:
-            bad = False
-            for p in a.pts:
-                if point_in_polygon(p, b.pts, strict=True):
-                    bad = True
-            for p in b.pts:
-                if point_in_polygon(p, a.pts, strict=True):
-                    bad = True
-            na, nb = len(a.pts), len(b.pts)
-            for ia in range(na):
-                mid = Point(
-                    (a.pts[ia].x + a.pts[(ia + 1) % na].x) / 2.0,
-                    (a.pts[ia].y + a.pts[(ia + 1) % na].y) / 2.0,
-                )
-                if point_in_polygon(mid, b.pts, strict=True):
-                    bad = True
-                for ib in range(nb):
-                    if _edges_cross_transversally(
-                        a.pts[ia], a.pts[(ia + 1) % na], b.pts[ib], b.pts[(ib + 1) % nb]
-                    ):
-                        bad = True
-            if bad:
+            if not (_apart(a.pts, b.pts) or _apart(b.pts, a.pts)):
                 raise AssumptionViolationError(
                     f"hulls {a.hole_id} and {b.hole_id} intersect"
                 )
 
 
 def _blocked(a: Point, b: Point, hulls: Sequence[HullPolygon]) -> bool:
-    return any(segment_crosses_polygon(a, b, h.pts) for h in hulls)
+    return any(_crosses_hull(a, b, h.pts) for h in hulls)
 
 
 def _hull_vertex_sets(hulls: Sequence[HullPolygon]):
@@ -501,7 +494,7 @@ class Router:
         """(ring context, bay index) when v lies strictly inside a hull."""
         p = self.g.points[v]
         for ctx in self.obstacles:
-            if not point_in_polygon(p, ctx.polygon.pts, strict=True):
+            if _apart(ctx.polygon.pts, (p,)):
                 continue
             for bi, bay in enumerate(ctx.abstraction.bay_areas):
                 if v in bay.members:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import GenerationError
-from .geometry import Point, Polygon
+from .geometry import Point, Polygon, polygon_signed_area
 from .ldel import HybridTopology, build_udg
 from .errors import DisconnectedError
 
@@ -163,17 +163,8 @@ def _crescent_polygon(cx: float, cy: float) -> Polygon:
         x = inner_c[0] + inner_r * math.cos(ang)
         y = inner_c[1] - inner_r * math.sin(ang)
         pts.append(Point(x, y))
-    poly = pts if _shoelace(pts) > 0 else list(reversed(pts))
+    poly = pts if polygon_signed_area(pts) > 0 else list(reversed(pts))
     return Polygon(tuple(poly))
-
-
-def _shoelace(pts: list[Point]) -> float:
-    s = 0.0
-    for i in range(len(pts)):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % len(pts)]
-        s += x1 * y2 - x2 * y1
-    return s / 2.0
 
 
 def _cshape_points(seed: int) -> dict[int, Point]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 EPS = 1e-12
@@ -403,6 +404,42 @@ def brute_cdt(polygons):
                 edges.add(e)
                 break
     return pos, edges
+
+
+def brute_hulls_overlap(a, b):
+    """True iff the interiors of two convex polygons overlap.
+
+    Clips a against every edge half-plane of b (Sutherland-Hodgman) in
+    exact Fraction arithmetic; the interiors overlap iff the clipped
+    region keeps a positive area.  Either vertex order is accepted.
+    """
+
+    def area2(pts):
+        return sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1]))
+
+    def exact_ccw(poly):
+        pts = [(Fraction(p[0]), Fraction(p[1])) for p in poly]
+        return pts if area2(pts) > 0 else pts[::-1]
+
+    def crs(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    region, clip = exact_ccw(a), exact_ccw(b)
+    for i in range(len(clip)):
+        c, d = clip[i], clip[(i + 1) % len(clip)]
+        out = []
+        for j in range(len(region)):
+            p, q = region[j], region[(j + 1) % len(region)]
+            sp, sq = crs(c, d, p), crs(c, d, q)
+            if sp >= 0:
+                out.append(p)
+            if (sp > 0 > sq) or (sp < 0 < sq):
+                t = sp / (sp - sq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        region = out
+        if len(region) < 3:
+            return False
+    return area2(region) > 0
 
 
 def face_boxes(g):

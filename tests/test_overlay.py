@@ -7,7 +7,10 @@ import random
 
 import pytest
 
+import hullroute.overlay as overlay_mod
+
 from hullroute.geometry import Point, convex_hull_oracle, signed_turn_angle
+from hullroute.holes import hull_node_ids
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.overlay import (
     SENTINEL,
@@ -20,6 +23,7 @@ from hullroute.overlay import (
     rank_ring,
     ring_protocol,
 )
+from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.scenario import fixture_topology
 from hullroute.simengine import RoundEngine
 
@@ -259,6 +263,20 @@ def test_parallel_hull_drops_collinear_perimeter_points():
     assert res.hull == want
     assert len(res.hull) == 4  # corners only
     assert sorted(tuple(coord_of[v]) for v in res.hull) == brute_hull(coord_of.values())
+
+
+@pytest.mark.parametrize("name", ["grid36-hole4", "star12-4"])
+def test_shipped_chains_merge_to_the_centralized_hull(monkeypatch, name):
+    # a negative budget ends every tangent search before its first probe,
+    # so each merge takes the ship fallback: "hs" asks, "hc" carries chains
+    monkeypatch.setattr(overlay_mod, "_PROBE_SLACK", -1)
+    topo = fixture_topology(name)
+    pipe = Pipeline(topo, PipelineConfig())
+    pipe.build_abstraction()
+    for r in pipe.rings:
+        assert pipe.abstractions[r.ring_id].hull_nodes == hull_node_ids(topo.points, r.members)
+    tags = {t["tag"] for t in pipe.engine.transcript}
+    assert {"hs", "hc"} <= tags and "hp" not in tags
 
 
 def test_ring_protocol_on_cavity_ring():

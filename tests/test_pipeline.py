@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,10 +17,17 @@ from hullroute.errors import (
     NotReadyError,
 )
 from hullroute.geometry import Point, Polygon
+from hullroute.holes import KIND_INNER, KIND_OUTER_HOLE, hull_node_ids
 from hullroute.ldel import build_udg
 from hullroute.pipeline import Pipeline, PipelineConfig, periodic_recompute, run_pipeline
 from hullroute.render import render_svg
-from hullroute.scenario import ScenarioSpec, fixture_topology, generate_scenario, scaling_spec
+from hullroute.scenario import (
+    ScenarioSpec,
+    fixture_spec,
+    fixture_topology,
+    generate_scenario,
+    scaling_spec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +109,20 @@ def test_pipeline_open_lattice_has_no_inner_holes():
     rep = run_pipeline(generate_scenario(spec), PipelineConfig())
     assert rep.n == 100
     assert sum(h["kind"] == "InnerHole" for h in rep.holes) == 0
+
+
+@pytest.mark.parametrize("spec", [fixture_spec("grid36-hole4"), scaling_spec(512, 1)], ids=["grid36-hole4", "scale-512-1"])
+def test_pipeline_exact_lattice_builds(spec):
+    # jitter 0: every lattice cell is cocircular and the outer boundary
+    # runs in straight stretches longer than the radio range
+    topo = generate_scenario(dataclasses.replace(spec, jitter=0.0))
+    pipe = Pipeline(topo, PipelineConfig(query_count=40, query_seed=5))
+    rep = pipe.run()
+    assert rep.bounds_ok
+    for r in pipe.rings:
+        assert pipe.abstractions[r.ring_id].hull_nodes == hull_node_ids(topo.points, r.members)
+    assert KIND_OUTER_HOLE not in {r.kind for r in pipe.rings}
+    assert sum(r.kind == KIND_INNER for r in pipe.rings) == len(spec.obstacles)
 
 
 def test_pipeline_explicit_queries_and_unknown_endpoint():

@@ -14,9 +14,12 @@ from oracles import (
     brute_cdt,
     brute_corridor,
     brute_dijkstra,
+    brute_hull_ccw,
+    brute_hulls_overlap,
     brute_udg_edges,
     brute_visible,
     face_boxes,
+    shoelace,
 )
 
 import hullroute.routing as routing_mod
@@ -33,6 +36,7 @@ from hullroute.geometry import (
     _on_segment,
     dist,
     point_in_polygon,
+    segment_crosses_polygon,
     segment_polygon_params,
 )
 from hullroute.holes import (
@@ -288,6 +292,75 @@ def test_visibility_allows_shared_tangent_edge():
     b = HullPolygon(1, (1, 2, 4), (Point(0, 0), Point(1, 0), Point(0.5, -0.8)))
     vg = build_visibility_graph([a, b])
     assert (2 in vg.adj[1]) and (3 in vg.adj[1]) and (4 in vg.adj[1])
+
+
+def lattice_hull(rng, side):
+    """ccw hull of a few random lattice points, with a positive area."""
+    while True:
+        ccw = brute_hull_ccw([(rng.randint(0, side), rng.randint(0, side)) for _ in range(rng.randint(3, 7))])
+        if len(ccw) >= 3 and shoelace(ccw) > 0:
+            return tuple(Point(float(x), float(y)) for x, y in ccw)
+
+
+def probe_segment(rng, hull, side):
+    """Lattice segment, often snapped to hull vertices or run along an edge."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        i = rng.randrange(len(hull))
+        p, q = hull[i], hull[(i + 1) % len(hull)]
+        t, u = rng.sample((-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0), 2)
+        return (
+            Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)),
+            Point(p.x + u * (q.x - p.x), p.y + u * (q.y - p.y)),
+        )
+
+    def end(snap):
+        if snap:
+            return rng.choice(hull)
+        return Point(float(rng.randint(-1, side + 1)), float(rng.randint(-1, side + 1)))
+
+    return end(kind >= 1), end(kind == 2)
+
+
+def test_crosses_hull_matches_general_polygon_test():
+    rng = random.Random(41)
+    cases = crossing = 0
+    for _ in range(400):
+        hull = lattice_hull(rng, 8)
+        for _ in range(30):
+            a, b = probe_segment(rng, hull, 8)
+            if a == b:
+                continue  # no caller asks about a point
+            want = segment_crosses_polygon(a, b, hull)
+            assert routing_mod._crosses_hull(a, b, hull) == want, (a, b, hull)
+            cases += 1
+            crossing += want
+    assert cases > 10000 and 0.1 < crossing / cases < 0.9
+
+
+def test_check_disjoint_matches_exact_clip():
+    rng = random.Random(43)
+    overlaps = 0
+    for _ in range(1500):
+        a = HullPolygon(0, (), lattice_hull(rng, 6))
+        b = HullPolygon(1, (), lattice_hull(rng, 6))
+        want = brute_hulls_overlap(a.pts, b.pts)
+        overlaps += want
+        if want:
+            with pytest.raises(AssumptionViolationError):
+                routing_mod._check_disjoint([a, b])
+        else:
+            routing_mod._check_disjoint([a, b])
+    assert 0.1 < overlaps / 1500 < 0.9
+
+
+def test_check_disjoint_rejects_hull_nested_on_boundary():
+    # every vertex of b sits on a's boundary and b's area lies inside a
+    a = HullPolygon(0, (1, 2, 3), (Point(0, 6), Point(6, 0), Point(6, 6)))
+    b = HullPolygon(1, (4, 5, 6), (Point(2, 4), Point(3, 3), Point(3, 6)))
+    assert brute_hulls_overlap(a.pts, b.pts)
+    with pytest.raises(AssumptionViolationError, match="intersect"):
+        routing_mod._check_disjoint([a, b])
 
 
 def test_visibility_includes_all_hull_edges(grid):
