@@ -60,6 +60,7 @@ from .scenario import (
     ScenarioSpec,
     fixture_topology,
     generate_scenario,
+    holes_grid_spec,
     load_topology,
     save_topology,
     scaling_spec,

@@ -1,4 +1,4 @@
-"""Command line interface: gen, run, route, render, bench.
+"""Command line interface: gen, run, route, render.
 
 Scenario configs and pipeline configs are single JSON files; individual
 flags override fields.  `run` exits 0 only when every asserted bound
@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-import time
 from pathlib import Path
 
 from .errors import HullrouteError
@@ -26,7 +25,6 @@ from .scenario import (
     generate_scenario,
     load_topology,
     save_topology,
-    scaling_spec,
 )
 
 log = logging.getLogger("hullroute")
@@ -178,41 +176,6 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _bench_one(n: int, seed: int, backend: str, sample: int):
-    t0 = time.perf_counter()
-    topo = generate_scenario(scaling_spec(n, seed=seed))
-    cfg = PipelineConfig(
-        backend=backend, query_count=sample, query_seed=seed, strict=False
-    )
-    rep = Pipeline(topo, cfg).run()
-    return {
-        "n_target": n,
-        "seed": seed,
-        "n": rep.n,
-        "protocol_rounds": rep.protocol_rounds,
-        "total_messages": rep.message_stats["total_messages"],
-        "max_ratio": rep.max_ratio,
-        "bounds_ok": rep.bounds_ok,
-        "seconds": round(time.perf_counter() - t0, 2),
-    }
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    # one row at a time: the work is pure Python, so threads would only
-    # contend for the interpreter lock and inflate every row's seconds
-    rows = [
-        _bench_one(n, seed, args.backend, args.sample)
-        for n in sizes
-        for seed in range(args.seed, args.seed + args.repeats)
-    ]
-    for row in rows:
-        print(json.dumps(row, sort_keys=True))
-    if args.out:
-        Path(args.out).write_text(json.dumps(rows, sort_keys=True, indent=1) + "\n")
-    return 0 if all(r["bounds_ok"] for r in rows) else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hullroute")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -254,15 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--max-routes", dest="max_routes", type=int, default=10)
     d.add_argument("--out", required=True)
     d.set_defaults(fn=cmd_render)
-
-    b = sub.add_parser("bench", help="scaling measurements across sizes")
-    b.add_argument("--sizes", default="512,2048", help="comma-separated node targets")
-    b.add_argument("--seed", type=int, default=5)
-    b.add_argument("--repeats", type=int, default=1)
-    b.add_argument("--sample", type=int, default=50)
-    b.add_argument("--backend", choices=backends, default=BACKEND_VIS)
-    b.add_argument("--out")
-    b.set_defaults(fn=cmd_bench)
 
     return p
 

@@ -7,6 +7,10 @@ assignment, bitonic sorting across the (padded) hypercube, distributed
 convex hull by tangent merging, a broadcast tree over all nodes, hull
 reference distribution, and the per-bay dominating set.
 
+Message model for hull distribution: a hull reference is (id, x, y,
+ring), and one long-range message carries at most ceil(log2 n)
+references.
+
 The ring protocols take a mapping of rings (key -> members, ring order)
 and run every ring in the same engine phases, one session per ring, so
 a step costs the rounds of its slowest ring rather than the sum over
@@ -867,54 +871,55 @@ def distribute_hulls(
     hull_refs: list[tuple[NodeId, float, float, int]],
     keep_all: set[NodeId],
 ) -> int:
-    """Flood every hull-node reference through the tree.
+    """Flood the hull references over the tree edges that lead to hull nodes.
 
-    Each reference travels up from its owner and down into every other
-    subtree; a tree has no cycles, so nobody sees a reference twice.
-    Nodes in keep_all (the hull nodes) retain every id they learn; all
-    other nodes forget ids that this flood alone taught them.
-    Returns the number of deliveries.
+    Every reference travels up to the parent.  It travels down only into
+    a child that has already sent some reference up, so only subtrees
+    holding an owner see it; a child heard from for the first time is
+    sent every reference seen so far except those that came from it.  In
+    each round, everything one node forwards to one neighbour leaves in
+    messages of at most ceil(log2 n) references.  A tree has no cycles,
+    so nobody sees a reference twice.
+
+    Nodes in keep_all (the hull nodes, which own every reference) retain
+    every id they learn.  Every other node relays with the ids it learns
+    and forgets, once the phase ends, exactly the ids this flood taught
+    it.  Returns the number of reference deliveries.
     """
     topo = engine.topo
-    owners: dict[NodeId, list] = {}
+    batch = max(1, math.ceil(math.log2(len(topo.ids))))
+    pre_known = {v: set(topo.knows[v]) for v in topo.ids if v not in keep_all}
+    # per node: every reference seen so far, with the neighbour it came from
+    seen: dict[NodeId, list[tuple[NodeId, list]]] = {v: [] for v in topo.ids}
     for ref in hull_refs:
-        owners.setdefault(ref[0], []).append(list(ref))
-    pre_known = {v: set(topo.knows[v]) for v in topo.ids}
+        seen[ref[0]].append((ref[0], list(ref)))
+    # per node: the neighbours it forwards to (the parent, and children
+    # heard from), each with how much of seen[v] it was already offered
+    offered: dict[NodeId, dict[NodeId, int]] = {
+        v: ({tree.parent[v]: 0} if v in tree.parent else {}) for v in topo.ids
+    }
     deliveries = 0
-    seeded: set[NodeId] = set()
-
-    def tree_neighbors(v: NodeId) -> list[NodeId]:
-        out = list(tree.children[v])
-        if v in tree.parent:
-            out.append(tree.parent[v])
-        return out
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         nonlocal deliveries
-        if v not in seeded:
-            seeded.add(v)
-            for ref in owners.get(v, []):
-                for nb in tree_neighbors(v):
-                    eng.send(v, nb, {"ref": ref}, tag="href", intro_ids=(ref[0],))
-        drop: set[NodeId] = set()
+        got, out = seen[v], offered[v]
         for m in inbox:
-            if m.tag != "href":
-                continue
-            deliveries += 1
-            ref = m.payload["ref"]
-            for nb in tree_neighbors(v):
-                if nb != m.src:
-                    eng.send(v, nb, {"ref": ref}, tag="href", intro_ids=(ref[0],))
-            drop.add(ref[0])
-        # a node on two hulls arrives as two refs with one id; forget the
-        # id only after the whole inbox is forwarded, or the second send
-        # would introduce an id v just deleted
-        for rid in drop:
-            if v not in keep_all and rid not in pre_known[v] and rid != v:
-                eng.delete_id(v, rid)
+            got.extend((m.src, ref) for ref in m.payload["refs"])
+            deliveries += len(m.payload["refs"])
+            out.setdefault(m.src, 0)
+        for nb, start in out.items():
+            fresh = [ref for src, ref in got[start:] if src != nb]
+            out[nb] = len(got)
+            for i in range(0, len(fresh), batch):
+                chunk = fresh[i : i + batch]
+                ids = tuple(sorted({ref[0] for ref in chunk}))
+                eng.send(v, nb, {"refs": chunk}, tag="href", intro_ids=ids)
         return True
 
     engine.run_phase("hull_distribution", handler, max_rounds=4 * tree.height + 10)
+    for v, before in pre_known.items():
+        for rid in topo.knows[v] - before:
+            engine.delete_id(v, rid)
     return deliveries
 
 

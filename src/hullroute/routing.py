@@ -415,6 +415,8 @@ class RouteResult:
     backend: str = BACKEND_VIS
     e_route: int = 0
     legs: list[tuple[float, float]] = field(default_factory=list)
+    # each waypoint plan, re-plans included: (planning hull node, chain)
+    plans: list[tuple[NodeId, list[NodeId]]] = field(default_factory=list)
 
 
 @dataclass
@@ -467,7 +469,9 @@ class Router:
             raise NotReadyError("outer boundary ring missing")
         vis = build_visibility_graph([c.polygon for c in self.obstacles])
         self.waypoints = vis if backend == BACKEND_VIS else build_overlay_delaunay(vis)
-        self._replans = 0  # waypoint re-plans of the current query
+        # waypoint plans of the current query; a query calls _route_outside
+        # at most once, so every plan after the first is a re-plan
+        self._plans: list[tuple[NodeId, list[NodeId]]] = []
 
     # -- construction helpers ----------------------------------------------
 
@@ -580,13 +584,13 @@ class Router:
             walk = self._nearest_hull(ctx, out.node)
             path += walk[1:]
             chain = overlay_shortest_path(self.waypoints, path[-1], t, points)
+            self._plans.append((path[-1], chain))
             done = True
             for a, b in zip(chain, chain[1:]):
                 leg_path, hit = self._leg(a, b)
                 path += leg_path[1:]
                 if hit is not None:
                     out = hit  # re-plan from the new hole node
-                    self._replans += 1
                     done = False
                     break
                 legs.append((dist(points[a], points[b]), _polyline_length(self.g, leg_path)))
@@ -703,7 +707,7 @@ class Router:
             raise NotReadyError("route query during a protocol phase")
         if s not in self.g.points or t not in self.g.points:
             raise NodeLookupError(f"route endpoints {s},{t} not in graph")
-        self._replans = 0
+        self._plans = []
         if s == t:
             return RouteResult([s], 0.0, 0.0, 0.0, 1.0, case, 0, 0, self.backend)
         return None
@@ -824,9 +828,10 @@ class Router:
         sl = dist(self.g.points[s], self.g.points[t])
         d = _udg_shortest(topo, s, t)
         ratio = length / d if d > 0 else 1.0
-        log.debug("query %d->%d: %s, %d hops, %d replans", s, t, case, len(path) - 1, self._replans)
+        replans = max(len(self._plans) - 1, 0)
+        log.debug("query %d->%d: %s, %d hops, %d replans", s, t, case, len(path) - 1, replans)
         return RouteResult(list(path), length, d, sl, ratio, case, rounds, lr,
-                           self.backend, e_route, legs)
+                           self.backend, e_route, legs, self._plans)
 
 
 def _extreme_points(points: Mapping[NodeId, Point], sub: Sequence[NodeId]) -> list[NodeId]:

@@ -242,6 +242,26 @@ def scaling_spec(n: int, seed: int = 5) -> ScenarioSpec:
     )
 
 
+def holes_grid_spec(n: int, seed: int = 5) -> ScenarioSpec:
+    """scaling_spec(n, seed)'s lattice with a k x k grid of square holes.
+
+    k = round(sqrt(n) / 7.5), so the hole count grows in proportion to n
+    (6 x 6 at n = 2048).  Square (i, j), side 1.5, is centred at
+    step * (i + 1/2, j + 1/2) with step = width / k.
+    """
+    base = scaling_spec(n, seed)
+    k = max(1, round(math.isqrt(n) / 7.5))
+    x0, y0, x1, _ = base.region
+    step = (x1 - x0) / k
+    base.obstacles = [
+        _square(x0 + step * (i + 0.5), y0 + step * (j + 0.5), 1.5)
+        for i in range(k)
+        for j in range(k)
+    ]
+    base.name = f"holes{k}x{k}-{n}"
+    return base
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -21,6 +21,7 @@ instead of trusted.
 from __future__ import annotations
 
 import json
+import logging
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -33,6 +34,8 @@ from .errors import (
     SimulationAbortError,
 )
 from .ldel import HybridTopology, NodeId
+
+log = logging.getLogger(__name__)
 
 
 class Channel(str, Enum):
@@ -302,6 +305,12 @@ class RoundEngine:
             self._tallies = ()
             self._phase = None
             self.phase_reports.append(report)
+            log.debug(
+                "phase %s: %d rounds, %d long-range, %d ad hoc, %d bytes, "
+                "peak %d long-range per node and round",
+                label, report.rounds, report.messages_longrange, report.messages_adhoc,
+                report.bytes_total, report.max_longrange_per_node_round,
+            )
 
     # -- transcript ----------------------------------------------------------
 

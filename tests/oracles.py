@@ -531,3 +531,43 @@ def brute_corridor(g, s, t, boxes=None):
 
 def _chain_length(points, chain):
     return sum(odist(points[a], points[b]) for a, b in zip(chain, chain[1:]))
+
+
+def brute_hull_flood(tree, owners):
+    """Messages per directed tree edge of the hull-reference flood.
+
+    `owners` holds one entry per reference: its owner, so a node on two
+    hulls appears twice. Computed centrally from closed forms, not by
+    running rounds: a reference leaves a node for its parent in the round
+    it reached it; p first hears from child c in the round min over owners
+    h under c of depth(h) - depth(p); a reference goes down into c, never
+    back where it came from and only once c is heard, in the later of that
+    round and the round it reached p. References crossing one edge in one
+    round are packed ceil(log2 n) to a message. Returns {(src, dst): count}.
+    """
+    n = len(tree.children)
+    batch = max(1, (n - 1).bit_length())
+    heard = {}
+    for h in set(owners):
+        x, up = h, 0
+        while x in tree.parent:
+            p = tree.parent[x]
+            up += 1
+            heard[(p, x)] = min(heard.get((p, x), up), up)
+            x = p
+    crossings = {}
+    for o in owners:
+        stack = [(o, None, 0)]
+        while stack:
+            v, came, t = stack.pop()
+            hops = [(tree.parent[v], t)] if v in tree.parent else []
+            hops += [(c, max(t, heard[(v, c)])) for c in tree.children[v] if (v, c) in heard]
+            for w, sent in hops:
+                if w == came:
+                    continue
+                crossings[(v, w, sent)] = crossings.get((v, w, sent), 0) + 1
+                stack.append((w, v, sent + 1))
+    out = {}
+    for (v, w, _), k in crossings.items():
+        out[(v, w)] = out.get((v, w), 0) + -(-k // batch)
+    return out

@@ -35,6 +35,7 @@ from hullroute.scenario import (
     ScenarioSpec,
     fixture_topology,
     generate_scenario,
+    holes_grid_spec,
     scaling_spec,
 )
 
@@ -93,6 +94,12 @@ def stacks():
 @pytest.fixture(scope="module")
 def scale2048():
     return build_pipe(generate_scenario(scaling_spec(2048)))
+
+
+@pytest.fixture(scope="module")
+def holes2048():
+    # hole count grows with n: 36 square holes, 52 rings at n=1743
+    return build_pipe(generate_scenario(holes_grid_spec(2048)))
 
 
 def graph_csr(ids, pts, edge_iter):
@@ -298,13 +305,13 @@ def test_06_hole_classification(stacks, scale2048):
     assert ok, (checked, bad)
 
 
-def test_07_round_bounds(stacks, scale2048):
+def test_07_round_bounds(stacks, scale2048, holes2048):
     r512 = stacks["scale512"]
     r2048 = scale2048
     ratio = r2048.protocol_rounds / r512.protocol_rounds
     jump_ok = True
     worst_jump = 0.0
-    for pipe in list(stacks.values()) + [scale2048]:
+    for pipe in list(stacks.values()) + [scale2048, holes2048]:
         audit = pipe.bound_audit()
         for row in audit["pointer_jumping"]["rings"]:
             worst_jump = max(worst_jump, row["jump_rounds"] / row["round_bound"])
@@ -319,13 +326,13 @@ def test_07_round_bounds(stacks, scale2048):
     assert ok, (ratio, jump_ok)
 
 
-def test_08_message_work(stacks, scale2048):
+def test_08_message_work(stacks, scale2048, holes2048):
     c = 8.0
     msg_ok = True
     lr_ok = True
     worst_msg = 0.0
     worst_lr = 0.0
-    for pipe in list(stacks.values()) + [scale2048]:
+    for pipe in list(stacks.values()) + [scale2048, holes2048]:
         audit = pipe.bound_audit()
         for row in audit["pointer_jumping"]["rings"]:
             worst_msg = max(worst_msg, row["max_msgs_per_node"] / row["msg_bound"])
@@ -344,10 +351,10 @@ def test_08_message_work(stacks, scale2048):
     assert ok, (worst_msg, worst_lr)
 
 
-def test_09_storage_audit(stacks, scale2048):
+def test_09_storage_audit(stacks, scale2048, holes2048):
     ok = True
     worst_hull = 0.0
-    for pipe in list(stacks.values()) + [scale2048]:
+    for pipe in list(stacks.values()) + [scale2048, holes2048]:
         st = pipe.storage_audit()
         if st["sum_hull_sizes"]:
             worst_hull = max(worst_hull, st["hull"]["max"] / (4 * st["sum_hull_sizes"]))

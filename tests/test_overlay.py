@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,7 +28,7 @@ from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.scenario import fixture_topology
 from hullroute.simengine import RoundEngine
 
-from oracles import brute_arc_min, brute_hull, brute_hull_ccw
+from oracles import brute_arc_min, brute_hull, brute_hull_ccw, brute_hull_flood
 
 
 def circle_points(k, *, ids=None, jitter=0.0, seed=0):
@@ -322,16 +323,55 @@ def test_broadcast_tree_sizes():
     assert big.max_degree <= 3
 
 
-def test_distribute_hulls_floods_once_and_forgets():
-    eng = line_engine(9)
+def _line_refs(owners):
+    return [(v, round(v * 0.9, 6), 0.0, ring) for v, ring in owners]
+
+
+# (nodes, hull references): the heap tree of a line; the root's subtree
+# under node 1 (first case) or node 2 (second) holds no hull node.  The
+# second has owners at depths 3 and 4, so node 1 relays id 7 to child 4
+# a round after it learned it, node 19 is on two hulls, and node 1 sends
+# nine references up in one round, more than ceil(log2 31) = 5
+FLOODS = [
+    (9, _line_refs([(2, 0), (5, 0)])),
+    (31, _line_refs([(7, 0)] + [(v, 1) for v in range(15, 23)] + [(19, 2)])),
+]
+
+
+def test_distribute_hulls_floods_once_and_forgets(monkeypatch):
+    for n, refs in FLOODS:
+        _check_flood(n, refs, monkeypatch)
+
+
+def _check_flood(n, refs, monkeypatch):
+    eng = line_engine(n)
     tree = build_broadcast_tree(eng)
-    refs = [(2, 1.8, 0.0, 0), (5, 4.5, 0.0, 0)]
-    keep = {2, 5}
+    keep = {r[0] for r in refs}
     pre = {v: set(eng.topo.knows[v]) for v in eng.topo.ids}
+    received = {v: [] for v in eng.topo.ids}
+    send = eng.send
+
+    def spy(src, dst, payload=None, **kw):
+        if kw.get("tag") == "href":
+            received[dst] += [tuple(r) for r in payload["refs"]]
+            assert len(payload["refs"]) <= math.ceil(math.log2(n))
+        send(src, dst, payload, **kw)
+
+    monkeypatch.setattr(eng, "send", spy)
     deliveries = distribute_hulls(eng, tree, refs, keep)
-    n = len(eng.topo.ids)
-    assert deliveries == len(refs) * (n - 1)
-    assert deliveries <= len(keep) * n
+    assert deliveries == sum(len(got) for got in received.values())
+    for v in keep:
+        assert Counter(received[v]) == Counter(r for r in refs if r[0] != v), v
+    spanning = set()
+    for v in keep:
+        while v not in spanning:
+            spanning.add(v)
+            v = tree.parent.get(v, v)
+    assert len(spanning) < n
+    for v in set(eng.topo.ids) - spanning:
+        assert received[v] == [], v
+    hrefs = Counter((t["src"], t["dst"]) for t in eng.transcript if t["tag"] == "href")
+    assert hrefs == brute_hull_flood(tree, [r[0] for r in refs])
     for v in eng.topo.ids:
         if v in keep:
             assert keep - {v} <= eng.topo.knows[v]

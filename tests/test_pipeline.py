@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import math
+import re
+from collections import Counter
 
 import pytest
 
@@ -28,6 +31,8 @@ from hullroute.scenario import (
     generate_scenario,
     scaling_spec,
 )
+
+from oracles import brute_hull_flood
 
 
 @pytest.fixture(scope="module")
@@ -171,27 +176,30 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # concurrent rings: same messages and abstraction as running rings one by one
 
 
-# Recorded from the ring-by-ring build: messages and bytes of the build, the
-# sha256 of its sorted (node, long-range sends) pairs, and abstraction_digest().
+# Recorded from the ring-by-ring build, which flooded every hull reference
+# to all nodes: messages and bytes of the build without its hull-reference
+# (`href`) traffic, the sha256 of the sorted (node, long-range sends) pairs
+# of the same traffic, and abstraction_digest().  The `href` traffic itself
+# is checked against oracles.brute_hull_flood.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        2583, 239161,
-        "4247d055a8dcda0604854516ff7a01519e866b4a05e1da59e7381cb04d2b0710",
+        1560, 149447,
+        "a8dba7a7a89a2105444cc04dbc2b5d9296d20e3ac99fb9384e0aeb9061e77523",
         "7ea20af8dda20938d6806f80e444ef1f7b0d7b32dde9cc76afa9ff88f1db87e7",
     ),
     "crescent-24": (
-        17698, 1598176,
-        "510bb78c6325333f596cdd0c6cb0ce61c6c8665a073ff95664ed911bf23d43eb",
+        5738, 552196,
+        "4e3fa64d63247d58f43af55d598268fb4ca7bee970164927101edcec14271cce",
         "30cd2654187717c193ba3a267d481b33a02227ee86f7095dc680a530c50ae4c8",
     ),
     "star12-4": (
-        27346, 2454251,
-        "6161643269dfba9176c2ee2840de6663f9b91740f6ce669d27f8acc10184aa8d",
+        6354, 616139,
+        "b0f4fb06fb42ac3b13f2b229faab20801c8aa7d0adf4c6fbc135fac7104f0ae3",
         "e866a7167284bdb2c70b267d2f19c2af609b6dbb6a89e183faf70b36e52e5e5e",
     ),
     "scale-512-1": (
-        41033, 3698441,
-        "477a6dffabf7c8ea370de4120f20ce3d40ac1b17f3cdd0549799df58be045b12",
+        9209, 896525,
+        "601af577c2c45bc2111f4b836690c9ae751bf35fa3b1af057c9212d9a0911482",
         "a0ecd3b2c6ded5689b7b14851ccc49df3c05d7d964a4d09d864d8e790506bb12",
     ),
 }
@@ -215,13 +223,19 @@ def test_concurrent_build_matches_serial_build(name):
     pipe.build_abstraction()
     messages, nbytes, lr_digest, digest = SERIAL_BUILD[name]
     eng = pipe.engine
-    assert (eng.total_messages, eng.total_bytes) == (messages, nbytes)
+    sent = [t for t in eng.transcript if t["channel"] != "meta"]
+    rest = [t for t in sent if t["tag"] != "href"]
+    assert (len(rest), sum(t["bytes"] for t in rest)) == (messages, nbytes)
     assert pipe.abstraction_digest() == digest
     # the engine's running tallies agree with a recount of the transcript
+    assert len(sent) == eng.total_messages
     assert pipe.build_longrange == _longrange_recount(eng.transcript)
     assert pipe.build_adhoc == sum(1 for t in eng.transcript if t["channel"] == "adhoc")
-    pairs = json.dumps(sorted(pipe.build_longrange.items()))
+    pairs = json.dumps(sorted(_longrange_recount(rest).items()))
     assert hashlib.sha256(pairs.encode()).hexdigest() == lr_digest
+    refs, _ = pipe._hull_refs()
+    hrefs = Counter((t["src"], t["dst"]) for t in sent if t["tag"] == "href")
+    assert hrefs == brute_hull_flood(pipe.tree, [r[0] for r in refs])
 
 
 # sha256 of the `queries` rows of Pipeline.run() with query_count=100 and
@@ -248,6 +262,44 @@ def test_route_rows_match_pinned_digests(name, backend):
     rep = Pipeline(topo, PipelineConfig(backend=backend, query_count=100, query_seed=11)).run()
     rows = json.dumps(rep.queries, sort_keys=True)
     assert hashlib.sha256(rows.encode()).hexdigest() == ROUTE_ROWS[(name, backend)]
+
+
+@pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1"])
+def test_case1_planners_know_their_waypoints(name):
+    # a waypoint plan is made at a hull node from the references the build
+    # left it; it may name no hull node whose id that node does not hold
+    if name == "scale-512-1":
+        topo = generate_scenario(scaling_spec(512, 1))
+    else:
+        topo = fixture_topology(name)
+    pipe = Pipeline(topo, PipelineConfig(query_count=100, query_seed=11))
+    pipe.build_abstraction()
+    results, _ = pipe.run_queries()
+    _, hull_ids = pipe._hull_refs()
+    plans = [p for r in results if r.case_taken == "Case1" for p in r.plans]
+    assert plans
+    for planner, chain in plans:
+        assert planner in hull_ids
+        assert set(chain) & hull_ids - {planner} <= pipe._knows_after_build[planner], (planner, chain)
+
+
+def test_each_engine_phase_logs_one_line_when_it_ends(caplog):
+    pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
+    with caplog.at_level(logging.DEBUG, logger="hullroute.simengine"):
+        pipe.build_abstraction()
+    line = re.compile(
+        r"phase (\S+): (\d+) rounds, (\d+) long-range, (\d+) ad hoc, (\d+) bytes, "
+        r"peak (\d+) long-range per node and round"
+    )
+    rows = [line.fullmatch(r.getMessage()).groups() for r in caplog.records if r.name == "hullroute.simengine"]
+    assert rows == [
+        (p.label, *map(str, (p.rounds, p.messages_longrange, p.messages_adhoc, p.bytes_total,
+                             p.max_longrange_per_node_round)))
+        for p in pipe.engine.phase_reports
+    ]
+    assert rows[-1][0] == "hull_distribution"
+    hrefs = sum(t["tag"] == "href" for t in pipe.engine.transcript)
+    assert int(rows[-1][2]) + int(rows[-1][3]) == hrefs > 0
 
 
 def _square(cx: float, cy: float, side: float = 1.5) -> Polygon:
