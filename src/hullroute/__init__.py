@@ -10,6 +10,7 @@ import logging as _logging
 from .errors import (
     AssumptionViolationError,
     BoundViolationError,
+    ConfigError,
     DegenerateInputError,
     DisconnectedError,
     DispatchError,
@@ -40,7 +41,6 @@ from .pipeline import (
     ExperimentReport,
     Pipeline,
     PipelineConfig,
-    periodic_recompute,
     run_pipeline,
 )
 from .render import render_svg, write_svg

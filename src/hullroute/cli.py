@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import HullrouteError
+from .errors import ConfigError, HullrouteError
 from .geometry import Point, Polygon
 from .pipeline import Pipeline, PipelineConfig
 from .render import write_svg
@@ -38,35 +38,50 @@ def _setup_logging() -> None:
     )
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _spec_from_json(path: str) -> ScenarioSpec:
-    d = json.loads(Path(path).read_text())
-    obstacles = [
-        Polygon(tuple(Point(float(x), float(y)) for x, y in poly))
-        for poly in d.get("obstacles", [])
-    ]
-    return ScenarioSpec(
-        seed=int(d["seed"]),
-        mode=d.get("mode", "grid"),
-        region=tuple(float(v) for v in d.get("region", (0.0, 0.0, 3.5, 3.5))),
-        spacing=float(d.get("spacing", 0.7)),
-        jitter=float(d.get("jitter", 1e-6)),
-        obstacles=obstacles,
-        target_count=d.get("target_count"),
-        radius=float(d.get("radius", 1.0)),
-        name=d.get("name", ""),
-    )
+    d = _read_json(path)
+    try:
+        obstacles = [
+            Polygon(tuple(Point(float(x), float(y)) for x, y in poly))
+            for poly in d.get("obstacles", [])
+        ]
+        return ScenarioSpec(
+            seed=int(d["seed"]),
+            mode=d.get("mode", "grid"),
+            region=tuple(float(v) for v in d.get("region", (0.0, 0.0, 3.5, 3.5))),
+            spacing=float(d.get("spacing", 0.7)),
+            jitter=float(d.get("jitter", 1e-6)),
+            obstacles=obstacles,
+            target_count=d.get("target_count"),
+            radius=float(d.get("radius", 1.0)),
+            name=d.get("name", ""),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"{path}: spec has no {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad spec value: {exc}") from exc
 
 
 def _load_queries(path: str) -> list[tuple[int, int]]:
-    d = json.loads(Path(path).read_text())
-    pairs = d["pairs"] if isinstance(d, dict) else d
-    return [(int(s), int(t)) for s, t in pairs]
+    d = _read_json(path)
+    try:
+        pairs = d["pairs"] if isinstance(d, dict) else d
+        return [(int(s), int(t)) for s, t in pairs]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: queries must be a list of node id pairs: {exc!r}") from exc
 
 
 def _pipeline_config(args) -> PipelineConfig:
     base = {}
     if getattr(args, "config", None):
-        base = json.loads(Path(args.config).read_text())
+        base = _read_json(args.config)
     cfg = PipelineConfig.from_dict(base)
     if getattr(args, "backend", None):
         cfg.backend = args.backend

@@ -59,6 +59,10 @@ class NoPathError(HullrouteError):
     """No route exists between the requested endpoints."""
 
 
+class ConfigError(HullrouteError):
+    """A config, spec or query file names an unknown key or holds a bad value."""
+
+
 class GenerationError(HullrouteError):
     """Scenario generation failed after exhausting its retry budget."""
 

@@ -2,8 +2,9 @@
 
 Coordinates are measured in units of the radio range, so an ad hoc link
 exists exactly between points at distance <= 1.  All sign tests run on
-normalized determinants with a fixed tolerance; inputs closer to a
-degeneracy than that are rejected rather than silently classified.
+normalized determinants with a fixed tolerance: `orientation` classifies
+a triple closer to collinear than that as COLLINEAR, and
+`circumcenter` rejects it with DegenerateInputError.
 """
 
 from __future__ import annotations

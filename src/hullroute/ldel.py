@@ -131,21 +131,26 @@ def build_udg(points: Mapping[NodeId, Point], radius: float = 1.0) -> HybridTopo
         u, v = ids[int(i)], ids[int(j)]
         adhoc[u].add(v)
         adhoc[v].add(u)
-    # connectivity
-    seen = {ids[0]}
-    stack = [ids[0]]
+    check_connected(adhoc)
+    knows = {v: set(adhoc[v]) for v in ids}
+    return HybridTopology(points=pts, adhoc=adhoc, knows=knows, radius=radius)
+
+
+def check_connected(adhoc: Mapping[NodeId, set[NodeId]]) -> None:
+    """Raise DisconnectedError unless the radio links join every node."""
+    start = min(adhoc)
+    seen = {start}
+    stack = [start]
     while stack:
         u = stack.pop()
         for w in adhoc[u]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if len(seen) < len(ids):
+    if len(seen) < len(adhoc):
         raise DisconnectedError(
-            f"unit disk graph is disconnected: reached {len(seen)} of {len(ids)} nodes"
+            f"unit disk graph is disconnected: reached {len(seen)} of {len(adhoc)} nodes"
         )
-    knows = {v: set(adhoc[v]) for v in ids}
-    return HybridTopology(points=pts, adhoc=adhoc, knows=knows, radius=radius)
 
 
 def two_hop_neighborhood(topo: HybridTopology, v: NodeId) -> set[NodeId]:

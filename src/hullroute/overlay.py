@@ -833,13 +833,11 @@ def _hull_broadcast_session(
 # broadcast tree over all nodes
 
 
-def build_broadcast_tree(
-    engine: RoundEngine, c1: float = 1.0
-) -> BroadcastTree:
+def build_broadcast_tree(engine: RoundEngine) -> BroadcastTree:
     """Balanced binary tree over node ids in heap layout.
 
     Stands in for the overlay-tree protocol this pipeline treats as a
-    black box: the engine charges ceil(c1 * log2(n)^2) rounds for the
+    black box: the engine charges ceil(log2(n)^2) rounds for the
     construction and the tree edges are entered into the knowledge
     relation directly.
     """
@@ -858,7 +856,7 @@ def build_broadcast_tree(
     for child, p in parent.items():
         engine.topo.learn(p, child)
         engine.topo.learn(child, p)
-    rounds = math.ceil(c1 * (math.log2(n) ** 2)) if n > 1 else 0
+    rounds = math.ceil(math.log2(n) ** 2) if n > 1 else 0
     engine.charge_rounds(rounds, "broadcast_tree")
     return BroadcastTree(
         root=ids[0], parent=parent, children=children, height=height, max_degree=max_degree
@@ -919,7 +917,7 @@ def distribute_hulls(
     engine.run_phase("hull_distribution", handler, max_rounds=4 * tree.height + 10)
     for v, before in pre_known.items():
         for rid in topo.knows[v] - before:
-            engine.delete_id(v, rid)
+            topo.forget(v, rid)
     return deliveries
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import (
     BoundViolationError,
-    DisconnectedError,
+    ConfigError,
     NodeLookupError,
     NotReadyError,
 )
@@ -36,7 +36,7 @@ from .holes import (
     form_rings,
     hole_report,
 )
-from .ldel import HybridTopology, PlanarGraph, build_ldel2
+from .ldel import HybridTopology, PlanarGraph, build_ldel2, check_connected
 from .overlay import BroadcastTree, RingProtocolResult, build_broadcast_tree, distribute_hulls
 from .routing import BACKEND_VIS, Router, measure_competitiveness
 from .simengine import RoundEngine
@@ -46,6 +46,14 @@ from .simengine import RoundEngine
 LDEL_BUILD_ROUNDS = 5
 # boundary flags travel one hop so ring neighbors agree
 RING_DETECT_ROUNDS = 1
+# audited bounds: total abstraction rounds and recompute rounds vs
+# log2(n)^2, per-node long-range messages vs log2(n)^2, hull and boundary
+# storage headroom, and a flat cap for nodes off every ring
+C2 = 40.0
+C3 = 40.0
+C_LONGRANGE = 8.0
+STORAGE_FACTOR = 4.0
+OTHER_STORAGE_CAP = 8
 
 log = logging.getLogger(__name__)
 
@@ -56,24 +64,22 @@ class PipelineConfig:
     queries: list[tuple[int, int]] | None = None
     query_count: int = 0
     query_seed: int = 0
-    c1: float = 1.0  # broadcast-tree construction charge
-    c2: float = 40.0  # total abstraction rounds vs log2(n)^2
-    c3: float = 40.0  # recompute rounds vs log2(n)^2
-    c_longrange: float = 8.0  # per-node long-range messages vs log2(n)^2
-    storage_factor: float = 4.0  # hull/boundary storage headroom
-    other_storage_cap: int = 8  # flat cap for nodes off every ring
     strict: bool = True  # raise BoundViolationError when a bound fails
     transcript_path: str | None = None
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(d).__name__}")
+        bad = set(d) - set(cls.__dataclass_fields__)
         if bad:
-            raise ValueError(f"unknown config keys: {sorted(bad)}")
+            raise ConfigError(f"unknown config keys: {sorted(bad)}")
         cfg = cls(**d)
         if cfg.queries is not None:
-            cfg.queries = [(int(s), int(t)) for s, t in cfg.queries]
+            try:
+                cfg.queries = [(int(s), int(t)) for s, t in cfg.queries]
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"queries must be pairs of node ids: {exc}") from exc
         return cfg
 
 
@@ -98,22 +104,6 @@ class ExperimentReport:
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")
-
-
-def _check_connected(topo: HybridTopology) -> None:
-    ids = topo.ids
-    seen = {ids[0]}
-    frontier = [ids[0]]
-    while frontier:
-        v = frontier.pop()
-        for w in topo.adhoc[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    if len(seen) != len(ids):
-        raise DisconnectedError(
-            f"radio graph split: {len(ids) - len(seen)} nodes unreachable"
-        )
 
 
 class Pipeline:
@@ -147,7 +137,6 @@ class Pipeline:
         the outer boundary's hull from wave one.
         """
         eng = self.engine
-        cfg = self.config
         start = eng.round_no
         lr_start, adhoc_start = dict(eng.longrange_sent), eng.adhoc_sent
 
@@ -192,7 +181,7 @@ class Pipeline:
 
         if self.tree is None:
             t = eng.round_no
-            self.tree = build_broadcast_tree(eng, c1=cfg.c1)
+            self.tree = build_broadcast_tree(eng)
             mark("broadcast_tree", t)
 
         t = eng.round_no
@@ -210,7 +199,7 @@ class Pipeline:
         # snapshot before queries: routing teaches endpoints each other's
         # ids, which is not abstraction storage
         self._knows_after_build = {v: set(self.topo.knows[v]) for v in self.topo.ids}
-        self.router = Router(self.g, self.rings, self.abstractions, backend=cfg.backend)
+        self.router = Router(self.g, self.rings, self.abstractions, backend=self.config.backend)
 
     def _log_wave(
         self, wave: str, rings: list[HoleRing], own_before: dict, wave_rounds: int
@@ -253,7 +242,6 @@ class Pipeline:
 
     def storage_audit(self) -> dict:
         """Persisted-knowledge deltas by node class, with budgets."""
-        cfg = self.config
         _, hull_nodes = self._hull_refs()
         ring_members = set()
         for r in self.rings:
@@ -285,23 +273,22 @@ class Pipeline:
             }
 
         return {
-            "hull": cls_stats(hull_nodes, cfg.storage_factor * sum_hull),
-            "boundary": cls_stats(boundary, cfg.storage_factor * max_p),
-            "other": cls_stats(other, float(cfg.other_storage_cap)),
+            "hull": cls_stats(hull_nodes, STORAGE_FACTOR * sum_hull),
+            "boundary": cls_stats(boundary, STORAGE_FACTOR * max_p),
+            "other": cls_stats(other, float(OTHER_STORAGE_CAP)),
             "sum_hull_sizes": sum_hull,
             "max_ring_size": max_p,
         }
 
     def bound_audit(self) -> dict:
-        cfg = self.config
         n = len(self.topo.points)
         log2n = math.log2(n) if n > 1 else 1.0
-        budget = cfg.c2 * log2n**2
+        budget = C2 * log2n**2
         bounds: dict[str, dict] = {
             "protocol_rounds": {
                 "measured": self.protocol_rounds,
                 "bound": budget,
-                "c2": cfg.c2,
+                "c2": C2,
                 "ratio": self.protocol_rounds / budget,
                 "ok": self.protocol_rounds <= budget,
             }
@@ -332,11 +319,11 @@ class Pipeline:
 
         lr = self.build_longrange
         lr_max = max(lr.values()) if lr else 0
-        lr_budget = cfg.c_longrange * log2n**2
+        lr_budget = C_LONGRANGE * log2n**2
         bounds["longrange_per_node"] = {
             "measured_max": lr_max,
             "bound": lr_budget,
-            "c": cfg.c_longrange,
+            "c": C_LONGRANGE,
             "ok": lr_max <= lr_budget,
         }
 
@@ -473,7 +460,7 @@ class Pipeline:
             raise NotReadyError("broadcast tree not built yet")
         if interval:
             self.engine.charge_rounds(interval, "idle")
-        _check_connected(self.topo)
+        check_connected(self.topo.adhoc)
         tree_before = (self.tree.root, sorted(self.tree.parent.items()))
         start_round = self.engine.round_no
         tree_charges = self.engine.charged["broadcast_tree"]
@@ -483,11 +470,11 @@ class Pipeline:
         charged_tree = self.engine.charged["broadcast_tree"] != tree_charges
         n = len(self.topo.points)
         log2n = math.log2(n) if n > 1 else 1.0
-        budget = self.config.c3 * log2n**2
+        budget = C3 * log2n**2
         out = {
             "rounds": rounds,
             "bound": budget,
-            "c3": self.config.c3,
+            "c3": C3,
             "ok": rounds <= budget and not charged_tree,
             "tree_reused": self.tree.root == tree_before[0]
             and sorted(self.tree.parent.items()) == tree_before[1]
@@ -537,7 +524,3 @@ def _bound_summary(b: dict) -> str:
 
 def run_pipeline(topo: HybridTopology, config: PipelineConfig | None = None) -> ExperimentReport:
     return Pipeline(topo, config).run()
-
-
-def periodic_recompute(pipeline: Pipeline, interval: int = 0) -> dict:
-    return pipeline.periodic_recompute(interval)

@@ -419,7 +419,7 @@ class RouteResult:
     plans: list[tuple[NodeId, list[NodeId]]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False)
 class _RingCtx:
     """A classified ring plus everything routing needs about it."""
 
@@ -494,8 +494,12 @@ class Router:
 
     # -- placement ----------------------------------------------------------
 
-    def locate(self, v: NodeId) -> tuple[_RingCtx, int | None] | None:
-        """(ring context, bay index) when v lies strictly inside a hull."""
+    def locate(self, v: NodeId) -> tuple[_RingCtx, int] | None:
+        """(ring context, bay index) when v lies strictly inside a hull.
+
+        A hull's interior is its hole face, which holds no node, plus its
+        closed bay polygons; so every node inside a hull sits in a bay.
+        """
         p = self.g.points[v]
         for ctx in self.obstacles:
             if _apart(ctx.polygon.pts, (p,)):
@@ -506,7 +510,9 @@ class Router:
             for bi, poly in enumerate(ctx.bay_polys):
                 if len(poly) >= 3 and point_in_polygon(p, poly, strict=False):
                     return ctx, bi
-            return ctx, None
+            raise GeometryInconsistencyError(
+                f"node {v} lies inside hull {ctx.ring.ring_id} but in none of its bays"
+            )
         return None
 
     def _ring_of_face(self, face: int) -> _RingCtx:
@@ -535,26 +541,17 @@ class Router:
             return [members[(ia + i) % k] for i in range(fwd + 1)]
         return [members[(ia - i) % k] for i in range(bwd + 1)]
 
+    @staticmethod
+    def _hops(ctx: _RingCtx, i: int, j: int) -> int:
+        """Ring hops between member positions i and j; arcs never wrap."""
+        d = abs(i - j)
+        return min(d, len(ctx.ring.members) - d) if ctx.closed else d
+
     def _nearest_hull(self, ctx: _RingCtx, v: NodeId) -> list[NodeId]:
         """Ring path from v to its closest hull node in hops, ties by id."""
-        if v in ctx.hull_set:
-            return [v]
-        members = ctx.ring.members
-        k = len(members)
         i = ctx.pos_of[v]
-        offsets = range(1, k)
-        for d in offsets:
-            cands = []
-            for j in (i + d, i - d):
-                if ctx.closed:
-                    j %= k
-                elif not (0 <= j < k):
-                    continue
-                if members[j] in ctx.hull_set:
-                    cands.append(members[j])
-            if cands:
-                return self._ring_walk(ctx, v, min(cands))
-        raise GeometryInconsistencyError(f"ring {ctx.ring.ring_id} has no hull node")
+        h = min(ctx.hull_set, key=lambda h: (self._hops(ctx, i, ctx.pos_of[h]), h))
+        return self._ring_walk(ctx, v, h)
 
     # -- leg realization -----------------------------------------------------
 
@@ -600,7 +597,7 @@ class Router:
 
     # -- machinery inside one bay -----------------------------------------
 
-    def _bay_core(self, ctx: _RingCtx, bay_idx: int | None, a: NodeId, b: NodeId) -> tuple[list[NodeId], int]:
+    def _bay_core(self, ctx: _RingCtx, bay_idx: int, a: NodeId, b: NodeId) -> tuple[list[NodeId], int]:
         """Route a→b when the straight segment stays inside one bay area."""
         pa, pb = self.g.points[a], self.g.points[b]
         path, out = chew_route(self.g, a, b)
@@ -611,7 +608,7 @@ class Router:
             raise NoPathError(
                 f"bay walk {a}->{b} stopped on node {h0} outside ring {ctx.ring.ring_id}"
             )
-        ds = self._bay_ds(ctx, bay_idx)
+        ds = ctx.abstraction.dominating_sets[bay_idx]
 
         params = [u for u in segment_polygon_params(pa, pb, ctx.ring_pts) if 1e-9 < u < 1.0 - 1e-9]
         if params:
@@ -626,9 +623,9 @@ class Router:
         extremes = _extreme_points(self.g.points, sub)
         e_t = next(
             (e for e in extremes if not segment_crosses_polygon(self.g.points[e], pb, ctx.ring_pts)),
-            extremes[-1] if extremes else None,
+            extremes[-1],
         )
-        chain = extremes[: extremes.index(e_t) + 1] if e_t is not None else []
+        chain = extremes[: extremes.index(e_t) + 1]
 
         walk = self._ring_walk(ctx, h0, p1)
         path += walk[1:]
@@ -643,16 +640,6 @@ class Router:
             cur = tgt
         return path, len(chain)
 
-    def _bay_ds(self, ctx: _RingCtx, bay_idx: int | None) -> set[NodeId]:
-        if bay_idx is not None:
-            ds = ctx.abstraction.dominating_sets.get(bay_idx)
-            if ds:
-                return ds
-        merged: set[NodeId] = set()
-        for d in ctx.abstraction.dominating_sets.values():
-            merged |= d
-        return merged or set(ctx.ring.members)
-
     def _ds_nearest(self, ctx: _RingCtx, ds: set[NodeId], target: Point) -> NodeId:
         """DS node with fewest ring hops to the boundary point, ties by id."""
         members = ctx.ring.members
@@ -665,33 +652,19 @@ class Router:
         if anchor is None:
             # target off the boundary (degenerate grazing); fall back to euclid
             return min(ds, key=lambda v: (dist(self.g.points[v], target), v))
+        return min(ds, key=lambda v: (min(self._hops(ctx, ctx.pos_of[v], j) for j in anchor), v))
 
-        def hops(v: NodeId) -> int:
-            iv = ctx.pos_of[v]
-            if ctx.closed:
-                return min(min((iv - j) % k, (j - iv) % k) for j in anchor)
-            return min(abs(iv - j) for j in anchor)
+    def _bay_subpath(self, ctx: _RingCtx, bay_idx: int, p1: NodeId, pt: NodeId) -> list[NodeId]:
+        """Boundary nodes of the bay's strip from P1 to Pt."""
+        bay = ctx.abstraction.bay_areas[bay_idx]
+        strip = [bay.edge[0], *bay.members, bay.edge[1]]
+        i, j = strip.index(p1), strip.index(pt)
+        return strip[i : j + 1] if i <= j else strip[j : i + 1][::-1]
 
-        return min(ds, key=lambda v: (hops(v), v))
+    # -- bay exits -------------------------------------------------------------
 
-    def _bay_subpath(self, ctx: _RingCtx, bay_idx: int | None, p1: NodeId, pt: NodeId) -> list[NodeId]:
-        """Boundary nodes from P1 to Pt, trimmed to the bay when one is known."""
-        if bay_idx is not None:
-            bay = ctx.abstraction.bay_areas[bay_idx]
-            strip = [bay.edge[0], *bay.members, bay.edge[1]]
-            if p1 in strip and pt in strip:
-                i, j = strip.index(p1), strip.index(pt)
-                return strip[i : j + 1] if i <= j else strip[j : i + 1][::-1]
-        return self._ring_walk(ctx, p1, pt)
-
-    # -- bay exits for cases 2-4 -----------------------------------------------
-
-    def _bay_exit(self, ctx: _RingCtx, bay_idx: int | None, x: NodeId, toward: Point) -> NodeId:
-        if bay_idx is None:
-            return min(
-                ctx.hull_set,
-                key=lambda h: (dist(self.g.points[x], self.g.points[h]) + dist(self.g.points[h], toward), h),
-            )
+    def _bay_exit(self, ctx: _RingCtx, bay_idx: int, x: NodeId, toward: Point) -> NodeId:
+        """The end of x's bay edge that is shorter to go through toward the far end."""
         a, b = ctx.abstraction.bay_areas[bay_idx].edge
         px = self.g.points[x]
         return min(
@@ -713,74 +686,44 @@ class Router:
         return None
 
     def route(self, engine: RoundEngine, s: NodeId, t: NodeId) -> RouteResult:
+        """Leave s's bay through a hull node, route outside, enter t's bay.
+
+        A query between two nodes of one bay (Case5) stays in that bay.
+        """
         if (trivial := self._open_query(engine, s, t, "Visible")) is not None:
             return trivial
-
         ls, lt = self.locate(s), self.locate(t)
         if ls is None and lt is None:
             case = "Case1"  # refined to Visible by _route_outside
-        elif ls is not None and lt is not None:
-            if ls[0] is lt[0]:
-                case = "Case5" if ls[1] == lt[1] and ls[1] is not None else "Case4"
-            else:
-                case = "Case3"
-        else:
+        elif ls is None or lt is None:
             case = "Case2"
-
+        elif ls == lt:
+            case = "Case5"
+        else:
+            case = "Case4" if ls[0] is lt[0] else "Case3"
         try:
-            path, case, legs, e_route = self._dispatch(case, s, t, ls, lt)
+            path, case, legs, e_route = self._plan(s, t, ls, lt, case)
         except (NoPathError, GeometryInconsistencyError, DispatchError) as exc:
             raise type(exc)(f"{case}: {exc}") from exc
+        return self._deliver(engine, s, t, path, case, legs, e_route)
 
-        path = _dedup_consecutive(path)
-        _check_walkable(self.g, path)
-        rounds, lr = self._transmit(engine, s, t, path)
-        return self._finish(engine.topo, s, t, path, case, rounds, lr, legs, e_route)
-
-    def _dispatch(self, case, s, t, ls, lt):
-        pt_s = self.g.points[s]
-        pt_t = self.g.points[t]
-        if case == "Case1":
-            path, case, legs = self._route_outside(s, t)
-            return path, case, legs, 0
+    def _plan(self, s, t, ls, lt, case):
+        """The walk of one query, with its refined case, waypoint legs and |E|."""
         if case == "Case5":
-            ctx, bay = ls
-            path, e_route = self._bay_core(ctx, bay, s, t)
+            path, e_route = self._bay_core(*ls, s, t)
             return path, case, [], e_route
-        if case == "Case4":
-            ctx = ls[0]
-            exit_s = self._bay_exit(ctx, ls[1], s, pt_t)
-            exit_t = self._bay_exit(ctx, lt[1], t, pt_s)
-            return self._via_exits(s, t, exit_s, exit_t, ls, lt, case)
-        if case == "Case3":
-            exit_s = self._bay_exit(ls[0], ls[1], s, pt_t)
-            exit_t = self._bay_exit(lt[0], lt[1], t, pt_s)
-            return self._via_exits(s, t, exit_s, exit_t, ls, lt, case)
-        # Case2: exactly one endpoint inside
-        if ls is not None:
-            exit_s = self._bay_exit(ls[0], ls[1], s, pt_t)
-            return self._via_exits(s, t, exit_s, None, ls, None, case)
-        exit_t = self._bay_exit(lt[0], lt[1], t, pt_s)
-        return self._via_exits(s, t, None, exit_t, None, lt, case)
-
-    def _via_exits(self, s, t, exit_s, exit_t, ls, lt, case):
-        """Inside legs via bay machinery, outside leg via case-1 machinery."""
-        path: list[NodeId] = [s]
+        pt_s, pt_t = self.g.points[s], self.g.points[t]
+        a = self._bay_exit(*ls, s, pt_t) if ls else s
+        b = self._bay_exit(*lt, t, pt_s) if lt else t
+        path, e_route = self._bay_core(*ls, s, a) if ls else ([s], 0)
         legs: list[tuple[float, float]] = []
-        e_route = 0
-        if exit_s is not None and exit_s != s:
-            p, e = self._bay_core(ls[0], ls[1], s, exit_s)
-            path += p[1:]
-            e_route += e
-        a = path[-1]
-        b = exit_t if exit_t is not None else t
         if a != b:
-            p, _, lg = self._route_outside(a, b)
+            p, outside, legs = self._route_outside(a, b)
             path += p[1:]
-            legs += lg
-        if exit_t is not None and exit_t != t:
-            p, e = self._bay_core(lt[0], lt[1], exit_t, t)
-            # core computed exit->t; our path already sits at exit
+            if case == "Case1":
+                case = outside
+        if lt:
+            p, e = self._bay_core(*lt, b, t)
             path += p[1:]
             e_route += e
         return path, case, legs, e_route
@@ -788,20 +731,24 @@ class Router:
     def route_bay(self, engine: RoundEngine, s: NodeId, t: NodeId) -> RouteResult:
         if (trivial := self._open_query(engine, s, t, "Case5")) is not None:
             return trivial
-        ls, lt = self.locate(s), self.locate(t)
-        if ls is None or lt is None or ls[0] is not lt[0] or ls[1] != lt[1] or ls[1] is None:
+        ls = self.locate(s)
+        if ls is None or ls != self.locate(t):
             raise DispatchError(f"{s} and {t} do not share a bay")
-        path, e_route = self._bay_core(ls[0], ls[1], s, t)
-        path = _dedup_consecutive(path)
-        _check_walkable(self.g, path)
-        rounds, lr = self._transmit(engine, s, t, path)
-        res = self._finish(engine.topo, s, t, path, "Case5", rounds, lr, [], e_route)
+        path, e_route = self._bay_core(*ls, s, t)
+        res = self._deliver(engine, s, t, path, "Case5", [], e_route)
         bound = (2 + e_route) * CHEW_BOUND
         if res.competitive_ratio > bound + 1e-9:
             raise GeometryInconsistencyError(
                 f"Case5: ratio {res.competitive_ratio:.3f} exceeds (2+{e_route})*5.9"
             )
         return res
+
+    def _deliver(self, engine, s, t, path, case, legs, e_route) -> RouteResult:
+        """Send the data along the planned walk and measure it."""
+        path = _dedup_consecutive(path)
+        _check_walkable(self.g, path)
+        rounds, lr = self._transmit(engine, s, t, path)
+        return self._finish(engine.topo, s, t, path, case, rounds, lr, legs, e_route)
 
     # -- engine traffic -----------------------------------------------------------
 
@@ -878,8 +825,6 @@ def measure_competitiveness(topo: HybridTopology, results: Sequence[RouteResult]
     per_case: dict[str, dict] = {}
     overall_max = 0.0
     for r in results:
-        if not r.path:
-            continue
         slot = per_case.setdefault(r.case_taken, {"count": 0, "max_ratio": 0.0, "sum": 0.0})
         slot["count"] += 1
         slot["max_ratio"] = max(slot["max_ratio"], r.competitive_ratio)

@@ -177,9 +177,6 @@ class RoundEngine:
                     rep.max_longrange_per_node_round, peak
                 )
 
-    def delete_id(self, v: NodeId, w: NodeId) -> None:
-        self.topo.forget(v, w)
-
     def collect(self, v: NodeId) -> list[Message]:
         """Drain v's inbox; for traffic driven outside run_phase."""
         box = self._inbox.get(None)

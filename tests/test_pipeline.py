@@ -13,8 +13,10 @@ from collections import Counter
 import pytest
 
 from hullroute.cli import main as cli_main
+import hullroute.pipeline as pipeline_mod
 from hullroute.errors import (
     BoundViolationError,
+    ConfigError,
     DisconnectedError,
     NodeLookupError,
     NotReadyError,
@@ -22,7 +24,7 @@ from hullroute.errors import (
 from hullroute.geometry import Point, Polygon
 from hullroute.holes import KIND_INNER, KIND_OUTER_HOLE, hull_node_ids
 from hullroute.ldel import build_udg
-from hullroute.pipeline import Pipeline, PipelineConfig, periodic_recompute, run_pipeline
+from hullroute.pipeline import Pipeline, PipelineConfig, run_pipeline
 from hullroute.render import render_svg
 from hullroute.scenario import (
     ScenarioSpec,
@@ -140,10 +142,11 @@ def test_pipeline_explicit_queries_and_unknown_endpoint():
         run_pipeline(topo2, PipelineConfig(queries=[(4, 9999)]))
 
 
-def test_pipeline_strict_mode_raises_with_report_attached():
+def test_pipeline_strict_mode_raises_with_report_attached(monkeypatch):
     topo = fixture_topology("grid36-hole4")
+    monkeypatch.setattr(pipeline_mod, "C2", 0.01)
     with pytest.raises(BoundViolationError) as ei:
-        run_pipeline(topo, PipelineConfig(c2=0.01))
+        run_pipeline(topo, PipelineConfig())
     assert "protocol_rounds" in str(ei.value)
     assert ei.value.report is not None
     assert ei.value.report.bounds_ok is False
@@ -152,8 +155,8 @@ def test_pipeline_strict_mode_raises_with_report_attached():
 
 
 def test_pipeline_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        PipelineConfig.from_dict({"c2": 10, "typo_key": 1})
+    with pytest.raises(ConfigError, match="typo_key"):
+        PipelineConfig.from_dict({"query_count": 10, "typo_key": 1})
 
 
 def test_pipeline_determinism_reports_and_transcripts(tmp_path):
@@ -339,7 +342,7 @@ def test_recompute_without_movement_is_identical():
     pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
     pipe.run()
     d0 = pipe.abstraction_digest()
-    out = periodic_recompute(pipe, interval=50)
+    out = pipe.periodic_recompute(interval=50)
     assert out["ok"]
     assert out["tree_reused"]
     assert out["idle_rounds"] == 50
@@ -466,15 +469,12 @@ def test_cli_gen_from_spec_file(tmp_path):
     assert len(data["nodes"]) == 16
 
 
-def test_cli_run_exit_code_reflects_bounds(tmp_path):
+def test_cli_run_exit_code_reflects_bounds(tmp_path, monkeypatch):
     topo_p = tmp_path / "topo.json"
     cli_main(["gen", "--fixture", "grid36-hole4", "--out", str(topo_p)])
-    cfg_p = tmp_path / "cfg.json"
-    cfg_p.write_text(json.dumps({"c2": 0.01}))
+    monkeypatch.setattr(pipeline_mod, "C2", 0.01)
     report_p = tmp_path / "failing.json"
-    code = cli_main([
-        "run", "--topo", str(topo_p), "--config", str(cfg_p), "--report", str(report_p),
-    ])
+    code = cli_main(["run", "--topo", str(topo_p), "--report", str(report_p)])
     assert code == 1
     rep = json.loads(report_p.read_text())
     assert rep["bounds_ok"] is False
@@ -487,3 +487,21 @@ def test_cli_unknown_node_is_reported_as_error(tmp_path, capsys):
     code = cli_main(["route", "--topo", str(topo_p), "--src", "4", "--dst", "9999"])
     assert code == 2
     assert "NodeLookupError" in capsys.readouterr().err
+
+
+def test_cli_bad_input_files_are_reported_as_errors(tmp_path, capsys):
+    topo_p = tmp_path / "topo.json"
+    cli_main(["gen", "--fixture", "grid36-hole4", "--out", str(topo_p)])
+    cfg_p = tmp_path / "cfg.json"
+    cfg_p.write_text(json.dumps({"c2": 1}))  # an audit constant, no longer a setting
+    assert cli_main(["run", "--topo", str(topo_p), "--config", str(cfg_p)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    spec_p = tmp_path / "spec.json"
+    spec_p.write_text(json.dumps({"mode": "grid", "spacing": 0.7}))
+    assert cli_main(["gen", "--spec", str(spec_p), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "seed" in err
+    q_p = tmp_path / "q.json"
+    q_p.write_text(json.dumps({"pairs": [[4, "x"]]}))
+    assert cli_main(["run", "--topo", str(topo_p), "--queries", str(q_p)]) == 2
+    assert "ConfigError" in capsys.readouterr().err

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
+import json
 import logging
 import math
 import random
@@ -27,6 +30,8 @@ import hullroute.routing as routing_mod
 from hullroute.errors import (
     AssumptionViolationError,
     DispatchError,
+    GeometryInconsistencyError,
+    HullrouteError,
     NoPathError,
     NodeLookupError,
     NotReadyError,
@@ -48,6 +53,7 @@ from hullroute.holes import (
     form_rings,
 )
 from hullroute.ldel import build_ldel2, build_udg
+from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.routing import (
     BACKEND_ODEL,
     BACKEND_VIS,
@@ -63,7 +69,7 @@ from hullroute.routing import (
     measure_competitiveness,
     overlay_shortest_path,
 )
-from hullroute.scenario import fixture_topology
+from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
 from hullroute.simengine import RoundEngine
 
 
@@ -668,6 +674,102 @@ def test_route_bay_trivial_and_dispatch_errors(crescent):
     outside = next(v for v in sorted(topo.points) if router.locate(v) is None)
     with pytest.raises(DispatchError):
         router.route_bay(eng, members[0], outside)
+
+
+def topology(name):
+    if name == "scale-512-1":
+        return generate_scenario(scaling_spec(512, 1))
+    return fixture_topology(name)
+
+
+def inside_pairs(topo, router, rng):
+    """Same-bay pairs, pairs of nodes inside hulls, and inside/outside pairs."""
+    pockets = nodes_by_pocket(topo, router)
+    inside = sorted(v for vs in pockets.values() for v in vs)
+    outside = sorted(set(topo.points) - set(inside))
+    deep = [vs for _, vs in sorted(pockets.items()) if len(vs) >= 2]
+    pairs = [tuple(rng.sample(rng.choice(deep), 2)) for _ in range(4)]
+    pairs += [tuple(rng.sample(inside, 2)) for _ in range(12)]
+    pairs += [(rng.choice(inside), rng.choice(outside))[:: rng.choice((1, -1))] for _ in range(6)]
+    return pairs
+
+
+def route_row(query, eng, s, t):
+    try:
+        r = query(eng, s, t)
+    except HullrouteError as exc:
+        return [s, t, type(exc).__name__, str(exc)]
+    return [s, t, r.case_taken, r.path, r.euclidean_length, r.udg_shortest, r.competitive_ratio,
+            r.rounds_used, r.longrange_msgs, r.e_route, r.legs, r.plans]
+
+
+# sha256 of the `route` and `route_bay` rows of inside_pairs(topo, router,
+# Random(5)) on both backends, errors included; recorded from the router
+# that still carried a "no bay" branch through locate and the bay machinery
+INSIDE_ROWS = {
+    "crescent-24": "0eef0826d13ab63766a450faf8fdeb5cf13c92956589c34ae7403b6eaff78672",
+    "star12-4": "d93a77377fc7949d818944079a74500868a5c007c8e4861851ff3c8fedfa6a34",
+    "cshape-40": "c6b2570d81363d8d3bad335d99fefe3921db61fdec08ed5d8dd5f19e2f86c86a",
+    "scale-512-1": "ec546bfb460c77081c691433c96ae55ede54f248e7be5058a32ca77828a40cee",
+}
+
+
+def test_inside_hull_route_rows_match_pinned_digests():
+    cases = {}
+    for name, digest in INSIDE_ROWS.items():
+        topo = topology(name)
+        pipe = Pipeline(topo, PipelineConfig())
+        pipe.build_abstraction()
+        rows = []
+        for backend in (BACKEND_VIS, BACKEND_ODEL):
+            router = Router(pipe.g, pipe.rings, pipe.abstractions, backend=backend)
+            for s, t in inside_pairs(topo, router, random.Random(5)):
+                topo.learn(s, t)
+                rows += [route_row(q, pipe.engine, s, t) for q in (router.route, router.route_bay)]
+        for r in rows:
+            cases[r[2]] = cases.get(r[2], 0) + 1
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, name
+    assert min(cases.get(c, 0) for c in ("Case2", "Case3", "Case4", "Case5")) >= 20, cases
+
+
+def assert_inside_nodes_sit_in_bays(router):
+    """locate names a bay for a node iff the node lies strictly inside a hull."""
+    placed = 0
+    for v, p in sorted(router.g.points.items()):
+        hulls = [c for c in router.obstacles if point_in_polygon(p, c.polygon.pts, strict=True)]
+        loc = router.locate(v)
+        assert (loc is None) == (not hulls), v
+        if loc is not None:
+            ctx, bay = loc
+            assert ctx is hulls[0] and isinstance(bay, int), (v, bay)
+            assert v in ctx.abstraction.bay_areas[bay].members or point_in_polygon(
+                p, ctx.bay_polys[bay], strict=False
+            ), (v, bay)
+            placed += 1
+    return placed
+
+
+@pytest.mark.parametrize("name", ["grid36-hole4", "star12-4", "crescent-24", "cshape-40", "scale-512-1"])
+def test_every_node_inside_a_hull_sits_in_a_bay(name):
+    pipe = Pipeline(topology(name), PipelineConfig())
+    pipe.build_abstraction()
+    assert assert_inside_nodes_sit_in_bays(pipe.router) > 0
+    rng = random.Random(3)
+    for v in rng.sample(pipe.topo.ids, 8):
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        p = pipe.topo.points[v]
+        pipe.topo.move_node(v, Point(p.x + 0.1 * math.cos(ang), p.y + 0.1 * math.sin(ang)))
+    pipe.periodic_recompute()
+    assert assert_inside_nodes_sit_in_bays(pipe.router) > 0
+
+
+def test_locate_rejects_an_inside_node_without_a_bay(star):
+    topo, g, eng, rings, ab, router = star
+    v, (ctx, _) = next((v, loc) for v in sorted(topo.points) if (loc := router.locate(v)) is not None)
+    rid = ctx.ring.ring_id
+    stripped = {**ab, rid: dataclasses.replace(ab[rid], bay_areas=[], dominating_sets={})}
+    with pytest.raises(GeometryInconsistencyError, match=f"node {v}"):
+        Router(g, rings, stripped).locate(v)
 
 
 # ---------------------------------------------------------------------------
