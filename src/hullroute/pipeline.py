@@ -74,6 +74,10 @@ class PipelineConfig:
         bad = set(d) - set(cls.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
+        for key, value in d.items():
+            default = cls.__dataclass_fields__[key].default
+            if default is not None and not isinstance(value, type(default)):
+                raise ConfigError(f"config key {key!r} must be {type(default).__name__}, not {value!r}")
         cfg = cls(**d)
         if cfg.queries is not None:
             try:

@@ -496,6 +496,9 @@ def test_cli_bad_input_files_are_reported_as_errors(tmp_path, capsys):
     cfg_p.write_text(json.dumps({"c2": 1}))  # an audit constant, no longer a setting
     assert cli_main(["run", "--topo", str(topo_p), "--config", str(cfg_p)]) == 2
     assert "ConfigError" in capsys.readouterr().err
+    cfg_p.write_text(json.dumps({"query_count": "5"}))
+    assert cli_main(["run", "--topo", str(topo_p), "--config", str(cfg_p)]) == 2
+    assert "query_count" in capsys.readouterr().err
     spec_p = tmp_path / "spec.json"
     spec_p.write_text(json.dumps({"mode": "grid", "spacing": 0.7}))
     assert cli_main(["gen", "--spec", str(spec_p), "--out", str(tmp_path / "x.json")]) == 2
