@@ -77,9 +77,13 @@ class HypercubeOverlay:
         return 1 << self.dimension
 
     def host_of(self, slot: int) -> NodeId:
-        if slot < len(self.members):
-            return self.members[slot]
-        return self.leader  # virtual padding slot
+        """Slot s is hosted by ring rank s mod k.
+
+        A padding slot s >= k thus sits at rank s - k, so no host holds
+        more than two slots, and the two ends of every hypercube edge are
+        joined by a ring jump edge of length 2^j mod k.
+        """
+        return self.members[slot % len(self.members)]
 
     def bitstring(self, v: NodeId) -> str:
         return format(self.id_map[v], f"0{self.dimension}b")
@@ -348,9 +352,10 @@ def assign_hypercube_ids(
 
     The node bridged by the leader's level-j jump edge receives the id
     with bit j set, then hands out ids below its own budget bit to its
-    own jump neighbors.  Ranks at or past the ring size are virtual
-    slots hosted by the leader.  The received rank must agree with the
-    ranking pass; any mismatch is a protocol bug and aborts.
+    own jump neighbors.  Slots at or past the ring size are padding,
+    hosted by wrapping around the ring (see HypercubeOverlay.host_of).
+    The received rank must agree with the ranking pass; any mismatch is
+    a protocol bug and aborts.
     """
     return _run_wave(
         engine,
@@ -435,24 +440,24 @@ def hypercube_sort(
 ) -> dict[Hashable, tuple[list[tuple], int]]:
     """Batcher bitonic sort per cube; slot i ends holding the i-th smallest key.
 
-    Exactly d(d+1)/2 compare-exchange stages, each a one round-trip
-    exchange between slots differing in one bit.  The lower slot always
-    initiates; virtual slots (leader-hosted, sentinel keys) never
-    initiate toward a real slot because real slots occupy the lowest
-    indices.  The stage list of a smaller cube is a prefix of a larger
+    Exactly d(d+1)/2 compare-exchange stages between slots differing in
+    one bit, each one round with no reply.  The padding slots start with
+    the sentinel, the largest key, and a slot is padding while it holds
+    it: since the sentinel wins every comparison, which slots are padding
+    after each stage depends only on (k, d), so every host works it out
+    itself.  The stage list of a smaller cube is a prefix of a larger
     cube's, so stage by stage every cube still sorting runs in one
     phase.  Returns (keys by slot, stage count) per cube.
     """
     slot_keys: dict[Hashable, list[tuple]] = {}
-    hosted: dict[Hashable, dict[NodeId, list[int]]] = {}
+    padding: dict[Hashable, list[bool]] = {}
     for key, cube in cubes.items():
+        k = len(cube.members)
         slot_keys[key] = [
-            tuple(keys[key][cube.host_of(s)]) if s < len(cube.members) else SENTINEL
+            tuple(keys[key][cube.members[s]]) if s < k else SENTINEL
             for s in range(cube.slots)
         ]
-        hosted[key] = {}
-        for s in range(cube.slots):
-            hosted[key].setdefault(cube.host_of(s), []).append(s)
+        padding[key] = [s >= k for s in range(cube.slots)]
 
     top = max((cube.dimension for cube in cubes.values()), default=0)
     for kblk in range(1, top + 1):
@@ -461,7 +466,7 @@ def hypercube_sort(
                 engine,
                 f"bitonic_{kblk}_{j}",
                 {
-                    key: _sort_stage(cube, slot_keys[key], hosted[key], kblk, 1 << j)
+                    key: _sort_stage(cube, slot_keys[key], padding[key], kblk, 1 << j)
                     for key, cube in cubes.items()
                     if cube.dimension >= kblk
                 },
@@ -475,57 +480,53 @@ def hypercube_sort(
 def _sort_stage(
     cube: HypercubeOverlay,
     slot_key: list[tuple],
-    hosted: dict[NodeId, list[int]],
+    pad: list[bool],
     kblk: int,
     dist: int,
 ) -> _Session:
+    """One compare-exchange stage in one round; pad moves on when it ends.
+
+    Two real keys cross in the same round, and each host keeps the min or
+    the max for its slot.  A real key facing a padding slot is sent only
+    when the sentinel takes its slot.  Two padding slots send nothing.
+    """
+
+    def keeps_min(s: int) -> bool:
+        # the lower slot of an ascending comparator, or the upper of a descending one
+        return (s & dist == 0) == ((s >> kblk) & 1 == 0)
+
+    after = [p if p == pad[s ^ dist] else not keeps_min(s) for s, p in enumerate(pad)]
     started: set[NodeId] = set()
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         if v not in started:
             started.add(v)
-            for i in hosted[v]:
-                partner = i ^ dist
-                if partner < i:
+            # v holds the slot of its rank and, past k, at most one padding slot
+            for s in range(cube.id_map[v], cube.slots, len(cube.members)):
+                partner = s ^ dist
+                if pad[s] or (pad[partner] and not after[s]):
                     continue
-                hj = cube.host_of(partner)
-                asc = ((i >> kblk) & 1) == 0
-                if hj == v:
-                    a, b = slot_key[i], slot_key[partner]
-                    if (asc and a > b) or (not asc and a < b):
-                        slot_key[i], slot_key[partner] = b, a
-                else:
-                    kid = int(slot_key[i][2])
-                    eng.send(
-                        v,
-                        hj,
-                        {"slot": i, "asc": asc, "key": list(slot_key[i])},
-                        tag="bs_key",
-                        # the key's owner id travels with the key
-                        intro_ids=(kid,) if kid >= 0 else (),
-                    )
-        for m in inbox:
-            if m.tag == "bs_key":
-                i, asc = m.payload["slot"], m.payload["asc"]
-                ki = tuple(m.payload["key"])
-                jslot = i ^ dist
-                kj = slot_key[jslot]
-                lo, hi = (ki, kj) if ki <= kj else (kj, ki)
-                keep, give = (hi, lo) if asc else (lo, hi)
-                slot_key[jslot] = keep
-                gid = int(give[2])
                 eng.send(
                     v,
-                    m.src,
-                    {"slot": i, "key": list(give)},
-                    tag="bs_ret",
-                    intro_ids=(gid,) if gid >= 0 else (),
+                    cube.host_of(partner),
+                    {"slot": partner, "key": list(slot_key[s])},
+                    tag="bs_key",
+                    # the key's owner id travels with the key
+                    intro_ids=(int(slot_key[s][2]),),
                 )
-            elif m.tag == "bs_ret":
-                slot_key[m.payload["slot"]] = tuple(m.payload["key"])
+                if pad[partner]:
+                    slot_key[s] = SENTINEL
+        for m in inbox:
+            s, got = m.payload["slot"], tuple(m.payload["key"])
+            if not pad[s]:
+                got = min(got, slot_key[s]) if keeps_min(s) else max(got, slot_key[s])
+            slot_key[s] = got
         return True
 
-    return _Session(cube.members, handler, 4)
+    def finish(report: PhaseReport) -> None:
+        pad[:] = after
+
+    return _Session(cube.members, handler, 2, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +536,9 @@ def _sort_stage(
 # bisection budget per tangent search, in probes per bit of the chain
 # length; past it the right block ships its chains whole
 _PROBE_SLACK = 2
+
+# the upper chain bends away from the left side (+1), the lower from the right
+_SIDES = (("u", 1), ("l", -1))
 
 
 def _side(a, b, q) -> int:
@@ -569,25 +573,25 @@ def parallel_convex_hull(
     """Divide and conquer over subcube dimensions, every cube at once.
 
     Each block keeps its sub-hull as upper/lower x-sorted chains at the
-    block's lowest slot.  Merging two blocks finds the upper and lower
-    common tangents: the left leader binary-searches its own chain,
-    probing the right leader, which answers each probe point's tangent
-    foot with a local monotone chain.  A failed search ships the right
-    chains whole and merges them by the same chain, preserving round
-    bounds at the price of one big message.  After the last merge each
-    ring leader broadcasts its hull back over the jump-edge tree.
-    Returns (ccw hull ids, hull points) per cube.
+    block's lowest slot; after the sort the k real keys fill slots
+    0..k-1, so a pair whose right block starts at or past k has nothing
+    to merge.  Merging two blocks finds the upper and lower common
+    tangents in one search: the left block's host bisects both of its
+    chains, and each message to the right block's host carries one probe
+    point per side still searching, whose tangent foot that host answers
+    with a local monotone chain.  Each side has its own probe budget; if
+    either side fails, the right block ships its chains whole and they
+    are merged by the same chain, preserving round bounds at the price
+    of one big message.  After the last merge each ring leader
+    broadcasts its hull back over the jump-edge tree.  Returns (ccw hull
+    ids, hull points) per cube.
     """
     chains: dict[Hashable, dict[int, dict[str, list]]] = {}
     for key, cube in cubes.items():
         chains[key] = {}
-        for s in range(cube.slots):
-            sk = slot_keys[key][s]
-            if sk[2] >= 0:
-                pt = [sk[0], sk[1], sk[2]]
-                chains[key][s] = {"u": [pt], "l": [pt]}
-            else:
-                chains[key][s] = {"u": [], "l": []}
+        for s in range(len(cube.members)):
+            pt = list(slot_keys[key][s])
+            chains[key][s] = {"u": [pt], "l": [pt]}
 
     top = max((cube.dimension for cube in cubes.values()), default=0)
     for level in range(1, top + 1):
@@ -621,6 +625,33 @@ def parallel_convex_hull(
     }
 
 
+def _bisect_step(ac: list, search: dict, answer: list, s: int) -> bool:
+    """Narrow one side's tangent search by the answer [idx, b] to its probe.
+
+    b is the tangent foot of the probe point on the right block's chain,
+    and idx its index there.  Returns False when the probe looks like the
+    tangent but the full chain disagrees, which only degenerate inputs
+    reach.
+    """
+    idx, b = answer
+    mid = search["mid"]
+    a = ac[mid]
+    if mid + 1 < len(ac) and _side(a, b, ac[mid + 1]) == s:
+        search["lo"] = mid + 1
+    elif mid > 0 and _side(a, b, ac[mid - 1]) == s:
+        search["hi"] = mid - 1
+    elif all(_side(a, b, q) != s for q in ac if q is not a):
+        # slide over collinear predecessors so the foot is the smallest
+        # valid index; keeps interior collinear vertices out of the chain
+        while mid > 0 and _side(ac[mid - 1], b, a) == 0:
+            mid -= 1
+            a = ac[mid]
+        search["foot"] = (mid, idx)
+    else:
+        return False
+    return True
+
+
 def _merge_session(
     engine: RoundEngine,
     cube: HypercubeOverlay,
@@ -628,158 +659,108 @@ def _merge_session(
     level: int,
 ) -> _Session:
     """Merge every pair of 2^(level-1)-slot blocks of one cube."""
-    n = cube.slots
+    k = len(cube.members)
     half = 1 << (level - 1)
-    pairs: dict[int, dict] = {}
-    for base in range(0, n, 1 << level):
-        pairs[base] = {
+    # a right block starting at or past k is all padding: nothing to merge
+    pairs = {
+        base: {
             "bslot": base + half,
             "A": cube.host_of(base),
             "B": cube.host_of(base + half),
-            "stage": "init",
-            "side": 1,
-            "lo": 0,
-            "hi": 0,
-            "probes": 0,
-            "feet": {},
+            "done": False,
+            **{
+                c: {"lo": 0, "hi": len(chains[base][c]) - 1, "probes": 0, "foot": None}
+                for c, _ in _SIDES
+            },
         }
+        for base in range(0, k - half, 1 << level)
+    }
     started: set[NodeId] = set()
 
-    def _a_probe(eng, v, base, p):
-        au = chains[base]["u" if p["side"] == 1 else "l"]
-        if p["lo"] > p["hi"] or p["probes"] > _PROBE_SLACK * (len(au).bit_length() + 2):
-            p["stage"] = "ship"
-            eng.send(v, p["B"], {"base": base}, tag="hs")
-            return
-        mid = (p["lo"] + p["hi"]) // 2
-        p["mid"] = mid
-        p["probes"] += 1
-        eng.send(
-            v,
-            p["B"],
-            {"base": base, "side": p["side"], "pt": au[mid][:2]},
-            tag="hp",
-        )
+    def ship(eng, v, base, p):
+        eng.send(v, p["B"], {"base": base}, tag="hs")
 
-    def _a_found(eng, v, base, p, jb):
-        p["feet"][p["side"]] = (p["mid"], jb)
-        if p["side"] == 1:
-            p["side"] = -1
-            p["lo"], p["hi"] = 0, len(chains[base]["l"]) - 1
-            p["probes"] = 0
-            _a_probe(eng, v, base, p)
-        else:
-            ju = p["feet"][1][1]
-            jl = p["feet"][-1][1]
-            p["stage"] = "suffix"
-            eng.send(v, p["B"], {"base": base, "ju": ju, "jl": jl}, tag="hq")
-
-    def _assemble(base, p, bu, bl):
-        iu = p["feet"][1][0]
-        il = p["feet"][-1][0]
-        chains[base]["u"] = chains[base]["u"][: iu + 1] + bu
-        chains[base]["l"] = chains[base]["l"][: il + 1] + bl
-        p["stage"] = "done"
+    def probe(eng, v, base, p):
+        """One message probes every side still searching, or the chains ship."""
+        msg = {"base": base}
+        for c, _ in _SIDES:
+            sr = p[c]
+            if sr["foot"] is not None:
+                continue
+            ac = chains[base][c]
+            if sr["lo"] > sr["hi"] or sr["probes"] > _PROBE_SLACK * (len(ac).bit_length() + 2):
+                ship(eng, v, base, p)
+                return
+            sr["mid"] = (sr["lo"] + sr["hi"]) // 2
+            sr["probes"] += 1
+            msg[c] = ac[sr["mid"]][:2]
+        eng.send(v, p["B"], msg, tag="hp")
 
     def merge_handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         if v not in started:
             started.add(v)
             for base, p in pairs.items():
-                if p["A"] != v or p["stage"] != "init":
-                    continue
-                if p["A"] == p["B"]:
-                    # the right block is empty virtual padding hosted by the leader
-                    p["stage"] = "done"
-                    continue
-                p["stage"] = "search"
-                p["lo"], p["hi"] = 0, len(chains[base]["u"]) - 1
-                _a_probe(eng, v, base, p)
+                if p["A"] == v:
+                    probe(eng, v, base, p)
         for m in inbox:
             d_ = m.payload
             base = d_["base"]
             p = pairs[base]
+            bchains = chains[p["bslot"]]
             if m.tag == "hp":
-                side = d_["side"]
-                bc = chains[p["bslot"]]["u" if side == 1 else "l"]
-                if not bc:
-                    eng.send(v, m.src, {"base": base, "empty": True}, tag="ha")
-                    continue
-                idx = bc.index(_chain([d_["pt"]] + bc, side)[1])
-                eng.send(
-                    v,
-                    m.src,
-                    {"base": base, "empty": False, "idx": idx, "b": bc[idx][:2]},
-                    tag="ha",
-                )
+                feet = {"base": base}
+                for c, s in _SIDES:
+                    if c in d_:
+                        bc = bchains[c]
+                        idx = bc.index(_chain([d_[c]] + bc, s)[1])
+                        feet[c] = [idx, bc[idx][:2]]
+                eng.send(v, m.src, feet, tag="ha")
             elif m.tag == "ha":
-                if d_["empty"]:
-                    p["stage"] = "done"
-                    continue
-                ac = chains[base]["u" if p["side"] == 1 else "l"]
-                mid, b, s = p["mid"], d_["b"], p["side"]
-                a = ac[mid]
-                nxt_bad = mid + 1 < len(ac) and _side(a, b, ac[mid + 1]) == s
-                prv_bad = mid > 0 and _side(a, b, ac[mid - 1]) == s
-                if nxt_bad:
-                    p["lo"] = mid + 1
-                    _a_probe(eng, v, base, p)
-                elif prv_bad:
-                    p["hi"] = mid - 1
-                    _a_probe(eng, v, base, p)
+                if not all(
+                    _bisect_step(chains[base][c], p[c], d_[c], s) for c, s in _SIDES if c in d_
+                ):
+                    ship(eng, v, base, p)
+                elif all(p[c]["foot"] is not None for c, _ in _SIDES):
+                    # ask for the right chains from each tangent foot on
+                    feet = {c: p[c]["foot"][1] for c, _ in _SIDES}
+                    eng.send(v, p["B"], {"base": base, **feet}, tag="hq")
                 else:
-                    # full-chain verification; bisection can stop at a
-                    # locally-flat vertex on degenerate inputs
-                    if all(
-                        _side(a, b, q) != s for q in ac if q is not a
-                    ):
-                        # slide over collinear predecessors so the foot
-                        # is the smallest valid index; keeps interior
-                        # collinear vertices out of the merged chain
-                        while mid > 0 and _side(ac[mid - 1], b, a) == 0:
-                            mid -= 1
-                            a = ac[mid]
-                        p["mid"] = mid
-                        _a_found(eng, v, base, p, d_["idx"])
-                    else:
-                        p["stage"] = "ship"
-                        eng.send(v, p["B"], {"base": base}, tag="hs")
+                    probe(eng, v, base, p)
             elif m.tag == "hs":
-                bslot = pairs[base]["bslot"]
-                ids = [int(q[2]) for q in chains[bslot]["u"] + chains[bslot]["l"]]
+                ids = [int(q[2]) for q in bchains["u"] + bchains["l"]]
                 eng.send(
                     v,
                     m.src,
-                    {"base": base, "u": chains[bslot]["u"], "l": chains[bslot]["l"]},
+                    {"base": base, "u": bchains["u"], "l": bchains["l"]},
                     tag="hc",
                     intro_ids=tuple(sorted(set(ids))),
                 )
             elif m.tag == "hc":
-                chains[base]["u"] = _chain(chains[base]["u"] + d_["u"], 1)
-                chains[base]["l"] = _chain(chains[base]["l"] + d_["l"], -1)
-                p["stage"] = "done"
+                for c, s in _SIDES:
+                    chains[base][c] = _chain(chains[base][c] + d_[c], s)
+                p["done"] = True
             elif m.tag == "hq":
-                bslot = pairs[base]["bslot"]
-                bu = chains[bslot]["u"][d_["ju"] :]
-                bl = chains[bslot]["l"][d_["jl"] :]
-                ids = [int(q[2]) for q in bu + bl]
+                suffix = {c: bchains[c][d_[c] :] for c, _ in _SIDES}
+                ids = [int(q[2]) for q in suffix["u"] + suffix["l"]]
                 eng.send(
                     v,
                     m.src,
-                    {"base": base, "u": bu, "l": bl},
+                    {"base": base, **suffix},
                     tag="hr",
                     intro_ids=tuple(sorted(set(ids))),
                 )
             elif m.tag == "hr":
-                _assemble(base, p, d_["u"], d_["l"])
-        # the started block moved every A-side pair out of "init"
-        return all(p["stage"] == "done" for p in pairs.values() if p["A"] == v)
+                for c, _ in _SIDES:
+                    chains[base][c] = chains[base][c][: p[c]["foot"][0] + 1] + d_[c]
+                p["done"] = True
+        return all(p["done"] for p in pairs.values() if p["A"] == v)
 
     def finish(report: PhaseReport) -> None:
         for p in pairs.values():
-            if p["stage"] != "done":
+            if not p["done"]:
                 raise SimulationAbortError(p["A"], engine.round_no, "merge incomplete")
 
-    return _Session(cube.members, merge_handler, 8 * n + 40, finish)
+    return _Session(cube.members, merge_handler, 8 * cube.slots + 40, finish)
 
 
 def _hull_broadcast_session(

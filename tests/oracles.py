@@ -182,6 +182,27 @@ def brute_arc_min(members, start, span):
     return min(members[(i + s) % k] for s in range(1, span + 1))
 
 
+def brute_bitonic(keys, d):
+    """Batcher's bitonic network on 2^d slots, run centrally.
+
+    keys fill slots 0..k-1 and (inf, inf, -1) pads the rest.  Returns the
+    slot contents after each of the d(d+1)/2 stages.
+    """
+    slots = list(keys) + [(math.inf, math.inf, -1)] * ((1 << d) - len(keys))
+    stages = []
+    for kblk in range(1, d + 1):
+        for j in range(kblk - 1, -1, -1):
+            for i in range(1 << d):
+                p = i + (1 << j)
+                if i & (1 << j) or p >= 1 << d:
+                    continue
+                a, b = slots[i], slots[p]
+                if (a > b) if (i >> kblk) % 2 == 0 else (a < b):
+                    slots[i], slots[p] = b, a
+            stages.append(list(slots))
+    return stages
+
+
 def brute_dijkstra(points: dict, edges, src: int):
     """Plain Dijkstra with Euclidean weights over an undirected edge set."""
     import heapq

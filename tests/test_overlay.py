@@ -28,7 +28,7 @@ from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.scenario import fixture_topology
 from hullroute.simengine import RoundEngine
 
-from oracles import brute_arc_min, brute_hull, brute_hull_ccw, brute_hull_flood
+from oracles import brute_arc_min, brute_bitonic, brute_hull, brute_hull_ccw, brute_hull_flood
 
 
 def circle_points(k, *, ids=None, jitter=0.0, seed=0):
@@ -183,14 +183,21 @@ def test_hypercube_ids_follow_ring_rank(k):
         assert got == {"001", "010", "100"}
 
 
-def test_virtual_slots_host_at_leader():
-    engine, members = ring_engine(12, seed=21)
+@pytest.mark.parametrize("k", [3, 5, 12, 17, 33])
+def test_padding_slots_wrap_around_the_ring(k):
+    engine, members = ring_engine(k, seed=21)
     res = pointer_jumping(engine, {0: members})[0]
     rank_ring(engine, {0: members}, {0: res})
     cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
-    for s in range(12, 16):
-        assert cube.host_of(s) == res.leader
-    assert cube.host_of(0) == res.leader
+    for s in range(cube.slots):
+        assert cube.host_of(s) == cube.members[s % k]
+    assert max(Counter(map(cube.host_of, range(cube.slots))).values()) <= 2
+    # a hypercube edge joins two ring nodes 2^j apart mod k
+    for s in range(cube.slots):
+        for j in range(cube.dimension):
+            if s & (1 << j) == 0:
+                far = cube.id_map[cube.host_of(s + (1 << j))]
+                assert far == (cube.id_map[cube.host_of(s)] + (1 << j)) % k
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +222,65 @@ def test_bitonic_sort_orders_slots(k):
     assert again == slot_keys
 
 
+def _sort_with_stage_log(k, seed, monkeypatch):
+    """Run ring_protocol on a jittered k-ring, logging every sort stage.
+
+    Each stage is (kblk, dist, slot keys after it, [(src, dst, slot)]).
+    """
+    engine, members = ring_engine(k, seed=seed, jitter=0.03)
+    stages = []
+    make_stage, send = overlay_mod._sort_stage, engine.send
+
+    def logged_send(src, dst, payload=None, **kw):
+        if kw.get("tag") == "bs_key":
+            stages[-1][3].append((src, dst, payload["slot"]))
+        send(src, dst, payload, **kw)
+
+    def logged_stage(cube, slot_key, pad, kblk, dist):
+        session = make_stage(cube, slot_key, pad, kblk, dist)
+        stages.append([kblk, dist, slot_key, [], None])
+
+        def logged_finish(report):
+            session.finish(report)
+            stages[-1][2:5:2] = list(slot_key), report.rounds
+
+        return overlay_mod._Session(session.members, session.handler, session.max_rounds, logged_finish)
+
+    monkeypatch.setattr(engine, "send", logged_send)
+    monkeypatch.setattr(overlay_mod, "_sort_stage", logged_stage)
+    res = ring_protocol(engine, {0: members})[0]
+    return engine, res, stages
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_one_round_bitonic_stages_match_the_centralized_network(seed, monkeypatch):
+    for k in range(3, 141):
+        engine, res, stages = _sort_with_stage_log(k, seed * 1000 + k, monkeypatch)
+        pts = engine.topo.points
+        cube = res.cube
+        d = cube.dimension
+        keys = [(pts[v].x, pts[v].y, v) for v in cube.members]
+        want = brute_bitonic(keys, d)
+        assert len(stages) == len(want) == d * (d + 1) // 2
+        before = keys + [SENTINEL] * (cube.slots - k)
+        for (kblk, dist, got, sent, rounds), after in zip(stages, want):
+            assert got == after, (k, kblk, dist)
+            assert rounds == 1, (k, kblk, dist)
+            assert max(Counter(src for src, _, _ in sent).values()) <= 2
+            # who must send: both ends of a real pair, and a real key the
+            # sentinel displaces; never a padding pair
+            expect = set()
+            for s in range(cube.slots):
+                p = s ^ dist
+                if before[s] == SENTINEL:
+                    continue
+                if before[p] != SENTINEL or after[s] == SENTINEL:
+                    expect.add((cube.host_of(s), cube.host_of(p), p))
+            assert sorted(sent) == sorted(expect), (k, kblk, dist)
+            before = after
+        assert res.hull == hull_node_ids(pts, res.members)
+
+
 # ---------------------------------------------------------------------------
 # distributed hull
 
@@ -237,6 +303,51 @@ def test_parallel_hull_equals_centralized(k, jitter):
     assert set(res.hull_points) == set(res.hull)
     for v in res.hull:
         assert res.hull_points[v] == pts[v]
+
+
+def _log_probes(monkeypatch) -> dict:
+    """Log every `hp` as (round, sides) under (phase index, session, base)."""
+    probes: dict = {}
+    send = RoundEngine.send
+
+    def spy(self, src, dst, payload=None, **kw):
+        if kw.get("tag") == "hp":
+            key = (len(self.phase_reports), self.session, payload["base"])
+            probes.setdefault(key, []).append((self.round_no, {"u", "l"} & payload.keys()))
+        send(self, src, dst, payload, **kw)
+
+    monkeypatch.setattr(RoundEngine, "send", spy)
+    return probes
+
+
+def _check_merge_rounds(engine, probes):
+    for sent in probes.values():
+        assert len({r for r, _ in sent}) == len(sent)  # one `hp` per pair and round
+    levels = [i for i, rep in enumerate(engine.phase_reports) if rep.label.startswith("hull_merge_")]
+    assert levels
+    for i in levels:
+        # both searches share each round trip, plus one for the suffixes
+        budget = max(
+            2 * max(sum(c in sides for _, sides in sent) for c in "ul") + 2
+            for (phase, _, _), sent in probes.items()
+            if phase == i
+        )
+        assert engine.phase_reports[i].rounds <= budget, engine.phase_reports[i].label
+
+
+@pytest.mark.parametrize("k,jitter", HULL_CASES)
+def test_hull_merge_searches_both_tangents_at_once(k, jitter, monkeypatch):
+    probes = _log_probes(monkeypatch)
+    engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
+    ring_protocol(engine, {0: members})
+    _check_merge_rounds(engine, probes)
+
+
+def test_hull_merge_searches_both_tangents_at_once_on_every_ring(monkeypatch):
+    probes = _log_probes(monkeypatch)
+    pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
+    pipe.build_abstraction()
+    _check_merge_rounds(pipe.engine, probes)
 
 
 def rect_ring_points(w, h, step=0.9):
