@@ -484,7 +484,7 @@ def _sort_stage(
     kblk: int,
     dist: int,
 ) -> _Session:
-    """One compare-exchange stage in one round; pad moves on when it ends.
+    """One compare-exchange stage in one round; pad is advanced as it ends.
 
     Two real keys cross in the same round, and each host keeps the min or
     the max for its slot.  A real key facing a padding slot is sent only

@@ -225,7 +225,8 @@ def test_bitonic_sort_orders_slots(k):
 def _sort_with_stage_log(k, seed, monkeypatch):
     """Run ring_protocol on a jittered k-ring, logging every sort stage.
 
-    Each stage is (kblk, dist, slot keys after it, [(src, dst, slot)]).
+    Each stage logs its dist, the slot keys after it, its rounds, and its
+    `bs_key` sends as (src, dst, receiving slot).
     """
     engine, members = ring_engine(k, seed=seed, jitter=0.03)
     stages = []
@@ -233,16 +234,17 @@ def _sort_with_stage_log(k, seed, monkeypatch):
 
     def logged_send(src, dst, payload=None, **kw):
         if kw.get("tag") == "bs_key":
-            stages[-1][3].append((src, dst, payload["slot"]))
+            stages[-1]["sent"].append((src, dst, payload["slot"]))
         send(src, dst, payload, **kw)
 
     def logged_stage(cube, slot_key, pad, kblk, dist):
         session = make_stage(cube, slot_key, pad, kblk, dist)
-        stages.append([kblk, dist, slot_key, [], None])
+        stage = {"dist": dist, "sent": []}
+        stages.append(stage)
 
         def logged_finish(report):
             session.finish(report)
-            stages[-1][2:5:2] = list(slot_key), report.rounds
+            stage.update(keys=list(slot_key), rounds=report.rounds)
 
         return overlay_mod._Session(session.members, session.handler, session.max_rounds, logged_finish)
 
@@ -263,20 +265,18 @@ def test_one_round_bitonic_stages_match_the_centralized_network(seed, monkeypatc
         want = brute_bitonic(keys, d)
         assert len(stages) == len(want) == d * (d + 1) // 2
         before = keys + [SENTINEL] * (cube.slots - k)
-        for (kblk, dist, got, sent, rounds), after in zip(stages, want):
-            assert got == after, (k, kblk, dist)
-            assert rounds == 1, (k, kblk, dist)
-            assert max(Counter(src for src, _, _ in sent).values()) <= 2
+        for i, (stage, after) in enumerate(zip(stages, want)):
+            assert stage["keys"] == after, (k, i)
+            assert stage["rounds"] == 1, (k, i)
+            assert max(Counter(src for src, _, _ in stage["sent"]).values()) <= 2
             # who must send: both ends of a real pair, and a real key the
             # sentinel displaces; never a padding pair
-            expect = set()
+            expect = []
             for s in range(cube.slots):
-                p = s ^ dist
-                if before[s] == SENTINEL:
-                    continue
-                if before[p] != SENTINEL or after[s] == SENTINEL:
-                    expect.add((cube.host_of(s), cube.host_of(p), p))
-            assert sorted(sent) == sorted(expect), (k, kblk, dist)
+                p = s ^ stage["dist"]
+                if before[s] != SENTINEL and (before[p] != SENTINEL or after[s] == SENTINEL):
+                    expect.append((cube.host_of(s), cube.host_of(p), p))
+            assert sorted(stage["sent"]) == sorted(expect), (k, i)
             before = after
         assert res.hull == hull_node_ids(pts, res.members)
 
