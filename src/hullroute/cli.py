@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError, HullrouteError
 from .geometry import Point, Polygon
-from .pipeline import Pipeline, PipelineConfig
+from .pipeline import Pipeline, PipelineConfig, from_json_object
 from .render import write_svg
 from .routing import BACKEND_ODEL, BACKEND_VIS
 from .scenario import (
@@ -48,25 +48,21 @@ def _read_json(path: str):
 def _spec_from_json(path: str) -> ScenarioSpec:
     d = _read_json(path)
     try:
-        obstacles = [
-            Polygon(tuple(Point(float(x), float(y)) for x, y in poly))
-            for poly in d.get("obstacles", [])
-        ]
-        return ScenarioSpec(
-            seed=int(d["seed"]),
-            mode=d.get("mode", "grid"),
-            region=tuple(float(v) for v in d.get("region", (0.0, 0.0, 3.5, 3.5))),
-            spacing=float(d.get("spacing", 0.7)),
-            jitter=float(d.get("jitter", 1e-6)),
-            obstacles=obstacles,
-            target_count=d.get("target_count"),
-            radius=float(d.get("radius", 1.0)),
-            name=d.get("name", ""),
+        return from_json_object(
+            ScenarioSpec,
+            d,
+            "spec",
+            convert={
+                "seed": int,
+                "region": lambda region: tuple(float(v) for v in region),
+                "obstacles": lambda polys: [
+                    Polygon(tuple(Point(float(x), float(y)) for x, y in poly)) for poly in polys
+                ],
+            },
+            ints_as_floats=True,
         )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: spec has no {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad spec value: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _load_queries(path: str) -> list[tuple[int, int]]:

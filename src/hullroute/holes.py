@@ -42,6 +42,8 @@ KIND_OUTER_BOUNDARY = "OuterBoundary"
 KIND_OUTER_HOLE = "OuterHole"
 
 ANGLE_TOL = 1e-6
+# the unit radio range: a hull edge longer than it seals an outer hole
+UNIT_RANGE = 1.0
 
 
 @dataclass
@@ -186,14 +188,14 @@ def detect_outer_holes(
     g: PlanarGraph,
     outer: HoleRing,
     hull_nodes: list[NodeId] | None = None,
-    radius: float = 1.0,
     first_id: int = 0,
 ) -> list[HoleRing]:
-    """Sub-paths of the outer boundary under hull edges longer than radius.
+    """Sub-paths of the outer boundary under hull edges longer than UNIT_RANGE.
 
     The hull edge itself is a virtual closing edge: the resulting ring
     is the boundary arc plus that chord, so perimeter and area are the
-    closed polygon's.
+    closed polygon's.  hull_nodes is the ring's distributed hull; without
+    it the centralized oracle's hull stands in.
     """
     if outer.kind != KIND_OUTER_BOUNDARY:
         raise AssumptionViolationError("outer holes hang off the outer boundary")
@@ -204,7 +206,7 @@ def detect_outer_holes(
     for a_i, b_i in _hull_arcs(outer, hull_nodes):
         a = outer.members[a_i % k]
         b = outer.members[b_i % k]
-        if dist(g.points[a], g.points[b]) <= radius:
+        if dist(g.points[a], g.points[b]) <= UNIT_RANGE:
             continue
         arc = [outer.members[j % k] for j in range(a_i, b_i + 1)]
         if all(_on_segment(g.points[v], g.points[a], g.points[b]) for v in arc):

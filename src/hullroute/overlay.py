@@ -5,7 +5,9 @@ jumping for leader election and jump-edge construction, an exact
 list-ranking pass for ring size and angle totals, hypercube id
 assignment, bitonic sorting across the (padded) hypercube, distributed
 convex hull by tangent merging, a broadcast tree over all nodes, hull
-reference distribution, and the per-bay dominating set.
+reference distribution, and the per-bay dominating set.  The hypercube
+ids and the finished hull travel the same binomial tree of jump edges
+from the ring leader (_tree_cast).
 
 Message model for hull distribution: a hull reference is (id, x, y,
 ring), and one long-range message carries at most ceil(log2 n)
@@ -348,12 +350,13 @@ def assign_hypercube_ids(
     rings: Mapping[Hashable, list[NodeId]],
     results: Mapping[Hashable, PointerJumpResult],
 ) -> dict[Hashable, HypercubeOverlay]:
-    """Recursive rank distribution from each leader over jump edges.
+    """Rank distribution from each leader down the binomial tree of jump edges.
 
     The node bridged by the leader's level-j jump edge receives the id
     with bit j set, then hands out ids below its own budget bit to its
-    own jump neighbors.  Slots at or past the ring size are padding,
-    hosted by wrapping around the ring (see HypercubeOverlay.host_of).
+    own jump neighbors (see _tree_cast).  Slots at or past the ring size
+    are padding, hosted by wrapping around the ring (see
+    HypercubeOverlay.host_of).
     The received rank must agree with the ranking pass; any mismatch is
     a protocol bug and aborts.
     """
@@ -371,59 +374,72 @@ def _hypercube_session(
     engine: RoundEngine, members: list[NodeId], result: PointerJumpResult
 ) -> _Session:
     k = result.ring_size
-    leader = result.leader
     d = max(1, math.ceil(math.log2(k)))
     # ring order rotated so the leader is rank 0
     succ0, _ = _ring_maps(members)
-    ordered = [leader]
+    ordered = [result.leader]
     while len(ordered) < k:
         ordered.append(succ0[ordered[-1]])
-    rank_of = {v: i for i, v in enumerate(ordered)}
 
-    assigned: dict[NodeId, int] = {leader: 0}
-    budget: dict[NodeId, int] = {leader: d}
-    dealt: set[NodeId] = set()
-
-    def fanout(eng: RoundEngine, v: NodeId) -> None:
-        b = budget[v]
-        r = assigned[v]
-        for i in range(b):
-            tr = r + (1 << i)
-            if tr >= k:
-                continue
-            target = ordered[tr]
-            eng.send(
-                v,
-                target,
-                {"rank": tr, "budget": i, "k": k, "d": d, "T": result.angle_total},
-                tag="hc_assign",
+    def check_rank(eng: RoundEngine, v: NodeId, rank: int, m: Message) -> None:
+        if m.payload["rank"] != rank:
+            raise SimulationAbortError(
+                v, eng.round_no, f"rank mismatch: dealt {m.payload['rank']}, ranked {rank}"
             )
 
+    return _tree_cast(
+        engine, ordered, d, "hc_assign",
+        lambda rank, budget: {"rank": rank, "budget": budget, "k": k, "d": d, "T": result.angle_total},
+        (), check_rank,
+        lambda: HypercubeOverlay(d, {v: r for r, v in enumerate(ordered)}, result.leader, ordered),
+    )
+
+
+def _tree_cast(
+    engine: RoundEngine,
+    ordered: list[NodeId],
+    d: int,
+    tag: str,
+    payload: Callable[[int, int], dict],
+    intro: tuple[NodeId, ...],
+    receive: Callable[[RoundEngine, NodeId, int, Message], None],
+    done: Callable[[], Any],
+) -> _Session:
+    """Rank 0 of `ordered` reaches every rank down the binomial tree of jump edges.
+
+    Rank 0 starts with budget d.  A node of rank r reached with budget b
+    sends payload(r + 2^i, i), which carries i as "budget", to rank
+    r + 2^i over its level-i jump edge, for every i < b and r + 2^i < k.
+    receive(eng, v, rank, msg) sees each delivery before v passes it on;
+    the session's result is done(), once every rank was reached once.
+    """
+    k = len(ordered)
+    rank_of = {v: r for r, v in enumerate(ordered)}
+    reached: set[NodeId] = set()
+
+    def fanout(eng: RoundEngine, v: NodeId, budget: int) -> None:
+        reached.add(v)
+        r = rank_of[v]
+        for i in range(budget):
+            if r + (1 << i) < k:
+                eng.send(v, ordered[r + (1 << i)], payload(r + (1 << i), i), tag=tag, intro_ids=intro)
+
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
+        if v == ordered[0] and v not in reached:
+            fanout(eng, v, d)
         for m in inbox:
-            if m.tag != "hc_assign":
-                continue
-            if v in assigned:
-                raise SimulationAbortError(v, eng.round_no, "duplicate hypercube id")
-            got = m.payload["rank"]
-            if rank_of[v] != got:
-                raise SimulationAbortError(
-                    v, eng.round_no, f"rank mismatch: dealt {got}, ranked {rank_of[v]}"
-                )
-            assigned[v] = got
-            budget[v] = m.payload["budget"]
-            fanout(eng, v)
-        if v == leader and v not in dealt:
-            dealt.add(v)
-            fanout(eng, v)
-        return v in assigned
+            if v in reached:
+                raise SimulationAbortError(v, eng.round_no, f"{tag} reached the node twice")
+            receive(eng, v, rank_of[v], m)
+            fanout(eng, v, m.payload["budget"])
+        return v in reached
 
-    def finish(report: PhaseReport) -> HypercubeOverlay:
-        if len(assigned) != k or len(set(assigned.values())) != k:
-            raise SimulationAbortError(leader, engine.round_no, "id assignment incomplete")
-        return HypercubeOverlay(dimension=d, id_map=assigned, leader=leader, members=ordered)
+    def finish(report: PhaseReport) -> Any:
+        if len(reached) != k:
+            raise SimulationAbortError(ordered[0], engine.round_no, f"{tag} missed ring nodes")
+        return done()
 
-    return _Session(members, handler, 2 * d + 6, finish)
+    return _Session(ordered, handler, 2 * d + 6, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +453,7 @@ def hypercube_sort(
     engine: RoundEngine,
     cubes: Mapping[Hashable, HypercubeOverlay],
     keys: Mapping[Hashable, dict[NodeId, tuple]],
-) -> dict[Hashable, tuple[list[tuple], int]]:
+) -> dict[Hashable, list[tuple]]:
     """Batcher bitonic sort per cube; slot i ends holding the i-th smallest key.
 
     Exactly d(d+1)/2 compare-exchange stages between slots differing in
@@ -447,7 +463,7 @@ def hypercube_sort(
     after each stage depends only on (k, d), so every host works it out
     itself.  The stage list of a smaller cube is a prefix of a larger
     cube's, so stage by stage every cube still sorting runs in one
-    phase.  Returns (keys by slot, stage count) per cube.
+    phase.  Returns the keys by slot per cube.
     """
     slot_keys: dict[Hashable, list[tuple]] = {}
     padding: dict[Hashable, list[bool]] = {}
@@ -471,10 +487,7 @@ def hypercube_sort(
                     if cube.dimension >= kblk
                 },
             )
-    return {
-        key: (slot_keys[key], cube.dimension * (cube.dimension + 1) // 2)
-        for key, cube in cubes.items()
-    }
+    return slot_keys
 
 
 def _sort_stage(
@@ -569,7 +582,7 @@ def parallel_convex_hull(
     engine: RoundEngine,
     cubes: Mapping[Hashable, HypercubeOverlay],
     slot_keys: Mapping[Hashable, list[tuple]],
-) -> dict[Hashable, tuple[list[NodeId], dict[NodeId, Point]]]:
+) -> dict[Hashable, list[NodeId]]:
     """Divide and conquer over subcube dimensions, every cube at once.
 
     Each block keeps its sub-hull as upper/lower x-sorted chains at the
@@ -583,8 +596,8 @@ def parallel_convex_hull(
     either side fails, the right block ships its chains whole and they
     are merged by the same chain, preserving round bounds at the price
     of one big message.  After the last merge each ring leader
-    broadcasts its hull back over the jump-edge tree.  Returns (ccw hull
-    ids, hull points) per cube.
+    broadcasts its hull down the jump-edge tree that dealt the hypercube
+    ids.  Returns the ccw hull ids per cube.
     """
     chains: dict[Hashable, dict[int, dict[str, list]]] = {}
     for key, cube in cubes.items():
@@ -616,13 +629,7 @@ def parallel_convex_hull(
         "hull_broadcast",
         {key: _hull_broadcast_session(engine, cube, hulls[key]) for key, cube in cubes.items()},
     )
-    return {
-        key: (
-            [int(q[2]) for q in ccw],
-            {int(q[2]): Point(q[0], q[1]) for q in ccw},
-        )
-        for key, ccw in hulls.items()
-    }
+    return {key: [int(q[2]) for q in ccw] for key, ccw in hulls.items()}
 
 
 def _bisect_step(ac: list, search: dict, answer: list, s: int) -> bool:
@@ -766,48 +773,13 @@ def _merge_session(
 def _hull_broadcast_session(
     engine: RoundEngine, cube: HypercubeOverlay, ccw: list
 ) -> _Session:
-    """The leader sends the finished hull down the jump-edge binomial tree."""
-    k = len(cube.members)
-    d_bits = cube.dimension
-    payload = {"hull": [[q[0], q[1], int(q[2])] for q in ccw]}
-    intro = tuple(sorted({int(q[2]) for q in ccw}))
-    got: set[NodeId] = set()
-
-    def bcast_handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        if v == cube.leader and v not in got:
-            got.add(v)
-            for i in range(d_bits - 1, -1, -1):
-                tr = 1 << i
-                if tr < k:
-                    eng.send(
-                        v,
-                        cube.members[tr],
-                        dict(payload, budget=i),
-                        tag="hullb",
-                        intro_ids=intro,
-                    )
-        for m in inbox:
-            if m.tag != "hullb":
-                continue
-            got.add(v)
-            rank = cube.id_map[v]
-            for i in range(m.payload["budget"] - 1, -1, -1):
-                tr = rank + (1 << i)
-                if tr < k:
-                    eng.send(
-                        v,
-                        cube.members[tr],
-                        dict(payload, budget=i),
-                        tag="hullb",
-                        intro_ids=intro,
-                    )
-        return v in got
-
-    def finish(report: PhaseReport) -> None:
-        if len(got) != k:
-            raise SimulationAbortError(cube.leader, engine.round_no, "hull broadcast gap")
-
-    return _Session(cube.members, bcast_handler, 2 * d_bits + 6, finish)
+    """The leader sends the finished hull down the tree that dealt the ids."""
+    hull = [[q[0], q[1], int(q[2])] for q in ccw]
+    return _tree_cast(
+        engine, cube.members, cube.dimension, "hullb",
+        lambda rank, budget: {"hull": hull, "budget": budget},
+        tuple(sorted({q[2] for q in hull})), lambda eng, v, rank, m: None, lambda: None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -986,12 +958,9 @@ def _dominating_session(engine: RoundEngine, path: list[NodeId], seed: int) -> _
 
 @dataclass
 class RingProtocolResult:
-    members: list[NodeId]
     jump: PointerJumpResult
     cube: HypercubeOverlay
-    sort_stages: int
     hull: list[NodeId]
-    hull_points: dict[NodeId, Point]
 
 
 def ring_protocol(
@@ -1014,18 +983,5 @@ def ring_protocol(
         key: {v: (pts[v].x, pts[v].y, v) for v in members}
         for key, members in rings.items()
     }
-    sorted_keys = hypercube_sort(engine, cubes, keys)
-    hulls = parallel_convex_hull(
-        engine, cubes, {key: slots for key, (slots, _) in sorted_keys.items()}
-    )
-    return {
-        key: RingProtocolResult(
-            members=list(members),
-            jump=jumps[key],
-            cube=cubes[key],
-            sort_stages=sorted_keys[key][1],
-            hull=hulls[key][0],
-            hull_points=hulls[key][1],
-        )
-        for key, members in rings.items()
-    }
+    hulls = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes, keys))
+    return {key: RingProtocolResult(jumps[key], cubes[key], hulls[key]) for key in rings}

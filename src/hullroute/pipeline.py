@@ -15,9 +15,9 @@ import json
 import logging
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import (
     BoundViolationError,
@@ -58,6 +58,44 @@ OTHER_STORAGE_CAP = 8
 log = logging.getLogger(__name__)
 
 
+def from_json_object(
+    cls,
+    d: Any,
+    what: str,
+    convert: Mapping[str, Callable[[Any], Any]] = {},
+    ints_as_floats: bool = False,
+):
+    """Dataclass cls built from the JSON object d, every key checked.
+
+    Rejects anything but an object, keys that are not fields of cls, and
+    values whose type differs from their field's default; fields without
+    a default or defaulting to None take any value.  convert turns a
+    key's JSON value into its field value first; with ints_as_floats a
+    JSON int is taken where a float is expected.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, not {type(d).__name__}")
+    fields = cls.__dataclass_fields__
+    bad = set(d) - set(fields)
+    if bad:
+        raise ConfigError(f"unknown {what} keys: {sorted(bad)}")
+    out = {}
+    try:
+        for key, value in d.items():
+            default = fields[key].default
+            if key in convert:
+                value = convert[key](value)
+            elif ints_as_floats and type(default) is float and type(value) is int:
+                value = float(value)
+            if default not in (None, MISSING) and not isinstance(value, type(default)):
+                raise ConfigError(f"{what} key {key!r} must be {type(default).__name__}, not {value!r}")
+            out[key] = value
+        return cls(**out)
+    except (TypeError, ValueError) as exc:
+        # a failed conversion, or a required field left out
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 @dataclass
 class PipelineConfig:
     backend: str = BACKEND_VIS
@@ -69,16 +107,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"config must be a JSON object, not {type(d).__name__}")
-        bad = set(d) - set(cls.__dataclass_fields__)
-        if bad:
-            raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        for key, value in d.items():
-            default = cls.__dataclass_fields__[key].default
-            if default is not None and not isinstance(value, type(default)):
-                raise ConfigError(f"config key {key!r} must be {type(default).__name__}, not {value!r}")
-        cfg = cls(**d)
+        cfg = from_json_object(cls, d, "config")
         if cfg.queries is not None:
             try:
                 cfg.queries = [(int(s), int(t)) for s, t in cfg.queries]
@@ -341,7 +370,6 @@ class Pipeline:
         for name, b in bounds.items():
             if not b["ok"]:
                 log.warning("bound %s failed: %s", name, _bound_summary(b))
-        bounds["_storage_detail"] = storage
         return bounds
 
     # -- queries ----------------------------------------------------------------
@@ -379,7 +407,7 @@ class Pipeline:
     def report(self, results, summary) -> ExperimentReport:
         eng = self.engine
         bounds = self.bound_audit()
-        storage = bounds.pop("_storage_detail")
+        storage = self.storage_audit()
         lr = self.build_longrange
         message_stats = {
             "total_messages": eng.total_messages,

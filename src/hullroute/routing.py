@@ -644,15 +644,13 @@ class Router:
         """DS node with fewest ring hops to the boundary point, ties by id."""
         members = ctx.ring.members
         k = len(members)
-        anchor = None
         for i in range(k):
-            if _on_segment(target, self.g.points[members[i]], self.g.points[members[(i + 1) % k]]):
-                anchor = (i, (i + 1) % k)
-                break
-        if anchor is None:
-            # target off the boundary (degenerate grazing); fall back to euclid
-            return min(ds, key=lambda v: (dist(self.g.points[v], target), v))
-        return min(ds, key=lambda v: (min(self._hops(ctx, ctx.pos_of[v], j) for j in anchor), v))
+            anchor = (i, (i + 1) % k)
+            if _on_segment(target, self.g.points[members[i]], self.g.points[members[anchor[1]]]):
+                return min(ds, key=lambda v: (min(self._hops(ctx, ctx.pos_of[v], j) for j in anchor), v))
+        raise GeometryInconsistencyError(
+            f"boundary point {target} lies on no edge of ring {ctx.ring.ring_id}"
+        )
 
     def _bay_subpath(self, ctx: _RingCtx, bay_idx: int, p1: NodeId, pt: NodeId) -> list[NodeId]:
         """Boundary nodes of the bay's strip from P1 to Pt."""

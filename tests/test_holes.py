@@ -206,7 +206,7 @@ def test_cshape_has_one_outer_hole():
     classify_rings(RoundEngine(topo), rings)
     assert [(r.kind, len(r.members)) for r in rings] == [(KIND_OUTER_BOUNDARY, 40)]
     outer = rings[0]
-    holes = detect_outer_holes(g, outer)
+    holes = detect_outer_holes(g, outer, hull_node_ids(g.points, outer.members))
     assert len(holes) == 1
     mouth = holes[0]
     assert mouth.kind == KIND_OUTER_HOLE
@@ -249,14 +249,14 @@ def test_short_hull_edges_make_no_outer_holes():
     rings = form_rings(g, detect_boundary_nodes(g))
     classify_rings(RoundEngine(topo), rings)
     outer = next(r for r in rings if r.kind == KIND_OUTER_BOUNDARY)
-    assert detect_outer_holes(g, outer) == []
+    assert detect_outer_holes(g, outer, hull_node_ids(g.points, outer.members)) == []
 
 
 def test_outer_holes_need_outer_boundary(grid):
     _, g, _, rings, _, _ = grid
     inner = next(r for r in rings if r.kind == KIND_INNER)
     with pytest.raises(AssumptionViolationError):
-        detect_outer_holes(g, inner)
+        detect_outer_holes(g, inner, hull_node_ids(g.points, inner.members))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import logging
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +101,14 @@ def test_pipeline_storage_classes_partition_nodes(grid_pipe):
     assert st["boundary"]["max"] <= st["boundary"]["budget"]
     assert st["other"]["max"] <= st["other"]["budget"]
     assert st["sum_hull_sizes"] > 0
+
+
+def test_bound_audit_holds_bound_rows_only(grid_pipe):
+    pipe, rep = grid_pipe
+    audit = pipe.bound_audit()
+    assert set(audit) == set(rep.bounds)
+    assert all("ok" in b for b in audit.values())
+    assert pipe.storage_audit() == rep.storage
 
 
 def test_pipeline_without_holes_routes_visible_or_case1():
@@ -506,6 +515,16 @@ def test_cli_bad_input_files_are_reported_as_errors(tmp_path, capsys):
     assert cli_main(["gen", "--spec", str(spec_p), "--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err
     assert "ConfigError" in err and "seed" in err
+    # a misspelt key is named, not ignored; JSON ints stand for floats
+    spec_p.write_text(json.dumps({"seed": 1, "jiter": 0.3, "spacing": 1}))
+    assert cli_main(["gen", "--spec", str(spec_p), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "jiter" in err
+    # the spec example in the README parses as it stands
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("A scenario spec file")[1].split("```json")[1].split("```")[0]
+    spec_p.write_text(example)
+    assert cli_main(["gen", "--spec", str(spec_p), "--out", str(tmp_path / "x.json")]) == 0
     q_p = tmp_path / "q.json"
     q_p.write_text(json.dumps({"pairs": [[4, "x"]]}))
     assert cli_main(["run", "--topo", str(topo_p), "--queries", str(q_p)]) == 2

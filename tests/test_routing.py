@@ -772,6 +772,16 @@ def test_locate_rejects_an_inside_node_without_a_bay(star):
         Router(g, rings, stripped).locate(v)
 
 
+def test_bay_anchor_off_every_ring_edge_is_a_typed_error(star):
+    *_, router = star
+    ctx = next(c for c in router.obstacles if c.abstraction.dominating_sets)
+    ds = ctx.abstraction.dominating_sets[0]
+    a, b = ctx.ring_pts[0], ctx.ring_pts[1]
+    assert router._ds_nearest(ctx, ds, Point((a.x + b.x) / 2, (a.y + b.y) / 2)) in ds
+    with pytest.raises(GeometryInconsistencyError, match="on no edge"):
+        router._ds_nearest(ctx, ds, Point(-50.0, -50.0))
+
+
 # ---------------------------------------------------------------------------
 # readiness and measurement
 
