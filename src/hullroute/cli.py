@@ -59,7 +59,6 @@ def _spec_from_json(path: str) -> ScenarioSpec:
                     Polygon(tuple(Point(float(x), float(y)) for x, y in poly)) for poly in polys
                 ],
             },
-            ints_as_floats=True,
         )
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

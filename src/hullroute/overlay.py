@@ -388,9 +388,19 @@ def _hypercube_session(
             )
 
     return _tree_cast(
-        engine, ordered, d, "hc_assign",
-        lambda rank, budget: {"rank": rank, "budget": budget, "k": k, "d": d, "T": result.angle_total},
-        (), check_rank,
+        engine,
+        ordered,
+        d,
+        "hc_assign",
+        lambda rank, budget: {
+            "rank": rank,
+            "budget": budget,
+            "k": k,
+            "d": d,
+            "T": result.angle_total,
+        },
+        (),
+        check_rank,
         lambda: HypercubeOverlay(d, {v: r for r, v in enumerate(ordered)}, result.leader, ordered),
     )
 
@@ -422,7 +432,13 @@ def _tree_cast(
         r = rank_of[v]
         for i in range(budget):
             if r + (1 << i) < k:
-                eng.send(v, ordered[r + (1 << i)], payload(r + (1 << i), i), tag=tag, intro_ids=intro)
+                eng.send(
+                    v,
+                    ordered[r + (1 << i)],
+                    payload(r + (1 << i), i),
+                    tag=tag,
+                    intro_ids=intro,
+                )
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         if v == ordered[0] and v not in reached:
@@ -776,9 +792,14 @@ def _hull_broadcast_session(
     """The leader sends the finished hull down the tree that dealt the ids."""
     hull = [[q[0], q[1], int(q[2])] for q in ccw]
     return _tree_cast(
-        engine, cube.members, cube.dimension, "hullb",
+        engine,
+        cube.members,
+        cube.dimension,
+        "hullb",
         lambda rank, budget: {"hull": hull, "budget": budget},
-        tuple(sorted({q[2] for q in hull})), lambda eng, v, rank, m: None, lambda: None,
+        tuple(sorted({q[2] for q in hull})),
+        lambda eng, v, rank, m: None,
+        lambda: None,
     )
 
 

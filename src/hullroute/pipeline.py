@@ -63,15 +63,14 @@ def from_json_object(
     d: Any,
     what: str,
     convert: Mapping[str, Callable[[Any], Any]] = {},
-    ints_as_floats: bool = False,
 ):
     """Dataclass cls built from the JSON object d, every key checked.
 
     Rejects anything but an object, keys that are not fields of cls, and
     values whose type differs from their field's default; fields without
-    a default or defaulting to None take any value.  convert turns a
-    key's JSON value into its field value first; with ints_as_floats a
-    JSON int is taken where a float is expected.
+    a default or defaulting to None take any value.  A JSON int is taken
+    where a float is expected, and convert turns a key's JSON value into
+    its field value first.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be a JSON object, not {type(d).__name__}")
@@ -85,7 +84,7 @@ def from_json_object(
             default = fields[key].default
             if key in convert:
                 value = convert[key](value)
-            elif ints_as_floats and type(default) is float and type(value) is int:
+            elif type(default) is float and type(value) is int:
                 value = float(value)
             if default not in (None, MISSING) and not isinstance(value, type(default)):
                 raise ConfigError(f"{what} key {key!r} must be {type(default).__name__}, not {value!r}")
