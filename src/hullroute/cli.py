@@ -24,6 +24,7 @@ from .scenario import (
     fixture_topology,
     generate_scenario,
     load_topology,
+    read_json,
     save_topology,
 )
 
@@ -38,15 +39,8 @@ def _setup_logging() -> None:
     )
 
 
-def _read_json(path: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _spec_from_json(path: str) -> ScenarioSpec:
-    d = _read_json(path)
+    d = read_json(path)
     try:
         return from_json_object(
             ScenarioSpec,
@@ -65,7 +59,7 @@ def _spec_from_json(path: str) -> ScenarioSpec:
 
 
 def _load_queries(path: str) -> list[tuple[int, int]]:
-    d = _read_json(path)
+    d = read_json(path)
     try:
         pairs = d["pairs"] if isinstance(d, dict) else d
         return [(int(s), int(t)) for s, t in pairs]
@@ -76,7 +70,7 @@ def _load_queries(path: str) -> list[tuple[int, int]]:
 def _pipeline_config(args) -> PipelineConfig:
     base = {}
     if getattr(args, "config", None):
-        base = _read_json(args.config)
+        base = read_json(args.config)
     cfg = PipelineConfig.from_dict(base)
     if getattr(args, "backend", None):
         cfg.backend = args.backend

@@ -136,10 +136,7 @@ def convex_hull_oracle(points: Iterable[Point]) -> list[Point]:
     def chain(seq: Sequence[Point]) -> list[Point]:
         out: list[Point] = []
         for p in seq:
-            while len(out) >= 2:
-                scale = dist(out[-2], out[-1]) * dist(out[-2], p)
-                if scale > 0.0 and cross(out[-2], out[-1], p) / scale > EPS:
-                    break
+            while len(out) >= 2 and orientation(out[-2], out[-1], p) is not Orientation.LEFT:
                 out.pop()
             out.append(p)
         return out

@@ -26,7 +26,7 @@ from .geometry import (
     polygon_signed_area,
     _on_segment,
 )
-from .ldel import NodeId, PlanarGraph
+from .ldel import UNIT_RANGE, NodeId, PlanarGraph
 from .overlay import (
     PointerJumpResult,
     RingProtocolResult,
@@ -42,8 +42,6 @@ KIND_OUTER_BOUNDARY = "OuterBoundary"
 KIND_OUTER_HOLE = "OuterHole"
 
 ANGLE_TOL = 1e-6
-# the unit radio range: a hull edge longer than it seals an outer hole
-UNIT_RANGE = 1.0
 
 
 @dataclass

@@ -30,6 +30,11 @@ from .geometry import EPS, Point, circumcenter, dist, polygon_signed_area
 NodeId = int
 Edge = tuple[NodeId, NodeId]  # always stored with u < v
 
+UNIT_RANGE = 1.0
+# nodes this far apart or closer share a radio link; the slack keeps a
+# pair whose computed distance rounds just above the range linked
+_LINK_DISTANCE = UNIT_RANGE * (1.0 + 1e-12)
+
 
 def edge_key(u: NodeId, v: NodeId) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -49,7 +54,6 @@ class HybridTopology:
     points: dict[NodeId, Point]
     adhoc: dict[NodeId, set[NodeId]]
     knows: dict[NodeId, set[NodeId]]
-    radius: float = 1.0
 
     def __post_init__(self) -> None:
         self._ids = sorted(self.points)
@@ -106,7 +110,7 @@ class HybridTopology:
             self.adhoc[w].discard(v)
         self.adhoc[v] = set()
         d = np.hypot(*(self._coords - self._coords[self._index[v]]).T)
-        for i in np.nonzero(d <= self.radius)[0]:
+        for i in np.nonzero(d <= _LINK_DISTANCE)[0]:
             w = self._ids[i]
             if w != v:
                 self.adhoc[v].add(w)
@@ -115,7 +119,7 @@ class HybridTopology:
                 self.knows[w].add(v)
 
 
-def build_udg(points: Mapping[NodeId, Point], radius: float = 1.0) -> HybridTopology:
+def build_udg(points: Mapping[NodeId, Point]) -> HybridTopology:
     """Unit disk graph over the given positions; rejects disconnected input."""
     if not points:
         raise DegenerateInputError("empty node set")
@@ -125,7 +129,7 @@ def build_udg(points: Mapping[NodeId, Point], radius: float = 1.0) -> HybridTopo
     ids = sorted(pts)
     coords = np.array([pts[v] for v in ids], dtype=float)
     tree = cKDTree(coords)
-    pairs = tree.query_pairs(r=radius * (1.0 + 1e-12), output_type="ndarray")
+    pairs = tree.query_pairs(r=_LINK_DISTANCE, output_type="ndarray")
     adhoc: dict[NodeId, set[NodeId]] = {v: set() for v in ids}
     for i, j in pairs:
         u, v = ids[int(i)], ids[int(j)]
@@ -133,7 +137,7 @@ def build_udg(points: Mapping[NodeId, Point], radius: float = 1.0) -> HybridTopo
         adhoc[v].add(u)
     check_connected(adhoc)
     knows = {v: set(adhoc[v]) for v in ids}
-    return HybridTopology(points=pts, adhoc=adhoc, knows=knows, radius=radius)
+    return HybridTopology(points=pts, adhoc=adhoc, knows=knows)
 
 
 def check_connected(adhoc: Mapping[NodeId, set[NodeId]]) -> None:

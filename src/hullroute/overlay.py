@@ -44,13 +44,11 @@ class JumpEdge:
 
     ell is the minimum node id over the bridged arc, half open: the arc
     behind `endpoints[1]` back to but excluding `endpoints[0]`.
-    angle_sum carries the signed turn-angle sum over the same arc.
     """
 
     endpoints: tuple[NodeId, NodeId]
     ell: NodeId
     level: int
-    angle_sum: float
 
 
 @dataclass
@@ -58,7 +56,6 @@ class PointerJumpResult:
     leader: NodeId
     jump_edges: list[JumpEdge]
     jump_rounds: int
-    known_min: dict[NodeId, NodeId]
     messages_per_node: dict[NodeId, int]
     # filled by the ranking pass
     angle_total: float = 0.0
@@ -71,7 +68,6 @@ class PointerJumpResult:
 class HypercubeOverlay:
     dimension: int
     id_map: dict[NodeId, int]
-    leader: NodeId
     members: list[NodeId]  # by ring rank; rank == hypercube slot
 
     @property
@@ -86,9 +82,6 @@ class HypercubeOverlay:
         joined by a ring jump edge of length 2^j mod k.
         """
         return self.members[slot % len(self.members)]
-
-    def bitstring(self, v: NodeId) -> str:
-        return format(self.id_map[v], f"0{self.dimension}b")
 
 
 @dataclass
@@ -155,21 +148,21 @@ def pointer_jumping(
     node is done when the minimum id on its predecessor side equals the
     one on its successor side, which forces both to be the global
     minimum.  Done nodes serve one extra round so late partners still
-    receive their final update.  All rings run at once; each result's
-    jump_rounds counts that ring's own rounds.
+    receive their final update.  A message carries ids only, the new
+    pointer and the arc minimum; the turn angles travel in the ranking
+    pass.  All rings run at once; each result's jump_rounds counts that
+    ring's own rounds.
     """
-    pts = engine.topo.points
     return _run_wave(
         engine,
         "pointer_jumping",
-        {key: _jump_session(engine, pts, members) for key, members in rings.items()},
+        {key: _jump_session(engine, members) for key, members in rings.items()},
     )
 
 
-def _jump_session(engine: RoundEngine, pts, members: list[NodeId]) -> _Session:
+def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
     k = len(members)
     succ0, pred0 = _ring_maps(members)
-    angle = _turn_angles(pts, members)
 
     st: dict[NodeId, dict] = {}
     for v in members:
@@ -178,15 +171,13 @@ def _jump_session(engine: RoundEngine, pts, members: list[NodeId]) -> _Session:
             "pred": pred0[v],
             "l_succ": succ0[v],  # min id over (v -> succ]
             "l_pred": v,  # min id over (pred -> v]
-            "a_succ": angle[succ0[v]],
-            "a_pred": angle[v],
             "level": 0,
             "done": False,
             "lame": 0,
             "msgs": 0,
         }
     edges: list[JumpEdge] = [
-        JumpEdge((v, succ0[v]), st[v]["l_succ"], 0, st[v]["a_succ"]) for v in members
+        JumpEdge((v, succ0[v]), st[v]["l_succ"], 0) for v in members
     ]
 
     def check_done(s: dict) -> None:
@@ -205,14 +196,12 @@ def _jump_session(engine: RoundEngine, pts, members: list[NodeId]) -> _Session:
             if m.tag == "pj_succ":
                 # sender was our successor; its successor becomes ours
                 s["l_succ"] = min(s["l_succ"], d["ell"])
-                s["a_succ"] += d["a"]
                 s["succ"] = d["nid"]
                 s["level"] += 1
-                edges.append(JumpEdge((v, s["succ"]), s["l_succ"], s["level"], s["a_succ"]))
+                edges.append(JumpEdge((v, s["succ"]), s["l_succ"], s["level"]))
                 grew = True
             elif m.tag == "pj_pred":
                 s["l_pred"] = min(s["l_pred"], d["ell"])
-                s["a_pred"] += d["a"]
                 s["pred"] = d["nid"]
         if grew or inbox:
             check_done(s)
@@ -225,7 +214,7 @@ def _jump_session(engine: RoundEngine, pts, members: list[NodeId]) -> _Session:
             eng.send(
                 v,
                 s["pred"],
-                {"nid": s["succ"], "ell": s["l_succ"], "a": s["a_succ"]},
+                {"nid": s["succ"], "ell": s["l_succ"]},
                 tag="pj_succ",
                 intro_ids=(s["succ"],),
             )
@@ -234,7 +223,7 @@ def _jump_session(engine: RoundEngine, pts, members: list[NodeId]) -> _Session:
             eng.send(
                 v,
                 s["succ"],
-                {"nid": s["pred"], "ell": s["l_pred"], "a": s["a_pred"]},
+                {"nid": s["pred"], "ell": s["l_pred"]},
                 tag="pj_pred",
                 intro_ids=(s["pred"],),
             )
@@ -251,7 +240,6 @@ def _jump_session(engine: RoundEngine, pts, members: list[NodeId]) -> _Session:
             jump_edges=edges,
             # the ring's final round only flushes deliveries
             jump_rounds=max(report.rounds - 1, 1),
-            known_min={v: st[v]["l_pred"] for v in members},
             messages_per_node={v: st[v]["msgs"] for v in members},
         )
 
@@ -357,8 +345,6 @@ def assign_hypercube_ids(
     own jump neighbors (see _tree_cast).  Slots at or past the ring size
     are padding, hosted by wrapping around the ring (see
     HypercubeOverlay.host_of).
-    The received rank must agree with the ranking pass; any mismatch is
-    a protocol bug and aborts.
     """
     return _run_wave(
         engine,
@@ -381,12 +367,6 @@ def _hypercube_session(
     while len(ordered) < k:
         ordered.append(succ0[ordered[-1]])
 
-    def check_rank(eng: RoundEngine, v: NodeId, rank: int, m: Message) -> None:
-        if m.payload["rank"] != rank:
-            raise SimulationAbortError(
-                v, eng.round_no, f"rank mismatch: dealt {m.payload['rank']}, ranked {rank}"
-            )
-
     return _tree_cast(
         engine,
         ordered,
@@ -397,11 +377,9 @@ def _hypercube_session(
             "budget": budget,
             "k": k,
             "d": d,
-            "T": result.angle_total,
         },
         (),
-        check_rank,
-        lambda: HypercubeOverlay(d, {v: r for r, v in enumerate(ordered)}, result.leader, ordered),
+        lambda: HypercubeOverlay(d, {v: r for r, v in enumerate(ordered)}, ordered),
     )
 
 
@@ -412,7 +390,6 @@ def _tree_cast(
     tag: str,
     payload: Callable[[int, int], dict],
     intro: tuple[NodeId, ...],
-    receive: Callable[[RoundEngine, NodeId, int, Message], None],
     done: Callable[[], Any],
 ) -> _Session:
     """Rank 0 of `ordered` reaches every rank down the binomial tree of jump edges.
@@ -420,8 +397,7 @@ def _tree_cast(
     Rank 0 starts with budget d.  A node of rank r reached with budget b
     sends payload(r + 2^i, i), which carries i as "budget", to rank
     r + 2^i over its level-i jump edge, for every i < b and r + 2^i < k.
-    receive(eng, v, rank, msg) sees each delivery before v passes it on;
-    the session's result is done(), once every rank was reached once.
+    The session's result is done(), once every rank was reached once.
     """
     k = len(ordered)
     rank_of = {v: r for r, v in enumerate(ordered)}
@@ -446,7 +422,6 @@ def _tree_cast(
         for m in inbox:
             if v in reached:
                 raise SimulationAbortError(v, eng.round_no, f"{tag} reached the node twice")
-            receive(eng, v, rank_of[v], m)
             fanout(eng, v, m.payload["budget"])
         return v in reached
 
@@ -798,7 +773,6 @@ def _hull_broadcast_session(
         "hullb",
         lambda rank, budget: {"hull": hull, "budget": budget},
         tuple(sorted({q[2] for q in hull})),
-        lambda eng, v, rank, m: None,
         lambda: None,
     )
 

@@ -34,7 +34,6 @@ from .errors import (
 from .geometry import (
     Orientation,
     Point,
-    convex_hull_oracle,
     cross,
     dist,
     point_in_polygon,
@@ -50,6 +49,7 @@ from .holes import (
     KIND_OUTER_HOLE,
     HoleRing,
     HullAbstraction,
+    hull_node_ids,
 )
 from .ldel import HybridTopology, NodeId, PlanarGraph, edge_key
 from .simengine import Channel, RoundEngine
@@ -784,16 +784,11 @@ def _extreme_points(points: Mapping[NodeId, Point], sub: Sequence[NodeId]) -> li
     uniq = list(dict.fromkeys(sub))
     if len(uniq) <= 2:
         return uniq
-    pts = {v: points[v] for v in uniq}
     try:
-        hull = convex_hull_oracle(list(pts.values()))
+        hull = set(hull_node_ids(points, uniq))
     except DegenerateInputError:  # the sub-path is collinear
         return [uniq[0], uniq[-1]]
-    hull_set = {(p.x, p.y) for p in hull}
-    order = {v: i for i, v in enumerate(uniq)}
-    ex = [v for v in uniq if (pts[v].x, pts[v].y) in hull_set]
-    ex.sort(key=lambda v: order[v])
-    return ex
+    return [v for v in uniq if v in hull]
 
 
 def _dedup_consecutive(path: Sequence[NodeId]) -> list[NodeId]:

@@ -14,32 +14,29 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import GenerationError
+from .errors import ConfigError, DisconnectedError, GenerationError
 from .geometry import Point, Polygon, polygon_signed_area
-from .ldel import HybridTopology, build_udg
-from .errors import DisconnectedError
+from .ldel import UNIT_RANGE, HybridTopology, build_udg
+
+# densified-spacing retries after the first attempt
+MAX_RETRIES = 8
 
 
 @dataclass
 class ScenarioSpec:
     """Parameters for one generated scenario.
 
-    mode "grid" lays a jittered lattice over the region; mode "poisson"
-    throws darts with a minimum-separation constraint until target_count
-    nodes are placed.  Nodes inside an obstacle are discarded.  If the
-    unit disk graph comes out disconnected, generation retries with a
-    densified spacing, up to max_retries.
+    A jittered lattice of the given spacing is laid over the region, and
+    nodes inside an obstacle are discarded.  If the unit disk graph comes
+    out disconnected, generation retries with a densified spacing, up to
+    MAX_RETRIES times.
     """
 
     seed: int
-    mode: str = "grid"
     region: tuple[float, float, float, float] = (0.0, 0.0, 3.5, 3.5)
     spacing: float = 0.7
     jitter: float = 1e-6
     obstacles: list[Polygon] = field(default_factory=list)
-    target_count: int | None = None
-    radius: float = 1.0
-    max_retries: int = 8
 
     name: str = ""
 
@@ -47,25 +44,20 @@ class ScenarioSpec:
 def generate_scenario(spec: ScenarioSpec) -> HybridTopology:
     spacing = spec.spacing
     last_err: Exception | None = None
-    for attempt in range(spec.max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         rng = random.Random(spec.seed * 1_000_003 + attempt)
-        if spec.mode == "grid":
-            pts = _grid_points(spec, spacing, rng)
-        elif spec.mode == "poisson":
-            pts = _poisson_points(spec, spacing, rng)
-        else:
-            raise GenerationError(f"unknown scenario mode {spec.mode!r}")
+        pts = _grid_points(spec, spacing, rng)
         if len(pts) < 2:
             last_err = GenerationError("not enough nodes survived the obstacles")
             spacing *= 0.92
             continue
         try:
-            return build_udg(dict(enumerate(pts)), radius=spec.radius)
+            return build_udg(dict(enumerate(pts)))
         except DisconnectedError as e:
             last_err = e
             spacing *= 0.92
     raise GenerationError(
-        f"could not generate a connected scenario after {spec.max_retries + 1} "
+        f"could not generate a connected scenario after {MAX_RETRIES + 1} "
         f"attempts (last spacing {spacing:.4f}): {last_err}"
     )
 
@@ -86,41 +78,6 @@ def _grid_points(spec: ScenarioSpec, spacing: float, rng: random.Random) -> list
             p = Point(x, y)
             if not _blocked(p, spec.obstacles):
                 pts.append(p)
-    return pts
-
-
-def _poisson_points(spec: ScenarioSpec, spacing: float, rng: random.Random) -> list[Point]:
-    if spec.target_count is None:
-        raise GenerationError("poisson mode needs target_count")
-    x0, y0, x1, y1 = spec.region
-    pts: list[Point] = []
-    cell = spacing / math.sqrt(2.0)
-    grid: dict[tuple[int, int], Point] = {}
-    attempts = 0
-    budget = spec.target_count * 200
-    while len(pts) < spec.target_count and attempts < budget:
-        attempts += 1
-        p = Point(rng.uniform(x0, x1), rng.uniform(y0, y1))
-        if _blocked(p, spec.obstacles):
-            continue
-        ci, cj = int(p.x / cell), int(p.y / cell)
-        ok = True
-        for di in range(-2, 3):
-            for dj in range(-2, 3):
-                q = grid.get((ci + di, cj + dj))
-                if q is not None and math.hypot(p.x - q.x, p.y - q.y) < spacing:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            grid[(ci, cj)] = p
-            pts.append(p)
-    if len(pts) < spec.target_count:
-        raise GenerationError(
-            f"poisson sampling placed only {len(pts)} of {spec.target_count} nodes; "
-            "density too low for the region/spacing"
-        )
     return pts
 
 
@@ -188,7 +145,6 @@ def fixture_spec(name: str) -> ScenarioSpec:
     if name == "grid36-hole4":
         return ScenarioSpec(
             seed=1,
-            mode="grid",
             region=(0.0, 0.0, 3.5, 3.5),
             spacing=0.7,
             jitter=1e-6,
@@ -198,7 +154,6 @@ def fixture_spec(name: str) -> ScenarioSpec:
     if name == "crescent-24":
         return ScenarioSpec(
             seed=7,
-            mode="grid",
             region=(0.0, 0.0, 8.0, 8.0),
             spacing=0.5,
             jitter=0.04,
@@ -208,7 +163,6 @@ def fixture_spec(name: str) -> ScenarioSpec:
     if name == "star12-4":
         return ScenarioSpec(
             seed=11,
-            mode="grid",
             region=(0.0, 0.0, 9.0, 9.0),
             spacing=0.5,
             jitter=0.04,
@@ -230,7 +184,6 @@ def scaling_spec(n: int, seed: int = 5) -> ScenarioSpec:
     side = (math.isqrt(n) - 1) * spacing
     return ScenarioSpec(
         seed=seed,
-        mode="grid",
         region=(0.0, 0.0, side, side),
         spacing=spacing,
         jitter=0.05,
@@ -271,19 +224,30 @@ def topology_to_json(topo: HybridTopology) -> str:
         "nodes": [
             {"id": v, "x": topo.points[v].x, "y": topo.points[v].y} for v in topo.ids
         ],
-        "radius": topo.radius,
+        "radius": UNIT_RANGE,
     }
     return json.dumps(payload, sort_keys=True)
 
 
-def topology_from_json(text: str) -> HybridTopology:
-    data = json.loads(text)
-    pts = {int(n["id"]): Point(float(n["x"]), float(n["y"])) for n in data["nodes"]}
-    return build_udg(pts, radius=float(data.get("radius", 1.0)))
+def read_json(path: str | Path):
+    """The parsed JSON file at path; ConfigError if it is unreadable or not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_topology(path: str | Path) -> HybridTopology:
-    return topology_from_json(Path(path).read_text())
+    """The topology save_topology wrote to path; ConfigError if it is malformed."""
+    data = read_json(path)
+    try:
+        pts = {int(n["id"]): Point(float(n["x"]), float(n["y"])) for n in data["nodes"]}
+        radius = float(data.get("radius", UNIT_RANGE))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed topology: {exc!r}") from exc
+    if radius != UNIT_RANGE:
+        raise ConfigError(f"{path}: radio range must be {UNIT_RANGE}, not {radius}")
+    return build_udg(pts)
 
 
 def save_topology(topo: HybridTopology, path: str | Path) -> None:

@@ -68,7 +68,6 @@ def open_lattice_spec(side: int, seed: int) -> ScenarioSpec:
     extent = (side - 1) * 0.55
     return ScenarioSpec(
         seed=seed,
-        mode="grid",
         region=(0.0, 0.0, extent, extent),
         spacing=0.55,
         jitter=0.05,

@@ -108,6 +108,15 @@ def test_move_node_refreshes_radio_links():
         topo.move_node(999, Point(0, 0))
 
 
+def test_move_node_in_place_keeps_links_at_the_range():
+    # 0-1 is one ulp longer than the range; a fresh build links it
+    pts = {0: Point(0.0, 0.0), 1: Point(1.0000000000000002, 0.0), 2: Point(0.5, 0.5)}
+    topo = build_udg(pts)
+    assert 1 in topo.adhoc[0]
+    topo.move_node(1, pts[1])
+    assert topo.adhoc == build_udg(pts).adhoc
+
+
 def test_two_hop_matches_bfs():
     for pts in SMALL_INSTANCES[:3]:
         topo = build_udg(pts)

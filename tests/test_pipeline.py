@@ -120,7 +120,7 @@ def test_pipeline_without_holes_routes_visible_or_case1():
 
 
 def test_pipeline_open_lattice_has_no_inner_holes():
-    spec = ScenarioSpec(seed=2, mode="grid", region=(0.0, 0.0, 4.95, 4.95),
+    spec = ScenarioSpec(seed=2, region=(0.0, 0.0, 4.95, 4.95),
                         spacing=0.55, jitter=0.05, obstacles=[], name="open100")
     rep = run_pipeline(generate_scenario(spec), PipelineConfig())
     assert rep.n == 100
@@ -192,27 +192,29 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # traffic, the sha256 of the sorted (node, long-range sends) pairs of the
 # same traffic, and abstraction_digest().  The traffic figures were
 # re-recorded when the sort went to one-round stages on wrap-around
-# padding and the hull merge to one search for both tangents; the digests
-# are still those of the ring-by-ring build.  The `href` traffic itself is
-# checked against oracles.brute_hull_flood.
+# padding and the hull merge to one search for both tangents, and the
+# bytes again when pointer-jumping and hypercube-id messages stopped
+# carrying turn angles; the digests are still those of the ring-by-ring
+# build.  The `href` traffic itself is checked against
+# oracles.brute_hull_flood.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        1382, 132503,
+        1382, 122371,
         "77782f472f1c5cc7293ab81b30c366e8d970eadc73c173ce79496ab94ee35c9a",
         "7ea20af8dda20938d6806f80e444ef1f7b0d7b32dde9cc76afa9ff88f1db87e7",
     ),
     "crescent-24": (
-        5208, 500314,
+        5208, 465573,
         "7a635408a92e7540049cc96eff51e963150303473b0816fe4d108fc819f10c68",
         "30cd2654187717c193ba3a267d481b33a02227ee86f7095dc680a530c50ae4c8",
     ),
     "star12-4": (
-        5808, 561475,
+        5808, 521287,
         "bd87b70c2c407d85df0716ffb3215101f8b1cf9ad45d190365fd23bb266a44bb",
         "e866a7167284bdb2c70b267d2f19c2af609b6dbb6a89e183faf70b36e52e5e5e",
     ),
     "scale-512-1": (
-        8377, 811605,
+        8377, 758751,
         "a72c74e692296c1f4c7d797db74a43b1e2f8d2690252416722d2653ec2f16fc1",
         "a0ecd3b2c6ded5689b7b14851ccc49df3c05d7d964a4d09d864d8e790506bb12",
     ),
@@ -327,7 +329,7 @@ def test_protocol_rounds_do_not_grow_with_hole_count():
     built = {}
     for k in (1, 4):
         centres = [(2.2, 2.2), (6.6, 2.2), (2.2, 6.6), (6.6, 6.6)][:k]
-        spec = ScenarioSpec(seed=3, mode="grid", region=(0.0, 0.0, 8.8, 8.8), spacing=0.55,
+        spec = ScenarioSpec(seed=3, region=(0.0, 0.0, 8.8, 8.8), spacing=0.55,
                             obstacles=[_square(x, y) for x, y in centres], name=f"holes{k}")
         pipe = Pipeline(generate_scenario(spec), PipelineConfig())
         pipe.build_abstraction()
@@ -467,7 +469,6 @@ def test_cli_gen_from_spec_file(tmp_path):
     spec_p = tmp_path / "spec.json"
     spec_p.write_text(json.dumps({
         "seed": 3,
-        "mode": "grid",
         "region": [0, 0, 2.1, 2.1],
         "spacing": 0.7,
         "jitter": 1e-6,
@@ -511,7 +512,7 @@ def test_cli_bad_input_files_are_reported_as_errors(tmp_path, capsys):
     assert cli_main(["run", "--topo", str(topo_p), "--config", str(cfg_p)]) == 2
     assert "query_count" in capsys.readouterr().err
     spec_p = tmp_path / "spec.json"
-    spec_p.write_text(json.dumps({"mode": "grid", "spacing": 0.7}))
+    spec_p.write_text(json.dumps({"spacing": 0.7}))
     assert cli_main(["gen", "--spec", str(spec_p), "--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err
     assert "ConfigError" in err and "seed" in err
@@ -529,3 +530,19 @@ def test_cli_bad_input_files_are_reported_as_errors(tmp_path, capsys):
     q_p.write_text(json.dumps({"pairs": [[4, "x"]]}))
     assert cli_main(["run", "--topo", str(topo_p), "--queries", str(q_p)]) == 2
     assert "ConfigError" in capsys.readouterr().err
+    # a topology file that is not JSON, misses a coordinate, sets another
+    # radio range, or is not there; exit 1 is kept for a failed bound
+    nodes = json.loads(topo_p.read_text())["nodes"]
+    bad_p = tmp_path / "bad_topo.json"
+    for text, word in [
+        ("{nodes", "Expecting"),
+        (json.dumps({"nodes": [{"id": 0, "x": 0.0}]}), "'y'"),
+        (json.dumps({"nodes": nodes, "radius": 2.0}), "radio range"),
+    ]:
+        bad_p.write_text(text)
+        assert cli_main(["run", "--topo", str(bad_p)]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and word in err
+    assert cli_main(["run", "--topo", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "No such file" in err
