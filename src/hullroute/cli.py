@@ -169,10 +169,10 @@ def cmd_render(args) -> int:
     topo = load_topology(args.topo)
     abstraction = None
     if args.abstraction:
-        abstraction = json.loads(Path(args.abstraction).read_text())
+        abstraction = read_json(args.abstraction)
     routes: list[list[int]] = []
     if args.routes:
-        rep = json.loads(Path(args.routes).read_text())
+        rep = read_json(args.routes)
         rows = rep["queries"] if isinstance(rep, dict) else rep
         routes = [row["path"] for row in rows][: args.max_routes]
     write_svg(args.out, topo, abstraction, routes)

@@ -9,9 +9,10 @@ reference distribution, and the per-bay dominating set.  The hypercube
 ids and the finished hull travel the same binomial tree of jump edges
 from the ring leader (_tree_cast).
 
-Message model for hull distribution: a hull reference is (id, x, y,
-ring), and one long-range message carries at most ceil(log2 n)
-references.
+Message model: a long-range message is sized for ceil(log2 n) points
+(_message_cap).  Hull distribution sends at most that many references
+(id, x, y, ring) per message, and the hull merge ships a block's chains
+unasked only when they fit.
 
 The ring protocols take a mapping of rings (key -> members, ring order)
 and run every ring in the same engine phases, one session per ring, so
@@ -106,6 +107,14 @@ def _turn_angles(points: dict[NodeId, Point], members: list[NodeId]) -> dict[Nod
         v: signed_turn_angle(points[pred[v]], points[v], points[succ[v]])
         for v in members
     }
+
+
+def _message_cap(engine: RoundEngine) -> int:
+    """Most points one long-range message carries by design: ceil(log2 n).
+
+    Hull references in distribute_hulls, whole chains in the hull merge.
+    """
+    return max(1, math.ceil(math.log2(len(engine.topo.ids))))
 
 
 # ---------------------------------------------------------------------------
@@ -579,16 +588,18 @@ def parallel_convex_hull(
     Each block keeps its sub-hull as upper/lower x-sorted chains at the
     block's lowest slot; after the sort the k real keys fill slots
     0..k-1, so a pair whose right block starts at or past k has nothing
-    to merge.  Merging two blocks finds the upper and lower common
-    tangents in one search: the left block's host bisects both of its
-    chains, and each message to the right block's host carries one probe
-    point per side still searching, whose tangent foot that host answers
-    with a local monotone chain.  Each side has its own probe budget; if
-    either side fails, the right block ships its chains whole and they
-    are merged by the same chain, preserving round bounds at the price
-    of one big message.  After the last merge each ring leader
-    broadcasts its hull down the jump-edge tree that dealt the hypercube
-    ids.  Returns the ccw hull ids per cube.
+    to merge.  When the right block's chains fit in one message
+    (_message_cap), its host ships them whole in the level's first round
+    and the left block's host merges them with a monotone chain.  Bigger
+    blocks find the upper and lower common tangents in one search: the
+    left block's host bisects both of its chains, and each message to
+    the right block's host carries one probe point per side still
+    searching, whose tangent foot that host answers with a local
+    monotone chain.  Each side has its own probe budget; if either side
+    fails, the right block ships its chains whole after all, preserving
+    round bounds at the price of one big message.  After the last merge
+    each ring leader broadcasts its hull down the jump-edge tree that
+    dealt the hypercube ids.  Returns the ccw hull ids per cube.
     """
     chains: dict[Hashable, dict[int, dict[str, list]]] = {}
     for key, cube in cubes.items():
@@ -656,9 +667,17 @@ def _merge_session(
     chains: dict[int, dict[str, list]],
     level: int,
 ) -> _Session:
-    """Merge every pair of 2^(level-1)-slot blocks of one cube."""
+    """Merge every pair of 2^(level-1)-slot blocks of one cube.
+
+    In the level's first round the right block's host ships its chains
+    whole when they fit in one message, and then ignores the pair's
+    probes.  Chains of m points hold at most m + 2 entries, so while
+    2^(level-1) + 2 fits, the left block's host knows they will come and
+    does not probe at all.
+    """
     k = len(cube.members)
     half = 1 << (level - 1)
+    cap = _message_cap(engine)
     # a right block starting at or past k is all padding: nothing to merge
     pairs = {
         base: {
@@ -675,8 +694,23 @@ def _merge_session(
     }
     started: set[NodeId] = set()
 
-    def ship(eng, v, base, p):
+    def fits(p) -> bool:
+        bc = chains[p["bslot"]]
+        return len(bc["u"]) + len(bc["l"]) <= cap
+
+    def ask(eng, v, base, p):
         eng.send(v, p["B"], {"base": base}, tag="hs")
+
+    def ship(eng, v, base, p):
+        bc = chains[p["bslot"]]
+        ids = [int(q[2]) for q in bc["u"] + bc["l"]]
+        eng.send(
+            v,
+            p["A"],
+            {"base": base, "u": bc["u"], "l": bc["l"]},
+            tag="hc",
+            intro_ids=tuple(sorted(set(ids))),
+        )
 
     def probe(eng, v, base, p):
         """One message probes every side still searching, or the chains ship."""
@@ -687,7 +721,7 @@ def _merge_session(
                 continue
             ac = chains[base][c]
             if sr["lo"] > sr["hi"] or sr["probes"] > _PROBE_SLACK * (len(ac).bit_length() + 2):
-                ship(eng, v, base, p)
+                ask(eng, v, base, p)
                 return
             sr["mid"] = (sr["lo"] + sr["hi"]) // 2
             sr["probes"] += 1
@@ -698,13 +732,17 @@ def _merge_session(
         if v not in started:
             started.add(v)
             for base, p in pairs.items():
-                if p["A"] == v:
+                if p["B"] == v and fits(p):
+                    ship(eng, v, base, p)
+                if p["A"] == v and half + 2 > cap:
                     probe(eng, v, base, p)
         for m in inbox:
             d_ = m.payload
             base = d_["base"]
             p = pairs[base]
             bchains = chains[p["bslot"]]
+            if m.tag in ("hp", "hs") and fits(p):
+                continue  # the chains shipped in the first round
             if m.tag == "hp":
                 feet = {"base": base}
                 for c, s in _SIDES:
@@ -717,7 +755,7 @@ def _merge_session(
                 if not all(
                     _bisect_step(chains[base][c], p[c], d_[c], s) for c, s in _SIDES if c in d_
                 ):
-                    ship(eng, v, base, p)
+                    ask(eng, v, base, p)
                 elif all(p[c]["foot"] is not None for c, _ in _SIDES):
                     # ask for the right chains from each tangent foot on
                     feet = {c: p[c]["foot"][1] for c, _ in _SIDES}
@@ -725,14 +763,7 @@ def _merge_session(
                 else:
                     probe(eng, v, base, p)
             elif m.tag == "hs":
-                ids = [int(q[2]) for q in bchains["u"] + bchains["l"]]
-                eng.send(
-                    v,
-                    m.src,
-                    {"base": base, "u": bchains["u"], "l": bchains["l"]},
-                    tag="hc",
-                    intro_ids=tuple(sorted(set(ids))),
-                )
+                ship(eng, v, base, p)
             elif m.tag == "hc":
                 for c, s in _SIDES:
                     chains[base][c] = _chain(chains[base][c] + d_[c], s)
@@ -833,7 +864,7 @@ def distribute_hulls(
     it.  Returns the number of reference deliveries.
     """
     topo = engine.topo
-    batch = max(1, math.ceil(math.log2(len(topo.ids))))
+    batch = _message_cap(engine)
     pre_known = {v: set(topo.knows[v]) for v in topo.ids if v not in keep_all}
     # per node: every reference seen so far, with the neighbour it came from
     seen: dict[NodeId, list[tuple[NodeId, list]]] = {v: [] for v in topo.ids}
@@ -967,7 +998,10 @@ def ring_protocol(
 
     Every ring runs each step in the same phase.  Completed
     election/ranking results can be passed in so the rings are not
-    re-elected when classification already ran it.
+    re-elected when classification already ran it.  The sort and the
+    merge teach ring nodes the ids of keys and chains they pass on; once
+    the hull is known, each node forgets every id learned since the sort
+    that is not a hull node of one of its rings.
     """
     if jumps is None:
         jumps = pointer_jumping(engine, rings)
@@ -978,5 +1012,13 @@ def ring_protocol(
         key: {v: (pts[v].x, pts[v].y, v) for v in members}
         for key, members in rings.items()
     }
+    knows = engine.topo.knows
+    keep = {v: set(knows[v]) for members in rings.values() for v in members}
     hulls = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes, keys))
+    for key, members in rings.items():
+        for v in members:
+            keep[v].update(hulls[key])
+    for v, ids in keep.items():
+        for rid in knows[v] - ids:
+            engine.topo.forget(v, rid)
     return {key: RingProtocolResult(jumps[key], cubes[key], hulls[key]) for key in rings}

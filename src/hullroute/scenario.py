@@ -241,12 +241,17 @@ def load_topology(path: str | Path) -> HybridTopology:
     """The topology save_topology wrote to path; ConfigError if it is malformed."""
     data = read_json(path)
     try:
-        pts = {int(n["id"]): Point(float(n["x"]), float(n["y"])) for n in data["nodes"]}
+        nodes = [(int(n["id"]), Point(float(n["x"]), float(n["y"]))) for n in data["nodes"]]
         radius = float(data.get("radius", UNIT_RANGE))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed topology: {exc!r}") from exc
     if radius != UNIT_RANGE:
         raise ConfigError(f"{path}: radio range must be {UNIT_RANGE}, not {radius}")
+    pts: dict[int, Point] = {}
+    for v, p in nodes:
+        if v in pts:
+            raise ConfigError(f"{path}: duplicate node id {v}")
+        pts[v] = p
     return build_udg(pts)
 
 

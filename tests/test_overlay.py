@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+import hullroute.holes as holes_mod
 import hullroute.overlay as overlay_mod
 
 from hullroute.geometry import Point, convex_hull_oracle, signed_turn_angle
@@ -293,49 +294,65 @@ def test_parallel_hull_equals_centralized(k, jitter):
     assert res.hull == oracle
 
 
-def _log_probes(monkeypatch) -> dict:
-    """Log every `hp` as (round, sides) under (phase index, session, base)."""
-    probes: dict = {}
+def _log_merge(monkeypatch) -> dict:
+    """Log every `hp`, `hs` and `hc` as (round, tag, payload) under (phase index, session, base)."""
+    sent: dict = {}
     send = RoundEngine.send
 
     def spy(self, src, dst, payload=None, **kw):
-        if kw.get("tag") == "hp":
+        if kw.get("tag") in ("hp", "hs", "hc"):
             key = (len(self.phase_reports), self.session, payload["base"])
-            probes.setdefault(key, []).append((self.round_no, {"u", "l"} & payload.keys()))
+            sent.setdefault(key, []).append((self.round_no, kw["tag"], payload))
         send(self, src, dst, payload, **kw)
 
     monkeypatch.setattr(RoundEngine, "send", spy)
-    return probes
+    return sent
 
 
-def _check_merge_rounds(engine, probes):
+def _check_merge_rounds(engine, merge_log):
+    cap = math.ceil(math.log2(len(engine.topo.ids)))
+    probes = {}
+    for key, sent in merge_log.items():
+        tags = [tag for _, tag, _ in sent]
+        assert tags.count("hc") <= 1  # chains ship at most once per pair
+        if "hc" in tags and "hs" not in tags:
+            # shipped unasked: the right block's chains fit in one message
+            (chains,) = [p for _, tag, p in sent if tag == "hc"]
+            assert len(chains["u"]) + len(chains["l"]) <= cap
+        hp = [(r, {"u", "l"} & p.keys()) for r, tag, p in sent if tag == "hp"]
+        if hp:
+            probes[key] = hp
     for sent in probes.values():
         assert len({r for r, _ in sent}) == len(sent)  # one `hp` per pair and round
     levels = [i for i, rep in enumerate(engine.phase_reports) if rep.label.startswith("hull_merge_")]
     assert levels
     for i in levels:
-        # both searches share each round trip, plus one for the suffixes
+        # both searches share each round trip, plus one for the suffixes;
+        # a level where no pair probed takes the one round of shipped chains
         budget = max(
-            2 * max(sum(c in sides for _, sides in sent) for c in "ul") + 2
-            for (phase, _, _), sent in probes.items()
-            if phase == i
+            (
+                2 * max(sum(c in sides for _, sides in sent) for c in "ul") + 2
+                for (phase, _, _), sent in probes.items()
+                if phase == i
+            ),
+            default=1,
         )
         assert engine.phase_reports[i].rounds <= budget, engine.phase_reports[i].label
 
 
 @pytest.mark.parametrize("k,jitter", HULL_CASES)
 def test_hull_merge_searches_both_tangents_at_once(k, jitter, monkeypatch):
-    probes = _log_probes(monkeypatch)
+    merge_log = _log_merge(monkeypatch)
     engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
     ring_protocol(engine, {0: members})
-    _check_merge_rounds(engine, probes)
+    _check_merge_rounds(engine, merge_log)
 
 
 def test_hull_merge_searches_both_tangents_at_once_on_every_ring(monkeypatch):
-    probes = _log_probes(monkeypatch)
+    merge_log = _log_merge(monkeypatch)
     pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
     pipe.build_abstraction()
-    _check_merge_rounds(pipe.engine, probes)
+    _check_merge_rounds(pipe.engine, merge_log)
 
 
 def rect_ring_points(w, h, step=0.9):
@@ -368,8 +385,10 @@ def test_parallel_hull_drops_collinear_perimeter_points():
 @pytest.mark.parametrize("name", ["grid36-hole4", "star12-4"])
 def test_shipped_chains_merge_to_the_centralized_hull(monkeypatch, name):
     # a negative budget ends every tangent search before its first probe,
-    # so each merge takes the ship fallback: "hs" asks, "hc" carries chains
+    # so each merge of blocks too big to ship unasked takes the fallback:
+    # "hs" asks, "hc" carries chains
     monkeypatch.setattr(overlay_mod, "_PROBE_SLACK", -1)
+    merge_log = _log_merge(monkeypatch)
     topo = fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     pipe.build_abstraction()
@@ -377,6 +396,70 @@ def test_shipped_chains_merge_to_the_centralized_hull(monkeypatch, name):
         assert pipe.abstractions[r.ring_id].hull_nodes == hull_node_ids(topo.points, r.members)
     tags = {t["tag"] for t in pipe.engine.transcript}
     assert {"hs", "hc"} <= tags and "hp" not in tags
+    # some chains past the cap travel only because they were asked for
+    cap = math.ceil(math.log2(len(topo.ids)))
+    asked = [
+        p
+        for sent in merge_log.values()
+        if "hs" in {tag for _, tag, _ in sent}
+        for _, tag, p in sent
+        if tag == "hc"
+    ]
+    assert any(len(p["u"]) + len(p["l"]) > cap for p in asked)
+
+
+def test_small_blocks_ship_and_big_blocks_probe_on_one_ring(monkeypatch):
+    merge_log = _log_merge(monkeypatch)
+    engine, members = ring_engine(33, seed=233, jitter=0.03)
+    res = ring_protocol(engine, {0: members})[0]
+    pts = engine.topo.points
+    coord_of = {v: (pts[v].x, pts[v].y) for v in members}
+    id_at = {c: v for v, c in coord_of.items()}
+    assert res.hull == [id_at[c] for c in brute_hull_ccw(list(coord_of.values()))]
+    tags = [tag for sent in merge_log.values() for _, tag, _ in sent]
+    assert "hc" in tags and "hp" in tags and "hs" not in tags
+    _check_merge_rounds(engine, merge_log)
+
+
+def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
+    # ids learned from the keys and chains a node passes on are dropped
+    # once the hull is known, unless they are hull nodes of its own rings
+    topo = fixture_topology("star12-4")
+    sort, hull, protocol = (
+        overlay_mod.hypercube_sort,
+        overlay_mod.parallel_convex_hull,
+        holes_mod.ring_protocol,
+    )
+    learned: list[dict] = []
+    dropped = 0
+
+    def sort_spy(engine, cubes, keys):
+        learned.append({v: set(topo.knows[v]) for v in topo.ids})
+        return sort(engine, cubes, keys)
+
+    def hull_spy(engine, cubes, slot_keys):
+        out = hull(engine, cubes, slot_keys)
+        learned[-1] = {v: topo.knows[v] - known for v, known in learned[-1].items()}
+        return out
+
+    def protocol_spy(engine, rings, jumps=None):
+        nonlocal dropped
+        out = protocol(engine, rings, jumps)
+        own_hulls: dict = {}
+        for key, members in rings.items():
+            for v in members:
+                own_hulls.setdefault(v, set()).update(out[key].hull)
+        for v, ids in learned[-1].items():
+            assert ids & topo.knows[v] <= own_hulls.get(v, set()), v
+            dropped += len(ids - topo.knows[v])
+        return out
+
+    monkeypatch.setattr(overlay_mod, "hypercube_sort", sort_spy)
+    monkeypatch.setattr(overlay_mod, "parallel_convex_hull", hull_spy)
+    monkeypatch.setattr(holes_mod, "ring_protocol", protocol_spy)
+    pipe = Pipeline(topo, PipelineConfig())
+    pipe.build_abstraction()
+    assert len(learned) == 2 and dropped > 0  # one sort per wave
 
 
 def test_ring_protocol_on_cavity_ring():

@@ -32,6 +32,7 @@ from hullroute.scenario import (
     fixture_spec,
     fixture_topology,
     generate_scenario,
+    load_topology,
     scaling_spec,
 )
 
@@ -192,30 +193,31 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # traffic, the sha256 of the sorted (node, long-range sends) pairs of the
 # same traffic, and abstraction_digest().  The traffic figures were
 # re-recorded when the sort went to one-round stages on wrap-around
-# padding and the hull merge to one search for both tangents, and the
-# bytes again when pointer-jumping and hypercube-id messages stopped
-# carrying turn angles; the digests are still those of the ring-by-ring
-# build.  The `href` traffic itself is checked against
-# oracles.brute_hull_flood.
+# padding and the hull merge to one search for both tangents, the bytes
+# again when pointer-jumping and hypercube-id messages stopped carrying
+# turn angles, and all three when the hull merge began shipping chains
+# that fit in one message without a tangent search; the abstraction
+# digests are still those of the ring-by-ring build.  The `href` traffic
+# itself is checked against oracles.brute_hull_flood.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        1382, 122371,
-        "77782f472f1c5cc7293ab81b30c366e8d970eadc73c173ce79496ab94ee35c9a",
+        1227, 106927,
+        "f73ab8e494138de738dd0509003db8290ffb6ce313620be74a69dd9201641594",
         "7ea20af8dda20938d6806f80e444ef1f7b0d7b32dde9cc76afa9ff88f1db87e7",
     ),
     "crescent-24": (
-        5208, 465573,
-        "7a635408a92e7540049cc96eff51e963150303473b0816fe4d108fc819f10c68",
+        4741, 421254,
+        "a215428d998b9f54cc655be240fb480c1e232020c791a3c9fd818d4405550154",
         "30cd2654187717c193ba3a267d481b33a02227ee86f7095dc680a530c50ae4c8",
     ),
     "star12-4": (
-        5808, 521287,
-        "bd87b70c2c407d85df0716ffb3215101f8b1cf9ad45d190365fd23bb266a44bb",
+        5255, 468897,
+        "bca943cf56e44fe6b66192808e9cd229f48bcf8de784c3c43f287609e141f565",
         "e866a7167284bdb2c70b267d2f19c2af609b6dbb6a89e183faf70b36e52e5e5e",
     ),
     "scale-512-1": (
-        8377, 758751,
-        "a72c74e692296c1f4c7d797db74a43b1e2f8d2690252416722d2653ec2f16fc1",
+        7726, 696234,
+        "b938955c31aac7e443e5af361b4a5120c03a1d8a29727a7a60d2064470a8c5bb",
         "a0ecd3b2c6ded5689b7b14851ccc49df3c05d7d964a4d09d864d8e790506bb12",
     ),
 }
@@ -546,3 +548,30 @@ def test_cli_bad_input_files_are_reported_as_errors(tmp_path, capsys):
     assert cli_main(["run", "--topo", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "ConfigError" in err and "No such file" in err
+
+
+def test_cli_render_bad_input_files_are_reported_as_errors(tmp_path, capsys):
+    topo_p = tmp_path / "topo.json"
+    cli_main(["gen", "--fixture", "grid36-hole4", "--out", str(topo_p)])
+    bad_p = tmp_path / "bad.json"
+    bad_p.write_text("{bad")
+    for flag in ("--abstraction", "--routes"):
+        for path, word in [(bad_p, "Expecting"), (tmp_path / "missing.json", "No such file")]:
+            code = cli_main(
+                ["render", "--topo", str(topo_p), flag, str(path), "--out", str(tmp_path / "x.svg")]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "ConfigError" in err and word in err and str(path) in err
+
+
+def test_duplicate_node_ids_in_a_topology_file_are_an_error(tmp_path, capsys):
+    topo_p = tmp_path / "topo.json"
+    cli_main(["gen", "--fixture", "grid36-hole4", "--out", str(topo_p)])
+    data = json.loads(topo_p.read_text())
+    data["nodes"][1]["id"] = data["nodes"][0]["id"]
+    topo_p.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=f"duplicate node id {data['nodes'][0]['id']}"):
+        load_topology(topo_p)
+    assert cli_main(["run", "--topo", str(topo_p)]) == 2
+    assert "duplicate node id" in capsys.readouterr().err
