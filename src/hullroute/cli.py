@@ -167,15 +167,15 @@ def cmd_route(args) -> int:
 
 def cmd_render(args) -> int:
     topo = load_topology(args.topo)
-    abstraction = None
-    if args.abstraction:
-        abstraction = read_json(args.abstraction)
-    routes: list[list[int]] = []
-    if args.routes:
-        rep = read_json(args.routes)
+    abstraction = read_json(args.abstraction) if args.abstraction else None
+    rep = read_json(args.routes) if args.routes else []
+    try:
         rows = rep["queries"] if isinstance(rep, dict) else rep
         routes = [row["path"] for row in rows][: args.max_routes]
-    write_svg(args.out, topo, abstraction, routes)
+        write_svg(args.out, topo, abstraction, routes)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        given = ", ".join(p for p in (args.abstraction, args.routes) if p)
+        raise ConfigError(f"{given}: not the shape render reads: {exc!r}") from exc
     print(f"wrote {args.out}: {len(routes)} routes")
     return 0
 

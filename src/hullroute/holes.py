@@ -28,6 +28,7 @@ from .geometry import (
 )
 from .ldel import UNIT_RANGE, NodeId, PlanarGraph
 from .overlay import (
+    HypercubeOverlay,
     PointerJumpResult,
     RingProtocolResult,
     dominating_set,
@@ -234,13 +235,16 @@ def build_hull_abstraction(
     rings: Sequence[HoleRing],
     jumps: Mapping[int, PointerJumpResult] | None = None,
     seed: int = 0,
+    cubes: Mapping[int, HypercubeOverlay] | None = None,
 ) -> tuple[dict[int, HullAbstraction], dict[int, RingProtocolResult]]:
     """Distributed hull, bays, and one dominating set per bay, per ring.
 
     The rings run concurrently, then every bay of every ring runs its
-    dominating set concurrently.  Results are keyed by ring_id.
+    dominating set concurrently.  Arcs come with cubes on the outer ring,
+    whose hull broadcast carries ranks.  Results are keyed by ring_id.
     """
-    protos = ring_protocol(engine, {r.ring_id: r.members for r in rings}, jumps)
+    ranked = {r.ring_id for r in rings if r.kind == KIND_OUTER_BOUNDARY}
+    protos = ring_protocol(engine, {r.ring_id: r.members for r in rings}, jumps, cubes, ranked)
     bays = {r.ring_id: compute_bays(r, protos[r.ring_id].hull) for r in rings}
     paths = {(rid, i): bay.members for rid, bs in bays.items() for i, bay in enumerate(bs)}
     sets = dominating_set(engine, paths, {key: seed * 7919 + key[1] for key in paths})

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any, Callable, Collection, Hashable, Mapping
 
 from .errors import DegenerateInputError, SimulationAbortError
 from .geometry import Orientation, Point, orientation, signed_turn_angle
@@ -67,22 +67,34 @@ class PointerJumpResult:
 
 @dataclass
 class HypercubeOverlay:
+    """Ring ranks as hypercube slots; slot s is hosted by hosts[s].
+
+    Padding slots follow the last real one around the ring (cube_over), so
+    no host holds more than two and every cube edge is a ring jump edge.
+    """
+
     dimension: int
     id_map: dict[NodeId, int]
-    members: list[NodeId]  # by ring rank; rank == hypercube slot
+    members: list[NodeId]  # by rank; rank == hypercube slot
+    hosts: list[NodeId]  # by slot
 
     @property
     def slots(self) -> int:
         return 1 << self.dimension
 
     def host_of(self, slot: int) -> NodeId:
-        """Slot s is hosted by ring rank s mod k.
+        return self.hosts[slot]
 
-        A padding slot s >= k thus sits at rank s - k, so no host holds
-        more than two slots, and the two ends of every hypercube edge are
-        joined by a ring jump edge of length 2^j mod k.
-        """
-        return self.members[slot % len(self.members)]
+    def arc(self, members: list[NodeId]) -> HypercubeOverlay:
+        """The cube of an arc of this ring, in ring order; its padding follows the arc."""
+        return cube_over(self.members, self.id_map[members[0]], len(members))
+
+
+def cube_over(order: list[NodeId], start: int, m: int) -> HypercubeOverlay:
+    """The cube of the m ranks from start on of a ring in rank order."""
+    d = max(1, math.ceil(math.log2(m)))
+    hosts = [order[(start + s) % len(order)] for s in range(1 << d)]
+    return HypercubeOverlay(d, {v: r for r, v in enumerate(hosts[:m])}, hosts[:m], hosts)
 
 
 @dataclass
@@ -352,8 +364,7 @@ def assign_hypercube_ids(
     The node bridged by the leader's level-j jump edge receives the id
     with bit j set, then hands out ids below its own budget bit to its
     own jump neighbors (see _tree_cast).  Slots at or past the ring size
-    are padding, hosted by wrapping around the ring (see
-    HypercubeOverlay.host_of).
+    are padding, hosted by wrapping around the ring (see cube_over).
     """
     return _run_wave(
         engine,
@@ -388,7 +399,7 @@ def _hypercube_session(
             "d": d,
         },
         (),
-        lambda: HypercubeOverlay(d, {v: r for r, v in enumerate(ordered)}, ordered),
+        lambda: cube_over(ordered, 0, k),
     )
 
 
@@ -509,13 +520,15 @@ def _sort_stage(
         return (s & dist == 0) == ((s >> kblk) & 1 == 0)
 
     after = [p if p == pad[s ^ dist] else not keeps_min(s) for s, p in enumerate(pad)]
+    hosted: dict[NodeId, list[int]] = {}
+    for s, v in enumerate(cube.hosts):
+        hosted.setdefault(v, []).append(s)
     started: set[NodeId] = set()
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         if v not in started:
             started.add(v)
-            # v holds the slot of its rank and, past k, at most one padding slot
-            for s in range(cube.id_map[v], cube.slots, len(cube.members)):
+            for s in hosted[v]:
                 partner = s ^ dist
                 if pad[s] or (pad[partner] and not after[s]):
                     continue
@@ -539,7 +552,7 @@ def _sort_stage(
     def finish(report: PhaseReport) -> None:
         pad[:] = after
 
-    return _Session(cube.members, handler, 2, finish)
+    return _Session(list(hosted), handler, 2, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +595,7 @@ def parallel_convex_hull(
     engine: RoundEngine,
     cubes: Mapping[Hashable, HypercubeOverlay],
     slot_keys: Mapping[Hashable, list[tuple]],
+    ranked: Collection[Hashable] = (),
 ) -> dict[Hashable, list[NodeId]]:
     """Divide and conquer over subcube dimensions, every cube at once.
 
@@ -599,7 +613,8 @@ def parallel_convex_hull(
     fails, the right block ships its chains whole after all, preserving
     round bounds at the price of one big message.  After the last merge
     each ring leader broadcasts its hull down the jump-edge tree that
-    dealt the hypercube ids.  Returns the ccw hull ids per cube.
+    dealt the hypercube ids; for the cubes in `ranked` every hull node
+    travels with its rank.  Returns the ccw hull ids per cube.
     """
     chains: dict[Hashable, dict[int, dict[str, list]]] = {}
     for key, cube in cubes.items():
@@ -629,7 +644,7 @@ def parallel_convex_hull(
     _run_wave(
         engine,
         "hull_broadcast",
-        {key: _hull_broadcast_session(engine, cube, hulls[key]) for key, cube in cubes.items()},
+        {k: _hull_broadcast_session(engine, c, hulls[k], k in ranked) for k, c in cubes.items()},
     )
     return {key: [int(q[2]) for q in ccw] for key, ccw in hulls.items()}
 
@@ -793,10 +808,10 @@ def _merge_session(
 
 
 def _hull_broadcast_session(
-    engine: RoundEngine, cube: HypercubeOverlay, ccw: list
+    engine: RoundEngine, cube: HypercubeOverlay, ccw: list, ranked: bool
 ) -> _Session:
     """The leader sends the finished hull down the tree that dealt the ids."""
-    hull = [[q[0], q[1], int(q[2])] for q in ccw]
+    hull = [[q[0], q[1], int(q[2])] + ([cube.id_map[q[2]]] if ranked else []) for q in ccw]
     return _tree_cast(
         engine,
         cube.members,
@@ -984,7 +999,6 @@ def _dominating_session(engine: RoundEngine, path: list[NodeId], seed: int) -> _
 
 @dataclass
 class RingProtocolResult:
-    jump: PointerJumpResult
     cube: HypercubeOverlay
     hull: list[NodeId]
 
@@ -993,32 +1007,36 @@ def ring_protocol(
     engine: RoundEngine,
     rings: Mapping[Hashable, list[NodeId]],
     jumps: Mapping[Hashable, PointerJumpResult] | None = None,
+    cubes: Mapping[Hashable, HypercubeOverlay] | None = None,
+    ranked: Collection[Hashable] = (),
 ) -> dict[Hashable, RingProtocolResult]:
     """Leader election, ranking, hypercube, sort, hull, broadcast.
 
     Every ring runs each step in the same phase.  Completed
     election/ranking results can be passed in so the rings are not
-    re-elected when classification already ran it.  The sort and the
-    merge teach ring nodes the ids of keys and chains they pass on; once
-    the hull is known, each node forgets every id learned since the sort
-    that is not a hull node of one of its rings.
+    re-elected when classification already ran it; given cubes skip the
+    id deal too.  The sort and the merge teach the hosts the ids of keys
+    and chains they pass on; once the hull is known, each host forgets
+    every id learned since the sort that is not a hull node of one of
+    its rings.
     """
-    if jumps is None:
-        jumps = pointer_jumping(engine, rings)
-        rank_ring(engine, rings, jumps)
-    cubes = assign_hypercube_ids(engine, rings, jumps)
+    if cubes is None:
+        if jumps is None:
+            jumps = pointer_jumping(engine, rings)
+            rank_ring(engine, rings, jumps)
+        cubes = assign_hypercube_ids(engine, rings, jumps)
     pts = engine.topo.points
     keys = {
         key: {v: (pts[v].x, pts[v].y, v) for v in members}
         for key, members in rings.items()
     }
     knows = engine.topo.knows
-    keep = {v: set(knows[v]) for members in rings.values() for v in members}
-    hulls = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes, keys))
+    keep = {v: set(knows[v]) for cube in cubes.values() for v in cube.hosts}
+    hulls = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes, keys), ranked)
     for key, members in rings.items():
         for v in members:
             keep[v].update(hulls[key])
     for v, ids in keep.items():
         for rid in knows[v] - ids:
             engine.topo.forget(v, rid)
-    return {key: RingProtocolResult(jumps[key], cubes[key], hulls[key]) for key in rings}
+    return {key: RingProtocolResult(cubes[key], hulls[key]) for key in rings}

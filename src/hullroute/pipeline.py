@@ -3,9 +3,9 @@
 The driver executes the protocol phases in their dependency order and
 meters every bound the artifact promises: total abstraction rounds
 against c2*log2(n)^2, pointer-jumping rounds and per-node messages per
-ring, per-node long-range message counts, and the three-class storage
-shape (hull nodes, other boundary nodes, everyone else).  Every bound
-is evaluated and recorded; nothing is skipped silently.
+closed ring, per-node long-range message counts, and the three-class
+storage shape (hull nodes, other boundary nodes, everyone else).  Every
+bound is evaluated and recorded; nothing is skipped silently.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .holes import (
     KIND_OUTER_BOUNDARY,
     HoleRing,
     HullAbstraction,
+    PointerJumpResult,
     build_hull_abstraction,
     classify_rings,
     detect_boundary_nodes,
@@ -149,6 +150,7 @@ class Pipeline:
         self.g: PlanarGraph | None = None
         self.rings: list[HoleRing] = []
         self.abstractions: dict[int, HullAbstraction] = {}
+        self.jumps: dict[int, PointerJumpResult] = {}
         self.protos: dict[int, RingProtocolResult] = {}
         self.tree: BroadcastTree | None = None
         self.router: Router | None = None
@@ -166,7 +168,7 @@ class Pipeline:
 
         Wave one is every closed ring (classification, then hull, bays and
         dominating sets); wave two is the outer-hole arcs, which hang off
-        the outer boundary's hull from wave one.
+        the outer boundary's hull and reuse that ring's ranks and jump edges.
         """
         eng = self.engine
         start = eng.round_no
@@ -187,11 +189,11 @@ class Pipeline:
 
         wave = t = eng.round_no
         own_before = dict(eng.session_rounds)
-        jumps = classify_rings(eng, self.rings)
+        self.jumps = classify_rings(eng, self.rings)
         mark("classification", t)
 
         t = eng.round_no
-        self.abstractions, self.protos = build_hull_abstraction(eng, self.rings, jumps)
+        self.abstractions, self.protos = build_hull_abstraction(eng, self.rings, self.jumps)
         mark("ring_hulls", t)
         self._log_wave("closed rings", self.rings, own_before, eng.round_no - wave)
 
@@ -203,8 +205,9 @@ class Pipeline:
             hull_nodes=self.abstractions[outer.ring_id].hull_nodes,
             first_id=max(r.ring_id for r in self.rings) + 1,
         )
+        cubes = {a.ring_id: self.protos[outer.ring_id].cube.arc(a.members) for a in arcs}
         own_before = dict(eng.session_rounds)
-        arc_abstractions, arc_protos = build_hull_abstraction(eng, arcs)
+        arc_abstractions, arc_protos = build_hull_abstraction(eng, arcs, cubes=cubes)
         self.abstractions.update(arc_abstractions)
         self.protos.update(arc_protos)
         self.rings = self.rings + arcs
@@ -327,15 +330,14 @@ class Pipeline:
         }
 
         ring_rows = []
-        for r in self.rings:
-            jump = self.protos[r.ring_id].jump
-            k = len(r.members)
+        for rid, jump in self.jumps.items():
+            k = jump.ring_size
             round_bound = math.ceil(math.log2(k)) + 1 if k > 1 else 1
             msg_bound = 2 * round_bound
             msg_max = max(jump.messages_per_node.values())
             ring_rows.append(
                 {
-                    "ring_id": r.ring_id,
+                    "ring_id": rid,
                     "size": k,
                     "jump_rounds": jump.jump_rounds,
                     "round_bound": round_bound,

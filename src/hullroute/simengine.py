@@ -262,6 +262,7 @@ class RoundEngine:
         }
         self._reports = {key: PhaseReport(label=label) for key in running}
         self._phase = report
+        log.debug("phase %s begins at round %d, %d sessions", label, self.round_no, len(running))
         try:
             for rounds in range(max_rounds + 1):
                 finished = []

@@ -343,7 +343,7 @@ def test_hull_abstraction_reuses_election(grid):
     ha, proto = abstractions[inner.ring_id], protos[inner.ring_id]
     again = sum(1 for t in engine.transcript if t["tag"] == "pj_succ")
     assert again == elected  # no second election
-    assert proto.jump is jumps[inner.ring_id]
+    assert proto.cube.members[0] == jumps[inner.ring_id].leader
     assert ha.hull_nodes == hull_node_ids(g.points, inner.members)
 
 

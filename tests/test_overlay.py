@@ -423,7 +423,8 @@ def test_small_blocks_ship_and_big_blocks_probe_on_one_ring(monkeypatch):
 
 def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     # ids learned from the keys and chains a node passes on are dropped
-    # once the hull is known, unless they are hull nodes of its own rings
+    # once the hull is known, unless they are hull nodes of its own rings;
+    # so are those an outer-hole arc's padding hosts past its end learn
     topo = fixture_topology("star12-4")
     sort, hull, protocol = (
         overlay_mod.hypercube_sort,
@@ -432,19 +433,20 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     )
     learned: list[dict] = []
     dropped = 0
+    padding_learned = 0
 
     def sort_spy(engine, cubes, keys):
         learned.append({v: set(topo.knows[v]) for v in topo.ids})
         return sort(engine, cubes, keys)
 
-    def hull_spy(engine, cubes, slot_keys):
-        out = hull(engine, cubes, slot_keys)
+    def hull_spy(engine, cubes, slot_keys, ranked=()):
+        out = hull(engine, cubes, slot_keys, ranked)
         learned[-1] = {v: topo.knows[v] - known for v, known in learned[-1].items()}
         return out
 
-    def protocol_spy(engine, rings, jumps=None):
-        nonlocal dropped
-        out = protocol(engine, rings, jumps)
+    def protocol_spy(engine, rings, jumps=None, cubes=None, ranked=()):
+        nonlocal dropped, padding_learned
+        out = protocol(engine, rings, jumps, cubes, ranked)
         own_hulls: dict = {}
         for key, members in rings.items():
             for v in members:
@@ -452,6 +454,8 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
         for v, ids in learned[-1].items():
             assert ids & topo.knows[v] <= own_hulls.get(v, set()), v
             dropped += len(ids - topo.knows[v])
+        padding = {v for res in out.values() for v in res.cube.hosts} - set(own_hulls)
+        padding_learned += sum(len(learned[-1][v]) for v in padding)
         return out
 
     monkeypatch.setattr(overlay_mod, "hypercube_sort", sort_spy)
@@ -460,6 +464,7 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     pipe = Pipeline(topo, PipelineConfig())
     pipe.build_abstraction()
     assert len(learned) == 2 and dropped > 0  # one sort per wave
+    assert padding_learned > 0
 
 
 def test_ring_protocol_on_cavity_ring():
@@ -468,11 +473,13 @@ def test_ring_protocol_on_cavity_ring():
     ring = next(list(f) for f in g.faces if len(f) == 8)
     assert sorted(ring) == [8, 9, 13, 14, 17, 18, 22, 23]
     engine = RoundEngine(topo)
-    res = ring_protocol(engine, {0: ring})[0]
-    assert res.jump.leader == 8
-    assert res.jump.ring_size == 8
+    jumps = pointer_jumping(engine, {0: ring})
+    rank_ring(engine, {0: ring}, jumps)
+    res = ring_protocol(engine, {0: ring}, jumps)[0]
+    assert jumps[0].leader == res.cube.members[0] == 8
+    assert jumps[0].ring_size == 8
     # bounded faces are walked ccw
-    assert res.jump.angle_total == pytest.approx(-360.0, abs=1e-6)
+    assert jumps[0].angle_total == pytest.approx(-360.0, abs=1e-6)
     pts = topo.points
     coord_of = {v: (pts[v].x, pts[v].y) for v in ring}
     id_at = {c: v for v, c in coord_of.items()}

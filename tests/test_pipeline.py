@@ -196,28 +196,31 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # padding and the hull merge to one search for both tangents, the bytes
 # again when pointer-jumping and hypercube-id messages stopped carrying
 # turn angles, and all three when the hull merge began shipping chains
-# that fit in one message without a tangent search; the abstraction
-# digests are still those of the ring-by-ring build.  The `href` traffic
-# itself is checked against oracles.brute_hull_flood.
+# that fit in one message without a tangent search, and all three again
+# when the outer-hole arcs stopped re-running election, ranking and the
+# id deal and took their cubes from the outer ring (and the outer hull
+# broadcast began carrying ranks); the abstraction digests are still
+# those of the ring-by-ring build.  The `href` traffic itself is checked
+# against oracles.brute_hull_flood.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        1227, 106927,
-        "f73ab8e494138de738dd0509003db8290ffb6ce313620be74a69dd9201641594",
+        1002, 94267,
+        "52d26b6246496d08d23ac7a0de72a219a2163f96366ae8e6125778ab83ce209a",
         "7ea20af8dda20938d6806f80e444ef1f7b0d7b32dde9cc76afa9ff88f1db87e7",
     ),
     "crescent-24": (
-        4741, 421254,
-        "a215428d998b9f54cc655be240fb480c1e232020c791a3c9fd818d4405550154",
+        3997, 379268,
+        "4dc60d3bb50b84e462d80bce4be43c972a198904565caa59d03029e7fa60ce38",
         "30cd2654187717c193ba3a267d481b33a02227ee86f7095dc680a530c50ae4c8",
     ),
     "star12-4": (
-        5255, 468897,
-        "bca943cf56e44fe6b66192808e9cd229f48bcf8de784c3c43f287609e141f565",
+        4408, 421540,
+        "0af35fb887fd88610a98f992d3dba2e62b2beaf3ddf68c63e6281a63e73e7fb3",
         "e866a7167284bdb2c70b267d2f19c2af609b6dbb6a89e183faf70b36e52e5e5e",
     ),
     "scale-512-1": (
-        7726, 696234,
-        "b938955c31aac7e443e5af361b4a5120c03a1d8a29727a7a60d2064470a8c5bb",
+        6429, 623119,
+        "6301fe3ced630dc12babc8597f71b042037b99d757c3b6a506ce668a20e0f20b",
         "a0ecd3b2c6ded5689b7b14851ccc49df3c05d7d964a4d09d864d8e790506bb12",
     ),
 }
@@ -309,7 +312,8 @@ def test_each_engine_phase_logs_one_line_when_it_ends(caplog):
         r"phase (\S+): (\d+) rounds, (\d+) long-range, (\d+) ad hoc, (\d+) bytes, "
         r"peak (\d+) long-range per node and round"
     )
-    rows = [line.fullmatch(r.getMessage()).groups() for r in caplog.records if r.name == "hullroute.simengine"]
+    ends = [r.getMessage() for r in caplog.records if r.name == "hullroute.simengine" and "begins" not in r.getMessage()]
+    rows = [line.fullmatch(msg).groups() for msg in ends]
     assert rows == [
         (p.label, *map(str, (p.rounds, p.messages_longrange, p.messages_adhoc, p.bytes_total,
                              p.max_longrange_per_node_round)))
@@ -318,6 +322,27 @@ def test_each_engine_phase_logs_one_line_when_it_ends(caplog):
     assert rows[-1][0] == "hull_distribution"
     hrefs = sum(t["tag"] == "href" for t in pipe.engine.transcript)
     assert int(rows[-1][2]) + int(rows[-1][3]) == hrefs > 0
+
+
+def test_each_engine_phase_logs_one_line_when_it_begins(caplog):
+    pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
+    with caplog.at_level(logging.DEBUG, logger="hullroute.simengine"):
+        pipe.build_abstraction()
+    line = re.compile(r"phase (\S+) begins at round (\d+), (\d+) sessions")
+    rows = [line.fullmatch(r.getMessage()) for r in caplog.records if "begins" in r.getMessage()]
+    eng = pipe.engine
+    assert [m[1] for m in rows] == [p.label for p in eng.phase_reports]
+    # a phase begins where the one before it ended, or after charged rounds
+    start = pipeline_mod.LDEL_BUILD_ROUNDS + pipeline_mod.RING_DETECT_ROUNDS
+    for m, p in zip(rows, eng.phase_reports):
+        if p.label == "hull_distribution":
+            start += eng.charged["broadcast_tree"]
+        assert int(m[2]) == start, p.label
+        start += p.rounds
+    assert start == eng.round_no
+    sessions = {m[1]: int(m[3]) for m in rows}
+    assert sessions["pointer_jumping"] == len(pipe.jumps) > 1
+    assert sessions["hull_distribution"] == 1
 
 
 def _square(cx: float, cy: float, side: float = 1.5) -> Polygon:
@@ -345,8 +370,43 @@ def test_protocol_rounds_do_not_grow_with_hole_count():
     rows = four.bound_audit()["pointer_jumping"]["rings"]
     assert all(row["jump_rounds"] <= row["round_bound"] for row in rows)
     arc_ids = {r.ring_id for r in four.rings if r.kind == "OuterHole"}
-    arcs = [row["jump_rounds"] for row in rows if row["ring_id"] in arc_ids]
+    arcs = [four.engine.session_rounds[rid] for rid in arc_ids]
     assert min(arcs) < max(arcs)
+
+
+@pytest.mark.parametrize("name", ["crescent-24", "scale-512-1"])
+def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monkeypatch):
+    topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
+    build, knew = pipeline_mod.build_hull_abstraction, []
+
+    def spy(engine, rings, jumps=None, seed=0, cubes=None):
+        if cubes is not None:  # wave two
+            knew.append({v: set(topo.knows[v]) for v in topo.ids})
+        return build(engine, rings, jumps, seed, cubes)
+
+    monkeypatch.setattr(pipeline_mod, "build_hull_abstraction", spy)
+    pipe = Pipeline(topo, PipelineConfig())
+    pipe.build_abstraction()
+    labels = [p.label for p in pipe.engine.phase_reports]
+    wave_two = set(labels[labels.index("dominating_set") + 1 :])
+    assert "hull_broadcast" in wave_two
+    assert not {"pointer_jumping", "ring_ranking", "hypercube_ids"} & wave_two
+    (knew,) = knew
+    ring = pipe.protos[next(r.ring_id for r in pipe.rings if r.kind == "OuterBoundary")].cube
+    rank, k = ring.id_map, len(ring.members)
+    arcs = [r for r in pipe.rings if r.kind == KIND_OUTER_HOLE]
+    assert arcs
+    for arc in arcs:
+        cube = pipe.protos[arc.ring_id].cube
+        assert cube.members == arc.members
+        # slot s sits s outer ranks past the arc's first node, padding included
+        start = rank[arc.members[0]]
+        assert [rank[v] for v in cube.hosts] == [(start + s) % k for s in range(cube.slots)]
+        # every cube edge, so every sort, merge and broadcast send, was known
+        for s in range(cube.slots):
+            for j in range(cube.dimension):
+                u, w = cube.hosts[s], cube.hosts[s ^ 1 << j]
+                assert w in knew[u], (arc.ring_id, s, j)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +623,13 @@ def test_cli_render_bad_input_files_are_reported_as_errors(tmp_path, capsys):
             assert code == 2
             err = capsys.readouterr().err
             assert "ConfigError" in err and word in err and str(path) in err
+    # JSON of the wrong shape: no "queries" rows, and a list for the abstraction
+    for flag, text, word in [("--routes", "{}", "'queries'"), ("--abstraction", "[1, 2]", "get")]:
+        bad_p.write_text(text)
+        code = cli_main(["render", "--topo", str(topo_p), flag, str(bad_p), "--out", str(tmp_path / "x.svg")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and word in err and str(bad_p) in err
 
 
 def test_duplicate_node_ids_in_a_topology_file_are_an_error(tmp_path, capsys):
