@@ -1,23 +1,34 @@
 """Planar geometric primitives shared by the whole package.
 
 Coordinates are measured in units of the radio range, so an ad hoc link
-exists exactly between points at distance <= 1.  All sign tests run on
-normalized determinants with a fixed tolerance: `orientation` classifies
-a triple closer to collinear than that as COLLINEAR, and
-`circumcenter` rejects it with DegenerateInputError.
+exists exactly between points at distance <= 1.  Every sign decision is
+exact for the given float coordinates: `orient2d`, `incircle` and
+`in_diametral_disk` evaluate their determinant in floats and accept its
+sign when it clears Shewchuk's (1997) static error bound, and recompute
+it with `fractions.Fraction` otherwise.  `angle_key`,
+`segments_properly_intersect`, `_on_segment` and `point_in_polygon` are
+built on them; `circumcenter` rejects a collinear triple, or one too flat
+for a float circumcircle, with DegenerateInputError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateInputError
 
-# Tolerance for normalized orientation / cocircularity determinants.
-EPS = 1e-12
+# unit roundoff of a double, and Shewchuk's bounds on the rounding error of
+# the float determinants relative to their permanents (ccwerrboundA and
+# iccerrboundA in predicates.c); those assume no underflow, whose absolute
+# error _UNDERFLOW covers for coordinates below 1e9
+_U = 2.0**-53
+_CCW_BOUND = (3.0 + 16.0 * _U) * _U
+_ICC_BOUND = (10.0 + 96.0 * _U) * _U
+_UNDERFLOW = 2.0**-1000
 
 
 class Point(NamedTuple):
@@ -25,72 +36,138 @@ class Point(NamedTuple):
     y: float
 
 
-class Orientation(Enum):
-    LEFT = 1
-    COLLINEAR = 0
-    RIGHT = -1
-
-
 def dist(p: Point, q: Point) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def cross(o: Point, a: Point, b: Point) -> float:
-    """z-component of (a-o) x (b-o)."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
 
 
-def orientation(a: Point, b: Point, c: Point) -> Orientation:
-    """Orientation of the ordered triple, normalized by the leg lengths."""
-    raw = cross(a, b, c)
-    scale = dist(a, b) * dist(a, c)
-    if scale == 0.0:
-        return Orientation.COLLINEAR
-    n = raw / scale
-    if n > EPS:
-        return Orientation.LEFT
-    if n < -EPS:
-        return Orientation.RIGHT
-    return Orientation.COLLINEAR
+def _filtered_sign(terms, pts, factor: float) -> int:
+    """Exact sign of terms(*pts)[0].
+
+    terms returns a determinant and its permanent (the same sum with every
+    product made positive). The float determinant's sign stands when it
+    clears factor times the permanent; otherwise terms runs on Fractions.
+    """
+    det, permanent = terms(*pts)
+    bound = factor * permanent + _UNDERFLOW
+    if det > bound:
+        return 1
+    if -det > bound:
+        return -1
+    return _sign(terms(*([Fraction(v) for v in p] for p in pts))[0])
+
+
+def _dot_terms(p, a, b):
+    left = (a[0] - p[0]) * (b[0] - p[0])
+    right = (a[1] - p[1]) * (b[1] - p[1])
+    return left + right, abs(left) + abs(right)
+
+
+def _lifted_terms(a, b, c, d):
+    # Shewchuk's incircle expansion by the lifted column, rows cycled
+    rows = [(p[0] - d[0], p[1] - d[1]) for p in (a, b, c)]
+    det = permanent = 0
+    for i in range(3):
+        (x1, y1), (x2, y2), (x3, y3) = rows[i], rows[i - 2], rows[i - 1]
+        lift, left, right = x1 * x1 + y1 * y1, x2 * y3, x3 * y2
+        det += lift * (left - right)
+        permanent += (abs(left) + abs(right)) * lift
+    return det, permanent
+
+
+def orient2d(a: Point, b: Point, c: Point) -> int:
+    """Exact sign of (b - a) x (c - a): +1 when a, b, c turn left, 0 when collinear."""
+    # _filtered_sign inlined, as the hottest predicate; coincident points,
+    # the exact ties routing meets, skip the Fractions
+    left = (a[0] - c[0]) * (b[1] - c[1])
+    right = (a[1] - c[1]) * (b[0] - c[0])
+    det = left - right
+    bound = _CCW_BOUND * (abs(left) + abs(right)) + _UNDERFLOW
+    if det > bound:
+        return 1
+    if -det > bound:
+        return -1
+    if a == b or b == c or c == a:
+        return 0
+    ax, ay, bx, by, cx, cy = map(Fraction, (a[0], a[1], b[0], b[1], c[0], c[1]))
+    return _sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx))
+
+
+def in_diametral_disk(p: Point, a: Point, b: Point) -> bool:
+    """True iff p lies in the closed disk with diameter ab: (a - p).(b - p) <= 0."""
+    return _filtered_sign(_dot_terms, (p, a, b), _CCW_BOUND) <= 0
+
+
+def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
+    """Exact incircle sign: +1 when d lies inside the circle through the
+    counterclockwise a, b, c, 0 on it, -1 outside (all flip for clockwise)."""
+    return _filtered_sign(_lifted_terms, (a, b, c, d), _ICC_BOUND)
+
+
+def incircle_sos(pts: tuple[Point, ...], keys: Sequence[int]) -> int:
+    """`incircle(*pts)` with exact ties broken by Simulation of Simplicity.
+
+    Each point's lifted coordinate x^2 + y^2 is raised by an infinitesimal
+    that is larger the smaller its key (Edelsbrunner & Muecke 1990). The
+    lifted determinant is linear in those, so a tie takes the sign of the
+    z-cofactor of the smallest-keyed point whose cofactor is nonzero; the
+    cofactor of point i is (-1)^i times the orientation of the other three.
+    The answer is 0 only when all four points lie on one line.
+    """
+    s = incircle(*pts)
+    for i in sorted(range(4), key=keys.__getitem__):
+        if s:
+            break
+        s = orient2d(*pts[:i], *pts[i + 1 :]) * (-1) ** i
+    return s
+
+
+def angle_key(o: Point):
+    """Sort key for points by the angle of their direction from o in (-pi, pi]."""
+
+    def upper(p) -> bool:  # angle in (0, pi]
+        return p[1] > o[1] or (p[1] == o[1] and p[0] < o[0])
+
+    return cmp_to_key(lambda p, q: (upper(p) - upper(q)) or -orient2d(o, p, q))
 
 
 def circumcenter(a: Point, b: Point, c: Point) -> tuple[Point, float]:
-    """Center and radius of the circle through three non-collinear points."""
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if orientation(a, b, c) is Orientation.COLLINEAR:
+    """Center and radius of the circle through three non-collinear points.
+
+    Solved relative to a, so its rounding error scales with the triangle.
+    """
+    if orient2d(a, b, c) == 0:
         raise DegenerateInputError(f"collinear points have no circumcircle: {a}, {b}, {c}")
-    a2 = a[0] * a[0] + a[1] * a[1]
-    b2 = b[0] * b[0] + b[1] * b[1]
-    c2 = c[0] * c[0] + c[1] * c[1]
-    ux = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
-    uy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
-    center = Point(ux, uy)
-    return center, dist(center, a)
+    bx, by = b[0] - a[0], b[1] - a[1]
+    cx, cy = c[0] - a[0], c[1] - a[1]
+    d = 2.0 * (bx * cy - by * cx)
+    if d == 0.0:
+        raise DegenerateInputError(f"points too nearly collinear for a float circumcircle: {a}, {b}, {c}")
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    ux = (cy * b2 - by * c2) / d
+    uy = (bx * c2 - cx * b2) / d
+    return Point(a[0] + ux, a[1] + uy), math.hypot(ux, uy)
 
 
 def segments_properly_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     """True iff the open segments p1p2 and q1q2 share a point."""
-    d1 = cross(q1, q2, p1)
-    d2 = cross(q1, q2, p2)
-    d3 = cross(p1, p2, q1)
-    d4 = cross(p1, p2, q2)
-    scale_q = dist(q1, q2)
-    scale_p = dist(p1, p2)
-    if scale_p == 0.0 or scale_q == 0.0:
+    if p1 == p2 or q1 == q2:
         return False
-    t1, t2 = d1 / (scale_q * scale_q), d2 / (scale_q * scale_q)
-    t3, t4 = d3 / (scale_p * scale_p), d4 / (scale_p * scale_p)
-    if ((t1 > EPS and t2 < -EPS) or (t1 < -EPS and t2 > EPS)) and (
-        (t3 > EPS and t4 < -EPS) or (t3 < -EPS and t4 > EPS)
-    ):
-        return True
-    # Collinear overlap: open intervals on a shared supporting line.
-    if abs(t1) <= EPS and abs(t2) <= EPS and abs(t3) <= EPS and abs(t4) <= EPS:
-        axis = 0 if abs(p2[0] - p1[0]) >= abs(p2[1] - p1[1]) else 1
-        lo_p, hi_p = sorted((p1[axis], p2[axis]))
-        lo_q, hi_q = sorted((q1[axis], q2[axis]))
-        return min(hi_p, hi_q) - max(lo_p, lo_q) > EPS * max(1.0, scale_p, scale_q)
-    return False
+    d1 = orient2d(q1, q2, p1)
+    d2 = orient2d(q1, q2, p2)
+    if d1 * d2 > 0:
+        return False
+    if d1 or d2:
+        return d1 * d2 < 0 and orient2d(p1, p2, q1) * orient2d(p1, p2, q2) < 0
+    # collinear: open intervals on a shared supporting line
+    axis = 0 if p1[0] != p2[0] else 1
+    lo_p, hi_p = sorted((p1[axis], p2[axis]))
+    lo_q, hi_q = sorted((q1[axis], q2[axis]))
+    return min(hi_p, hi_q) > max(lo_p, lo_q)
 
 
 def signed_turn_angle(u: Point, v: Point, w: Point) -> float:
@@ -136,7 +213,7 @@ def convex_hull_oracle(points: Iterable[Point]) -> list[Point]:
     def chain(seq: Sequence[Point]) -> list[Point]:
         out: list[Point] = []
         for p in seq:
-            while len(out) >= 2 and orientation(out[-2], out[-1], p) is not Orientation.LEFT:
+            while len(out) >= 2 and orient2d(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -153,72 +230,95 @@ def point_in_polygon(p: Point, poly: Sequence[Point], strict: bool = True) -> bo
     """Ray-casting containment test.
 
     With strict=True, points on the boundary count as outside; with
-    strict=False they count as inside.
+    strict=False they count as inside.  An edge straddling p's height
+    crosses the rightward ray iff p lies left of it, walked upward; p on
+    the edge's line would be on the edge, which returned already.
     """
-    n = len(poly)
-    # boundary check first
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
+    py = p[1]
+    inside = False
+    a = poly[-1]
+    for b in poly:
         if _on_segment(p, a, b):
             return not strict
-    inside = False
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        if (a[1] > p[1]) != (b[1] > p[1]):
-            xi = a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
-            if p[0] < xi:
-                inside = not inside
+        if (a[1] > py) != (b[1] > py) and (orient2d(a, b, p) > 0) == (b[1] > a[1]):
+            inside = not inside
+        a = b
     return inside
 
 
 def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    scale = dist(a, b)
-    if scale == 0.0:
-        return dist(p, a) <= EPS
-    if abs(cross(a, b, p)) / (scale * scale) > EPS:
+    """True iff p lies on the closed segment ab."""
+    px, py = p
+    ax, ay = a
+    bx, by = b
+    if (px < ax and px < bx) or (px > ax and px > bx) or (py < ay and py < by) or (py > ay and py > by):
         return False
-    lo_x, hi_x = sorted((a[0], b[0]))
-    lo_y, hi_y = sorted((a[1], b[1]))
-    pad = EPS * max(1.0, scale)
-    return lo_x - pad <= p[0] <= hi_x + pad and lo_y - pad <= p[1] <= hi_y + pad
+    return orient2d(a, b, p) == 0
 
 
-def segment_polygon_params(a: Point, b: Point, poly: Sequence[Point]) -> list[float]:
-    """Sorted parameters t in [0,1] where segment ab meets the polygon boundary."""
-    out: list[float] = []
+def segment_polygon_params(a: Point, b: Point, poly: Sequence[Point]) -> list[tuple[float, int]]:
+    """Sorted (t, i): segment ab meets edge i, poly[i] to poly[i + 1], at a + t(b - a).
+
+    An edge that ab runs along contributes only the ends of ab lying on it.
+    Parameters within 1e-9 of the previous one merge into it, keeping the
+    smaller edge index.
+    """
+    out: list[tuple[float, int]] = []
     n = len(poly)
     abx, aby = b[0] - a[0], b[1] - a[1]
     for i in range(n):
         c, d = poly[i], poly[(i + 1) % n]
-        denom = abx * (d[1] - c[1]) - aby * (d[0] - c[0])
-        if abs(denom) < 1e-30:
-            # parallel: record endpoint touches via on-segment checks
+        if orient2d(c, d, a) == 0 == orient2d(c, d, b):
             for t, q in ((0.0, a), (1.0, b)):
                 if _on_segment(q, c, d):
-                    out.append(t)
+                    out.append((t, i))
             continue
+        denom = abx * (d[1] - c[1]) - aby * (d[0] - c[0])
+        if denom == 0.0:
+            continue  # parallel lines apart
         t = ((c[0] - a[0]) * (d[1] - c[1]) - (c[1] - a[1]) * (d[0] - c[0])) / denom
         u = ((c[0] - a[0]) * aby - (c[1] - a[1]) * abx) / denom
         pad = 1e-9
         if -pad <= t <= 1.0 + pad and -pad <= u <= 1.0 + pad:
-            out.append(min(1.0, max(0.0, t)))
+            out.append((min(1.0, max(0.0, t)), i))
     out.sort()
-    dedup: list[float] = []
-    for t in out:
-        if not dedup or t - dedup[-1] > 1e-9:
-            dedup.append(t)
+    dedup: list[tuple[float, int]] = []
+    for t, i in out:
+        if not dedup or t - dedup[-1][0] > 1e-9:
+            dedup.append((t, i))
+        elif i < dedup[-1][1]:
+            dedup[-1] = (dedup[-1][0], i)
     return dedup
 
 
+def _param(a: Point, b: Point, q: Point) -> float:
+    """Parameter of q's projection onto the line a + t(b - a)."""
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    return ((q[0] - a[0]) * abx + (q[1] - a[1]) * aby) / (abx * abx + aby * aby)
+
+
 def segment_crosses_polygon(a: Point, b: Point, poly: Sequence[Point]) -> bool:
-    """True iff the open segment ab intersects the open region bounded by poly."""
-    params = segment_polygon_params(a, b, poly)
-    cuts = [0.0] + params + [1.0]
-    for i in range(len(cuts) - 1):
-        lo, hi = cuts[i], cuts[i + 1]
+    """True iff the open segment ab intersects the open region bounded by poly.
+
+    The boundary crossings cut ab into pieces. A piece within the span of
+    an edge that a and b are exactly collinear with is boundary; any other
+    piece lies wholly inside or outside, and its midpoint tells which.
+    """
+    if a == b:
+        return point_in_polygon(a, poly)
+    n = len(poly)
+    along = [
+        sorted((_param(a, b, c), _param(a, b, d)))
+        for c, d in ((poly[i], poly[(i + 1) % n]) for i in range(n))
+        if orient2d(c, d, a) == 0 == orient2d(c, d, b)
+    ]
+    cuts = [0.0] + [t for t, _ in segment_polygon_params(a, b, poly)] + [1.0]
+    for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo < 1e-9:
             continue
         t = (lo + hi) / 2.0
+        if any(s < t < e for s, e in along):
+            continue
         mid = Point(a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
         if point_in_polygon(mid, poly, strict=True):
             return True

@@ -4,14 +4,14 @@ The planar backbone is built from two ingredients over the unit disk
 graph: Gabriel edges (diametral disk empty of every other node) and
 edges of triangles whose side lengths are all within radio range and
 whose circumdisk contains no node reachable within two hops of any
-corner.  The union is planarized by a conflict pass that never removes
-a Gabriel edge, then embedded via a rotation system so faces can be
-walked counterclockwise.
+corner.  Both tests are exact (geometry's filtered predicates), and
+exact cocircular ties are broken by Simulation of Simplicity, so the
+union is planar by construction; it is embedded via a rotation system
+so faces can be walked counterclockwise, and Euler's formula checks it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +25,17 @@ from .errors import (
     GeometryInconsistencyError,
     NodeLookupError,
 )
-from .geometry import EPS, Point, circumcenter, dist, polygon_signed_area
+from .geometry import (
+    _CCW_BOUND,
+    _U,
+    Point,
+    angle_key,
+    circumcenter,
+    dist,
+    in_diametral_disk,
+    incircle_sos,
+    orient2d,
+)
 
 NodeId = int
 Edge = tuple[NodeId, NodeId]  # always stored with u < v
@@ -175,7 +185,6 @@ class PlanarGraph:
 
     points: dict[NodeId, Point]
     edges: set[Edge]
-    edge_kind: dict[Edge, str]
     adj: dict[NodeId, list[NodeId]] = field(default_factory=dict)  # CCW by angle
     faces: list[tuple[NodeId, ...]] = field(default_factory=list)
     outer_face: int = -1
@@ -202,8 +211,8 @@ def _rotation_system(points: Mapping[NodeId, Point], edges: Iterable[Edge]) -> d
         adj[u].append(v)
         adj[v].append(u)
     for v, nbrs in adj.items():
-        pv = points[v]
-        nbrs.sort(key=lambda w: math.atan2(points[w][1] - pv[1], points[w][0] - pv[0]))
+        key = angle_key(points[v])
+        nbrs.sort(key=lambda w: key(points[w]))
     return adj
 
 
@@ -239,18 +248,10 @@ def _extract_faces(
             faces.append(tuple(cycle))
             for i in range(len(cycle)):
                 face_left[(cycle[i], cycle[(i + 1) % len(cycle)])] = fi
-    if len(faces) == 1:
-        return faces, face_left, 0
-    negatives = [
-        fi
-        for fi, cyc in enumerate(faces)
-        if polygon_signed_area([points[v] for v in cyc]) < 0
-    ]
-    if len(negatives) != 1:
-        raise GeometryInconsistencyError(
-            f"expected exactly one clockwise face, found {len(negatives)}"
-        )
-    return faces, face_left, negatives[0]
+    # the lowest of the leftmost nodes looks west into the outer face, which
+    # lies past its last spoke counterclockwise
+    v = min(adj, key=points.__getitem__)
+    return faces, face_left, face_left[(v, adj[v][-1])] if adj[v] else 0
 
 
 def _candidate_triangles(topo: HybridTopology) -> Iterable[tuple[NodeId, NodeId, NodeId]]:
@@ -269,18 +270,17 @@ def build_ldel2(topo: HybridTopology) -> PlanarGraph:
     ids = topo.ids
     pts = topo.points
     tree = cKDTree(topo.coords)
-
     two_hop = {v: two_hop_neighborhood(topo, v) for v in ids}
-
+    # every coordinate is below scale, so a float is within _U * scale
+    scale = 1.0 + float(np.abs(topo.coords).max())
     edges: set[Edge] = set()
-    kind: dict[Edge, str] = {}
-    # smallest supporting circumradius per edge, for the conflict pass
-    support_r: dict[Edge, float] = {}
 
-    # Gabriel edges: any node inside the diametral disk of a radio link is
-    # itself a common neighbor, so scanning all nodes equals scanning 1-hop.
-    # The disk is closed: of the two diagonals of a cocircular cell, whose
-    # other corners sit on the circle, neither is Gabriel.
+    # Gabriel edges: the closed diametral disk holds no other node, so of
+    # the two diagonals of a cocircular cell, whose other corners sit on
+    # the circle, neither is Gabriel. The midpoint, half-length and
+    # cKDTree's distances are each off by a few _U * scale, so a query
+    # widened by 64 of them misses no node of the closed disk.
+    slack = 64.0 * _U * scale
     for u in ids:
         pu = pts[u]
         for v in topo.adhoc[u]:
@@ -288,105 +288,57 @@ def build_ldel2(topo: HybridTopology) -> PlanarGraph:
                 continue
             pv = pts[v]
             mid = ((pu[0] + pv[0]) / 2.0, (pu[1] + pv[1]) / 2.0)
-            r = dist(pu, pv) / 2.0
-            near = tree.query_ball_point(mid, r * (1.0 + EPS))
-            if all(ids[i] in (u, v) for i in near):
-                e = edge_key(u, v)
-                edges.add(e)
-                kind[e] = "gabriel"
-                support_r[e] = r
+            near = tree.query_ball_point(mid, dist(pu, pv) / 2.0 + slack)
+            if not any(ids[i] not in (u, v) and in_diametral_disk(pts[ids[i]], pu, pv) for i in near):
+                edges.add(edge_key(u, v))
 
+    # Triangles whose open circumdisk holds no node within two hops of a
+    # corner. Exact cocircular ties go to Simulation of Simplicity on node
+    # ids, so of a cocircular cell's two diagonals exactly one survives
+    # and the union is planar by construction (Li, Calinescu & Wan 2002).
     for u, v, w in _candidate_triangles(topo):
-        pu, pv, pw = pts[u], pts[v], pts[w]
-        try:
-            center, r = circumcenter(pu, pv, pw)
-        except DegenerateInputError:
+        turn = orient2d(pts[u], pts[v], pts[w])
+        if turn == 0:
             continue
-        inside = tree.query_ball_point(center, r * (1.0 - EPS))
-        hu, hv, hw = two_hop[u], two_hop[v], two_hop[w]
-        ok = True
-        for i in inside:
-            x = ids[i]
-            if x in (u, v, w):
-                continue
-            if x in hu or x in hv or x in hw:
-                ok = False
-                break
-        if not ok:
+        if turn < 0:
+            v, w = w, v
+        tri = (pts[u], pts[v], pts[w])
+        witnesses = two_hop[u] | two_hop[v] | two_hop[w]
+        near = _disk_candidates(tree, tri, scale)
+        if any(
+            x in witnesses and x not in (u, v, w) and incircle_sos((*tri, pts[x]), (u, v, w, x)) > 0
+            for x in (witnesses if near is None else (ids[i] for i in near))
+        ):
             continue
-        for a, b in ((u, v), (u, w), (v, w)):
-            e = edge_key(a, b)
-            if e not in edges:
-                edges.add(e)
-                kind[e] = "triangle"
-                support_r[e] = r
-            elif kind[e] == "triangle":
-                support_r[e] = min(support_r[e], r)
+        edges.update((edge_key(u, v), edge_key(u, w), edge_key(v, w)))
 
-    _conflict_pass(pts, edges, kind, support_r)
-
-    g = PlanarGraph(points=dict(pts), edges=edges, edge_kind=kind)
+    g = PlanarGraph(points=dict(pts), edges=edges)
     g.finalize()
     _check_euler(g)
     return g
 
 
-def _conflict_pass(
-    pts: Mapping[NodeId, Point],
-    edges: set[Edge],
-    kind: dict[Edge, str],
-    support_r: dict[Edge, float],
-) -> None:
-    """Drop crossing edges; Gabriel edges always survive.
+def _disk_candidates(tree: cKDTree, tri: Sequence[Point], scale: float) -> list[int] | None:
+    """Tree indices of a superset of the nodes in the ccw tri's closed circumdisk.
 
-    Theory says the union is already planar, so this is a safety net for
-    near-degenerate float decisions.  Between two crossing non-Gabriel
-    edges the one whose smallest supporting circumcircle is larger loses;
-    ties fall back to the lexicographically larger edge id.
+    None when the disk is wider than the node set, or when the triangle is
+    so flat that its float cross product D is within twice its rounding
+    error. Otherwise D is within half of the true one and, with legs of
+    length at most L from the first corner, the translated Cramer solve
+    puts the center within 48 * _U * R * (1 + L^2 / D) of the true one;
+    cKDTree's distances are off by a few _U * scale. The query radius
+    adds twice both.
     """
-    from .geometry import segments_properly_intersect
-
-    cell = {}
-    size = 1.0
-    for e in edges:
-        u, v = e
-        cx = int(min(pts[u][0], pts[v][0]) / size)
-        cy = int(min(pts[u][1], pts[v][1]) / size)
-        for dx in (0, 1):
-            for dy in (0, 1):
-                cell.setdefault((cx + dx, cy + dy), []).append(e)
-    doomed: set[Edge] = set()
-    seen_pairs: set[tuple[Edge, Edge]] = set()
-    for bucket in cell.values():
-        for i, e1 in enumerate(bucket):
-            for e2 in bucket[i + 1 :]:
-                pair = (e1, e2) if e1 < e2 else (e2, e1)
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                a, b = pair
-                if set(a) & set(b):
-                    continue
-                if not segments_properly_intersect(pts[a[0]], pts[a[1]], pts[b[0]], pts[b[1]]):
-                    continue
-                ga, gb = kind[a] == "gabriel", kind[b] == "gabriel"
-                if ga and gb:
-                    raise GeometryInconsistencyError(f"two Gabriel edges cross: {a} x {b}")
-                if ga:
-                    doomed.add(b)
-                elif gb:
-                    doomed.add(a)
-                else:
-                    ra, rb = support_r[a], support_r[b]
-                    if ra > rb + 1e-12:
-                        doomed.add(a)
-                    elif rb > ra + 1e-12:
-                        doomed.add(b)
-                    else:
-                        doomed.add(max(a, b))
-    for e in doomed:
-        edges.discard(e)
-        kind.pop(e, None)
+    a, b, c = tri
+    left = (b[0] - a[0]) * (c[1] - a[1])
+    right = (b[1] - a[1]) * (c[0] - a[0])
+    det = left - right
+    if not det > 2.0 * _CCW_BOUND * (abs(left) + abs(right)):
+        return None
+    center, r = circumcenter(a, b, c)
+    legs = max(dist(a, b), dist(a, c)) ** 2
+    reach = r + 128.0 * _U * (r * (1.0 + legs / det) + scale)
+    return tree.query_ball_point(center, reach) if reach < scale else None
 
 
 def _check_euler(g: PlanarGraph) -> None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Hashable, Mapping
 
 from .errors import DegenerateInputError, SimulationAbortError
-from .geometry import Orientation, Point, orientation, signed_turn_angle
+from .geometry import Point, orient2d, signed_turn_angle
 from .ldel import NodeId
 from .simengine import Handler, Message, PhaseReport, RoundEngine
 
@@ -567,15 +567,6 @@ _PROBE_SLACK = 2
 _SIDES = (("u", 1), ("l", -1))
 
 
-def _side(a, b, q) -> int:
-    o = orientation(Point(a[0], a[1]), Point(b[0], b[1]), Point(q[0], q[1]))
-    if o is Orientation.LEFT:
-        return 1
-    if o is Orientation.RIGHT:
-        return -1
-    return 0
-
-
 def _chain(seq: list, s: int) -> list:
     """Monotone chain over x-sorted points, bending strictly away from side s.
 
@@ -585,7 +576,7 @@ def _chain(seq: list, s: int) -> list:
     """
     out: list = []
     for q in seq:
-        while len(out) >= 2 and _side(out[-2], out[-1], q) != -s:
+        while len(out) >= 2 and orient2d(out[-2], out[-1], q) != -s:
             out.pop()
         out.append(q)
     return out
@@ -660,14 +651,14 @@ def _bisect_step(ac: list, search: dict, answer: list, s: int) -> bool:
     idx, b = answer
     mid = search["mid"]
     a = ac[mid]
-    if mid + 1 < len(ac) and _side(a, b, ac[mid + 1]) == s:
+    if mid + 1 < len(ac) and orient2d(a, b, ac[mid + 1]) == s:
         search["lo"] = mid + 1
-    elif mid > 0 and _side(a, b, ac[mid - 1]) == s:
+    elif mid > 0 and orient2d(a, b, ac[mid - 1]) == s:
         search["hi"] = mid - 1
-    elif all(_side(a, b, q) != s for q in ac if q is not a):
+    elif all(orient2d(a, b, q) != s for q in ac if q is not a):
         # slide over collinear predecessors so the foot is the smallest
         # valid index; keeps interior collinear vertices out of the chain
-        while mid > 0 and _side(ac[mid - 1], b, a) == 0:
+        while mid > 0 and orient2d(ac[mid - 1], b, a) == 0:
             mid -= 1
             a = ac[mid]
         search["foot"] = (mid, idx)

@@ -32,16 +32,15 @@ from .errors import (
     NotReadyError,
 )
 from .geometry import (
-    Orientation,
     Point,
-    cross,
+    angle_key,
     dist,
+    orient2d,
     point_in_polygon,
     segment_crosses_polygon,
     segment_polygon_params,
     segments_properly_intersect,
     _on_segment,
-    orientation,
 )
 from .holes import (
     KIND_INNER,
@@ -106,8 +105,8 @@ def chew_route(g: PlanarGraph, s: NodeId, t: NodeId) -> tuple[list[NodeId], obje
         if _on_segment(g.points[v], ps, pt):
             return _split_walk(g, s, v, t)
     # st leaves s left of the last spoke clockwise of it (spokes are ccw)
-    angles = [math.atan2(g.points[w].y - ps.y, g.points[w].x - ps.x) for w in spokes]
-    a, b = s, spokes[bisect_right(angles, math.atan2(pt.y - ps.y, pt.x - ps.x)) - 1]
+    key = angle_key(ps)
+    a, b = s, spokes[bisect_right([key(g.points[w]) for w in spokes], key(pt)) - 1]
     face = g.face_left[(a, b)]
     # entry edges (left end, right end) of every face after the first
     crossed: list[tuple[NodeId, NodeId]] = []
@@ -197,7 +196,7 @@ def _apart(poly: Sequence[Point], pts: Sequence[Point]) -> bool:
     """
     n = len(poly)
     return any(
-        all(orientation(poly[i], poly[(i + 1) % n], q) is not Orientation.LEFT for q in pts)
+        all(orient2d(poly[i], poly[(i + 1) % n], q) <= 0 for q in pts)
         for i in range(n)
     )
 
@@ -211,8 +210,8 @@ def _crosses_hull(a: Point, b: Point, pts: Sequence[Point]) -> bool:
     """
     if _apart(pts, (a, b)):
         return False
-    sides = {orientation(a, b, q) for q in pts}
-    return Orientation.LEFT in sides and Orientation.RIGHT in sides
+    sides = {orient2d(a, b, q) for q in pts}
+    return 1 in sides and -1 in sides
 
 
 def _check_disjoint(hulls: Sequence[HullPolygon]) -> None:
@@ -294,14 +293,14 @@ def build_overlay_delaunay(vis: WaypointGraph) -> WaypointGraph:
                 if w == v or w not in vadj[v]:
                     continue
                 pw = positions[w]
-                side = cross(pu, pv, pw)
-                if abs(side) <= 1e-12:
+                side = orient2d(pu, pv, pw)
+                if side == 0:
                     if _on_segment(pw, pu, pv):
                         ok = False  # a point on the chord defeats every circle
                         break
                     continue
                 ang = _angle_at(pw, pu, pv)
-                if side > 0.0:
+                if side > 0:
                     max_l = max(max_l, ang)
                 else:
                     max_r = max(max_r, ang)
@@ -610,14 +609,15 @@ class Router:
             )
         ds = ctx.abstraction.dominating_sets[bay_idx]
 
-        params = [u for u in segment_polygon_params(pa, pb, ctx.ring_pts) if 1e-9 < u < 1.0 - 1e-9]
-        if params:
-            s_pt = Point(pa.x + (pb.x - pa.x) * params[0], pa.y + (pb.y - pa.y) * params[0])
-            t_pt = Point(pa.x + (pb.x - pa.x) * params[-1], pa.y + (pb.y - pa.y) * params[-1])
+        # ring edges where ab enters and leaves the ring; without an inner
+        # crossing, the first ring edge at h0
+        crossed = [i for t, i in segment_polygon_params(pa, pb, ctx.ring_pts) if 1e-9 < t < 1.0 - 1e-9]
+        if crossed:
+            s_edge, t_edge = crossed[0], crossed[-1]
         else:
-            s_pt = t_pt = self.g.points[h0]
-        p1 = self._ds_nearest(ctx, ds, s_pt)
-        pt_node = self._ds_nearest(ctx, ds, t_pt)
+            s_edge = t_edge = max(ctx.pos_of[h0] - 1, 0)
+        p1 = self._ds_nearest(ctx, ds, s_edge)
+        pt_node = self._ds_nearest(ctx, ds, t_edge)
 
         sub = self._bay_subpath(ctx, bay_idx, p1, pt_node)
         extremes = _extreme_points(self.g.points, sub)
@@ -640,17 +640,10 @@ class Router:
             cur = tgt
         return path, len(chain)
 
-    def _ds_nearest(self, ctx: _RingCtx, ds: set[NodeId], target: Point) -> NodeId:
-        """DS node with fewest ring hops to the boundary point, ties by id."""
-        members = ctx.ring.members
-        k = len(members)
-        for i in range(k):
-            anchor = (i, (i + 1) % k)
-            if _on_segment(target, self.g.points[members[i]], self.g.points[members[anchor[1]]]):
-                return min(ds, key=lambda v: (min(self._hops(ctx, ctx.pos_of[v], j) for j in anchor), v))
-        raise GeometryInconsistencyError(
-            f"boundary point {target} lies on no edge of ring {ctx.ring.ring_id}"
-        )
+    def _ds_nearest(self, ctx: _RingCtx, ds: set[NodeId], edge: int) -> NodeId:
+        """DS node with fewest ring hops to an end of ring edge `edge`, ties by id."""
+        anchor = (edge, (edge + 1) % len(ctx.ring.members))
+        return min(ds, key=lambda v: (min(self._hops(ctx, ctx.pos_of[v], j) for j in anchor), v))
 
     def _bay_subpath(self, ctx: _RingCtx, bay_idx: int, p1: NodeId, pt: NodeId) -> list[NodeId]:
         """Boundary nodes of the bay's strip from P1 to Pt."""

@@ -592,3 +592,32 @@ def brute_hull_flood(tree, owners):
     for (v, w, _), k in crossings.items():
         out[(v, w)] = out.get((v, w), 0) + -(-k // batch)
     return out
+
+
+def crossing_edge_pairs(points: dict, edges):
+    """Pairs of edges whose open segments share a point.
+
+    Uses the package's exact segment predicate, like `brute_corridor`;
+    only pairs whose midpoints lie within the longest edge's length of
+    each other are tested, which misses no crossing.
+    """
+    from scipy.spatial import cKDTree
+
+    from hullroute.geometry import segments_properly_intersect
+
+    edges = sorted(edges)
+    if len(edges) < 2:
+        return []
+    mids = [
+        ((points[u][0] + points[v][0]) / 2.0, (points[u][1] + points[v][1]) / 2.0)
+        for u, v in edges
+    ]
+    reach = max(odist(points[u], points[v]) for u, v in edges) * (1.0 + 1e-9)
+    out = []
+    for i, j in sorted(cKDTree(mids).query_pairs(reach)):
+        e, f = edges[i], edges[j]
+        if set(e) & set(f):
+            continue
+        if segments_properly_intersect(points[e[0]], points[e[1]], points[f[0]], points[f[1]]):
+            out.append((e, f))
+    return out

@@ -1,21 +1,27 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hullroute.errors import DegenerateInputError
 from hullroute.geometry import (
-    Orientation,
     Point,
     Polygon,
     convex_hull_oracle,
     circumcenter,
-    orientation,
+    incircle,
+    incircle_sos,
+    orient2d,
     point_in_polygon,
     polygon_signed_area,
     segment_crosses_polygon,
+    segment_polygon_params,
     segments_properly_intersect,
     signed_turn_angle,
 )
@@ -23,26 +29,30 @@ from oracles import brute_hull, shoelace
 
 
 def test_orientation_basic():
-    assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) is Orientation.LEFT
-    assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) is Orientation.RIGHT
-    assert orientation(Point(0, 0), Point(1, 0), Point(2, 0)) is Orientation.COLLINEAR
+    assert orient2d(Point(0, 0), Point(1, 0), Point(0, 1)) == 1
+    assert orient2d(Point(0, 0), Point(0, 1), Point(1, 0)) == -1
+    assert orient2d(Point(0, 0), Point(1, 0), Point(2, 0)) == 0
 
 
 def test_orientation_antisymmetry_sampled():
     rng = random.Random(7)
     for _ in range(300):
         a, b, c = (Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3))
-        o1 = orientation(a, b, c)
-        o2 = orientation(a, c, b)
-        if o1 is Orientation.COLLINEAR:
-            assert o2 is Orientation.COLLINEAR
-        else:
-            assert o1.value == -o2.value
+        assert orient2d(a, b, c) == -orient2d(a, c, b)
 
 
 def test_collinear_circumcircle_rejected():
     with pytest.raises(DegenerateInputError):
         circumcenter(Point(0, 0), Point(1, 0), Point(2, 0))
+
+
+def test_circumcenter_rejects_a_triple_too_flat_for_floats():
+    # the case test_incircle_is_exact_on_nudged_quadruples hit: not
+    # collinear, but the float cross product rounds to 0
+    a, b, c = Point(0.3, 0.2), Point(1.0, 0.8999999999999999), Point(1.7, 1.5999999999999999)
+    assert orient2d(a, b, c) == 1
+    with pytest.raises(DegenerateInputError):
+        circumcenter(a, b, c)
 
 
 def test_segments_properly_intersect():
@@ -145,3 +155,145 @@ def test_polygon_validation():
         Polygon((Point(0, 0), Point(1, 0)))
     with pytest.raises(DegenerateInputError):
         Polygon((Point(0, 0), Point(1, 1), Point(1, 0), Point(0, 1)))  # bowtie
+
+
+def test_segment_polygon_params_name_the_crossed_edge():
+    sq = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
+    assert segment_polygon_params(Point(-1, 1), Point(3, 1), sq) == [(0.25, 3), (0.75, 1)]
+    # through a corner: both edges meet it, the smaller index stays
+    assert segment_polygon_params(Point(-1, -1), Point(1, 1), sq) == [(0.5, 0)]
+    # along an edge: only the segment's own ends on it count
+    assert segment_polygon_params(Point(0.5, 0), Point(1.5, 0), sq) == [(0.0, 0), (1.0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# exact predicates: properties against Fraction arithmetic
+
+
+def exact_orient(a, b, c):
+    ax, ay, bx, by, cx, cy = map(Fraction, (*a, *b, *c))
+    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (d > 0) - (d < 0)
+
+
+def exact_incircle(a, b, c, d):
+    rows = [[Fraction(p[0]) - Fraction(d[0]), Fraction(p[1]) - Fraction(d[1])] for p in (a, b, c)]
+    m = [[x, y, x * x + y * y] for x, y in rows]
+    det = (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+    return (det > 0) - (det < 0)
+
+
+coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+point = st.builds(Point, coord, coord)
+
+
+def nudge(p, steps):
+    """p moved by a few ulps per coordinate, toward +inf or -inf."""
+    x, y = p
+    for _ in range(abs(steps[0])):
+        x = math.nextafter(x, math.copysign(math.inf, steps[0]))
+    for _ in range(abs(steps[1])):
+        y = math.nextafter(y, math.copysign(math.inf, steps[1]))
+    return Point(x, y)
+
+
+ulps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@given(point, point, st.floats(-3.0, 3.0, allow_nan=False), ulps)
+def test_orient2d_is_exact_near_collinear_triples(a, b, t, steps):
+    # c on the line ab as far as floats allow, then a few ulps off
+    c = nudge(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)), steps)
+    assert orient2d(a, b, c) == exact_orient(a, b, c)
+
+
+@given(coord, st.floats(0.01, 1.0), st.integers(-80, 80), st.lists(st.integers(-40, 40), min_size=3, max_size=3))
+def test_orient2d_on_collinear_rows(y, step, k0, ks):
+    row = [Point(k * step, y) for k in ks]
+    assert orient2d(*row) == 0
+    column = [Point(y, k * step) for k in ks]
+    assert orient2d(*column) == 0
+    # dyadic coordinates keep the diagonal exactly collinear
+    diag = [Point(k * 0.25, (k0 + k * 4) * 0.125) for k in ks]
+    assert orient2d(*diag) == 0
+    # and a non-dyadic step usually does not: then the sign must be exact
+    skew = [Point(k * step, y + k * step) for k in ks]
+    assert orient2d(*skew) == exact_orient(*skew)
+
+
+@given(point, point, point, point, ulps)
+def test_incircle_is_exact_on_nudged_quadruples(a, b, c, d, steps):
+    assert incircle(a, b, c, d) == exact_incircle(a, b, c, d)
+    # d moved onto the circle as far as floats allow, then nudged
+    try:
+        center, r = circumcenter(a, b, c)
+    except DegenerateInputError:
+        return
+    ang = math.atan2(d.y - center.y, d.x - center.x)
+    on = nudge(Point(center.x + r * math.cos(ang), center.y + r * math.sin(ang)), steps)
+    assert incircle(a, b, c, on) == exact_incircle(a, b, c, on)
+
+
+rect = st.tuples(
+    st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0)
+)
+
+
+def rectangle(x0, y0, w, h):
+    """Counterclockwise corners, exactly cocircular only when the sums are exact."""
+    return [Point(x0, y0), Point(x0 + w, y0), Point(x0 + w, y0 + h), Point(x0, y0 + h)]
+
+
+@given(rect)
+def test_incircle_is_exact_on_cocircular_rectangles(r):
+    a, b, c, d = rectangle(*r)
+    for quad in itertools.permutations((a, b, c, d)):
+        assert incircle(*quad) == exact_incircle(*quad)
+
+
+def parity(perm):
+    inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2) if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+@given(rect, st.permutations(range(4)))
+@example((0.0, 0.0, 0.5, 0.5), [0, 1, 2, 3])
+def test_incircle_sos_is_the_same_under_every_argument_order(r, keys):
+    pts = rectangle(*r)
+    base = incircle_sos(pts, keys)
+    assert base != 0
+    for perm in itertools.permutations(range(4)):
+        got = incircle_sos([pts[i] for i in perm], [keys[i] for i in perm])
+        assert got * parity(perm) == base
+
+
+@given(rect, st.permutations(range(4)))
+def test_exactly_one_diagonal_of_a_cocircular_cell_wins(r, keys):
+    """ac wins when abc and acd hold no other corner, bd when abd and bcd."""
+    p = rectangle(*r)
+
+    def empty(i, j, k, x):
+        return incircle_sos((p[i], p[j], p[k], p[x]), (keys[i], keys[j], keys[k], keys[x])) < 0
+
+    ac = empty(0, 1, 2, 3) and empty(0, 2, 3, 1)
+    bd = empty(0, 1, 3, 2) and empty(1, 2, 3, 0)
+    assert ac != bd
+
+
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=3, unique=True),
+       st.floats(0.05, 1.3))
+def test_polygon_edges_never_cross_the_open_interior(corners, s):
+    # non-dyadic scales put float midpoints of an edge just off its line
+    tri = [Point(x * s, y * s) for x, y in corners]
+    if orient2d(*tri) == 0:
+        return
+    if orient2d(*tri) < 0:
+        tri.reverse()
+    for i in range(3):
+        c, d = tri[i], tri[(i + 1) % 3]
+        assert not segment_crosses_polygon(c, d, tri)
+        assert not segment_crosses_polygon(d, c, tri)

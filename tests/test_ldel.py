@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from hullroute.errors import (
     DegenerateInputError,
@@ -15,13 +21,14 @@ from hullroute.errors import (
 )
 from hullroute.geometry import Point, segments_properly_intersect
 from hullroute.ldel import build_ldel2, build_udg, two_hop_neighborhood
-from hullroute.scenario import fixture_topology
+from hullroute.scenario import fixture_spec, fixture_topology, generate_scenario, scaling_spec
 
 from oracles import (
     brute_delaunay_triangles,
     brute_ldel2,
     brute_two_hop,
     brute_udg_edges,
+    crossing_edge_pairs,
     shoelace,
 )
 
@@ -156,6 +163,12 @@ def test_planarized_graph_has_no_crossings():
             assert not segments_properly_intersect(
                 pts[e[0]], pts[e[1]], pts[f[0]], pts[f[1]]
             )
+    # exact lattices: every cell is cocircular, and Euler's formula, which
+    # counts the rotation system's faces, would not notice a crossing
+    for spec in (fixture_spec("grid36-hole4"), scaling_spec(512, 1)):
+        topo = generate_scenario(dataclasses.replace(spec, jitter=0.0))
+        g = build_ldel2(topo)
+        assert crossing_edge_pairs(topo.points, g.edges) == []
 
 
 def test_planarized_graph_is_connected():
@@ -189,6 +202,92 @@ def test_faces_tile_the_plane():
             for i, u in enumerate(face):
                 w = face[(i + 1) % len(face)]
                 assert g.face_left[(u, w)] == fi
+
+
+# ---------------------------------------------------------------------------
+# properties on degenerate input: exact lattices and collinear rows
+
+
+def assert_planar_spanner(pts):
+    """LDel² of pts has no crossing edges, satisfies Euler, and stretches
+    no unit-disk shortest path by more than 1.998."""
+    try:
+        topo = build_udg(pts)
+    except DisconnectedError:
+        return
+    g = build_ldel2(topo)
+    assert len(g.points) - len(g.edges) + len(g.faces) == 2
+    assert crossing_edge_pairs(pts, g.edges) == []
+    index = {v: i for i, v in enumerate(topo.ids)}
+
+    def shortest(edges):
+        rows, cols = zip(*((index[u], index[v]) for u, v in edges))
+        w = [math.dist(pts[u], pts[v]) for u, v in edges]
+        n = len(index)
+        return dijkstra(csr_matrix((w, (rows, cols)), shape=(n, n)), directed=False)
+
+    udg = {(u, v) for u in topo.adhoc for v in topo.adhoc[u] if u < v}
+    assert np.all(shortest(g.edges) <= 1.998 * shortest(udg) + 1e-9)
+
+
+spacing = st.sampled_from([0.25, 0.3, 0.375, 0.45, 0.5, 0.55, 0.6, 0.625, 0.7, 0.75])
+
+
+@given(
+    st.integers(2, 7), st.integers(2, 7), spacing, spacing,
+    st.sampled_from([0.0, 0.1, -3.3, 12.7]), st.sets(st.integers(0, 48), max_size=12),
+)
+def test_exact_lattices_planarize_to_planar_spanners(cols, rows, sx, sy, origin, removed):
+    pts = {
+        j * cols + i: Point(origin + i * sx, origin + j * sy)
+        for j in range(rows)
+        for i in range(cols)
+        if j * cols + i not in removed
+    }
+    if len(pts) >= 2:
+        assert_planar_spanner(pts)
+
+
+def row_points(gaps, direction, offsets):
+    """A row along a dyadic or a rounded direction, with a few nodes off it:
+    (k, off) puts one `off` to the left of row node k."""
+    dx, dy = direction
+    ts = [0.0]
+    for gap in gaps:
+        ts.append(ts[-1] + gap)
+    pts = {k: Point(t * dx, t * dy) for k, t in enumerate(ts)}
+    for k, off in offsets:
+        t = ts[min(k, len(ts) - 1)]
+        p = Point(t * dx - off * dy, t * dy + off * dx)
+        if p not in pts.values():
+            pts[len(pts)] = p
+    return pts
+
+
+@given(
+    st.lists(st.floats(0.05, 0.99), min_size=1, max_size=14),
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.5, 0.25), (0.6, 0.8), (0.7, -0.7)]),
+    st.lists(st.tuples(st.integers(0, 14), st.floats(-0.9, 0.9)), max_size=4),
+)
+def test_collinear_rows_planarize_to_planar_spanners(gaps, direction, offsets):
+    assert_planar_spanner(row_points(gaps, direction, offsets))
+
+
+# shrunk counterexamples of the two properties above
+DEGENERATE = {
+    # a node 1e-210 off the row's first node: float shoelace areas gave the
+    # sliver faces the wrong sign and atan2 tied their spokes, so two faces
+    # came out clockwise
+    "sliver-off-a-slanted-row": row_points([0.5, 0.5], (0.5, 0.25), [(0, 1.1246796718330566e-210)]),
+    # the same node on a level row: the sliver's circumradius of 1e210
+    # overflowed the cKDTree query
+    "sliver-off-a-level-row": row_points([0.5, 0.5], (1.0, 0.0), [(0, 1.1246796718330566e-210)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_fixtures_planarize_to_planar_spanners(name):
+    assert_planar_spanner(DEGENERATE[name])
 
 
 def cyclic_eq(a, b):

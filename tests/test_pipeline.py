@@ -36,7 +36,7 @@ from hullroute.scenario import (
     scaling_spec,
 )
 
-from oracles import brute_hull_flood
+from oracles import brute_hull_flood, crossing_edge_pairs
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,7 @@ def test_pipeline_exact_lattice_builds(spec):
     pipe = Pipeline(topo, PipelineConfig(query_count=40, query_seed=5))
     rep = pipe.run()
     assert rep.bounds_ok
+    assert crossing_edge_pairs(topo.points, pipe.g.edges) == []
     for r in pipe.rings:
         assert pipe.abstractions[r.ring_id].hull_nodes == hull_node_ids(topo.points, r.members)
     assert KIND_OUTER_HOLE not in {r.kind for r in pipe.rings}

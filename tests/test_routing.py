@@ -44,14 +44,6 @@ from hullroute.geometry import (
     segment_crosses_polygon,
     segment_polygon_params,
 )
-from hullroute.holes import (
-    KIND_OUTER_BOUNDARY,
-    build_hull_abstraction,
-    classify_rings,
-    detect_boundary_nodes,
-    detect_outer_holes,
-    form_rings,
-)
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.routing import (
@@ -70,28 +62,13 @@ from hullroute.routing import (
     overlay_shortest_path,
 )
 from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
-from hullroute.simengine import RoundEngine
 
 
 def build_stack(name):
-    """Fixture topology through rings, abstractions, and outer holes."""
-    topo = fixture_topology(name)
-    g = build_ldel2(topo)
-    eng = RoundEngine(topo)
-    rings = form_rings(g, detect_boundary_nodes(g))
-    jumps = classify_rings(eng, rings)
-    abstractions, _ = build_hull_abstraction(eng, rings, jumps)
-    outer = next(r for r in rings if r.kind == KIND_OUTER_BOUNDARY)
-    arcs = detect_outer_holes(
-        g, outer, hull_nodes=abstractions[outer.ring_id].hull_nodes, first_id=len(rings)
-    )
-    for arc in arcs:
-        a, b = arc.members[0], arc.members[-1]
-        topo.learn(a, b)
-        topo.learn(b, a)
-    arc_abstractions, _ = build_hull_abstraction(eng, arcs)
-    abstractions.update(arc_abstractions)
-    return topo, g, eng, rings + arcs, abstractions
+    """Fixture topology through the abstraction the pipeline ships."""
+    pipe = Pipeline(fixture_topology(name), PipelineConfig())
+    pipe.build_abstraction()
+    return pipe.topo, pipe.g, pipe.engine, pipe.rings, pipe.abstractions
 
 
 @pytest.fixture(scope="module")
@@ -214,12 +191,14 @@ def test_chew_rejects_unknown_positions(grid):
 def test_chew_walk_matches_brute_corridor():
     """The face-to-face walk equals a walk that scans every edge and face.
 
-    No fixture puts a vertex on a segment between two others, so an exact
-    triangular lattice, whose rows and 60-degree lines do, joins them.
+    No fixture puts a vertex on a segment between two others, so a
+    triangular lattice joins them. Its row height 7/16 stands in for
+    sqrt(3)/4, so that every coordinate is dyadic and the slanted lines,
+    like the rows, pass exactly through their vertices.
     """
     h = 0.5
     lattice = {
-        6 * j + i: Point(h * i + h / 2 * (j % 2), h * math.sqrt(3) / 2 * j)
+        6 * j + i: Point(h * i + h / 2 * (j % 2), 0.4375 * j)
         for j in range(6)
         for i in range(6)
     }
@@ -772,14 +751,21 @@ def test_locate_rejects_an_inside_node_without_a_bay(star):
         Router(g, rings, stripped).locate(v)
 
 
-def test_bay_anchor_off_every_ring_edge_is_a_typed_error(star):
+def test_bay_anchor_is_the_ring_edge_the_segment_crosses(star):
     *_, router = star
     ctx = next(c for c in router.obstacles if c.abstraction.dominating_sets)
     ds = ctx.abstraction.dominating_sets[0]
-    a, b = ctx.ring_pts[0], ctx.ring_pts[1]
-    assert router._ds_nearest(ctx, ds, Point((a.x + b.x) / 2, (a.y + b.y) / 2)) in ds
-    with pytest.raises(GeometryInconsistencyError, match="on no edge"):
-        router._ds_nearest(ctx, ds, Point(-50.0, -50.0))
+    members, pts = ctx.ring.members, ctx.ring_pts
+    k = len(members)
+    for i in range(k):
+        a, b = pts[i], pts[(i + 1) % k]
+        # a short probe through the edge's midpoint, square to it
+        mx, my = (a.x + b.x) / 2, (a.y + b.y) / 2
+        nx, ny = (a.y - b.y) * 0.2, (b.x - a.x) * 0.2
+        params = segment_polygon_params(Point(mx - nx, my - ny), Point(mx + nx, my + ny), pts)
+        assert min(params, key=lambda p: abs(p[0] - 0.5))[1] == i
+        hops = {v: min(router._hops(ctx, ctx.pos_of[v], j) for j in (i, (i + 1) % k)) for v in ds}
+        assert router._ds_nearest(ctx, ds, i) == min(ds, key=lambda v: (hops[v], v))
 
 
 # ---------------------------------------------------------------------------
