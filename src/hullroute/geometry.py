@@ -201,6 +201,27 @@ def polygon_perimeter(pts: Sequence[Point]) -> float:
     return sum(dist(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))
 
 
+def monotone_hull(pts: Sequence) -> list:
+    """Strict monotone chain (Andrew 1979) over points sorted by (x, y).
+
+    Returns the extreme points counterclockwise from the first; collinear
+    points are dropped, so collinear input gives its two ends.  Entries
+    may carry fields past x and y, such as a node id.
+    """
+
+    def chain(seq: Sequence) -> list:
+        out: list = []
+        for p in seq:
+            while len(out) >= 2 and orient2d(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    if len(pts) < 2:
+        return list(pts)
+    return chain(pts)[:-1] + chain(pts[::-1])[:-1]
+
+
 def convex_hull_oracle(points: Iterable[Point]) -> list[Point]:
     """Convex hull, counterclockwise, starting at the lexicographic minimum.
 
@@ -209,18 +230,7 @@ def convex_hull_oracle(points: Iterable[Point]) -> list[Point]:
     pts = sorted(set(Point(*p) for p in points))
     if len(pts) < 3:
         raise DegenerateInputError("hull needs at least 3 distinct points")
-
-    def chain(seq: Sequence[Point]) -> list[Point]:
-        out: list[Point] = []
-        for p in seq:
-            while len(out) >= 2 and orient2d(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(list(reversed(pts)))
-    hull = lower[:-1] + upper[:-1]
+    hull = monotone_hull(pts)
     if len(hull) < 3:
         raise DegenerateInputError("all points are collinear")
     return hull

@@ -3,16 +3,17 @@
 Everything here runs as node handlers inside the round engine: pointer
 jumping for leader election and jump-edge construction, an exact
 list-ranking pass for ring size and angle totals, hypercube id
-assignment, bitonic sorting across the (padded) hypercube, distributed
-convex hull by tangent merging, a broadcast tree over all nodes, hull
-reference distribution, and the per-bay dominating set.  The hypercube
-ids and the finished hull travel the same binomial tree of jump edges
-from the ring leader (_tree_cast).
+assignment, distributed convex hull by merging blocks of consecutive
+ranks, a broadcast tree over all nodes, hull reference distribution,
+and the per-bay dominating set.  The hypercube ids and the finished hull
+travel the same binomial tree of jump edges from the ring leader
+(_tree_cast).
 
 Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Hull distribution sends at most that many references
-(id, x, y, ring) per message, and the hull merge ships a block's chains
-unasked only when they fit.
+(id, x, y, ring) per message; the hull merge ships a block's hull in
+messages of at most that many points, and a host sends at most that
+many of them a round.
 
 The ring protocols take a mapping of rings (key -> members, ring order)
 and run every ring in the same engine phases, one session per ring, so
@@ -30,11 +31,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Hashable, Mapping
 
 from .errors import DegenerateInputError, SimulationAbortError
-from .geometry import Point, orient2d, signed_turn_angle
+from .geometry import Point, monotone_hull, signed_turn_angle
 from .ldel import NodeId
 from .simengine import Handler, Message, PhaseReport, RoundEngine
 
@@ -392,12 +394,7 @@ def _hypercube_session(
         ordered,
         d,
         "hc_assign",
-        lambda rank, budget: {
-            "rank": rank,
-            "budget": budget,
-            "k": k,
-            "d": d,
-        },
+        lambda rank, budget: {"rank": rank, "budget": budget},
         (),
         lambda: cube_over(ordered, 0, k),
     )
@@ -454,348 +451,111 @@ def _tree_cast(
 
 
 # ---------------------------------------------------------------------------
-# bitonic sort over the padded hypercube
-
-
-SENTINEL = (math.inf, math.inf, -1)
+# distributed convex hull over blocks of consecutive ranks
 
 
 def hypercube_sort(
     engine: RoundEngine,
     cubes: Mapping[Hashable, HypercubeOverlay],
     keys: Mapping[Hashable, dict[NodeId, tuple]],
-) -> dict[Hashable, list[tuple]]:
-    """Batcher bitonic sort per cube; slot i ends holding the i-th smallest key.
+) -> dict[Hashable, list[list]]:
+    """Each cube's keys laid out by slot, which is ring rank; takes no round.
 
-    Exactly d(d+1)/2 compare-exchange stages between slots differing in
-    one bit, each one round with no reply.  The padding slots start with
-    the sentinel, the largest key, and a slot is padding while it holds
-    it: since the sentinel wins every comparison, which slots are padding
-    after each stage depends only on (k, d), so every host works it out
-    itself.  The stage list of a smaller cube is a prefix of a larger
-    cube's, so stage by stage every cube still sorting runs in one
-    phase.  Returns the keys by slot per cube.
+    Nothing is sorted: the hull merge works on blocks of consecutive
+    ranks, so slot s just holds its own host's key.  The name stays
+    because perfbench traces this step as a span of its own.
     """
-    slot_keys: dict[Hashable, list[tuple]] = {}
-    padding: dict[Hashable, list[bool]] = {}
-    for key, cube in cubes.items():
-        k = len(cube.members)
-        slot_keys[key] = [
-            tuple(keys[key][cube.members[s]]) if s < k else SENTINEL
-            for s in range(cube.slots)
-        ]
-        padding[key] = [s >= k for s in range(cube.slots)]
-
-    top = max((cube.dimension for cube in cubes.values()), default=0)
-    for kblk in range(1, top + 1):
-        for j in range(kblk - 1, -1, -1):
-            _run_wave(
-                engine,
-                f"bitonic_{kblk}_{j}",
-                {
-                    key: _sort_stage(cube, slot_keys[key], padding[key], kblk, 1 << j)
-                    for key, cube in cubes.items()
-                    if cube.dimension >= kblk
-                },
-            )
-    return slot_keys
-
-
-def _sort_stage(
-    cube: HypercubeOverlay,
-    slot_key: list[tuple],
-    pad: list[bool],
-    kblk: int,
-    dist: int,
-) -> _Session:
-    """One compare-exchange stage in one round; pad is advanced as it ends.
-
-    Two real keys cross in the same round, and each host keeps the min or
-    the max for its slot.  A real key facing a padding slot is sent only
-    when the sentinel takes its slot.  Two padding slots send nothing.
-    """
-
-    def keeps_min(s: int) -> bool:
-        # the lower slot of an ascending comparator, or the upper of a descending one
-        return (s & dist == 0) == ((s >> kblk) & 1 == 0)
-
-    after = [p if p == pad[s ^ dist] else not keeps_min(s) for s, p in enumerate(pad)]
-    hosted: dict[NodeId, list[int]] = {}
-    for s, v in enumerate(cube.hosts):
-        hosted.setdefault(v, []).append(s)
-    started: set[NodeId] = set()
-
-    def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        if v not in started:
-            started.add(v)
-            for s in hosted[v]:
-                partner = s ^ dist
-                if pad[s] or (pad[partner] and not after[s]):
-                    continue
-                eng.send(
-                    v,
-                    cube.host_of(partner),
-                    {"slot": partner, "key": list(slot_key[s])},
-                    tag="bs_key",
-                    # the key's owner id travels with the key
-                    intro_ids=(int(slot_key[s][2]),),
-                )
-                if pad[partner]:
-                    slot_key[s] = SENTINEL
-        for m in inbox:
-            s, got = m.payload["slot"], tuple(m.payload["key"])
-            if not pad[s]:
-                got = min(got, slot_key[s]) if keeps_min(s) else max(got, slot_key[s])
-            slot_key[s] = got
-        return True
-
-    def finish(report: PhaseReport) -> None:
-        pad[:] = after
-
-    return _Session(list(hosted), handler, 2, finish)
-
-
-# ---------------------------------------------------------------------------
-# distributed convex hull by tangent merging
-
-
-# bisection budget per tangent search, in probes per bit of the chain
-# length; past it the right block ships its chains whole
-_PROBE_SLACK = 2
-
-# the upper chain bends away from the left side (+1), the lower from the right
-_SIDES = (("u", 1), ("l", -1))
-
-
-def _chain(seq: list, s: int) -> list:
-    """Monotone chain over x-sorted points, bending strictly away from side s.
-
-    Collinear and inward turns are popped, so of collinear candidates the
-    farthest survives.  `_chain([pt] + bc, s)[1]` is the tangent foot from
-    pt onto bc; `_chain(a + b, s)` merges two x-separated chains.
-    """
-    out: list = []
-    for q in seq:
-        while len(out) >= 2 and orient2d(out[-2], out[-1], q) != -s:
-            out.pop()
-        out.append(q)
-    return out
+    return {key: [list(keys[key][v]) for v in cube.members] for key, cube in cubes.items()}
 
 
 def parallel_convex_hull(
     engine: RoundEngine,
     cubes: Mapping[Hashable, HypercubeOverlay],
-    slot_keys: Mapping[Hashable, list[tuple]],
+    slot_keys: Mapping[Hashable, list[list]],
     ranked: Collection[Hashable] = (),
 ) -> dict[Hashable, list[NodeId]]:
-    """Divide and conquer over subcube dimensions, every cube at once.
+    """Divide and conquer over blocks of consecutive slots, every cube at once.
 
-    Each block keeps its sub-hull as upper/lower x-sorted chains at the
-    block's lowest slot; after the sort the k real keys fill slots
-    0..k-1, so a pair whose right block starts at or past k has nothing
-    to merge.  When the right block's chains fit in one message
-    (_message_cap), its host ships them whole in the level's first round
-    and the left block's host merges them with a monotone chain.  Bigger
-    blocks find the upper and lower common tangents in one search: the
-    left block's host bisects both of its chains, and each message to
-    the right block's host carries one probe point per side still
-    searching, whose tangent foot that host answers with a local
-    monotone chain.  Each side has its own probe budget; if either side
-    fails, the right block ships its chains whole after all, preserving
-    round bounds at the price of one big message.  After the last merge
-    each ring leader broadcasts its hull down the jump-edge tree that
-    dealt the hypercube ids; for the cubes in `ranked` every hull node
-    travels with its rank.  Returns the ccw hull ids per cube.
+    Slot s starts with its own host's point as its hull.  At level L
+    every block of 2^L slots from a base merges its halves: the right
+    half's host ships its ccw hull to the left half's host over their
+    2^(L-1) jump edge, and the left host keeps the hull of the union
+    (geometry.monotone_hull, the centralized oracle's chain).  A right
+    half starting at or past k has nothing to merge.  A message carries
+    at most _message_cap points and a host sends at most that many merge
+    messages a round, so a level takes one round unless a hull exceeds
+    cap^2 points.  After the last level each ring leader broadcasts its
+    hull down the jump-edge tree that dealt the hypercube ids; for the
+    cubes in `ranked` every hull node travels with its rank.  Returns the
+    ccw hull ids per cube.
     """
-    chains: dict[Hashable, dict[int, dict[str, list]]] = {}
-    for key, cube in cubes.items():
-        chains[key] = {}
-        for s in range(len(cube.members)):
-            pt = list(slot_keys[key][s])
-            chains[key][s] = {"u": [pt], "l": [pt]}
-
+    hulls = {key: [[q] for q in slot_keys[key]] for key in cubes}
+    cap = _message_cap(engine)
     top = max((cube.dimension for cube in cubes.values()), default=0)
     for level in range(1, top + 1):
+        # merge messages per (round, host), shared by every cube of the level
+        sent: Counter = Counter()
         _run_wave(
             engine,
             f"hull_merge_{level}",
             {
-                key: _merge_session(engine, cube, chains[key], level)
+                key: _merge_session(cube, hulls[key], level, cap, sent)
                 for key, cube in cubes.items()
                 if cube.dimension >= level
             },
         )
-
-    hulls: dict[Hashable, list] = {}
     for key in cubes:
-        lower, upper = chains[key][0]["l"], chains[key][0]["u"]
-        if len({tuple(q[:2]) for q in lower + upper}) < 3:
+        if len(hulls[key][0]) < 3:
             raise DegenerateInputError("hull of fewer than 3 distinct points")
-        hulls[key] = [q for q in lower] + [q for q in reversed(upper[1:-1])]
     _run_wave(
         engine,
         "hull_broadcast",
-        {k: _hull_broadcast_session(engine, c, hulls[k], k in ranked) for k, c in cubes.items()},
+        {k: _hull_broadcast_session(engine, c, hulls[k][0], k in ranked) for k, c in cubes.items()},
     )
-    return {key: [int(q[2]) for q in ccw] for key, ccw in hulls.items()}
-
-
-def _bisect_step(ac: list, search: dict, answer: list, s: int) -> bool:
-    """Narrow one side's tangent search by the answer [idx, b] to its probe.
-
-    b is the tangent foot of the probe point on the right block's chain,
-    and idx its index there.  Returns False when the probe looks like the
-    tangent but the full chain disagrees, which only degenerate inputs
-    reach.
-    """
-    idx, b = answer
-    mid = search["mid"]
-    a = ac[mid]
-    if mid + 1 < len(ac) and orient2d(a, b, ac[mid + 1]) == s:
-        search["lo"] = mid + 1
-    elif mid > 0 and orient2d(a, b, ac[mid - 1]) == s:
-        search["hi"] = mid - 1
-    elif all(orient2d(a, b, q) != s for q in ac if q is not a):
-        # slide over collinear predecessors so the foot is the smallest
-        # valid index; keeps interior collinear vertices out of the chain
-        while mid > 0 and orient2d(ac[mid - 1], b, a) == 0:
-            mid -= 1
-            a = ac[mid]
-        search["foot"] = (mid, idx)
-    else:
-        return False
-    return True
+    return {key: [int(q[2]) for q in hulls[key][0]] for key in cubes}
 
 
 def _merge_session(
-    engine: RoundEngine,
     cube: HypercubeOverlay,
-    chains: dict[int, dict[str, list]],
+    hulls: list[list],
     level: int,
+    cap: int,
+    sent: Counter,
 ) -> _Session:
     """Merge every pair of 2^(level-1)-slot blocks of one cube.
 
-    In the level's first round the right block's host ships its chains
-    whole when they fit in one message, and then ignores the pair's
-    probes.  Chains of m points hold at most m + 2 entries, so while
-    2^(level-1) + 2 fits, the left block's host knows they will come and
-    does not probe at all.
+    Each right block's host cuts its hull into messages of at most cap
+    points and sends them in the level's first round, at most cap of its
+    own merge messages a round, the rest in the rounds after.  The left
+    block's host merges whatever arrives into its hull.
     """
-    k = len(cube.members)
     half = 1 << (level - 1)
-    cap = _message_cap(engine)
-    # a right block starting at or past k is all padding: nothing to merge
-    pairs = {
-        base: {
-            "bslot": base + half,
-            "A": cube.host_of(base),
-            "B": cube.host_of(base + half),
-            "done": False,
-            **{
-                c: {"lo": 0, "hi": len(chains[base][c]) - 1, "probes": 0, "foot": None}
-                for c, _ in _SIDES
-            },
-        }
-        for base in range(0, k - half, 1 << level)
+    queue = {
+        cube.host_of(base + half): [
+            hulls[base + half][i : i + cap] for i in range(0, len(hulls[base + half]), cap)
+        ]
+        for base in range(0, len(cube.members) - half, 1 << level)
     }
-    started: set[NodeId] = set()
 
-    def fits(p) -> bool:
-        bc = chains[p["bslot"]]
-        return len(bc["u"]) + len(bc["l"]) <= cap
+    def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
+        if inbox:
+            slot = cube.id_map[v]
+            got = hulls[slot] + [q for m in inbox for q in m.payload["hull"]]
+            hulls[slot] = monotone_hull(sorted(got))
+        chunks = queue.get(v, [])
+        while chunks and sent[eng.round_no, v] < cap:
+            chunk = chunks.pop(0)
+            sent[eng.round_no, v] += 1
+            eng.send(
+                v,
+                cube.host_of(cube.id_map[v] - half),
+                {"hull": chunk},
+                tag="hm",
+                intro_ids=tuple(sorted({q[2] for q in chunk})),
+            )
+        return not chunks
 
-    def ask(eng, v, base, p):
-        eng.send(v, p["B"], {"base": base}, tag="hs")
-
-    def ship(eng, v, base, p):
-        bc = chains[p["bslot"]]
-        ids = [int(q[2]) for q in bc["u"] + bc["l"]]
-        eng.send(
-            v,
-            p["A"],
-            {"base": base, "u": bc["u"], "l": bc["l"]},
-            tag="hc",
-            intro_ids=tuple(sorted(set(ids))),
-        )
-
-    def probe(eng, v, base, p):
-        """One message probes every side still searching, or the chains ship."""
-        msg = {"base": base}
-        for c, _ in _SIDES:
-            sr = p[c]
-            if sr["foot"] is not None:
-                continue
-            ac = chains[base][c]
-            if sr["lo"] > sr["hi"] or sr["probes"] > _PROBE_SLACK * (len(ac).bit_length() + 2):
-                ask(eng, v, base, p)
-                return
-            sr["mid"] = (sr["lo"] + sr["hi"]) // 2
-            sr["probes"] += 1
-            msg[c] = ac[sr["mid"]][:2]
-        eng.send(v, p["B"], msg, tag="hp")
-
-    def merge_handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        if v not in started:
-            started.add(v)
-            for base, p in pairs.items():
-                if p["B"] == v and fits(p):
-                    ship(eng, v, base, p)
-                if p["A"] == v and half + 2 > cap:
-                    probe(eng, v, base, p)
-        for m in inbox:
-            d_ = m.payload
-            base = d_["base"]
-            p = pairs[base]
-            bchains = chains[p["bslot"]]
-            if m.tag in ("hp", "hs") and fits(p):
-                continue  # the chains shipped in the first round
-            if m.tag == "hp":
-                feet = {"base": base}
-                for c, s in _SIDES:
-                    if c in d_:
-                        bc = bchains[c]
-                        idx = bc.index(_chain([d_[c]] + bc, s)[1])
-                        feet[c] = [idx, bc[idx][:2]]
-                eng.send(v, m.src, feet, tag="ha")
-            elif m.tag == "ha":
-                if not all(
-                    _bisect_step(chains[base][c], p[c], d_[c], s) for c, s in _SIDES if c in d_
-                ):
-                    ask(eng, v, base, p)
-                elif all(p[c]["foot"] is not None for c, _ in _SIDES):
-                    # ask for the right chains from each tangent foot on
-                    feet = {c: p[c]["foot"][1] for c, _ in _SIDES}
-                    eng.send(v, p["B"], {"base": base, **feet}, tag="hq")
-                else:
-                    probe(eng, v, base, p)
-            elif m.tag == "hs":
-                ship(eng, v, base, p)
-            elif m.tag == "hc":
-                for c, s in _SIDES:
-                    chains[base][c] = _chain(chains[base][c] + d_[c], s)
-                p["done"] = True
-            elif m.tag == "hq":
-                suffix = {c: bchains[c][d_[c] :] for c, _ in _SIDES}
-                ids = [int(q[2]) for q in suffix["u"] + suffix["l"]]
-                eng.send(
-                    v,
-                    m.src,
-                    {"base": base, **suffix},
-                    tag="hr",
-                    intro_ids=tuple(sorted(set(ids))),
-                )
-            elif m.tag == "hr":
-                for c, _ in _SIDES:
-                    chains[base][c] = chains[base][c][: p[c]["foot"][0] + 1] + d_[c]
-                p["done"] = True
-        return all(p["done"] for p in pairs.values() if p["A"] == v)
-
-    def finish(report: PhaseReport) -> None:
-        for p in pairs.values():
-            if not p["done"]:
-                raise SimulationAbortError(p["A"], engine.round_no, "merge incomplete")
-
-    return _Session(cube.members, merge_handler, 8 * cube.slots + 40, finish)
+    return _Session(cube.members, handler, 2 * half + 2)
 
 
 def _hull_broadcast_session(
@@ -1001,15 +761,15 @@ def ring_protocol(
     cubes: Mapping[Hashable, HypercubeOverlay] | None = None,
     ranked: Collection[Hashable] = (),
 ) -> dict[Hashable, RingProtocolResult]:
-    """Leader election, ranking, hypercube, sort, hull, broadcast.
+    """Leader election, ranking, hypercube, hull, broadcast.
 
     Every ring runs each step in the same phase.  Completed
     election/ranking results can be passed in so the rings are not
     re-elected when classification already ran it; given cubes skip the
-    id deal too.  The sort and the merge teach the hosts the ids of keys
-    and chains they pass on; once the hull is known, each host forgets
-    every id learned since the sort that is not a hull node of one of
-    its rings.
+    id deal too.  The merge teaches the left blocks' hosts the ids of the
+    hulls shipped to them; once the hull is known, each host forgets
+    every id learned since the merge began that is not a hull node of
+    one of its rings.
     """
     if cubes is None:
         if jumps is None:
@@ -1022,7 +782,7 @@ def ring_protocol(
         for key, members in rings.items()
     }
     knows = engine.topo.knows
-    keep = {v: set(knows[v]) for cube in cubes.values() for v in cube.hosts}
+    keep = {v: set(knows[v]) for members in rings.values() for v in members}
     hulls = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes, keys), ranked)
     for key, members in rings.items():
         for v in members:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: O(n^2)/O(n^3) scans, direct
 formulas, no shared code with the package beyond the Point tuple. The one
-exception is `brute_corridor`, which uses the package's segment predicates
-so that it checks the corridor walk and not their tolerances.
+exception is `brute_corridor`, which uses the package's segment and
+orientation predicates, so that it checks the corridor walk rather than
+the predicates.
 """
 
 from __future__ import annotations
@@ -180,27 +181,6 @@ def brute_arc_min(members, start, span):
     k = len(members)
     i = members.index(start)
     return min(members[(i + s) % k] for s in range(1, span + 1))
-
-
-def brute_bitonic(keys, d):
-    """Batcher's bitonic network on 2^d slots, run centrally.
-
-    keys fill slots 0..k-1 and (inf, inf, -1) pads the rest.  Returns the
-    slot contents after each of the d(d+1)/2 stages.
-    """
-    slots = list(keys) + [(math.inf, math.inf, -1)] * ((1 << d) - len(keys))
-    stages = []
-    for kblk in range(1, d + 1):
-        for j in range(kblk - 1, -1, -1):
-            for i in range(1 << d):
-                p = i + (1 << j)
-                if i & (1 << j) or p >= 1 << d:
-                    continue
-                a, b = slots[i], slots[p]
-                if (a > b) if (i >> kblk) % 2 == 0 else (a < b):
-                    slots[i], slots[p] = b, a
-            stages.append(list(slots))
-    return stages
 
 
 def brute_dijkstra(points: dict, edges, src: int):
@@ -463,31 +443,19 @@ def brute_hulls_overlap(a, b):
     return area2(region) > 0
 
 
-def face_boxes(g):
-    """Every bounded face of a PlanarGraph with its polygon and bounding box."""
-    out = []
-    for fi, cyc in enumerate(g.faces):
-        if fi == g.outer_face:
-            continue
-        poly = [g.points[v] for v in cyc]
-        xs, ys = [p[0] for p in poly], [p[1] for p in poly]
-        out.append((fi, poly, min(xs), max(xs), min(ys), max(ys)))
-    return out
-
-
-def brute_corridor(g, s, t, boxes=None):
+def brute_corridor(g, s, t):
     """Reference corridor walk over a PlanarGraph, by scanning everything.
 
-    Every edge st properly crosses, sorted by crossing parameter; the face
-    of each interval between crossings by point location over all faces;
-    a split at the earliest vertex on st. Returns (path, None) when t is
-    reached, else (path, (hole node, blocked face)). Pass `face_boxes(g)`
-    as `boxes` to walk many pairs of one graph.
+    Every edge st properly crosses, sorted by exact crossing parameter; a
+    split at the earliest vertex on st. The face of the interval before a
+    crossing is the one on s's side of the crossed edge, the last
+    interval's is the one past the last crossing, both read off face_left
+    by orientation sign; with no crossing, it is the face whose corner at
+    s holds the direction to t. Returns (path, None) when t is reached,
+    else (path, (hole node, blocked face)).
     """
-    from hullroute.geometry import _on_segment, point_in_polygon, segments_properly_intersect
+    from hullroute.geometry import _on_segment, orient2d, segments_properly_intersect
 
-    if boxes is None:
-        boxes = face_boxes(g)
     if s == t:
         return [s], None
     if (min(s, t), max(s, t)) in g.edges:
@@ -502,12 +470,14 @@ def brute_corridor(g, s, t, boxes=None):
     ]
     if on_st:
         mid = min(on_st)[1]
-        p1, hit = brute_corridor(g, s, mid, boxes)
+        p1, hit = brute_corridor(g, s, mid)
         if hit is not None:
             return p1, hit
-        p2, hit = brute_corridor(g, mid, t, boxes)
+        p2, hit = brute_corridor(g, mid, t)
         return p1 + p2[1:], hit
 
+    fs, ft = [Fraction(c) for c in ps], [Fraction(c) for c in pt]
+    fdx, fdy = ft[0] - fs[0], ft[1] - fs[1]
     cuts = []
     sx0, sx1, sy0, sy1 = min(ps[0], pt[0]), max(ps[0], pt[0]), min(ps[1], pt[1]), max(ps[1], pt[1])
     for u, v in g.edges:
@@ -517,37 +487,63 @@ def brute_corridor(g, s, t, boxes=None):
         if max(pu[1], pv[1]) < sy0 or min(pu[1], pv[1]) > sy1:
             continue
         if segments_properly_intersect(ps, pt, pu, pv):
-            ex, ey = pv[0] - pu[0], pv[1] - pu[1]
-            par = ((pu[0] - ps[0]) * ey - (pu[1] - ps[1]) * ex) / (dx * ey - dy * ex)
-            cuts.append((par, u, v))
+            fu, fv = [Fraction(c) for c in pu], [Fraction(c) for c in pv]
+            ex, ey = fv[0] - fu[0], fv[1] - fu[1]
+            par = ((fu[0] - fs[0]) * ey - (fu[1] - fs[1]) * ex) / (fdx * ey - fdy * ex)
+            # u left of st, then v
+            cuts.append((par, u, v) if orient2d(ps, pt, pu) > 0 else (par, v, u))
     cuts.sort()
 
-    def face_at(par):
-        x, y = ps[0] + dx * par, ps[1] + dy * par
-        for fi, poly, x0, x1, y0, y1 in boxes:
-            if x0 <= x <= x1 and y0 <= y <= y1 and point_in_polygon((x, y), poly, strict=True):
-                return fi
-        return g.outer_face
+    def side(u, v, p):
+        """The face of edge uv on the side of point p."""
+        return g.face_left[(u, v)] if orient2d(g.points[u], g.points[v], p) > 0 else g.face_left[(v, u)]
 
-    bounds = [0.0] + [c[0] for c in cuts] + [1.0]
     left, right = [s], [s]
-    for i in range(len(bounds) - 1):
-        face = face_at((bounds[i] + bounds[i + 1]) / 2.0)
+    for i in range(len(cuts) + 1):
+        if i < len(cuts):
+            face = side(cuts[i][1], cuts[i][2], ps)
+        elif cuts:
+            face = side(cuts[-1][1], cuts[-1][2], pt)
+        else:
+            face = _corner_face(g, s, pt)
         if face == g.outer_face or len(g.faces[face]) >= 4:
             ends = [c for c in (left, right) if c[-1] in g.faces[face]]
             path = min(ends, key=lambda c: (_chain_length(g.points, c), c))
             return path, (path[-1], face)
         if i == len(cuts):
             break
-        _, u, v = cuts[i]
-        pu = g.points[u]
-        a, b = (u, v) if dx * (pu[1] - ps[1]) - dy * (pu[0] - ps[0]) > 0.0 else (v, u)
+        _, a, b = cuts[i]
         if left[-1] != a:
             left.append(a)
         if right[-1] != b:
             right.append(b)
     path = min(left + [t], right + [t], key=lambda c: (_chain_length(g.points, c), c))
     return path, None
+
+
+def _corner_face(g, s, x):
+    """The face whose corner at s holds the direction from s to x.
+
+    Each face lies left of its directed edges p -> s -> n; x is inside a
+    convex corner when it is left of both, inside a reflex one when left
+    of either, and a face that turns back at s (p == n) holds every
+    direction but the edge's.
+    """
+    from hullroute.geometry import orient2d
+
+    ps = g.points[s]
+    for fi, cyc in enumerate(g.faces):
+        for i, v in enumerate(cyc):
+            if v != s:
+                continue
+            p, n = g.points[cyc[i - 1]], g.points[cyc[(i + 1) % len(cyc)]]
+            if p == n:
+                return fi
+            after, before = orient2d(ps, n, x) > 0, orient2d(p, ps, x) > 0
+            turn = orient2d(p, ps, n)
+            if (after and before) if turn > 0 else (after or before) if turn < 0 else after:
+                return fi
+    raise AssertionError(f"no face at {s} holds the direction to {x}")
 
 
 def _chain_length(points, chain):

@@ -1,4 +1,4 @@
-"""Ring overlay protocols: election, ranking, sorting, hull, trees, DS."""
+"""Ring overlay protocols: election, ranking, slot layout, hull, trees, DS."""
 
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from hullroute.geometry import Point, convex_hull_oracle, signed_turn_angle
 from hullroute.holes import hull_node_ids
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.overlay import (
-    SENTINEL,
     assign_hypercube_ids,
     build_broadcast_tree,
+    cube_over,
     distribute_hulls,
     dominating_set,
     hypercube_sort,
@@ -26,10 +26,10 @@ from hullroute.overlay import (
     ring_protocol,
 )
 from hullroute.pipeline import Pipeline, PipelineConfig
-from hullroute.scenario import fixture_topology
+from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
 from hullroute.simengine import RoundEngine
 
-from oracles import brute_arc_min, brute_bitonic, brute_hull, brute_hull_ccw, brute_hull_flood
+from oracles import brute_arc_min, brute_hull, brute_hull_ccw, brute_hull_flood
 
 
 def circle_points(k, *, ids=None, jitter=0.0, seed=0):
@@ -193,84 +193,22 @@ def test_padding_slots_wrap_around_the_ring(k):
 
 
 # ---------------------------------------------------------------------------
-# bitonic sort
+# slot layout
 
 
 @pytest.mark.parametrize("k", [4, 7, 12, 16, 23])
-def test_bitonic_sort_orders_slots(k):
+def test_hypercube_sort_lays_keys_out_by_rank(k):
     engine, members = ring_engine(k, seed=k + 123, jitter=0.03)
     res = pointer_jumping(engine, {0: members})[0]
     rank_ring(engine, {0: members}, {0: res})
     cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
     pts = engine.topo.points
     keys = {v: (pts[v].x, pts[v].y, v) for v in members}
+    before = (engine.round_no, len(engine.phase_reports), engine.total_messages)
     slot_keys = hypercube_sort(engine, {0: cube}, {0: keys})[0]
-    d = cube.dimension
-    assert sum(r.label.startswith("bitonic_") for r in engine.phase_reports) == d * (d + 1) // 2
-    assert slot_keys[:k] == sorted(keys.values())
-    assert all(sk == SENTINEL for sk in slot_keys[k:])
-    # deterministic and stable on a second run
-    again = hypercube_sort(engine, {0: cube}, {0: keys})[0]
-    assert again == slot_keys
-
-
-def _sort_with_stage_log(k, seed, monkeypatch):
-    """Run ring_protocol on a jittered k-ring, logging every sort stage.
-
-    Each stage logs its dist, the slot keys after it, its rounds, and its
-    `bs_key` sends as (src, dst, receiving slot).
-    """
-    engine, members = ring_engine(k, seed=seed, jitter=0.03)
-    stages = []
-    make_stage, send = overlay_mod._sort_stage, engine.send
-
-    def logged_send(src, dst, payload=None, **kw):
-        if kw.get("tag") == "bs_key":
-            stages[-1]["sent"].append((src, dst, payload["slot"]))
-        send(src, dst, payload, **kw)
-
-    def logged_stage(cube, slot_key, pad, kblk, dist):
-        session = make_stage(cube, slot_key, pad, kblk, dist)
-        stage = {"dist": dist, "sent": []}
-        stages.append(stage)
-
-        def logged_finish(report):
-            session.finish(report)
-            stage.update(keys=list(slot_key), rounds=report.rounds)
-
-        return overlay_mod._Session(session.members, session.handler, session.max_rounds, logged_finish)
-
-    monkeypatch.setattr(engine, "send", logged_send)
-    monkeypatch.setattr(overlay_mod, "_sort_stage", logged_stage)
-    res = ring_protocol(engine, {0: members})[0]
-    return engine, res, stages
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_one_round_bitonic_stages_match_the_centralized_network(seed, monkeypatch):
-    for k in range(3, 141):
-        engine, res, stages = _sort_with_stage_log(k, seed * 1000 + k, monkeypatch)
-        pts = engine.topo.points
-        cube = res.cube
-        d = cube.dimension
-        keys = [(pts[v].x, pts[v].y, v) for v in cube.members]
-        want = brute_bitonic(keys, d)
-        assert len(stages) == len(want) == d * (d + 1) // 2
-        before = keys + [SENTINEL] * (cube.slots - k)
-        for i, (stage, after) in enumerate(zip(stages, want)):
-            assert stage["keys"] == after, (k, i)
-            assert stage["rounds"] == 1, (k, i)
-            assert max(Counter(src for src, _, _ in stage["sent"]).values()) <= 2
-            # who must send: both ends of a real pair, and a real key the
-            # sentinel displaces; never a padding pair
-            expect = []
-            for s in range(cube.slots):
-                p = s ^ stage["dist"]
-                if before[s] != SENTINEL and (before[p] != SENTINEL or after[s] == SENTINEL):
-                    expect.append((cube.host_of(s), cube.host_of(p), p))
-            assert sorted(stage["sent"]) == sorted(expect), (k, i)
-            before = after
-        assert res.hull == hull_node_ids(pts, cube.members)
+    assert slot_keys == [list(keys[v]) for v in cube.members]
+    # a layout, not a protocol: no round, no phase, no message
+    assert (engine.round_no, len(engine.phase_reports), engine.total_messages) == before
 
 
 # ---------------------------------------------------------------------------
@@ -280,79 +218,22 @@ def test_one_round_bitonic_stages_match_the_centralized_network(seed, monkeypatc
 HULL_CASES = [(3, 0.0), (4, 0.0), (5, 0.0), (8, 0.03), (12, 0.03), (16, 0.0), (17, 0.03), (33, 0.03)]
 
 
+def hull_ids(pts, members):
+    """brute_hull_ccw of the members' positions, as node ids."""
+    id_at = {(pts[v].x, pts[v].y): v for v in members}
+    return [id_at[c] for c in brute_hull_ccw(list(id_at))]
+
+
 @pytest.mark.parametrize("k,jitter", HULL_CASES)
 def test_parallel_hull_equals_centralized(k, jitter):
     engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
     res = ring_protocol(engine, {0: members})[0]
     pts = engine.topo.points
-    coord_of = {v: (pts[v].x, pts[v].y) for v in members}
-    id_at = {c: v for v, c in coord_of.items()}
-    want = [id_at[c] for c in brute_hull_ccw(list(coord_of.values()))]
-    assert res.hull == want
+    assert res.hull == hull_ids(pts, members)
     # second, independently coded centralized route
-    oracle = [id_at[(p.x, p.y)] for p in convex_hull_oracle(coord_of.values())]
+    id_at = {(pts[v].x, pts[v].y): v for v in members}
+    oracle = [id_at[(p.x, p.y)] for p in convex_hull_oracle(id_at)]
     assert res.hull == oracle
-
-
-def _log_merge(monkeypatch) -> dict:
-    """Log every `hp`, `hs` and `hc` as (round, tag, payload) under (phase index, session, base)."""
-    sent: dict = {}
-    send = RoundEngine.send
-
-    def spy(self, src, dst, payload=None, **kw):
-        if kw.get("tag") in ("hp", "hs", "hc"):
-            key = (len(self.phase_reports), self.session, payload["base"])
-            sent.setdefault(key, []).append((self.round_no, kw["tag"], payload))
-        send(self, src, dst, payload, **kw)
-
-    monkeypatch.setattr(RoundEngine, "send", spy)
-    return sent
-
-
-def _check_merge_rounds(engine, merge_log):
-    cap = math.ceil(math.log2(len(engine.topo.ids)))
-    probes = {}
-    for key, sent in merge_log.items():
-        tags = [tag for _, tag, _ in sent]
-        assert tags.count("hc") <= 1  # chains ship at most once per pair
-        if "hc" in tags and "hs" not in tags:
-            # shipped unasked: the right block's chains fit in one message
-            (chains,) = [p for _, tag, p in sent if tag == "hc"]
-            assert len(chains["u"]) + len(chains["l"]) <= cap
-        hp = [(r, {"u", "l"} & p.keys()) for r, tag, p in sent if tag == "hp"]
-        if hp:
-            probes[key] = hp
-    for sent in probes.values():
-        assert len({r for r, _ in sent}) == len(sent)  # one `hp` per pair and round
-    levels = [i for i, rep in enumerate(engine.phase_reports) if rep.label.startswith("hull_merge_")]
-    assert levels
-    for i in levels:
-        # both searches share each round trip, plus one for the suffixes;
-        # a level where no pair probed takes the one round of shipped chains
-        budget = max(
-            (
-                2 * max(sum(c in sides for _, sides in sent) for c in "ul") + 2
-                for (phase, _, _), sent in probes.items()
-                if phase == i
-            ),
-            default=1,
-        )
-        assert engine.phase_reports[i].rounds <= budget, engine.phase_reports[i].label
-
-
-@pytest.mark.parametrize("k,jitter", HULL_CASES)
-def test_hull_merge_searches_both_tangents_at_once(k, jitter, monkeypatch):
-    merge_log = _log_merge(monkeypatch)
-    engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
-    ring_protocol(engine, {0: members})
-    _check_merge_rounds(engine, merge_log)
-
-
-def test_hull_merge_searches_both_tangents_at_once_on_every_ring(monkeypatch):
-    merge_log = _log_merge(monkeypatch)
-    pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
-    pipe.build_abstraction()
-    _check_merge_rounds(pipe.engine, merge_log)
 
 
 def rect_ring_points(w, h, step=0.9):
@@ -374,57 +255,160 @@ def test_parallel_hull_drops_collinear_perimeter_points():
     engine = RoundEngine(build_udg(pts))
     members = list(range(len(pts)))
     res = ring_protocol(engine, {0: members})[0]
-    coord_of = {v: (pts[v].x, pts[v].y) for v in members}
-    id_at = {c: v for v, c in coord_of.items()}
-    want = [id_at[c] for c in brute_hull_ccw(list(coord_of.values()))]
-    assert res.hull == want
+    assert res.hull == hull_ids(pts, members)
     assert len(res.hull) == 4  # corners only
+    coord_of = {v: (pts[v].x, pts[v].y) for v in members}
     assert sorted(tuple(coord_of[v]) for v in res.hull) == brute_hull(coord_of.values())
 
 
-@pytest.mark.parametrize("name", ["grid36-hole4", "star12-4"])
-def test_shipped_chains_merge_to_the_centralized_hull(monkeypatch, name):
-    # a negative budget ends every tangent search before its first probe,
-    # so each merge of blocks too big to ship unasked takes the fallback:
-    # "hs" asks, "hc" carries chains
-    monkeypatch.setattr(overlay_mod, "_PROBE_SLACK", -1)
-    merge_log = _log_merge(monkeypatch)
-    topo = fixture_topology(name)
+def collinear_ring_points(k):
+    """A ccw ring of k >= 3 lattice points whose sides are exactly collinear runs.
+
+    The perimeter walk of a w x h rectangle at step 1/2, without its first
+    corner when k is odd; the cut corner is a diagonal side.
+    """
+    m = (k + 1) // 2
+    pts = rect_ring_points((m + 1) // 2, m // 2, step=0.5)
+    if k % 2:
+        pts = {v - 1: p for v, p in pts.items() if v}
+    return pts
+
+
+def jump_cube(engine, members):
+    """The cube of a ring whose nodes know only their jump edges.
+
+    Each node learns the ids 2^j ranks ahead and behind, as pointer
+    jumping leaves them, and rank 0 is members[0]; the engine then
+    rejects any message that travels neither a jump edge nor a radio link.
+    """
+    k = len(members)
+    for r, v in enumerate(members):
+        for j in range(k.bit_length()):
+            if 1 << j < k:
+                engine.topo.learn(v, members[(r + (1 << j)) % k])
+                engine.topo.learn(v, members[(r - (1 << j)) % k])
+    return cube_over(members, 0, k)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rank_merge_equals_the_centralized_hull(seed):
+    # by k mod 3: a circle at jitter 0, a jittered circle, collinear runs;
+    # the k not a power of two leave padding slots
+    for k in range(3, 301):
+        shape = (k + seed) % 3
+        if shape == 2:
+            pts, members = collinear_ring_points(k), list(range(k))
+        else:
+            pts, members = circle_points(k, seed=seed * 1000 + k, jitter=0.03 * shape)
+        engine = RoundEngine(build_udg(pts))
+        cube = jump_cube(engine, members)
+        res = ring_protocol(engine, {0: members}, cubes={0: cube})[0]
+        assert res.hull == hull_ids(pts, members), (k, shape)
+
+
+@pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1"])
+def test_rank_merge_equals_the_centralized_hull_on_every_ring(name):
+    topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     pipe.build_abstraction()
+    assert len(pipe.abstractions) == len(pipe.rings)
     for r in pipe.rings:
         assert pipe.abstractions[r.ring_id].hull_nodes == hull_node_ids(topo.points, r.members)
-    tags = {t["tag"] for t in pipe.engine.transcript}
-    assert {"hs", "hc"} <= tags and "hp" not in tags
-    # some chains past the cap travel only because they were asked for
-    cap = math.ceil(math.log2(len(topo.ids)))
-    asked = [
-        p
-        for sent in merge_log.values()
-        if "hs" in {tag for _, tag, _ in sent}
-        for _, tag, p in sent
-        if tag == "hc"
-    ]
-    assert any(len(p["u"]) + len(p["l"]) > cap for p in asked)
+        assert pipe.protos[r.ring_id].hull == hull_ids(topo.points, r.members)
 
 
-def test_small_blocks_ship_and_big_blocks_probe_on_one_ring(monkeypatch):
+def _log_merge(monkeypatch) -> list:
+    """Log every `hm` send as (phase index, session, round, src, points)."""
+    sent: list = []
+    send = RoundEngine.send
+
+    def spy(self, src, dst, payload=None, **kw):
+        if kw.get("tag") == "hm":
+            sent.append((len(self.phase_reports), self.session, self.round_no, src, len(payload["hull"])))
+        send(self, src, dst, payload, **kw)
+
+    monkeypatch.setattr(RoundEngine, "send", spy)
+    return sent
+
+
+def _check_merge(engine, merge_log, dimensions) -> list[int]:
+    """Check the caps and the rounds of every merge phase; returns their rounds.
+
+    A message holds at most cap points, a host sends at most cap of them a
+    round, a ship fills every message but its last, and a phase takes as
+    many rounds as its busiest host needs at cap messages a round.  Every
+    cube (session -> dimension d) merges in the first d levels of its
+    ring_protocol call, and the call runs as many levels as its largest d.
+    """
+    cap = math.ceil(math.log2(len(engine.topo.ids)))
+    assert merge_log
+    assert max(n for *_, n in merge_log) <= cap
+    assert max(Counter((r, src) for _, _, r, src, _ in merge_log).values()) <= cap
+    ships: dict = {}
+    for phase, session, _, src, n in merge_log:
+        ships.setdefault((phase, session, src), []).append(n)
+    for sizes in ships.values():
+        assert len(sizes) == -(-sum(sizes) // cap)
+    calls: list[list[int]] = []  # the merge phases of each ring_protocol call
+    for i, rep in enumerate(engine.phase_reports):
+        if rep.label == "hull_merge_1":
+            calls.append([])
+        if rep.label.startswith("hull_merge_"):
+            calls[-1].append(i)
+    levels = [i for call in calls for i in call]
+    for i in levels:
+        busiest = Counter(src for phase, _, _, src, _ in merge_log if phase == i)
+        assert engine.phase_reports[i].rounds == -(-max(busiest.values()) // cap)
+    merged = {
+        session: sorted({phase for phase, key, *_ in merge_log if key == session})
+        for session in dimensions
+    }
+    for call in calls:
+        inside = {key: d for key, d in dimensions.items() if merged[key][0] in call}
+        assert len(call) == max(inside.values())
+        for key, d in inside.items():
+            assert merged[key] == call[:d], key
+    assert sum(len(call) for call in calls) == len(levels)
+    return [engine.phase_reports[i].rounds for i in levels]
+
+
+@pytest.mark.parametrize("k,jitter", HULL_CASES)
+def test_hull_merge_takes_one_round_per_level(k, jitter, monkeypatch):
     merge_log = _log_merge(monkeypatch)
-    engine, members = ring_engine(33, seed=233, jitter=0.03)
+    engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
     res = ring_protocol(engine, {0: members})[0]
-    pts = engine.topo.points
-    coord_of = {v: (pts[v].x, pts[v].y) for v in members}
-    id_at = {c: v for v, c in coord_of.items()}
-    assert res.hull == [id_at[c] for c in brute_hull_ccw(list(coord_of.values()))]
-    tags = [tag for sent in merge_log.values() for _, tag, _ in sent]
-    assert "hc" in tags and "hp" in tags and "hs" not in tags
-    _check_merge_rounds(engine, merge_log)
+    assert _check_merge(engine, merge_log, {0: res.cube.dimension}) == [1] * res.cube.dimension
+
+
+def test_hull_merge_takes_one_round_per_level_on_every_ring(monkeypatch):
+    # both waves: the closed rings, then the outer-hole arcs
+    merge_log = _log_merge(monkeypatch)
+    for topo in (fixture_topology("star12-4"), generate_scenario(scaling_spec(512, 1))):
+        merge_log.clear()
+        pipe = Pipeline(topo, PipelineConfig())
+        pipe.build_abstraction()
+        cubes = {r.ring_id: pipe.protos[r.ring_id].cube.dimension for r in pipe.rings}
+        assert set(_check_merge(pipe.engine, merge_log, cubes)) == {1}
+
+
+def test_merge_messages_stay_under_the_cap(monkeypatch):
+    # a convex ring whose hull outgrows cap^2 points: the biggest ship
+    # takes several rounds, at cap messages a round
+    merge_log = _log_merge(monkeypatch)
+    engine, members = ring_engine(300)
+    res = ring_protocol(engine, {0: members})[0]
+    cap = math.ceil(math.log2(300))
+    assert res.hull == hull_ids(engine.topo.points, members)
+    assert len(res.hull) > cap * cap
+    rounds = _check_merge(engine, merge_log, {0: res.cube.dimension})
+    assert max(rounds) > 1
 
 
 def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
-    # ids learned from the keys and chains a node passes on are dropped
-    # once the hull is known, unless they are hull nodes of its own rings;
-    # so are those an outer-hole arc's padding hosts past its end learn
+    # ids learned from the hulls shipped to a node are dropped once the
+    # hull is known, unless they are hull nodes of its own rings; an
+    # outer-hole arc's padding hosts past its end take no part in the
+    # merge and learn nothing
     topo = fixture_topology("star12-4")
     sort, hull, protocol = (
         overlay_mod.hypercube_sort,
@@ -463,8 +447,8 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     monkeypatch.setattr(holes_mod, "ring_protocol", protocol_spy)
     pipe = Pipeline(topo, PipelineConfig())
     pipe.build_abstraction()
-    assert len(learned) == 2 and dropped > 0  # one sort per wave
-    assert padding_learned > 0
+    assert len(learned) == 2 and dropped > 0  # one layout per wave
+    assert padding_learned == 0
 
 
 def test_ring_protocol_on_cavity_ring():

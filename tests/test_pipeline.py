@@ -200,28 +200,30 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # that fit in one message without a tangent search, and all three again
 # when the outer-hole arcs stopped re-running election, ranking and the
 # id deal and took their cubes from the outer ring (and the outer hull
-# broadcast began carrying ranks); the abstraction digests are still
-# those of the ring-by-ring build.  The `href` traffic itself is checked
+# broadcast began carrying ranks), and all three again when the sort was
+# dropped and the hull merge went to blocks of consecutive ranks (and
+# the id deal stopped carrying k and d); the abstraction digests are
+# still those of the ring-by-ring build.  The `href` traffic itself is checked
 # against oracles.brute_hull_flood.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        1002, 94267,
-        "52d26b6246496d08d23ac7a0de72a219a2163f96366ae8e6125778ab83ce209a",
+        558, 47526,
+        "caf40270debbb18138b785f24b1f41c9b7757afe013f5eaeebd44103d2db06ba",
         "7ea20af8dda20938d6806f80e444ef1f7b0d7b32dde9cc76afa9ff88f1db87e7",
     ),
     "crescent-24": (
-        3997, 379268,
-        "4dc60d3bb50b84e462d80bce4be43c972a198904565caa59d03029e7fa60ce38",
+        2108, 184851,
+        "6c45209e3798fe8001c92ff96376add63f67eaae2125a5ac4259a74b658786c1",
         "30cd2654187717c193ba3a267d481b33a02227ee86f7095dc680a530c50ae4c8",
     ),
     "star12-4": (
-        4408, 421540,
-        "0af35fb887fd88610a98f992d3dba2e62b2beaf3ddf68c63e6281a63e73e7fb3",
+        2363, 210201,
+        "ee2877dd0166e29e8862cc10a97db90819d8e61cfe5f241647f6f47aae7197ad",
         "e866a7167284bdb2c70b267d2f19c2af609b6dbb6a89e183faf70b36e52e5e5e",
     ),
     "scale-512-1": (
-        6429, 623119,
-        "6301fe3ced630dc12babc8597f71b042037b99d757c3b6a506ce668a20e0f20b",
+        3058, 277730,
+        "177b32bc13d72af0e5b4d5aa6874e5335328a9539982e46647d6f04a30cc6363",
         "a0ecd3b2c6ded5689b7b14851ccc49df3c05d7d964a4d09d864d8e790506bb12",
     ),
 }

@@ -21,7 +21,6 @@ from oracles import (
     brute_hulls_overlap,
     brute_udg_edges,
     brute_visible,
-    face_boxes,
     shoelace,
 )
 
@@ -191,21 +190,27 @@ def test_chew_rejects_unknown_positions(grid):
 def test_chew_walk_matches_brute_corridor():
     """The face-to-face walk equals a walk that scans every edge and face.
 
-    No fixture puts a vertex on a segment between two others, so a
-    triangular lattice joins them. Its row height 7/16 stands in for
-    sqrt(3)/4, so that every coordinate is dyadic and the slanted lines,
-    like the rows, pass exactly through their vertices.
+    No fixture puts a vertex on a segment between two others, so two
+    triangular lattices join them. One has row height 7/16, so that every
+    coordinate is dyadic and the slanted lines, like the rows, pass
+    exactly through their vertices; the other has the true sqrt(3)/4, so
+    that slanted lines pass within rounding of their vertices.
     """
     h = 0.5
-    lattice = {
-        6 * j + i: Point(h * i + h / 2 * (j % 2), 0.4375 * j)
-        for j in range(6)
-        for i in range(6)
+    lattices = {
+        f"lattice-{rise}": build_udg(
+            {
+                6 * j + i: Point(h * i + h / 2 * (j % 2), rise * j)
+                for j in range(6)
+                for i in range(6)
+            }
+        )
+        for rise in (0.4375, h * math.sqrt(3) / 2)
     }
     seen = set()
-    for name in ("grid36-hole4", "cshape-40", "lattice", "star12-4", "crescent-24"):
-        g = build_ldel2(build_udg(lattice) if name == "lattice" else fixture_topology(name))
-        ids, boxes = sorted(g.points), face_boxes(g)
+    for name in ("grid36-hole4", "cshape-40", *lattices, "star12-4", "crescent-24"):
+        g = build_ldel2(lattices[name] if name in lattices else fixture_topology(name))
+        ids = sorted(g.points)
         if len(ids) <= 40:
             pairs = list(itertools.permutations(ids, 2))
         else:
@@ -214,7 +219,7 @@ def test_chew_walk_matches_brute_corridor():
         for s, t in pairs:
             path, out = chew_route(g, s, t)
             hit = None if isinstance(out, ReachedTarget) else (out.node, out.face)
-            assert (path, hit) == brute_corridor(g, s, t, boxes), (name, s, t)
+            assert (path, hit) == brute_corridor(g, s, t), (name, s, t)
             if hit is None:
                 ps, pt = g.points[s], g.points[t]
                 if any(_on_segment(g.points[v], ps, pt) for v in path[1:-1]):
