@@ -307,10 +307,13 @@ def test_rank_merge_equals_the_centralized_hull(seed):
 
 
 @pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1"])
-def test_rank_merge_equals_the_centralized_hull_on_every_ring(name):
+def test_shipped_chains_merge_to_the_centralized_hull(name):
+    # every right block ships its hull chain (tag `hm`); the left hosts'
+    # merges end in the centralized hull of every ring
     topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     pipe.build_abstraction()
+    assert "hm" in {t["tag"] for t in pipe.engine.transcript}
     assert len(pipe.abstractions) == len(pipe.rings)
     for r in pipe.rings:
         assert pipe.abstractions[r.ring_id].hull_nodes == hull_node_ids(topo.points, r.members)
@@ -373,14 +376,17 @@ def _check_merge(engine, merge_log, dimensions) -> list[int]:
 
 
 @pytest.mark.parametrize("k,jitter", HULL_CASES)
-def test_hull_merge_takes_one_round_per_level(k, jitter, monkeypatch):
+def test_hull_merge_searches_both_tangents_at_once(k, jitter, monkeypatch):
+    # the left host finds both tangents between the two blocks' hulls at
+    # once, as the bridges of one local hull of their union, so a merge
+    # level takes the one round of its ship
     merge_log = _log_merge(monkeypatch)
     engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
     res = ring_protocol(engine, {0: members})[0]
     assert _check_merge(engine, merge_log, {0: res.cube.dimension}) == [1] * res.cube.dimension
 
 
-def test_hull_merge_takes_one_round_per_level_on_every_ring(monkeypatch):
+def test_hull_merge_searches_both_tangents_at_once_on_every_ring(monkeypatch):
     # both waves: the closed rings, then the outer-hole arcs
     merge_log = _log_merge(monkeypatch)
     for topo in (fixture_topology("star12-4"), generate_scenario(scaling_spec(512, 1))):
