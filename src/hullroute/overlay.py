@@ -29,6 +29,7 @@ assumed.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from collections import Counter
@@ -39,6 +40,8 @@ from .errors import DegenerateInputError, SimulationAbortError
 from .geometry import Point, monotone_hull, signed_turn_angle
 from .ldel import NodeId
 from .simengine import Handler, Message, PhaseReport, RoundEngine
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -614,55 +617,80 @@ def distribute_hulls(
     hull_refs: list[tuple[NodeId, float, float, int]],
     keep_all: set[NodeId],
 ) -> int:
-    """Flood the hull references over the tree edges that lead to hull nodes.
+    """Gather the hull references at the tree root, then cast them down a heap of hull nodes.
 
-    Every reference travels up to the parent.  It travels down only into
-    a child that has already sent some reference up, so only subtrees
-    holding an owner see it; a child heard from for the first time is
-    sent every reference seen so far except those that came from it.  In
-    each round, everything one node forwards to one neighbour leaves in
-    messages of at most ceil(log2 n) references.  A tree has no cycles,
-    so nobody sees a reference twice.
+    Gather leg: for the first tree.height rounds every node sends the
+    references it holds or receives to its tree parent, so only the
+    owners' root paths carry traffic.  In round tree.height the root
+    holds every reference and, from their introductions, every hull id.
+    Cast leg: the hull nodes form a binary heap over `order`, their
+    sorted ids.  The root sends every reference to order[0], or starts
+    the heap itself if it is order[0].  A hull node receives all of it
+    in one round, knows `order` from it and its own references, and
+    forwards to its heap children 2i+1 and 2i+2 every reference but
+    each child's own.  A message carries at most ceil(log2 n)
+    references and introduces their ids.
 
-    Nodes in keep_all (the hull nodes, which own every reference) retain
-    every id they learn.  Every other node relays with the ids it learns
-    and forgets, once the phase ends, exactly the ids this flood taught
-    it.  Returns the number of reference deliveries.
+    Nodes in keep_all (the hull nodes, which own every reference) keep
+    the hull ids they learn.  Every other id the phase taught a node is
+    forgotten once it ends, so relays, a root that is no hull node
+    included, end as they began.  Returns the number of reference
+    deliveries.
     """
     topo = engine.topo
     batch = _message_cap(engine)
-    pre_known = {v: set(topo.knows[v]) for v in topo.ids if v not in keep_all}
-    # per node: every reference seen so far, with the neighbour it came from
-    seen: dict[NodeId, list[tuple[NodeId, list]]] = {v: [] for v in topo.ids}
+    height, start = tree.height, engine.round_no
+    pre_known = {v: set(topo.knows[v]) for v in topo.ids}
+    own: dict[NodeId, list] = {}
     for ref in hull_refs:
-        seen[ref[0]].append((ref[0], list(ref)))
-    # per node: the neighbours it forwards to (the parent, and children
-    # heard from), each with how much of seen[v] it was already offered
-    offered: dict[NodeId, dict[NodeId, int]] = {
-        v: ({tree.parent[v]: 0} if v in tree.parent else {}) for v in topo.ids
-    }
+        own.setdefault(ref[0], []).append(list(ref))
+    gathered: list = []
     deliveries = 0
+
+    def send(eng: RoundEngine, v: NodeId, dst: NodeId, refs: list) -> None:
+        for i in range(0, len(refs), batch):
+            chunk = refs[i : i + batch]
+            ids = tuple(sorted({ref[0] for ref in chunk}))
+            eng.send(v, dst, {"refs": chunk}, tag="href", intro_ids=ids)
+
+    def serve(eng: RoundEngine, v: NodeId, refs: list) -> None:
+        """Hull node v holds every reference: pass them on to its heap children."""
+        order = sorted({ref[0] for ref in refs})
+        i = order.index(v)
+        for c in order[2 * i + 1 : 2 * i + 3]:
+            send(eng, v, c, sorted(ref for ref in refs if ref[0] != c))
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         nonlocal deliveries
-        got, out = seen[v], offered[v]
-        for m in inbox:
-            got.extend((m.src, ref) for ref in m.payload["refs"])
-            deliveries += len(m.payload["refs"])
-            out.setdefault(m.src, 0)
-        for nb, start in out.items():
-            fresh = [ref for src, ref in got[start:] if src != nb]
-            out[nb] = len(got)
-            for i in range(0, len(fresh), batch):
-                chunk = fresh[i : i + batch]
-                ids = tuple(sorted({ref[0] for ref in chunk}))
-                eng.send(v, nb, {"refs": chunk}, tag="href", intro_ids=ids)
-        return True
+        got = [ref for m in inbox for ref in m.payload["refs"]]
+        deliveries += len(got)
+        t = eng.round_no - start
+        if t == 0:
+            got += own.get(v, [])
+        if t < height and v != tree.root:
+            send(eng, v, tree.parent[v], got)
+        elif t <= height and v == tree.root:
+            gathered.extend(got)
+            if t == height and gathered:
+                first = min(ref[0] for ref in gathered)
+                if first == v:
+                    serve(eng, v, gathered)
+                else:
+                    send(eng, v, first, sorted(ref for ref in gathered if ref[0] != first))
+        elif got:
+            serve(eng, v, got + own.get(v, []))
+        return v != tree.root or t >= height
 
-    engine.run_phase("hull_distribution", handler, max_rounds=4 * tree.height + 10)
+    report = engine.run_phase("hull_distribution", handler, max_rounds=2 * height + 1)
     for v, before in pre_known.items():
+        kept = keep_all if v in keep_all else ()
         for rid in topo.knows[v] - before:
-            topo.forget(v, rid)
+            if rid not in kept:
+                topo.forget(v, rid)
+    log.debug(
+        "hull distribution: gather %d rounds, cast %d rounds, %d references, heap of %d",
+        height, report.rounds - height, len(hull_refs), len(own),
+    )
     return deliveries
 
 

@@ -10,7 +10,7 @@ the predicates.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -550,44 +550,39 @@ def _chain_length(points, chain):
     return sum(odist(points[a], points[b]) for a, b in zip(chain, chain[1:]))
 
 
-def brute_hull_flood(tree, owners):
-    """Messages per directed tree edge of the hull-reference flood.
+def brute_hull_gather_cast(tree, owners):
+    """Messages per directed edge of the hull-reference gather and cast.
 
     `owners` holds one entry per reference: its owner, so a node on two
-    hulls appears twice. Computed centrally from closed forms, not by
-    running rounds: a reference leaves a node for its parent in the round
-    it reached it; p first hears from child c in the round min over owners
-    h under c of depth(h) - depth(p); a reference goes down into c, never
-    back where it came from and only once c is heard, in the later of that
-    round and the round it reached p. References crossing one edge in one
-    round are packed ceil(log2 n) to a message. Returns {(src, dst): count}.
+    hulls appears twice. Computed from closed forms, not by running
+    rounds. Gather: a reference crosses the tree edge from the node j hops
+    above its owner to that node's parent in round j, and the references
+    crossing one edge in one round are packed ceil(log2 n) to a message.
+    Cast: `order` is the sorted distinct owners; the root sends order[0]
+    every reference not its own unless it is order[0] itself, and order[i]
+    sends each heap child order[c] (c = 2i+1, 2i+2) every reference not
+    order[c]'s own, each in one round. Returns {(src, dst): messages}.
     """
     n = len(tree.children)
     batch = max(1, (n - 1).bit_length())
-    heard = {}
-    for h in set(owners):
-        x, up = h, 0
-        while x in tree.parent:
-            p = tree.parent[x]
-            up += 1
-            heard[(p, x)] = min(heard.get((p, x), up), up)
-            x = p
-    crossings = {}
+    crossings = Counter()
     for o in owners:
-        stack = [(o, None, 0)]
-        while stack:
-            v, came, t = stack.pop()
-            hops = [(tree.parent[v], t)] if v in tree.parent else []
-            hops += [(c, max(t, heard[(v, c)])) for c in tree.children[v] if (v, c) in heard]
-            for w, sent in hops:
-                if w == came:
-                    continue
-                crossings[(v, w, sent)] = crossings.get((v, w, sent), 0) + 1
-                stack.append((w, v, sent + 1))
-    out = {}
+        x, j = o, 0
+        while x in tree.parent:
+            crossings[(x, tree.parent[x], j)] += 1
+            x, j = tree.parent[x], j + 1
+    order = sorted(set(owners))
+    per_owner = Counter(owners)
+    if order and order[0] != tree.root:
+        crossings[(tree.root, order[0], "cast")] += len(owners) - per_owner[order[0]]
+    for i, v in enumerate(order):
+        for c in order[2 * i + 1 : 2 * i + 3]:
+            crossings[(v, c, "cast")] += len(owners) - per_owner[c]
+    out = Counter()
     for (v, w, _), k in crossings.items():
-        out[(v, w)] = out.get((v, w), 0) + -(-k // batch)
-    return out
+        if k:
+            out[(v, w)] += -(-k // batch)
+    return dict(out)
 
 
 def crossing_edge_pairs(points: dict, edges):

@@ -15,6 +15,7 @@ from hullroute.geometry import Point, convex_hull_oracle, signed_turn_angle
 from hullroute.holes import hull_node_ids
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.overlay import (
+    BroadcastTree,
     assign_hypercube_ids,
     build_broadcast_tree,
     cube_over,
@@ -29,7 +30,7 @@ from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
 from hullroute.simengine import RoundEngine
 
-from oracles import brute_arc_min, brute_hull, brute_hull_ccw, brute_hull_flood
+from oracles import brute_arc_min, brute_hull, brute_hull_ccw, brute_hull_gather_cast
 
 
 def circle_points(k, *, ids=None, jitter=0.0, seed=0):
@@ -506,54 +507,84 @@ def _line_refs(owners):
     return [(v, round(v * 0.9, 6), 0.0, ring) for v, ring in owners]
 
 
-# (nodes, hull references): the heap tree of a line; the root's subtree
-# under node 1 (first case) or node 2 (second) holds no hull node.  The
-# second has owners at depths 3 and 4, so node 1 relays id 7 to child 4
-# a round after it learned it, node 19 is on two hulls, and node 1 sends
-# nine references up in one round, more than ceil(log2 31) = 5
+def heap_tree(eng, ids):
+    """The broadcast tree's heap layout over ids in the given order, edges known to both ends."""
+    parent = {ids[i]: ids[(i - 1) // 2] for i in range(1, len(ids))}
+    children = {v: [] for v in ids}
+    for c, p in parent.items():
+        children[p].append(c)
+        eng.topo.learn(p, c)
+        eng.topo.learn(c, p)
+    return BroadcastTree(ids[0], parent, children, len(ids).bit_length() - 1, 3)
+
+
+# (nodes, the tree's heap order or None for the sorted ids, hull references)
 FLOODS = [
-    (9, _line_refs([(2, 0), (5, 0)])),
-    (31, _line_refs([(7, 0)] + [(v, 1) for v in range(15, 23)] + [(19, 2)])),
+    # every owner sits under the root's child 2; node 1's subtree holds none
+    (9, None, _line_refs([(2, 0), (5, 0)])),
+    # owners at depths 3 and 4, node 19 is on two hulls, and node 1 sends
+    # nine references up in one round, more than ceil(log2 31) = 5
+    (31, None, _line_refs([(7, 0)] + [(v, 1) for v in range(15, 23)] + [(19, 2)])),
+    # the root is order[0] and starts the heap itself
+    (15, None, _line_refs([(0, 0), (4, 0), (9, 1), (12, 1), (13, 1)])),
+    # the root, node 6, is order[1]: it sends order[0] everything, then
+    # hears it all again from order[0] in the cast
+    (15, [6] + [v for v in range(15) if v != 6], _line_refs([(2, 0), (6, 0), (9, 0), (13, 1)])),
+    # no reference at all
+    (9, None, []),
 ]
 
 
 def test_distribute_hulls_floods_once_and_forgets(monkeypatch):
-    for n, refs in FLOODS:
-        _check_flood(n, refs, monkeypatch)
+    for n, heap_ids, refs in FLOODS:
+        _check_flood(n, heap_ids, refs, monkeypatch)
 
 
-def _check_flood(n, refs, monkeypatch):
+def _check_flood(n, heap_ids, refs, monkeypatch):
     eng = line_engine(n)
-    tree = build_broadcast_tree(eng)
+    tree = build_broadcast_tree(eng) if heap_ids is None else heap_tree(eng, heap_ids)
     keep = {r[0] for r in refs}
     pre = {v: set(eng.topo.knows[v]) for v in eng.topo.ids}
-    received = {v: [] for v in eng.topo.ids}
+    start = eng.round_no
+    gather = {v: [] for v in eng.topo.ids}
+    cast = {v: [] for v in eng.topo.ids}
     send = eng.send
 
     def spy(src, dst, payload=None, **kw):
         if kw.get("tag") == "href":
-            received[dst] += [tuple(r) for r in payload["refs"]]
+            leg = gather if eng.round_no - start < tree.height else cast
+            leg[dst] += [tuple(r) for r in payload["refs"]]
             assert len(payload["refs"]) <= math.ceil(math.log2(n))
         send(src, dst, payload, **kw)
 
     monkeypatch.setattr(eng, "send", spy)
     deliveries = distribute_hulls(eng, tree, refs, keep)
-    assert deliveries == sum(len(got) for got in received.values())
+    phase = eng.phase_reports[-1]
+    assert phase.label == "hull_distribution"
+    assert phase.rounds <= 2 * tree.height + 1
+    assert deliveries == sum(len(got) for leg in (gather, cast) for got in leg.values())
+    # the root gathers every reference but its own
+    assert Counter(gather[tree.root]) == Counter(r for r in refs if r[0] != tree.root)
+    first = min(keep, default=None)
     for v in keep:
-        assert Counter(received[v]) == Counter(r for r in refs if r[0] != v), v
-    spanning = set()
+        want = Counter(r for r in refs if r[0] != v)
+        assert Counter(cast[v]) == (Counter() if v == tree.root == first else want), v
+    paths = set()
     for v in keep:
-        while v not in spanning:
-            spanning.add(v)
+        while v not in paths:
+            paths.add(v)
             v = tree.parent.get(v, v)
-    assert len(spanning) < n
-    for v in set(eng.topo.ids) - spanning:
-        assert received[v] == [], v
+    assert len(paths | keep) < n
+    for v in set(eng.topo.ids) - paths - keep:
+        assert gather[v] == cast[v] == [], v
+    for v in set(eng.topo.ids) - keep:
+        assert cast[v] == [], v
     hrefs = Counter((t["src"], t["dst"]) for t in eng.transcript if t["tag"] == "href")
-    assert hrefs == brute_hull_flood(tree, [r[0] for r in refs])
+    assert hrefs == brute_hull_gather_cast(tree, [r[0] for r in refs])
     for v in eng.topo.ids:
         if v in keep:
             assert keep - {v} <= eng.topo.knows[v]
+            assert eng.topo.knows[v] - pre[v] <= keep
         else:
             assert eng.topo.knows[v] == pre[v]
 

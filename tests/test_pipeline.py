@@ -36,7 +36,7 @@ from hullroute.scenario import (
     scaling_spec,
 )
 
-from oracles import brute_hull_flood, crossing_edge_pairs
+from oracles import brute_hull_gather_cast, crossing_edge_pairs
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +204,7 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # dropped and the hull merge went to blocks of consecutive ranks (and
 # the id deal stopped carrying k and d); the abstraction digests are
 # still those of the ring-by-ring build.  The `href` traffic itself is checked
-# against oracles.brute_hull_flood.
+# against oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
         558, 47526,
@@ -259,7 +259,7 @@ def test_concurrent_build_matches_serial_build(name):
     assert hashlib.sha256(pairs.encode()).hexdigest() == lr_digest
     refs, _ = pipe._hull_refs()
     hrefs = Counter((t["src"], t["dst"]) for t in sent if t["tag"] == "href")
-    assert hrefs == brute_hull_flood(pipe.tree, [r[0] for r in refs])
+    assert hrefs == brute_hull_gather_cast(pipe.tree, [r[0] for r in refs])
 
 
 # sha256 of the `queries` rows of Pipeline.run() with query_count=100 and
@@ -346,6 +346,22 @@ def test_each_engine_phase_logs_one_line_when_it_begins(caplog):
     sessions = {m[1]: int(m[3]) for m in rows}
     assert sessions["pointer_jumping"] == len(pipe.jumps) > 1
     assert sessions["hull_distribution"] == 1
+
+
+def test_hull_distribution_logs_its_two_legs(caplog):
+    pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
+    with caplog.at_level(logging.DEBUG, logger="hullroute.overlay"):
+        pipe.build_abstraction()
+    line = re.compile(
+        r"hull distribution: gather (\d+) rounds, cast (\d+) rounds, (\d+) references, heap of (\d+)"
+    )
+    (row,) = [line.fullmatch(r.getMessage()) for r in caplog.records if "distribution" in r.getMessage()]
+    gather, cast, refs, heap = map(int, row.groups())
+    height = pipe.tree.height
+    assert gather == height
+    assert gather + cast == pipe.engine.phase_reports[-1].rounds <= 2 * height + 1
+    own, keep = pipe._hull_refs()
+    assert (refs, heap) == (len(own), len(keep)) and refs > heap > 1
 
 
 def _square(cx: float, cy: float, side: float = 1.5) -> Polygon:
