@@ -13,7 +13,9 @@ Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Hull distribution sends at most that many references
 (id, x, y, ring) per message; the hull merge ships a block's hull in
 messages of at most that many points, and a host sends at most that
-many of them a round.
+many of them a round; the hull broadcast sends the finished hull down
+each tree edge in messages of at most that many points, each
+introducing only the ids of its own points.
 
 The ring protocols take a mapping of rings (key -> members, ring order)
 and run every ring in the same engine phases, one session per ring, so
@@ -397,8 +399,7 @@ def _hypercube_session(
         ordered,
         d,
         "hc_assign",
-        lambda rank, budget: {"rank": rank, "budget": budget},
-        (),
+        lambda rank, budget: [({"rank": rank, "budget": budget}, ())],
         lambda: cube_over(ordered, 0, k),
     )
 
@@ -408,16 +409,17 @@ def _tree_cast(
     ordered: list[NodeId],
     d: int,
     tag: str,
-    payload: Callable[[int, int], dict],
-    intro: tuple[NodeId, ...],
+    messages: Callable[[int, int], list[tuple[dict, tuple[NodeId, ...]]]],
     done: Callable[[], Any],
 ) -> _Session:
     """Rank 0 of `ordered` reaches every rank down the binomial tree of jump edges.
 
     Rank 0 starts with budget d.  A node of rank r reached with budget b
-    sends payload(r + 2^i, i), which carries i as "budget", to rank
-    r + 2^i over its level-i jump edge, for every i < b and r + 2^i < k.
-    The session's result is done(), once every rank was reached once.
+    sends messages(r + 2^i, i), a list of (payload, introduced ids) whose
+    payloads carry i as "budget", to rank r + 2^i over its level-i jump
+    edge, for every i < b and r + 2^i < k.  A node reached by several
+    messages in one round is reached once.  The session's result is
+    done(), once every rank was reached in exactly one round.
     """
     k = len(ordered)
     rank_of = {v: r for r, v in enumerate(ordered)}
@@ -428,21 +430,16 @@ def _tree_cast(
         r = rank_of[v]
         for i in range(budget):
             if r + (1 << i) < k:
-                eng.send(
-                    v,
-                    ordered[r + (1 << i)],
-                    payload(r + (1 << i), i),
-                    tag=tag,
-                    intro_ids=intro,
-                )
+                for payload, intro in messages(r + (1 << i), i):
+                    eng.send(v, ordered[r + (1 << i)], payload, tag=tag, intro_ids=intro)
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         if v == ordered[0] and v not in reached:
             fanout(eng, v, d)
-        for m in inbox:
+        if inbox:
             if v in reached:
                 raise SimulationAbortError(v, eng.round_no, f"{tag} reached the node twice")
-            fanout(eng, v, m.payload["budget"])
+            fanout(eng, v, inbox[0].payload["budget"])
         return v in reached
 
     def finish(report: PhaseReport) -> Any:
@@ -564,15 +561,21 @@ def _merge_session(
 def _hull_broadcast_session(
     engine: RoundEngine, cube: HypercubeOverlay, ccw: list, ranked: bool
 ) -> _Session:
-    """The leader sends the finished hull down the tree that dealt the ids."""
+    """The leader sends the finished hull down the tree that dealt the ids.
+
+    Each edge carries the hull in messages of at most _message_cap
+    points, each introducing the ids of its own points.
+    """
     hull = [[q[0], q[1], int(q[2])] + ([cube.id_map[q[2]]] if ranked else []) for q in ccw]
+    cap = _message_cap(engine)
+    chunks = [hull[i : i + cap] for i in range(0, len(hull), cap)]
+    parts = [(chunk, tuple(sorted({q[2] for q in chunk}))) for chunk in chunks]
     return _tree_cast(
         engine,
         cube.members,
         cube.dimension,
         "hullb",
-        lambda rank, budget: {"hull": hull, "budget": budget},
-        tuple(sorted({q[2] for q in hull})),
+        lambda rank, budget: [({"hull": chunk, "budget": budget}, ids) for chunk, ids in parts],
         lambda: None,
     )
 

@@ -478,6 +478,33 @@ def test_ring_protocol_on_cavity_ring():
     assert res.hull == want
 
 
+def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
+    # a circle's hull is the whole ring: 40 points against a cap of 6
+    engine, members = ring_engine(40, seed=3)
+    cap = math.ceil(math.log2(40))
+    sent = []
+    send = engine.send
+
+    def spy(src, dst, payload=None, **kw):
+        if kw.get("tag") == "hullb":
+            sent.append((engine.round_no, dst, payload["hull"], kw["intro_ids"]))
+        send(src, dst, payload, **kw)
+
+    monkeypatch.setattr(engine, "send", spy)
+    res = ring_protocol(engine, {0: members})[0]
+    assert len(res.hull) == 40
+    got: dict = {}
+    for rnd, dst, chunk, intro in sent:
+        assert len(chunk) <= cap
+        assert intro == tuple(sorted(q[2] for q in chunk))
+        got.setdefault(dst, []).append((rnd, chunk))
+    # every rank but the leader gets the whole hull, in one round
+    assert set(got) == set(members) - {res.cube.members[0]}
+    for dst, parts in got.items():
+        assert len({rnd for rnd, _ in parts}) == 1, dst
+        assert [q[2] for _, chunk in parts for q in chunk] == res.hull, dst
+
+
 # ---------------------------------------------------------------------------
 # broadcast tree and hull distribution
 

@@ -202,28 +202,31 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # id deal and took their cubes from the outer ring (and the outer hull
 # broadcast began carrying ranks), and all three again when the sort was
 # dropped and the hull merge went to blocks of consecutive ranks (and
-# the id deal stopped carrying k and d); the abstraction digests are
-# still those of the ring-by-ring build.  The `href` traffic itself is checked
-# against oracles.brute_hull_gather_cast.
+# the id deal stopped carrying k and d), and all three again when the
+# hull broadcast began cutting the hull into messages of at most
+# ceil(log2 n) points, each introducing only its own points' ids, in
+# place of one message with the whole hull per tree edge; the
+# abstraction digests are still those of the ring-by-ring build.  The
+# `href` traffic itself is checked against oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        558, 47526,
-        "caf40270debbb18138b785f24b1f41c9b7757afe013f5eaeebd44103d2db06ba",
+        584, 48930,
+        "08a85adfb70b5ff372f2c26c7f6ce324fb8fe9ae5a0156602f3f205b73bc0eea",
         "7ea20af8dda20938d6806f80e444ef1f7b0d7b32dde9cc76afa9ff88f1db87e7",
     ),
     "crescent-24": (
-        2108, 184851,
-        "6c45209e3798fe8001c92ff96376add63f67eaae2125a5ac4259a74b658786c1",
+        2184, 188955,
+        "539e592ee29b7620e82fc38c50cc08e69587939b09ce0ae0a0ca7d1d5fe3231a",
         "30cd2654187717c193ba3a267d481b33a02227ee86f7095dc680a530c50ae4c8",
     ),
     "star12-4": (
-        2363, 210201,
-        "ee2877dd0166e29e8862cc10a97db90819d8e61cfe5f241647f6f47aae7197ad",
+        2423, 213441,
+        "a7d2ab2a9b1e543d07740aae05ead41735f49c0d3a6fd872a443b754cd86c88e",
         "e866a7167284bdb2c70b267d2f19c2af609b6dbb6a89e183faf70b36e52e5e5e",
     ),
     "scale-512-1": (
-        3058, 277730,
-        "177b32bc13d72af0e5b4d5aa6874e5335328a9539982e46647d6f04a30cc6363",
+        3141, 282212,
+        "e4a0215112751fd5df62949c384a121a2ca7a4570df3526bb5509e1cefc704f6",
         "a0ecd3b2c6ded5689b7b14851ccc49df3c05d7d964a4d09d864d8e790506bb12",
     ),
 }
