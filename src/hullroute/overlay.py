@@ -74,34 +74,31 @@ class PointerJumpResult:
 
 @dataclass
 class HypercubeOverlay:
-    """Ring ranks as hypercube slots; slot s is hosted by hosts[s].
+    """Ring ranks as hypercube slots; slot s is hosted by members[s].
 
-    Padding slots follow the last real one around the ring (cube_over), so
-    no host holds more than two and every cube edge is a ring jump edge.
+    Only slots below the ring size exist: the hull merge and the tree
+    casts use no others.  Slot s + 2^j is 2^j ranks past slot s, so every
+    cube edge is a ring jump edge.
     """
 
     dimension: int
     id_map: dict[NodeId, int]
     members: list[NodeId]  # by rank; rank == hypercube slot
-    hosts: list[NodeId]  # by slot
-
-    @property
-    def slots(self) -> int:
-        return 1 << self.dimension
 
     def host_of(self, slot: int) -> NodeId:
-        return self.hosts[slot]
+        return self.members[slot]
 
     def arc(self, members: list[NodeId]) -> HypercubeOverlay:
-        """The cube of an arc of this ring, in ring order; its padding follows the arc."""
+        """The cube of an arc of this ring, in ring order."""
         return cube_over(self.members, self.id_map[members[0]], len(members))
 
 
 def cube_over(order: list[NodeId], start: int, m: int) -> HypercubeOverlay:
     """The cube of the m ranks from start on of a ring in rank order."""
-    d = max(1, math.ceil(math.log2(m)))
-    hosts = [order[(start + s) % len(order)] for s in range(1 << d)]
-    return HypercubeOverlay(d, {v: r for r, v in enumerate(hosts[:m])}, hosts[:m], hosts)
+    members = [order[(start + s) % len(order)] for s in range(m)]
+    return HypercubeOverlay(
+        max(1, math.ceil(math.log2(m))), {v: r for r, v in enumerate(members)}, members
+    )
 
 
 @dataclass
@@ -370,8 +367,7 @@ def assign_hypercube_ids(
 
     The node bridged by the leader's level-j jump edge receives the id
     with bit j set, then hands out ids below its own budget bit to its
-    own jump neighbors (see _tree_cast).  Slots at or past the ring size
-    are padding, hosted by wrapping around the ring (see cube_over).
+    own jump neighbors (see _tree_cast).
     """
     return _run_wave(
         engine,

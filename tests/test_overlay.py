@@ -166,14 +166,14 @@ def test_hypercube_ids_follow_ring_rank(k):
     cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
     d = max(1, math.ceil(math.log2(k)))
     assert cube.dimension == d
-    assert cube.slots == 1 << d
+    assert len(cube.members) == k
     assert sorted(cube.id_map.values()) == list(range(k))
     assert cube.id_map[res.leader] == 0
     li = members.index(res.leader)
     for v in members:
         assert cube.id_map[v] == (members.index(v) - li) % k
     if k == 12:
-        assert cube.slots == 16  # padded to the next power of two
+        assert (cube.dimension, len(cube.members)) == (4, 12)  # no padding to 16
 
 
 @pytest.mark.parametrize("k", [3, 5, 12, 17, 33])
@@ -182,15 +182,18 @@ def test_padding_slots_wrap_around_the_ring(k):
     res = pointer_jumping(engine, {0: members})[0]
     rank_ring(engine, {0: members}, {0: res})
     cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
-    for s in range(cube.slots):
-        assert cube.host_of(s) == cube.members[s % k]
-    assert max(Counter(map(cube.host_of, range(cube.slots))).values()) <= 2
-    # a hypercube edge joins two ring nodes 2^j apart mod k
-    for s in range(cube.slots):
+    # no padding: only the k ranks are slots, each hosted by its own node
+    assert [cube.host_of(s) for s in range(k)] == cube.members
+    assert len(set(cube.members)) == len(cube.id_map) == k
+    assert 1 << (cube.dimension - 1) < k <= 1 << cube.dimension
+    # a hypercube edge below k joins two ring nodes 2^j ranks apart, which
+    # pointer jumping taught each other
+    for s in range(k):
         for j in range(cube.dimension):
-            if s & (1 << j) == 0:
-                far = cube.id_map[cube.host_of(s + (1 << j))]
-                assert far == (cube.id_map[cube.host_of(s)] + (1 << j)) % k
+            if s & (1 << j) == 0 and s + (1 << j) < k:
+                u, w = cube.host_of(s), cube.host_of(s + (1 << j))
+                assert (cube.id_map[u], cube.id_map[w]) == (s, s + (1 << j))
+                assert w in engine.topo.knows[u] and u in engine.topo.knows[w], (s, j)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +297,7 @@ def jump_cube(engine, members):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_rank_merge_equals_the_centralized_hull(seed):
     # by k mod 3: a circle at jitter 0, a jittered circle, collinear runs;
-    # the k not a power of two leave padding slots
+    # the k not a power of two leave the last block of a level short
     for k in range(3, 301):
         shape = (k + seed) % 3
         if shape == 2:
@@ -413,9 +416,9 @@ def test_merge_messages_stay_under_the_cap(monkeypatch):
 
 def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     # ids learned from the hulls shipped to a node are dropped once the
-    # hull is known, unless they are hull nodes of its own rings; an
-    # outer-hole arc's padding hosts past its end take no part in the
-    # merge and learn nothing
+    # hull is known, unless they are hull nodes of its own rings; a node
+    # that hosts no rank of any cube of the wave takes no part in the
+    # merge and learns nothing
     topo = fixture_topology("star12-4")
     sort, hull, protocol = (
         overlay_mod.hypercube_sort,
@@ -424,7 +427,7 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     )
     learned: list[dict] = []
     dropped = 0
-    padding_learned = 0
+    outside_learned = 0
 
     def sort_spy(engine, cubes, keys):
         learned.append({v: set(topo.knows[v]) for v in topo.ids})
@@ -436,7 +439,7 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
         return out
 
     def protocol_spy(engine, rings, jumps=None, cubes=None, ranked=()):
-        nonlocal dropped, padding_learned
+        nonlocal dropped, outside_learned
         out = protocol(engine, rings, jumps, cubes, ranked)
         own_hulls: dict = {}
         for key, members in rings.items():
@@ -445,8 +448,8 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
         for v, ids in learned[-1].items():
             assert ids & topo.knows[v] <= own_hulls.get(v, set()), v
             dropped += len(ids - topo.knows[v])
-        padding = {v for res in out.values() for v in res.cube.hosts} - set(own_hulls)
-        padding_learned += sum(len(learned[-1][v]) for v in padding)
+        outside = set(topo.ids) - {v for res in out.values() for v in res.cube.members}
+        outside_learned += sum(len(learned[-1][v]) for v in outside)
         return out
 
     monkeypatch.setattr(overlay_mod, "hypercube_sort", sort_spy)
@@ -455,7 +458,7 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     pipe = Pipeline(topo, PipelineConfig())
     pipe.build_abstraction()
     assert len(learned) == 2 and dropped > 0  # one layout per wave
-    assert padding_learned == 0
+    assert outside_learned == 0
 
 
 def test_ring_protocol_on_cavity_ring():
