@@ -368,6 +368,17 @@ class Pipeline:
                 "bound": storage[cls]["budget"],
                 "ok": storage[cls]["ok"],
             }
+
+        # Case1 plans at any hull node, so each must hold every other hull id
+        _, hull_nodes = self._hull_refs()
+        knows = self._knows_after_build
+        missing = max((len(hull_nodes - knows[v] - {v}) for v in hull_nodes), default=0)
+        bounds["hull_refs"] = {
+            "hull_nodes": len(hull_nodes),
+            "measured_max": missing,
+            "bound": 0,
+            "ok": missing == 0,
+        }
         for name, b in bounds.items():
             if not b["ok"]:
                 log.warning("bound %s failed: %s", name, _bound_summary(b))

@@ -74,6 +74,7 @@ def test_pipeline_grid_fixture_all_bounds_hold(grid_pipe):
         "storage_hull",
         "storage_boundary",
         "storage_other",
+        "hull_refs",
     } <= set(rep.bounds)
     for name, b in rep.bounds.items():
         assert b["ok"], name
@@ -308,6 +309,26 @@ def test_case1_planners_know_their_waypoints(name):
     for planner, chain in plans:
         assert planner in hull_ids
         assert set(chain) & hull_ids - {planner} <= pipe._knows_after_build[planner], (planner, chain)
+
+
+def test_hull_refs_row_fails_a_build_that_withholds_a_reference(monkeypatch):
+    pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
+    pipe.build_abstraction()
+    row = pipe.bound_audit()["hull_refs"]
+    assert row["ok"] and row["measured_max"] == 0
+    assert row["hull_nodes"] == len(pipe._hull_refs()[1]) > 1
+    distribute = pipeline_mod.distribute_hulls
+
+    def withhold(engine, tree, refs, keep):
+        # drop the one reference of a node on a single hull
+        i = next(i for i, r in enumerate(refs) if sum(q[0] == r[0] for q in refs) == 1)
+        return distribute(engine, tree, refs[:i] + refs[i + 1 :], keep)
+
+    monkeypatch.setattr(pipeline_mod, "distribute_hulls", withhold)
+    mutant = Pipeline(fixture_topology("star12-4"), PipelineConfig())
+    mutant.build_abstraction()
+    row = mutant.bound_audit()["hull_refs"]
+    assert not row["ok"] and row["measured_max"] > 0
 
 
 def test_each_engine_phase_logs_one_line_when_it_ends(caplog):
