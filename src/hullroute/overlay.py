@@ -654,10 +654,11 @@ def distribute_hulls(
 
     def serve(eng: RoundEngine, v: NodeId, refs: list) -> None:
         """Hull node v holds every reference: pass them on to its heap children."""
+        refs = sorted(refs)
         order = sorted({ref[0] for ref in refs})
         i = order.index(v)
         for c in order[2 * i + 1 : 2 * i + 3]:
-            send(eng, v, c, sorted(ref for ref in refs if ref[0] != c))
+            send(eng, v, c, [ref for ref in refs if ref[0] != c])
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         nonlocal deliveries
