@@ -197,6 +197,13 @@ def polygon_signed_area(pts: Sequence[Point]) -> float:
     return area / 2.0
 
 
+def polygon_orientation(pts: Sequence[Point]) -> int:
+    """Exact sign of a simple polygon's area: orient2d at its lexicographically smallest,
+    so convex, vertex."""
+    i = min(range(len(pts)), key=lambda j: (pts[j][0], pts[j][1]))
+    return orient2d(pts[i - 1], pts[i], pts[(i + 1) % len(pts)])
+
+
 def polygon_perimeter(pts: Sequence[Point]) -> float:
     return sum(dist(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))
 

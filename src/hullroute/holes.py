@@ -22,6 +22,7 @@ from .geometry import (
     Point,
     convex_hull_oracle,
     dist,
+    polygon_orientation,
     polygon_perimeter,
     polygon_signed_area,
     _on_segment,
@@ -32,8 +33,8 @@ from .overlay import (
     PointerJumpResult,
     RingProtocolResult,
     dominating_set,
-    pointer_jumping,
-    rank_ring,
+    pointer_jumping,  # not called here: bound for perfbench/tracer.py, which wraps it here
+    rank_ring,  # likewise
     ring_protocol,
 )
 from .simengine import RoundEngine
@@ -131,29 +132,27 @@ def form_rings(g: PlanarGraph, boundary: set[NodeId]) -> list[HoleRing]:
 
 
 def classify_rings(
-    engine: RoundEngine, rings: Sequence[HoleRing]
-) -> dict[int, PointerJumpResult]:
-    """Run election + exact ranking on every ring; set kind by angle sum.
+    rings: Sequence[HoleRing], jumps: Mapping[int, PointerJumpResult]
+) -> set[int]:
+    """Set each ring's kind from the angle total its leader merged; takes no round.
 
-    All rings run concurrently through the engine.  Returns the jump
-    results keyed by ring_id so later stages reuse the election.
+    ring_protocol calls it once the hull merge has brought every leader
+    its ring's turn-angle total, before the hull broadcast: +360 is the
+    outer boundary, -360 a hole.  Returns the outer boundary's ring id,
+    whose broadcast carries ranks.
     """
-    members = {r.ring_id: r.members for r in rings}
-    jumps = pointer_jumping(engine, members)
-    rank_ring(engine, members, jumps)
     for r in rings:
-        jump = jumps[r.ring_id]
-        r.orientation_sum = jump.angle_total
-        if abs(jump.angle_total - 360.0) <= ANGLE_TOL:
+        total = jumps[r.ring_id].angle_total
+        r.orientation_sum = total
+        if abs(total - 360.0) <= ANGLE_TOL:
             r.kind = KIND_OUTER_BOUNDARY
-        elif abs(jump.angle_total + 360.0) <= ANGLE_TOL:
+        elif abs(total + 360.0) <= ANGLE_TOL:
             r.kind = KIND_INNER
         else:
             raise GeometryInconsistencyError(
-                f"ring {r.ring_id} turn-angle total {jump.angle_total:.9f} "
-                "is neither +360 nor -360"
+                f"ring {r.ring_id} turn-angle total {total:.9f} is neither +360 nor -360"
             )
-    return jumps
+    return {r.ring_id for r in rings if r.kind == KIND_OUTER_BOUNDARY}
 
 
 def hull_node_ids(points: dict[NodeId, Point], members: list[NodeId]) -> list[NodeId]:
@@ -212,9 +211,8 @@ def detect_outer_holes(
             continue  # a straight stretch of boundary encloses nothing
         ring = _measured_ring(first_id + len(out), arc, g.points)
         ring.kind = KIND_OUTER_HOLE
-        ring.orientation_sum = 360.0 if polygon_signed_area(
-            [g.points[v] for v in arc]
-        ) < 0 else -360.0
+        # the arc and its chord close a simple polygon: a clockwise one turns +360
+        ring.orientation_sum = 360.0 if polygon_orientation([g.points[v] for v in arc]) < 0 else -360.0
         out.append(ring)
     return out
 
@@ -240,11 +238,14 @@ def build_hull_abstraction(
     """Distributed hull, bays, and one dominating set per bay, per ring.
 
     The rings run concurrently, then every bay of every ring runs its
-    dominating set concurrently.  Arcs come with cubes on the outer ring,
-    whose hull broadcast carries ranks.  Results are keyed by ring_id.
+    dominating set concurrently.  Closed rings are classified by their
+    leaders during the hull protocol (classify_rings), and the outer
+    boundary's hull broadcast carries ranks.  Arcs come with cubes on the
+    outer ring and their kind from detect_outer_holes.  Results are keyed
+    by ring_id.
     """
-    ranked = {r.ring_id for r in rings if r.kind == KIND_OUTER_BOUNDARY}
-    protos = ring_protocol(engine, {r.ring_id: r.members for r in rings}, jumps, cubes, ranked)
+    members = {r.ring_id: r.members for r in rings}
+    protos = ring_protocol(engine, members, jumps, cubes, lambda done: classify_rings(rings, done))
     bays = {r.ring_id: compute_bays(r, protos[r.ring_id].hull) for r in rings}
     paths = {(rid, i): bay.members for rid, bs in bays.items() for i, bay in enumerate(bs)}
     sets = dominating_set(engine, paths, {key: seed * 7919 + key[1] for key in paths})

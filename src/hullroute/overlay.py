@@ -1,13 +1,15 @@
 """Long-range overlay protocols over hole rings.
 
 Everything here runs as node handlers inside the round engine: pointer
-jumping for leader election and jump-edge construction, an exact
-list-ranking pass for ring size and angle totals, hypercube id
+jumping for leader election and jump-edge construction, hypercube id
 assignment, distributed convex hull by merging blocks of consecutive
 ranks, a broadcast tree over all nodes, hull reference distribution,
 and the per-bay dominating set.  The hypercube ids and the finished hull
 travel the same binomial tree of jump edges from the ring leader
-(_tree_cast).
+(_tree_cast); in the id deal a node picks the ranks it serves from its
+own jump edges, so no node needs the ring size.  The hull merge doubles
+as the list ranking: it carries each block's node count and turn-angle
+sum, so the leader ends with the exact ring size and angle total.
 
 Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Hull distribution sends at most that many references
@@ -35,7 +37,7 @@ import logging
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Collection, Hashable, Mapping
 
 from .errors import DegenerateInputError, SimulationAbortError
@@ -65,11 +67,9 @@ class PointerJumpResult:
     jump_edges: list[JumpEdge]
     jump_rounds: int
     messages_per_node: dict[NodeId, int]
-    # filled by the ranking pass
+    # filled from the hull merge by rank_ring
     angle_total: float = 0.0
     ring_size: int = 0
-    suffix_angle: dict[NodeId, float] = field(default_factory=dict)
-    suffix_count: dict[NodeId, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -174,9 +174,9 @@ def pointer_jumping(
     one on its successor side, which forces both to be the global
     minimum.  Done nodes serve one extra round so late partners still
     receive their final update.  A message carries ids only, the new
-    pointer and the arc minimum; the turn angles travel in the ranking
-    pass.  All rings run at once; each result's jump_rounds counts that
-    ring's own rounds.
+    pointer and the arc minimum; the turn angles travel later, with the
+    hull merge.  All rings run at once; each result's jump_rounds counts
+    that ring's own rounds.
     """
     return _run_wave(
         engine,
@@ -272,86 +272,31 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
 
 
 # ---------------------------------------------------------------------------
-# exact ranking pass (suffix sums toward the leader)
+# ring size and angle total, merged up to the leader
 
 
 def rank_ring(
     engine: RoundEngine,
     rings: Mapping[Hashable, list[NodeId]],
     results: Mapping[Hashable, PointerJumpResult],
+    totals: Mapping[Hashable, tuple[int, float]],
 ) -> None:
-    """List ranking anchored at each ring's leader, by request/reply doubling.
+    """Each leader's merged ring size and turn-angle total into its result; takes no round.
 
-    The ring is cut at the leader: every node accumulates the turn-angle
-    sum and node count of the arc from itself forward to the node just
-    before the leader.  The leader's own chain wraps the full ring, so
-    it ends up with the exact ring size and total angle, independent of
-    whether the size is a power of two.  Fills in each result.
+    The hull merge is also a doubling list ranking anchored at the
+    leader: the first merge message of every right block carries the
+    block's node count and turn-angle sum, so slot 0 ends with the ring's
+    size and its angle total (parallel_convex_hull).  A size other than
+    the ring's means the merge lost nodes.  The name stays because
+    perfbench traces this step as a span of its own.
     """
-    pts = engine.topo.points
-    _run_wave(
-        engine,
-        "ring_ranking",
-        {
-            key: _rank_session(engine, pts, members, results[key])
-            for key, members in rings.items()
-        },
-    )
-
-
-def _rank_session(
-    engine: RoundEngine, pts, members: list[NodeId], result: PointerJumpResult
-) -> _Session:
-    angle = _turn_angles(pts, members)
-    succ0, _ = _ring_maps(members)
-    leader = result.leader
-
-    st = {
-        v: {"nxt": succ0[v], "a": angle[v], "c": 1, "pending": False, "msgs": 0}
-        for v in members
-    }
-
-    def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        s = st[v]
-        replies = []
-        for m in inbox:
-            if m.tag == "rk_req":
-                replies.append(m.src)
-            elif m.tag == "rk_rep":
-                d = m.payload
-                s["a"] += d["a"]
-                s["c"] += d["c"]
-                s["nxt"] = d["nxt"]
-                s["pending"] = False
-        # a reply ships our current (a, c, nxt); chains never wrap past
-        # the leader, so the requester's arc and ours are contiguous and
-        # the composition is exact under any interleaving
-        for dst in replies:
-            eng.send(
-                v,
-                dst,
-                {"a": s["a"], "c": s["c"], "nxt": s["nxt"]},
-                tag="rk_rep",
-                intro_ids=(s["nxt"],),
-            )
-            s["msgs"] += 1
-        if not s["pending"] and s["nxt"] != leader:
-            eng.send(v, s["nxt"], None, tag="rk_req")
-            s["pending"] = True
-            s["msgs"] += 1
-        return s["nxt"] == leader
-
-    def finish(report: PhaseReport) -> None:
-        result.suffix_angle = {v: st[v]["a"] for v in members}
-        result.suffix_count = {v: st[v]["c"] for v in members}
-        result.angle_total = st[leader]["a"]
-        result.ring_size = st[leader]["c"]
+    for key, members in rings.items():
+        result = results[key]
+        result.ring_size, result.angle_total = totals[key]
         if result.ring_size != len(members):
             raise SimulationAbortError(
-                leader, engine.round_no, "ranking pass lost nodes on the ring"
+                result.leader, engine.round_no, "hull merge lost nodes on the ring"
             )
-
-    return _Session(members, handler, 6 * len(members) + 16, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +312,11 @@ def assign_hypercube_ids(
 
     The node bridged by the leader's level-j jump edge receives the id
     with bit j set, then hands out ids below its own budget bit to its
-    own jump neighbors (see _tree_cast).
+    own jump neighbors (see _tree_cast).  No node needs the ring size:
+    a node passes an id over its level-i edge only when that edge's arc
+    minimum is not the leader, that is, when the arc does not wrap past
+    rank 0, and the leader's budget is the first level whose arc holds
+    the leader itself, ceil(log2 k).
     """
     return _run_wave(
         engine,
@@ -382,13 +331,12 @@ def assign_hypercube_ids(
 def _hypercube_session(
     engine: RoundEngine, members: list[NodeId], result: PointerJumpResult
 ) -> _Session:
-    k = result.ring_size
-    d = max(1, math.ceil(math.log2(k)))
+    leader = result.leader
+    ell = {(e.endpoints[0], e.level): e.ell for e in result.jump_edges}
+    d = min(e.level for e in result.jump_edges if e.endpoints[0] == leader and e.ell == leader)
     # ring order rotated so the leader is rank 0
-    succ0, _ = _ring_maps(members)
-    ordered = [result.leader]
-    while len(ordered) < k:
-        ordered.append(succ0[ordered[-1]])
+    at = members.index(leader)
+    ordered = members[at:] + members[:at]
 
     return _tree_cast(
         engine,
@@ -396,7 +344,9 @@ def _hypercube_session(
         d,
         "hc_assign",
         lambda rank, budget: [({"rank": rank, "budget": budget}, ())],
-        lambda: cube_over(ordered, 0, k),
+        # no edge at a level past the one whose arc held the leader: no send
+        lambda v, i: ell.get((v, i), leader) != leader,
+        lambda: cube_over(ordered, 0, len(ordered)),
     )
 
 
@@ -406,16 +356,18 @@ def _tree_cast(
     d: int,
     tag: str,
     messages: Callable[[int, int], list[tuple[dict, tuple[NodeId, ...]]]],
+    forward: Callable[[NodeId, int], bool],
     done: Callable[[], Any],
 ) -> _Session:
     """Rank 0 of `ordered` reaches every rank down the binomial tree of jump edges.
 
-    Rank 0 starts with budget d.  A node of rank r reached with budget b
-    sends messages(r + 2^i, i), a list of (payload, introduced ids) whose
-    payloads carry i as "budget", to rank r + 2^i over its level-i jump
-    edge, for every i < b and r + 2^i < k.  A node reached by several
-    messages in one round is reached once.  The session's result is
-    done(), once every rank was reached in exactly one round.
+    Rank 0 starts with budget d.  A node v of rank r reached with budget
+    b sends messages(r + 2^i, i), a list of (payload, introduced ids)
+    whose payloads carry i as "budget", to rank r + 2^i over its level-i
+    jump edge, for every i < b for which forward(v, i) holds: exactly
+    when r + 2^i < k.  A node reached by several messages in one round
+    is reached once.  The session's result is done(), once every rank
+    was reached in exactly one round.
     """
     k = len(ordered)
     rank_of = {v: r for r, v in enumerate(ordered)}
@@ -425,7 +377,7 @@ def _tree_cast(
         reached.add(v)
         r = rank_of[v]
         for i in range(budget):
-            if r + (1 << i) < k:
+            if forward(v, i):
                 for payload, intro in messages(r + (1 << i), i):
                     eng.send(v, ordered[r + (1 << i)], payload, tag=tag, intro_ids=intro)
 
@@ -468,8 +420,8 @@ def parallel_convex_hull(
     engine: RoundEngine,
     cubes: Mapping[Hashable, HypercubeOverlay],
     slot_keys: Mapping[Hashable, list[list]],
-    ranked: Collection[Hashable] = (),
-) -> dict[Hashable, list[NodeId]]:
+    angles: Mapping[Hashable, dict[NodeId, float]] | None = None,
+) -> tuple[dict[Hashable, list[list]], dict[Hashable, tuple[int, float]]]:
     """Divide and conquer over blocks of consecutive slots, every cube at once.
 
     Slot s starts with its own host's point as its hull.  At level L
@@ -480,12 +432,16 @@ def parallel_convex_hull(
     half starting at or past k has nothing to merge.  A message carries
     at most _message_cap points and a host sends at most that many merge
     messages a round, so a level takes one round unless a hull exceeds
-    cap^2 points.  After the last level each ring leader broadcasts its
-    hull down the jump-edge tree that dealt the hypercube ids; for the
-    cubes in `ranked` every hull node travels with its rank.  Returns the
-    ccw hull ids per cube.
+    cap^2 points.  For the cubes in `angles` (each host's turn angle)
+    the right half's first message also carries the half's node count
+    and angle sum, which the left host adds to its own.  Returns each
+    cube's ccw hull as slot keys, and slot 0's count and angle sum for
+    the cubes in `angles`.
     """
     hulls = {key: [[q] for q in slot_keys[key]] for key in cubes}
+    sums = {
+        key: [(1, turns[v]) for v in cubes[key].members] for key, turns in (angles or {}).items()
+    }
     cap = _message_cap(engine)
     top = max((cube.dimension for cube in cubes.values()), default=0)
     for level in range(1, top + 1):
@@ -495,7 +451,7 @@ def parallel_convex_hull(
             engine,
             f"hull_merge_{level}",
             {
-                key: _merge_session(cube, hulls[key], level, cap, sent)
+                key: _merge_session(cube, hulls[key], sums.get(key), level, cap, sent)
                 for key, cube in cubes.items()
                 if cube.dimension >= level
             },
@@ -503,17 +459,13 @@ def parallel_convex_hull(
     for key in cubes:
         if len(hulls[key][0]) < 3:
             raise DegenerateInputError("hull of fewer than 3 distinct points")
-    _run_wave(
-        engine,
-        "hull_broadcast",
-        {k: _hull_broadcast_session(engine, c, hulls[k][0], k in ranked) for k, c in cubes.items()},
-    )
-    return {key: [int(q[2]) for q in hulls[key][0]] for key in cubes}
+    return {key: hulls[key][0] for key in cubes}, {key: s[0] for key, s in sums.items()}
 
 
 def _merge_session(
     cube: HypercubeOverlay,
     hulls: list[list],
+    sums: list[tuple[int, float]] | None,
     level: int,
     cap: int,
     sent: Counter,
@@ -522,14 +474,20 @@ def _merge_session(
 
     Each right block's host cuts its hull into messages of at most cap
     points and sends them in the level's first round, at most cap of its
-    own merge messages a round, the rest in the rounds after.  The left
-    block's host merges whatever arrives into its hull.
+    own merge messages a round, the rest in the rounds after; the first
+    one also carries the block's (count, angle) from `sums`, if given.
+    The left block's host merges whatever arrives into its hull and sums.
     """
     half = 1 << (level - 1)
+
+    def ship(slot: int) -> list[dict]:
+        out = [{"hull": hulls[slot][i : i + cap]} for i in range(0, len(hulls[slot]), cap)]
+        if sums is not None:
+            out[0]["count"], out[0]["angle"] = sums[slot]
+        return out
+
     queue = {
-        cube.host_of(base + half): [
-            hulls[base + half][i : i + cap] for i in range(0, len(hulls[base + half]), cap)
-        ]
+        cube.host_of(base + half): ship(base + half)
         for base in range(0, len(cube.members) - half, 1 << level)
     }
 
@@ -538,18 +496,22 @@ def _merge_session(
             slot = cube.id_map[v]
             got = hulls[slot] + [q for m in inbox for q in m.payload["hull"]]
             hulls[slot] = monotone_hull(sorted(got))
-        chunks = queue.get(v, [])
-        while chunks and sent[eng.round_no, v] < cap:
-            chunk = chunks.pop(0)
+            for m in inbox:
+                if "count" in m.payload:
+                    count, angle = sums[slot]
+                    sums[slot] = (count + m.payload["count"], angle + m.payload["angle"])
+        payloads = queue.get(v, [])
+        while payloads and sent[eng.round_no, v] < cap:
+            payload = payloads.pop(0)
             sent[eng.round_no, v] += 1
             eng.send(
                 v,
                 cube.host_of(cube.id_map[v] - half),
-                {"hull": chunk},
+                payload,
                 tag="hm",
-                intro_ids=tuple(sorted({q[2] for q in chunk})),
+                intro_ids=tuple(sorted({q[2] for q in payload["hull"]})),
             )
-        return not chunks
+        return not payloads
 
     return _Session(cube.members, handler, 2 * half + 2)
 
@@ -572,6 +534,7 @@ def _hull_broadcast_session(
         cube.dimension,
         "hullb",
         lambda rank, budget: [({"hull": chunk, "budget": budget}, ids) for chunk, ids in parts],
+        lambda v, i: cube.id_map[v] + (1 << i) < len(cube.members),
         lambda: None,
     )
 
@@ -787,31 +750,49 @@ def ring_protocol(
     rings: Mapping[Hashable, list[NodeId]],
     jumps: Mapping[Hashable, PointerJumpResult] | None = None,
     cubes: Mapping[Hashable, HypercubeOverlay] | None = None,
-    ranked: Collection[Hashable] = (),
+    classify: Callable[[Mapping[Hashable, PointerJumpResult]], Collection[Hashable]] | None = None,
 ) -> dict[Hashable, RingProtocolResult]:
-    """Leader election, ranking, hypercube, hull, broadcast.
+    """Leader election, hypercube ids, hull merge, hull broadcast.
 
-    Every ring runs each step in the same phase.  Completed
-    election/ranking results can be passed in so the rings are not
-    re-elected when classification already ran it; given cubes skip the
-    id deal too.  The merge teaches the left blocks' hosts the ids of the
-    hulls shipped to them; once the hull is known, each host forgets
-    every id learned since the merge began that is not a hull node of
-    one of its rings.
+    Every ring runs each step in the same phase.  Completed election
+    results can be passed in so the rings are not re-elected; given
+    cubes skip the id deal too.  The rings dealt their ids here merge
+    their sizes and turn-angle totals up to their leaders along with the
+    hull (rank_ring fills them into the jump results), and, before the
+    broadcast, classify(jumps) names the rings whose hull broadcast
+    carries every hull node's rank.  The merge teaches the left blocks'
+    hosts the ids of the hulls shipped to them; once the hull is known,
+    each host forgets every id learned since the merge began that is not
+    a hull node of one of its rings.
     """
+    pts = engine.topo.points
+    angles = None
     if cubes is None:
         if jumps is None:
             jumps = pointer_jumping(engine, rings)
-            rank_ring(engine, rings, jumps)
         cubes = assign_hypercube_ids(engine, rings, jumps)
-    pts = engine.topo.points
+        # each node turns between its two radio neighbors on the ring
+        angles = {key: _turn_angles(pts, members) for key, members in rings.items()}
     keys = {
         key: {v: (pts[v].x, pts[v].y, v) for v in members}
         for key, members in rings.items()
     }
     knows = engine.topo.knows
     keep = {v: set(knows[v]) for members in rings.values() for v in members}
-    hulls = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes, keys), ranked)
+    chains, totals = parallel_convex_hull(
+        engine, cubes, hypercube_sort(engine, cubes, keys), angles
+    )
+    ranked: Collection[Hashable] = ()
+    if angles is not None:
+        rank_ring(engine, rings, jumps, totals)
+        if classify is not None:
+            ranked = classify(jumps)
+    _run_wave(
+        engine,
+        "hull_broadcast",
+        {k: _hull_broadcast_session(engine, c, chains[k], k in ranked) for k, c in cubes.items()},
+    )
+    hulls = {key: [int(q[2]) for q in chains[key]] for key in cubes}
     for key, members in rings.items():
         for v in members:
             keep[v].update(hulls[key])

@@ -31,7 +31,7 @@ from .holes import (
     HullAbstraction,
     PointerJumpResult,
     build_hull_abstraction,
-    classify_rings,
+    classify_rings,  # not called here: bound for perfbench/tracer.py, which wraps it here
     detect_boundary_nodes,
     detect_outer_holes,
     form_rings,
@@ -39,6 +39,7 @@ from .holes import (
 )
 from .ldel import HybridTopology, PlanarGraph, build_ldel2, check_connected
 from .overlay import BroadcastTree, RingProtocolResult, build_broadcast_tree, distribute_hulls
+from .overlay import pointer_jumping
 from .routing import BACKEND_VIS, Router, measure_competitiveness
 from .simengine import RoundEngine
 
@@ -166,9 +167,10 @@ class Pipeline:
     def build_abstraction(self) -> None:
         """Every phase in dependency order; rings run concurrently in two waves.
 
-        Wave one is every closed ring (classification, then hull, bays and
-        dominating sets); wave two is the outer-hole arcs, which hang off
-        the outer boundary's hull and reuse that ring's ranks and jump edges.
+        Wave one is every closed ring (the election, which is all the
+        "classification" rounds, then hull, bays and dominating sets); wave
+        two is the outer-hole arcs, which hang off the outer boundary's hull
+        and reuse that ring's ranks and jump edges.
         """
         eng = self.engine
         start = eng.round_no
@@ -189,7 +191,7 @@ class Pipeline:
 
         wave = t = eng.round_no
         own_before = dict(eng.session_rounds)
-        self.jumps = classify_rings(eng, self.rings)
+        self.jumps = pointer_jumping(eng, {r.ring_id: r.members for r in self.rings})
         mark("classification", t)
 
         t = eng.round_no

@@ -19,6 +19,7 @@ from hullroute.geometry import (
     incircle_sos,
     orient2d,
     point_in_polygon,
+    polygon_orientation,
     polygon_signed_area,
     segment_crosses_polygon,
     segment_polygon_params,
@@ -297,3 +298,25 @@ def test_polygon_edges_never_cross_the_open_interior(corners, s):
         c, d = tri[i], tri[(i + 1) % 3]
         assert not segment_crosses_polygon(c, d, tri)
         assert not segment_crosses_polygon(d, c, tri)
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.2, 5.0)), min_size=5, max_size=12),
+    st.integers(0, 11),
+    st.booleans(),
+)
+def test_polygon_orientation_agrees_with_the_signed_area(spokes, start, clockwise):
+    # one vertex per sector of a star around the origin: a simple polygon
+    # whose angular gaps stay under pi, so the origin is inside and the
+    # area is far from 0
+    k = len(spokes)
+    poly = [
+        Point(r * math.cos(2 * math.pi * (i + f) / k), r * math.sin(2 * math.pi * (i + f) / k))
+        for i, (f, r) in enumerate(spokes)
+    ]
+    poly = poly[start % k :] + poly[: start % k]
+    if clockwise:
+        poly.reverse()
+    want = -1 if clockwise else 1
+    assert polygon_orientation(poly) == want
+    assert (polygon_signed_area(poly) > 0) == (want > 0)

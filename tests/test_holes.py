@@ -12,14 +12,13 @@ from hullroute.errors import (
     EmbeddingCorruptionError,
     GeometryInconsistencyError,
 )
-from hullroute.geometry import Point, dist
+from hullroute.geometry import Point, dist, polygon_signed_area
 from hullroute.holes import (
     KIND_INNER,
     KIND_OUTER_BOUNDARY,
     KIND_OUTER_HOLE,
     HoleRing,
     build_hull_abstraction,
-    classify_rings,
     compute_bays,
     detect_boundary_nodes,
     detect_outer_holes,
@@ -28,7 +27,7 @@ from hullroute.holes import (
     hull_node_ids,
 )
 from hullroute.ldel import build_ldel2, build_udg
-from hullroute.overlay import ring_protocol
+from hullroute.overlay import pointer_jumping, ring_protocol
 from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
 from hullroute.simengine import RoundEngine
 
@@ -42,7 +41,8 @@ def grid():
     boundary = detect_boundary_nodes(g)
     rings = form_rings(g, boundary)
     engine = RoundEngine(topo)
-    jumps = classify_rings(engine, rings)
+    jumps = pointer_jumping(engine, {r.ring_id: r.members for r in rings})
+    build_hull_abstraction(engine, rings, jumps)
     return topo, g, boundary, rings, engine, jumps
 
 
@@ -92,7 +92,7 @@ def test_square_cycle_all_boundary():
     rings = form_rings(g, boundary)
     # the 4-face gives one ring; the outer face always gives another
     assert sorted(len(r.members) for r in rings) == [4, 4]
-    jumps = classify_rings(RoundEngine(topo), rings)
+    build_hull_abstraction(RoundEngine(topo), rings)
     kinds = sorted(r.kind for r in rings)
     assert kinds == [KIND_INNER, KIND_OUTER_BOUNDARY]
     for r in rings:
@@ -118,7 +118,7 @@ def test_two_disjoint_holes_make_three_rings():
     topo = generate_scenario(scaling_spec(100))
     g = build_ldel2(topo)
     rings = form_rings(g, detect_boundary_nodes(g))
-    classify_rings(RoundEngine(topo), rings)
+    build_hull_abstraction(RoundEngine(topo), rings)
     census = sorted((r.kind, len(r.members)) for r in rings)
     assert census == [
         (KIND_INNER, 12),
@@ -191,8 +191,11 @@ def test_classify_rejects_figure_eight():
     }
     topo = build_udg(pts)
     ring = HoleRing(ring_id=0, members=[0, 1, 2, 3])
+    engine = RoundEngine(topo)
     with pytest.raises(GeometryInconsistencyError):
-        classify_rings(RoundEngine(topo), [ring])
+        build_hull_abstraction(engine, [ring])
+    # the leader rejects the ring before it broadcasts the hull
+    assert "hullb" not in {t["tag"] for t in engine.transcript}
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +206,7 @@ def test_cshape_has_one_outer_hole():
     topo = fixture_topology("cshape-40")
     g = build_ldel2(topo)
     rings = form_rings(g, detect_boundary_nodes(g))
-    classify_rings(RoundEngine(topo), rings)
+    build_hull_abstraction(RoundEngine(topo), rings)
     assert [(r.kind, len(r.members)) for r in rings] == [(KIND_OUTER_BOUNDARY, 40)]
     outer = rings[0]
     holes = detect_outer_holes(g, outer, hull_node_ids(g.points, outer.members))
@@ -226,6 +229,9 @@ def test_grid_rim_outer_holes_are_the_long_chords(grid):
     assert sorted(len(h.members) for h in holes) == [3, 3, 3, 3, 4, 4, 6]
     for h in holes:
         assert h.kind == KIND_OUTER_HOLE
+        # the exact orientation agrees with the shoelace sign
+        area = polygon_signed_area([g.points[v] for v in h.members])
+        assert h.orientation_sum == (360.0 if area < 0 else -360.0)
         a, b = h.members[0], h.members[-1]
         assert dist(g.points[a], g.points[b]) > 1.0
         assert {a, b} <= set(hull)
@@ -247,7 +253,7 @@ def test_short_hull_edges_make_no_outer_holes():
     topo = build_udg(pts)
     g = build_ldel2(topo)
     rings = form_rings(g, detect_boundary_nodes(g))
-    classify_rings(RoundEngine(topo), rings)
+    build_hull_abstraction(RoundEngine(topo), rings)
     outer = next(r for r in rings if r.kind == KIND_OUTER_BOUNDARY)
     assert detect_outer_holes(g, outer, hull_node_ids(g.points, outer.members)) == []
 
@@ -336,7 +342,7 @@ def test_hull_abstraction_reuses_election(grid):
     topo, g, _, rings, _, _ = grid
     inner = next(r for r in rings if r.kind == KIND_INNER)
     engine = RoundEngine(topo)
-    jumps = classify_rings(engine, [inner])
+    jumps = pointer_jumping(engine, {inner.ring_id: inner.members})
     elected = sum(1 for t in engine.transcript if t["tag"] == "pj_succ")
     assert elected > 0
     abstractions, protos = build_hull_abstraction(engine, [inner], jumps)

@@ -1,4 +1,4 @@
-"""Ring overlay protocols: election, ranking, slot layout, hull, trees, DS."""
+"""Ring overlay protocols: election, id cast, merged totals, slot layout, hull, trees, DS."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 import hullroute.holes as holes_mod
 import hullroute.overlay as overlay_mod
 
+from hullroute.errors import SimulationAbortError
 from hullroute.geometry import Point, convex_hull_oracle, signed_turn_angle
 from hullroute.holes import hull_node_ids
 from hullroute.ldel import build_ldel2, build_udg
@@ -23,7 +24,6 @@ from hullroute.overlay import (
     dominating_set,
     hypercube_sort,
     pointer_jumping,
-    rank_ring,
     ring_protocol,
 )
 from hullroute.pipeline import Pipeline, PipelineConfig
@@ -125,33 +125,64 @@ def test_mixed_wave_reports_each_rings_own_rounds():
 
 
 # ---------------------------------------------------------------------------
-# exact ranking
+# ring size and angle total, merged up to the leader
+
+
+def merged_totals(engine, members):
+    """The election's result once the hull protocol has filled in the leader's totals."""
+    jumps = pointer_jumping(engine, {0: members})
+    ring_protocol(engine, {0: members}, jumps)
+    return jumps[0]
 
 
 @pytest.mark.parametrize("k", [3, 4, 6, 8, 12, 17])
-def test_ranking_suffix_sums_match_direct_walk(k):
+def test_merged_totals_match_a_direct_sum(k, monkeypatch):
     engine, members = ring_engine(k, seed=k + 50, jitter=0.02)
     angle = turn_angles(engine, members)
-    res = pointer_jumping(engine, {0: members})[0]
-    rank_ring(engine, {0: members}, {0: res})
+    carried = []
+    send = engine.send
+
+    def spy(src, dst, payload=None, **kw):
+        if kw.get("tag") == "hm" and "count" in payload:
+            carried.append(payload["count"])
+        send(src, dst, payload, **kw)
+
+    monkeypatch.setattr(engine, "send", spy)
+    res = merged_totals(engine, members)
     assert res.ring_size == k
+    assert res.angle_total == pytest.approx(sum(angle.values()), abs=1e-9)
     # ccw polygon walk turns left overall
     assert res.angle_total == pytest.approx(-360.0, abs=1e-6)
-    li = members.index(res.leader)
-    for v in members:
-        i = members.index(v)
-        fwd = (li - i) % k or k  # the leader's own chain wraps the whole ring
-        assert res.suffix_count[v] == fwd
-        arc = [members[(i + s) % k] for s in range(fwd)]
-        assert res.suffix_angle[v] == pytest.approx(sum(angle[x] for x in arc), abs=1e-9)
+    # one merge message per merge of two blocks carries the right block's
+    # totals, and k slots take k - 1 merges
+    assert len(carried) == k - 1
+    tags = {t["tag"] for t in engine.transcript}
+    assert tags == {"pj_succ", "pj_pred", "hc_assign", "hm", "hullb"}
 
 
-def test_ranking_angle_total_flips_sign_clockwise():
+def test_merged_angle_total_flips_sign_clockwise():
     engine, members = ring_engine(9, seed=77)
     cw = [members[0]] + members[1:][::-1]
-    res = pointer_jumping(engine, {0: cw})[0]
-    rank_ring(engine, {0: cw}, {0: res})
-    assert res.angle_total == pytest.approx(360.0, abs=1e-6)
+    assert merged_totals(engine, cw).angle_total == pytest.approx(360.0, abs=1e-6)
+
+
+def test_a_block_that_under_reports_its_count_aborts(monkeypatch):
+    engine, members = ring_engine(12, seed=5)
+    send = engine.send
+    mutated = []
+
+    def spy(src, dst, payload=None, **kw):
+        if kw.get("tag") == "hm" and "count" in payload and not mutated:
+            mutated.append(src)
+            payload = {**payload, "count": payload["count"] - 1}
+        send(src, dst, payload, **kw)
+
+    monkeypatch.setattr(engine, "send", spy)
+    with pytest.raises(SimulationAbortError, match="lost nodes"):
+        merged_totals(engine, members)
+    assert mutated
+    # the leader noticed before it broadcast the hull
+    assert "hullb" not in {t["tag"] for t in engine.transcript}
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +193,6 @@ def test_ranking_angle_total_flips_sign_clockwise():
 def test_hypercube_ids_follow_ring_rank(k):
     engine, members = ring_engine(k, seed=k + 9)
     res = pointer_jumping(engine, {0: members})[0]
-    rank_ring(engine, {0: members}, {0: res})
     cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
     d = max(1, math.ceil(math.log2(k)))
     assert cube.dimension == d
@@ -177,10 +207,38 @@ def test_hypercube_ids_follow_ring_rank(k):
 
 
 @pytest.mark.parametrize("k", [3, 5, 12, 17, 33])
-def test_padding_slots_wrap_around_the_ring(k):
+def test_id_cast_reaches_every_rank_once_over_jump_edges(k, monkeypatch):
     engine, members = ring_engine(k, seed=21)
     res = pointer_jumping(engine, {0: members})[0]
-    rank_ring(engine, {0: members}, {0: res})
+    assert res.ring_size == 0  # nothing has told any node k
+    ell = {(e.endpoints, e.level): e.ell for e in res.jump_edges}
+    cast = []
+    send = engine.send
+
+    def spy(src, dst, payload=None, **kw):
+        if kw.get("tag") == "hc_assign":
+            cast.append((src, dst, payload))
+        send(src, dst, payload, **kw)
+
+    monkeypatch.setattr(engine, "send", spy)
+    cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
+    li = members.index(res.leader)
+    rank = {v: (i - li) % k for i, v in enumerate(members)}
+    # every rank but the leader's is reached by exactly one message
+    assert sorted(dst for _, dst, _ in cast) == sorted(set(members) - {res.leader})
+    for src, dst, payload in cast:
+        # over the sender's jump edge of the payload's level, whose arc
+        # does not wrap past the leader
+        assert ell[(src, dst), payload["budget"]] != res.leader
+        assert payload["rank"] == rank[dst]
+    assert cube.id_map == rank
+    assert cube.dimension == math.ceil(math.log2(k))
+
+
+@pytest.mark.parametrize("k", [3, 5, 12, 17, 33])
+def test_cube_edges_are_jump_edges_known_to_both_ends(k):
+    engine, members = ring_engine(k, seed=21)
+    res = pointer_jumping(engine, {0: members})[0]
     cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
     # no padding: only the k ranks are slots, each hosted by its own node
     assert [cube.host_of(s) for s in range(k)] == cube.members
@@ -204,7 +262,6 @@ def test_padding_slots_wrap_around_the_ring(k):
 def test_hypercube_sort_lays_keys_out_by_rank(k):
     engine, members = ring_engine(k, seed=k + 123, jitter=0.03)
     res = pointer_jumping(engine, {0: members})[0]
-    rank_ring(engine, {0: members}, {0: res})
     cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
     pts = engine.topo.points
     keys = {v: (pts[v].x, pts[v].y, v) for v in members}
@@ -433,14 +490,14 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
         learned.append({v: set(topo.knows[v]) for v in topo.ids})
         return sort(engine, cubes, keys)
 
-    def hull_spy(engine, cubes, slot_keys, ranked=()):
-        out = hull(engine, cubes, slot_keys, ranked)
+    def hull_spy(engine, cubes, slot_keys, angles=None):
+        out = hull(engine, cubes, slot_keys, angles)
         learned[-1] = {v: topo.knows[v] - known for v, known in learned[-1].items()}
         return out
 
-    def protocol_spy(engine, rings, jumps=None, cubes=None, ranked=()):
+    def protocol_spy(engine, rings, jumps=None, cubes=None, classify=None):
         nonlocal dropped, outside_learned
-        out = protocol(engine, rings, jumps, cubes, ranked)
+        out = protocol(engine, rings, jumps, cubes, classify)
         own_hulls: dict = {}
         for key, members in rings.items():
             for v in members:
@@ -468,7 +525,6 @@ def test_ring_protocol_on_cavity_ring():
     assert sorted(ring) == [8, 9, 13, 14, 17, 18, 22, 23]
     engine = RoundEngine(topo)
     jumps = pointer_jumping(engine, {0: ring})
-    rank_ring(engine, {0: ring}, jumps)
     res = ring_protocol(engine, {0: ring}, jumps)[0]
     assert jumps[0].leader == res.cube.members[0] == 8
     assert jumps[0].ring_size == 8

@@ -206,28 +206,31 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # the id deal stopped carrying k and d), and all three again when the
 # hull broadcast began cutting the hull into messages of at most
 # ceil(log2 n) points, each introducing only its own points' ids, in
-# place of one message with the whole hull per tree edge; the
-# abstraction digests are still those of the ring-by-ring build.  The
+# place of one message with the whole hull per tree edge, and all three
+# again when the ranking pass was dropped and the hull merge began
+# carrying each right block's node count and turn-angle sum to the
+# leader; the abstraction digests are still those of the ring-by-ring
+# build.  The
 # `href` traffic itself is checked against oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        584, 48930,
-        "08a85adfb70b5ff372f2c26c7f6ce324fb8fe9ae5a0156602f3f205b73bc0eea",
+        412, 39978,
+        "f7a3044bcffcda41d27f254452acd671688768753b716b1b64bd73f91cc08eda",
         "7ea20af8dda20938d6806f80e444ef1f7b0d7b32dde9cc76afa9ff88f1db87e7",
     ),
     "crescent-24": (
-        2184, 188955,
-        "539e592ee29b7620e82fc38c50cc08e69587939b09ce0ae0a0ca7d1d5fe3231a",
+        1484, 151500,
+        "f7cbb44a99a1f8de63e106e8ea7017cf97be8feedfe8def6619d210b981a33d7",
         "30cd2654187717c193ba3a267d481b33a02227ee86f7095dc680a530c50ae4c8",
     ),
     "star12-4": (
-        2423, 213441,
-        "a7d2ab2a9b1e543d07740aae05ead41735f49c0d3a6fd872a443b754cd86c88e",
+        1643, 171725,
+        "101ec98175c1617eb1a734aaa58315a4f15bbe6a6f96dd456a702ef811c085f0",
         "e866a7167284bdb2c70b267d2f19c2af609b6dbb6a89e183faf70b36e52e5e5e",
     ),
     "scale-512-1": (
-        3141, 282212,
-        "e4a0215112751fd5df62949c384a121a2ca7a4570df3526bb5509e1cefc704f6",
+        2103, 226021,
+        "fa1919f9db84f9b7e70cc6e525562b6f89ee5d106af18794c71e677b4511e6f1",
         "a0ecd3b2c6ded5689b7b14851ccc49df3c05d7d964a4d09d864d8e790506bb12",
     ),
 }
@@ -264,6 +267,17 @@ def test_concurrent_build_matches_serial_build(name):
     refs, _ = pipe._hull_refs()
     hrefs = Counter((t["src"], t["dst"]) for t in sent if t["tag"] == "href")
     assert hrefs == brute_hull_gather_cast(pipe.tree, [r[0] for r in refs])
+
+
+def test_build_runs_no_ranking_pass(grid_pipe):
+    # each leader learns its ring's size and angle total from the hull
+    # merge, so no message or phase of their own carries them
+    pipe, rep = grid_pipe
+    assert not {"rk_req", "rk_rep"} & {t["tag"] for t in pipe.engine.transcript}
+    assert "ring_ranking" not in {p.label for p in pipe.engine.phase_reports}
+    sizes = {r.ring_id: len(r.members) for r in pipe.rings}
+    rows = rep.bounds["pointer_jumping"]["rings"]
+    assert rows and all(row["size"] == sizes[row["ring_id"]] for row in rows)
 
 
 # sha256 of the `queries` rows of Pipeline.run() with query_count=100 and
@@ -433,7 +447,7 @@ def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monke
     labels = [p.label for p in pipe.engine.phase_reports]
     wave_two = set(labels[labels.index("dominating_set") + 1 :])
     assert "hull_broadcast" in wave_two
-    assert not {"pointer_jumping", "ring_ranking", "hypercube_ids"} & wave_two
+    assert not {"pointer_jumping", "hypercube_ids"} & wave_two
     (knew,) = knew
     ring = pipe.protos[next(r.ring_id for r in pipe.rings if r.kind == "OuterBoundary")].cube
     rank, k = ring.id_map, len(ring.members)
