@@ -236,7 +236,10 @@ def test_id_cast_reaches_every_rank_once_over_jump_edges(k, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [3, 5, 12, 17, 33])
-def test_cube_edges_are_jump_edges_known_to_both_ends(k):
+def test_padding_slots_wrap_around_the_ring(k):
+    # There are no padding slots any more: this checks that a cube's slots
+    # are exactly the k ring ranks and that its edges below k are jump edges
+    # both ends know. The old name stays so the suite's test ids stay.
     engine, members = ring_engine(k, seed=21)
     res = pointer_jumping(engine, {0: members})[0]
     cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
