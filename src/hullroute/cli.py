@@ -140,12 +140,10 @@ def cmd_run(args) -> int:
 def cmd_route(args) -> int:
     topo = load_topology(args.topo)
     cfg = _pipeline_config(args)
-    cfg.query_count = 0
-    cfg.queries = None
+    cfg.queries = [(args.src, args.dst)]
     pipe = Pipeline(topo, cfg)
     pipe.build_abstraction()
-    topo.learn(args.src, args.dst)
-    res = pipe.router.route(pipe.engine, args.src, args.dst)
+    [res], _ = pipe.run_queries()
     print(
         json.dumps(
             {

@@ -18,13 +18,12 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     AssumptionViolationError,
-    DegenerateInputError,
     DispatchError,
     GeometryInconsistencyError,
     NoPathError,
@@ -35,6 +34,7 @@ from .geometry import (
     Point,
     angle_key,
     dist,
+    monotone_hull,
     orient2d,
     point_in_polygon,
     segment_crosses_polygon,
@@ -48,7 +48,6 @@ from .holes import (
     KIND_OUTER_HOLE,
     HoleRing,
     HullAbstraction,
-    hull_node_ids,
 )
 from .ldel import HybridTopology, NodeId, PlanarGraph, edge_key
 from .simengine import Channel, RoundEngine
@@ -228,6 +227,12 @@ def _blocked(a: Point, b: Point, hulls: Sequence[HullPolygon]) -> bool:
     return any(_crosses_hull(a, b, h.pts) for h in hulls)
 
 
+def _visible_from(p: Point, verts: Iterable[NodeId], positions: Mapping[NodeId, Point],
+                  hulls: Sequence[HullPolygon]) -> dict[NodeId, float]:
+    """Distance from p to every vertex of `verts` that no hull interior hides."""
+    return {v: dist(p, positions[v]) for v in verts if not _blocked(p, positions[v], hulls)}
+
+
 def _hull_vertex_sets(hulls: Sequence[HullPolygon]):
     positions: dict[NodeId, Point] = {}
     boundary: set[tuple[NodeId, NodeId]] = set()
@@ -241,17 +246,15 @@ def _hull_vertex_sets(hulls: Sequence[HullPolygon]):
 
 
 def build_visibility_graph(hulls: Sequence[HullPolygon]) -> WaypointGraph:
-    """All-pairs visibility over hull vertices; hull edges always included."""
+    """All-pairs visibility over hull vertices; disjoint interiors leave every hull edge visible."""
     _check_disjoint(hulls)
     positions, boundary = _hull_vertex_sets(hulls)
     adj: dict[NodeId, dict[NodeId, float]] = {v: {} for v in positions}
     verts = sorted(positions)
     for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            if edge_key(u, v) in boundary or not _blocked(positions[u], positions[v], hulls):
-                w = dist(positions[u], positions[v])
-                adj[u][v] = w
-                adj[v][u] = w
+        for v, w in _visible_from(positions[u], verts[i + 1 :], positions, hulls).items():
+            adj[u][v] = w
+            adj[v][u] = w
     return WaypointGraph(list(hulls), positions, adj, boundary)
 
 
@@ -366,10 +369,8 @@ def overlay_shortest_path(
         temp.setdefault(v, {})[u] = w
 
     def insert(x: NodeId, tmp: NodeId) -> NodeId:
-        p = points[x]
-        for v, q in graph.positions.items():
-            if not _blocked(p, q, graph.hulls):
-                link(tmp, v, dist(p, q))
+        for v, w in _visible_from(points[x], graph.positions, graph.positions, graph.hulls).items():
+            link(tmp, v, w)
         return tmp
 
     a = s if s in graph.positions else insert(s, _TEMP_SRC)
@@ -427,7 +428,6 @@ class _RingCtx:
     polygon: HullPolygon
     ring_pts: list[Point]
     pos_of: dict[NodeId, int]
-    hull_set: set[NodeId]
     bay_polys: list[list[Point]]
     # outer-hole rings are open arcs: their chord is virtual, walks on the
     # members list must never wrap across it
@@ -450,7 +450,7 @@ class Router:
         self.backend = backend
         self.obstacles: list[_RingCtx] = []
         self.outer: _RingCtx | None = None
-        self._face_ring: dict[frozenset, _RingCtx] = {}
+        self._face_ring: dict[int, _RingCtx] = {}
         for ring in rings:
             if ring.kind is None:
                 raise NotReadyError(f"ring {ring.ring_id} not classified yet")
@@ -460,10 +460,12 @@ class Router:
             ctx = self._make_ctx(ring, ab)
             if ring.kind == KIND_OUTER_BOUNDARY:
                 self.outer = ctx
+                self._face_ring[g.outer_face] = ctx
             else:
                 self.obstacles.append(ctx)
                 if ring.kind == KIND_INNER:
-                    self._face_ring[frozenset(ring.members)] = ctx
+                    # form_rings keeps the face walk's order, so this is the ring's face
+                    self._face_ring[g.face_left[ring.members[0], ring.members[1]]] = ctx
         if self.outer is None:
             raise NotReadyError("outer boundary ring missing")
         vis = build_visibility_graph([c.polygon for c in self.obstacles])
@@ -487,7 +489,7 @@ class Router:
                 + [self.g.points[b]]
             )
         return _RingCtx(
-            ring, ab, poly, pts, pos_of, set(ab.hull_nodes), bay_polys,
+            ring, ab, poly, pts, pos_of, bay_polys,
             closed=ring.kind != KIND_OUTER_HOLE,
         )
 
@@ -515,9 +517,7 @@ class Router:
         return None
 
     def _ring_of_face(self, face: int) -> _RingCtx:
-        if face == self.g.outer_face:
-            return self.outer
-        ctx = self._face_ring.get(frozenset(self.g.faces[face]))
+        ctx = self._face_ring.get(face)
         if ctx is None:
             raise GeometryInconsistencyError(f"blocked face {face} matches no ring")
         return ctx
@@ -549,7 +549,7 @@ class Router:
     def _nearest_hull(self, ctx: _RingCtx, v: NodeId) -> list[NodeId]:
         """Ring path from v to its closest hull node in hops, ties by id."""
         i = ctx.pos_of[v]
-        h = min(ctx.hull_set, key=lambda h: (self._hops(ctx, i, ctx.pos_of[h]), h))
+        h = min(ctx.abstraction.hull_nodes, key=lambda h: (self._hops(ctx, i, ctx.pos_of[h]), h))
         return self._ring_walk(ctx, v, h)
 
     # -- leg realization -----------------------------------------------------
@@ -665,24 +665,19 @@ class Router:
 
     # -- public queries ----------------------------------------------------------
 
-    def _open_query(self, engine: RoundEngine, s: NodeId, t: NodeId, case: str) -> RouteResult | None:
-        """Reject a query mid-phase or on unknown nodes; answer s == t at once."""
+    def route(self, engine: RoundEngine, s: NodeId, t: NodeId) -> RouteResult:
+        """Leave s's bay through a hull node, route outside, enter t's bay.
+
+        The one query entry. A query between two nodes of one bay (Case5)
+        stays in that bay.
+        """
         if engine._phase is not None:
             raise NotReadyError("route query during a protocol phase")
         if s not in self.g.points or t not in self.g.points:
             raise NodeLookupError(f"route endpoints {s},{t} not in graph")
         self._plans = []
         if s == t:
-            return RouteResult([s], 0.0, 0.0, 0.0, 1.0, case, 0, 0, self.backend)
-        return None
-
-    def route(self, engine: RoundEngine, s: NodeId, t: NodeId) -> RouteResult:
-        """Leave s's bay through a hull node, route outside, enter t's bay.
-
-        A query between two nodes of one bay (Case5) stays in that bay.
-        """
-        if (trivial := self._open_query(engine, s, t, "Visible")) is not None:
-            return trivial
+            return RouteResult([s], 0.0, 0.0, 0.0, 1.0, "Visible", 0, 0, self.backend)
         ls, lt = self.locate(s), self.locate(t)
         if ls is None and lt is None:
             case = "Case1"  # refined to Visible by _route_outside
@@ -694,7 +689,7 @@ class Router:
             case = "Case4" if ls[0] is lt[0] else "Case3"
         try:
             path, case, legs, e_route = self._plan(s, t, ls, lt, case)
-        except (NoPathError, GeometryInconsistencyError, DispatchError) as exc:
+        except (NoPathError, GeometryInconsistencyError) as exc:
             raise type(exc)(f"{case}: {exc}") from exc
         return self._deliver(engine, s, t, path, case, legs, e_route)
 
@@ -719,27 +714,21 @@ class Router:
             e_route += e
         return path, case, legs, e_route
 
-    def route_bay(self, engine: RoundEngine, s: NodeId, t: NodeId) -> RouteResult:
-        if (trivial := self._open_query(engine, s, t, "Case5")) is not None:
-            return trivial
-        ls = self.locate(s)
-        if ls is None or ls != self.locate(t):
-            raise DispatchError(f"{s} and {t} do not share a bay")
-        path, e_route = self._bay_core(*ls, s, t)
-        res = self._deliver(engine, s, t, path, "Case5", [], e_route)
-        bound = (2 + e_route) * CHEW_BOUND
-        if res.competitive_ratio > bound + 1e-9:
-            raise GeometryInconsistencyError(
-                f"Case5: ratio {res.competitive_ratio:.3f} exceeds (2+{e_route})*5.9"
-            )
-        return res
-
     def _deliver(self, engine, s, t, path, case, legs, e_route) -> RouteResult:
         """Send the data along the planned walk and measure it."""
         path = _dedup_consecutive(path)
         _check_walkable(self.g, path)
         rounds, lr = self._transmit(engine, s, t, path)
-        return self._finish(engine.topo, s, t, path, case, rounds, lr, legs, e_route)
+        if path[0] != s or path[-1] != t:
+            raise GeometryInconsistencyError(f"{case}: path endpoints {path[0]},{path[-1]} != {s},{t}")
+        length = _polyline_length(self.g, path)
+        sl = dist(self.g.points[s], self.g.points[t])
+        d = _udg_shortest(engine.topo, s, t)
+        ratio = length / d if d > 0 else 1.0
+        replans = max(len(self._plans) - 1, 0)
+        log.debug("query %d->%d: %s, %d hops, %d replans", s, t, case, len(path) - 1, replans)
+        return RouteResult(list(path), length, d, sl, ratio, case, rounds, lr,
+                           self.backend, e_route, legs, self._plans)
 
     # -- engine traffic -----------------------------------------------------------
 
@@ -759,28 +748,11 @@ class Router:
             engine.collect(v)
         return 2 + (len(path) - 1), 2
 
-    def _finish(self, topo, s, t, path, case, rounds, lr, legs, e_route) -> RouteResult:
-        if path[0] != s or path[-1] != t:
-            raise GeometryInconsistencyError(f"{case}: path endpoints {path[0]},{path[-1]} != {s},{t}")
-        length = _polyline_length(self.g, path)
-        sl = dist(self.g.points[s], self.g.points[t])
-        d = _udg_shortest(topo, s, t)
-        ratio = length / d if d > 0 else 1.0
-        replans = max(len(self._plans) - 1, 0)
-        log.debug("query %d->%d: %s, %d hops, %d replans", s, t, case, len(path) - 1, replans)
-        return RouteResult(list(path), length, d, sl, ratio, case, rounds, lr,
-                           self.backend, e_route, legs, self._plans)
-
 
 def _extreme_points(points: Mapping[NodeId, Point], sub: Sequence[NodeId]) -> list[NodeId]:
     """Convex hull of a bay sub-path, ordered by position along it."""
     uniq = list(dict.fromkeys(sub))
-    if len(uniq) <= 2:
-        return uniq
-    try:
-        hull = set(hull_node_ids(points, uniq))
-    except DegenerateInputError:  # the sub-path is collinear
-        return [uniq[0], uniq[-1]]
+    hull = {v for _, _, v in monotone_hull(sorted((*points[v], v) for v in uniq))}
     return [v for v in uniq if v in hull]
 
 

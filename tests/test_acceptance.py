@@ -242,7 +242,8 @@ def test_04_bay_routing(stacks):
         for members in pockets.values():
             for s, t in itertools.combinations(members, 2):
                 pipe.topo.learn(s, t)
-                res = router.route_bay(pipe.engine, s, t)
+                res = router.route(pipe.engine, s, t)
+                assert res.case_taken == "Case5", (name, s, t, res.case_taken)
                 bound = (2 + res.e_route) * 5.9
                 checked += 1
                 worst_slack = max(worst_slack, res.competitive_ratio / bound)

@@ -12,6 +12,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullroute.cli import main as cli_main
 import hullroute.pipeline as pipeline_mod
@@ -513,6 +515,20 @@ def test_recompute_after_small_move_rebuilds_cleanly():
     assert res.path[0] == 4 and res.path[-1] == 12
 
 
+@settings(max_examples=9)
+@given(st.sampled_from(["grid36-hole4", "star12-4", "crescent-24"]), st.randoms(use_true_random=False))
+def test_recompute_after_moves_equals_a_fresh_build(name, rng):
+    pipe = Pipeline(fixture_topology(name), PipelineConfig())
+    pipe.build_abstraction()
+    for v in rng.sample(pipe.topo.ids, 4):
+        p, r, a = pipe.topo.points[v], rng.uniform(0.0, 0.05), rng.uniform(0.0, 2 * math.pi)
+        pipe.topo.move_node(v, Point(p.x + r * math.cos(a), p.y + r * math.sin(a)))
+    out = pipe.periodic_recompute()
+    fresh = Pipeline(build_udg(dict(pipe.topo.points)), PipelineConfig())
+    fresh.build_abstraction()
+    assert out["abstraction_digest"] == fresh.abstraction_digest()
+
+
 def test_recompute_surfaces_disconnection():
     pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
     pipe.run()
@@ -619,6 +635,14 @@ def test_cli_unknown_node_is_reported_as_error(tmp_path, capsys):
     code = cli_main(["route", "--topo", str(topo_p), "--src", "4", "--dst", "9999"])
     assert code == 2
     assert "NodeLookupError" in capsys.readouterr().err
+
+
+def test_cli_unknown_source_is_reported_as_error(tmp_path, capsys):
+    topo_p = tmp_path / "topo.json"
+    cli_main(["gen", "--fixture", "grid36-hole4", "--out", str(topo_p)])
+    code = cli_main(["route", "--topo", str(topo_p), "--src", "9999", "--dst", "4"])
+    assert code == 2
+    assert "error: NodeLookupError" in capsys.readouterr().err
 
 
 def test_cli_bad_input_files_are_reported_as_errors(tmp_path, capsys):

@@ -282,6 +282,17 @@ def test_visibility_allows_shared_tangent_edge():
     b = HullPolygon(1, (1, 2, 4), (Point(0, 0), Point(1, 0), Point(0.5, -0.8)))
     vg = build_visibility_graph([a, b])
     assert (2 in vg.adj[1]) and (3 in vg.adj[1]) and (4 in vg.adj[1])
+    # the two halves of a lattice hull cut along a chord share that chord
+    rng = random.Random(47)
+    for _ in range(300):
+        a, b = cut_lattice_hull(rng, 8)
+        routing_mod._check_disjoint([a, b])
+        vg = build_visibility_graph([a, b])
+        assert a.nodes[0] in vg.adj[a.nodes[-1]], (a, b)
+        for u, v in itertools.combinations(sorted(vg.positions), 2):
+            pu, pv = vg.positions[u], vg.positions[v]
+            want = not any(segment_crosses_polygon(pu, pv, h.pts) for h in (a, b))
+            assert (v in vg.adj[u]) == want, (a, b, u, v)
 
 
 def lattice_hull(rng, side):
@@ -290,6 +301,21 @@ def lattice_hull(rng, side):
         ccw = brute_hull_ccw([(rng.randint(0, side), rng.randint(0, side)) for _ in range(rng.randint(3, 7))])
         if len(ccw) >= 3 and shoelace(ccw) > 0:
             return tuple(Point(float(x), float(y)) for x, y in ccw)
+
+
+def cut_lattice_hull(rng, side):
+    """Two ccw hulls from a lattice hull cut along a chord between two of its vertices.
+
+    Vertex i of the cut hull has id i in both halves; the first and last
+    nodes of each half are the chord's ends.
+    """
+    while len(pts := lattice_hull(rng, side)) < 4:
+        pass
+    k = len(pts)
+    i = rng.randrange(k)
+    j = i + rng.randint(2, k - 2)
+    halves = ([v % k for v in range(i, j + 1)], [v % k for v in range(j, i + k + 1)])
+    return tuple(HullPolygon(h, tuple(ids), tuple(pts[v] for v in ids)) for h, ids in enumerate(halves))
 
 
 def probe_segment(rng, hull, side):
@@ -630,7 +656,7 @@ def test_route_case4_same_hull_different_bays(star):
     assert res.path[0] == s and res.path[-1] == t
 
 
-def test_route_case5_and_route_bay(crescent):
+def test_route_case5_stays_in_the_bay_within_its_bound(crescent):
     topo, g, eng, rings, ab, router = crescent
     pockets = nodes_by_pocket(topo, router)
     (rid, bay), members = max(pockets.items(), key=lambda kv: len(kv[1]))
@@ -638,26 +664,26 @@ def test_route_case5_and_route_bay(crescent):
     saw_extreme = False
     for s, t in itertools.combinations(members, 2):
         topo.learn(s, t)
-        res = router.route_bay(eng, s, t)
+        res = router.route(eng, s, t)
         assert res.case_taken == "Case5"
         bound = (2 + res.e_route) * 5.9
         assert res.competitive_ratio <= bound + 1e-9
         saw_extreme = saw_extreme or res.e_route >= 1
-        via_route = router.route(eng, s, t)
-        assert via_route.case_taken == "Case5"
     assert saw_extreme, "no pair in the deep bay routed via an extreme point"
 
 
-def test_route_bay_trivial_and_dispatch_errors(crescent):
+def test_route_trivial_and_bay_to_outside_queries(crescent):
     topo, g, eng, rings, ab, router = crescent
     pockets = nodes_by_pocket(topo, router)
     members = next(iter(sorted(pockets.items())))[1]
-    res = router.route_bay(eng, members[0], members[0])
+    res = router.route(eng, members[0], members[0])
     assert res.path == [members[0]]
     assert res.euclidean_length == 0.0
     outside = next(v for v in sorted(topo.points) if router.locate(v) is None)
-    with pytest.raises(DispatchError):
-        router.route_bay(eng, members[0], outside)
+    topo.learn(members[0], outside)
+    res = router.route(eng, members[0], outside)
+    assert res.case_taken == "Case2"
+    assert res.path[0] == members[0] and res.path[-1] == outside
 
 
 def topology(name):
@@ -678,23 +704,23 @@ def inside_pairs(topo, router, rng):
     return pairs
 
 
-def route_row(query, eng, s, t):
+def route_row(router, eng, s, t):
     try:
-        r = query(eng, s, t)
+        r = router.route(eng, s, t)
     except HullrouteError as exc:
         return [s, t, type(exc).__name__, str(exc)]
     return [s, t, r.case_taken, r.path, r.euclidean_length, r.udg_shortest, r.competitive_ratio,
             r.rounds_used, r.longrange_msgs, r.e_route, r.legs, r.plans]
 
 
-# sha256 of the `route` and `route_bay` rows of inside_pairs(topo, router,
-# Random(5)) on both backends, errors included; recorded from the router
-# that still carried a "no bay" branch through locate and the bay machinery
+# sha256 of the `route` rows of inside_pairs(topo, router, Random(5)) on
+# both backends, errors included; recorded from the router that still had a
+# second, bay-only query entry beside `route`, with that entry's rows left out
 INSIDE_ROWS = {
-    "crescent-24": "0eef0826d13ab63766a450faf8fdeb5cf13c92956589c34ae7403b6eaff78672",
-    "star12-4": "d93a77377fc7949d818944079a74500868a5c007c8e4861851ff3c8fedfa6a34",
-    "cshape-40": "c6b2570d81363d8d3bad335d99fefe3921db61fdec08ed5d8dd5f19e2f86c86a",
-    "scale-512-1": "ec546bfb460c77081c691433c96ae55ede54f248e7be5058a32ca77828a40cee",
+    "crescent-24": "a81a5c33f983492d9ec0dd5944187641b0a136c41f3e1858c2484a648185384d",
+    "star12-4": "018881329d82b266da18de01948b8ca9270824eac3b85dc8fb0fd1c1fdd831e4",
+    "cshape-40": "df37d358dba4dc48f16543274cbbcb859b1891ec4385b93b352ec1e33834dbec",
+    "scale-512-1": "ebb2ad05e5119f7663f93a8ccbd440698f59b1ec104844bbbba93aa15de7119f",
 }
 
 
@@ -709,7 +735,7 @@ def test_inside_hull_route_rows_match_pinned_digests():
             router = Router(pipe.g, pipe.rings, pipe.abstractions, backend=backend)
             for s, t in inside_pairs(topo, router, random.Random(5)):
                 topo.learn(s, t)
-                rows += [route_row(q, pipe.engine, s, t) for q in (router.route, router.route_bay)]
+                rows.append(route_row(router, pipe.engine, s, t))
         for r in rows:
             cases[r[2]] = cases.get(r[2], 0) + 1
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, name
