@@ -131,15 +131,12 @@ def form_rings(g: PlanarGraph, boundary: set[NodeId]) -> list[HoleRing]:
     return rings
 
 
-def classify_rings(
-    rings: Sequence[HoleRing], jumps: Mapping[int, PointerJumpResult]
-) -> set[int]:
+def classify_rings(rings: Sequence[HoleRing], jumps: Mapping[int, PointerJumpResult]) -> None:
     """Set each ring's kind from the angle total its leader merged; takes no round.
 
     ring_protocol calls it once the hull merge has brought every leader
     its ring's turn-angle total, before the hull broadcast: +360 is the
-    outer boundary, -360 a hole.  Returns the outer boundary's ring id,
-    whose broadcast carries ranks.
+    outer boundary, -360 a hole.
     """
     for r in rings:
         total = jumps[r.ring_id].angle_total
@@ -152,7 +149,6 @@ def classify_rings(
             raise GeometryInconsistencyError(
                 f"ring {r.ring_id} turn-angle total {total:.9f} is neither +360 nor -360"
             )
-    return {r.ring_id for r in rings if r.kind == KIND_OUTER_BOUNDARY}
 
 
 def hull_node_ids(points: dict[NodeId, Point], members: list[NodeId]) -> list[NodeId]:
@@ -239,10 +235,9 @@ def build_hull_abstraction(
 
     The rings run concurrently, then every bay of every ring runs its
     dominating set concurrently.  Closed rings are classified by their
-    leaders during the hull protocol (classify_rings), and the outer
-    boundary's hull broadcast carries ranks.  Arcs come with cubes on the
-    outer ring and their kind from detect_outer_holes.  Results are keyed
-    by ring_id.
+    leaders during the hull protocol (classify_rings), before the hull
+    broadcast.  Arcs come with cubes on the outer ring and their kind
+    from detect_outer_holes.  Results are keyed by ring_id.
     """
     members = {r.ring_id: r.members for r in rings}
     protos = ring_protocol(engine, members, jumps, cubes, lambda done: classify_rings(rings, done))

@@ -4,19 +4,22 @@ Everything here runs as node handlers inside the round engine: pointer
 jumping for leader election and jump-edge construction, hypercube id
 assignment, distributed convex hull by merging blocks of consecutive
 ranks, a broadcast tree over all nodes, hull reference distribution,
-and the per-bay dominating set.  The hypercube ids and the finished hull
-travel the same binomial tree of jump edges from the ring leader
-(_tree_cast); in the id deal a node picks the ranks it serves from its
-own jump edges, so no node needs the ring size.  The hull merge doubles
-as the list ranking: it carries each block's node count and turn-angle
-sum, so the leader ends with the exact ring size and angle total.
+and the per-bay dominating set.  The hypercube ids and the finished hull,
+scoped to each subtree, travel the same binomial tree of jump edges from
+the ring leader (_tree_cast); in the id deal a node picks the ranks it
+serves from its own jump edges, so no node needs the ring size.  The
+hull merge doubles as the list ranking: it carries each block's node
+count and turn-angle sum, so the leader ends with the exact ring size
+and angle total.
 
 Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Hull distribution sends at most that many references
 (id, x, y, ring) per message; the hull merge ships a block's hull in
 messages of at most that many points, and a host sends at most that
-many of them a round; the hull broadcast sends the finished hull down
-each tree edge in messages of at most that many points, each
+many of them a round; the hull broadcast is scoped: each tree edge
+carries only the hull points of the child's subtree of ranks and the
+two hull points that bracket it, so every ring node learns its bay's
+two hull ends, in messages of at most that many points, each
 introducing only the ids of its own points.
 
 The ring protocols take a mapping of rings (key -> members, ring order)
@@ -38,7 +41,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Hashable, Mapping
+from typing import Any, Callable, Hashable, Mapping
 
 from .errors import DegenerateInputError, SimulationAbortError
 from .geometry import Point, monotone_hull, signed_turn_angle
@@ -78,12 +81,14 @@ class HypercubeOverlay:
 
     Only slots below the ring size exist: the hull merge and the tree
     casts use no others.  Slot s + 2^j is 2^j ranks past slot s, so every
-    cube edge is a ring jump edge.
+    cube edge is a ring jump edge.  An arc's cube is not closed: its last
+    slot is not followed by slot 0 on the ring.
     """
 
     dimension: int
     id_map: dict[NodeId, int]
     members: list[NodeId]  # by rank; rank == hypercube slot
+    closed: bool
 
     def host_of(self, slot: int) -> NodeId:
         return self.members[slot]
@@ -97,7 +102,10 @@ def cube_over(order: list[NodeId], start: int, m: int) -> HypercubeOverlay:
     """The cube of the m ranks from start on of a ring in rank order."""
     members = [order[(start + s) % len(order)] for s in range(m)]
     return HypercubeOverlay(
-        max(1, math.ceil(math.log2(m))), {v: r for r, v in enumerate(members)}, members
+        max(1, math.ceil(math.log2(m))),
+        {v: r for r, v in enumerate(members)},
+        members,
+        m == len(order),
     )
 
 
@@ -343,10 +351,11 @@ def _hypercube_session(
         ordered,
         d,
         "hc_assign",
-        lambda rank, budget: [({"rank": rank, "budget": budget}, ())],
+        lambda held, rank, budget: [({"rank": rank, "budget": budget}, ())],
         # no edge at a level past the one whose arc held the leader: no send
         lambda v, i: ell.get((v, i), leader) != leader,
         lambda: cube_over(ordered, 0, len(ordered)),
+        [],
     )
 
 
@@ -355,15 +364,18 @@ def _tree_cast(
     ordered: list[NodeId],
     d: int,
     tag: str,
-    messages: Callable[[int, int], list[tuple[dict, tuple[NodeId, ...]]]],
+    messages: Callable[[list[dict], int, int], list[tuple[dict, tuple[NodeId, ...]]]],
     forward: Callable[[NodeId, int], bool],
     done: Callable[[], Any],
+    start: list[dict],
 ) -> _Session:
     """Rank 0 of `ordered` reaches every rank down the binomial tree of jump edges.
 
-    Rank 0 starts with budget d.  A node v of rank r reached with budget
-    b sends messages(r + 2^i, i), a list of (payload, introduced ids)
-    whose payloads carry i as "budget", to rank r + 2^i over its level-i
+    Rank 0 starts with budget d and holds the payloads `start`; every
+    other node holds the payloads it received.  A node v of rank r
+    reached with budget b sends messages(held, r + 2^i, i), a list of
+    (payload, introduced ids) whose payloads carry i as "budget" and are
+    made from v's own held payloads, to rank r + 2^i over its level-i
     jump edge, for every i < b for which forward(v, i) holds: exactly
     when r + 2^i < k.  A node reached by several messages in one round
     is reached once.  The session's result is done(), once every rank
@@ -373,21 +385,21 @@ def _tree_cast(
     rank_of = {v: r for r, v in enumerate(ordered)}
     reached: set[NodeId] = set()
 
-    def fanout(eng: RoundEngine, v: NodeId, budget: int) -> None:
+    def fanout(eng: RoundEngine, v: NodeId, budget: int, held: list[dict]) -> None:
         reached.add(v)
         r = rank_of[v]
         for i in range(budget):
             if forward(v, i):
-                for payload, intro in messages(r + (1 << i), i):
+                for payload, intro in messages(held, r + (1 << i), i):
                     eng.send(v, ordered[r + (1 << i)], payload, tag=tag, intro_ids=intro)
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         if v == ordered[0] and v not in reached:
-            fanout(eng, v, d)
+            fanout(eng, v, d, start)
         if inbox:
             if v in reached:
                 raise SimulationAbortError(v, eng.round_no, f"{tag} reached the node twice")
-            fanout(eng, v, inbox[0].payload["budget"])
+            fanout(eng, v, inbox[0].payload["budget"], [m.payload for m in inbox])
         return v in reached
 
     def finish(report: PhaseReport) -> Any:
@@ -516,26 +528,50 @@ def _merge_session(
     return _Session(cube.members, handler, 2 * half + 2)
 
 
-def _hull_broadcast_session(
-    engine: RoundEngine, cube: HypercubeOverlay, ccw: list, ranked: bool
-) -> _Session:
-    """The leader sends the finished hull down the tree that dealt the ids.
+def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: list) -> _Session:
+    """The leader sends each subtree of the tree that dealt the ids its part of the hull.
 
-    Each edge carries the hull in messages of at most _message_cap
-    points, each introducing the ids of its own points.
+    The child c = r + 2^i of rank r roots the ranks [c, e), with
+    e = min(c + 2^i, k).  Its message carries the hull points ranked in
+    [c, e), the last hull point before c and the first at or after e,
+    as [x, y, id, rank]: each node of the subtree learns the nearest
+    hull node before and after it on the ring, its bay's two ends (a
+    hull node, its two hull neighbors).  On a closed ring both brackets
+    wrap past rank 0.  An arc's first and last slots are hull nodes, so
+    its brackets never wrap and a subtree that ends with the arc has no
+    after-bracket.  A node cuts its children's points from the points
+    it holds, the leader from its merged hull: a child's ranks and
+    brackets lie within its parent's, so a sender knows every id it
+    introduces.  Messages carry at most _message_cap points, each
+    introducing the ids of its own points.
     """
-    hull = [[q[0], q[1], int(q[2])] + ([cube.id_map[q[2]]] if ranked else []) for q in ccw]
+    k = len(cube.members)
     cap = _message_cap(engine)
-    chunks = [hull[i : i + cap] for i in range(0, len(hull), cap)]
-    parts = [(chunk, tuple(sorted({q[2] for q in chunk}))) for chunk in chunks]
+
+    def scoped(held: list[dict], c: int, i: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
+        pts = [q for payload in held for q in payload["hull"]]
+        e = min(c + (1 << i), k)
+        part = {q[3]: q for q in pts if c <= q[3] < e}
+        before = max(pts, key=lambda q: (q[3] - c) % k)
+        part.setdefault(before[3], before)
+        if e < k or cube.closed:
+            after = min(pts, key=lambda q: (q[3] - e) % k)
+            part.setdefault(after[3], after)
+        sent = [part[r] for r in sorted(part)]
+        return [
+            ({"hull": sent[j : j + cap], "budget": i}, tuple(sorted(q[2] for q in sent[j : j + cap])))
+            for j in range(0, len(sent), cap)
+        ]
+
     return _tree_cast(
         engine,
         cube.members,
         cube.dimension,
         "hullb",
-        lambda rank, budget: [({"hull": chunk, "budget": budget}, ids) for chunk, ids in parts],
-        lambda v, i: cube.id_map[v] + (1 << i) < len(cube.members),
+        scoped,
+        lambda v, i: cube.id_map[v] + (1 << i) < k,
         lambda: None,
+        [{"hull": [[q[0], q[1], int(q[2]), cube.id_map[q[2]]] for q in ccw]}],
     )
 
 
@@ -750,7 +786,7 @@ def ring_protocol(
     rings: Mapping[Hashable, list[NodeId]],
     jumps: Mapping[Hashable, PointerJumpResult] | None = None,
     cubes: Mapping[Hashable, HypercubeOverlay] | None = None,
-    classify: Callable[[Mapping[Hashable, PointerJumpResult]], Collection[Hashable]] | None = None,
+    classify: Callable[[Mapping[Hashable, PointerJumpResult]], None] | None = None,
 ) -> dict[Hashable, RingProtocolResult]:
     """Leader election, hypercube ids, hull merge, hull broadcast.
 
@@ -758,12 +794,11 @@ def ring_protocol(
     results can be passed in so the rings are not re-elected; given
     cubes skip the id deal too.  The rings dealt their ids here merge
     their sizes and turn-angle totals up to their leaders along with the
-    hull (rank_ring fills them into the jump results), and, before the
-    broadcast, classify(jumps) names the rings whose hull broadcast
-    carries every hull node's rank.  The merge teaches the left blocks'
-    hosts the ids of the hulls shipped to them; once the hull is known,
-    each host forgets every id learned since the merge began that is not
-    a hull node of one of its rings.
+    hull (rank_ring fills them into the jump results), and
+    classify(jumps) sees them before the broadcast.  The merge teaches
+    the left blocks' hosts the ids of the hulls shipped to them; once
+    the hull is broadcast, each host forgets every id learned since the
+    merge began that is not a hull node of one of its rings.
     """
     pts = engine.topo.points
     angles = None
@@ -782,15 +817,14 @@ def ring_protocol(
     chains, totals = parallel_convex_hull(
         engine, cubes, hypercube_sort(engine, cubes, keys), angles
     )
-    ranked: Collection[Hashable] = ()
     if angles is not None:
         rank_ring(engine, rings, jumps, totals)
         if classify is not None:
-            ranked = classify(jumps)
+            classify(jumps)
     _run_wave(
         engine,
         "hull_broadcast",
-        {k: _hull_broadcast_session(engine, c, chains[k], k in ranked) for k, c in cubes.items()},
+        {k: _hull_broadcast_session(engine, c, chains[k]) for k, c in cubes.items()},
     )
     hulls = {key: [int(q[2]) for q in chains[key]] for key in cubes}
     for key, members in rings.items():

@@ -38,8 +38,8 @@ from .holes import (
     hole_report,
 )
 from .ldel import HybridTopology, PlanarGraph, build_ldel2, check_connected
+from . import overlay
 from .overlay import BroadcastTree, RingProtocolResult, build_broadcast_tree, distribute_hulls
-from .overlay import pointer_jumping
 from .routing import BACKEND_VIS, Router, measure_competitiveness
 from .simengine import RoundEngine
 
@@ -191,7 +191,8 @@ class Pipeline:
 
         wave = t = eng.round_no
         own_before = dict(eng.session_rounds)
-        self.jumps = pointer_jumping(eng, {r.ring_id: r.members for r in self.rings})
+        # through the module, where perfbench/tracer.py wraps it
+        self.jumps = overlay.pointer_jumping(eng, {r.ring_id: r.members for r in self.rings})
         mark("classification", t)
 
         t = eng.round_no

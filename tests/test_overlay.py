@@ -541,30 +541,43 @@ def test_ring_protocol_on_cavity_ring():
 
 
 def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
-    # a circle's hull is the whole ring: 40 points against a cap of 6
-    engine, members = ring_engine(40, seed=3)
-    cap = math.ceil(math.log2(40))
-    sent = []
-    send = engine.send
+    # a circle's hull is the whole ring: 40 points against a cap of 6; a
+    # rectangle's is its corners, with long bays between them
+    rect = rect_ring_points(10, 10, step=0.5)
+    for pts, members in (circle_points(40, seed=3), (rect, list(range(len(rect))))):
+        engine = RoundEngine(build_udg(pts))
+        k = len(members)
+        cap = math.ceil(math.log2(k))
+        sent = []
+        send = engine.send
 
-    def spy(src, dst, payload=None, **kw):
-        if kw.get("tag") == "hullb":
-            sent.append((engine.round_no, dst, payload["hull"], kw["intro_ids"]))
-        send(src, dst, payload, **kw)
+        def spy(src, dst, payload=None, **kw):
+            if kw.get("tag") == "hullb":
+                sent.append((engine.round_no, dst, payload["hull"], kw["intro_ids"]))
+            send(src, dst, payload, **kw)
 
-    monkeypatch.setattr(engine, "send", spy)
-    res = ring_protocol(engine, {0: members})[0]
-    assert len(res.hull) == 40
-    got: dict = {}
-    for rnd, dst, chunk, intro in sent:
-        assert len(chunk) <= cap
-        assert intro == tuple(sorted(q[2] for q in chunk))
-        got.setdefault(dst, []).append((rnd, chunk))
-    # every rank but the leader gets the whole hull, in one round
-    assert set(got) == set(members) - {res.cube.members[0]}
-    for dst, parts in got.items():
-        assert len({rnd for rnd, _ in parts}) == 1, dst
-        assert [q[2] for _, chunk in parts for q in chunk] == res.hull, dst
+        monkeypatch.setattr(engine, "send", spy)
+        res = ring_protocol(engine, {0: members})[0]
+        rank = res.cube.id_map
+        hull = sorted(rank[h] for h in res.hull)
+        got: dict = {}
+        for rnd, dst, chunk, intro in sent:
+            assert len(chunk) <= cap
+            assert intro == tuple(sorted(q[2] for q in chunk))
+            assert all(q == [pts[q[2]].x, pts[q[2]].y, q[2], rank[q[2]]] for q in chunk)
+            got.setdefault(rank[dst], []).append((rnd, chunk))
+        assert set(got) == set(range(1, k))
+        for c, parts in got.items():
+            assert len({rnd for rnd, _ in parts}) == 1, c
+            # rank c roots the ranks [c, e) of the binomial tree
+            e = min(c + (c & -c), k)
+            before = max(hull, key=lambda h: (h - c) % k)
+            after = min(hull, key=lambda h: (h - e) % k)
+            want = sorted({h for h in hull if c <= h < e} | {before, after})
+            assert sorted(q[3] for _, chunk in parts for q in chunk) == want, c
+            assert len(parts) == math.ceil(len(want) / cap), c
+            # so rank c holds the nearest hull node after it, too
+            assert min(hull, key=lambda h: (h - c - 1) % k) in want, c
 
 
 # ---------------------------------------------------------------------------

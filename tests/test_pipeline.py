@@ -211,28 +211,29 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # place of one message with the whole hull per tree edge, and all three
 # again when the ranking pass was dropped and the hull merge began
 # carrying each right block's node count and turn-angle sum to the
-# leader; the abstraction digests are still those of the ring-by-ring
-# build.  The
+# leader, and all three again when the hull broadcast was scoped to
+# each subtree's hull points and the two hull points that bracket it;
+# the abstraction digests are still those of the ring-by-ring build.  The
 # `href` traffic itself is checked against oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        412, 39978,
-        "f7a3044bcffcda41d27f254452acd671688768753b716b1b64bd73f91cc08eda",
+        387, 31261,
+        "43cebf4cf5c1370ece5f316c9674b19c42fe80dde7e8e1acbaf35a177540c105",
         "7ea20af8dda20938d6806f80e444ef1f7b0d7b32dde9cc76afa9ff88f1db87e7",
     ),
     "crescent-24": (
-        1484, 151500,
-        "f7cbb44a99a1f8de63e106e8ea7017cf97be8feedfe8def6619d210b981a33d7",
+        1408, 107034,
+        "3ee96c637c64114037e7116bcf2416ad15b9d690af4d867bb30973ff43747371",
         "30cd2654187717c193ba3a267d481b33a02227ee86f7095dc680a530c50ae4c8",
     ),
     "star12-4": (
-        1643, 171725,
-        "101ec98175c1617eb1a734aaa58315a4f15bbe6a6f96dd456a702ef811c085f0",
+        1584, 122775,
+        "9f7c664d398ec2d849f76d849e73b7d827c54c41d0c36716c91b1caae0e92550",
         "e866a7167284bdb2c70b267d2f19c2af609b6dbb6a89e183faf70b36e52e5e5e",
     ),
     "scale-512-1": (
-        2103, 226021,
-        "fa1919f9db84f9b7e70cc6e525562b6f89ee5d106af18794c71e677b4511e6f1",
+        2021, 156543,
+        "bd08a4a734935eb57f7d20c55f7c3d2e9707865b9349fa6759748d49e3980e81",
         "a0ecd3b2c6ded5689b7b14851ccc49df3c05d7d964a4d09d864d8e790506bb12",
     ),
 }
@@ -325,6 +326,40 @@ def test_case1_planners_know_their_waypoints(name):
     for planner, chain in plans:
         assert planner in hull_ids
         assert set(chain) & hull_ids - {planner} <= pipe._knows_after_build[planner], (planner, chain)
+
+
+@pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1"])
+def test_ring_nodes_know_their_bay_ends(name):
+    # the scoped hull broadcast leaves every node of every ring, arcs
+    # included, the two hull nodes that close its bay
+    if name == "scale-512-1":
+        topo = generate_scenario(scaling_spec(512, 1))
+    else:
+        topo = fixture_topology(name)
+    pipe = Pipeline(topo, PipelineConfig())
+    pipe.build_abstraction()
+    knows = pipe._knows_after_build
+    checked = Counter()
+    for r in pipe.rings:
+        for bay in pipe.abstractions[r.ring_id].bay_areas:
+            for v in bay.members:
+                assert set(bay.edge) <= knows[v], (r.ring_id, v, bay.edge)
+                checked[r.kind] += 1
+    assert checked[KIND_INNER] or checked[KIND_OUTER_HOLE]
+
+
+def test_hull_broadcast_sends_at_most_seven_per_node_and_round_on_cshape():
+    # each tree edge carries only its subtree's part of the hull, so the
+    # outer ring's leader no longer sends 16 long-range hullb messages in
+    # its first round
+    pipe = Pipeline(fixture_topology("cshape-40"), PipelineConfig())
+    pipe.build_abstraction()
+    sends = Counter(
+        (t["round"], t["src"])
+        for t in pipe.engine.transcript
+        if t["tag"] == "hullb" and t["channel"] == "longrange"
+    )
+    assert 0 < max(sends.values()) <= 7
 
 
 def test_hull_refs_row_fails_a_build_that_withholds_a_reference(monkeypatch):

@@ -39,3 +39,6 @@ def test_tracer_wraps_a_build_and_restores_the_originals(monkeypatch):
     names = {s.name for s in tracer.spans}
     for name in ("overlay.assign_hypercube_ids", "overlay.hypercube_sort", "overlay.parallel_convex_hull"):
         assert name in names
+    # the build's election is looked up on the overlay module, where the tracer wraps it
+    jumps = [s for s in tracer.spans if s.name == "overlay.pointer_jumping"]
+    assert jumps and all(s.attrs["rounds"] > 0 for s in jumps)
