@@ -579,13 +579,16 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
 # broadcast tree over all nodes
 
 
-def build_broadcast_tree(engine: RoundEngine) -> BroadcastTree:
+def build_broadcast_tree(engine: RoundEngine, began: int) -> BroadcastTree:
     """Balanced binary tree over node ids in heap layout.
 
     Stands in for the overlay-tree protocol this pipeline treats as a
-    black box: the engine charges ceil(log2(n)^2) rounds for the
-    construction and the tree edges are entered into the knowledge
-    relation directly.
+    black box, and the tree edges are entered into the knowledge
+    relation directly.  The construction takes ceil(log2(n)^2) rounds.
+    It needs only the radio graph, so it starts in round `began`, the
+    build's first, and runs beside every phase since; the engine charges
+    only the rounds it still needs when it is called, none once that
+    many have passed.
     """
     ids = engine.topo.ids
     n = len(ids)
@@ -603,7 +606,13 @@ def build_broadcast_tree(engine: RoundEngine) -> BroadcastTree:
         engine.topo.learn(p, child)
         engine.topo.learn(child, p)
     rounds = math.ceil(math.log2(n) ** 2) if n > 1 else 0
-    engine.charge_rounds(rounds, "broadcast_tree")
+    beside = min(rounds, engine.round_no - began)
+    charged = rounds - beside
+    engine.charge_rounds(charged, "broadcast_tree")
+    log.debug(
+        "broadcast tree: %d rounds, %d beside the earlier phases, %d charged",
+        rounds, beside, charged,
+    )
     return BroadcastTree(
         root=ids[0], parent=parent, children=children, height=height, max_degree=max_degree
     )

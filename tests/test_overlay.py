@@ -236,10 +236,7 @@ def test_id_cast_reaches_every_rank_once_over_jump_edges(k, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [3, 5, 12, 17, 33])
-def test_padding_slots_wrap_around_the_ring(k):
-    # There are no padding slots any more: this checks that a cube's slots
-    # are exactly the k ring ranks and that its edges below k are jump edges
-    # both ends know. The old name stays so the suite's test ids stay.
+def test_cube_has_no_padding_and_its_edges_are_known_jump_edges(k):
     engine, members = ring_engine(k, seed=21)
     res = pointer_jumping(engine, {0: members})[0]
     cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
@@ -586,7 +583,7 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
 
 def test_broadcast_tree_heap_shape():
     eng = line_engine(15)
-    tree = build_broadcast_tree(eng)
+    tree = build_broadcast_tree(eng, eng.round_no)
     assert tree.root == 0
     assert tree.height == 3
     assert tree.max_degree == 3
@@ -599,10 +596,22 @@ def test_broadcast_tree_heap_shape():
 
 
 def test_broadcast_tree_sizes():
-    assert build_broadcast_tree(line_engine(1)).height == 0
-    big = build_broadcast_tree(line_engine(1000))
+    assert build_broadcast_tree(line_engine(1), 0).height == 0
+    big = build_broadcast_tree(line_engine(1000), 0)
     assert big.height == 9
     assert big.max_degree <= 3
+
+
+@pytest.mark.parametrize("elapsed,charged", [(0, 16), (10, 6), (16, 0), (40, 0)])
+def test_broadcast_tree_charges_only_the_rounds_it_still_needs(elapsed, charged):
+    # the tree runs from round `began`, so rounds already past count toward
+    # its ceil(log2(15)^2) = 16
+    eng = line_engine(15)
+    eng.charge_rounds(elapsed, "earlier")
+    build_broadcast_tree(eng, 0)
+    assert eng.charged["broadcast_tree"] == charged
+    assert eng.round_no == max(16, elapsed)
+    assert eng.transcript[-1]["tag"] == f"charge:broadcast_tree:{charged}"
 
 
 def _line_refs(owners):
@@ -644,7 +653,7 @@ def test_distribute_hulls_floods_once_and_forgets(monkeypatch):
 
 def _check_flood(n, heap_ids, refs, monkeypatch):
     eng = line_engine(n)
-    tree = build_broadcast_tree(eng) if heap_ids is None else heap_tree(eng, heap_ids)
+    tree = build_broadcast_tree(eng, eng.round_no) if heap_ids is None else heap_tree(eng, heap_ids)
     keep = {r[0] for r in refs}
     pre = {v: set(eng.topo.knows[v]) for v in eng.topo.ids}
     start = eng.round_no

@@ -439,6 +439,41 @@ def test_hull_distribution_logs_its_two_legs(caplog):
     assert (refs, heap) == (len(own), len(keep)) and refs > heap > 1
 
 
+# the phases of a build before the broadcast tree's charge; the tree runs
+# beside them from the build's first round
+PRE_TREE_PHASES = ("ldel2_build", "ring_detect", "classification", "ring_hulls", "outer_holes")
+
+
+@pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1"])
+def test_broadcast_tree_is_charged_only_past_the_waves(name):
+    topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
+    pipe = Pipeline(topo, PipelineConfig())
+    pipe.build_abstraction()
+    rounds = pipe.phase_rounds
+    tree = math.ceil(math.log2(len(topo.ids)) ** 2)
+    before = sum(rounds[p] for p in PRE_TREE_PHASES)
+    assert rounds["broadcast_tree"] == max(0, tree - before) == pipe.engine.charged["broadcast_tree"]
+    assert pipe.protocol_rounds == max(tree, before) + rounds["hull_distribution"]
+    assert pipe.protocol_rounds == sum(rounds[p] for p in (*PRE_TREE_PHASES, "broadcast_tree", "hull_distribution"))
+    # the tree is never cheaper than its full rounds from the build's start
+    assert pipe.protocol_rounds >= tree + rounds["hull_distribution"]
+    (tag,) = [t["tag"] for t in pipe.engine.transcript if t["tag"].startswith("charge:broadcast_tree:")]
+    assert tag == f"charge:broadcast_tree:{rounds['broadcast_tree']}"
+
+
+def test_broadcast_tree_logs_its_rounds_beside_the_waves(caplog):
+    pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
+    with caplog.at_level(logging.DEBUG, logger="hullroute.overlay"):
+        pipe.build_abstraction()
+    line = re.compile(r"broadcast tree: (\d+) rounds, (\d+) beside the earlier phases, (\d+) charged")
+    (row,) = [line.fullmatch(r.getMessage()) for r in caplog.records if "broadcast tree" in r.getMessage()]
+    full, beside, charged = map(int, row.groups())
+    assert full == math.ceil(math.log2(len(pipe.topo.ids)) ** 2)
+    assert beside == sum(pipe.phase_rounds[p] for p in PRE_TREE_PHASES) > 0
+    assert charged == pipe.phase_rounds["broadcast_tree"] > 0
+    assert beside + charged == full
+
+
 def _square(cx: float, cy: float, side: float = 1.5) -> Polygon:
     h = side / 2
     return Polygon(
@@ -458,6 +493,10 @@ def test_protocol_rounds_do_not_grow_with_hole_count():
         built[k] = pipe
     one, four = built[1], built[4]
     assert four.protocol_rounds <= one.protocol_rounds
+    # the tree hides the waves, so the rounds before it must not grow either
+    assert sum(four.phase_rounds[p] for p in PRE_TREE_PHASES) <= sum(
+        one.phase_rounds[p] for p in PRE_TREE_PHASES
+    )
     for phase in ("classification", "ring_hulls"):
         assert four.phase_rounds[phase] <= one.phase_rounds[phase], phase
     # rings of one wave keep their own jump rounds: small arcs stay small
@@ -518,6 +557,9 @@ def test_recompute_without_movement_is_identical():
     assert out["idle_rounds"] == 50
     assert out["abstraction_digest"] == d0
     assert out["rounds"] <= out["bound"]
+    # a reused tree takes no round of this build
+    assert pipe.phase_rounds["broadcast_tree"] == 0
+    assert pipe.protocol_rounds == sum(v for k, v in pipe.phase_rounds.items() if k != "queries")
 
 
 def test_audit_window_is_the_latest_build():
@@ -562,6 +604,22 @@ def test_recompute_after_moves_equals_a_fresh_build(name, rng):
     fresh = Pipeline(build_udg(dict(pipe.topo.points)), PipelineConfig())
     fresh.build_abstraction()
     assert out["abstraction_digest"] == fresh.abstraction_digest()
+
+
+@pytest.mark.parametrize("name", ["grid36-hole4", "cshape-40"])
+def test_recompute_that_rebuilds_the_tree_fails_at_no_charge(name):
+    # the waves outlast the tree here, so a rebuilt tree adds no round and
+    # only the tree's identity tells it was built inside the window
+    pipe = Pipeline(fixture_topology(name), PipelineConfig())
+    pipe.build_abstraction()
+    assert pipe.phase_rounds["broadcast_tree"] == 0
+    pipe.tree = None
+    with pytest.raises(BoundViolationError) as ei:
+        pipe.periodic_recompute()
+    out = ei.value.report
+    assert pipe.tree is not None and pipe.engine.charged["broadcast_tree"] == 0
+    assert out["rounds"] <= out["bound"]
+    assert not out["tree_reused"] and not out["ok"]
 
 
 def test_recompute_surfaces_disconnection():
