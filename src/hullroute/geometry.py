@@ -363,10 +363,6 @@ class Polygon:
                 if segments_properly_intersect(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]):
                     raise DegenerateInputError("polygon edges self-intersect")
 
-    @property
-    def area(self) -> float:
-        return polygon_signed_area(self.vertices)
-
     def contains(self, p: Point, strict: bool = True) -> bool:
         return point_in_polygon(p, self.vertices, strict=strict)
 

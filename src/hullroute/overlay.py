@@ -13,14 +13,16 @@ count and turn-angle sum, so the leader ends with the exact ring size
 and angle total.
 
 Message model: a long-range message is sized for ceil(log2 n) points
-(_message_cap).  Hull distribution sends at most that many references
-(id, x, y, ring) per message; the hull merge ships a block's hull in
-messages of at most that many points, and a host sends at most that
-many of them a round; the hull broadcast is scoped: each tree edge
+(_message_cap).  Every sender cuts what it ships into messages of at
+most that many points, each introducing only the ids of its own points
+(_cut): hull references (id, x, y, ring) in the distribution, a block's
+hull in the merge, a subtree's part of the hull in the broadcast.  In
+the merge a host sends at most that many long-range messages a round,
+as counted by the engine.  The hull broadcast is scoped: each tree edge
 carries only the hull points of the child's subtree of ranks and the
 two hull points that bracket it, so every ring node learns its bay's
-two hull ends, in messages of at most that many points, each
-introducing only the ids of its own points.
+two hull ends.  Ids a node learns only in transit are forgotten once a
+protocol ends (_forget_learned).
 
 The ring protocols take a mapping of rings (key -> members, ring order)
 and run every ring in the same engine phases, one session per ring, so
@@ -39,7 +41,6 @@ from __future__ import annotations
 import logging
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
 
@@ -139,6 +140,29 @@ def _message_cap(engine: RoundEngine) -> int:
     Hull references in distribute_hulls, whole chains in the hull merge.
     """
     return max(1, math.ceil(math.log2(len(engine.topo.ids))))
+
+
+def _cut(engine: RoundEngine, items: list, id_index: int) -> list[tuple[list, tuple[NodeId, ...]]]:
+    """items in messages of at most _message_cap, each with the sorted ids it introduces.
+
+    Every item names a node at item[id_index]; a message introduces the
+    ids of its own items.
+    """
+    cap = _message_cap(engine)
+    chunks = [items[i : i + cap] for i in range(0, len(items), cap)]
+    return [(chunk, tuple(sorted({q[id_index] for q in chunk}))) for chunk in chunks]
+
+
+def _forget_learned(
+    engine: RoundEngine,
+    before: Mapping[NodeId, set[NodeId]],
+    keep: Mapping[NodeId, set[NodeId]],
+) -> None:
+    """Each node of `before` forgets every id it learned since, but those `keep` gives it."""
+    knows = engine.topo.knows
+    for v, known in before.items():
+        for rid in knows[v] - known - keep.get(v, set()):
+            engine.topo.forget(v, rid)
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +350,25 @@ def assign_hypercube_ids(
     rank 0, and the leader's budget is the first level whose arc holds
     the leader itself, ceil(log2 k).
     """
-    return _run_wave(
+    # each ring's order rotated so its leader is rank 0
+    ordered = {}
+    for key, members in rings.items():
+        at = members.index(results[key].leader)
+        ordered[key] = members[at:] + members[:at]
+    _run_wave(
         engine,
         "hypercube_ids",
-        {
-            key: _hypercube_session(engine, members, results[key])
-            for key, members in rings.items()
-        },
+        {key: _hypercube_session(engine, order, results[key]) for key, order in ordered.items()},
     )
+    return {key: cube_over(order, 0, len(order)) for key, order in ordered.items()}
 
 
 def _hypercube_session(
-    engine: RoundEngine, members: list[NodeId], result: PointerJumpResult
+    engine: RoundEngine, ordered: list[NodeId], result: PointerJumpResult
 ) -> _Session:
     leader = result.leader
     ell = {(e.endpoints[0], e.level): e.ell for e in result.jump_edges}
     d = min(e.level for e in result.jump_edges if e.endpoints[0] == leader and e.ell == leader)
-    # ring order rotated so the leader is rank 0
-    at = members.index(leader)
-    ordered = members[at:] + members[:at]
-
     return _tree_cast(
         engine,
         ordered,
@@ -354,7 +377,6 @@ def _hypercube_session(
         lambda held, rank, budget: [({"rank": rank, "budget": budget}, ())],
         # no edge at a level past the one whose arc held the leader: no send
         lambda v, i: ell.get((v, i), leader) != leader,
-        lambda: cube_over(ordered, 0, len(ordered)),
         [],
     )
 
@@ -366,7 +388,6 @@ def _tree_cast(
     tag: str,
     messages: Callable[[list[dict], int, int], list[tuple[dict, tuple[NodeId, ...]]]],
     forward: Callable[[NodeId, int], bool],
-    done: Callable[[], Any],
     start: list[dict],
 ) -> _Session:
     """Rank 0 of `ordered` reaches every rank down the binomial tree of jump edges.
@@ -378,8 +399,8 @@ def _tree_cast(
     made from v's own held payloads, to rank r + 2^i over its level-i
     jump edge, for every i < b for which forward(v, i) holds: exactly
     when r + 2^i < k.  A node reached by several messages in one round
-    is reached once.  The session's result is done(), once every rank
-    was reached in exactly one round.
+    is reached once.  The session aborts unless every rank was reached,
+    each in exactly one round.
     """
     k = len(ordered)
     rank_of = {v: r for r, v in enumerate(ordered)}
@@ -402,10 +423,9 @@ def _tree_cast(
             fanout(eng, v, inbox[0].payload["budget"], [m.payload for m in inbox])
         return v in reached
 
-    def finish(report: PhaseReport) -> Any:
+    def finish(report: PhaseReport) -> None:
         if len(reached) != k:
             raise SimulationAbortError(ordered[0], engine.round_no, f"{tag} missed ring nodes")
-        return done()
 
     return _Session(ordered, handler, 2 * d + 6, finish)
 
@@ -415,17 +435,16 @@ def _tree_cast(
 
 
 def hypercube_sort(
-    engine: RoundEngine,
-    cubes: Mapping[Hashable, HypercubeOverlay],
-    keys: Mapping[Hashable, dict[NodeId, tuple]],
+    engine: RoundEngine, cubes: Mapping[Hashable, HypercubeOverlay]
 ) -> dict[Hashable, list[list]]:
-    """Each cube's keys laid out by slot, which is ring rank; takes no round.
+    """Each cube's hosts as [x, y, id] keys laid out by slot, which is ring rank; takes no round.
 
     Nothing is sorted: the hull merge works on blocks of consecutive
     ranks, so slot s just holds its own host's key.  The name stays
     because perfbench traces this step as a span of its own.
     """
-    return {key: [list(keys[key][v]) for v in cube.members] for key, cube in cubes.items()}
+    pts = engine.topo.points
+    return {key: [[pts[v].x, pts[v].y, v] for v in cube.members] for key, cube in cubes.items()}
 
 
 def parallel_convex_hull(
@@ -442,11 +461,12 @@ def parallel_convex_hull(
     2^(L-1) jump edge, and the left host keeps the hull of the union
     (geometry.monotone_hull, the centralized oracle's chain).  A right
     half starting at or past k has nothing to merge.  A message carries
-    at most _message_cap points and a host sends at most that many merge
-    messages a round, so a level takes one round unless a hull exceeds
-    cap^2 points.  For the cubes in `angles` (each host's turn angle)
-    the right half's first message also carries the half's node count
-    and angle sum, which the left host adds to its own.  Returns each
+    at most _message_cap points and a host sends merge messages while it
+    has sent fewer than that many long-range messages this round, so a
+    level takes one round unless a hull exceeds cap^2 points.  For the
+    cubes in `angles` (each host's turn angle) the right half's first
+    message also carries the half's node count and angle sum, which the
+    left host adds to its own.  Returns each
     cube's ccw hull as slot keys, and slot 0's count and angle sum for
     the cubes in `angles`.
     """
@@ -454,16 +474,13 @@ def parallel_convex_hull(
     sums = {
         key: [(1, turns[v]) for v in cubes[key].members] for key, turns in (angles or {}).items()
     }
-    cap = _message_cap(engine)
     top = max((cube.dimension for cube in cubes.values()), default=0)
     for level in range(1, top + 1):
-        # merge messages per (round, host), shared by every cube of the level
-        sent: Counter = Counter()
         _run_wave(
             engine,
             f"hull_merge_{level}",
             {
-                key: _merge_session(cube, hulls[key], sums.get(key), level, cap, sent)
+                key: _merge_session(engine, cube, hulls[key], sums.get(key), level)
                 for key, cube in cubes.items()
                 if cube.dimension >= level
             },
@@ -475,27 +492,28 @@ def parallel_convex_hull(
 
 
 def _merge_session(
+    engine: RoundEngine,
     cube: HypercubeOverlay,
     hulls: list[list],
     sums: list[tuple[int, float]] | None,
     level: int,
-    cap: int,
-    sent: Counter,
 ) -> _Session:
     """Merge every pair of 2^(level-1)-slot blocks of one cube.
 
-    Each right block's host cuts its hull into messages of at most cap
-    points and sends them in the level's first round, at most cap of its
-    own merge messages a round, the rest in the rounds after; the first
-    one also carries the block's (count, angle) from `sums`, if given.
-    The left block's host merges whatever arrives into its hull and sums.
+    Each right block's host cuts its hull into messages (_cut) and sends
+    them from the level's first round on, while the engine counts fewer
+    than cap long-range sends by it in the round, over every cube; the
+    first one also carries the block's (count, angle) from `sums`, if
+    given.  The left block's host merges whatever arrives into its hull
+    and sums.
     """
     half = 1 << (level - 1)
+    cap = _message_cap(engine)
 
-    def ship(slot: int) -> list[dict]:
-        out = [{"hull": hulls[slot][i : i + cap]} for i in range(0, len(hulls[slot]), cap)]
+    def ship(slot: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
+        out = [({"hull": chunk}, ids) for chunk, ids in _cut(engine, hulls[slot], 2)]
         if sums is not None:
-            out[0]["count"], out[0]["angle"] = sums[slot]
+            out[0][0]["count"], out[0][0]["angle"] = sums[slot]
         return out
 
     queue = {
@@ -513,16 +531,9 @@ def _merge_session(
                     count, angle = sums[slot]
                     sums[slot] = (count + m.payload["count"], angle + m.payload["angle"])
         payloads = queue.get(v, [])
-        while payloads and sent[eng.round_no, v] < cap:
-            payload = payloads.pop(0)
-            sent[eng.round_no, v] += 1
-            eng.send(
-                v,
-                cube.host_of(cube.id_map[v] - half),
-                payload,
-                tag="hm",
-                intro_ids=tuple(sorted({q[2] for q in payload["hull"]})),
-            )
+        while payloads and eng.longrange_this_round(v) < cap:
+            payload, ids = payloads.pop(0)
+            eng.send(v, cube.host_of(cube.id_map[v] - half), payload, tag="hm", intro_ids=ids)
         return not payloads
 
     return _Session(cube.members, handler, 2 * half + 2)
@@ -546,7 +557,6 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
     introducing the ids of its own points.
     """
     k = len(cube.members)
-    cap = _message_cap(engine)
 
     def scoped(held: list[dict], c: int, i: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
         pts = [q for payload in held for q in payload["hull"]]
@@ -558,10 +568,7 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
             after = min(pts, key=lambda q: (q[3] - e) % k)
             part.setdefault(after[3], after)
         sent = [part[r] for r in sorted(part)]
-        return [
-            ({"hull": sent[j : j + cap], "budget": i}, tuple(sorted(q[2] for q in sent[j : j + cap])))
-            for j in range(0, len(sent), cap)
-        ]
+        return [({"hull": chunk, "budget": i}, ids) for chunk, ids in _cut(engine, sent, 2)]
 
     return _tree_cast(
         engine,
@@ -570,8 +577,7 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
         "hullb",
         scoped,
         lambda v, i: cube.id_map[v] + (1 << i) < k,
-        lambda: None,
-        [{"hull": [[q[0], q[1], int(q[2]), cube.id_map[q[2]]] for q in ccw]}],
+        [{"hull": [[q[0], q[1], q[2], cube.id_map[q[2]]] for q in ccw]}],
     )
 
 
@@ -645,9 +651,8 @@ def distribute_hulls(
     deliveries.
     """
     topo = engine.topo
-    batch = _message_cap(engine)
     height, start = tree.height, engine.round_no
-    pre_known = {v: set(topo.knows[v]) for v in topo.ids}
+    before = {v: set(topo.knows[v]) for v in topo.ids}
     own: dict[NodeId, list] = {}
     for ref in hull_refs:
         own.setdefault(ref[0], []).append(list(ref))
@@ -655,9 +660,7 @@ def distribute_hulls(
     deliveries = 0
 
     def send(eng: RoundEngine, v: NodeId, dst: NodeId, refs: list) -> None:
-        for i in range(0, len(refs), batch):
-            chunk = refs[i : i + batch]
-            ids = tuple(sorted({ref[0] for ref in chunk}))
+        for chunk, ids in _cut(eng, refs, 0):
             eng.send(v, dst, {"refs": chunk}, tag="href", intro_ids=ids)
 
     def serve(eng: RoundEngine, v: NodeId, refs: list) -> None:
@@ -690,11 +693,7 @@ def distribute_hulls(
         return v != tree.root or t >= height
 
     report = engine.run_phase("hull_distribution", handler, max_rounds=2 * height + 1)
-    for v, before in pre_known.items():
-        kept = keep_all if v in keep_all else ()
-        for rid in topo.knows[v] - before:
-            if rid not in kept:
-                topo.forget(v, rid)
+    _forget_learned(engine, before, dict.fromkeys(keep_all, keep_all))
     log.debug(
         "hull distribution: gather %d rounds, cast %d rounds, %d references, heap of %d",
         height, report.rounds - height, len(hull_refs), len(own),
@@ -809,23 +808,15 @@ def ring_protocol(
     the hull is broadcast, each host forgets every id learned since the
     merge began that is not a hull node of one of its rings.
     """
-    pts = engine.topo.points
     angles = None
     if cubes is None:
         if jumps is None:
             jumps = pointer_jumping(engine, rings)
         cubes = assign_hypercube_ids(engine, rings, jumps)
         # each node turns between its two radio neighbors on the ring
-        angles = {key: _turn_angles(pts, members) for key, members in rings.items()}
-    keys = {
-        key: {v: (pts[v].x, pts[v].y, v) for v in members}
-        for key, members in rings.items()
-    }
-    knows = engine.topo.knows
-    keep = {v: set(knows[v]) for members in rings.values() for v in members}
-    chains, totals = parallel_convex_hull(
-        engine, cubes, hypercube_sort(engine, cubes, keys), angles
-    )
+        angles = {key: _turn_angles(engine.topo.points, members) for key, members in rings.items()}
+    before = {v: set(engine.topo.knows[v]) for members in rings.values() for v in members}
+    chains, totals = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes), angles)
     if angles is not None:
         rank_ring(engine, rings, jumps, totals)
         if classify is not None:
@@ -835,11 +826,10 @@ def ring_protocol(
         "hull_broadcast",
         {k: _hull_broadcast_session(engine, c, chains[k]) for k, c in cubes.items()},
     )
-    hulls = {key: [int(q[2]) for q in chains[key]] for key in cubes}
+    hulls = {key: [q[2] for q in chains[key]] for key in cubes}
+    keep: dict[NodeId, set[NodeId]] = {}
     for key, members in rings.items():
         for v in members:
-            keep[v].update(hulls[key])
-    for v, ids in keep.items():
-        for rid in knows[v] - ids:
-            engine.topo.forget(v, rid)
+            keep.setdefault(v, set()).update(hulls[key])
+    _forget_learned(engine, before, keep)
     return {key: RingProtocolResult(cubes[key], hulls[key]) for key in rings}

@@ -285,7 +285,7 @@ class Pipeline:
 
     def storage_audit(self) -> dict:
         """Persisted-knowledge deltas by node class, with budgets."""
-        _, hull_nodes = self._hull_refs()
+        refs, hull_nodes = self._hull_refs()
         ring_members = set()
         for r in self.rings:
             ring_members.update(r.members)
@@ -297,11 +297,8 @@ class Pipeline:
             v: len(self._knows_after_build[v] - self.baseline_knows[v])
             for v in self.topo.ids
         }
-        sum_hull = sum(
-            len(self.abstractions[r.ring_id].hull_nodes)
-            for r in self.rings
-            if r.kind != KIND_OUTER_BOUNDARY
-        )
+        # one reference per hull node per non-outer ring
+        sum_hull = len(refs)
         max_p = max(len(r.members) for r in self.rings)
 
         def cls_stats(nodes: set[int], budget: float) -> dict:

@@ -177,6 +177,10 @@ class RoundEngine:
                     rep.max_longrange_per_node_round, peak
                 )
 
+    def longrange_this_round(self, v: NodeId) -> int:
+        """Long-range messages v has sent this round, over every session of the phase."""
+        return self._lr_this_round.get(v, 0)
+
     def collect(self, v: NodeId) -> list[Message]:
         """Drain v's inbox; for traffic driven outside run_phase."""
         box = self._inbox.get(None)

@@ -264,10 +264,9 @@ def test_hypercube_sort_lays_keys_out_by_rank(k):
     res = pointer_jumping(engine, {0: members})[0]
     cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
     pts = engine.topo.points
-    keys = {v: (pts[v].x, pts[v].y, v) for v in members}
     before = (engine.round_no, len(engine.phase_reports), engine.total_messages)
-    slot_keys = hypercube_sort(engine, {0: cube}, {0: keys})[0]
-    assert slot_keys == [list(keys[v]) for v in cube.members]
+    slot_keys = hypercube_sort(engine, {0: cube})[0]
+    assert slot_keys == [[pts[v].x, pts[v].y, v] for v in cube.members]
     # a layout, not a protocol: no round, no phase, no message
     assert (engine.round_no, len(engine.phase_reports), engine.total_messages) == before
 
@@ -486,9 +485,9 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     dropped = 0
     outside_learned = 0
 
-    def sort_spy(engine, cubes, keys):
+    def sort_spy(engine, cubes):
         learned.append({v: set(topo.knows[v]) for v in topo.ids})
-        return sort(engine, cubes, keys)
+        return sort(engine, cubes)
 
     def hull_spy(engine, cubes, slot_keys, angles=None):
         out = hull(engine, cubes, slot_keys, angles)

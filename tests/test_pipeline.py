@@ -195,26 +195,12 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 
 # Messages and bytes of the build without its hull-reference (`href`)
 # traffic, the sha256 of the sorted (node, long-range sends) pairs of the
-# same traffic, and abstraction_digest().  The traffic figures were
-# re-recorded when the sort went to one-round stages on wrap-around
-# padding and the hull merge to one search for both tangents, the bytes
-# again when pointer-jumping and hypercube-id messages stopped carrying
-# turn angles, and all three when the hull merge began shipping chains
-# that fit in one message without a tangent search, and all three again
-# when the outer-hole arcs stopped re-running election, ranking and the
-# id deal and took their cubes from the outer ring (and the outer hull
-# broadcast began carrying ranks), and all three again when the sort was
-# dropped and the hull merge went to blocks of consecutive ranks (and
-# the id deal stopped carrying k and d), and all three again when the
-# hull broadcast began cutting the hull into messages of at most
-# ceil(log2 n) points, each introducing only its own points' ids, in
-# place of one message with the whole hull per tree edge, and all three
-# again when the ranking pass was dropped and the hull merge began
-# carrying each right block's node count and turn-angle sum to the
-# leader, and all three again when the hull broadcast was scoped to
-# each subtree's hull points and the two hull points that bracket it;
-# the abstraction digests are still those of the ring-by-ring build.  The
-# `href` traffic itself is checked against oracles.brute_hull_gather_cast.
+# same traffic, and abstraction_digest().  The three traffic figures pin
+# what the ring protocols send; they are re-recorded, with the reason in
+# CHANGES.md, only when a change to those protocols changes their
+# messages.  The abstraction digests are those of the ring-by-ring build
+# and never change.  The `href` traffic itself is checked against
+# oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
         387, 31261,

@@ -160,6 +160,31 @@ def test_longrange_per_round_peak(line3):
     assert eng.max_longrange_per_node_round == 2
 
 
+def test_longrange_this_round_is_per_node_over_the_phase(line3):
+    # node 0 sends one long-range and one ad hoc message in each of two
+    # sessions of one phase: the count is its own, sums the sessions,
+    # leaves the ad hoc sends out and starts from zero the next round
+    line3.learn(0, 2)
+    eng = RoundEngine(line3)
+    seen = {}
+
+    def handler(engine, v, inbox):
+        if engine.round_no == 0 and v == 0:
+            engine.send(0, 2, None, channel=Channel.LONGRANGE)
+            engine.send(0, 1, None)
+        seen[engine.round_no, engine.session, v] = engine.longrange_this_round(v)
+        return True
+
+    eng.run_sessions("budget", {"a": ([0, 2], handler), "b": ([0, 2], handler)}, max_rounds=3)
+    assert seen[0, "a", 0] == 1 and seen[0, "b", 0] == 2
+    assert seen[0, "a", 2] == seen[0, "b", 2] == 0
+    assert all(count == 0 for (r, _, _), count in seen.items() if r == 1)
+    eng.send(0, 2, None, channel=Channel.LONGRANGE)
+    assert eng.longrange_this_round(0) == 1
+    eng.step_round()
+    assert eng.longrange_this_round(0) == 0
+
+
 # ---------------------------------------------------------------------------
 # sessions: several protocols in one phase
 
