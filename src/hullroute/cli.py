@@ -130,7 +130,7 @@ def cmd_run(args) -> int:
         )
     _print_bounds(rep)
     print(
-        f"n={rep.n} protocol_rounds={rep.protocol_rounds} "
+        f"n={rep.n} protocol_rounds={rep.protocol_rounds} wave_rounds={rep.wave_rounds} "
         f"queries={len(rep.queries)} max_ratio={rep.max_ratio:.3f} "
         f"bounds_ok={rep.bounds_ok}"
     )

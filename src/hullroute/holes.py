@@ -228,26 +228,24 @@ def build_hull_abstraction(
     engine: RoundEngine,
     rings: Sequence[HoleRing],
     jumps: Mapping[int, PointerJumpResult] | None = None,
-    seed: int = 0,
     cubes: Mapping[int, HypercubeOverlay] | None = None,
 ) -> tuple[dict[int, HullAbstraction], dict[int, RingProtocolResult]]:
     """Distributed hull, bays, and one dominating set per bay, per ring.
 
-    The rings run concurrently, then every bay of every ring runs its
-    dominating set concurrently.  Closed rings are classified by their
+    The rings run concurrently.  Closed rings are classified by their
     leaders during the hull protocol (classify_rings), before the hull
-    broadcast.  Arcs come with cubes on the outer ring and their kind
-    from detect_outer_holes.  Results are keyed by ring_id.
+    broadcast.  Each bay's dominating set then takes no round: its
+    members decide from the ring ranks the broadcast left them
+    (dominating_set).  Arcs come with cubes on the outer ring and their
+    kind from detect_outer_holes.  Results are keyed by ring_id.
     """
     members = {r.ring_id: r.members for r in rings}
     protos = ring_protocol(engine, members, jumps, cubes, lambda done: classify_rings(rings, done))
     bays = {r.ring_id: compute_bays(r, protos[r.ring_id].hull) for r in rings}
     paths = {(rid, i): bay.members for rid, bs in bays.items() for i, bay in enumerate(bs)}
-    sets = dominating_set(engine, paths, {key: seed * 7919 + key[1] for key in paths})
+    sets = dominating_set(paths)
     abstractions = {
-        rid: HullAbstraction(
-            rid, protos[rid].hull, bs, {i: sets[(rid, i)][0] for i in range(len(bs))}
-        )
+        rid: HullAbstraction(rid, protos[rid].hull, bs, {i: sets[(rid, i)] for i in range(len(bs))})
         for rid, bs in bays.items()
     }
     return abstractions, protos

@@ -3,14 +3,15 @@
 Everything here runs as node handlers inside the round engine: pointer
 jumping for leader election and jump-edge construction, hypercube id
 assignment, distributed convex hull by merging blocks of consecutive
-ranks, a broadcast tree over all nodes, hull reference distribution,
-and the per-bay dominating set.  The hypercube ids and the finished hull,
-scoped to each subtree, travel the same binomial tree of jump edges from
-the ring leader (_tree_cast); in the id deal a node picks the ranks it
-serves from its own jump edges, so no node needs the ring size.  The
-hull merge doubles as the list ranking: it carries each block's node
-count and turn-angle sum, so the leader ends with the exact ring size
-and angle total.
+ranks, a broadcast tree over all nodes, and hull reference
+distribution.  The hypercube ids and the finished hull, scoped to each
+subtree, travel the same binomial tree of jump edges from the ring
+leader (_tree_cast); in the id deal a node picks the ranks it serves
+from its own jump edges, so no node needs the ring size.  The hull
+merge doubles as the list ranking: it carries each block's node count
+and turn-angle sum, so the leader ends with the exact ring size and
+angle total.  The per-bay dominating set takes no round: every bay
+member decides from ring ranks the hull broadcast left it.
 
 Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Every sender cuts what it ships into messages of at
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import logging
 import math
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
 
@@ -171,7 +171,7 @@ def _forget_learned(
 
 @dataclass
 class _Session:
-    """One ring's (or bay's) part in a wave: who runs it, how, and for how long."""
+    """One ring's part in a wave: who runs it, how, and for how long."""
 
     members: list[NodeId]
     handler: Handler
@@ -554,9 +554,13 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
     it holds, the leader from its merged hull: a child's ranks and
     brackets lie within its parent's, so a sender knows every id it
     introduces.  Messages carry at most _message_cap points, each
-    introducing the ids of its own points.
+    introducing the ids of its own points.  On a closed ring each message
+    also carries the ring size k, which the leader ends the merge with:
+    the bay that wraps past rank 0 counts its members modulo k
+    (dominating_set).
     """
     k = len(cube.members)
+    size = {"size": k} if cube.closed else {}
 
     def scoped(held: list[dict], c: int, i: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
         pts = [q for payload in held for q in payload["hull"]]
@@ -568,7 +572,7 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
             after = min(pts, key=lambda q: (q[3] - e) % k)
             part.setdefault(after[3], after)
         sent = [part[r] for r in sorted(part)]
-        return [({"hull": chunk, "budget": i}, ids) for chunk, ids in _cut(engine, sent, 2)]
+        return [({"hull": chunk, "budget": i, **size}, ids) for chunk, ids in _cut(engine, sent, 2)]
 
     return _tree_cast(
         engine,
@@ -705,78 +709,22 @@ def distribute_hulls(
 # per-bay dominating set
 
 
-def dominating_set(
-    engine: RoundEngine,
-    paths: Mapping[Hashable, list[NodeId]],
-    seeds: Mapping[Hashable, int],
-) -> dict[Hashable, tuple[set[NodeId], int]]:
-    """Randomized dominating set of each boundary sub-path (degree <= 2).
+def dominating_set(paths: Mapping[Hashable, list[NodeId]]) -> dict[Hashable, set[NodeId]]:
+    """Minimum dominating set of each bay path, decided by every member alone; takes no round.
 
-    Phases of two rounds each: every uncovered node joins with
-    probability 1/2 and announces to its path neighbors, which then
-    count themselves covered.  A phase cap with deterministic join
-    keeps termination and validity unconditional.  All paths run at
-    once.  Returns (set, phases used) per path.
+    Member j of a path of m (j counted from 0 after the bay's first end)
+    joins when j mod 3 = 1, or when j = m - 1 and j mod 3 = 0: exactly
+    ceil(m/3) members, and every member is one of them or next to one.
+    A member knows j and m from three ring ranks it holds after the hull
+    broadcast, whose points are [x, y, id, rank]: its own, and those of
+    its bay's two hull ends, the nearest hull points before and after it
+    (_hull_broadcast_session).  An arc's ranks never wrap; a closed
+    ring's are taken modulo its size, which the broadcast carries too.
     """
-    out = {key: (set(path), 0) for key, path in paths.items() if len(path) <= 1}
-    out.update(
-        _run_wave(
-            engine,
-            "dominating_set",
-            {
-                key: _dominating_session(engine, path, seeds[key])
-                for key, path in paths.items()
-                if len(path) > 1
-            },
-        )
-    )
-    return {key: out[key] for key in paths}
-
-
-def _dominating_session(engine: RoundEngine, path: list[NodeId], seed: int) -> _Session:
-    m = len(path)
-    nbrs: dict[NodeId, list[NodeId]] = {}
-    for i, v in enumerate(path):
-        nbrs[v] = []
-        if i > 0:
-            nbrs[v].append(path[i - 1])
-        if i + 1 < m:
-            nbrs[v].append(path[i + 1])
-    rng = {v: random.Random((seed * 1_000_003 + v) * 2654435761 % (2**63)) for v in path}
-    in_ds: set[NodeId] = set()
-    covered: set[NodeId] = set()
-    cap = 4 * math.ceil(math.log2(m + 2)) + 8
-    state = {v: {"phase": 0, "parity": 0} for v in path}
-
-    def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        s = state[v]
-        for msg in inbox:
-            if msg.tag == "ds_join" and msg.src in nbrs[v]:
-                covered.add(v)
-        if v in in_ds or v in covered:
-            return True
-        if s["parity"] == 1:
-            # absorption round: wait for announcements in flight
-            s["parity"] = 0
-            return False
-        s["phase"] += 1
-        join = s["phase"] > cap or rng[v].random() < 0.5
-        if join:
-            in_ds.add(v)
-            covered.add(v)
-            for nb in nbrs[v]:
-                eng.send(v, nb, None, tag="ds_join")
-            return True
-        s["parity"] = 1
-        return False
-
-    def finish(report: PhaseReport) -> tuple[set[NodeId], int]:
-        for v in path:
-            if v not in in_ds and not any(nb in in_ds for nb in nbrs[v]):
-                raise SimulationAbortError(v, engine.round_no, "domination gap")
-        return in_ds, max(s["phase"] for s in state.values())
-
-    return _Session(path, handler, 4 * cap + 20, finish)
+    return {
+        key: {v for j, v in enumerate(path) if j % 3 == 1 or j == len(path) - 1 and j % 3 == 0}
+        for key, path in paths.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,8 @@ class ExperimentReport:
     n: int
     backend: str
     phase_rounds: dict[str, int]
+    # rounds up to wave two's end, which the broadcast tree's charge can hide
+    wave_rounds: int
     protocol_rounds: int
     phases: list[dict]
     message_stats: dict
@@ -156,6 +158,7 @@ class Pipeline:
         self.tree: BroadcastTree | None = None
         self.router: Router | None = None
         self.phase_rounds: dict[str, int] = {}
+        self.wave_rounds = 0
         self.protocol_rounds = 0
         # per-node long-range sends and ad hoc sends of the latest build
         self.build_longrange: dict[int, int] = {}
@@ -170,7 +173,8 @@ class Pipeline:
         Wave one is every closed ring (the election, which is all the
         "classification" rounds, then hull, bays and dominating sets); wave
         two is the outer-hole arcs, which hang off the outer boundary's hull
-        and reuse that ring's ranks and jump edges.  The broadcast tree
+        and reuse that ring's ranks and jump edges.  The dominating sets
+        take no round.  The broadcast tree
         needs no ring and runs from the build's first round, so the build
         takes max(tree rounds, rounds up to wave two's end) before the
         hull distribution.
@@ -219,6 +223,7 @@ class Pipeline:
         self.rings = self.rings + arcs
         mark("outer_holes", t)
         self._log_wave("outer-hole arcs", arcs, own_before, eng.round_no - t)
+        self.wave_rounds = eng.round_no - start
 
         # the tree runs beside every phase since `start`; it is charged
         # here only for the rounds it still needs, and a reused one needs none
@@ -249,24 +254,18 @@ class Pipeline:
     ) -> None:
         """One debug line for the wave, one per ring with its own rounds.
 
-        A ring's own rounds are its sessions' rounds: election through
-        hull broadcast, plus the slowest of its bays' dominating sets.
+        A ring's own rounds are its session's rounds, election through
+        hull broadcast.
         """
         if not log.isEnabledFor(logging.DEBUG):
             return
         own = self.engine.session_rounds
-
-        def rounds(key) -> int:
-            return own.get(key, 0) - own_before.get(key, 0)
-
         log.debug("wave %s: %d rings in %d rounds", wave, len(rings), wave_rounds)
         for r in rings:
-            ab = self.abstractions[r.ring_id]
-            bays = max((rounds((r.ring_id, i)) for i in range(len(ab.bay_areas))), default=0)
             log.debug(
                 "ring %d %s: size %d, hull %d, own rounds %d",
-                r.ring_id, r.kind, len(r.members), len(ab.hull_nodes),
-                rounds(r.ring_id) + bays,
+                r.ring_id, r.kind, len(r.members), len(self.abstractions[r.ring_id].hull_nodes),
+                own.get(r.ring_id, 0) - own_before.get(r.ring_id, 0),
             )
 
     def _hull_refs(self):
@@ -457,6 +456,7 @@ class Pipeline:
             n=len(self.topo.points),
             backend=self.config.backend,
             phase_rounds=dict(self.phase_rounds),
+            wave_rounds=self.wave_rounds,
             protocol_rounds=self.protocol_rounds,
             phases=[asdict(p) for p in eng.phase_reports],
             message_stats=message_stats,

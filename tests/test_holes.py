@@ -324,7 +324,7 @@ def test_hull_abstraction_on_star():
     topo = build_udg(pts)
     engine = RoundEngine(topo)
     ring = HoleRing(ring_id=0, members=members)
-    abstractions, protos = build_hull_abstraction(engine, [ring], seed=11)
+    abstractions, protos = build_hull_abstraction(engine, [ring])
     ha, proto = abstractions[0], protos[0]
     assert ha.hull_nodes == proto.hull
     assert sorted(ha.hull_nodes) == [0, 3, 6, 9]

@@ -30,7 +30,14 @@ from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
 from hullroute.simengine import RoundEngine
 
-from oracles import brute_arc_min, brute_hull, brute_hull_ccw, brute_hull_gather_cast
+from oracles import (
+    brute_arc_min,
+    brute_hull,
+    brute_hull_ccw,
+    brute_hull_gather_cast,
+    brute_min_path_ds,
+    path_ds_optimum,
+)
 
 
 def circle_points(k, *, ids=None, jitter=0.0, seed=0):
@@ -703,13 +710,6 @@ def _check_flood(n, heap_ids, refs, monkeypatch):
 # dominating set
 
 
-def test_dominating_set_singleton_path():
-    eng = line_engine(1)
-    ds, phases = dominating_set(eng, {0: [0]}, {0: 5})[0]
-    assert ds == {0}
-    assert phases == 0
-
-
 def covers(path, ds):
     m = len(path)
     for i, v in enumerate(path):
@@ -719,30 +719,13 @@ def covers(path, ds):
     return True
 
 
-@pytest.mark.parametrize("m", [2, 3, 5, 30])
+@pytest.mark.parametrize("m", range(1, 31))
 def test_dominating_set_always_valid(m):
-    path = list(range(m))
-    for seed in range(25):
-        eng = line_engine(m)
-        ds, phases = dominating_set(eng, {0: path}, {0: seed})[0]
-        assert ds <= set(path)
-        assert covers(path, ds)
-        assert phases <= 4 * math.ceil(math.log2(m + 2)) + 9
-
-
-def test_dominating_set_mean_size_bound():
-    m = 30
-    path = list(range(m))
-    sizes = []
-    for seed in range(100):
-        eng = line_engine(m)
-        ds, _ = dominating_set(eng, {0: path}, {0: seed})[0]
-        sizes.append(len(ds))
-    assert sum(sizes) / len(sizes) <= 3 * math.ceil(m / 3)
-
-
-def test_dominating_set_deterministic_per_seed():
-    path = list(range(12))
-    a, _ = dominating_set(line_engine(12), {0: path}, {0: 42})[0]
-    b, _ = dominating_set(line_engine(12), {0: path}, {0: 42})[0]
-    assert a == b
+    # the rank rule's set is a minimum dominating set of the path
+    path = [100 + 7 * i for i in range(m)]
+    (ds,) = dominating_set({"bay": path}).values()
+    assert ds <= set(path)
+    assert covers(path, ds)
+    assert len(ds) == path_ds_optimum(m)
+    if m <= 12:
+        assert path_ds_optimum(m) == brute_min_path_ds(m)

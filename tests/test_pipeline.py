@@ -8,7 +8,7 @@ import json
 import logging
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -37,6 +37,7 @@ from hullroute.scenario import (
     load_topology,
     scaling_spec,
 )
+from hullroute.simengine import RoundEngine
 
 from oracles import brute_hull_gather_cast, crossing_edge_pairs
 
@@ -198,29 +199,30 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # same traffic, and abstraction_digest().  The three traffic figures pin
 # what the ring protocols send; they are re-recorded, with the reason in
 # CHANGES.md, only when a change to those protocols changes their
-# messages.  The abstraction digests are those of the ring-by-ring build
-# and never change.  The `href` traffic itself is checked against
-# oracles.brute_hull_gather_cast.
+# messages.  The abstraction digests are those of the ring-by-ring build;
+# they changed once, in their dominating-set field only, when the
+# randomized dominating sets gave way to the rank rule.  The `href`
+# traffic itself is checked against oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        387, 31261,
+        381, 31283,
         "43cebf4cf5c1370ece5f316c9674b19c42fe80dde7e8e1acbaf35a177540c105",
-        "7ea20af8dda20938d6806f80e444ef1f7b0d7b32dde9cc76afa9ff88f1db87e7",
+        "167515271a2a6fe0f0f4ce2d41f30afb50a20d1c038a740e9c73a7fcea2996c7",
     ),
     "crescent-24": (
-        1408, 107034,
+        1336, 104914,
         "3ee96c637c64114037e7116bcf2416ad15b9d690af4d867bb30973ff43747371",
-        "30cd2654187717c193ba3a267d481b33a02227ee86f7095dc680a530c50ae4c8",
+        "5ef187bed93cad33b7ac12095d12af1656e255349cc5fa6605727ab0e229df6a",
     ),
     "star12-4": (
-        1584, 122775,
+        1512, 120785,
         "9f7c664d398ec2d849f76d849e73b7d827c54c41d0c36716c91b1caae0e92550",
-        "e866a7167284bdb2c70b267d2f19c2af609b6dbb6a89e183faf70b36e52e5e5e",
+        "64e300e5b6dceb5dd6953f4830f3666a1869794a546ff32d0893dbbfb1b6c921",
     ),
     "scale-512-1": (
-        2021, 156543,
+        1928, 153863,
         "bd08a4a734935eb57f7d20c55f7c3d2e9707865b9349fa6759748d49e3980e81",
-        "a0ecd3b2c6ded5689b7b14851ccc49df3c05d7d964a4d09d864d8e790506bb12",
+        "d89677386b7240cc70ded07b762f05ab59f609d5529063c7552deed69a6a251a",
     ),
 }
 
@@ -271,14 +273,16 @@ def test_build_runs_no_ranking_pass(grid_pipe):
 
 # sha256 of the `queries` rows of Pipeline.run() with query_count=100 and
 # query_seed=11, recorded from the router that still mapped waypoint
-# positions back to node ids; any change to a route, case or ratio shows
+# positions back to node ids; any change to a route, case or ratio shows.
+# The crescent-24 and scale-512-1 rows were re-recorded when the bay
+# dominating sets, where bay legs are anchored, became the rank rule's
 ROUTE_ROWS = {
-    ("crescent-24", "overlay-delaunay"): "ff50706ab9dc53063cfb57df0be6eff2257e9e52d62b1f325a9ec4a0898d52e4",
-    ("crescent-24", "visibility"): "ff50706ab9dc53063cfb57df0be6eff2257e9e52d62b1f325a9ec4a0898d52e4",
+    ("crescent-24", "overlay-delaunay"): "6e9e1753450c3ad1ca37e68bcc36cf439167d55bd36c6343addb19f17a08ea4e",
+    ("crescent-24", "visibility"): "6e9e1753450c3ad1ca37e68bcc36cf439167d55bd36c6343addb19f17a08ea4e",
     ("grid36-hole4", "overlay-delaunay"): "510ffb124bcf524235c8d90d68ed2c0e95a496975fb5ec35c2948521fa7c7abe",
     ("grid36-hole4", "visibility"): "510ffb124bcf524235c8d90d68ed2c0e95a496975fb5ec35c2948521fa7c7abe",
-    ("scale-512-1", "overlay-delaunay"): "23d6eb1aa423d2c1b04d6cdd9829d29f5b42edaf90e5df9b7a6cfc47f866df45",
-    ("scale-512-1", "visibility"): "18712666500c91a8ccc8cf4bf4b835c1e24a7420badff0f0a47604313882e004",
+    ("scale-512-1", "overlay-delaunay"): "40caa9afc87fe03d5eaf0e6b4f02816d2519e3db599367549bb48e4a30577c3a",
+    ("scale-512-1", "visibility"): "9f146c7d8a16783d55a837dc7e55e71410647a93fcf629129dbe4eaf308d31fc",
     ("star12-4", "overlay-delaunay"): "505bbc2cc53518eefa9efe7a9af8e5d09c1e5963c68572baa544d0492c1e86cc",
     ("star12-4", "visibility"): "351bfce4815a125c550c0e7218d33214d5585fe283db6df3cc2e15c345d4d3a3",
 }
@@ -315,21 +319,50 @@ def test_case1_planners_know_their_waypoints(name):
 
 
 @pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1"])
-def test_ring_nodes_know_their_bay_ends(name):
+def test_ring_nodes_know_their_bay_ends(name, monkeypatch):
     # the scoped hull broadcast leaves every node of every ring, arcs
-    # included, the two hull nodes that close its bay
+    # included, the two hull nodes that close its bay and their ranks, and
+    # on a closed ring the ring size; so member j of a bay of m decides
+    # alone whether it joins the bay's dominating set: when j % 3 == 1,
+    # or j == m - 1 and j % 3 == 0
     if name == "scale-512-1":
         topo = generate_scenario(scaling_spec(512, 1))
     else:
         topo = fixture_topology(name)
+    heard, sizes = defaultdict(dict), {}
+    send = RoundEngine.send
+
+    def spy(engine, src, dst, payload=None, **kw):
+        if kw.get("tag") == "hullb":
+            heard[engine.session, dst].update({q[2]: q[3] for q in payload["hull"]})
+            sizes[engine.session, dst] = payload.get("size")
+        return send(engine, src, dst, payload, **kw)
+
+    monkeypatch.setattr(RoundEngine, "send", spy)
     pipe = Pipeline(topo, PipelineConfig())
     pipe.build_abstraction()
     knows = pipe._knows_after_build
     checked = Counter()
     for r in pipe.rings:
-        for bay in pipe.abstractions[r.ring_id].bay_areas:
+        cube = pipe.protos[r.ring_id].cube
+        rank, k = cube.id_map, len(cube.members)
+        ab = pipe.abstractions[r.ring_id]
+        # the leader, rank 0 of a closed ring, ends the merge with the hull and k
+        heard[r.ring_id, cube.members[0]] = {h: rank[h] for h in ab.hull_nodes}
+        sizes[r.ring_id, cube.members[0]] = k if cube.closed else None
+        for i, bay in enumerate(ab.bay_areas):
+            a, b = (rank[e] for e in bay.edge)
             for v in bay.members:
                 assert set(bay.edge) <= knows[v], (r.ring_id, v, bay.edge)
+                assert {e: heard[r.ring_id, v].get(e) for e in bay.edge} == dict(zip(bay.edge, (a, b)))
+                assert sizes[r.ring_id, v] == (k if cube.closed else None), (r.ring_id, v)
+                # an arc's ranks never wrap; a closed ring's wrap past rank 0
+                j, m = rank[v] - a - 1, b - a - 1
+                if cube.closed:
+                    j, m = j % k, m % k
+                assert (j, m) == (bay.members.index(v), len(bay.members)), (r.ring_id, v)
+                joins = j % 3 == 1 or j == m - 1 and j % 3 == 0
+                assert joins == (v in ab.dominating_sets[i]), (r.ring_id, v, j, m)
                 checked[r.kind] += 1
     assert checked[KIND_OUTER_HOLE] > 0
 
@@ -438,6 +471,8 @@ def test_broadcast_tree_is_charged_only_past_the_waves(name):
     rounds = pipe.phase_rounds
     tree = math.ceil(math.log2(len(topo.ids)) ** 2)
     before = sum(rounds[p] for p in PRE_TREE_PHASES)
+    rep = pipe.report([], {"per_case": {}, "max_ratio": 0.0, "count": 0})
+    assert rep.wave_rounds == pipe.wave_rounds == before
     assert rounds["broadcast_tree"] == max(0, tree - before) == pipe.engine.charged["broadcast_tree"]
     assert pipe.protocol_rounds == max(tree, before) + rounds["hull_distribution"]
     assert pipe.protocol_rounds == sum(rounds[p] for p in (*PRE_TREE_PHASES, "broadcast_tree", "hull_distribution"))
@@ -498,16 +533,16 @@ def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monke
     topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
     build, knew = pipeline_mod.build_hull_abstraction, []
 
-    def spy(engine, rings, jumps=None, seed=0, cubes=None):
+    def spy(engine, rings, jumps=None, cubes=None):
         if cubes is not None:  # wave two
             knew.append({v: set(topo.knows[v]) for v in topo.ids})
-        return build(engine, rings, jumps, seed, cubes)
+        return build(engine, rings, jumps, cubes)
 
     monkeypatch.setattr(pipeline_mod, "build_hull_abstraction", spy)
     pipe = Pipeline(topo, PipelineConfig())
     pipe.build_abstraction()
     labels = [p.label for p in pipe.engine.phase_reports]
-    wave_two = set(labels[labels.index("dominating_set") + 1 :])
+    wave_two = set(labels[labels.index("hull_broadcast") + 1 :])
     assert "hull_broadcast" in wave_two
     assert not {"pointer_jumping", "hypercube_ids"} & wave_two
     (knew,) = knew
@@ -665,6 +700,7 @@ def test_cli_full_workflow(tmp_path, capsys):
     assert "bounds_ok=True" in out
     assert "protocol_rounds" in out
     rep = json.loads(report_p.read_text())
+    assert f" wave_rounds={rep['wave_rounds']} " in out
     assert rep["bounds_ok"] is True
     assert len(rep["queries"]) == 12
 
