@@ -729,3 +729,13 @@ def test_dominating_set_always_valid(m):
     assert len(ds) == path_ds_optimum(m)
     if m <= 12:
         assert path_ds_optimum(m) == brute_min_path_ds(m)
+
+
+def test_dominating_set_mean_size_bound():
+    # the mean size over 100 bays of 30 members stays within 3 * ceil(m/3)
+    m = 30
+    paths = {bay: [1000 * bay + i for i in range(m)] for bay in range(100)}
+    sets = dominating_set(paths)
+    assert set(sets) == set(paths)
+    sizes = [len(ds) for ds in sets.values()]
+    assert sum(sizes) / len(sizes) <= 3 * math.ceil(m / 3)
