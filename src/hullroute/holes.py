@@ -13,11 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import (
-    AssumptionViolationError,
-    EmbeddingCorruptionError,
-    GeometryInconsistencyError,
-)
+from .errors import AssumptionViolationError, EmbeddingCorruptionError
 from .geometry import (
     Point,
     convex_hull_oracle,
@@ -30,7 +26,6 @@ from .geometry import (
 from .ldel import UNIT_RANGE, NodeId, PlanarGraph
 from .overlay import (
     HypercubeOverlay,
-    PointerJumpResult,
     RingProtocolResult,
     dominating_set,
     pointer_jumping,  # not called here: bound for perfbench/tracer.py, which wraps it here
@@ -42,8 +37,6 @@ from .simengine import RoundEngine
 KIND_INNER = "InnerHole"
 KIND_OUTER_BOUNDARY = "OuterBoundary"
 KIND_OUTER_HOLE = "OuterHole"
-
-ANGLE_TOL = 1e-6
 
 
 @dataclass
@@ -131,24 +124,15 @@ def form_rings(g: PlanarGraph, boundary: set[NodeId]) -> list[HoleRing]:
     return rings
 
 
-def classify_rings(rings: Sequence[HoleRing], jumps: Mapping[int, PointerJumpResult]) -> None:
-    """Set each ring's kind from the angle total its leader merged; takes no round.
+def classify_rings(rings: Sequence[HoleRing], protos: Mapping[int, RingProtocolResult]) -> None:
+    """Each closed ring's kind from the sign of its leader's merged angle total; takes no round.
 
-    ring_protocol calls it once the hull merge has brought every leader
-    its ring's turn-angle total, before the hull broadcast: +360 is the
-    outer boundary, -360 a hole.
+    The leader already checked the total is +360 or -360 before the hull
+    broadcast (overlay.rank_ring): +360 is the outer boundary, -360 a hole.
     """
     for r in rings:
-        total = jumps[r.ring_id].angle_total
-        r.orientation_sum = total
-        if abs(total - 360.0) <= ANGLE_TOL:
-            r.kind = KIND_OUTER_BOUNDARY
-        elif abs(total + 360.0) <= ANGLE_TOL:
-            r.kind = KIND_INNER
-        else:
-            raise GeometryInconsistencyError(
-                f"ring {r.ring_id} turn-angle total {total:.9f} is neither +360 nor -360"
-            )
+        r.orientation_sum = protos[r.ring_id].angle_total
+        r.kind = KIND_OUTER_BOUNDARY if r.orientation_sum > 0 else KIND_INNER
 
 
 def hull_node_ids(points: dict[NodeId, Point], members: list[NodeId]) -> list[NodeId]:
@@ -227,20 +211,19 @@ def compute_bays(ring: HoleRing, hull_nodes: list[NodeId]) -> list[Bay]:
 def build_hull_abstraction(
     engine: RoundEngine,
     rings: Sequence[HoleRing],
-    jumps: Mapping[int, PointerJumpResult] | None = None,
-    cubes: Mapping[int, HypercubeOverlay] | None = None,
+    cubes: Mapping[int, HypercubeOverlay],
 ) -> tuple[dict[int, HullAbstraction], dict[int, RingProtocolResult]]:
     """Distributed hull, bays, and one dominating set per bay, per ring.
 
-    The rings run concurrently.  Closed rings are classified by their
-    leaders during the hull protocol (classify_rings), before the hull
-    broadcast.  Each bay's dominating set then takes no round: its
-    members decide from the ring ranks the broadcast left them
-    (dominating_set).  Arcs come with cubes on the outer ring and their
-    kind from detect_outer_holes.  Results are keyed by ring_id.
+    cubes holds each ring's ranks, keyed by ring_id: a closed ring's from
+    the id deal, an outer-hole arc's from the outer ring's.  The rings
+    run concurrently (ring_protocol); a closed ring's leader ends with
+    the ring's size and angle total, which classify_rings reads.  Each
+    bay's dominating set then takes no round: its members decide from
+    the ring ranks the broadcast left them (dominating_set).  Results
+    are keyed by ring_id.
     """
-    members = {r.ring_id: r.members for r in rings}
-    protos = ring_protocol(engine, members, jumps, cubes, lambda done: classify_rings(rings, done))
+    protos = ring_protocol(engine, cubes)
     bays = {r.ring_id: compute_bays(r, protos[r.ring_id].hull) for r in rings}
     paths = {(rid, i): bay.members for rid, bs in bays.items() for i, bay in enumerate(bs)}
     sets = dominating_set(paths)

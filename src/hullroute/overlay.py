@@ -7,11 +7,12 @@ ranks, a broadcast tree over all nodes, and hull reference
 distribution.  The hypercube ids and the finished hull, scoped to each
 subtree, travel the same binomial tree of jump edges from the ring
 leader (_tree_cast); in the id deal a node picks the ranks it serves
-from its own jump edges, so no node needs the ring size.  The hull
-merge doubles as the list ranking: it carries each block's node count
-and turn-angle sum, so the leader ends with the exact ring size and
-angle total.  The per-bay dominating set takes no round: every bay
-member decides from ring ranks the hull broadcast left it.
+from its own jump edges, so no node needs the ring size.  On a closed
+ring the hull merge doubles as the list ranking: it carries each
+block's node count and turn-angle sum, so the leader ends with the
+exact ring size and angle total, and checks both before it broadcasts
+the hull (rank_ring).  The per-bay dominating set takes no round:
+every bay member decides from ring ranks the hull broadcast left it.
 
 Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Every sender cuts what it ships into messages of at
@@ -25,10 +26,11 @@ two hull points that bracket it, so every ring node learns its bay's
 two hull ends.  Ids a node learns only in transit are forgotten once a
 protocol ends (_forget_learned).
 
-The ring protocols take a mapping of rings (key -> members, ring order)
-and run every ring in the same engine phases, one session per ring, so
-a step costs the rounds of its slowest ring rather than the sum over
-rings.  A single ring is the one-entry case.
+The ring protocols take a mapping keyed by ring, of its members in ring
+order or, from the id deal on, of its cube, and run every ring in the
+same engine phases, one session per ring, so a step costs the rounds of
+its slowest ring rather than the sum over rings.  A single ring is the
+one-entry case.
 
 Ring nodes address each other only through ids they have learned:
 successors are radio neighbors, every longer link is created by an
@@ -44,12 +46,15 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
 
-from .errors import DegenerateInputError, SimulationAbortError
+from .errors import DegenerateInputError, GeometryInconsistencyError, SimulationAbortError
 from .geometry import Point, monotone_hull, signed_turn_angle
 from .ldel import NodeId
 from .simengine import Handler, Message, PhaseReport, RoundEngine
 
 log = logging.getLogger(__name__)
+
+# how far a merged turn-angle total may stray from +-360 degrees
+ANGLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,6 @@ class PointerJumpResult:
     jump_edges: list[JumpEdge]
     jump_rounds: int
     messages_per_node: dict[NodeId, int]
-    # filled from the hull merge by rank_ring
-    angle_total: float = 0.0
-    ring_size: int = 0
 
 
 @dataclass
@@ -90,9 +92,6 @@ class HypercubeOverlay:
     id_map: dict[NodeId, int]
     members: list[NodeId]  # by rank; rank == hypercube slot
     closed: bool
-
-    def host_of(self, slot: int) -> NodeId:
-        return self.members[slot]
 
     def arc(self, members: list[NodeId]) -> HypercubeOverlay:
         """The cube of an arc of this ring, in ring order."""
@@ -114,9 +113,7 @@ def cube_over(order: list[NodeId], start: int, m: int) -> HypercubeOverlay:
 class BroadcastTree:
     root: NodeId
     parent: dict[NodeId, NodeId]
-    children: dict[NodeId, list[NodeId]]
     height: int
-    max_degree: int
 
 
 def _ring_maps(members: list[NodeId]) -> tuple[dict, dict]:
@@ -309,25 +306,27 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
 
 def rank_ring(
     engine: RoundEngine,
-    rings: Mapping[Hashable, list[NodeId]],
-    results: Mapping[Hashable, PointerJumpResult],
+    cubes: Mapping[Hashable, HypercubeOverlay],
     totals: Mapping[Hashable, tuple[int, float]],
 ) -> None:
-    """Each leader's merged ring size and turn-angle total into its result; takes no round.
+    """Each leader checks the ring size and turn-angle total it merged; takes no round.
 
     The hull merge is also a doubling list ranking anchored at the
     leader: the first merge message of every right block carries the
-    block's node count and turn-angle sum, so slot 0 ends with the ring's
-    size and its angle total (parallel_convex_hull).  A size other than
-    the ring's means the merge lost nodes.  The name stays because
-    perfbench traces this step as a span of its own.
+    block's node count and turn-angle sum, so slot 0 of a closed cube
+    ends with the ring's size k and its angle total
+    (parallel_convex_hull).  A size other than k means the merge lost
+    nodes; a simple ring turns +360 or -360 degrees, within ANGLE_TOL,
+    and any other total aborts before the hull broadcast.  The name
+    stays because perfbench traces this step as a span of its own.
     """
-    for key, members in rings.items():
-        result = results[key]
-        result.ring_size, result.angle_total = totals[key]
-        if result.ring_size != len(members):
-            raise SimulationAbortError(
-                result.leader, engine.round_no, "hull merge lost nodes on the ring"
+    for key, (size, total) in totals.items():
+        leader = cubes[key].members[0]
+        if size != len(cubes[key].members):
+            raise SimulationAbortError(leader, engine.round_no, "hull merge lost nodes on the ring")
+        if abs(abs(total) - 360.0) > ANGLE_TOL:
+            raise GeometryInconsistencyError(
+                f"ring {key} turn-angle total {total:.9f} is neither +360 nor -360"
             )
 
 
@@ -451,7 +450,6 @@ def parallel_convex_hull(
     engine: RoundEngine,
     cubes: Mapping[Hashable, HypercubeOverlay],
     slot_keys: Mapping[Hashable, list[list]],
-    angles: Mapping[Hashable, dict[NodeId, float]] | None = None,
 ) -> tuple[dict[Hashable, list[list]], dict[Hashable, tuple[int, float]]]:
     """Divide and conquer over blocks of consecutive slots, every cube at once.
 
@@ -463,17 +461,21 @@ def parallel_convex_hull(
     half starting at or past k has nothing to merge.  A message carries
     at most _message_cap points and a host sends merge messages while it
     has sent fewer than that many long-range messages this round, so a
-    level takes one round unless a hull exceeds cap^2 points.  For the
-    cubes in `angles` (each host's turn angle) the right half's first
-    message also carries the half's node count and angle sum, which the
-    left host adds to its own.  Returns each
+    level takes one round unless a hull exceeds cap^2 points.  On a
+    closed cube every host starts with count 1 and its turn angle
+    between its two radio neighbors on the ring, and the right half's
+    first message also carries the half's node count and angle sum,
+    which the left host adds to its own.  An arc's cube carries neither;
+    the arc's orientation is detect_outer_holes' exact sign.  Returns each
     cube's ccw hull as slot keys, and slot 0's count and angle sum for
-    the cubes in `angles`.
+    the closed cubes.
     """
     hulls = {key: [[q] for q in slot_keys[key]] for key in cubes}
-    sums = {
-        key: [(1, turns[v]) for v in cubes[key].members] for key, turns in (angles or {}).items()
-    }
+    sums = {}
+    for key, cube in cubes.items():
+        if cube.closed:
+            turns = _turn_angles(engine.topo.points, cube.members)
+            sums[key] = [(1, turns[v]) for v in cube.members]
     top = max((cube.dimension for cube in cubes.values()), default=0)
     for level in range(1, top + 1):
         _run_wave(
@@ -502,10 +504,10 @@ def _merge_session(
 
     Each right block's host cuts its hull into messages (_cut) and sends
     them from the level's first round on, while the engine counts fewer
-    than cap long-range sends by it in the round, over every cube; the
-    first one also carries the block's (count, angle) from `sums`, if
-    given.  The left block's host merges whatever arrives into its hull
-    and sums.
+    than cap long-range sends by it in the round, over every cube; on a
+    closed cube the first one also carries the block's (count, angle)
+    from `sums`.  The left block's host merges whatever arrives into its
+    hull and sums.
     """
     half = 1 << (level - 1)
     cap = _message_cap(engine)
@@ -517,7 +519,7 @@ def _merge_session(
         return out
 
     queue = {
-        cube.host_of(base + half): ship(base + half)
+        cube.members[base + half]: ship(base + half)
         for base in range(0, len(cube.members) - half, 1 << level)
     }
 
@@ -533,7 +535,7 @@ def _merge_session(
         payloads = queue.get(v, [])
         while payloads and eng.longrange_this_round(v) < cap:
             payload, ids = payloads.pop(0)
-            eng.send(v, cube.host_of(cube.id_map[v] - half), payload, tag="hm", intro_ids=ids)
+            eng.send(v, cube.members[cube.id_map[v] - half], payload, tag="hm", intro_ids=ids)
         return not payloads
 
     return _Session(cube.members, handler, 2 * half + 2)
@@ -602,16 +604,7 @@ def build_broadcast_tree(engine: RoundEngine, began: int) -> BroadcastTree:
     """
     ids = engine.topo.ids
     n = len(ids)
-    parent: dict[NodeId, NodeId] = {}
-    children: dict[NodeId, list[NodeId]] = {v: [] for v in ids}
-    for i in range(1, n):
-        p = ids[(i - 1) // 2]
-        parent[ids[i]] = p
-        children[p].append(ids[i])
-    height = n.bit_length() - 1
-    max_degree = max(
-        (len(children[v]) + (1 if v in parent else 0)) for v in ids
-    )
+    parent = {ids[i]: ids[(i - 1) // 2] for i in range(1, n)}
     for child, p in parent.items():
         engine.topo.learn(p, child)
         engine.topo.learn(child, p)
@@ -623,9 +616,7 @@ def build_broadcast_tree(engine: RoundEngine, began: int) -> BroadcastTree:
         "broadcast tree: %d rounds, %d beside the earlier phases, %d charged",
         rounds, beside, charged,
     )
-    return BroadcastTree(
-        root=ids[0], parent=parent, children=children, height=height, max_degree=max_degree
-    )
+    return BroadcastTree(root=ids[0], parent=parent, height=n.bit_length() - 1)
 
 
 def distribute_hulls(
@@ -735,40 +726,28 @@ def dominating_set(paths: Mapping[Hashable, list[NodeId]]) -> dict[Hashable, set
 class RingProtocolResult:
     cube: HypercubeOverlay
     hull: list[NodeId]
+    # the leader's merged ring size and turn-angle total; None on an arc
+    ring_size: int | None
+    angle_total: float | None
 
 
 def ring_protocol(
-    engine: RoundEngine,
-    rings: Mapping[Hashable, list[NodeId]],
-    jumps: Mapping[Hashable, PointerJumpResult] | None = None,
-    cubes: Mapping[Hashable, HypercubeOverlay] | None = None,
-    classify: Callable[[Mapping[Hashable, PointerJumpResult]], None] | None = None,
+    engine: RoundEngine, cubes: Mapping[Hashable, HypercubeOverlay]
 ) -> dict[Hashable, RingProtocolResult]:
-    """Leader election, hypercube ids, hull merge, hull broadcast.
+    """Hull merge, the leaders' checks, hull broadcast, for every cube at once.
 
-    Every ring runs each step in the same phase.  Completed election
-    results can be passed in so the rings are not re-elected; given
-    cubes skip the id deal too.  The rings dealt their ids here merge
-    their sizes and turn-angle totals up to their leaders along with the
-    hull (rank_ring fills them into the jump results), and
-    classify(jumps) sees them before the broadcast.  The merge teaches
-    the left blocks' hosts the ids of the hulls shipped to them; once
-    the hull is broadcast, each host forgets every id learned since the
-    merge began that is not a hull node of one of its rings.
+    The cubes come from the id deal (assign_hypercube_ids) or, for the
+    outer-hole arcs, from the outer ring's ranks (HypercubeOverlay.arc).
+    Every closed ring merges its size and turn-angle total up to its
+    leader along with the hull, and the leader checks both (rank_ring)
+    before it broadcasts the hull.  The merge teaches the left blocks'
+    hosts the ids of the hulls shipped to them; once the hull is
+    broadcast, each host forgets every id learned since the merge began
+    that is not a hull node of one of its rings.
     """
-    angles = None
-    if cubes is None:
-        if jumps is None:
-            jumps = pointer_jumping(engine, rings)
-        cubes = assign_hypercube_ids(engine, rings, jumps)
-        # each node turns between its two radio neighbors on the ring
-        angles = {key: _turn_angles(engine.topo.points, members) for key, members in rings.items()}
-    before = {v: set(engine.topo.knows[v]) for members in rings.values() for v in members}
-    chains, totals = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes), angles)
-    if angles is not None:
-        rank_ring(engine, rings, jumps, totals)
-        if classify is not None:
-            classify(jumps)
+    before = {v: set(engine.topo.knows[v]) for cube in cubes.values() for v in cube.members}
+    chains, totals = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes))
+    rank_ring(engine, cubes, totals)
     _run_wave(
         engine,
         "hull_broadcast",
@@ -776,8 +755,11 @@ def ring_protocol(
     )
     hulls = {key: [q[2] for q in chains[key]] for key in cubes}
     keep: dict[NodeId, set[NodeId]] = {}
-    for key, members in rings.items():
-        for v in members:
+    for key, cube in cubes.items():
+        for v in cube.members:
             keep.setdefault(v, set()).update(hulls[key])
     _forget_learned(engine, before, keep)
-    return {key: RingProtocolResult(cubes[key], hulls[key]) for key in rings}
+    return {
+        key: RingProtocolResult(cube, hulls[key], *totals.get(key, (None, None)))
+        for key, cube in cubes.items()
+    }

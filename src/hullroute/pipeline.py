@@ -29,9 +29,8 @@ from .holes import (
     KIND_OUTER_BOUNDARY,
     HoleRing,
     HullAbstraction,
-    PointerJumpResult,
     build_hull_abstraction,
-    classify_rings,  # not called here: bound for perfbench/tracer.py, which wraps it here
+    classify_rings,
     detect_boundary_nodes,
     detect_outer_holes,
     form_rings,
@@ -153,7 +152,7 @@ class Pipeline:
         self.g: PlanarGraph | None = None
         self.rings: list[HoleRing] = []
         self.abstractions: dict[int, HullAbstraction] = {}
-        self.jumps: dict[int, PointerJumpResult] = {}
+        self.jumps: dict[int, overlay.PointerJumpResult] = {}
         self.protos: dict[int, RingProtocolResult] = {}
         self.tree: BroadcastTree | None = None
         self.router: Router | None = None
@@ -170,14 +169,16 @@ class Pipeline:
     def build_abstraction(self) -> None:
         """Every phase in dependency order; rings run concurrently in two waves.
 
-        Wave one is every closed ring (the election, which is all the
-        "classification" rounds, then hull, bays and dominating sets); wave
-        two is the outer-hole arcs, which hang off the outer boundary's hull
-        and reuse that ring's ranks and jump edges.  The dominating sets
-        take no round.  The broadcast tree
-        needs no ring and runs from the build's first round, so the build
-        takes max(tree rounds, rounds up to wave two's end) before the
-        hull distribution.
+        Wave one is every closed ring: the election, which is all the
+        "classification" rounds, the id deal, then hull, bays and
+        dominating sets (build_hull_abstraction), after which each ring's
+        kind is read off the angle total its leader merged
+        (classify_rings).  Wave two is the outer-hole arcs, which hang off
+        the outer boundary's hull and reuse that ring's ranks and jump
+        edges: the same call with the arcs' cubes.  The dominating sets
+        take no round.  The broadcast tree needs no ring and runs from the
+        build's first round, so the build takes max(tree rounds, rounds up
+        to wave two's end) before the hull distribution.
         """
         eng = self.engine
         start = eng.round_no
@@ -198,12 +199,15 @@ class Pipeline:
 
         wave = t = eng.round_no
         own_before = dict(eng.session_rounds)
-        # through the module, where perfbench/tracer.py wraps it
-        self.jumps = overlay.pointer_jumping(eng, {r.ring_id: r.members for r in self.rings})
+        members = {r.ring_id: r.members for r in self.rings}
+        # through the module, where perfbench/tracer.py wraps them
+        self.jumps = overlay.pointer_jumping(eng, members)
         mark("classification", t)
 
         t = eng.round_no
-        self.abstractions, self.protos = build_hull_abstraction(eng, self.rings, self.jumps)
+        cubes = overlay.assign_hypercube_ids(eng, members, self.jumps)
+        self.abstractions, self.protos = build_hull_abstraction(eng, self.rings, cubes)
+        classify_rings(self.rings, self.protos)
         mark("ring_hulls", t)
         self._log_wave("closed rings", self.rings, own_before, eng.round_no - wave)
 
@@ -217,7 +221,7 @@ class Pipeline:
         )
         cubes = {a.ring_id: self.protos[outer.ring_id].cube.arc(a.members) for a in arcs}
         own_before = dict(eng.session_rounds)
-        arc_abstractions, arc_protos = build_hull_abstraction(eng, arcs, cubes=cubes)
+        arc_abstractions, arc_protos = build_hull_abstraction(eng, arcs, cubes)
         self.abstractions.update(arc_abstractions)
         self.protos.update(arc_protos)
         self.rings = self.rings + arcs
@@ -335,7 +339,7 @@ class Pipeline:
 
         ring_rows = []
         for rid, jump in self.jumps.items():
-            k = jump.ring_size
+            k = self.protos[rid].ring_size
             round_bound = math.ceil(math.log2(k)) + 1 if k > 1 else 1
             msg_bound = 2 * round_bound
             msg_max = max(jump.messages_per_node.values())

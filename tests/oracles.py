@@ -563,7 +563,7 @@ def brute_hull_gather_cast(tree, owners):
     sends each heap child order[c] (c = 2i+1, 2i+2) every reference not
     order[c]'s own, each in one round. Returns {(src, dst): messages}.
     """
-    n = len(tree.children)
+    n = len(tree.parent) + 1
     batch = max(1, (n - 1).bit_length())
     crossings = Counter()
     for o in owners:

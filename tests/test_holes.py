@@ -19,6 +19,7 @@ from hullroute.holes import (
     KIND_OUTER_HOLE,
     HoleRing,
     build_hull_abstraction,
+    classify_rings,
     compute_bays,
     detect_boundary_nodes,
     detect_outer_holes,
@@ -27,11 +28,21 @@ from hullroute.holes import (
     hull_node_ids,
 )
 from hullroute.ldel import build_ldel2, build_udg
-from hullroute.overlay import pointer_jumping, ring_protocol
+from hullroute.overlay import assign_hypercube_ids, pointer_jumping
 from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
 from hullroute.simengine import RoundEngine
 
 from oracles import brute_hull, shoelace
+
+
+def build(engine, rings, jumps=None):
+    """A build's wave one: elect (unless given the election), deal ids, build, classify."""
+    members = {r.ring_id: r.members for r in rings}
+    if jumps is None:
+        jumps = pointer_jumping(engine, members)
+    out = build_hull_abstraction(engine, rings, assign_hypercube_ids(engine, members, jumps))
+    classify_rings(rings, out[1])
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +53,7 @@ def grid():
     rings = form_rings(g, boundary)
     engine = RoundEngine(topo)
     jumps = pointer_jumping(engine, {r.ring_id: r.members for r in rings})
-    build_hull_abstraction(engine, rings, jumps)
+    build(engine, rings, jumps)
     return topo, g, boundary, rings, engine, jumps
 
 
@@ -92,7 +103,7 @@ def test_square_cycle_all_boundary():
     rings = form_rings(g, boundary)
     # the 4-face gives one ring; the outer face always gives another
     assert sorted(len(r.members) for r in rings) == [4, 4]
-    build_hull_abstraction(RoundEngine(topo), rings)
+    build(RoundEngine(topo), rings)
     kinds = sorted(r.kind for r in rings)
     assert kinds == [KIND_INNER, KIND_OUTER_BOUNDARY]
     for r in rings:
@@ -118,7 +129,7 @@ def test_two_disjoint_holes_make_three_rings():
     topo = generate_scenario(scaling_spec(100))
     g = build_ldel2(topo)
     rings = form_rings(g, detect_boundary_nodes(g))
-    build_hull_abstraction(RoundEngine(topo), rings)
+    build(RoundEngine(topo), rings)
     census = sorted((r.kind, len(r.members)) for r in rings)
     assert census == [
         (KIND_INNER, 12),
@@ -193,7 +204,7 @@ def test_classify_rejects_figure_eight():
     ring = HoleRing(ring_id=0, members=[0, 1, 2, 3])
     engine = RoundEngine(topo)
     with pytest.raises(GeometryInconsistencyError):
-        build_hull_abstraction(engine, [ring])
+        build(engine, [ring])
     # the leader rejects the ring before it broadcasts the hull
     assert "hullb" not in {t["tag"] for t in engine.transcript}
 
@@ -206,7 +217,7 @@ def test_cshape_has_one_outer_hole():
     topo = fixture_topology("cshape-40")
     g = build_ldel2(topo)
     rings = form_rings(g, detect_boundary_nodes(g))
-    build_hull_abstraction(RoundEngine(topo), rings)
+    build(RoundEngine(topo), rings)
     assert [(r.kind, len(r.members)) for r in rings] == [(KIND_OUTER_BOUNDARY, 40)]
     outer = rings[0]
     holes = detect_outer_holes(g, outer, hull_node_ids(g.points, outer.members))
@@ -253,7 +264,7 @@ def test_short_hull_edges_make_no_outer_holes():
     topo = build_udg(pts)
     g = build_ldel2(topo)
     rings = form_rings(g, detect_boundary_nodes(g))
-    build_hull_abstraction(RoundEngine(topo), rings)
+    build(RoundEngine(topo), rings)
     outer = next(r for r in rings if r.kind == KIND_OUTER_BOUNDARY)
     assert detect_outer_holes(g, outer, hull_node_ids(g.points, outer.members)) == []
 
@@ -324,7 +335,7 @@ def test_hull_abstraction_on_star():
     topo = build_udg(pts)
     engine = RoundEngine(topo)
     ring = HoleRing(ring_id=0, members=members)
-    abstractions, protos = build_hull_abstraction(engine, [ring])
+    abstractions, protos = build(engine, [ring])
     ha, proto = abstractions[0], protos[0]
     assert ha.hull_nodes == proto.hull
     assert sorted(ha.hull_nodes) == [0, 3, 6, 9]
@@ -345,7 +356,7 @@ def test_hull_abstraction_reuses_election(grid):
     jumps = pointer_jumping(engine, {inner.ring_id: inner.members})
     elected = sum(1 for t in engine.transcript if t["tag"] == "pj_succ")
     assert elected > 0
-    abstractions, protos = build_hull_abstraction(engine, [inner], jumps)
+    abstractions, protos = build(engine, [inner], jumps)
     ha, proto = abstractions[inner.ring_id], protos[inner.ring_id]
     again = sum(1 for t in engine.transcript if t["tag"] == "pj_succ")
     assert again == elected  # no second election
@@ -356,7 +367,7 @@ def test_hull_abstraction_reuses_election(grid):
 def test_distributed_hull_matches_centralized_on_rings(grid):
     topo, g, _, rings, _, jumps = grid
     engine = RoundEngine(topo)
-    protos = ring_protocol(engine, {r.ring_id: r.members for r in rings})
+    protos = build(engine, rings)[1]
     for r in rings:
         proto = protos[r.ring_id]
         want = hull_node_ids(g.points, r.members)
@@ -367,7 +378,7 @@ def test_distributed_hull_matches_centralized_on_rings(grid):
 
 def test_hole_report_shape(grid):
     topo, g, _, rings, _, jumps = grid
-    abstractions, _ = build_hull_abstraction(RoundEngine(topo), rings)
+    abstractions, _ = build(RoundEngine(topo), rings)
     rep = hole_report(rings, abstractions)
     assert len(rep) == len(rings)
     for row in rep:

@@ -135,11 +135,14 @@ def test_mixed_wave_reports_each_rings_own_rounds():
 # ring size and angle total, merged up to the leader
 
 
+def hull_protocol(engine, rings):
+    """Election, id deal and ring_protocol for rings (key -> members), as a build's wave one."""
+    return ring_protocol(engine, assign_hypercube_ids(engine, rings, pointer_jumping(engine, rings)))
+
+
 def merged_totals(engine, members):
-    """The election's result once the hull protocol has filled in the leader's totals."""
-    jumps = pointer_jumping(engine, {0: members})
-    ring_protocol(engine, {0: members}, jumps)
-    return jumps[0]
+    """The ring's protocol result, which holds the totals its leader merged."""
+    return hull_protocol(engine, {0: members})[0]
 
 
 @pytest.mark.parametrize("k", [3, 4, 6, 8, 12, 17])
@@ -217,7 +220,6 @@ def test_hypercube_ids_follow_ring_rank(k):
 def test_id_cast_reaches_every_rank_once_over_jump_edges(k, monkeypatch):
     engine, members = ring_engine(k, seed=21)
     res = pointer_jumping(engine, {0: members})[0]
-    assert res.ring_size == 0  # nothing has told any node k
     ell = {(e.endpoints, e.level): e.ell for e in res.jump_edges}
     cast = []
     send = engine.send
@@ -248,7 +250,6 @@ def test_cube_has_no_padding_and_its_edges_are_known_jump_edges(k):
     res = pointer_jumping(engine, {0: members})[0]
     cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
     # no padding: only the k ranks are slots, each hosted by its own node
-    assert [cube.host_of(s) for s in range(k)] == cube.members
     assert len(set(cube.members)) == len(cube.id_map) == k
     assert 1 << (cube.dimension - 1) < k <= 1 << cube.dimension
     # a hypercube edge below k joins two ring nodes 2^j ranks apart, which
@@ -256,7 +257,7 @@ def test_cube_has_no_padding_and_its_edges_are_known_jump_edges(k):
     for s in range(k):
         for j in range(cube.dimension):
             if s & (1 << j) == 0 and s + (1 << j) < k:
-                u, w = cube.host_of(s), cube.host_of(s + (1 << j))
+                u, w = cube.members[s], cube.members[s + (1 << j)]
                 assert (cube.id_map[u], cube.id_map[w]) == (s, s + (1 << j))
                 assert w in engine.topo.knows[u] and u in engine.topo.knows[w], (s, j)
 
@@ -294,7 +295,7 @@ def hull_ids(pts, members):
 @pytest.mark.parametrize("k,jitter", HULL_CASES)
 def test_parallel_hull_equals_centralized(k, jitter):
     engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
-    res = ring_protocol(engine, {0: members})[0]
+    res = hull_protocol(engine, {0: members})[0]
     pts = engine.topo.points
     assert res.hull == hull_ids(pts, members)
     # second, independently coded centralized route
@@ -321,7 +322,7 @@ def test_parallel_hull_drops_collinear_perimeter_points():
     pts = rect_ring_points(4, 3)
     engine = RoundEngine(build_udg(pts))
     members = list(range(len(pts)))
-    res = ring_protocol(engine, {0: members})[0]
+    res = hull_protocol(engine, {0: members})[0]
     assert res.hull == hull_ids(pts, members)
     assert len(res.hull) == 4  # corners only
     coord_of = {v: (pts[v].x, pts[v].y) for v in members}
@@ -369,7 +370,7 @@ def test_rank_merge_equals_the_centralized_hull(seed):
             pts, members = circle_points(k, seed=seed * 1000 + k, jitter=0.03 * shape)
         engine = RoundEngine(build_udg(pts))
         cube = jump_cube(engine, members)
-        res = ring_protocol(engine, {0: members}, cubes={0: cube})[0]
+        res = ring_protocol(engine, {0: cube})[0]
         assert res.hull == hull_ids(pts, members), (k, shape)
 
 
@@ -449,7 +450,7 @@ def test_hull_merge_searches_both_tangents_at_once(k, jitter, monkeypatch):
     # level takes the one round of its ship
     merge_log = _log_merge(monkeypatch)
     engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
-    res = ring_protocol(engine, {0: members})[0]
+    res = hull_protocol(engine, {0: members})[0]
     assert _check_merge(engine, merge_log, {0: res.cube.dimension}) == [1] * res.cube.dimension
 
 
@@ -469,7 +470,7 @@ def test_merge_messages_stay_under_the_cap(monkeypatch):
     # takes several rounds, at cap messages a round
     merge_log = _log_merge(monkeypatch)
     engine, members = ring_engine(300)
-    res = ring_protocol(engine, {0: members})[0]
+    res = hull_protocol(engine, {0: members})[0]
     cap = math.ceil(math.log2(300))
     assert res.hull == hull_ids(engine.topo.points, members)
     assert len(res.hull) > cap * cap
@@ -496,17 +497,17 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
         learned.append({v: set(topo.knows[v]) for v in topo.ids})
         return sort(engine, cubes)
 
-    def hull_spy(engine, cubes, slot_keys, angles=None):
-        out = hull(engine, cubes, slot_keys, angles)
+    def hull_spy(engine, cubes, slot_keys):
+        out = hull(engine, cubes, slot_keys)
         learned[-1] = {v: topo.knows[v] - known for v, known in learned[-1].items()}
         return out
 
-    def protocol_spy(engine, rings, jumps=None, cubes=None, classify=None):
+    def protocol_spy(engine, cubes):
         nonlocal dropped, outside_learned
-        out = protocol(engine, rings, jumps, cubes, classify)
+        out = protocol(engine, cubes)
         own_hulls: dict = {}
-        for key, members in rings.items():
-            for v in members:
+        for key, cube in cubes.items():
+            for v in cube.members:
                 own_hulls.setdefault(v, set()).update(out[key].hull)
         for v, ids in learned[-1].items():
             assert ids & topo.knows[v] <= own_hulls.get(v, set()), v
@@ -531,11 +532,11 @@ def test_ring_protocol_on_cavity_ring():
     assert sorted(ring) == [8, 9, 13, 14, 17, 18, 22, 23]
     engine = RoundEngine(topo)
     jumps = pointer_jumping(engine, {0: ring})
-    res = ring_protocol(engine, {0: ring}, jumps)[0]
+    res = ring_protocol(engine, assign_hypercube_ids(engine, {0: ring}, jumps))[0]
     assert jumps[0].leader == res.cube.members[0] == 8
-    assert jumps[0].ring_size == 8
+    assert res.ring_size == 8
     # bounded faces are walked ccw
-    assert jumps[0].angle_total == pytest.approx(-360.0, abs=1e-6)
+    assert res.angle_total == pytest.approx(-360.0, abs=1e-6)
     pts = topo.points
     coord_of = {v: (pts[v].x, pts[v].y) for v in ring}
     id_at = {c: v for v, c in coord_of.items()}
@@ -560,7 +561,7 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
             send(src, dst, payload, **kw)
 
         monkeypatch.setattr(engine, "send", spy)
-        res = ring_protocol(engine, {0: members})[0]
+        res = hull_protocol(engine, {0: members})[0]
         rank = res.cube.id_map
         hull = sorted(rank[h] for h in res.hull)
         got: dict = {}
@@ -587,12 +588,19 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
 # broadcast tree and hull distribution
 
 
+def max_degree(tree):
+    """The most tree edges at one node: its children and its parent."""
+    degree = Counter(tree.parent.values())
+    degree.update(tree.parent.keys())
+    return max(degree.values())
+
+
 def test_broadcast_tree_heap_shape():
     eng = line_engine(15)
     tree = build_broadcast_tree(eng, eng.round_no)
     assert tree.root == 0
     assert tree.height == 3
-    assert tree.max_degree == 3
+    assert max_degree(tree) == 3
     for v in range(1, 15):
         assert tree.parent[v] == (v - 1) // 2
         assert v in eng.topo.knows[tree.parent[v]]
@@ -605,7 +613,7 @@ def test_broadcast_tree_sizes():
     assert build_broadcast_tree(line_engine(1), 0).height == 0
     big = build_broadcast_tree(line_engine(1000), 0)
     assert big.height == 9
-    assert big.max_degree <= 3
+    assert max_degree(big) <= 3
 
 
 @pytest.mark.parametrize("elapsed,charged", [(0, 16), (10, 6), (16, 0), (40, 0)])
@@ -627,12 +635,10 @@ def _line_refs(owners):
 def heap_tree(eng, ids):
     """The broadcast tree's heap layout over ids in the given order, edges known to both ends."""
     parent = {ids[i]: ids[(i - 1) // 2] for i in range(1, len(ids))}
-    children = {v: [] for v in ids}
     for c, p in parent.items():
-        children[p].append(c)
         eng.topo.learn(p, c)
         eng.topo.learn(c, p)
-    return BroadcastTree(ids[0], parent, children, len(ids).bit_length() - 1, 3)
+    return BroadcastTree(ids[0], parent, len(ids).bit_length() - 1)
 
 
 # (nodes, the tree's heap order or None for the sorted ids, hull references)

@@ -531,16 +531,35 @@ def test_protocol_rounds_do_not_grow_with_hole_count():
 @pytest.mark.parametrize("name", ["crescent-24", "scale-512-1"])
 def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monkeypatch):
     topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
-    build, knew = pipeline_mod.build_hull_abstraction, []
+    build, knew, merged = pipeline_mod.build_hull_abstraction, [], []
 
-    def spy(engine, rings, jumps=None, cubes=None):
-        if cubes is not None:  # wave two
+    def spy(engine, rings, cubes):
+        if not any(c.closed for c in cubes.values()):  # wave two
             knew.append({v: set(topo.knows[v]) for v in topo.ids})
-        return build(engine, rings, jumps, cubes)
+        return build(engine, rings, cubes)
 
     monkeypatch.setattr(pipeline_mod, "build_hull_abstraction", spy)
     pipe = Pipeline(topo, PipelineConfig())
+    send = pipe.engine.send
+
+    def send_spy(src, dst, payload=None, **kw):
+        if kw.get("tag") == "hm":
+            merged.append((bool(knew), {"count", "angle"} & set(payload)))
+        send(src, dst, payload, **kw)
+
+    monkeypatch.setattr(pipe.engine, "send", send_spy)
     pipe.build_abstraction()
+    # only the closed rings merge a size and an angle total
+    assert any(totals for two, totals in merged if not two)
+    assert any(two for two, _ in merged)
+    assert not any(totals for two, totals in merged if two)
+    for r in pipe.rings:
+        res = pipe.protos[r.ring_id]
+        if r.kind == KIND_OUTER_HOLE:
+            assert res.ring_size is None and res.angle_total is None
+        else:
+            assert res.ring_size == len(r.members)
+            assert r.orientation_sum == res.angle_total
     labels = [p.label for p in pipe.engine.phase_reports]
     wave_two = set(labels[labels.index("hull_broadcast") + 1 :])
     assert "hull_broadcast" in wave_two
@@ -555,12 +574,12 @@ def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monke
         assert cube.members == arc.members
         # slot s sits s outer ranks past the arc's first node
         start, m = rank[arc.members[0]], len(arc.members)
-        assert [rank[cube.host_of(s)] for s in range(m)] == [(start + s) % k for s in range(m)]
+        assert [rank[v] for v in cube.members] == [(start + s) % k for s in range(m)]
         # every cube edge below m, so every merge and broadcast send, was known
         for s in range(m):
             for j in range(cube.dimension):
                 if s ^ 1 << j < m:
-                    u, w = cube.host_of(s), cube.host_of(s ^ 1 << j)
+                    u, w = cube.members[s], cube.members[s ^ 1 << j]
                     assert w in knew[u], (arc.ring_id, s, j)
 
 

@@ -11,7 +11,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from hullroute.pipeline import Pipeline
+import hullroute.routing as routing_mod
+from hullroute.pipeline import Pipeline, PipelineConfig
+from hullroute.routing import BACKEND_ODEL
 from hullroute.scenario import fixture_topology
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
@@ -42,3 +44,21 @@ def test_tracer_wraps_a_build_and_restores_the_originals(monkeypatch):
     # the build's election is looked up on the overlay module, where the tracer wraps it
     jumps = [s for s in tracer.spans if s.name == "overlay.pointer_jumping"]
     assert jumps and all(s.attrs["rounds"] > 0 for s in jumps)
+
+
+def test_tracer_sees_every_span_it_wraps(monkeypatch):
+    # a name wrapped where nothing looks it up reads 0 in every traced run
+    tracer_mod = _load_tracer(monkeypatch)
+    with tracer_mod.instrument(tracer_mod.Tracer()) as tracer:
+        pipe = Pipeline(
+            fixture_topology("star12-4"),
+            PipelineConfig(backend=BACKEND_ODEL, query_count=40, query_seed=1),
+        )
+        pipe.run()
+        pipe.periodic_recompute()
+        routes, _ = pipe.run_queries()
+        # through the module, as perfbench/workloads.py calls it
+        routing_mod.measure_competitiveness(pipe.topo, routes)
+    names = {s.name for s in tracer.spans}
+    assert {name for _, _, name, _ in tracer_mod.SPANS} - names == set()
+    assert tracer.counts["routing.segment_crosses_polygon.calls"] > 0
