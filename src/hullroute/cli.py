@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 from .errors import ConfigError, HullrouteError
@@ -119,11 +120,16 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    t0 = time.perf_counter()
     topo = load_topology(args.topo)
+    udg_s = time.perf_counter() - t0
     pipe = Pipeline(topo, _pipeline_config(args))
     rep = pipe.run()
     if args.report:
         rep.write(args.report)
+    if args.timings:
+        timings = {"udg_s": udg_s, **pipe.seconds}
+        Path(args.timings).write_text(json.dumps(timings, indent=1) + "\n")
     if args.abstraction:
         Path(args.abstraction).write_text(
             json.dumps(pipe.abstraction_dict(), sort_keys=True, indent=1) + "\n"
@@ -202,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--report", help="write the experiment report here")
     r.add_argument("--abstraction", help="write rings/hulls/bays JSON here")
     r.add_argument("--transcript", help="write the message transcript here")
+    r.add_argument("--timings", help="write wall-clock seconds per layer here, apart from the report")
     r.set_defaults(fn=cmd_run)
 
     q = sub.add_parser("route", help="route one query")

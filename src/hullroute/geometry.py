@@ -243,6 +243,13 @@ def convex_hull_oracle(points: Iterable[Point]) -> list[Point]:
     return hull
 
 
+def bounding_box(pts: Sequence[Point]) -> tuple[float, float, float, float]:
+    """The closed box (x0, y0, x1, y1) around pts."""
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 def point_in_polygon(p: Point, poly: Sequence[Point], strict: bool = True) -> bool:
     """Ray-casting containment test.
 
@@ -367,6 +374,4 @@ class Polygon:
         return point_in_polygon(p, self.vertices, strict=strict)
 
     def bounds(self) -> tuple[float, float, float, float]:
-        xs = [p[0] for p in self.vertices]
-        ys = [p[1] for p in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
+        return bounding_box(self.vertices)

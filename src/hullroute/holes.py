@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 from .errors import AssumptionViolationError, EmbeddingCorruptionError
 from .geometry import (
     Point,
+    bounding_box,
     convex_hull_oracle,
     dist,
     polygon_orientation,
@@ -79,14 +80,13 @@ def detect_boundary_nodes(g: PlanarGraph) -> set[NodeId]:
 
 def _measured_ring(rid: int, members: list[NodeId], points: dict[NodeId, Point]) -> HoleRing:
     pts = [points[v] for v in members]
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    x0, y0, x1, y1 = bounding_box(pts)
     return HoleRing(
         ring_id=rid,
         members=list(members),
         perimeter_length=polygon_perimeter(pts),
         enclosed_area=abs(polygon_signed_area(pts)),
-        bounding_box_circumference=2.0 * ((max(xs) - min(xs)) + (max(ys) - min(ys))),
+        bounding_box_circumference=2.0 * ((x1 - x0) + (y1 - y0)),
     )
 
 

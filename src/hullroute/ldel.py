@@ -13,6 +13,7 @@ so faces can be walked counterclockwise, and Euler's formula checks it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -68,7 +69,10 @@ class HybridTopology:
     def __post_init__(self) -> None:
         self._ids = sorted(self.points)
         self._index = {v: i for i, v in enumerate(self._ids)}
-        self._coords = np.array([self.points[v] for v in self._ids], dtype=float)
+        n = len(self._ids)
+        self._coords = np.fromiter(
+            chain.from_iterable(self.points[v] for v in self._ids), float, 2 * n
+        ).reshape(n, 2)
         self._udg: csr_matrix | None = None
 
     @property
@@ -136,18 +140,21 @@ def build_udg(points: Mapping[NodeId, Point]) -> HybridTopology:
     pts = {int(v): Point(*p) for v, p in points.items()}
     if len(set(pts.values())) != len(pts):
         raise DegenerateInputError("node positions must be pairwise distinct")
-    ids = sorted(pts)
-    coords = np.array([pts[v] for v in ids], dtype=float)
-    tree = cKDTree(coords)
-    pairs = tree.query_pairs(r=_LINK_DISTANCE, output_type="ndarray")
+    topo = HybridTopology(points=pts, adhoc={}, knows={})
+    ids = topo.ids
     adhoc: dict[NodeId, set[NodeId]] = {v: set() for v in ids}
-    for i, j in pairs:
-        u, v = ids[int(i)], ids[int(j)]
+    # one flat list read two at a time: no ndarray row per pair, no list per
+    # pair, and the links land in the kd-tree's pair order
+    pairs = cKDTree(topo.coords).query_pairs(r=_LINK_DISTANCE, output_type="ndarray")
+    flat = iter(pairs.ravel().tolist())
+    for i, j in zip(flat, flat):
+        u, v = ids[i], ids[j]
         adhoc[u].add(v)
         adhoc[v].add(u)
     check_connected(adhoc)
-    knows = {v: set(adhoc[v]) for v in ids}
-    return HybridTopology(points=pts, adhoc=adhoc, knows=knows)
+    topo.adhoc = adhoc
+    topo.knows = {v: set(adhoc[v]) for v in ids}
+    return topo
 
 
 def check_connected(adhoc: Mapping[NodeId, set[NodeId]]) -> None:

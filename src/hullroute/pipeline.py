@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import random
+import time
 from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -157,6 +158,9 @@ class Pipeline:
         self.tree: BroadcastTree | None = None
         self.router: Router | None = None
         self.phase_rounds: dict[str, int] = {}
+        # wall-clock seconds of the latest build's phases, its Router and
+        # the queries, keyed "<phase>_s"; never part of the report
+        self.seconds: dict[str, float] = {}
         self.wave_rounds = 0
         self.protocol_rounds = 0
         # per-node long-range sends and ad hoc sends of the latest build
@@ -183,9 +187,14 @@ class Pipeline:
         eng = self.engine
         start = eng.round_no
         lr_start, adhoc_start = dict(eng.longrange_sent), eng.adhoc_sent
+        clock = time.perf_counter()
 
         def mark(label: str, begin: int) -> None:
+            nonlocal clock
             self.phase_rounds[label] = eng.round_no - begin
+            now = time.perf_counter()
+            self.seconds[f"{label}_s"] = now - clock
+            clock = now
 
         t = eng.round_no
         eng.charge_rounds(LDEL_BUILD_ROUNDS, "ldel2_build")
@@ -252,6 +261,7 @@ class Pipeline:
         # ids, which is not abstraction storage
         self._knows_after_build = {v: set(self.topo.knows[v]) for v in self.topo.ids}
         self.router = Router(self.g, self.rings, self.abstractions, backend=self.config.backend)
+        self.seconds["router_s"] = time.perf_counter() - clock
 
     def _log_wave(
         self, wave: str, rings: list[HoleRing], own_before: dict, wave_rounds: int
@@ -410,12 +420,13 @@ class Pipeline:
     def run_queries(self) -> tuple[list, dict]:
         if self.router is None:
             raise NotReadyError("abstraction not built")
-        t = self.engine.round_no
+        t, clock = self.engine.round_no, time.perf_counter()
         results = []
         for s, tgt in self.query_pairs():
             self.topo.learn(s, tgt)  # model: the source holds the target id
             results.append(self.router.route(self.engine, s, tgt))
         self.phase_rounds["queries"] = self.engine.round_no - t
+        self.seconds["queries_s"] = time.perf_counter() - clock
         if results:
             summary = measure_competitiveness(self.topo, results)
         else:

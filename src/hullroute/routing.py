@@ -33,6 +33,7 @@ from .errors import (
 from .geometry import (
     Point,
     angle_key,
+    bounding_box,
     dist,
     monotone_hull,
     orient2d,
@@ -166,11 +167,28 @@ def _check_walkable(g: PlanarGraph, path: Sequence[NodeId]) -> None:
 
 @dataclass(frozen=True)
 class HullPolygon:
-    """Convex hull of one hole, as both node ids and positions (ccw)."""
+    """Convex hull of one hole, as both node ids and positions (ccw).
+
+    `box` is the closed bounding box (x0, y0, x1, y1) of `pts`.
+    """
 
     hole_id: int
     nodes: tuple[NodeId, ...]
     pts: tuple[Point, ...]
+    box: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "box", bounding_box(self.pts))
+
+
+def _boxes_meet(p: tuple[float, float, float, float], q: tuple[float, float, float, float]) -> bool:
+    """True unless an axis-parallel line keeps box p weakly on one side, box q on the other.
+
+    The open interior of a hull lies in its box's open interior, so when
+    this is False no segment or hull inside p meets the interior of a hull
+    inside q: an exact reject ahead of the separating-line tests.
+    """
+    return p[0] < q[2] and q[0] < p[2] and p[1] < q[3] and q[1] < p[3]
 
 
 def hull_polygon(points: Mapping[NodeId, Point], hole_id: int, hull_nodes: Sequence[NodeId]) -> HullPolygon:
@@ -217,14 +235,15 @@ def _check_disjoint(hulls: Sequence[HullPolygon]) -> None:
     """Reject hull pairs whose interiors overlap; shared edges are allowed."""
     for i, a in enumerate(hulls):
         for b in hulls[i + 1 :]:
-            if not (_apart(a.pts, b.pts) or _apart(b.pts, a.pts)):
+            if _boxes_meet(a.box, b.box) and not (_apart(a.pts, b.pts) or _apart(b.pts, a.pts)):
                 raise AssumptionViolationError(
                     f"hulls {a.hole_id} and {b.hole_id} intersect"
                 )
 
 
 def _blocked(a: Point, b: Point, hulls: Sequence[HullPolygon]) -> bool:
-    return any(_crosses_hull(a, b, h.pts) for h in hulls)
+    box = bounding_box((a, b))
+    return any(_boxes_meet(box, h.box) and _crosses_hull(a, b, h.pts) for h in hulls)
 
 
 def _visible_from(p: Point, verts: Iterable[NodeId], positions: Mapping[NodeId, Point],

@@ -62,21 +62,32 @@ def generate_scenario(spec: ScenarioSpec) -> HybridTopology:
     )
 
 
-def _blocked(p: Point, obstacles: list[Polygon]) -> bool:
-    return any(ob.contains(p, strict=False) for ob in obstacles)
+def _blocked(p: Point, boxed: list[tuple[tuple[float, float, float, float], Polygon]]) -> bool:
+    """p lies in a closed obstacle; `boxed` pairs each obstacle with its bounds.
+
+    A point outside an obstacle's closed box is outside the obstacle, so
+    the box test rejects exactly and the polygon test runs only inside it.
+    """
+    x, y = p
+    return any(
+        bx0 <= x <= bx1 and by0 <= y <= by1 and ob.contains(p, strict=False)
+        for (bx0, by0, bx1, by1), ob in boxed
+    )
 
 
 def _grid_points(spec: ScenarioSpec, spacing: float, rng: random.Random) -> list[Point]:
     x0, y0, x1, y1 = spec.region
     cols = int(math.floor((x1 - x0) / spacing + 1e-9)) + 1
     rows = int(math.floor((y1 - y0) / spacing + 1e-9)) + 1
+    boxed = [(ob.bounds(), ob) for ob in spec.obstacles]
+    jitter, uniform = spec.jitter, rng.uniform
     pts: list[Point] = []
     for j in range(rows):
         for i in range(cols):
-            x = x0 + i * spacing + rng.uniform(-spec.jitter, spec.jitter)
-            y = y0 + j * spacing + rng.uniform(-spec.jitter, spec.jitter)
+            x = x0 + i * spacing + uniform(-jitter, jitter)
+            y = y0 + j * spacing + uniform(-jitter, jitter)
             p = Point(x, y)
-            if not _blocked(p, spec.obstacles):
+            if not _blocked(p, boxed):
                 pts.append(p)
     return pts
 

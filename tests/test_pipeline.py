@@ -735,6 +735,23 @@ def test_cli_full_workflow(tmp_path, capsys):
     assert svg.count('class="route"') == 5
 
 
+def test_cli_timings_stay_out_of_the_report(tmp_path):
+    topo_p = tmp_path / "topo.json"
+    assert cli_main(["gen", "--fixture", "grid36-hole4", "--out", str(topo_p)]) == 0
+    run = ["run", "--topo", str(topo_p), "--sample", "6", "--query-seed", "2"]
+    assert cli_main([*run, "--report", str(tmp_path / "plain.json")]) == 0
+    assert cli_main([
+        *run, "--report", str(tmp_path / "timed.json"), "--timings", str(tmp_path / "t.json"),
+    ]) == 0
+    report = (tmp_path / "timed.json").read_bytes()
+    assert report == (tmp_path / "plain.json").read_bytes()
+    timings = json.loads((tmp_path / "t.json").read_text())
+    phases = json.loads(report)["phase_rounds"]
+    assert set(timings) == {"udg_s", "router_s"} | {f"{p}_s" for p in phases}
+    assert all(isinstance(s, float) and s >= 0.0 for s in timings.values())
+    assert not any(json.dumps(key).encode() in report for key in timings)
+
+
 def test_cli_gen_from_spec_file(tmp_path):
     spec_p = tmp_path / "spec.json"
     spec_p.write_text(json.dumps({

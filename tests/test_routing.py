@@ -12,6 +12,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     brute_cdt,
@@ -39,6 +41,7 @@ from hullroute.geometry import (
     Point,
     _on_segment,
     dist,
+    monotone_hull,
     point_in_polygon,
     segment_crosses_polygon,
     segment_polygon_params,
@@ -377,6 +380,63 @@ def test_check_disjoint_rejects_hull_nested_on_boundary():
     assert brute_hulls_overlap(a.pts, b.pts)
     with pytest.raises(AssumptionViolationError, match="intersect"):
         routing_mod._check_disjoint([a, b])
+
+
+@st.composite
+def lattice_hulls(draw):
+    """One to three hulls on integer vertices; collinear draws give 1- and 2-point hulls."""
+    hulls = []
+    for h in range(draw(st.integers(1, 3))):
+        corners = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=6))
+        pts = tuple(Point(float(x), float(y)) for x, y in monotone_hull(sorted(set(corners))))
+        hulls.append(HullPolygon(h, tuple(range(10 * h, 10 * h + len(pts))), pts))
+    return hulls
+
+
+@st.composite
+def probe_segments(draw, hulls):
+    """Lattice segment, or one along a hull edge's line or a hull box's edge."""
+    coord = st.integers(-1, 9).map(float)
+    h = draw(st.sampled_from(hulls))
+    kind = draw(st.sampled_from(["free", "edge", "box"]))
+    if kind == "edge":
+        i = draw(st.integers(0, len(h.pts) - 1))
+        p, q = h.pts[i], h.pts[(i + 1) % len(h.pts)]
+        t, u = (draw(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0))) for _ in range(2))
+        return (
+            Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)),
+            Point(p.x + u * (q.x - p.x), p.y + u * (q.y - p.y)),
+        )
+    if kind == "box":
+        x0, y0, x1, y1 = h.box
+        if draw(st.booleans()):
+            x = draw(st.sampled_from((x0, x1)))
+            return Point(x, draw(coord)), Point(x, draw(coord))
+        y = draw(st.sampled_from((y0, y1)))
+        return Point(draw(coord), y), Point(draw(coord), y)
+    return Point(draw(coord), draw(coord)), Point(draw(coord), draw(coord))
+
+
+@given(st.data())
+def test_blocked_box_reject_matches_every_hull_test(data):
+    hulls = data.draw(lattice_hulls())
+    for _ in range(20):
+        a, b = data.draw(probe_segments(hulls))
+        want = any(routing_mod._crosses_hull(a, b, h.pts) for h in hulls)
+        assert routing_mod._blocked(a, b, hulls) == want, (a, b, hulls)
+
+
+@given(lattice_hulls())
+def test_check_disjoint_box_reject_matches_every_pair_test(hulls):
+    apart = routing_mod._apart
+    want = all(
+        apart(p.pts, q.pts) or apart(q.pts, p.pts) for p, q in itertools.combinations(hulls, 2)
+    )
+    if want:
+        routing_mod._check_disjoint(hulls)
+    else:
+        with pytest.raises(AssumptionViolationError):
+            routing_mod._check_disjoint(hulls)
 
 
 def test_visibility_includes_all_hull_edges(grid):
