@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError, HullrouteError
 from .geometry import Point, Polygon
-from .pipeline import Pipeline, PipelineConfig, from_json_object
+from .pipeline import Pipeline, PipelineConfig, from_json_object, parse_query_pairs
 from .render import write_svg
 from .routing import BACKEND_ODEL, BACKEND_VIS
 from .scenario import (
@@ -62,10 +62,9 @@ def _spec_from_json(path: str) -> ScenarioSpec:
 def _load_queries(path: str) -> list[tuple[int, int]]:
     d = read_json(path)
     try:
-        pairs = d["pairs"] if isinstance(d, dict) else d
-        return [(int(s), int(t)) for s, t in pairs]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: queries must be a list of node id pairs: {exc!r}") from exc
+        return parse_query_pairs(d.get("pairs") if isinstance(d, dict) else d)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _pipeline_config(args) -> PipelineConfig:

@@ -60,6 +60,11 @@ class Bay:
     edge: tuple[NodeId, NodeId]
     members: list[NodeId]
 
+    @property
+    def strip(self) -> list[NodeId]:
+        """Hull end, members, hull end: the bay's side of the ring, in ring order."""
+        return [self.edge[0], *self.members, self.edge[1]]
+
 
 @dataclass
 class HullAbstraction:
@@ -143,8 +148,8 @@ def hull_node_ids(points: dict[NodeId, Point], members: list[NodeId]) -> list[No
     return [at[p] for p in convex_hull_oracle([points[v] for v in members])]
 
 
-def _hull_arcs(ring: HoleRing, hull_nodes: list[NodeId]) -> list[tuple[int, int]]:
-    """Ring index ranges [a_i, b_i] between hull nodes adjacent on the ring.
+def compute_bays(ring: HoleRing, hull_nodes: list[NodeId]) -> list[Bay]:
+    """One bay per adjacent hull pair with ring nodes strictly between.
 
     Hull vertices of a simple closed curve appear along the curve in
     hull order, so consecutive ring positions of hull nodes are exactly
@@ -156,10 +161,12 @@ def _hull_arcs(ring: HoleRing, hull_nodes: list[NodeId]) -> list[tuple[int, int]
     if missing:
         raise AssumptionViolationError(f"hull nodes {missing} not on ring")
     idxs = sorted(pos[h] for h in hull_nodes)
-    return [
-        (a, b)
-        for a, b in zip(idxs, idxs[1:] + [idxs[0] + k])
-    ]
+    bays: list[Bay] = []
+    for a_i, b_i in zip(idxs, idxs[1:] + [idxs[0] + k]):
+        between = [ring.members[j % k] for j in range(a_i + 1, b_i)]
+        if between:
+            bays.append(Bay((ring.members[a_i], ring.members[b_i % k]), between))
+    return bays
 
 
 def detect_outer_holes(
@@ -168,44 +175,30 @@ def detect_outer_holes(
     hull_nodes: list[NodeId] | None = None,
     first_id: int = 0,
 ) -> list[HoleRing]:
-    """Sub-paths of the outer boundary under hull edges longer than UNIT_RANGE.
+    """The outer boundary's bays under hull edges longer than UNIT_RANGE, as rings.
 
     The hull edge itself is a virtual closing edge: the resulting ring
-    is the boundary arc plus that chord, so perimeter and area are the
-    closed polygon's.  hull_nodes is the ring's distributed hull; without
-    it the centralized oracle's hull stands in.
+    is the bay's strip plus that chord, so perimeter and area are the
+    closed polygon's.  Ring edges are radio links, so a long hull edge
+    always has ring nodes between its ends and no arc is lost.
+    hull_nodes is the ring's distributed hull; without it the
+    centralized oracle's hull stands in.
     """
     if outer.kind != KIND_OUTER_BOUNDARY:
         raise AssumptionViolationError("outer holes hang off the outer boundary")
     if hull_nodes is None:
         hull_nodes = hull_node_ids(g.points, outer.members)
-    k = len(outer.members)
     out: list[HoleRing] = []
-    for a_i, b_i in _hull_arcs(outer, hull_nodes):
-        a = outer.members[a_i % k]
-        b = outer.members[b_i % k]
-        if dist(g.points[a], g.points[b]) <= UNIT_RANGE:
-            continue
-        arc = [outer.members[j % k] for j in range(a_i, b_i + 1)]
-        if all(_on_segment(g.points[v], g.points[a], g.points[b]) for v in arc):
-            continue  # a straight stretch of boundary encloses nothing
-        ring = _measured_ring(first_id + len(out), arc, g.points)
+    for bay in compute_bays(outer, hull_nodes):
+        a, b = (g.points[v] for v in bay.edge)
+        if dist(a, b) <= UNIT_RANGE or all(_on_segment(g.points[v], a, b) for v in bay.members):
+            continue  # a short chord, or a straight stretch of boundary that encloses nothing
+        ring = _measured_ring(first_id + len(out), bay.strip, g.points)
         ring.kind = KIND_OUTER_HOLE
         # the arc and its chord close a simple polygon: a clockwise one turns +360
-        ring.orientation_sum = 360.0 if polygon_orientation([g.points[v] for v in arc]) < 0 else -360.0
+        ring.orientation_sum = 360.0 if polygon_orientation([g.points[v] for v in ring.members]) < 0 else -360.0
         out.append(ring)
     return out
-
-
-def compute_bays(ring: HoleRing, hull_nodes: list[NodeId]) -> list[Bay]:
-    """One bay per adjacent hull pair with ring nodes strictly between."""
-    k = len(ring.members)
-    bays: list[Bay] = []
-    for a_i, b_i in _hull_arcs(ring, hull_nodes):
-        between = [ring.members[j % k] for j in range(a_i + 1, b_i)]
-        if between:
-            bays.append(Bay((ring.members[a_i % k], ring.members[b_i % k]), between))
-    return bays
 
 
 def build_hull_abstraction(

@@ -18,7 +18,7 @@ import random
 import time
 from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from .errors import (
     BoundViolationError,
@@ -97,6 +97,14 @@ def from_json_object(
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+def parse_query_pairs(pairs: Any) -> list[tuple[int, int]]:
+    """A JSON list of [s, t] node id pairs, as tuples of ints."""
+    try:
+        return [(int(s), int(t)) for s, t in pairs]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"queries must be a list of node id pairs: {exc}") from exc
+
+
 @dataclass
 class PipelineConfig:
     backend: str = BACKEND_VIS
@@ -108,13 +116,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        cfg = from_json_object(cls, d, "config")
-        if cfg.queries is not None:
-            try:
-                cfg.queries = [(int(s), int(t)) for s, t in cfg.queries]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"queries must be pairs of node ids: {exc}") from exc
-        return cfg
+        return from_json_object(cls, d, "config", convert={"queries": parse_query_pairs})
 
 
 @dataclass
@@ -423,8 +425,13 @@ class Pipeline:
         t, clock = self.engine.round_no, time.perf_counter()
         results = []
         for s, tgt in self.query_pairs():
-            self.topo.learn(s, tgt)  # model: the source holds the target id
+            # model: the source holds the target id, and delivery teaches the
+            # target the source's; neither is abstraction storage, so both
+            # ends forget what the query taught them
+            before = {v: set(self.topo.knows[v]) for v in (s, tgt)}
+            self.topo.learn(s, tgt)
             results.append(self.router.route(self.engine, s, tgt))
+            overlay._forget_learned(self.engine, before, {})
         self.phase_rounds["queries"] = self.engine.round_no - t
         self.seconds["queries_s"] = time.perf_counter() - clock
         if results:
@@ -550,30 +557,23 @@ class Pipeline:
             raise BoundViolationError(f"recompute bound violated: {out}", report=out)
         return out
 
-
     def abstraction_dict(self) -> dict:
         """JSON-ready rings, hulls, bays, and dominating sets."""
-        return abstraction_to_dict(self.rings, self.abstractions)
-
-
-def abstraction_to_dict(
-    rings: Sequence[HoleRing], abstractions: dict[int, HullAbstraction]
-) -> dict:
-    out = {"rings": [], "hulls": {}, "bays": {}, "dominating": {}}
-    for r in sorted(rings, key=lambda r: r.ring_id):
-        out["rings"].append(
-            {"ring_id": r.ring_id, "kind": r.kind, "members": list(r.members)}
-        )
-        ab = abstractions[r.ring_id]
-        key = str(r.ring_id)
-        out["hulls"][key] = list(ab.hull_nodes)
-        out["bays"][key] = [
-            {"edge": list(b.edge), "members": list(b.members)} for b in ab.bay_areas
-        ]
-        out["dominating"][key] = [
-            sorted(ab.dominating_sets[i]) for i in sorted(ab.dominating_sets)
-        ]
-    return out
+        out = {"rings": [], "hulls": {}, "bays": {}, "dominating": {}}
+        for r in sorted(self.rings, key=lambda r: r.ring_id):
+            out["rings"].append(
+                {"ring_id": r.ring_id, "kind": r.kind, "members": list(r.members)}
+            )
+            ab = self.abstractions[r.ring_id]
+            key = str(r.ring_id)
+            out["hulls"][key] = list(ab.hull_nodes)
+            out["bays"][key] = [
+                {"edge": list(b.edge), "members": list(b.members)} for b in ab.bay_areas
+            ]
+            out["dominating"][key] = [
+                sorted(ab.dominating_sets[i]) for i in sorted(ab.dominating_sets)
+            ]
+        return out
 
 
 def _bound_summary(b: dict) -> str:

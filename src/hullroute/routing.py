@@ -468,7 +468,6 @@ class Router:
         self.g = g
         self.backend = backend
         self.obstacles: list[_RingCtx] = []
-        self.outer: _RingCtx | None = None
         self._face_ring: dict[int, _RingCtx] = {}
         for ring in rings:
             if ring.kind is None:
@@ -478,14 +477,13 @@ class Router:
                 raise NotReadyError(f"ring {ring.ring_id} has no hull abstraction")
             ctx = self._make_ctx(ring, ab)
             if ring.kind == KIND_OUTER_BOUNDARY:
-                self.outer = ctx
                 self._face_ring[g.outer_face] = ctx
             else:
                 self.obstacles.append(ctx)
                 if ring.kind == KIND_INNER:
                     # form_rings keeps the face walk's order, so this is the ring's face
                     self._face_ring[g.face_left[ring.members[0], ring.members[1]]] = ctx
-        if self.outer is None:
+        if g.outer_face not in self._face_ring:
             raise NotReadyError("outer boundary ring missing")
         vis = build_visibility_graph([c.polygon for c in self.obstacles])
         self.waypoints = vis if backend == BACKEND_VIS else build_overlay_delaunay(vis)
@@ -499,14 +497,7 @@ class Router:
         pts = [self.g.points[v] for v in ring.members]
         poly = hull_polygon(self.g.points, ring.ring_id, ab.hull_nodes)
         pos_of = {v: i for i, v in enumerate(ring.members)}
-        bay_polys = []
-        for bay in ab.bay_areas:
-            a, b = bay.edge
-            bay_polys.append(
-                [self.g.points[a]]
-                + [self.g.points[v] for v in bay.members]
-                + [self.g.points[b]]
-            )
+        bay_polys = [[self.g.points[v] for v in bay.strip] for bay in ab.bay_areas]
         return _RingCtx(
             ring, ab, poly, pts, pos_of, bay_polys,
             closed=ring.kind != KIND_OUTER_HOLE,
@@ -518,17 +509,15 @@ class Router:
         """(ring context, bay index) when v lies strictly inside a hull.
 
         A hull's interior is its hole face, which holds no node, plus its
-        closed bay polygons; so every node inside a hull sits in a bay.
+        closed bay polygons; so every node inside a hull sits in a bay, and
+        a bay member in its own: bays of a simple ring meet only at hull nodes.
         """
         p = self.g.points[v]
         for ctx in self.obstacles:
             if _apart(ctx.polygon.pts, (p,)):
                 continue
-            for bi, bay in enumerate(ctx.abstraction.bay_areas):
-                if v in bay.members:
-                    return ctx, bi
             for bi, poly in enumerate(ctx.bay_polys):
-                if len(poly) >= 3 and point_in_polygon(p, poly, strict=False):
+                if point_in_polygon(p, poly, strict=False):
                     return ctx, bi
             raise GeometryInconsistencyError(
                 f"node {v} lies inside hull {ctx.ring.ring_id} but in none of its bays"
@@ -666,8 +655,7 @@ class Router:
 
     def _bay_subpath(self, ctx: _RingCtx, bay_idx: int, p1: NodeId, pt: NodeId) -> list[NodeId]:
         """Boundary nodes of the bay's strip from P1 to Pt."""
-        bay = ctx.abstraction.bay_areas[bay_idx]
-        strip = [bay.edge[0], *bay.members, bay.edge[1]]
+        strip = ctx.abstraction.bay_areas[bay_idx].strip
         i, j = strip.index(p1), strip.index(pt)
         return strip[i : j + 1] if i <= j else strip[j : i + 1][::-1]
 

@@ -176,6 +176,30 @@ def brute_hull_ccw(pts):
     return [hull[0]] + hull[1:][::-1]
 
 
+def brute_outer_holes(points: dict, members, hull_nodes, radius: float = 1.0):
+    """Outer-hole arcs of a ring: walks by index between sorted hull positions.
+
+    Each pair of hull nodes adjacent in ring order spans the arc from one
+    to the other, both included. An arc is an outer hole when its chord
+    is longer than `radius` and the arc with its chord encloses area,
+    found by an exact shoelace sum over the coordinates.
+    """
+    k = len(members)
+    idxs = sorted(members.index(h) for h in hull_nodes)
+    out = []
+    for a, b in zip(idxs, idxs[1:] + [idxs[0] + k]):
+        arc = [members[j % k] for j in range(a, b + 1)]
+        if odist(points[arc[0]], points[arc[-1]]) <= radius:
+            continue
+        pts = [(Fraction(points[v][0]), Fraction(points[v][1])) for v in arc]
+        twice_area = sum(
+            p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1])
+        )
+        if twice_area != 0:
+            out.append(arc)
+    return out
+
+
 def brute_arc_min(members, start, span):
     """Minimum id over the half-open ring arc (start -> start+span]."""
     k = len(members)

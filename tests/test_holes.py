@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 
@@ -29,10 +31,11 @@ from hullroute.holes import (
 )
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.overlay import assign_hypercube_ids, pointer_jumping
-from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
+from hullroute.pipeline import Pipeline, PipelineConfig
+from hullroute.scenario import fixture_topology, generate_scenario, holes_grid_spec, scaling_spec
 from hullroute.simengine import RoundEngine
 
-from oracles import brute_hull, shoelace
+from oracles import brute_hull, brute_outer_holes, shoelace
 
 
 def build(engine, rings, jumps=None):
@@ -274,6 +277,83 @@ def test_outer_holes_need_outer_boundary(grid):
     inner = next(r for r in rings if r.kind == KIND_INNER)
     with pytest.raises(AssumptionViolationError):
         detect_outer_holes(g, inner, hull_node_ids(g.points, inner.members))
+
+
+# sha256 of abstraction_dict() and each ring's (ring_id, kind, members,
+# orientation_sum, perimeter_length, enclosed_area) after a pipeline build;
+# recorded while outer holes still came from a hull-arc walk of their own
+ABSTRACTION_PINS = {
+    "grid36-hole4": "a83c235b429873cb78c648ec8b8afab17e732f2ddbe99f5879baee2534a219dc",
+    "star12-4": "20160693bbe8662aecab0cd8141a28ba77dcca823e36670dbd01a1a1224df2f1",
+    "crescent-24": "2a2f0662f3e02861d5a220242a28fbb1c3e2f48f43147be11430dd09413d7e5b",
+    "cshape-40": "906382c78af2c156a64a34da91fe24aca69d60fc2cddb27164bcdb8a92c89041",
+    "scale-512-1": "620c4a2d9c39808810f3b169262bc49f3cf04403ee7ea19f82617798d745aefe",
+    "scale-2048-1": "3a76a1a84e58bbee710f0cb3d3779a12c63202e4ff353cb7bb7bcf607d3169f8",
+    "grid-2048": "2f1b70f6f278425ba6fa4e20297e51f4193fd7f8dadb145e7e20836184db645b",
+}
+
+
+@pytest.fixture(scope="module")
+def built():
+    """Built pipeline of an ABSTRACTION_PINS instance, each built once."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            if name.startswith("scale-"):
+                topo = generate_scenario(scaling_spec(int(name.split("-")[1]), 1))
+            elif name == "grid-2048":
+                topo = generate_scenario(holes_grid_spec(2048))
+            else:
+                topo = fixture_topology(name)
+            cache[name] = Pipeline(topo, PipelineConfig())
+            cache[name].build_abstraction()
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", list(ABSTRACTION_PINS))
+def test_abstraction_and_rings_match_pinned_digest(built, name):
+    pipe = built(name)
+    rings = [
+        [r.ring_id, r.kind, r.members, r.orientation_sum, r.perimeter_length, r.enclosed_area]
+        for r in sorted(pipe.rings, key=lambda r: r.ring_id)
+    ]
+    payload = json.dumps([pipe.abstraction_dict(), rings], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == ABSTRACTION_PINS[name]
+
+
+@pytest.mark.parametrize("name", list(ABSTRACTION_PINS))
+def test_outer_holes_match_the_arc_walk_oracle(built, name):
+    pipe = built(name)
+    outer = next(r for r in pipe.rings if r.kind == KIND_OUTER_BOUNDARY)
+    hull = pipe.abstractions[outer.ring_id].hull_nodes
+    arcs = [r for r in pipe.rings if r.kind == KIND_OUTER_HOLE]
+    assert [r.members for r in arcs] == brute_outer_holes(pipe.g.points, outer.members, hull)
+    for r in arcs:
+        area = shoelace([pipe.g.points[v] for v in r.members])
+        assert r.orientation_sum == (360.0 if area < 0 else -360.0)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_outer_holes_match_the_oracle_on_centralized_hulls(seed):
+    g = build_ldel2(generate_scenario(scaling_spec(512, seed)))
+    rings = form_rings(g, detect_boundary_nodes(g))
+    outer = next(r for r in rings if r.members == list(g.faces[g.outer_face]))
+    outer.kind = KIND_OUTER_BOUNDARY
+    want = brute_outer_holes(g.points, outer.members, hull_node_ids(g.points, outer.members))
+    assert want  # the lattice's ragged rim has long hull edges
+    holes = detect_outer_holes(g, outer, first_id=7)
+    assert [h.members for h in holes] == want
+    assert [h.ring_id for h in holes] == list(range(7, 7 + len(want)))
+
+
+def test_compute_bays_rejects_hull_nodes_off_the_ring():
+    pts, members = star_ring()
+    ring = HoleRing(ring_id=0, members=members)
+    with pytest.raises(AssumptionViolationError, match=r"hull nodes \[99\] not on ring"):
+        compute_bays(ring, [0, 3, 99, 6, 9])
 
 
 # ---------------------------------------------------------------------------

@@ -618,6 +618,20 @@ def test_audit_window_is_the_latest_build():
     assert again.message_stats["total_messages"] >= 2 * build  # two builds, one window
 
 
+@pytest.mark.parametrize("name", ["grid36-hole4", "star12-4"])
+def test_query_ids_stay_out_of_the_next_builds_storage_audit(name):
+    # a query teaches its source the target's id and its target the
+    # source's; a recompute after queries audits only what its build taught
+    pipe = Pipeline(fixture_topology(name), PipelineConfig(query_count=200, query_seed=5))
+    pipe.build_abstraction()
+    knows, storage = pipe._knows_after_build, pipe.storage_audit()
+    assert pipe.run_queries()[0]
+    pipe.periodic_recompute()
+    assert pipe._knows_after_build == knows
+    assert pipe.storage_audit() == storage
+    assert all(b["ok"] for b in pipe.bound_audit().values())
+
+
 def test_recompute_after_small_move_rebuilds_cleanly():
     pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
     pipe.run()
@@ -824,7 +838,12 @@ def test_cli_bad_input_files_are_reported_as_errors(tmp_path, capsys):
     q_p = tmp_path / "q.json"
     q_p.write_text(json.dumps({"pairs": [[4, "x"]]}))
     assert cli_main(["run", "--topo", str(topo_p), "--queries", str(q_p)]) == 2
-    assert "ConfigError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and str(q_p) in err and "node id pairs" in err
+    cfg_p.write_text(json.dumps({"queries": [[4, 5, 6]]}))
+    assert cli_main(["run", "--topo", str(topo_p), "--config", str(cfg_p)]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "node id pairs" in err
     # a topology file that is not JSON, misses a coordinate, sets another
     # radio range, or is not there; exit 1 is kept for a failed bound
     nodes = json.loads(topo_p.read_text())["nodes"]
