@@ -208,9 +208,6 @@ class PlanarGraph:
         """Faces a route cannot cross: holes (>= 4 nodes) and the outer face."""
         return f == self.outer_face or len(self.faces[f]) >= 4
 
-    def neighbors(self, v: NodeId) -> list[NodeId]:
-        return self.adj[v]
-
 
 def _rotation_system(points: Mapping[NodeId, Point], edges: Iterable[Edge]) -> dict[NodeId, list[NodeId]]:
     adj: dict[NodeId, list[NodeId]] = {v: [] for v in points}

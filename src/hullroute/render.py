@@ -145,6 +145,5 @@ def write_svg(
     topo: HybridTopology,
     abstraction: Mapping | None = None,
     routes: Sequence[Sequence[int]] = (),
-    g=None,
 ) -> None:
-    Path(path).write_text(render_svg(topo, abstraction, routes, g=g))
+    Path(path).write_text(render_svg(topo, abstraction, routes))

@@ -35,6 +35,7 @@ from .geometry import (
     angle_key,
     bounding_box,
     dist,
+    incircle,
     monotone_hull,
     orient2d,
     point_in_polygon,
@@ -277,84 +278,50 @@ def build_visibility_graph(hulls: Sequence[HullPolygon]) -> WaypointGraph:
     return WaypointGraph(list(hulls), positions, adj, boundary)
 
 
-def _angle_at(w: Point, u: Point, v: Point) -> float:
-    ax, ay = u.x - w.x, u.y - w.y
-    bx, by = v.x - w.x, v.y - w.y
-    na = math.hypot(ax, ay)
-    nb = math.hypot(bx, by)
-    if na == 0.0 or nb == 0.0:
-        return math.pi
-    c = (ax * bx + ay * by) / (na * nb)
-    return math.acos(max(-1.0, min(1.0, c)))
+def _empty_circle(u: NodeId, v: NodeId, vis: WaypointGraph) -> bool:
+    """True iff some circle through u and v has every witness strictly outside.
+
+    Witnesses are the vertices visible from both u and v, which is what
+    confines circles to the free space around the hulls (Chew 1989). The
+    tightest left witness bounds the circles from the left; the edge lives
+    iff every right witness lies strictly outside the circle through it.
+    A witness on the chord defeats every circle, and so does a right
+    witness on that circle: exact cocircular ties drop the edge.
+    """
+    pos = vis.positions
+    pu, pv = pos[u], pos[v]
+    best: Point | None = None
+    right: list[Point] = []
+    for w in vis.adj[u].keys() & vis.adj[v].keys():
+        pw = pos[w]
+        side = orient2d(pu, pv, pw)
+        if side > 0:
+            if best is None or incircle(pu, pv, best, pw) > 0:
+                best = pw
+        elif side < 0:
+            right.append(pw)
+        elif _on_segment(pw, pu, pv):
+            return False
+    return best is None or all(incircle(pu, pv, best, q) < 0 for q in right)
 
 
 def build_overlay_delaunay(vis: WaypointGraph) -> WaypointGraph:
     """Constrained Delaunay thinning of a visibility graph; hull edges stay.
 
-    A visible edge uv admits an empty circle among the witness set iff the
-    largest inscribed angle on its left plus the largest on its right stays
-    below pi. Witnesses are the vertices visible from both endpoints, which
-    is what confines circles to the free space around the hulls.
+    The thinning keeps a visible edge iff `_empty_circle` admits it, every
+    test an exact sign, so the result is planar with no repair pass.
     """
-    positions, boundary, vadj = vis.positions, vis.constraints, vis.adj
-    n = len(positions)
-    kept: list[tuple[NodeId, NodeId]] = []
-    for u, nbrs in vadj.items():
-        for v in nbrs:
-            if v < u:
-                continue
-            e = (u, v)
-            if e in boundary:
-                kept.append(e)
-                continue
-            pu, pv = positions[u], positions[v]
-            max_l = 0.0
-            max_r = 0.0
-            ok = True
-            for w in nbrs:
-                if w == v or w not in vadj[v]:
-                    continue
-                pw = positions[w]
-                side = orient2d(pu, pv, pw)
-                if side == 0:
-                    if _on_segment(pw, pu, pv):
-                        ok = False  # a point on the chord defeats every circle
-                        break
-                    continue
-                ang = _angle_at(pw, pu, pv)
-                if side > 0:
-                    max_l = max(max_l, ang)
-                else:
-                    max_r = max(max_r, ang)
-            if ok and max_l + max_r < math.pi - 1e-12:
-                kept.append(e)
-
-    # planarity pass: constraints always win; among the rest the longer
-    # edge of a crossing pair dies, ties by lexicographic order
-    def length(e):
-        return vadj[e[0]][e[1]]
-
-    kept_sorted = sorted(kept, key=lambda e: (e not in boundary, length(e), e))
-    final: list[tuple[NodeId, NodeId]] = []
-    for e in kept_sorted:
-        pa, pb = positions[e[0]], positions[e[1]]
-        clash = False
-        for f in final:
-            if segments_properly_intersect(pa, pb, positions[f[0]], positions[f[1]]):
-                clash = True
-                break
-        if not clash:
-            final.append(e)
-
-    if n >= 3 and len(final) > 3 * n - 6:
-        raise GeometryInconsistencyError(
-            f"overlay edge count {len(final)} exceeds planar bound for {n} vertices"
-        )
+    positions, boundary = vis.positions, vis.constraints
     adj: dict[NodeId, dict[NodeId, float]] = {v: {} for v in positions}
-    for u, v in final:
-        w = length((u, v))
-        adj[u][v] = w
-        adj[v][u] = w
+    for u, nbrs in vis.adj.items():
+        for v, w in nbrs.items():
+            if u < v and ((u, v) in boundary or _empty_circle(u, v, vis)):
+                adj[u][v] = adj[v][u] = w
+    n, m = len(positions), sum(map(len, adj.values())) // 2
+    if n >= 3 and m > 3 * n - 6:
+        raise GeometryInconsistencyError(
+            f"overlay edge count {m} exceeds planar bound for {n} vertices"
+        )
     return WaypointGraph(vis.hulls, positions, adj, boundary)
 
 

@@ -150,7 +150,7 @@ def test_ring_members_touch_exactly_two_ring_neighbors(grid):
     k = len(inner.members)
     for i, v in enumerate(inner.members):
         ring_nbrs = {inner.members[i - 1], inner.members[(i + 1) % k]}
-        graph_nbrs = {w for w in g.neighbors(v) if w in mset}
+        graph_nbrs = {w for w in g.adj[v] if w in mset}
         assert graph_nbrs == ring_nbrs
 
 

@@ -178,7 +178,7 @@ def test_planarized_graph_is_connected():
         stack = list(seen)
         while stack:
             u = stack.pop()
-            for w in g.neighbors(u):
+            for w in g.adj[u]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)

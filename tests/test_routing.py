@@ -23,6 +23,7 @@ from oracles import (
     brute_hulls_overlap,
     brute_udg_edges,
     brute_visible,
+    crossing_edge_pairs,
     shoelace,
 )
 
@@ -67,8 +68,8 @@ from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
 
 
 def build_stack(name):
-    """Fixture topology through the abstraction the pipeline ships."""
-    pipe = Pipeline(fixture_topology(name), PipelineConfig())
+    """Fixture or scale-512-1 topology through the abstraction the pipeline ships."""
+    pipe = Pipeline(topology(name), PipelineConfig())
     pipe.build_abstraction()
     return pipe.topo, pipe.g, pipe.engine, pipe.rings, pipe.abstractions
 
@@ -459,24 +460,59 @@ def test_overlay_single_triangle_keeps_its_edges():
     assert edges == {(1, 2), (1, 3), (2, 3)}
 
 
+def random_disjoint_hulls(rng):
+    """Two to four disjoint convex hulls of 3 to 6 vertices at continuous coordinates."""
+    hulls, want = [], rng.randint(2, 4)
+    while len(hulls) < want:
+        cx, cy, r = rng.uniform(0, 6), rng.uniform(0, 6), rng.uniform(0.3, 1.5)
+        pts = [(cx + r * math.cos(t), cy + r * math.sin(t))
+               for t in sorted(rng.uniform(0, 2 * math.pi) for _ in range(rng.randint(3, 6)))]
+        ccw = brute_hull_ccw(pts)
+        if len(ccw) >= 3 and not any(brute_hulls_overlap(ccw, h.pts) for h in hulls):
+            k, base = len(hulls), 10 * len(hulls)
+            hulls.append(HullPolygon(k, tuple(range(base, base + len(ccw))), tuple(Point(*q) for q in ccw)))
+    return hulls
+
+
 def test_overlay_two_triangles_matches_circle_oracle():
     t1 = HullPolygon(0, (1, 2, 3), (Point(0, 0), Point(1.1, 0.1), Point(0.4, 0.9)))
     t2 = HullPolygon(1, (4, 5, 6), (Point(2.3, 0.2), Point(3.2, 0.4), Point(2.6, 1.2)))
     od = build_overlay_delaunay(build_visibility_graph([t1, t2]))
     got = {(u, v) for u in od.adj for v in od.adj[u] if u < v}
-    _, expected = brute_cdt(
-        [((1, 2, 3), list(t1.pts)), ((4, 5, 6), list(t2.pts))]
-    )
-    assert got == expected
     assert {(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)} <= got
     assert len(got) <= 3 * 6 - 6
+    draws = [[t1, t2]] + [random_disjoint_hulls(random.Random(seed)) for seed in range(12)]
+    for hulls in draws:
+        od = build_overlay_delaunay(build_visibility_graph(hulls))
+        got = {(u, v) for u in od.adj for v in od.adj[u] if u < v}
+        _, expected = brute_cdt([(h.nodes, list(h.pts)) for h in hulls])
+        assert got == expected, hulls
+        assert crossing_edge_pairs(od.positions, got) == [], hulls
+
+
+def test_overlay_drops_both_diagonals_of_a_cocircular_quad():
+    # four ccw triangles outside the circle x^2 + y^2 = 25, each touching it
+    # with its tip 10k; the tips are exactly cocircular, so no circle through
+    # either diameter is empty
+    tips = [(-4.0, -3.0), (4.0, 3.0), (-3.0, 4.0), (3.0, -4.0)]
+    hulls = [
+        HullPolygon(k, (10 * k, 10 * k + 1, 10 * k + 2), (
+            Point(x, y),
+            Point(1.25 * x + 0.25 * y, 1.25 * y - 0.25 * x),
+            Point(1.25 * x - 0.25 * y, 1.25 * y + 0.25 * x),
+        ))
+        for k, (x, y) in enumerate(tips)
+    ]
+    vis = build_visibility_graph(hulls)
+    od = build_overlay_delaunay(vis)
+    for u, v in ((0, 10), (20, 30)):
+        assert v in vis.adj[u] and v not in od.adj[u], (u, v)
 
 
 def test_overlay_on_fixture_hulls_is_planar_and_constrained(grid, star):
     from hullroute.geometry import segments_properly_intersect
 
-    for stack in (grid, star):
-        topo, g, eng, rings, ab, _ = stack
+    for topo, g, eng, rings, ab in (grid[:5], star[:5], build_stack("scale-512-1")):
         od = Router(g, rings, ab, backend=BACKEND_ODEL).waypoints
         edges = sorted({(u, v) for u in od.adj for v in od.adj[u] if u < v})
         n = len(od.positions)
