@@ -6,9 +6,12 @@ exact for the given float coordinates: `orient2d`, `incircle` and
 `in_diametral_disk` evaluate their determinant in floats and accept its
 sign when it clears Shewchuk's (1997) static error bound, and recompute
 it with `fractions.Fraction` otherwise.  `angle_key`,
-`segments_properly_intersect`, `_on_segment` and `point_in_polygon` are
-built on them; `circumcenter` rejects a collinear triple, or one too flat
-for a float circumcircle, with DegenerateInputError.
+`segments_properly_intersect`, `_on_segment`, `point_in_polygon` and the
+bay legs' `ring_crossings` and `segment_crosses_polygon` are built on
+them; floats only order a segment's ring crossings, and Fractions do so
+where two lie within rounding.  `circumcenter` rejects a collinear
+triple, or one too flat for a float circumcircle, with
+DegenerateInputError.
 """
 
 from __future__ import annotations
@@ -280,73 +283,78 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
     return orient2d(a, b, p) == 0
 
 
-def segment_polygon_params(a: Point, b: Point, poly: Sequence[Point]) -> list[tuple[float, int]]:
-    """Sorted (t, i): segment ab meets edge i, poly[i] to poly[i + 1], at a + t(b - a).
+def _meet_terms(a, b, c, d):
+    """Line cd meets line ab at a + t(b - a), t = num / den: num, den and their permanents."""
+    ex, ey = d[0] - c[0], d[1] - c[1]
+    nl, nr, dl, dr = (c[0] - a[0]) * ey, (c[1] - a[1]) * ex, (b[0] - a[0]) * ey, (b[1] - a[1]) * ex
+    return nl - nr, dl - dr, abs(nl) + abs(nr), abs(dl) + abs(dr)
 
-    An edge that ab runs along contributes only the ends of ab lying on it.
-    Parameters within 1e-9 of the previous one merge into it, keeping the
-    smaller edge index.
+
+def _meet(a: Point, b: Point, c: Point, d: Point) -> tuple[float, float]:
+    """_meet_terms' t in floats and a bound on its error, infinite when den's sign is in doubt:
+    num and den keep orient2d's bound, and t's follows, doubled for its own rounding."""
+    num, den, pn, pd = _meet_terms(a, b, c, d)
+    en, ed = _CCW_BOUND * pn + _UNDERFLOW, _CCW_BOUND * pd + _UNDERFLOW
+    if abs(den) <= 2.0 * ed:
+        return 0.0, math.inf
+    t = num / den
+    return t, 2.0 * ((en + abs(t) * ed) / (abs(den) - ed) + _U * abs(t))
+
+
+def ring_crossings(a: Point, b: Point, poly: Sequence[Point]) -> list[int]:
+    """Edges i, poly[i] to poly[i + 1], that the open segment ab meets off its line, from a on.
+
+    Edges that ab runs along are skipped, and a vertex on ab counts once,
+    under the smaller index of its edges off ab's line. orient2d signs
+    decide every hit; float parameters order them, and Fractions do when
+    two lie within their error bounds.
     """
-    out: list[tuple[float, int]] = []
     n = len(poly)
-    abx, aby = b[0] - a[0], b[1] - a[1]
+    side = [orient2d(a, b, p) for p in poly]
+    hits = []
     for i in range(n):
-        c, d = poly[i], poly[(i + 1) % n]
-        if orient2d(c, d, a) == 0 == orient2d(c, d, b):
-            for t, q in ((0.0, a), (1.0, b)):
-                if _on_segment(q, c, d):
-                    out.append((t, i))
-            continue
-        denom = abx * (d[1] - c[1]) - aby * (d[0] - c[0])
-        if denom == 0.0:
-            continue  # parallel lines apart
-        t = ((c[0] - a[0]) * (d[1] - c[1]) - (c[1] - a[1]) * (d[0] - c[0])) / denom
-        u = ((c[0] - a[0]) * aby - (c[1] - a[1]) * abx) / denom
-        pad = 1e-9
-        if -pad <= t <= 1.0 + pad and -pad <= u <= 1.0 + pad:
-            out.append((min(1.0, max(0.0, t)), i))
-    out.sort()
-    dedup: list[tuple[float, int]] = []
-    for t, i in out:
-        if not dedup or t - dedup[-1][0] > 1e-9:
-            dedup.append((t, i))
-        elif i < dedup[-1][1]:
-            dedup[-1] = (dedup[-1][0], i)
-    return dedup
-
-
-def _param(a: Point, b: Point, q: Point) -> float:
-    """Parameter of q's projection onto the line a + t(b - a)."""
-    abx, aby = b[0] - a[0], b[1] - a[1]
-    return ((q[0] - a[0]) * abx + (q[1] - a[1]) * aby) / (abx * abx + aby * aby)
+        v, j = poly[i], (i + 1) % n
+        if side[i] * side[j] < 0:
+            if orient2d(v, poly[j], a) * orient2d(v, poly[j], b) < 0:
+                hits.append(i)
+        elif side[i] == 0 and a != v != b and _on_segment(v, a, b):
+            off = [e for e, s in (((i - 1) % n, side[i - 1]), (i, side[j])) if s]
+            hits += sorted(off)[:1]
+    ends = {i: (a, b, poly[i], poly[(i + 1) % n]) for i in hits}
+    cuts = sorted((*_meet(*ends[i]), i) for i in hits)
+    if any(t + e >= u - f for (t, e, _), (u, f, _) in zip(cuts, cuts[1:])):
+        exact = {i: _meet_terms(*([Fraction(v) for v in p] for p in ends[i])) for i in hits}
+        cuts.sort(key=lambda c: (exact[c[2]][0] / exact[c[2]][1], c[2]))
+    return [i for *_, i in cuts]
 
 
 def segment_crosses_polygon(a: Point, b: Point, poly: Sequence[Point]) -> bool:
     """True iff the open segment ab intersects the open region bounded by poly.
 
-    The boundary crossings cut ab into pieces. A piece within the span of
-    an edge that a and b are exactly collinear with is boundary; any other
-    piece lies wholly inside or outside, and its midpoint tells which.
+    Without a proper edge crossing, ab changes region only at the vertices
+    on it: the piece leaving such a vertex toward b is inside iff b lies in
+    the vertex's open interior cone, and the piece leaving a is inside iff
+    b lies on the inner side of the edge a is on, or else iff a is inside.
+    Each test is an orient2d sign, flipped for a clockwise poly.
     """
     if a == b:
         return point_in_polygon(a, poly)
     n = len(poly)
-    along = [
-        sorted((_param(a, b, c), _param(a, b, d)))
-        for c, d in ((poly[i], poly[(i + 1) % n]) for i in range(n))
-        if orient2d(c, d, a) == 0 == orient2d(c, d, b)
-    ]
-    cuts = [0.0] + [t for t, _ in segment_polygon_params(a, b, poly)] + [1.0]
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo < 1e-9:
-            continue
-        t = (lo + hi) / 2.0
-        if any(s < t < e for s, e in along):
-            continue
-        mid = Point(a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
-        if point_in_polygon(mid, poly, strict=True):
-            return True
-    return False
+    s = polygon_orientation(poly)
+    side = [orient2d(a, b, p) for p in poly]
+    for i in range(n):
+        u, v, w = poly[i - 1], poly[i], poly[(i + 1) % n]
+        if side[i] * side[(i + 1) % n] < 0:
+            if orient2d(v, w, a) * orient2d(v, w, b) < 0:
+                return True
+        elif side[i] == 0 and v != b and _on_segment(v, a, b):
+            into, out = s * orient2d(u, v, b) > 0, s * orient2d(v, w, b) > 0
+            if (into and out) if s * orient2d(u, v, w) >= 0 else (into or out):
+                return True
+    for c, d in zip(poly, [*poly[1:], poly[0]]):
+        if _on_segment(a, c, d):
+            return a != c and a != d and s * orient2d(c, d, b) > 0
+    return point_in_polygon(a, poly)
 
 
 @dataclass(frozen=True)

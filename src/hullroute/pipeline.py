@@ -169,6 +169,11 @@ class Pipeline:
         self.build_longrange: dict[int, int] = {}
         self.build_adhoc = 0
         self._knows_after_build: dict[int, set[int]] | None = None
+        # the latest build's hull references and hull ids, and its storage
+        # audit once measured
+        self._refs: list[tuple[int, float, float, int]] = []
+        self._hull_ids: set[int] = set()
+        self._storage: dict | None = None
 
     # -- abstraction phases --------------------------------------------------
 
@@ -248,8 +253,8 @@ class Pipeline:
         mark("broadcast_tree", t)
 
         t = eng.round_no
-        refs, keep = self._hull_refs()
-        distribute_hulls(eng, self.tree, refs, keep)
+        self._refs, self._hull_ids = self._hull_refs()
+        distribute_hulls(eng, self.tree, self._refs, self._hull_ids)
         mark("hull_distribution", t)
 
         self.protocol_rounds = eng.round_no - start
@@ -262,6 +267,7 @@ class Pipeline:
         # snapshot before queries: routing teaches endpoints each other's
         # ids, which is not abstraction storage
         self._knows_after_build = {v: set(self.topo.knows[v]) for v in self.topo.ids}
+        self._storage = None
         self.router = Router(self.g, self.rings, self.abstractions, backend=self.config.backend)
         self.seconds["router_s"] = time.perf_counter() - clock
 
@@ -299,21 +305,23 @@ class Pipeline:
     # -- audits ----------------------------------------------------------------
 
     def storage_audit(self) -> dict:
-        """Persisted-knowledge deltas by node class, with budgets."""
-        refs, hull_nodes = self._hull_refs()
+        """Persisted-knowledge deltas by node class, with budgets; measured once per build."""
+        if self._knows_after_build is None:
+            raise NotReadyError("abstraction not built")
+        if self._storage is not None:
+            return self._storage
+        hull_nodes = self._hull_ids
         ring_members = set()
         for r in self.rings:
             ring_members.update(r.members)
         boundary = ring_members - hull_nodes
         other = set(self.topo.ids) - ring_members
-        if self._knows_after_build is None:
-            raise NotReadyError("abstraction not built")
         delta = {
             v: len(self._knows_after_build[v] - self.baseline_knows[v])
             for v in self.topo.ids
         }
         # one reference per hull node per non-outer ring
-        sum_hull = len(refs)
+        sum_hull = len(self._refs)
         max_p = max(len(r.members) for r in self.rings)
 
         def cls_stats(nodes: set[int], budget: float) -> dict:
@@ -327,13 +335,14 @@ class Pipeline:
                 "ok": mx <= budget,
             }
 
-        return {
+        self._storage = {
             "hull": cls_stats(hull_nodes, STORAGE_FACTOR * sum_hull),
             "boundary": cls_stats(boundary, STORAGE_FACTOR * max_p),
             "other": cls_stats(other, float(OTHER_STORAGE_CAP)),
             "sum_hull_sizes": sum_hull,
             "max_ring_size": max_p,
         }
+        return self._storage
 
     def bound_audit(self) -> dict:
         n = len(self.topo.points)
@@ -390,7 +399,7 @@ class Pipeline:
             }
 
         # Case1 plans at any hull node, so each must hold every other hull id
-        _, hull_nodes = self._hull_refs()
+        hull_nodes = self._hull_ids
         knows = self._knows_after_build
         missing = max((len(hull_nodes - knows[v] - {v}) for v in hull_nodes), default=0)
         bounds["hull_refs"] = {
@@ -445,7 +454,6 @@ class Pipeline:
     def report(self, results, summary) -> ExperimentReport:
         eng = self.engine
         bounds = self.bound_audit()
-        storage = self.storage_audit()
         lr = self.build_longrange
         message_stats = {
             "total_messages": eng.total_messages,
@@ -482,7 +490,7 @@ class Pipeline:
             protocol_rounds=self.protocol_rounds,
             phases=[asdict(p) for p in eng.phase_reports],
             message_stats=message_stats,
-            storage=storage,
+            storage=self.storage_audit(),
             bounds=bounds,
             bounds_ok=ok,
             holes=hole_report(self.rings, self.abstractions),
@@ -534,6 +542,16 @@ class Pipeline:
             self.engine.charge_rounds(interval, "idle")
         check_connected(self.topo.adhoc)
         tree = self.tree
+        # a node keeps across builds its first ids, its radio neighbours,
+        # which are no storage either, and its tree neighbours; it forgets
+        # every other id the earlier builds taught it
+        ties: dict[int, set[int]] = {v: set(self.topo.adhoc[v]) for v in self.topo.ids}
+        for child, parent in tree.parent.items() if tree else ():
+            ties[child].add(parent)
+            ties[parent].add(child)
+        overlay._forget_learned(self.engine, self.baseline_knows, ties)
+        for v in self.topo.ids:
+            self.baseline_knows[v] |= self.topo.adhoc[v]
         start_round = self.engine.round_no
         self.router = None
         self.build_abstraction()

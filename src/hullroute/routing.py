@@ -39,8 +39,8 @@ from .geometry import (
     monotone_hull,
     orient2d,
     point_in_polygon,
+    ring_crossings,
     segment_crosses_polygon,
-    segment_polygon_params,
     segments_properly_intersect,
     _on_segment,
 )
@@ -586,13 +586,8 @@ class Router:
 
         # ring edges where ab enters and leaves the ring; without an inner
         # crossing, the first ring edge at h0
-        crossed = [i for t, i in segment_polygon_params(pa, pb, ctx.ring_pts) if 1e-9 < t < 1.0 - 1e-9]
-        if crossed:
-            s_edge, t_edge = crossed[0], crossed[-1]
-        else:
-            s_edge = t_edge = max(ctx.pos_of[h0] - 1, 0)
-        p1 = self._ds_nearest(ctx, ds, s_edge)
-        pt_node = self._ds_nearest(ctx, ds, t_edge)
+        crossed = ring_crossings(pa, pb, ctx.ring_pts) or [max(ctx.pos_of[h0] - 1, 0)]
+        p1, pt_node = (self._ds_nearest(ctx, ds, e) for e in (crossed[0], crossed[-1]))
 
         sub = self._bay_subpath(ctx, bay_idx, p1, pt_node)
         extremes = _extreme_points(self.g.points, sub)
@@ -731,11 +726,7 @@ def _extreme_points(points: Mapping[NodeId, Point], sub: Sequence[NodeId]) -> li
 
 
 def _dedup_consecutive(path: Sequence[NodeId]) -> list[NodeId]:
-    out: list[NodeId] = []
-    for v in path:
-        if not out or out[-1] != v:
-            out.append(v)
-    return out
+    return [v for i, v in enumerate(path) if i == 0 or path[i - 1] != v]
 
 
 def _udg_shortest(topo: HybridTopology, s: NodeId, t: NodeId) -> float:

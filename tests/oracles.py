@@ -636,3 +636,93 @@ def crossing_edge_pairs(points: dict, edges):
         if segments_properly_intersect(points[e[0]], points[e[1]], points[f[0]], points[f[1]]):
             out.append((e, f))
     return out
+
+
+def _integers(ends, poly):
+    """ends and poly with every coordinate times one power of two: integers, as floats are
+    dyadic, so that the oracles' sums and products are exact and fast."""
+    pts = [(Fraction(p[0]), Fraction(p[1])) for p in [*ends, *poly]]
+    scale = max(v.denominator for p in pts for v in p)
+    pts = [(int(x * scale), int(y * scale)) for x, y in pts]
+    return pts[: len(ends)], pts[len(ends) :]
+
+
+def _exact_cuts(a, b, pts):
+    """Sorted (t, i, along) for the points of the open segment ab on edge i of pts.
+
+    Exact for integers; a point lies at a + t(b - a). An edge off ab's line
+    gives the point it shares with ab; an edge along that line gives its
+    ends lying inside ab.
+    """
+    def crs(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    if a == b:
+        return []
+    ab = (b[0] - a[0], b[1] - a[1])
+    norm = ab[0] ** 2 + ab[1] ** 2
+    out = []
+    for i, c in enumerate(pts):
+        d = pts[(i + 1) % len(pts)]
+        if crs(a, b, c) == 0 == crs(a, b, d):
+            ts = [Fraction((q[0] - a[0]) * ab[0] + (q[1] - a[1]) * ab[1], norm) for q in (c, d)]
+            out += [(t, i, True) for t in ts if 0 < t < 1]
+            continue
+        den = ab[0] * (d[1] - c[1]) - ab[1] * (d[0] - c[0])
+        if den == 0:
+            continue
+        t, u = Fraction(crs(a, c, d), den), Fraction(crs(a, c, b), den)
+        if 0 < t < 1 and 0 <= u <= 1:
+            out.append((t, i, False))
+    return sorted(out)
+
+
+def brute_ring_crossings(a, b, poly):
+    """Edges of poly that the open segment ab meets off its line, ordered along ab.
+
+    Exact parameters; edges on ab's line are left out, and hits at one
+    parameter keep the smallest edge index.
+    """
+    out: list = []
+    (a, b), pts = _integers((a, b), poly)
+    for t, i, along in _exact_cuts(a, b, pts):
+        if along:
+            continue
+        if out and out[-1][0] == t:
+            out[-1] = (t, min(out[-1][1], i))
+        else:
+            out.append((t, i))
+    return [i for _, i in out]
+
+
+def brute_segment_crosses_polygon(a, b, poly):
+    """True iff a point of the open segment ab lies strictly inside poly.
+
+    The exact boundary points cut ab into pieces that each lie wholly
+    inside, outside or on the boundary; the exact midpoint of each piece
+    is tested by ray casting in Fractions.
+    """
+    (a, b), pts = _integers((a, b), poly)
+    ts = [Fraction(0)] + [t for t, _, _ in _exact_cuts(a, b, pts)] + [Fraction(1)]
+
+    def strictly_inside(p):
+        inside = False
+        for i, u in enumerate(pts):
+            v = pts[(i + 1) % len(pts)]
+            cr = (v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
+            if cr == 0 and min(u[0], v[0]) <= p[0] <= max(u[0], v[0]) and min(u[1], v[1]) <= p[1] <= max(u[1], v[1]):
+                return False
+            if (u[1] > p[1]) != (v[1] > p[1]):
+                if p[0] < u[0] + Fraction(p[1] - u[1]) * (v[0] - u[0]) / (v[1] - u[1]):
+                    inside = not inside
+        return inside
+
+    if a == b:
+        return strictly_inside(a)
+    for lo, hi in zip(ts, ts[1:]):
+        if lo == hi:
+            continue
+        m = (lo + hi) / 2
+        if strictly_inside((a[0] + m * (b[0] - a[0]), a[1] + m * (b[1] - a[1]))):
+            return True
+    return False

@@ -21,12 +21,12 @@ from hullroute.geometry import (
     point_in_polygon,
     polygon_orientation,
     polygon_signed_area,
+    ring_crossings,
     segment_crosses_polygon,
-    segment_polygon_params,
     segments_properly_intersect,
     signed_turn_angle,
 )
-from oracles import brute_hull, shoelace
+from oracles import brute_hull, brute_ring_crossings, brute_segment_crosses_polygon, shoelace
 
 
 def test_orientation_basic():
@@ -158,13 +158,95 @@ def test_polygon_validation():
         Polygon((Point(0, 0), Point(1, 1), Point(1, 0), Point(0, 1)))  # bowtie
 
 
-def test_segment_polygon_params_name_the_crossed_edge():
+def test_ring_crossings_name_the_crossed_edges():
     sq = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
-    assert segment_polygon_params(Point(-1, 1), Point(3, 1), sq) == [(0.25, 3), (0.75, 1)]
+    assert ring_crossings(Point(-1, 1), Point(3, 1), sq) == [3, 1]
+    assert ring_crossings(Point(3, 1), Point(-1, 1), sq) == [1, 3]
     # through a corner: both edges meet it, the smaller index stays
-    assert segment_polygon_params(Point(-1, -1), Point(1, 1), sq) == [(0.5, 0)]
-    # along an edge: only the segment's own ends on it count
-    assert segment_polygon_params(Point(0.5, 0), Point(1.5, 0), sq) == [(0.0, 0), (1.0, 0)]
+    assert ring_crossings(Point(-1, -1), Point(1, 1), sq) == [0]
+    # along an edge: the edge is skipped, and each corner counts under its other edge
+    assert ring_crossings(Point(0.5, 0), Point(1.5, 0), sq) == []
+    assert ring_crossings(Point(-1, 0), Point(3, 0), sq) == [3, 1]
+
+
+def _lattice_polygon(rng: random.Random) -> list[tuple[int, int]]:
+    """A simple polygon of 3 to 8 even lattice points, so edge midpoints are lattice points too."""
+
+    def crs(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    def dot(o, p, q):
+        return (p[0] - o[0]) * (q[0] - o[0]) + (p[1] - o[1]) * (q[1] - o[1])
+
+    def meet(p, q, r, s):  # closed segments pq and rs share a point
+        d = [crs(r, s, p), crs(r, s, q), crs(p, q, r), crs(p, q, s)]
+        if d[0] * d[1] > 0 or d[2] * d[3] > 0:
+            return False
+        if any(d):
+            return True
+        return all(min(p[k], q[k]) <= max(r[k], s[k]) and min(r[k], s[k]) <= max(p[k], q[k]) for k in (0, 1))
+
+    while True:
+        pts = list({(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(3, 8))})
+        cx, cy = sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts)
+        pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+        n = len(pts)
+        edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+        if n < 3 or sum(crs((0, 0), p, q) for p, q in edges) == 0:
+            continue
+        # adjacent edges may only share their corner, other edges nothing
+        if any(crs(p, q, r) == 0 and dot(q, p, r) > 0 for p, q, r in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2])):
+            continue
+        if any(meet(*edges[i], *edges[j]) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)):
+            continue
+        return [(2 * x, 2 * y) for x, y in pts]
+
+
+def _near_degenerate_segment(rng: random.Random, poly: list[tuple[int, int]]):
+    """Lattice ends of a segment through a vertex, along an edge, ending on the boundary, or anywhere."""
+    n = len(poly)
+    i = rng.randrange(n)
+    (cx, cy), (dx, dy) = poly[i], poly[(i + 1) % n]
+
+    def lattice():
+        return rng.randint(-12, 12), rng.randint(-12, 12)
+
+    kind = rng.choice(("vertex", "along", "end_vertex", "end_edge", "any"))
+    if kind == "vertex":
+        ux, uy = rng.choice([(x, y) for x in range(-3, 4) for y in range(-3, 4) if x or y])
+        m1, m2 = rng.randint(1, 3), rng.randint(1, 3)
+        a, b = (cx - m1 * ux, cy - m1 * uy), (cx + m2 * ux, cy + m2 * uy)
+    elif kind == "along":
+        g = math.gcd(dx - cx, dy - cy)
+        ux, uy = (dx - cx) // g, (dy - cy) // g
+        m1, m2 = rng.sample(range(-2, g + 3), 2)
+        a, b = (cx + m1 * ux, cy + m1 * uy), (cx + m2 * ux, cy + m2 * uy)
+    elif kind == "end_vertex":
+        a, b = (cx, cy), lattice()
+    elif kind == "end_edge":
+        a, b = ((cx + dx) // 2, (cy + dy) // 2), lattice()
+    else:
+        a, b = lattice(), lattice()
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def test_ring_walk_matches_the_exact_oracle_on_near_degenerate_segments():
+    # lattice shapes scaled by non-dyadic steps: rounding moves points on
+    # a line or an edge just off it, or leaves them on it
+    rng = random.Random(11)
+    scales = (0.1, 0.3, 1 / 3, 0.7)
+    for case in range(3000):
+        poly = _lattice_polygon(rng)
+        if rng.random() < 0.5:
+            poly.reverse()
+        a, b = _near_degenerate_segment(rng, poly)
+        s = scales[case % len(scales)]
+        fa, fb = Point(a[0] * s, a[1] * s), Point(b[0] * s, b[1] * s)
+        fpoly = [Point(x * s, y * s) for x, y in poly]
+        assert ring_crossings(fa, fb, fpoly) == brute_ring_crossings(fa, fb, fpoly), (case, fa, fb, fpoly)
+        assert segment_crosses_polygon(fa, fb, fpoly) == brute_segment_crosses_polygon(fa, fb, fpoly), (
+            case, fa, fb, fpoly,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import hashlib
 import json
 import logging
 import math
+import random
 import re
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -658,6 +659,26 @@ def test_recompute_after_moves_equals_a_fresh_build(name, rng):
     fresh = Pipeline(build_udg(dict(pipe.topo.points)), PipelineConfig())
     fresh.build_abstraction()
     assert out["abstraction_digest"] == fresh.abstraction_digest()
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_recompute_after_moves_stores_no_more_than_a_fresh_build(seed):
+    # a rebuild forgets the ids the earlier builds taught, and a node's new
+    # radio neighbours are no storage; a fresh build on the moved network
+    # bounds every class. Moves as in perfbench's mobility workload
+    pipe = Pipeline(generate_scenario(scaling_spec(512, seed)), PipelineConfig())
+    pipe.build_abstraction()
+    rng = random.Random(seed)
+    for _ in range(2):
+        for v in rng.sample(pipe.topo.ids, 5):
+            a, r, p = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 0.03), pipe.topo.points[v]
+            pipe.topo.move_node(v, Point(p.x + r * math.cos(a), p.y + r * math.sin(a)))
+        pipe.periodic_recompute()
+    fresh = Pipeline(build_udg(dict(pipe.topo.points)), PipelineConfig())
+    fresh.build_abstraction()
+    storage, want = pipe.storage_audit(), fresh.storage_audit()
+    for cls in ("hull", "boundary", "other"):
+        assert storage[cls]["max"] <= want[cls]["max"], cls
 
 
 @pytest.mark.parametrize("name", ["grid36-hole4", "cshape-40"])

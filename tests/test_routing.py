@@ -44,8 +44,8 @@ from hullroute.geometry import (
     dist,
     monotone_hull,
     point_in_polygon,
+    ring_crossings,
     segment_crosses_polygon,
-    segment_polygon_params,
 )
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.pipeline import Pipeline, PipelineConfig
@@ -145,11 +145,10 @@ def test_chew_visits_only_crossed_faces(grid):
             if fi == g.outer_face:
                 continue
             poly = [g.points[v] for v in cyc]
-            params = segment_polygon_params(ps, pt, poly)
             inside = point_in_polygon(ps, poly, strict=False) or point_in_polygon(
                 pt, poly, strict=False
             )
-            if params or inside:
+            if ring_crossings(ps, pt, poly) or inside:
                 touched.add(fi)
         return touched
 
@@ -900,8 +899,7 @@ def test_bay_anchor_is_the_ring_edge_the_segment_crosses(star):
         # a short probe through the edge's midpoint, square to it
         mx, my = (a.x + b.x) / 2, (a.y + b.y) / 2
         nx, ny = (a.y - b.y) * 0.2, (b.x - a.x) * 0.2
-        params = segment_polygon_params(Point(mx - nx, my - ny), Point(mx + nx, my + ny), pts)
-        assert min(params, key=lambda p: abs(p[0] - 0.5))[1] == i
+        assert ring_crossings(Point(mx - nx, my - ny), Point(mx + nx, my + ny), pts) == [i]
         hops = {v: min(router._hops(ctx, ctx.pos_of[v], j) for j in (i, (i + 1) % k)) for v in ds}
         assert router._ds_nearest(ctx, ds, i) == min(ds, key=lambda v: (hops[v], v))
 
