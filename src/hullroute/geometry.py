@@ -328,19 +328,22 @@ def ring_crossings(a: Point, b: Point, poly: Sequence[Point]) -> list[int]:
     return [i for *_, i in cuts]
 
 
-def segment_crosses_polygon(a: Point, b: Point, poly: Sequence[Point]) -> bool:
+def segment_crosses_polygon(
+    a: Point, b: Point, poly: Sequence[Point], orientation: int | None = None
+) -> bool:
     """True iff the open segment ab intersects the open region bounded by poly.
 
     Without a proper edge crossing, ab changes region only at the vertices
     on it: the piece leaving such a vertex toward b is inside iff b lies in
     the vertex's open interior cone, and the piece leaving a is inside iff
     b lies on the inner side of the edge a is on, or else iff a is inside.
-    Each test is an orient2d sign, flipped for a clockwise poly.
+    Each test is an orient2d sign, flipped for a clockwise poly.  A caller
+    that tests one poly often passes its polygon_orientation once taken.
     """
     if a == b:
         return point_in_polygon(a, poly)
     n = len(poly)
-    s = polygon_orientation(poly)
+    s = polygon_orientation(poly) if orientation is None else orientation
     side = [orient2d(a, b, p) for p in poly]
     for i in range(n):
         u, v, w = poly[i - 1], poly[i], poly[(i + 1) % n]

@@ -137,7 +137,10 @@ def build_udg(points: Mapping[NodeId, Point]) -> HybridTopology:
     """Unit disk graph over the given positions; rejects disconnected input."""
     if not points:
         raise DegenerateInputError("empty node set")
-    pts = {int(v): Point(*p) for v, p in points.items()}
+    if all(type(v) is int and type(p) is Point for v, p in points.items()):
+        pts = dict(points)
+    else:
+        pts = {int(v): Point(*p) for v, p in points.items()}
     if len(set(pts.values())) != len(pts):
         raise DegenerateInputError("node positions must be pairwise distinct")
     topo = HybridTopology(points=pts, adhoc={}, knows={})

@@ -17,10 +17,13 @@ every bay member decides from ring ranks the hull broadcast left it.
 Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Every sender cuts what it ships into messages of at
 most that many points, each introducing only the ids of its own points
-(_cut): hull references (id, x, y, ring) in the distribution, a block's
-hull in the merge, a subtree's part of the hull in the broadcast.  In
-the merge a host sends at most that many long-range messages a round,
-as counted by the engine.  The hull broadcast is scoped: each tree edge
+(_cut): one entry (id, x, y, ring, ...) per hull node in the
+distribution, a block's hull as (x, y, id, rank) in the merge, a
+subtree's part of the hull in the broadcast.  No fact crosses a link
+twice: a pointer-jump message carries the new pointer only as its
+introduction, and a relay of the distribution sends each entry up
+once.  In the merge a host sends at most that many long-range messages
+a round, as counted by the engine.  The hull broadcast is scoped: each tree edge
 carries only the hull points of the child's subtree of ranks and the
 two hull points that bracket it, so every ring node learns its bay's
 two hull ends.  Ids a node learns only in transit are forgotten once a
@@ -115,6 +118,20 @@ class BroadcastTree:
     parent: dict[NodeId, NodeId]
     height: int
 
+    def depths(self) -> dict[NodeId, int]:
+        """Each node's hops up to the root, read off `parent`."""
+        depth = {self.root: 0}
+        for v in self.parent:
+            path = []
+            while v not in depth:
+                path.append(v)
+                v = self.parent[v]
+            d = depth[v]
+            for w in reversed(path):
+                d += 1
+                depth[w] = d
+        return depth
+
 
 def _ring_maps(members: list[NodeId]) -> tuple[dict, dict]:
     k = len(members)
@@ -202,10 +219,10 @@ def pointer_jumping(
     node is done when the minimum id on its predecessor side equals the
     one on its successor side, which forces both to be the global
     minimum.  Done nodes serve one extra round so late partners still
-    receive their final update.  A message carries ids only, the new
-    pointer and the arc minimum; the turn angles travel later, with the
-    hull merge.  All rings run at once; each result's jump_rounds counts
-    that ring's own rounds.
+    receive their final update.  A message carries ids only: its payload
+    is the arc minimum, and the new pointer is the one id it introduces;
+    the turn angles travel later, with the hull merge.  All rings run at
+    once; each result's jump_rounds counts that ring's own rounds.
     """
     return _run_wave(
         engine,
@@ -247,16 +264,17 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
         grew = False
         for m in inbox:
             d = m.payload
+            # the one id a message introduces is the receiver's new pointer
             if m.tag == "pj_succ":
                 # sender was our successor; its successor becomes ours
                 s["l_succ"] = min(s["l_succ"], d["ell"])
-                s["succ"] = d["nid"]
+                s["succ"] = m.intro_ids[0]
                 s["level"] += 1
                 edges.append(JumpEdge((v, s["succ"]), s["l_succ"], s["level"]))
                 grew = True
             elif m.tag == "pj_pred":
                 s["l_pred"] = min(s["l_pred"], d["ell"])
-                s["pred"] = d["nid"]
+                s["pred"] = m.intro_ids[0]
         if grew or inbox:
             check_done(s)
         if s["done"] and s["lame"] == 0:
@@ -268,7 +286,7 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
             eng.send(
                 v,
                 s["pred"],
-                {"nid": s["succ"], "ell": s["l_succ"]},
+                {"ell": s["l_succ"]},
                 tag="pj_succ",
                 intro_ids=(s["succ"],),
             )
@@ -277,7 +295,7 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
             eng.send(
                 v,
                 s["succ"],
-                {"nid": s["pred"], "ell": s["l_pred"]},
+                {"ell": s["l_pred"]},
                 tag="pj_pred",
                 intro_ids=(s["pred"],),
             )
@@ -436,14 +454,19 @@ def _tree_cast(
 def hypercube_sort(
     engine: RoundEngine, cubes: Mapping[Hashable, HypercubeOverlay]
 ) -> dict[Hashable, list[list]]:
-    """Each cube's hosts as [x, y, id] keys laid out by slot, which is ring rank; takes no round.
+    """Each cube's hosts as [x, y, id, rank] keys laid out by slot, which is ring rank; takes no round.
 
     Nothing is sorted: the hull merge works on blocks of consecutive
-    ranks, so slot s just holds its own host's key.  The name stays
-    because perfbench traces this step as a span of its own.
+    ranks, so slot s just holds its own host's key.  The rank rides the
+    merge with the point, so the leader ends it knowing every hull
+    node's rank.  The name stays because perfbench traces this step as a
+    span of its own.
     """
     pts = engine.topo.points
-    return {key: [[pts[v].x, pts[v].y, v] for v in cube.members] for key, cube in cubes.items()}
+    return {
+        key: [[pts[v].x, pts[v].y, v, s] for s, v in enumerate(cube.members)]
+        for key, cube in cubes.items()
+    }
 
 
 def parallel_convex_hull(
@@ -553,13 +576,13 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
     wrap past rank 0.  An arc's first and last slots are hull nodes, so
     its brackets never wrap and a subtree that ends with the arc has no
     after-bracket.  A node cuts its children's points from the points
-    it holds, the leader from its merged hull: a child's ranks and
-    brackets lie within its parent's, so a sender knows every id it
-    introduces.  Messages carry at most _message_cap points, each
-    introducing the ids of its own points.  On a closed ring each message
-    also carries the ring size k, which the leader ends the merge with:
-    the bay that wraps past rank 0 counts its members modulo k
-    (dominating_set).
+    it holds, the leader from its merged hull, whose points carry their
+    ranks: a child's ranks and brackets lie within its parent's, so a
+    sender knows every id it introduces.  Messages carry at most
+    _message_cap points, each introducing the ids of its own points.  On
+    a closed ring each message also carries the ring size k, which the
+    leader ends the merge with: the bay that wraps past rank 0 counts its
+    members modulo k (dominating_set).
     """
     k = len(cube.members)
     size = {"size": k} if cube.closed else {}
@@ -583,7 +606,7 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
         "hullb",
         scoped,
         lambda v, i: cube.id_map[v] + (1 << i) < k,
-        [{"hull": [[q[0], q[1], q[2], cube.id_map[q[2]]] for q in ccw]}],
+        [{"hull": ccw}],
     )
 
 
@@ -625,66 +648,74 @@ def distribute_hulls(
     hull_refs: list[tuple[NodeId, float, float, int]],
     keep_all: set[NodeId],
 ) -> int:
-    """Gather the hull references at the tree root, then cast them down a heap of hull nodes.
+    """Gather one entry per hull node at the tree root, then cast them down a heap of hull nodes.
 
-    Gather leg: for the first tree.height rounds every node sends the
-    references it holds or receives to its tree parent, so only the
+    `hull_refs` holds one (id, x, y, ring) reference per hull node and
+    ring; a hull node's entry is [id, x, y, ring, ...], one point with
+    every ring it is a hull node of, so a node on two hulls ships its id
+    and position once.  Gather leg, a convergecast: a node at depth d
+    sends its parent every entry its subtree holds, once, in round
+    tree.height - d, when its children's have all arrived; only the
     owners' root paths carry traffic.  In round tree.height the root
-    holds every reference and, from their introductions, every hull id.
+    holds every entry and, from their introductions, every hull id.
     Cast leg: the hull nodes form a binary heap over `order`, their
-    sorted ids.  The root sends every reference to order[0], or starts
-    the heap itself if it is order[0].  A hull node receives all of it
-    in one round, knows `order` from it and its own references, and
-    forwards to its heap children 2i+1 and 2i+2 every reference but
-    each child's own.  A message carries at most ceil(log2 n)
-    references and introduces their ids.
+    sorted ids.  The root sends every entry to order[0], or starts the
+    heap itself if it is order[0].  A hull node receives all of it in
+    one round, knows `order` from it and its own entry, and forwards to
+    its heap children 2i+1 and 2i+2 every entry but each child's own.  A
+    message carries at most ceil(log2 n) entries and introduces their
+    ids.
 
-    Nodes in keep_all (the hull nodes, which own every reference) keep
-    the hull ids they learn.  Every other id the phase taught a node is
+    Nodes in keep_all (the hull nodes, which own every entry) keep the
+    hull ids they learn.  Every other id the phase taught a node is
     forgotten once it ends, so relays, a root that is no hull node
-    included, end as they began.  Returns the number of reference
+    included, end as they began.  Returns the number of entry
     deliveries.
     """
     topo = engine.topo
     height, start = tree.height, engine.round_no
+    depth = tree.depths()
     before = {v: set(topo.knows[v]) for v in topo.ids}
     own: dict[NodeId, list] = {}
-    for ref in hull_refs:
-        own.setdefault(ref[0], []).append(list(ref))
-    gathered: list = []
+    for v, x, y, ring in hull_refs:
+        own.setdefault(v, [v, x, y]).append(ring)
+    # the entries a node sends its parent in the gather: its own, its children's
+    held = {v: [entry] for v, entry in own.items()}
     deliveries = 0
 
-    def send(eng: RoundEngine, v: NodeId, dst: NodeId, refs: list) -> None:
-        for chunk, ids in _cut(eng, refs, 0):
+    def send(eng: RoundEngine, v: NodeId, dst: NodeId, entries: list) -> None:
+        for chunk, ids in _cut(eng, entries, 0):
             eng.send(v, dst, {"refs": chunk}, tag="href", intro_ids=ids)
 
-    def serve(eng: RoundEngine, v: NodeId, refs: list) -> None:
-        """Hull node v holds every reference: pass them on to its heap children."""
-        refs = sorted(refs)
-        order = sorted({ref[0] for ref in refs})
+    def serve(eng: RoundEngine, v: NodeId, entries: list) -> None:
+        """Hull node v holds every entry: pass them on to its heap children."""
+        entries = sorted(entries)
+        order = [e[0] for e in entries]
         i = order.index(v)
         for c in order[2 * i + 1 : 2 * i + 3]:
-            send(eng, v, c, [ref for ref in refs if ref[0] != c])
+            send(eng, v, c, [e for e in entries if e[0] != c])
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         nonlocal deliveries
-        got = [ref for m in inbox for ref in m.payload["refs"]]
+        got = [e for m in inbox for e in m.payload["refs"]]
         deliveries += len(got)
         t = eng.round_no - start
-        if t == 0:
-            got += own.get(v, [])
-        if t < height and v != tree.root:
-            send(eng, v, tree.parent[v], got)
-        elif t <= height and v == tree.root:
-            gathered.extend(got)
-            if t == height and gathered:
-                first = min(ref[0] for ref in gathered)
+        if t > height:
+            if got:
+                serve(eng, v, got + [own[v]])
+            return True
+        if got:
+            held.setdefault(v, []).extend(got)
+        if t == height - depth[v]:
+            sub = sorted(held.pop(v, []))
+            if v != tree.root:
+                send(eng, v, tree.parent[v], sub)
+            elif sub:
+                first = sub[0][0]
                 if first == v:
-                    serve(eng, v, gathered)
+                    serve(eng, v, sub)
                 else:
-                    send(eng, v, first, sorted(ref for ref in gathered if ref[0] != first))
-        elif got:
-            serve(eng, v, got + own.get(v, []))
+                    send(eng, v, first, sub[1:])
         return v != tree.root or t >= height
 
     report = engine.run_phase("hull_distribution", handler, max_rounds=2 * height + 1)

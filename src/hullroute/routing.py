@@ -39,6 +39,7 @@ from .geometry import (
     monotone_hull,
     orient2d,
     point_in_polygon,
+    polygon_orientation,
     ring_crossings,
     segment_crosses_polygon,
     segments_properly_intersect,
@@ -413,6 +414,8 @@ class _RingCtx:
     abstraction: HullAbstraction
     polygon: HullPolygon
     ring_pts: list[Point]
+    # polygon_orientation(ring_pts), taken once for every bay leg's test
+    ring_sign: int
     pos_of: dict[NodeId, int]
     bay_polys: list[list[Point]]
     # outer-hole rings are open arcs: their chord is virtual, walks on the
@@ -466,7 +469,7 @@ class Router:
         pos_of = {v: i for i, v in enumerate(ring.members)}
         bay_polys = [[self.g.points[v] for v in bay.strip] for bay in ab.bay_areas]
         return _RingCtx(
-            ring, ab, poly, pts, pos_of, bay_polys,
+            ring, ab, poly, pts, polygon_orientation(pts), pos_of, bay_polys,
             closed=ring.kind != KIND_OUTER_HOLE,
         )
 
@@ -592,7 +595,11 @@ class Router:
         sub = self._bay_subpath(ctx, bay_idx, p1, pt_node)
         extremes = _extreme_points(self.g.points, sub)
         e_t = next(
-            (e for e in extremes if not segment_crosses_polygon(self.g.points[e], pb, ctx.ring_pts)),
+            (
+                e
+                for e in extremes
+                if not segment_crosses_polygon(self.g.points[e], pb, ctx.ring_pts, ctx.ring_sign)
+            ),
             extremes[-1],
         )
         chain = extremes[: extremes.index(e_t) + 1]

@@ -575,37 +575,35 @@ def _chain_length(points, chain):
 
 
 def brute_hull_gather_cast(tree, owners):
-    """Messages per directed edge of the hull-reference gather and cast.
+    """Messages per directed edge of the hull-entry gather and cast.
 
-    `owners` holds one entry per reference: its owner, so a node on two
-    hulls appears twice. Computed from closed forms, not by running
-    rounds. Gather: a reference crosses the tree edge from the node j hops
-    above its owner to that node's parent in round j, and the references
-    crossing one edge in one round are packed ceil(log2 n) to a message.
-    Cast: `order` is the sorted distinct owners; the root sends order[0]
-    every reference not its own unless it is order[0] itself, and order[i]
-    sends each heap child order[c] (c = 2i+1, 2i+2) every reference not
-    order[c]'s own, each in one round. Returns {(src, dst): messages}.
+    `owners` holds the owner of each hull reference; a node on two hulls
+    appears twice but ships one entry. Computed from closed forms, not by
+    running rounds, with cap = ceil(log2 n) entries to a message. Gather:
+    each node on an owner's root path sends its parent, once,
+    ceil(entries in its subtree / cap) messages. Cast: `order` is the
+    sorted distinct owners; the root sends order[0] every entry not its
+    own unless it is order[0] itself, and order[i] sends each heap child
+    order[c] (c = 2i+1, 2i+2) every entry not order[c]'s own, so each
+    receives ceil((len(order) - 1) / cap) messages. Returns
+    {(src, dst): messages}.
     """
     n = len(tree.parent) + 1
-    batch = max(1, (n - 1).bit_length())
-    crossings = Counter()
-    for o in owners:
-        x, j = o, 0
-        while x in tree.parent:
-            crossings[(x, tree.parent[x], j)] += 1
-            x, j = tree.parent[x], j + 1
+    cap = max(1, (n - 1).bit_length())
     order = sorted(set(owners))
-    per_owner = Counter(owners)
-    if order and order[0] != tree.root:
-        crossings[(tree.root, order[0], "cast")] += len(owners) - per_owner[order[0]]
-    for i, v in enumerate(order):
-        for c in order[2 * i + 1 : 2 * i + 3]:
-            crossings[(v, c, "cast")] += len(owners) - per_owner[c]
-    out = Counter()
-    for (v, w, _), k in crossings.items():
-        if k:
-            out[(v, w)] += -(-k // batch)
+    subtree = Counter()
+    for o in order:
+        x = o
+        while x in tree.parent:
+            subtree[x] += 1
+            x = tree.parent[x]
+    out = Counter({(x, tree.parent[x]): -(-k // cap) for x, k in subtree.items()})
+    rest = -(-(len(order) - 1) // cap) if order else 0
+    if rest:
+        if order[0] != tree.root:
+            out[(tree.root, order[0])] += rest
+        for c in range(1, len(order)):
+            out[(order[(c - 1) // 2], order[c])] += rest
     return dict(out)
 
 

@@ -249,6 +249,18 @@ def test_ring_walk_matches_the_exact_oracle_on_near_degenerate_segments():
         )
 
 
+def test_segment_crosses_polygon_with_the_orientation_given_answers_alike():
+    # a caller that tests one ring often passes its orientation, taken once
+    rng = random.Random(12)
+    for case in range(1000):
+        poly = [Point(*p) for p in _lattice_polygon(rng)]
+        if rng.random() < 0.5:
+            poly.reverse()
+        a, b = (Point(*p) for p in _near_degenerate_segment(rng, poly))
+        sign = polygon_orientation(poly)
+        assert segment_crosses_polygon(a, b, poly, sign) == segment_crosses_polygon(a, b, poly), case
+
+
 # ---------------------------------------------------------------------------
 # exact predicates: properties against Fraction arithmetic
 

@@ -91,6 +91,20 @@ def test_udg_rejects_bad_input():
         build_udg({0: Point(0, 0), 1: Point(5, 0)})
 
 
+def test_udg_takes_clean_input_as_it_is_and_converts_the_rest():
+    # Points keyed by ints pass through; numpy keys and plain pairs are
+    # converted first; both give the same topology, sets in the same order
+    for pts in SMALL_INSTANCES:
+        clean = build_udg(pts)
+        raw = build_udg({np.int64(v): (float(p.x), float(p.y)) for v, p in pts.items()})
+        assert clean.points == raw.points and clean.points is not pts
+        assert all(type(v) is int and type(p) is Point for v, p in raw.points.items())
+        for got, want in ((clean.adhoc, raw.adhoc), (clean.knows, raw.knows)):
+            assert {v: list(s) for v, s in got.items()} == {v: list(s) for v, s in want.items()}
+    with pytest.raises(DegenerateInputError):
+        build_udg({0: Point(0, 0), np.int64(1): (0.0, 0.0)})
+
+
 def test_initial_knowledge_equals_radio_neighbors():
     topo = build_udg(SMALL_INSTANCES[0])
     assert topo.knows == topo.adhoc

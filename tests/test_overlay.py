@@ -274,7 +274,7 @@ def test_hypercube_sort_lays_keys_out_by_rank(k):
     pts = engine.topo.points
     before = (engine.round_no, len(engine.phase_reports), engine.total_messages)
     slot_keys = hypercube_sort(engine, {0: cube})[0]
-    assert slot_keys == [[pts[v].x, pts[v].y, v] for v in cube.members]
+    assert slot_keys == [[pts[v].x, pts[v].y, v, s] for s, v in enumerate(cube.members)]
     # a layout, not a protocol: no round, no phase, no message
     assert (engine.round_no, len(engine.phase_reports), engine.total_messages) == before
 
@@ -645,8 +645,9 @@ def heap_tree(eng, ids):
 FLOODS = [
     # every owner sits under the root's child 2; node 1's subtree holds none
     (9, None, _line_refs([(2, 0), (5, 0)])),
-    # owners at depths 3 and 4, node 19 is on two hulls, and node 1 sends
-    # nine references up in one round, more than ceil(log2 31) = 5
+    # owners at depths 3 and 4, node 19 is on two hulls but has one entry,
+    # and node 1 sends its subtree's nine entries up at once, in two
+    # messages of at most ceil(log2 31) = 5
     (31, None, _line_refs([(7, 0)] + [(v, 1) for v in range(15, 23)] + [(19, 2)])),
     # the root is order[0] and starts the heap itself
     (15, None, _line_refs([(0, 0), (4, 0), (9, 1), (12, 1), (13, 1)])),
@@ -666,18 +667,31 @@ def test_distribute_hulls_floods_once_and_forgets(monkeypatch):
 def _check_flood(n, heap_ids, refs, monkeypatch):
     eng = line_engine(n)
     tree = build_broadcast_tree(eng, eng.round_no) if heap_ids is None else heap_tree(eng, heap_ids)
-    keep = {r[0] for r in refs}
+    cap = math.ceil(math.log2(n))
+    # one entry per hull node: its id and position once, then its rings
+    entries: dict = {}
+    for v, x, y, ring in refs:
+        entries.setdefault(v, [v, x, y]).append(ring)
+    entries = {v: tuple(e) for v, e in entries.items()}
+    keep = set(entries)
     pre = {v: set(eng.topo.knows[v]) for v in eng.topo.ids}
     start = eng.round_no
+    depth = tree.depths()
     gather = {v: [] for v in eng.topo.ids}
     cast = {v: [] for v in eng.topo.ids}
+    gather_sends: dict = {}
     send = eng.send
 
     def spy(src, dst, payload=None, **kw):
         if kw.get("tag") == "href":
-            leg = gather if eng.round_no - start < tree.height else cast
-            leg[dst] += [tuple(r) for r in payload["refs"]]
-            assert len(payload["refs"]) <= math.ceil(math.log2(n))
+            got = [tuple(e) for e in payload["refs"]]
+            assert 0 < len(got) <= cap
+            assert len({e[0] for e in got}) == len(got)
+            if eng.round_no - start < tree.height:
+                gather[dst] += got
+                gather_sends.setdefault(src, []).append((eng.round_no, len(got)))
+            else:
+                cast[dst] += got
         send(src, dst, payload, **kw)
 
     monkeypatch.setattr(eng, "send", spy)
@@ -686,11 +700,15 @@ def _check_flood(n, heap_ids, refs, monkeypatch):
     assert phase.label == "hull_distribution"
     assert phase.rounds <= 2 * tree.height + 1
     assert deliveries == sum(len(got) for leg in (gather, cast) for got in leg.values())
-    # the root gathers every reference but its own
-    assert Counter(gather[tree.root]) == Counter(r for r in refs if r[0] != tree.root)
+    # a relay sends up once, in round height - depth, full messages but its last
+    for v, sends in gather_sends.items():
+        assert {r for r, _ in sends} == {start + tree.height - depth[v]}, v
+        assert all(size == cap for _, size in sends[:-1]), v
+    # the root gathers every entry but its own
+    assert Counter(gather[tree.root]) == Counter(e for v, e in entries.items() if v != tree.root)
     first = min(keep, default=None)
     for v in keep:
-        want = Counter(r for r in refs if r[0] != v)
+        want = Counter(e for w, e in entries.items() if w != v)
         assert Counter(cast[v]) == (Counter() if v == tree.root == first else want), v
     paths = set()
     for v in keep:

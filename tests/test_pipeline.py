@@ -200,28 +200,32 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # same traffic, and abstraction_digest().  The three traffic figures pin
 # what the ring protocols send; they are re-recorded, with the reason in
 # CHANGES.md, only when a change to those protocols changes their
-# messages.  The abstraction digests are those of the ring-by-ring build;
-# they changed once, in their dominating-set field only, when the
-# randomized dominating sets gave way to the rank rule.  The `href`
-# traffic itself is checked against oracles.brute_hull_gather_cast.
+# messages.  The bytes alone were last re-recorded when the pointer-jump
+# messages stopped repeating their introduced id and the merged hull
+# points began to carry their ranks; message counts and long-range
+# digests did not move.  The abstraction digests are those of the
+# ring-by-ring build; they changed once, in their dominating-set field
+# only, when the randomized dominating sets gave way to the rank rule.
+# The `href` traffic, one entry per hull node, is checked against
+# oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        381, 31283,
+        381, 29148,
         "43cebf4cf5c1370ece5f316c9674b19c42fe80dde7e8e1acbaf35a177540c105",
         "167515271a2a6fe0f0f4ce2d41f30afb50a20d1c038a740e9c73a7fcea2996c7",
     ),
     "crescent-24": (
-        1336, 104914,
+        1336, 96078,
         "3ee96c637c64114037e7116bcf2416ad15b9d690af4d867bb30973ff43747371",
         "5ef187bed93cad33b7ac12095d12af1656e255349cc5fa6605727ab0e229df6a",
     ),
     "star12-4": (
-        1512, 120785,
+        1512, 110663,
         "9f7c664d398ec2d849f76d849e73b7d827c54c41d0c36716c91b1caae0e92550",
         "64e300e5b6dceb5dd6953f4830f3666a1869794a546ff32d0893dbbfb1b6c921",
     ),
     "scale-512-1": (
-        1928, 153863,
+        1928, 140758,
         "bd08a4a734935eb57f7d20c55f7c3d2e9707865b9349fa6759748d49e3980e81",
         "d89677386b7240cc70ded07b762f05ab59f609d5529063c7552deed69a6a251a",
     ),
@@ -259,6 +263,42 @@ def test_concurrent_build_matches_serial_build(name):
     refs, _ = pipe._hull_refs()
     hrefs = Counter((t["src"], t["dst"]) for t in sent if t["tag"] == "href")
     assert hrefs == brute_hull_gather_cast(pipe.tree, [r[0] for r in refs])
+
+
+@pytest.mark.parametrize("name", ["grid36-hole4", "scale-512-1"])
+def test_each_fact_crosses_the_wire_once(name, monkeypatch):
+    # a distribution message lists a hull node at most once, a pointer-jump
+    # message carries its new pointer only as the one id it introduces,
+    # and the cast hands every hull node each other hull node's entry once;
+    # a root that heads the heap has them all from the gather instead
+    topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
+    pipe = Pipeline(topo, PipelineConfig())
+    sent = []
+    send = RoundEngine.send
+
+    def spy(eng, src, dst, payload=None, **kw):
+        sent.append((eng.round_no, dst, kw.get("tag"), payload, tuple(kw.get("intro_ids", ()))))
+        send(eng, src, dst, payload, **kw)
+
+    monkeypatch.setattr(RoundEngine, "send", spy)
+    pipe.build_abstraction()
+    (phase,) = [p for p in pipe.engine.phase_reports if p.label == "hull_distribution"]
+    cast_from = pipe.engine.round_no - phase.rounds + pipe.tree.height
+    hull_ids = pipe._hull_ids
+    cast = {v: Counter() for v in hull_ids}
+    jumps = 0
+    for rnd, dst, tag, payload, intro in sent:
+        if tag == "href":
+            ids = [e[0] for e in payload["refs"]]
+            assert len(set(ids)) == len(ids) and tuple(sorted(ids)) == intro
+            if rnd >= cast_from or dst == pipe.tree.root == min(hull_ids):
+                cast[dst].update(ids)
+        elif tag in ("pj_succ", "pj_pred"):
+            jumps += 1
+            assert set(payload) == {"ell"} and len(intro) == 1
+    assert jumps > 0
+    for v in hull_ids:
+        assert cast[v] == Counter(hull_ids - {v}), v
 
 
 def test_build_runs_no_ranking_pass(grid_pipe):
