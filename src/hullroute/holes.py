@@ -228,9 +228,15 @@ def build_hull_abstraction(
 
 
 def hole_report(
-    rings: list[HoleRing], abstractions: dict[int, HullAbstraction]
+    rings: list[HoleRing],
+    abstractions: dict[int, HullAbstraction],
+    cost: Mapping[int, dict[str, int]],
 ) -> list[dict]:
-    """Per-ring summary; JSON-ready."""
+    """Per-ring summary; JSON-ready.
+
+    cost holds each ring's own "rounds", "longrange_messages" and
+    "bytes", keyed by ring id (Pipeline.ring_cost).
+    """
     out = []
     for r in rings:
         ha = abstractions.get(r.ring_id)
@@ -243,6 +249,7 @@ def hole_report(
                 "bbox_circumference": r.bounding_box_circumference,
                 "hull_size": len(ha.hull_nodes) if ha else 0,
                 "bay_count": len(ha.bay_areas) if ha else 0,
+                **cost[r.ring_id],
             }
         )
     return out

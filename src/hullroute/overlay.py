@@ -22,8 +22,15 @@ distribution, a block's hull as (x, y, id, rank) in the merge, a
 subtree's part of the hull in the broadcast.  No fact crosses a link
 twice: a pointer-jump message carries the new pointer only as its
 introduction, and a relay of the distribution sends each entry up
-once.  In the merge a host sends at most that many long-range messages
-a round, as counted by the engine.  The hull broadcast is scoped: each tree edge
+once.  Nor does a payload repeat its header: an item's id rides only
+among the message's sorted introductions, and the payload lists the
+items without it, in the same order (_cut, _uncut), so an entry goes
+as [x, y, ring, ...] and a hull point as [x, y, rank]; a pointer-jump
+message holds its arc minimum only when that is neither the id it
+introduces nor its sender; and a tree cast holds no budget, since a
+node reads it off its own rank (_tree_cast).  In the merge a host
+sends at most that many long-range messages a round, as counted by
+the engine.  The hull broadcast is scoped: each tree edge
 carries only the hull points of the child's subtree of ranks and the
 two hull points that bracket it, so every ring node learns its bay's
 two hull ends.  Ids a node learns only in transit are forgotten once a
@@ -159,12 +166,27 @@ def _message_cap(engine: RoundEngine) -> int:
 def _cut(engine: RoundEngine, items: list, id_index: int) -> list[tuple[list, tuple[NodeId, ...]]]:
     """items in messages of at most _message_cap, each with the sorted ids it introduces.
 
-    Every item names a node at item[id_index]; a message introduces the
-    ids of its own items.
+    Every item names a distinct node at item[id_index].  A message
+    introduces the ids of its own items, and its id is all the header
+    says of an item: the payload holds each item without it, in
+    ascending id order, so the receiver pairs them up again (_uncut).
     """
     cap = _message_cap(engine)
-    chunks = [items[i : i + cap] for i in range(0, len(items), cap)]
-    return [(chunk, tuple(sorted({q[id_index] for q in chunk}))) for chunk in chunks]
+    out = []
+    for at in range(0, len(items), cap):
+        chunk = sorted(items[at : at + cap], key=lambda q: q[id_index])
+        out.append(
+            ([q[:id_index] + q[id_index + 1 :] for q in chunk], tuple(q[id_index] for q in chunk))
+        )
+    return out
+
+
+def _uncut(m: Message, key: str, id_index: int) -> list[list]:
+    """The items of m.payload[key], each with its id from m.intro_ids put back at id_index."""
+    return [
+        q[:id_index] + [v] + q[id_index:]
+        for q, v in zip(m.payload[key], m.intro_ids, strict=True)
+    ]
 
 
 def _forget_learned(
@@ -219,10 +241,13 @@ def pointer_jumping(
     node is done when the minimum id on its predecessor side equals the
     one on its successor side, which forces both to be the global
     minimum.  Done nodes serve one extra round so late partners still
-    receive their final update.  A message carries ids only: its payload
-    is the arc minimum, and the new pointer is the one id it introduces;
-    the turn angles travel later, with the hull merge.  All rings run at
-    once; each result's jump_rounds counts that ring's own rounds.
+    receive their final update.  A message carries ids only: the new
+    pointer is the one id it introduces, and its payload holds the arc
+    minimum only when the header does not already name it, that is,
+    when the minimum is neither the introduced id (pj_succ) nor the
+    sender (pj_pred); the turn angles travel later, with the hull
+    merge.  All rings run at once; each result's jump_rounds counts that
+    ring's own rounds.
     """
     return _run_wave(
         engine,
@@ -264,16 +289,17 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
         grew = False
         for m in inbox:
             d = m.payload
-            # the one id a message introduces is the receiver's new pointer
+            # the one id a message introduces is the receiver's new pointer;
+            # an arc minimum left out is that id (pj_succ) or the sender (pj_pred)
             if m.tag == "pj_succ":
                 # sender was our successor; its successor becomes ours
-                s["l_succ"] = min(s["l_succ"], d["ell"])
+                s["l_succ"] = min(s["l_succ"], d.get("ell", m.intro_ids[0]))
                 s["succ"] = m.intro_ids[0]
                 s["level"] += 1
                 edges.append(JumpEdge((v, s["succ"]), s["l_succ"], s["level"]))
                 grew = True
             elif m.tag == "pj_pred":
-                s["l_pred"] = min(s["l_pred"], d["ell"])
+                s["l_pred"] = min(s["l_pred"], d.get("ell", m.src))
                 s["pred"] = m.intro_ids[0]
         if grew or inbox:
             check_done(s)
@@ -286,7 +312,7 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
             eng.send(
                 v,
                 s["pred"],
-                {"ell": s["l_succ"]},
+                {} if s["l_succ"] == s["succ"] else {"ell": s["l_succ"]},
                 tag="pj_succ",
                 intro_ids=(s["succ"],),
             )
@@ -295,7 +321,7 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
             eng.send(
                 v,
                 s["succ"],
-                {"ell": s["l_pred"]},
+                {} if s["l_pred"] == v else {"ell": s["l_pred"]},
                 tag="pj_pred",
                 intro_ids=(s["pred"],),
             )
@@ -391,10 +417,9 @@ def _hypercube_session(
         ordered,
         d,
         "hc_assign",
-        lambda held, rank, budget: [({"rank": rank, "budget": budget}, ())],
+        lambda inbox, rank, budget: [({"rank": rank}, ())],
         # no edge at a level past the one whose arc held the leader: no send
         lambda v, i: ell.get((v, i), leader) != leader,
-        [],
     )
 
 
@@ -403,41 +428,41 @@ def _tree_cast(
     ordered: list[NodeId],
     d: int,
     tag: str,
-    messages: Callable[[list[dict], int, int], list[tuple[dict, tuple[NodeId, ...]]]],
+    messages: Callable[[list[Message], int, int], list[tuple[dict, tuple[NodeId, ...]]]],
     forward: Callable[[NodeId, int], bool],
-    start: list[dict],
 ) -> _Session:
     """Rank 0 of `ordered` reaches every rank down the binomial tree of jump edges.
 
-    Rank 0 starts with budget d and holds the payloads `start`; every
-    other node holds the payloads it received.  A node v of rank r
-    reached with budget b sends messages(held, r + 2^i, i), a list of
-    (payload, introduced ids) whose payloads carry i as "budget" and are
-    made from v's own held payloads, to rank r + 2^i over its level-i
-    jump edge, for every i < b for which forward(v, i) holds: exactly
-    when r + 2^i < k.  A node reached by several messages in one round
-    is reached once.  The session aborts unless every rank was reached,
-    each in exactly one round.
+    Rank 0 starts with budget d; a node of rank r > 0 is reached with
+    budget i, the lowest set bit of r (r = 2^i times an odd number), so
+    no message carries a budget.  A node v of rank r reached with budget
+    b sends messages(inbox, r + 2^i, i), a list of (payload, introduced
+    ids) made from the messages v received (none at rank 0), to rank
+    r + 2^i over its level-i jump edge, for every i < b for which
+    forward(v, i) holds: exactly when r + 2^i < k.  A node reached by
+    several messages in one round is reached once.  The session aborts
+    unless every rank was reached, each in exactly one round.
     """
     k = len(ordered)
     rank_of = {v: r for r, v in enumerate(ordered)}
     reached: set[NodeId] = set()
 
-    def fanout(eng: RoundEngine, v: NodeId, budget: int, held: list[dict]) -> None:
+    def fanout(eng: RoundEngine, v: NodeId, budget: int, inbox: list[Message]) -> None:
         reached.add(v)
         r = rank_of[v]
         for i in range(budget):
             if forward(v, i):
-                for payload, intro in messages(held, r + (1 << i), i):
+                for payload, intro in messages(inbox, r + (1 << i), i):
                     eng.send(v, ordered[r + (1 << i)], payload, tag=tag, intro_ids=intro)
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         if v == ordered[0] and v not in reached:
-            fanout(eng, v, d, start)
+            fanout(eng, v, d, [])
         if inbox:
             if v in reached:
                 raise SimulationAbortError(v, eng.round_no, f"{tag} reached the node twice")
-            fanout(eng, v, inbox[0].payload["budget"], [m.payload for m in inbox])
+            r = rank_of[v]
+            fanout(eng, v, (r & -r).bit_length() - 1, inbox)
         return v in reached
 
     def finish(report: PhaseReport) -> None:
@@ -549,7 +574,7 @@ def _merge_session(
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         if inbox:
             slot = cube.id_map[v]
-            got = hulls[slot] + [q for m in inbox for q in m.payload["hull"]]
+            got = hulls[slot] + [q for m in inbox for q in _uncut(m, "hull", 2)]
             hulls[slot] = monotone_hull(sorted(got))
             for m in inbox:
                 if "count" in m.payload:
@@ -570,7 +595,8 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
     The child c = r + 2^i of rank r roots the ranks [c, e), with
     e = min(c + 2^i, k).  Its message carries the hull points ranked in
     [c, e), the last hull point before c and the first at or after e,
-    as [x, y, id, rank]: each node of the subtree learns the nearest
+    as [x, y, id, rank] with the id among the introductions (_cut):
+    each node of the subtree learns the nearest
     hull node before and after it on the ring, its bay's two ends (a
     hull node, its two hull neighbors).  On a closed ring both brackets
     wrap past rank 0.  An arc's first and last slots are hull nodes, so
@@ -582,13 +608,17 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
     _message_cap points, each introducing the ids of its own points.  On
     a closed ring each message also carries the ring size k, which the
     leader ends the merge with: the bay that wraps past rank 0 counts its
-    members modulo k (dominating_set).
+    members modulo k (dominating_set).  No message carries a budget
+    (_tree_cast): a node of a closed ring holds its rank from the id
+    deal, and a node of an arc its rank on the arc, its outer rank less
+    that of its bay's first end, both of which wave one's broadcast left
+    it.
     """
     k = len(cube.members)
     size = {"size": k} if cube.closed else {}
 
-    def scoped(held: list[dict], c: int, i: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
-        pts = [q for payload in held for q in payload["hull"]]
+    def scoped(inbox: list[Message], c: int, i: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
+        pts = [q for m in inbox for q in _uncut(m, "hull", 2)] or ccw
         e = min(c + (1 << i), k)
         part = {q[3]: q for q in pts if c <= q[3] < e}
         before = max(pts, key=lambda q: (q[3] - c) % k)
@@ -597,7 +627,7 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
             after = min(pts, key=lambda q: (q[3] - e) % k)
             part.setdefault(after[3], after)
         sent = [part[r] for r in sorted(part)]
-        return [({"hull": chunk, "budget": i, **size}, ids) for chunk, ids in _cut(engine, sent, 2)]
+        return [({"hull": chunk, **size}, ids) for chunk, ids in _cut(engine, sent, 2)]
 
     return _tree_cast(
         engine,
@@ -606,7 +636,6 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
         "hullb",
         scoped,
         lambda v, i: cube.id_map[v] + (1 << i) < k,
-        [{"hull": ccw}],
     )
 
 
@@ -664,7 +693,7 @@ def distribute_hulls(
     one round, knows `order` from it and its own entry, and forwards to
     its heap children 2i+1 and 2i+2 every entry but each child's own.  A
     message carries at most ceil(log2 n) entries and introduces their
-    ids.
+    ids, which the entries leave out on the wire (_cut).
 
     Nodes in keep_all (the hull nodes, which own every entry) keep the
     hull ids they learn.  Every other id the phase taught a node is
@@ -697,7 +726,7 @@ def distribute_hulls(
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         nonlocal deliveries
-        got = [e for m in inbox for e in m.payload["refs"]]
+        got = [e for m in inbox for e in _uncut(m, "refs", 0)]
         deliveries += len(got)
         t = eng.round_no - start
         if t > height:

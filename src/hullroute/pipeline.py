@@ -165,6 +165,9 @@ class Pipeline:
         self.seconds: dict[str, float] = {}
         self.wave_rounds = 0
         self.protocol_rounds = 0
+        # each ring's own rounds, long-range messages and bytes in the
+        # latest build, keyed by ring id (_close_wave)
+        self.ring_cost: dict[int, dict[str, int]] = {}
         # per-node long-range sends and ad hoc sends of the latest build
         self.build_longrange: dict[int, int] = {}
         self.build_adhoc = 0
@@ -214,7 +217,8 @@ class Pipeline:
         mark("ring_detect", t)
 
         wave = t = eng.round_no
-        own_before = dict(eng.session_rounds)
+        self.ring_cost = {}
+        own_before = self._session_totals()
         members = {r.ring_id: r.members for r in self.rings}
         # through the module, where perfbench/tracer.py wraps them
         self.jumps = overlay.pointer_jumping(eng, members)
@@ -225,7 +229,7 @@ class Pipeline:
         self.abstractions, self.protos = build_hull_abstraction(eng, self.rings, cubes)
         classify_rings(self.rings, self.protos)
         mark("ring_hulls", t)
-        self._log_wave("closed rings", self.rings, own_before, eng.round_no - wave)
+        self._close_wave("closed rings", self.rings, own_before, eng.round_no - wave)
 
         t = eng.round_no
         outer = next(r for r in self.rings if r.kind == KIND_OUTER_BOUNDARY)
@@ -236,13 +240,13 @@ class Pipeline:
             first_id=max(r.ring_id for r in self.rings) + 1,
         )
         cubes = {a.ring_id: self.protos[outer.ring_id].cube.arc(a.members) for a in arcs}
-        own_before = dict(eng.session_rounds)
+        own_before = self._session_totals()
         arc_abstractions, arc_protos = build_hull_abstraction(eng, arcs, cubes)
         self.abstractions.update(arc_abstractions)
         self.protos.update(arc_protos)
         self.rings = self.rings + arcs
         mark("outer_holes", t)
-        self._log_wave("outer-hole arcs", arcs, own_before, eng.round_no - t)
+        self._close_wave("outer-hole arcs", arcs, own_before, eng.round_no - t)
         self.wave_rounds = eng.round_no - start
 
         # the tree runs beside every phase since `start`; it is charged
@@ -271,23 +275,30 @@ class Pipeline:
         self.router = Router(self.g, self.rings, self.abstractions, backend=self.config.backend)
         self.seconds["router_s"] = time.perf_counter() - clock
 
-    def _log_wave(
-        self, wave: str, rings: list[HoleRing], own_before: dict, wave_rounds: int
-    ) -> None:
-        """One debug line for the wave, one per ring with its own rounds.
+    def _session_totals(self) -> tuple[dict, ...]:
+        """The engine's per-session rounds, long-range messages and bytes so far."""
+        eng = self.engine
+        return dict(eng.session_rounds), dict(eng.session_longrange), dict(eng.session_bytes)
 
-        A ring's own rounds are its session's rounds, election through
-        hull broadcast.
+    def _close_wave(
+        self, wave: str, rings: list[HoleRing], own_before: tuple[dict, ...], wave_rounds: int
+    ) -> None:
+        """Record each ring's own cost in the wave; one debug line for the wave, one per ring.
+
+        A ring's own cost is its session's, election through hull
+        broadcast: the rounds until it went quiet in each phase, its
+        long-range messages and the bytes of all its messages.
         """
-        if not log.isEnabledFor(logging.DEBUG):
-            return
-        own = self.engine.session_rounds
+        now = self._session_totals()
         log.debug("wave %s: %d rings in %d rounds", wave, len(rings), wave_rounds)
         for r in rings:
+            rid = r.ring_id
+            rounds, longrange, nbytes = (a.get(rid, 0) - b.get(rid, 0) for a, b in zip(now, own_before))
+            self.ring_cost[rid] = {"rounds": rounds, "longrange_messages": longrange, "bytes": nbytes}
             log.debug(
-                "ring %d %s: size %d, hull %d, own rounds %d",
-                r.ring_id, r.kind, len(r.members), len(self.abstractions[r.ring_id].hull_nodes),
-                own.get(r.ring_id, 0) - own_before.get(r.ring_id, 0),
+                "ring %d %s: size %d, hull %d, own rounds %d, %d long-range, %d bytes",
+                rid, r.kind, len(r.members), len(self.abstractions[rid].hull_nodes),
+                rounds, longrange, nbytes,
             )
 
     def _hull_refs(self):
@@ -480,6 +491,8 @@ class Pipeline:
                     "rounds_used": res.rounds_used,
                     "longrange_msgs": res.longrange_msgs,
                     "e_route": res.e_route,
+                    "replans": max(len(res.plans) - 1, 0),
+                    "planners": [planner for planner, _ in res.plans],
                 }
             )
         return ExperimentReport(
@@ -493,7 +506,7 @@ class Pipeline:
             storage=self.storage_audit(),
             bounds=bounds,
             bounds_ok=ok,
-            holes=hole_report(self.rings, self.abstractions),
+            holes=hole_report(self.rings, self.abstractions, self.ring_cost),
             per_case=summary["per_case"],
             max_ratio=summary["max_ratio"],
             queries=rows,

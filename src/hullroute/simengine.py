@@ -84,7 +84,11 @@ class RoundEngine:
         self.longrange_sent: dict[NodeId, int] = defaultdict(int)
         self.adhoc_sent = 0
         self.charged: dict[str, int] = defaultdict(int)
+        # per session over every phase: rounds until it went quiet,
+        # long-range messages, bytes of every message
         self.session_rounds: dict[Hashable, int] = defaultdict(int)
+        self.session_longrange: dict[Hashable, int] = defaultdict(int)
+        self.session_bytes: dict[Hashable, int] = defaultdict(int)
         self.phase_reports: list[PhaseReport] = []
         self.transcript: list[dict] = []
         # the session whose handler runs now; sends are stamped with it
@@ -293,9 +297,12 @@ class RoundEngine:
                 for key in finished:
                     if key not in in_flight:
                         del running[key]
-                        self._reports[key].rounds = rounds
+                        own = self._reports[key]
+                        own.rounds = rounds
                         if key is not None:
                             self.session_rounds[key] += rounds
+                            self.session_longrange[key] += own.messages_longrange
+                            self.session_bytes[key] += own.bytes_total
                 if not running:
                     return report
                 self.step_round()

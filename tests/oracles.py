@@ -574,6 +574,17 @@ def _chain_length(points, chain):
     return sum(odist(points[a], points[b]) for a, b in zip(chain, chain[1:]))
 
 
+def with_ids(items, ids, at):
+    """Wire items with their node ids put back: ids[j] goes in at index `at` of items[j].
+
+    A message names each item's node only among the ids it introduces,
+    sorted, and lists its items in the same order.
+    """
+    if len(items) != len(ids) or list(ids) != sorted(ids):
+        raise AssertionError(f"{len(items)} items against introductions {ids}")
+    return [list(q[:at]) + [v] + list(q[at:]) for q, v in zip(items, ids)]
+
+
 def brute_hull_gather_cast(tree, owners):
     """Messages per directed edge of the hull-entry gather and cast.
 

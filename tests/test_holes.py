@@ -458,8 +458,17 @@ def test_distributed_hull_matches_centralized_on_rings(grid):
 
 def test_hole_report_shape(grid):
     topo, g, _, rings, _, jumps = grid
-    abstractions, _ = build(RoundEngine(topo), rings)
-    rep = hole_report(rings, abstractions)
+    engine = RoundEngine(topo)
+    abstractions, _ = build(engine, rings)
+    cost = {
+        r.ring_id: {
+            "rounds": engine.session_rounds[r.ring_id],
+            "longrange_messages": engine.session_longrange[r.ring_id],
+            "bytes": engine.session_bytes[r.ring_id],
+        }
+        for r in rings
+    }
+    rep = hole_report(rings, abstractions, cost)
     assert len(rep) == len(rings)
     for row in rep:
         assert set(row) == {
@@ -470,5 +479,9 @@ def test_hole_report_shape(grid):
             "bbox_circumference",
             "hull_size",
             "bay_count",
+            "rounds",
+            "longrange_messages",
+            "bytes",
         }
         assert row["hull_size"] <= row["size"]
+        assert row["rounds"] > 0 and row["bytes"] > 0

@@ -37,6 +37,7 @@ from oracles import (
     brute_hull_gather_cast,
     brute_min_path_ds,
     path_ds_optimum,
+    with_ids,
 )
 
 
@@ -236,10 +237,13 @@ def test_id_cast_reaches_every_rank_once_over_jump_edges(k, monkeypatch):
     # every rank but the leader's is reached by exactly one message
     assert sorted(dst for _, dst, _ in cast) == sorted(set(members) - {res.leader})
     for src, dst, payload in cast:
-        # over the sender's jump edge of the payload's level, whose arc
-        # does not wrap past the leader
-        assert ell[(src, dst), payload["budget"]] != res.leader
-        assert payload["rank"] == rank[dst]
+        # the payload is the rank alone: rank r is reached with budget i,
+        # the lowest set bit of r, over the sender's level-i jump edge,
+        # whose arc does not wrap past the leader
+        assert payload == {"rank": rank[dst]}
+        i = (rank[dst] & -rank[dst]).bit_length() - 1
+        assert rank[dst] - rank[src] == 1 << i
+        assert ell[(src, dst), i] != res.leader
     assert cube.id_map == rank
     assert cube.dimension == math.ceil(math.log2(k))
 
@@ -557,7 +561,8 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
 
         def spy(src, dst, payload=None, **kw):
             if kw.get("tag") == "hullb":
-                sent.append((engine.round_no, dst, payload["hull"], kw["intro_ids"]))
+                assert "budget" not in payload
+                sent.append((engine.round_no, dst, with_ids(payload["hull"], kw["intro_ids"], 2)))
             send(src, dst, payload, **kw)
 
         monkeypatch.setattr(engine, "send", spy)
@@ -565,9 +570,8 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
         rank = res.cube.id_map
         hull = sorted(rank[h] for h in res.hull)
         got: dict = {}
-        for rnd, dst, chunk, intro in sent:
+        for rnd, dst, chunk in sent:
             assert len(chunk) <= cap
-            assert intro == tuple(sorted(q[2] for q in chunk))
             assert all(q == [pts[q[2]].x, pts[q[2]].y, q[2], rank[q[2]]] for q in chunk)
             got.setdefault(rank[dst], []).append((rnd, chunk))
         assert set(got) == set(range(1, k))
@@ -684,7 +688,7 @@ def _check_flood(n, heap_ids, refs, monkeypatch):
 
     def spy(src, dst, payload=None, **kw):
         if kw.get("tag") == "href":
-            got = [tuple(e) for e in payload["refs"]]
+            got = [tuple(e) for e in with_ids(payload["refs"], kw["intro_ids"], 0)]
             assert 0 < len(got) <= cap
             assert len({e[0] for e in got}) == len(got)
             if eng.round_no - start < tree.height:

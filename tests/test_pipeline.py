@@ -30,6 +30,7 @@ from hullroute.holes import KIND_INNER, KIND_OUTER_HOLE, hull_node_ids
 from hullroute.ldel import build_udg
 from hullroute.pipeline import Pipeline, PipelineConfig, run_pipeline
 from hullroute.render import render_svg
+from hullroute.routing import HitHoleNode, chew_route
 from hullroute.scenario import (
     ScenarioSpec,
     fixture_spec,
@@ -40,7 +41,7 @@ from hullroute.scenario import (
 )
 from hullroute.simengine import RoundEngine
 
-from oracles import brute_hull_gather_cast, crossing_edge_pairs
+from oracles import brute_hull_gather_cast, crossing_edge_pairs, with_ids
 
 
 @pytest.fixture(scope="module")
@@ -200,32 +201,33 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # same traffic, and abstraction_digest().  The three traffic figures pin
 # what the ring protocols send; they are re-recorded, with the reason in
 # CHANGES.md, only when a change to those protocols changes their
-# messages.  The bytes alone were last re-recorded when the pointer-jump
-# messages stopped repeating their introduced id and the merged hull
-# points began to carry their ranks; message counts and long-range
-# digests did not move.  The abstraction digests are those of the
+# messages.  The bytes alone were last re-recorded when the ring
+# protocols stopped sending what a message's header already says: the
+# merged and broadcast hull points their node ids, the pointer jumps an
+# arc minimum equal to the introduced id or the sender, the casts their
+# budgets; message counts and long-range digests did not move.  The abstraction digests are those of the
 # ring-by-ring build; they changed once, in their dominating-set field
 # only, when the randomized dominating sets gave way to the rank rule.
 # The `href` traffic, one entry per hull node, is checked against
 # oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        381, 29148,
+        381, 26794,
         "43cebf4cf5c1370ece5f316c9674b19c42fe80dde7e8e1acbaf35a177540c105",
         "167515271a2a6fe0f0f4ce2d41f30afb50a20d1c038a740e9c73a7fcea2996c7",
     ),
     "crescent-24": (
-        1336, 96078,
+        1336, 88081,
         "3ee96c637c64114037e7116bcf2416ad15b9d690af4d867bb30973ff43747371",
         "5ef187bed93cad33b7ac12095d12af1656e255349cc5fa6605727ab0e229df6a",
     ),
     "star12-4": (
-        1512, 110663,
+        1512, 101052,
         "9f7c664d398ec2d849f76d849e73b7d827c54c41d0c36716c91b1caae0e92550",
         "64e300e5b6dceb5dd6953f4830f3666a1869794a546ff32d0893dbbfb1b6c921",
     ),
     "scale-512-1": (
-        1928, 140758,
+        1928, 128662,
         "bd08a4a734935eb57f7d20c55f7c3d2e9707865b9349fa6759748d49e3980e81",
         "d89677386b7240cc70ded07b762f05ab59f609d5529063c7552deed69a6a251a",
     ),
@@ -265,38 +267,80 @@ def test_concurrent_build_matches_serial_build(name):
     assert hrefs == brute_hull_gather_cast(pipe.tree, [r[0] for r in refs])
 
 
-@pytest.mark.parametrize("name", ["grid36-hole4", "scale-512-1"])
+# sha256 of every build message as the earlier wire format carried it:
+# each item with its node id, every arc minimum, every cast budget.  The
+# stream was recorded from that format; the test puts the facts back from
+# each message's header and must find the same stream.
+WIRE_STREAM = {
+    "crescent-24": "f237651d64236c07fa228626f57d1d20819e7674a74e7478e9f12dbb11c7c7b4",
+    "cshape-40": "d6842fa22092cba50f44d65351be448d072ca1b83aa682e24ed91cfebd443e33",
+    "grid36-hole4": "5c6e9cb4518547b6cec63f5d8254a32401294c24caae731e861c480bbf732e04",
+    "scale-512-1": "afd6d0cdca022d889a02895986cc44c971d02e8adedaeb7755f672095d3d4b09",
+    "star12-4": "66421c169d8e7f4a886e122ee617ade515cf3a4dc71e545b83e2e4c245fc1808",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_STREAM))
 def test_each_fact_crosses_the_wire_once(name, monkeypatch):
-    # a distribution message lists a hull node at most once, a pointer-jump
-    # message carries its new pointer only as the one id it introduces,
-    # and the cast hands every hull node each other hull node's entry once;
-    # a root that heads the heap has them all from the gather instead
+    # nothing a message's header says rides in its payload: an item's node
+    # id is only among the sorted ids the message introduces, an arc minimum
+    # is left out exactly when it is the introduced id (pj_succ) or the
+    # sender (pj_pred), and a cast carries no budget, since rank r > 0 is
+    # reached with the lowest set bit of r.  Put back, the facts are the
+    # ones the earlier format carried.  The cast hands every hull node each
+    # other hull node's entry once; a root that heads the heap has them all
+    # from the gather instead.
     topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     sent = []
     send = RoundEngine.send
 
     def spy(eng, src, dst, payload=None, **kw):
-        sent.append((eng.round_no, dst, kw.get("tag"), payload, tuple(kw.get("intro_ids", ()))))
+        wire = json.loads(json.dumps(payload))
+        sent.append((eng.round_no, src, dst, kw["tag"], eng.session, wire, tuple(kw.get("intro_ids", ()))))
         send(eng, src, dst, payload, **kw)
 
     monkeypatch.setattr(RoundEngine, "send", spy)
     pipe.build_abstraction()
+    pts = topo.points
+    entry: dict = {}
+    for v, x, y, ring in pipe._refs:
+        entry.setdefault(v, [v, x, y]).append(ring)
     (phase,) = [p for p in pipe.engine.phase_reports if p.label == "hull_distribution"]
     cast_from = pipe.engine.round_no - phase.rounds + pipe.tree.height
     hull_ids = pipe._hull_ids
     cast = {v: Counter() for v in hull_ids}
-    jumps = 0
-    for rnd, dst, tag, payload, intro in sent:
+    ells = Counter()
+    stream = []
+    for rnd, src, dst, tag, session, d, intro in sent:
         if tag == "href":
-            ids = [e[0] for e in payload["refs"]]
-            assert len(set(ids)) == len(ids) and tuple(sorted(ids)) == intro
+            assert set(d) == {"refs"}
+            d["refs"] = with_ids(d["refs"], intro, 0)
+            assert d["refs"] == [entry[q[0]] for q in d["refs"]]
             if rnd >= cast_from or dst == pipe.tree.root == min(hull_ids):
-                cast[dst].update(ids)
+                cast[dst].update(intro)
         elif tag in ("pj_succ", "pj_pred"):
-            jumps += 1
-            assert set(payload) == {"ell"} and len(intro) == 1
-    assert jumps > 0
+            own = intro[0] if tag == "pj_succ" else src
+            assert len(intro) == 1 and set(d) <= {"ell"} and d.get("ell") != own
+            ells[tag, "ell" in d] += 1
+            d.setdefault("ell", own)
+        else:
+            rank = pipe.protos[session].cube.id_map
+            if tag in ("hm", "hullb"):
+                assert set(d) <= ({"hull", "count", "angle"} if tag == "hm" else {"hull", "size"})
+                d["hull"] = with_ids(d["hull"], intro, 2)
+                assert d["hull"] == [[pts[q[2]].x, pts[q[2]].y, q[2], rank[q[2]]] for q in d["hull"]]
+            else:
+                assert tag == "hc_assign" and d == {"rank": rank[dst]} and intro == ()
+            if tag != "hm":
+                i = (rank[dst] & -rank[dst]).bit_length() - 1
+                assert rank[src] + (1 << i) == rank[dst]
+                d["budget"] = i
+        stream.append(json.dumps([rnd, src, dst, tag, str(session), d, list(intro)], sort_keys=True))
+    assert {line[3] for line in sent} == {"pj_succ", "pj_pred", "hc_assign", "hm", "hullb", "href"}
+    assert set(ells) == {(tag, present) for tag in ("pj_succ", "pj_pred") for present in (True, False)}
+    digest = hashlib.sha256("\n".join(sorted(stream)).encode()).hexdigest()
+    assert digest == WIRE_STREAM[name]
     for v in hull_ids:
         assert cast[v] == Counter(hull_ids - {v}), v
 
@@ -316,7 +360,10 @@ def test_build_runs_no_ranking_pass(grid_pipe):
 # query_seed=11, recorded from the router that still mapped waypoint
 # positions back to node ids; any change to a route, case or ratio shows.
 # The crescent-24 and scale-512-1 rows were re-recorded when the bay
-# dominating sets, where bay legs are anchored, became the rank rule's
+# dominating sets, where bay legs are anchored, became the rank rule's.
+# The pins cover the fields a row had when they were recorded; `replans`
+# and `planners`, read off each route's plans, came later and are left out
+# of the digest (test_query_rows_name_their_replans_and_planners).
 ROUTE_ROWS = {
     ("crescent-24", "overlay-delaunay"): "6e9e1753450c3ad1ca37e68bcc36cf439167d55bd36c6343addb19f17a08ea4e",
     ("crescent-24", "visibility"): "6e9e1753450c3ad1ca37e68bcc36cf439167d55bd36c6343addb19f17a08ea4e",
@@ -336,7 +383,9 @@ def test_route_rows_match_pinned_digests(name, backend):
     else:
         topo = fixture_topology(name)
     rep = Pipeline(topo, PipelineConfig(backend=backend, query_count=100, query_seed=11)).run()
-    rows = json.dumps(rep.queries, sort_keys=True)
+    assert all(q["replans"] == max(len(q["planners"]) - 1, 0) for q in rep.queries)
+    pinned = [{k: v for k, v in q.items() if k not in ("replans", "planners")} for q in rep.queries]
+    rows = json.dumps(pinned, sort_keys=True)
     assert hashlib.sha256(rows.encode()).hexdigest() == ROUTE_ROWS[(name, backend)]
 
 
@@ -375,7 +424,8 @@ def test_ring_nodes_know_their_bay_ends(name, monkeypatch):
 
     def spy(engine, src, dst, payload=None, **kw):
         if kw.get("tag") == "hullb":
-            heard[engine.session, dst].update({q[2]: q[3] for q in payload["hull"]})
+            hull = with_ids(payload["hull"], kw["intro_ids"], 2)
+            heard[engine.session, dst].update({q[2]: q[3] for q in hull})
             sizes[engine.session, dst] = payload.get("size")
         return send(engine, src, dst, payload, **kw)
 
@@ -497,6 +547,62 @@ def test_hull_distribution_logs_its_two_legs(caplog):
     assert gather + cast == pipe.engine.phase_reports[-1].rounds <= 2 * height + 1
     own, keep = pipe._hull_refs()
     assert (refs, heap) == (len(own), len(keep)) and refs > heap > 1
+
+
+@pytest.mark.parametrize("name", ["grid36-hole4", "scale-512-1"])
+def test_holes_rows_report_each_rings_own_cost(name, caplog):
+    # a ring's own cost is its sessions', election through hull broadcast;
+    # every phase but the hull distribution runs one session per ring, so
+    # the rows add up to those phases, and each row's rounds are the ones
+    # the wave's log line names
+    topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
+    pipe = Pipeline(topo, PipelineConfig())
+    with caplog.at_level(logging.DEBUG, logger="hullroute.pipeline"):
+        pipe.build_abstraction()
+    no_queries = {"per_case": {}, "max_ratio": 0.0}
+    rows = pipe.report([], no_queries).holes
+    line = re.compile(r"ring (\d+) \S+: size \d+, hull \d+, own rounds (\d+), (\d+) long-range, (\d+) bytes")
+    logged = [line.fullmatch(r.getMessage()) for r in caplog.records if r.getMessage().startswith("ring ")]
+    assert [int(m[1]) for m in logged] == [r.ring_id for r in pipe.rings]
+    assert [(row["rounds"], row["longrange_messages"], row["bytes"]) for row in rows] == [
+        tuple(map(int, m.groups()[1:])) for m in logged
+    ]
+    ring_phases = [p for p in pipe.engine.phase_reports if p.label != "hull_distribution"]
+    assert sum(row["bytes"] for row in rows) == sum(p.bytes_total for p in ring_phases)
+    assert sum(row["longrange_messages"] for row in rows) == sum(p.messages_longrange for p in ring_phases)
+    assert all(0 < row["rounds"] <= sum(p.rounds for p in ring_phases) for row in rows)
+    # a recompute's rows count its own build only
+    pipe.periodic_recompute()
+    assert pipe.report([], no_queries).holes == rows
+
+
+def test_query_rows_name_their_replans_and_planners(monkeypatch):
+    # cshape-40's Case1 query 6 -> 28 is planned once, at hull node 0
+    pipe = Pipeline(fixture_topology("cshape-40"), PipelineConfig(queries=[(6, 28), (12, 15)]))
+    pipe.build_abstraction()
+    results, summary = pipe.run_queries()
+    rows = pipe.report(results, summary).queries
+    assert [(row["case"], row["replans"], row["planners"]) for row in rows] == [
+        ("Case1", 0, [0]),
+        ("Visible", 0, []),
+    ]
+    assert rows[0]["planners"] == [planner for planner, _ in results[0].plans]
+    # a waypoint leg that stops on the hole makes hull node 0 plan again
+    _, first_hit = chew_route(pipe.g, 6, 28)
+    leg, stops = pipe.router._leg, []
+
+    def stop_once(cur, tgt):
+        if not stops:
+            stops.append(cur)
+            return [cur], HitHoleNode(cur, first_hit.face)
+        return leg(cur, tgt)
+
+    monkeypatch.setattr(pipe.router, "_leg", stop_once)
+    pipe.config.queries = [(6, 28)]
+    results, summary = pipe.run_queries()
+    (row,) = pipe.report(results, summary).queries
+    assert row["path"] == rows[0]["path"]
+    assert (row["replans"], row["planners"]) == (1, [0, 0])
 
 
 # the phases of a build before the broadcast tree's charge; the tree runs

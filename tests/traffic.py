@@ -10,10 +10,12 @@ holes_grid_spec(N). For each it builds the abstraction with the default
 config and prints three tables read off the engine's phase reports and
 transcript: every phase's rounds, messages, bytes and peak long-range
 sends by one node in one round (charged phases show rounds only); the
-messages and bytes of every message tag; and the K nodes (default 10)
-that sent the most long-range messages, with their bytes and a count
-per tag. The build is deterministic, so two revisions can be compared
-line by line.
+messages and bytes of every message tag, its bytes split into the
+envelope (tag and keys), the sorted `intro` list and the `data` payload,
+as `canonical_bytes` sizes them, so a fact sent twice in one message
+shows; and the K nodes (default 10) that sent the most long-range
+messages, with their bytes and a count per tag. The build is
+deterministic, so two revisions can be compared line by line.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections import Counter, defaultdict
 
 from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.scenario import fixture_topology, generate_scenario, holes_grid_spec, scaling_spec
+from hullroute.simengine import RoundEngine, canonical_bytes
 
 
 def topology(name: str):
@@ -37,7 +40,21 @@ def topology(name: str):
 
 def report(name: str, top: int) -> None:
     pipe = Pipeline(topology(name), PipelineConfig())
-    pipe.build_abstraction()
+    # bytes of each tag's `intro` lists and `data` payloads, sized as the engine sizes them
+    parts: dict[str, list[int]] = defaultdict(lambda: [0, 0])
+    send = RoundEngine.send
+
+    def sizing(eng, src, dst, payload=None, **kw):
+        part = parts[kw.get("tag", "")]
+        part[0] += canonical_bytes(sorted(kw.get("intro_ids", ())))
+        part[1] += canonical_bytes(payload)
+        send(eng, src, dst, payload, **kw)
+
+    RoundEngine.send = sizing
+    try:
+        pipe.build_abstraction()
+    finally:
+        RoundEngine.send = send
     eng = pipe.engine
     sent = [t for t in eng.transcript if t["channel"] != "meta"]
     print(
@@ -58,9 +75,10 @@ def report(name: str, top: int) -> None:
     for t in sent:
         by_tag[t["tag"]][0] += 1
         by_tag[t["tag"]][1] += t["bytes"]
-    print(f"\n  {'tag':<26}{'messages':>10}{'bytes':>12}")
+    print(f"\n  {'tag':<26}{'messages':>10}{'bytes':>12}{'envelope':>10}{'intro':>10}{'data':>12}")
     for tag, (messages, nbytes) in sorted(by_tag.items(), key=lambda kv: -kv[1][1]):
-        print(f"  {tag:<26}{messages:>10}{nbytes:>12}")
+        intro, data = parts[tag]
+        print(f"  {tag:<26}{messages:>10}{nbytes:>12}{nbytes - intro - data:>10}{intro:>10}{data:>12}")
 
     tags: dict[int, Counter] = defaultdict(Counter)
     nbytes: Counter = Counter()
