@@ -163,30 +163,34 @@ def _message_cap(engine: RoundEngine) -> int:
     return max(1, math.ceil(math.log2(len(engine.topo.ids))))
 
 
-def _cut(engine: RoundEngine, items: list, id_index: int) -> list[tuple[list, tuple[NodeId, ...]]]:
-    """items in messages of at most _message_cap, each with the sorted ids it introduces.
+def _cut(engine: RoundEngine, items: Mapping[NodeId, list]) -> list[tuple[list, tuple[NodeId, ...]]]:
+    """items, keyed by the node each names, in messages of at most _message_cap.
 
-    Every item names a distinct node at item[id_index].  A message
-    introduces the ids of its own items, and its id is all the header
-    says of an item: the payload holds each item without it, in
-    ascending id order, so the receiver pairs them up again (_uncut).
+    Messages take the items in the mapping's order, cap at a time, and
+    each introduces the ids of its own items.  The id is all the header
+    says of an item, so the payload lists the items without it, in
+    ascending id order, and the receiver pairs them with the sorted
+    introductions again (_uncut).  Returns each message's (items, ids).
     """
     cap = _message_cap(engine)
-    out = []
-    for at in range(0, len(items), cap):
-        chunk = sorted(items[at : at + cap], key=lambda q: q[id_index])
-        out.append(
-            ([q[:id_index] + q[id_index + 1 :] for q in chunk], tuple(q[id_index] for q in chunk))
-        )
-    return out
+    ids = list(items)
+    chunks = [sorted(ids[at : at + cap]) for at in range(0, len(ids), cap)]
+    return [([items[v] for v in chunk], tuple(chunk)) for chunk in chunks]
 
 
-def _uncut(m: Message, key: str, id_index: int) -> list[list]:
-    """The items of m.payload[key], each with its id from m.intro_ids put back at id_index."""
-    return [
-        q[:id_index] + [v] + q[id_index:]
-        for q, v in zip(m.payload[key], m.intro_ids, strict=True)
-    ]
+def _uncut(m: Message, key: str) -> dict[NodeId, list]:
+    """The items of m.payload[key], keyed by the ids m introduces (_cut)."""
+    return dict(zip(m.intro_ids, m.payload[key], strict=True))
+
+
+def _hull_items(points: list[list]) -> dict[NodeId, list]:
+    """Hull points [x, y, id, rank] as _cut items: [x, y, rank] by id."""
+    return {q[2]: [q[0], q[1], q[3]] for q in points}
+
+
+def _hull_points(inbox: list[Message]) -> list[list]:
+    """The hull points [x, y, id, rank] the messages of inbox carry (_hull_items)."""
+    return [[x, y, v, r] for m in inbox for v, (x, y, r) in _uncut(m, "hull").items()]
 
 
 def _forget_learned(
@@ -561,7 +565,7 @@ def _merge_session(
     cap = _message_cap(engine)
 
     def ship(slot: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
-        out = [({"hull": chunk}, ids) for chunk, ids in _cut(engine, hulls[slot], 2)]
+        out = [({"hull": chunk}, ids) for chunk, ids in _cut(engine, _hull_items(hulls[slot]))]
         if sums is not None:
             out[0][0]["count"], out[0][0]["angle"] = sums[slot]
         return out
@@ -574,8 +578,7 @@ def _merge_session(
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         if inbox:
             slot = cube.id_map[v]
-            got = hulls[slot] + [q for m in inbox for q in _uncut(m, "hull", 2)]
-            hulls[slot] = monotone_hull(sorted(got))
+            hulls[slot] = monotone_hull(sorted(hulls[slot] + _hull_points(inbox)))
             for m in inbox:
                 if "count" in m.payload:
                     count, angle = sums[slot]
@@ -618,7 +621,7 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
     size = {"size": k} if cube.closed else {}
 
     def scoped(inbox: list[Message], c: int, i: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
-        pts = [q for m in inbox for q in _uncut(m, "hull", 2)] or ccw
+        pts = _hull_points(inbox) or ccw
         e = min(c + (1 << i), k)
         part = {q[3]: q for q in pts if c <= q[3] < e}
         before = max(pts, key=lambda q: (q[3] - c) % k)
@@ -626,8 +629,8 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
         if e < k or cube.closed:
             after = min(pts, key=lambda q: (q[3] - e) % k)
             part.setdefault(after[3], after)
-        sent = [part[r] for r in sorted(part)]
-        return [({"hull": chunk, **size}, ids) for chunk, ids in _cut(engine, sent, 2)]
+        sent = _hull_items([part[r] for r in sorted(part)])
+        return [({"hull": chunk, **size}, ids) for chunk, ids in _cut(engine, sent)]
 
     return _tree_cast(
         engine,
@@ -705,46 +708,46 @@ def distribute_hulls(
     height, start = tree.height, engine.round_no
     depth = tree.depths()
     before = {v: set(topo.knows[v]) for v in topo.ids}
+    # each hull node's entry as it goes on the wire, by id: [x, y, ring, ...]
     own: dict[NodeId, list] = {}
     for v, x, y, ring in hull_refs:
-        own.setdefault(v, [v, x, y]).append(ring)
+        own.setdefault(v, [x, y]).append(ring)
     # the entries a node sends its parent in the gather: its own, its children's
-    held = {v: [entry] for v, entry in own.items()}
+    held = {v: {v: entry} for v, entry in own.items()}
     deliveries = 0
 
-    def send(eng: RoundEngine, v: NodeId, dst: NodeId, entries: list) -> None:
-        for chunk, ids in _cut(eng, entries, 0):
+    def send(eng: RoundEngine, v: NodeId, dst: NodeId, entries: dict) -> None:
+        for chunk, ids in _cut(eng, entries):
             eng.send(v, dst, {"refs": chunk}, tag="href", intro_ids=ids)
 
-    def serve(eng: RoundEngine, v: NodeId, entries: list) -> None:
+    def serve(eng: RoundEngine, v: NodeId, entries: dict) -> None:
         """Hull node v holds every entry: pass them on to its heap children."""
-        entries = sorted(entries)
-        order = [e[0] for e in entries]
+        order = sorted(entries)
         i = order.index(v)
         for c in order[2 * i + 1 : 2 * i + 3]:
-            send(eng, v, c, [e for e in entries if e[0] != c])
+            send(eng, v, c, {w: entries[w] for w in order if w != c})
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         nonlocal deliveries
-        got = [e for m in inbox for e in _uncut(m, "refs", 0)]
-        deliveries += len(got)
+        got = {w: e for m in inbox for w, e in _uncut(m, "refs").items()}
+        deliveries += sum(len(m.intro_ids) for m in inbox)
         t = eng.round_no - start
         if t > height:
             if got:
-                serve(eng, v, got + [own[v]])
+                serve(eng, v, {**got, v: own[v]})
             return True
         if got:
-            held.setdefault(v, []).extend(got)
+            held.setdefault(v, {}).update(got)
         if t == height - depth[v]:
-            sub = sorted(held.pop(v, []))
+            sub = dict(sorted(held.pop(v, {}).items()))
             if v != tree.root:
                 send(eng, v, tree.parent[v], sub)
             elif sub:
-                first = sub[0][0]
+                first = min(sub)
                 if first == v:
                     serve(eng, v, sub)
                 else:
-                    send(eng, v, first, sub[1:])
+                    send(eng, v, first, {w: e for w, e in sub.items() if w != first})
         return v != tree.root or t >= height
 
     report = engine.run_phase("hull_distribution", handler, max_rounds=2 * height + 1)
