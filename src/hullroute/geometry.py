@@ -173,22 +173,6 @@ def segments_properly_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> b
     return min(hi_p, hi_q) > max(lo_p, lo_q)
 
 
-def signed_turn_angle(u: Point, v: Point, w: Point) -> float:
-    """Turn angle at v on the walk u -> v -> w, in degrees.
-
-    Right (clockwise) turns are positive, left turns negative, straight is 0.
-    A closed clockwise tour therefore sums to +360 and a counterclockwise
-    tour to -360.
-    """
-    if u == v or v == w:
-        raise DegenerateInputError("turn angle needs two nonzero steps")
-    ax, ay = v[0] - u[0], v[1] - u[1]
-    bx, by = w[0] - v[0], w[1] - v[1]
-    crs = ax * by - ay * bx
-    dot = ax * bx + ay * by
-    return -math.degrees(math.atan2(crs, dot))
-
-
 def polygon_signed_area(pts: Sequence[Point]) -> float:
     """Shoelace area: positive for counterclockwise vertex order."""
     area = 0.0

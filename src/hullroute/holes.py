@@ -3,9 +3,9 @@
 A planarized graph ends up with two kinds of interesting faces: bounded
 faces of four or more corners (the network grew around an obstacle) and
 the outer face.  Both become rings here.  Classification tells them
-apart by the sign of the total turn angle accumulated while walking the
-ring, computed by the distributed protocols of the overlay module, so
-the result is something the nodes themselves could know.
+apart by the direction the ring is walked, which its leader reads off
+the ring ranks of its distributed hull (overlay.rank_ring), so the
+result is exact and something the nodes themselves know.
 """
 
 from __future__ import annotations
@@ -130,13 +130,14 @@ def form_rings(g: PlanarGraph, boundary: set[NodeId]) -> list[HoleRing]:
 
 
 def classify_rings(rings: Sequence[HoleRing], protos: Mapping[int, RingProtocolResult]) -> None:
-    """Each closed ring's kind from the sign of its leader's merged angle total; takes no round.
+    """Each closed ring's kind from the orientation its leader read off the hull; takes no round.
 
-    The leader already checked the total is +360 or -360 before the hull
-    broadcast (overlay.rank_ring): +360 is the outer boundary, -360 a hole.
+    The leader found its hull's ring ranks in ccw or cw order before the
+    hull broadcast (overlay.rank_ring).  A ccw walk is a hole, which
+    turns exactly -360 degrees; a cw walk the outer boundary, +360.
     """
     for r in rings:
-        r.orientation_sum = protos[r.ring_id].angle_total
+        r.orientation_sum = -360.0 * protos[r.ring_id].orientation
         r.kind = KIND_OUTER_BOUNDARY if r.orientation_sum > 0 else KIND_INNER
 
 
@@ -211,7 +212,7 @@ def build_hull_abstraction(
     cubes holds each ring's ranks, keyed by ring_id: a closed ring's from
     the id deal, an outer-hole arc's from the outer ring's.  The rings
     run concurrently (ring_protocol); a closed ring's leader ends with
-    the ring's size and angle total, which classify_rings reads.  Each
+    the ring's size and orientation, which classify_rings reads.  Each
     bay's dominating set then takes no round: its members decide from
     the ring ranks the broadcast left them (dominating_set).  Results
     are keyed by ring_id.

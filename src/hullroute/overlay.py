@@ -9,10 +9,12 @@ subtree, travel the same binomial tree of jump edges from the ring
 leader (_tree_cast); in the id deal a node picks the ranks it serves
 from its own jump edges, so no node needs the ring size.  On a closed
 ring the hull merge doubles as the list ranking: it carries each
-block's node count and turn-angle sum, so the leader ends with the
-exact ring size and angle total, and checks both before it broadcasts
-the hull (rank_ring).  The per-bay dominating set takes no round:
-every bay member decides from ring ranks the hull broadcast left it.
+block's node count, so the leader ends with the exact ring size, and
+its merged hull holds each hull node's ring rank, whose order around
+the hull is the ring's orientation; the leader checks both before it
+broadcasts the hull (rank_ring).  The per-bay dominating set takes no
+round: every bay member decides from ring ranks the hull broadcast
+left it.
 
 Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Every sender cuts what it ships into messages of at
@@ -57,14 +59,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
 
 from .errors import DegenerateInputError, GeometryInconsistencyError, SimulationAbortError
-from .geometry import Point, monotone_hull, signed_turn_angle
+from .geometry import monotone_hull
 from .ldel import NodeId
 from .simengine import Handler, Message, PhaseReport, RoundEngine
 
 log = logging.getLogger(__name__)
-
-# how far a merged turn-angle total may stray from +-360 degrees
-ANGLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -145,14 +144,6 @@ def _ring_maps(members: list[NodeId]) -> tuple[dict, dict]:
     succ = {members[i]: members[(i + 1) % k] for i in range(k)}
     pred = {members[i]: members[(i - 1) % k] for i in range(k)}
     return succ, pred
-
-
-def _turn_angles(points: dict[NodeId, Point], members: list[NodeId]) -> dict[NodeId, float]:
-    succ, pred = _ring_maps(members)
-    return {
-        v: signed_turn_angle(points[pred[v]], points[v], points[succ[v]])
-        for v in members
-    }
 
 
 def _message_cap(engine: RoundEngine) -> int:
@@ -249,9 +240,8 @@ def pointer_jumping(
     pointer is the one id it introduces, and its payload holds the arc
     minimum only when the header does not already name it, that is,
     when the minimum is neither the introduced id (pj_succ) nor the
-    sender (pj_pred); the turn angles travel later, with the hull
-    merge.  All rings run at once; each result's jump_rounds counts that
-    ring's own rounds.
+    sender (pj_pred).  All rings run at once; each result's jump_rounds
+    counts that ring's own rounds.
     """
     return _run_wave(
         engine,
@@ -349,33 +339,39 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
 
 
 # ---------------------------------------------------------------------------
-# ring size and angle total, merged up to the leader
+# ring size and orientation, read by the leader off what the merge left it
 
 
 def rank_ring(
     engine: RoundEngine,
     cubes: Mapping[Hashable, HypercubeOverlay],
-    totals: Mapping[Hashable, tuple[int, float]],
-) -> None:
-    """Each leader checks the ring size and turn-angle total it merged; takes no round.
+    chains: Mapping[Hashable, list[list]],
+    sizes: Mapping[Hashable, int],
+) -> dict[Hashable, int]:
+    """Each leader checks its merged ring size and reads the ring's orientation off its hull; takes no round.
 
-    The hull merge is also a doubling list ranking anchored at the
-    leader: the first merge message of every right block carries the
-    block's node count and turn-angle sum, so slot 0 of a closed cube
-    ends with the ring's size k and its angle total
-    (parallel_convex_hull).  A size other than k means the merge lost
-    nodes; a simple ring turns +360 or -360 degrees, within ANGLE_TOL,
-    and any other total aborts before the hull broadcast.  The name
-    stays because perfbench traces this step as a span of its own.
+    Slot 0 of a closed cube ends the merge with the ring's size k and
+    its ccw hull as [x, y, id, rank] (parallel_convex_hull); a size other
+    than k means the merge lost nodes.  A simple ring meets its hull
+    vertices in hull order (compute_bays relies on it), so their ranks
+    are a rotation of an ascending list when the ring is walked ccw, +1
+    as polygon_orientation signs it, or of a descending one when it is
+    walked cw, -1.  Any other order aborts before the hull broadcast; a
+    hull has at least 3 points, so the two cases differ.  Returns each
+    closed ring's orientation.  The name stays because perfbench traces
+    this step as a span of its own.
     """
-    for key, (size, total) in totals.items():
+    out = {}
+    for key, size in sizes.items():
         leader = cubes[key].members[0]
         if size != len(cubes[key].members):
             raise SimulationAbortError(leader, engine.round_no, "hull merge lost nodes on the ring")
-        if abs(abs(total) - 360.0) > ANGLE_TOL:
-            raise GeometryInconsistencyError(
-                f"ring {key} turn-angle total {total:.9f} is neither +360 nor -360"
-            )
+        ranks = [q[3] for q in chains[key]]
+        descents = sum(a > b for a, b in zip(ranks, ranks[1:] + ranks[:1]))
+        if descents not in (1, len(ranks) - 1):
+            raise GeometryInconsistencyError(f"ring {key} meets its hull out of hull order: ranks {ranks}")
+        out[key] = 1 if descents == 1 else -1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +498,7 @@ def parallel_convex_hull(
     engine: RoundEngine,
     cubes: Mapping[Hashable, HypercubeOverlay],
     slot_keys: Mapping[Hashable, list[list]],
-) -> tuple[dict[Hashable, list[list]], dict[Hashable, tuple[int, float]]]:
+) -> tuple[dict[Hashable, list[list]], dict[Hashable, int]]:
     """Divide and conquer over blocks of consecutive slots, every cube at once.
 
     Slot s starts with its own host's point as its hull.  At level L
@@ -514,27 +510,22 @@ def parallel_convex_hull(
     at most _message_cap points and a host sends merge messages while it
     has sent fewer than that many long-range messages this round, so a
     level takes one round unless a hull exceeds cap^2 points.  On a
-    closed cube every host starts with count 1 and its turn angle
-    between its two radio neighbors on the ring, and the right half's
-    first message also carries the half's node count and angle sum,
-    which the left host adds to its own.  An arc's cube carries neither;
-    the arc's orientation is detect_outer_holes' exact sign.  Returns each
-    cube's ccw hull as slot keys, and slot 0's count and angle sum for
-    the closed cubes.
+    closed cube every host starts with count 1, and the right half's
+    first message also carries the half's node count, which the left
+    host adds to its own.  An arc's cube carries none; the arc's
+    orientation is detect_outer_holes' exact sign.  Returns each cube's
+    ccw hull as slot keys, whose ranks give a closed ring's orientation
+    (rank_ring), and slot 0's count for the closed cubes.
     """
     hulls = {key: [[q] for q in slot_keys[key]] for key in cubes}
-    sums = {}
-    for key, cube in cubes.items():
-        if cube.closed:
-            turns = _turn_angles(engine.topo.points, cube.members)
-            sums[key] = [(1, turns[v]) for v in cube.members]
+    counts = {key: [1] * len(cube.members) for key, cube in cubes.items() if cube.closed}
     top = max((cube.dimension for cube in cubes.values()), default=0)
     for level in range(1, top + 1):
         _run_wave(
             engine,
             f"hull_merge_{level}",
             {
-                key: _merge_session(engine, cube, hulls[key], sums.get(key), level)
+                key: _merge_session(engine, cube, hulls[key], counts.get(key), level)
                 for key, cube in cubes.items()
                 if cube.dimension >= level
             },
@@ -542,14 +533,14 @@ def parallel_convex_hull(
     for key in cubes:
         if len(hulls[key][0]) < 3:
             raise DegenerateInputError("hull of fewer than 3 distinct points")
-    return {key: hulls[key][0] for key in cubes}, {key: s[0] for key, s in sums.items()}
+    return {key: hulls[key][0] for key in cubes}, {key: c[0] for key, c in counts.items()}
 
 
 def _merge_session(
     engine: RoundEngine,
     cube: HypercubeOverlay,
     hulls: list[list],
-    sums: list[tuple[int, float]] | None,
+    counts: list[int] | None,
     level: int,
 ) -> _Session:
     """Merge every pair of 2^(level-1)-slot blocks of one cube.
@@ -557,17 +548,18 @@ def _merge_session(
     Each right block's host cuts its hull into messages (_cut) and sends
     them from the level's first round on, while the engine counts fewer
     than cap long-range sends by it in the round, over every cube; on a
-    closed cube the first one also carries the block's (count, angle)
-    from `sums`.  The left block's host merges whatever arrives into its
-    hull and sums.
+    closed cube the first one also carries the block's node count from
+    `counts`.  The left block's host merges whatever arrives into its
+    hull and count.  A merged point keeps its rank, so the leader's hull
+    holds every hull node's rank.
     """
     half = 1 << (level - 1)
     cap = _message_cap(engine)
 
     def ship(slot: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
         out = [({"hull": chunk}, ids) for chunk, ids in _cut(engine, _hull_items(hulls[slot]))]
-        if sums is not None:
-            out[0][0]["count"], out[0][0]["angle"] = sums[slot]
+        if counts is not None:
+            out[0][0]["count"] = counts[slot]
         return out
 
     queue = {
@@ -581,8 +573,7 @@ def _merge_session(
             hulls[slot] = monotone_hull(sorted(hulls[slot] + _hull_points(inbox)))
             for m in inbox:
                 if "count" in m.payload:
-                    count, angle = sums[slot]
-                    sums[slot] = (count + m.payload["count"], angle + m.payload["angle"])
+                    counts[slot] += m.payload["count"]
         payloads = queue.get(v, [])
         while payloads and eng.longrange_this_round(v) < cap:
             payload, ids = payloads.pop(0)
@@ -678,7 +669,6 @@ def distribute_hulls(
     engine: RoundEngine,
     tree: BroadcastTree,
     hull_refs: list[tuple[NodeId, float, float, int]],
-    keep_all: set[NodeId],
 ) -> int:
     """Gather one entry per hull node at the tree root, then cast them down a heap of hull nodes.
 
@@ -698,11 +688,10 @@ def distribute_hulls(
     message carries at most ceil(log2 n) entries and introduces their
     ids, which the entries leave out on the wire (_cut).
 
-    Nodes in keep_all (the hull nodes, which own every entry) keep the
-    hull ids they learn.  Every other id the phase taught a node is
-    forgotten once it ends, so relays, a root that is no hull node
-    included, end as they began.  Returns the number of entry
-    deliveries.
+    The hull nodes, which own every entry, keep the hull ids they learn.
+    Every other id the phase taught a node is forgotten once it ends, so
+    relays, a root that is no hull node included, end as they began.
+    Returns the number of entry deliveries.
     """
     topo = engine.topo
     height, start = tree.height, engine.round_no
@@ -751,7 +740,7 @@ def distribute_hulls(
         return v != tree.root or t >= height
 
     report = engine.run_phase("hull_distribution", handler, max_rounds=2 * height + 1)
-    _forget_learned(engine, before, dict.fromkeys(keep_all, keep_all))
+    _forget_learned(engine, before, dict.fromkeys(own, set(own)))
     log.debug(
         "hull distribution: gather %d rounds, cast %d rounds, %d references, heap of %d",
         height, report.rounds - height, len(hull_refs), len(own),
@@ -789,9 +778,10 @@ def dominating_set(paths: Mapping[Hashable, list[NodeId]]) -> dict[Hashable, set
 class RingProtocolResult:
     cube: HypercubeOverlay
     hull: list[NodeId]
-    # the leader's merged ring size and turn-angle total; None on an arc
+    # the leader's merged ring size, and the walk's orientation read off the
+    # hull's ranks with polygon_orientation's sign (rank_ring); None on an arc
     ring_size: int | None
-    angle_total: float | None
+    orientation: int | None
 
 
 def ring_protocol(
@@ -801,16 +791,17 @@ def ring_protocol(
 
     The cubes come from the id deal (assign_hypercube_ids) or, for the
     outer-hole arcs, from the outer ring's ranks (HypercubeOverlay.arc).
-    Every closed ring merges its size and turn-angle total up to its
-    leader along with the hull, and the leader checks both (rank_ring)
-    before it broadcasts the hull.  The merge teaches the left blocks'
+    Every closed ring merges its size up to its leader along with the
+    hull, and the leader checks the size and reads the ring's
+    orientation off the merged hull's ranks (rank_ring) before it
+    broadcasts the hull.  The merge teaches the left blocks'
     hosts the ids of the hulls shipped to them; once the hull is
     broadcast, each host forgets every id learned since the merge began
     that is not a hull node of one of its rings.
     """
     before = {v: set(engine.topo.knows[v]) for cube in cubes.values() for v in cube.members}
-    chains, totals = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes))
-    rank_ring(engine, cubes, totals)
+    chains, sizes = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes))
+    orientations = rank_ring(engine, cubes, chains, sizes)
     _run_wave(
         engine,
         "hull_broadcast",
@@ -823,6 +814,6 @@ def ring_protocol(
             keep.setdefault(v, set()).update(hulls[key])
     _forget_learned(engine, before, keep)
     return {
-        key: RingProtocolResult(cube, hulls[key], *totals.get(key, (None, None)))
+        key: RingProtocolResult(cube, hulls[key], sizes.get(key), orientations.get(key))
         for key, cube in cubes.items()
     }

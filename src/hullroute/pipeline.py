@@ -186,13 +186,14 @@ class Pipeline:
         Wave one is every closed ring: the election, which is all the
         "classification" rounds, the id deal, then hull, bays and
         dominating sets (build_hull_abstraction), after which each ring's
-        kind is read off the angle total its leader merged
-        (classify_rings).  Wave two is the outer-hole arcs, which hang off
-        the outer boundary's hull and reuse that ring's ranks and jump
-        edges: the same call with the arcs' cubes.  The dominating sets
-        take no round.  The broadcast tree needs no ring and runs from the
-        build's first round, so the build takes max(tree rounds, rounds up
-        to wave two's end) before the hull distribution.
+        kind is read off the orientation its leader found in the merged
+        hull's ring ranks (classify_rings).  Wave two is the outer-hole
+        arcs, which hang off the outer boundary's hull and reuse that
+        ring's ranks and jump edges: the same call with the arcs' cubes.
+        The dominating sets take no round.  The broadcast tree needs no
+        ring and runs from the build's first round, so the build takes
+        max(tree rounds, rounds up to wave two's end) before the hull
+        distribution.
         """
         eng = self.engine
         start = eng.round_no
@@ -258,7 +259,7 @@ class Pipeline:
 
         t = eng.round_no
         self._refs, self._hull_ids = self._hull_refs()
-        distribute_hulls(eng, self.tree, self._refs, self._hull_ids)
+        distribute_hulls(eng, self.tree, self._refs)
         mark("hull_distribution", t)
 
         self.protocol_rounds = eng.round_no - start

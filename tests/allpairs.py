@@ -9,7 +9,8 @@ minutes per backend. Each line holds the pairs routed, the failures
 (queries that raised a HullrouteError), every case's count and worst
 competitive ratio, the share of walks that visit a node twice, and a
 sha256 over the (s, t, case, path) of every routed pair in order, so two
-revisions route the same iff their digests agree.
+revisions route the same iff their digests agree. It exits with status 1
+when any pair failed, 0 otherwise, so it can serve as a check.
 """
 
 from __future__ import annotations
@@ -67,11 +68,15 @@ def sweep(name: str, backend: str) -> dict:
     }
 
 
-def main(argv: list[str]) -> None:
+def main(argv: list[str]) -> int:
+    failures = 0
     for name in argv or FIXTURES:
         for backend in (BACKEND_VIS, BACKEND_ODEL):
-            print(json.dumps(sweep(name, backend), sort_keys=True), flush=True)
+            row = sweep(name, backend)
+            failures += row["failures"]
+            print(json.dumps(row, sort_keys=True), flush=True)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

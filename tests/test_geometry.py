@@ -24,9 +24,8 @@ from hullroute.geometry import (
     ring_crossings,
     segment_crosses_polygon,
     segments_properly_intersect,
-    signed_turn_angle,
 )
-from oracles import brute_hull, brute_ring_crossings, brute_segment_crosses_polygon, shoelace
+from oracles import brute_hull, brute_ring_crossings, brute_segment_crosses_polygon
 
 
 def test_orientation_basic():
@@ -69,40 +68,6 @@ def test_segments_properly_intersect():
     assert segments_properly_intersect(Point(0, 0), Point(2, 0), Point(1, 0), Point(3, 0))
     # collinear, touching at endpoints only
     assert not segments_properly_intersect(Point(0, 0), Point(1, 0), Point(1, 0), Point(2, 0))
-
-
-def test_signed_turn_angle():
-    assert signed_turn_angle(Point(0, 0), Point(1, 0), Point(2, 0)) == pytest.approx(0.0)
-    assert signed_turn_angle(Point(0, 0), Point(1, 0), Point(1, -1)) == pytest.approx(90.0)
-    assert signed_turn_angle(Point(0, 0), Point(1, 0), Point(1, 1)) == pytest.approx(-90.0)
-    with pytest.raises(DegenerateInputError):
-        signed_turn_angle(Point(0, 0), Point(0, 0), Point(1, 1))
-
-
-def test_turn_angles_sum_on_simple_polygons():
-    rng = random.Random(23)
-    for _ in range(50):
-        # star-shaped polygon around the origin: strictly increasing angles
-        # stratified angles keep the origin inside, so the angular order
-        # yields a simple polygon
-        k = rng.randint(4, 12)
-        step = 2 * math.pi / k
-        angles = [i * step + rng.uniform(0.05, 0.95) * step for i in range(k)]
-        radii = [rng.uniform(1, 3) for _ in angles]
-        pts = [Point(math.cos(t) * r, math.sin(t) * r) for t, r in zip(angles, radii)]
-        if abs(shoelace(pts)) < 1e-6:
-            continue
-        ccw = pts if shoelace(pts) > 0 else list(reversed(pts))
-        n = len(ccw)
-        total = sum(
-            signed_turn_angle(ccw[i - 1], ccw[i], ccw[(i + 1) % n]) for i in range(n)
-        )
-        assert total == pytest.approx(-360.0, abs=1e-6)
-        cw = list(reversed(ccw))
-        total_cw = sum(
-            signed_turn_angle(cw[i - 1], cw[i], cw[(i + 1) % n]) for i in range(n)
-        )
-        assert total_cw == pytest.approx(360.0, abs=1e-6)
 
 
 def test_convex_hull_oracle_square():

@@ -1,4 +1,4 @@
-"""Ring overlay protocols: election, id cast, merged totals, slot layout, hull, trees, DS."""
+"""Ring overlay protocols: election, id cast, merged size and orientation, slot layout, hull, trees, DS."""
 
 from __future__ import annotations
 
@@ -7,12 +7,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import hullroute.holes as holes_mod
 import hullroute.overlay as overlay_mod
 
-from hullroute.errors import SimulationAbortError
-from hullroute.geometry import Point, convex_hull_oracle, signed_turn_angle
+from hullroute.errors import GeometryInconsistencyError, SimulationAbortError
+from hullroute.geometry import Point, convex_hull_oracle, polygon_orientation
 from hullroute.holes import hull_node_ids
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.overlay import (
@@ -61,17 +63,6 @@ def ring_engine(k, **kw):
 
 def line_engine(n, step=0.9):
     return RoundEngine(build_udg({i: Point(i * step, 0.0) for i in range(n)}))
-
-
-def turn_angles(engine, members):
-    pts = engine.topo.points
-    k = len(members)
-    return {
-        members[i]: signed_turn_angle(
-            pts[members[i - 1]], pts[members[i]], pts[members[(i + 1) % k]]
-        )
-        for i in range(k)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +124,7 @@ def test_mixed_wave_reports_each_rings_own_rounds():
 
 
 # ---------------------------------------------------------------------------
-# ring size and angle total, merged up to the leader
+# ring size merged up to the leader, orientation read off the hull's ranks
 
 
 def hull_protocol(engine, rings):
@@ -142,14 +133,13 @@ def hull_protocol(engine, rings):
 
 
 def merged_totals(engine, members):
-    """The ring's protocol result, which holds the totals its leader merged."""
+    """The ring's protocol result: the size its leader merged, the orientation it read."""
     return hull_protocol(engine, {0: members})[0]
 
 
 @pytest.mark.parametrize("k", [3, 4, 6, 8, 12, 17])
 def test_merged_totals_match_a_direct_sum(k, monkeypatch):
     engine, members = ring_engine(k, seed=k + 50, jitter=0.02)
-    angle = turn_angles(engine, members)
     carried = []
     send = engine.send
 
@@ -161,11 +151,10 @@ def test_merged_totals_match_a_direct_sum(k, monkeypatch):
     monkeypatch.setattr(engine, "send", spy)
     res = merged_totals(engine, members)
     assert res.ring_size == k
-    assert res.angle_total == pytest.approx(sum(angle.values()), abs=1e-9)
-    # ccw polygon walk turns left overall
-    assert res.angle_total == pytest.approx(-360.0, abs=1e-6)
+    # a ccw walk: the hull's ranks ascend from the leader around the hull
+    assert res.orientation == polygon_orientation([engine.topo.points[v] for v in members]) == 1
     # one merge message per merge of two blocks carries the right block's
-    # totals, and k slots take k - 1 merges
+    # count, and k slots take k - 1 merges
     assert len(carried) == k - 1
     tags = {t["tag"] for t in engine.transcript}
     assert tags == {"pj_succ", "pj_pred", "hc_assign", "hm", "hullb"}
@@ -174,7 +163,70 @@ def test_merged_totals_match_a_direct_sum(k, monkeypatch):
 def test_merged_angle_total_flips_sign_clockwise():
     engine, members = ring_engine(9, seed=77)
     cw = [members[0]] + members[1:][::-1]
-    assert merged_totals(engine, cw).angle_total == pytest.approx(360.0, abs=1e-6)
+    assert merged_totals(engine, cw).orientation == -1
+
+
+# primitive lattice directions with coordinates in [-2, 2], counterclockwise
+DIRS = sorted(
+    {
+        (dx // math.gcd(dx, dy), dy // math.gcd(dx, dy))
+        for dx in range(-2, 3)
+        for dy in range(-2, 3)
+        if dx or dy
+    },
+    key=lambda d: math.atan2(d[1], d[0]),
+)
+
+
+def star_walk(spokes):
+    """A simple star-shaped lattice polygon, counterclockwise, as exact float points.
+
+    spokes maps a DIRS index to (m, s): a vertex 6m steps out along that
+    direction, and the edge to the next vertex cut into s equal pieces, a
+    collinear run.  The four axis directions are always spokes, so every
+    angular gap is under pi and the origin lies inside.  Coordinates are
+    multiples of 6 over 128: the pieces' ends are exact, and every point
+    is within radio range of every other.
+    """
+    spokes = {**{i: (1, 1) for i, d in enumerate(DIRS) if 0 in d}, **spokes}
+    corners = [(6 * m * DIRS[i][0], 6 * m * DIRS[i][1], s) for i, (m, s) in sorted(spokes.items())]
+    walk = []
+    for (x, y, s), (x2, y2, _) in zip(corners, corners[1:] + corners[:1]):
+        walk += [(x + (x2 - x) * j // s, y + (y2 - y) * j // s) for j in range(s)]
+    return [Point(x / 128, y / 128) for x, y in walk]
+
+
+@given(
+    st.dictionaries(
+        st.integers(0, len(DIRS) - 1), st.tuples(st.integers(1, 4), st.integers(1, 3)), max_size=12
+    ),
+    st.integers(0, 99),
+    st.booleans(),
+    st.integers(0, 99),
+)
+# a square through its corners and edge midpoints, each side cut into four collinear runs
+@example({i: (1, 2) for i, d in enumerate(DIRS) if max(map(abs, d)) == 1}, 3, True, 1)
+def test_rank_ring_reads_the_orientation_off_the_hull_ranks(spokes, start, clockwise, swap):
+    walk = star_walk(spokes)
+    if clockwise:
+        walk.reverse()
+    k = len(walk)
+    # the leader, id 0, sits at walk position start; ids follow the walk
+    ids = [(i - start) % k for i in range(k)]
+    engine = RoundEngine(build_udg(dict(zip(ids, walk))))
+    res = merged_totals(engine, ids)
+    assert res.orientation == polygon_orientation(walk) == (-1 if clockwise else 1)
+    rank = res.cube.id_map
+    chain = [[engine.topo.points[v].x, engine.topo.points[v].y, v, rank[v]] for v in res.hull]
+    assert overlay_mod.rank_ring(engine, {0: res.cube}, {0: chain}, {0: k}) == {0: res.orientation}
+    # two hull neighbours' ranks swapped read neither way round; a triangle is
+    # exempt, since any order of three ranks is one way round or the other
+    if len(chain) >= 4:
+        i = swap % len(chain)
+        j = (i + 1) % len(chain)
+        chain[i][3], chain[j][3] = chain[j][3], chain[i][3]
+        with pytest.raises(GeometryInconsistencyError):
+            overlay_mod.rank_ring(engine, {0: res.cube}, {0: chain}, {0: k})
 
 
 def test_a_block_that_under_reports_its_count_aborts(monkeypatch):
@@ -540,7 +592,7 @@ def test_ring_protocol_on_cavity_ring():
     assert jumps[0].leader == res.cube.members[0] == 8
     assert res.ring_size == 8
     # bounded faces are walked ccw
-    assert res.angle_total == pytest.approx(-360.0, abs=1e-6)
+    assert res.orientation == 1
     pts = topo.points
     coord_of = {v: (pts[v].x, pts[v].y) for v in ring}
     id_at = {c: v for v, c in coord_of.items()}
@@ -699,7 +751,7 @@ def _check_flood(n, heap_ids, refs, monkeypatch):
         send(src, dst, payload, **kw)
 
     monkeypatch.setattr(eng, "send", spy)
-    deliveries = distribute_hulls(eng, tree, refs, keep)
+    deliveries = distribute_hulls(eng, tree, refs)
     phase = eng.phase_reports[-1]
     assert phase.label == "hull_distribution"
     assert phase.rounds <= 2 * tree.height + 1

@@ -201,33 +201,32 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # same traffic, and abstraction_digest().  The three traffic figures pin
 # what the ring protocols send; they are re-recorded, with the reason in
 # CHANGES.md, only when a change to those protocols changes their
-# messages.  The bytes alone were last re-recorded when the ring
-# protocols stopped sending what a message's header already says: the
-# merged and broadcast hull points their node ids, the pointer jumps an
-# arc minimum equal to the introduced id or the sender, the casts their
-# budgets; message counts and long-range digests did not move.  The abstraction digests are those of the
+# messages.  The bytes alone were last re-recorded when the merge
+# messages stopped carrying a turn-angle sum, since a leader reads its
+# ring's orientation off the merged hull's ranks; message counts and
+# long-range digests did not move.  The abstraction digests are those of the
 # ring-by-ring build; they changed once, in their dominating-set field
 # only, when the randomized dominating sets gave way to the rank rule.
 # The `href` traffic, one entry per hull node, is checked against
 # oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        381, 26794,
+        381, 26048,
         "43cebf4cf5c1370ece5f316c9674b19c42fe80dde7e8e1acbaf35a177540c105",
         "167515271a2a6fe0f0f4ce2d41f30afb50a20d1c038a740e9c73a7fcea2996c7",
     ),
     "crescent-24": (
-        1336, 88081,
+        1336, 86043,
         "3ee96c637c64114037e7116bcf2416ad15b9d690af4d867bb30973ff43747371",
         "5ef187bed93cad33b7ac12095d12af1656e255349cc5fa6605727ab0e229df6a",
     ),
     "star12-4": (
-        1512, 101052,
+        1512, 98667,
         "9f7c664d398ec2d849f76d849e73b7d827c54c41d0c36716c91b1caae0e92550",
         "64e300e5b6dceb5dd6953f4830f3666a1869794a546ff32d0893dbbfb1b6c921",
     ),
     "scale-512-1": (
-        1928, 128662,
+        1928, 125906,
         "bd08a4a734935eb57f7d20c55f7c3d2e9707865b9349fa6759748d49e3980e81",
         "d89677386b7240cc70ded07b762f05ab59f609d5529063c7552deed69a6a251a",
     ),
@@ -270,13 +269,15 @@ def test_concurrent_build_matches_serial_build(name):
 # sha256 of every build message as the earlier wire format carried it:
 # each item with its node id, every arc minimum, every cast budget.  The
 # stream was recorded from that format; the test puts the facts back from
-# each message's header and must find the same stream.
+# each message's header and must find the same stream.  It was re-recorded
+# once, when the merge messages stopped carrying a turn-angle sum: the
+# earlier stream with `angle` taken out of every `hm` payload.
 WIRE_STREAM = {
-    "crescent-24": "f237651d64236c07fa228626f57d1d20819e7674a74e7478e9f12dbb11c7c7b4",
-    "cshape-40": "d6842fa22092cba50f44d65351be448d072ca1b83aa682e24ed91cfebd443e33",
-    "grid36-hole4": "5c6e9cb4518547b6cec63f5d8254a32401294c24caae731e861c480bbf732e04",
-    "scale-512-1": "afd6d0cdca022d889a02895986cc44c971d02e8adedaeb7755f672095d3d4b09",
-    "star12-4": "66421c169d8e7f4a886e122ee617ade515cf3a4dc71e545b83e2e4c245fc1808",
+    "crescent-24": "eae6ebe090415d3199b53874a350d850c250feddb9147a177ce1b7693e9ea6d1",
+    "cshape-40": "d4c49c14fd649d5fe3ad52749f805fcfe20e25d04650215040d36349ba907c30",
+    "grid36-hole4": "0a6d3b99aa62623bcee0a69a387badfb022938c76f4ec4b6a49d23e0532a80bf",
+    "scale-512-1": "c712bad1896e04329899a325723b50797a9022ca40d00df3bbdd46e9bde6a702",
+    "star12-4": "23008c93fa86f59b1d0c09b7f15d01892fac56ae570a1674eb52832a0c562ac7",
 }
 
 
@@ -327,7 +328,7 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
         else:
             rank = pipe.protos[session].cube.id_map
             if tag in ("hm", "hullb"):
-                assert set(d) <= ({"hull", "count", "angle"} if tag == "hm" else {"hull", "size"})
+                assert set(d) <= ({"hull", "count"} if tag == "hm" else {"hull", "size"})
                 d["hull"] = with_ids(d["hull"], intro, 2)
                 assert d["hull"] == [[pts[q[2]].x, pts[q[2]].y, q[2], rank[q[2]]] for q in d["hull"]]
             else:
@@ -346,7 +347,7 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
 
 
 def test_build_runs_no_ranking_pass(grid_pipe):
-    # each leader learns its ring's size and angle total from the hull
+    # each leader learns its ring's size and orientation from the hull
     # merge, so no message or phase of their own carries them
     pipe, rep = grid_pipe
     assert not {"rk_req", "rk_rep"} & {t["tag"] for t in pipe.engine.transcript}
@@ -480,10 +481,10 @@ def test_hull_refs_row_fails_a_build_that_withholds_a_reference(monkeypatch):
     assert row["hull_nodes"] == len(pipe._hull_refs()[1]) > 1
     distribute = pipeline_mod.distribute_hulls
 
-    def withhold(engine, tree, refs, keep):
+    def withhold(engine, tree, refs):
         # drop the one reference of a node on a single hull
         i = next(i for i, r in enumerate(refs) if sum(q[0] == r[0] for q in refs) == 1)
-        return distribute(engine, tree, refs[:i] + refs[i + 1 :], keep)
+        return distribute(engine, tree, refs[:i] + refs[i + 1 :])
 
     monkeypatch.setattr(pipeline_mod, "distribute_hulls", withhold)
     mutant = Pipeline(fixture_topology("star12-4"), PipelineConfig())
@@ -691,22 +692,22 @@ def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monke
 
     def send_spy(src, dst, payload=None, **kw):
         if kw.get("tag") == "hm":
-            merged.append((bool(knew), {"count", "angle"} & set(payload)))
+            merged.append((bool(knew), {"count"} & set(payload)))
         send(src, dst, payload, **kw)
 
     monkeypatch.setattr(pipe.engine, "send", send_spy)
     pipe.build_abstraction()
-    # only the closed rings merge a size and an angle total
+    # only the closed rings merge a size, and only their leaders read an orientation
     assert any(totals for two, totals in merged if not two)
     assert any(two for two, _ in merged)
     assert not any(totals for two, totals in merged if two)
     for r in pipe.rings:
         res = pipe.protos[r.ring_id]
         if r.kind == KIND_OUTER_HOLE:
-            assert res.ring_size is None and res.angle_total is None
+            assert res.ring_size is None and res.orientation is None
         else:
             assert res.ring_size == len(r.members)
-            assert r.orientation_sum == res.angle_total
+            assert r.orientation_sum == -360.0 * res.orientation
     labels = [p.label for p in pipe.engine.phase_reports]
     wave_two = set(labels[labels.index("hull_broadcast") + 1 :])
     assert "hull_broadcast" in wave_two
