@@ -17,7 +17,14 @@ from pathlib import Path
 
 from .errors import ConfigError, HullrouteError
 from .geometry import Point, Polygon
-from .pipeline import Pipeline, PipelineConfig, from_json_object, parse_query_pairs
+from .pipeline import (
+    Pipeline,
+    PipelineConfig,
+    bound_line,
+    from_json_object,
+    parse_query_pairs,
+    query_row,
+)
 from .render import write_svg
 from .routing import BACKEND_ODEL, BACKEND_VIS
 from .scenario import (
@@ -86,24 +93,6 @@ def _pipeline_config(args) -> PipelineConfig:
     return cfg
 
 
-def _print_bounds(report) -> None:
-    for name in sorted(report.bounds):
-        b = report.bounds[name]
-        if name == "pointer_jumping":
-            worst = max(
-                (row["jump_rounds"] / row["round_bound"] for row in b["rings"]),
-                default=0.0,
-            )
-            print(f"{name}: {len(b['rings'])} rings, worst ratio {worst:.3f}, ok={b['ok']}")
-        elif "measured" in b:
-            print(
-                f"{name}: {b['measured']} <= {b['bound']:.1f} "
-                f"(ratio {b['measured'] / b['bound']:.3f}), ok={b['ok']}"
-            )
-        else:
-            print(f"{name}: {b.get('measured_max')} <= {b['bound']:.1f}, ok={b['ok']}")
-
-
 def cmd_gen(args) -> int:
     if args.fixture:
         topo = fixture_topology(args.fixture)
@@ -133,7 +122,8 @@ def cmd_run(args) -> int:
         Path(args.abstraction).write_text(
             json.dumps(pipe.abstraction_dict(), sort_keys=True, indent=1) + "\n"
         )
-    _print_bounds(rep)
+    for name in sorted(rep.bounds):
+        print(bound_line(name, rep.bounds[name]))
     print(
         f"n={rep.n} protocol_rounds={rep.protocol_rounds} wave_rounds={rep.wave_rounds} "
         f"queries={len(rep.queries)} max_ratio={rep.max_ratio:.3f} "
@@ -143,28 +133,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_route(args) -> int:
-    topo = load_topology(args.topo)
-    cfg = _pipeline_config(args)
-    cfg.queries = [(args.src, args.dst)]
-    pipe = Pipeline(topo, cfg)
+    pipe = Pipeline(load_topology(args.topo), _pipeline_config(args))
     pipe.build_abstraction()
-    [res], _ = pipe.run_queries()
-    print(
-        json.dumps(
-            {
-                "s": args.src,
-                "t": args.dst,
-                "case": res.case_taken,
-                "path": res.path,
-                "euclidean_length": res.euclidean_length,
-                "udg_shortest": res.udg_shortest,
-                "ratio": res.competitive_ratio,
-                "rounds_used": res.rounds_used,
-                "longrange_msgs": res.longrange_msgs,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(query_row(pipe.query(args.src, args.dst)), sort_keys=True))
     return 0
 
 

@@ -40,7 +40,7 @@ from .holes import (
 from .ldel import HybridTopology, PlanarGraph, build_ldel2, check_connected
 from . import overlay
 from .overlay import BroadcastTree, RingProtocolResult, build_broadcast_tree, distribute_hulls
-from .routing import BACKEND_VIS, Router, measure_competitiveness
+from .routing import BACKEND_VIS, RouteResult, Router, measure_competitiveness
 from .simengine import RoundEngine
 
 # localized construction: broadcast, 1-hop exchange, 2-hop exchange,
@@ -166,7 +166,7 @@ class Pipeline:
         self.wave_rounds = 0
         self.protocol_rounds = 0
         # each ring's own rounds, long-range messages and bytes in the
-        # latest build, keyed by ring id (_close_wave)
+        # latest build, keyed by ring id (_record_ring_costs)
         self.ring_cost: dict[int, dict[str, int]] = {}
         # per-node long-range sends and ad hoc sends of the latest build
         self.build_longrange: dict[int, int] = {}
@@ -198,6 +198,7 @@ class Pipeline:
         eng = self.engine
         start = eng.round_no
         lr_start, adhoc_start = dict(eng.longrange_sent), eng.adhoc_sent
+        own_start = [dict(d) for d in (eng.session_rounds, eng.session_longrange, eng.session_bytes)]
         clock = time.perf_counter()
 
         def mark(label: str, begin: int) -> None:
@@ -217,9 +218,7 @@ class Pipeline:
         self.rings = form_rings(self.g, detect_boundary_nodes(self.g))
         mark("ring_detect", t)
 
-        wave = t = eng.round_no
-        self.ring_cost = {}
-        own_before = self._session_totals()
+        t = eng.round_no
         members = {r.ring_id: r.members for r in self.rings}
         # through the module, where perfbench/tracer.py wraps them
         self.jumps = overlay.pointer_jumping(eng, members)
@@ -230,7 +229,6 @@ class Pipeline:
         self.abstractions, self.protos = build_hull_abstraction(eng, self.rings, cubes)
         classify_rings(self.rings, self.protos)
         mark("ring_hulls", t)
-        self._close_wave("closed rings", self.rings, own_before, eng.round_no - wave)
 
         t = eng.round_no
         outer = next(r for r in self.rings if r.kind == KIND_OUTER_BOUNDARY)
@@ -241,13 +239,12 @@ class Pipeline:
             first_id=max(r.ring_id for r in self.rings) + 1,
         )
         cubes = {a.ring_id: self.protos[outer.ring_id].cube.arc(a.members) for a in arcs}
-        own_before = self._session_totals()
         arc_abstractions, arc_protos = build_hull_abstraction(eng, arcs, cubes)
         self.abstractions.update(arc_abstractions)
         self.protos.update(arc_protos)
         self.rings = self.rings + arcs
         mark("outer_holes", t)
-        self._close_wave("outer-hole arcs", arcs, own_before, eng.round_no - t)
+        self._record_ring_costs(own_start)
         self.wave_rounds = eng.round_no - start
 
         # the tree runs beside every phase since `start`; it is charged
@@ -276,25 +273,21 @@ class Pipeline:
         self.router = Router(self.g, self.rings, self.abstractions, backend=self.config.backend)
         self.seconds["router_s"] = time.perf_counter() - clock
 
-    def _session_totals(self) -> tuple[dict, ...]:
-        """The engine's per-session rounds, long-range messages and bytes so far."""
-        eng = self.engine
-        return dict(eng.session_rounds), dict(eng.session_longrange), dict(eng.session_bytes)
-
-    def _close_wave(
-        self, wave: str, rings: list[HoleRing], own_before: tuple[dict, ...], wave_rounds: int
-    ) -> None:
-        """Record each ring's own cost in the wave; one debug line for the wave, one per ring.
+    def _record_ring_costs(self, own_start: list[dict]) -> None:
+        """Record each ring's own cost in this build; one debug line per ring.
 
         A ring's own cost is its session's, election through hull
         broadcast: the rounds until it went quiet in each phase, its
-        long-range messages and the bytes of all its messages.
+        long-range messages and the bytes of all its messages, less the
+        session ledger at the build's start.  Ring ids are unique within
+        a build, so one pass after wave two covers both waves.
         """
-        now = self._session_totals()
-        log.debug("wave %s: %d rings in %d rounds", wave, len(rings), wave_rounds)
-        for r in rings:
+        eng = self.engine
+        now = (eng.session_rounds, eng.session_longrange, eng.session_bytes)
+        self.ring_cost = {}
+        for r in self.rings:
             rid = r.ring_id
-            rounds, longrange, nbytes = (a.get(rid, 0) - b.get(rid, 0) for a, b in zip(now, own_before))
+            rounds, longrange, nbytes = (a.get(rid, 0) - b.get(rid, 0) for a, b in zip(now, own_start))
             self.ring_cost[rid] = {"rounds": rounds, "longrange_messages": longrange, "bytes": nbytes}
             log.debug(
                 "ring %d %s: size %d, hull %d, own rounds %d, %d long-range, %d bytes",
@@ -422,7 +415,7 @@ class Pipeline:
         }
         for name, b in bounds.items():
             if not b["ok"]:
-                log.warning("bound %s failed: %s", name, _bound_summary(b))
+                log.warning("bound failed: %s", bound_line(name, b))
         return bounds
 
     # -- queries ----------------------------------------------------------------
@@ -440,19 +433,33 @@ class Pipeline:
         ids = sorted(self.topo.points)
         return [tuple(rng.sample(ids, 2)) for _ in range(cfg.query_count)]
 
-    def run_queries(self) -> tuple[list, dict]:
+    def query(self, s: int, t: int) -> RouteResult:
+        """Route one query from s to t.
+
+        The model: the source holds the target's id, and delivery teaches
+        the target the source's.  Neither is abstraction storage, so both
+        ends forget what the query taught them, also when routing fails.
+        """
+        if self.router is None:
+            raise NotReadyError("abstraction not built")
+        if s not in self.topo.points or t not in self.topo.points:
+            raise NodeLookupError(f"query endpoint {s},{t} unknown")
+        before = {v: set(self.topo.knows[v]) for v in (s, t)}
+        self.topo.learn(s, t)
+        try:
+            return self.router.route(self.engine, s, t)
+        finally:
+            overlay._forget_learned(self.engine, before, {})
+
+    def run_queries(self) -> tuple[list[RouteResult], dict]:
+        """Every pair of query_pairs() through query(), and their competitiveness summary.
+
+        The queries' rounds and seconds are recorded as the "queries" phase.
+        """
         if self.router is None:
             raise NotReadyError("abstraction not built")
         t, clock = self.engine.round_no, time.perf_counter()
-        results = []
-        for s, tgt in self.query_pairs():
-            # model: the source holds the target id, and delivery teaches the
-            # target the source's; neither is abstraction storage, so both
-            # ends forget what the query taught them
-            before = {v: set(self.topo.knows[v]) for v in (s, tgt)}
-            self.topo.learn(s, tgt)
-            results.append(self.router.route(self.engine, s, tgt))
-            overlay._forget_learned(self.engine, before, {})
+        results = [self.query(s, tgt) for s, tgt in self.query_pairs()]
         self.phase_rounds["queries"] = self.engine.round_no - t
         self.seconds["queries_s"] = time.perf_counter() - clock
         if results:
@@ -477,25 +484,6 @@ class Pipeline:
             "max_longrange_per_node_round": eng.max_longrange_per_node_round,
         }
         ok = all(v["ok"] for v in bounds.values())
-        rows = []
-        for res in results:
-            rows.append(
-                {
-                    "s": res.path[0],
-                    "t": res.path[-1],
-                    "case": res.case_taken,
-                    "path": res.path,
-                    "euclidean_length": res.euclidean_length,
-                    "udg_shortest": res.udg_shortest,
-                    "straight_line": res.straight_line,
-                    "ratio": res.competitive_ratio,
-                    "rounds_used": res.rounds_used,
-                    "longrange_msgs": res.longrange_msgs,
-                    "e_route": res.e_route,
-                    "replans": max(len(res.plans) - 1, 0),
-                    "planners": [planner for planner, _ in res.plans],
-                }
-            )
         return ExperimentReport(
             n=len(self.topo.points),
             backend=self.config.backend,
@@ -510,7 +498,7 @@ class Pipeline:
             holes=hole_report(self.rings, self.abstractions, self.ring_cost),
             per_case=summary["per_case"],
             max_ratio=summary["max_ratio"],
-            queries=rows,
+            queries=[query_row(res) for res in results],
         )
 
     def run(self) -> ExperimentReport:
@@ -527,20 +515,8 @@ class Pipeline:
     # -- maintenance ----------------------------------------------------------------
 
     def abstraction_digest(self) -> str:
-        """Stable digest of hulls, bays, and dominating sets."""
-        payload = []
-        for r in sorted(self.rings, key=lambda r: r.ring_id):
-            ab = self.abstractions[r.ring_id]
-            payload.append(
-                [
-                    r.ring_id,
-                    r.kind,
-                    ab.hull_nodes,
-                    [[list(b.edge), b.members] for b in ab.bay_areas],
-                    [sorted(ab.dominating_sets[i]) for i in sorted(ab.dominating_sets)],
-                ]
-            )
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        """sha256 of abstraction_dict() as sorted JSON: rings, hulls, bays and dominating sets."""
+        return hashlib.sha256(json.dumps(self.abstraction_dict(), sort_keys=True).encode()).hexdigest()
 
     def periodic_recompute(self, interval: int = 0) -> dict:
         """Re-run every abstraction phase, reusing the broadcast tree.
@@ -608,12 +584,34 @@ class Pipeline:
         return out
 
 
-def _bound_summary(b: dict) -> str:
-    if "rings" in b:
-        bad = [row["ring_id"] for row in b["rings"] if not row["ok"]]
-        return f"rings {bad}"
-    measured = b.get("measured", b.get("measured_max"))
-    return f"measured {measured} > bound {b['bound']:.1f}"
+def query_row(res: RouteResult) -> dict:
+    """The report's row for one routed query."""
+    return {
+        "s": res.path[0],
+        "t": res.path[-1],
+        "case": res.case_taken,
+        "path": res.path,
+        "euclidean_length": res.euclidean_length,
+        "udg_shortest": res.udg_shortest,
+        "straight_line": res.straight_line,
+        "ratio": res.competitive_ratio,
+        "rounds_used": res.rounds_used,
+        "longrange_msgs": res.longrange_msgs,
+        "e_route": res.e_route,
+        "replans": max(len(res.plans) - 1, 0),
+        "planners": [planner for planner, _ in res.plans],
+    }
+
+
+def bound_line(name: str, row: dict) -> str:
+    """bound_audit()'s row `name` on one line: the measured value, its bound and the verdict."""
+    if "rings" in row:
+        worst = max((r["jump_rounds"] / r["round_bound"] for r in row["rings"]), default=0.0)
+        return f"{name}: {len(row['rings'])} rings, worst ratio {worst:.3f}, ok={row['ok']}"
+    if "measured" in row:
+        ratio = row["measured"] / row["bound"]
+        return f"{name}: {row['measured']} <= {row['bound']:.1f} (ratio {ratio:.3f}), ok={row['ok']}"
+    return f"{name}: {row['measured_max']} <= {row['bound']:.1f}, ok={row['ok']}"
 
 
 def run_pipeline(topo: HybridTopology, config: PipelineConfig | None = None) -> ExperimentReport:

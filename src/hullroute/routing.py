@@ -399,7 +399,6 @@ class RouteResult:
     case_taken: str
     rounds_used: int
     longrange_msgs: int
-    backend: str = BACKEND_VIS
     e_route: int = 0
     legs: list[tuple[float, float]] = field(default_factory=list)
     # each waypoint plan, re-plans included: (planning hull node, chain)
@@ -436,7 +435,6 @@ class Router:
         if backend not in (BACKEND_VIS, BACKEND_ODEL):
             raise DispatchError(f"unknown backend {backend!r}")
         self.g = g
-        self.backend = backend
         self.obstacles: list[_RingCtx] = []
         self._face_ring: dict[int, _RingCtx] = {}
         for ring in rings:
@@ -457,9 +455,6 @@ class Router:
             raise NotReadyError("outer boundary ring missing")
         vis = build_visibility_graph([c.polygon for c in self.obstacles])
         self.waypoints = vis if backend == BACKEND_VIS else build_overlay_delaunay(vis)
-        # waypoint plans of the current query; a query calls _route_outside
-        # at most once, so every plan after the first is a re-plan
-        self._plans: list[tuple[NodeId, list[NodeId]]] = []
 
     # -- construction helpers ----------------------------------------------
 
@@ -545,11 +540,13 @@ class Router:
 
     # -- case 1: both endpoints outside all hulls ------------------------------
 
-    def _route_outside(self, s: NodeId, t: NodeId) -> tuple[list[NodeId], str, list[tuple[float, float]]]:
+    def _route_outside(self, s: NodeId, t: NodeId):
+        """Walk, case, waypoint legs and plans; every plan after the first is a re-plan."""
         path, out = chew_route(self.g, s, t)
         if isinstance(out, ReachedTarget):
-            return path, "Visible", []
+            return path, "Visible", [], []
         legs: list[tuple[float, float]] = []
+        plans: list[tuple[NodeId, list[NodeId]]] = []
         budget = 4 * len(self.obstacles) + 8
         points = self.g.points
         while budget > 0:
@@ -558,7 +555,7 @@ class Router:
             walk = self._nearest_hull(ctx, out.node)
             path += walk[1:]
             chain = overlay_shortest_path(self.waypoints, path[-1], t, points)
-            self._plans.append((path[-1], chain))
+            plans.append((path[-1], chain))
             done = True
             for a, b in zip(chain, chain[1:]):
                 leg_path, hit = self._leg(a, b)
@@ -569,7 +566,7 @@ class Router:
                     break
                 legs.append((dist(points[a], points[b]), _polyline_length(self.g, leg_path)))
             if done:
-                return path, "Case1", legs
+                return path, "Case1", legs, plans
         raise NoPathError(f"waypoint replanning budget exhausted between {s} and {t}")
 
     # -- machinery inside one bay -----------------------------------------
@@ -651,9 +648,8 @@ class Router:
             raise NotReadyError("route query during a protocol phase")
         if s not in self.g.points or t not in self.g.points:
             raise NodeLookupError(f"route endpoints {s},{t} not in graph")
-        self._plans = []
         if s == t:
-            return RouteResult([s], 0.0, 0.0, 0.0, 1.0, "Visible", 0, 0, self.backend)
+            return RouteResult([s], 0.0, 0.0, 0.0, 1.0, "Visible", 0, 0)
         ls, lt = self.locate(s), self.locate(t)
         if ls is None and lt is None:
             case = "Case1"  # refined to Visible by _route_outside
@@ -664,23 +660,23 @@ class Router:
         else:
             case = "Case4" if ls[0] is lt[0] else "Case3"
         try:
-            path, case, legs, e_route = self._plan(s, t, ls, lt, case)
+            path, case, legs, e_route, plans = self._plan(s, t, ls, lt, case)
         except (NoPathError, GeometryInconsistencyError) as exc:
             raise type(exc)(f"{case}: {exc}") from exc
-        return self._deliver(engine, s, t, path, case, legs, e_route)
+        return self._deliver(engine, s, t, path, case, legs, e_route, plans)
 
     def _plan(self, s, t, ls, lt, case):
-        """The walk of one query, with its refined case, waypoint legs and |E|."""
+        """The walk of one query, with its refined case, waypoint legs, |E| and waypoint plans."""
         if case == "Case5":
             path, e_route = self._bay_core(*ls, s, t)
-            return path, case, [], e_route
+            return path, case, [], e_route, []
         pt_s, pt_t = self.g.points[s], self.g.points[t]
         a = self._bay_exit(*ls, s, pt_t) if ls else s
         b = self._bay_exit(*lt, t, pt_s) if lt else t
         path, e_route = self._bay_core(*ls, s, a) if ls else ([s], 0)
-        legs: list[tuple[float, float]] = []
+        legs, plans = [], []
         if a != b:
-            p, outside, legs = self._route_outside(a, b)
+            p, outside, legs, plans = self._route_outside(a, b)
             path += p[1:]
             if case == "Case1":
                 case = outside
@@ -688,9 +684,9 @@ class Router:
             p, e = self._bay_core(*lt, b, t)
             path += p[1:]
             e_route += e
-        return path, case, legs, e_route
+        return path, case, legs, e_route, plans
 
-    def _deliver(self, engine, s, t, path, case, legs, e_route) -> RouteResult:
+    def _deliver(self, engine, s, t, path, case, legs, e_route, plans) -> RouteResult:
         """Send the data along the planned walk and measure it."""
         path = _dedup_consecutive(path)
         _check_walkable(self.g, path)
@@ -701,10 +697,9 @@ class Router:
         sl = dist(self.g.points[s], self.g.points[t])
         d = _udg_shortest(engine.topo, s, t)
         ratio = length / d if d > 0 else 1.0
-        replans = max(len(self._plans) - 1, 0)
+        replans = max(len(plans) - 1, 0)
         log.debug("query %d->%d: %s, %d hops, %d replans", s, t, case, len(path) - 1, replans)
-        return RouteResult(list(path), length, d, sl, ratio, case, rounds, lr,
-                           self.backend, e_route, legs, self._plans)
+        return RouteResult(list(path), length, d, sl, ratio, case, rounds, lr, e_route, legs, plans)
 
     # -- engine traffic -----------------------------------------------------------
 

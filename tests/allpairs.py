@@ -19,7 +19,6 @@ import hashlib
 import json
 import sys
 
-from hullroute import overlay
 from hullroute.errors import HullrouteError
 from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.routing import BACKEND_ODEL, BACKEND_VIS
@@ -31,7 +30,7 @@ FIXTURES = ("grid36-hole4", "cshape-40", "crescent-24", "star12-4")
 def sweep(name: str, backend: str) -> dict:
     pipe = Pipeline(fixture_topology(name), PipelineConfig(backend=backend))
     pipe.build_abstraction()
-    topo, eng = pipe.topo, pipe.engine
+    topo = pipe.topo
     digest = hashlib.sha256()
     cases: dict[str, dict] = {}
     routed = failures = revisits = 0
@@ -39,18 +38,13 @@ def sweep(name: str, backend: str) -> dict:
         for t in topo.ids:
             if s == t:
                 continue
-            # as in Pipeline.run_queries: the source learns the target's id,
-            # and both ends forget what the query taught them
-            before = {v: set(topo.knows[v]) for v in (s, t)}
-            topo.learn(s, t)
             try:
-                res = pipe.router.route(eng, s, t)
+                res = pipe.query(s, t)
             except HullrouteError:
                 failures += 1
                 continue
             finally:
-                overlay._forget_learned(eng, before, {})
-                eng.transcript.clear()
+                pipe.engine.transcript.clear()
             routed += 1
             revisits += len(set(res.path)) < len(res.path)
             slot = cases.setdefault(res.case_taken, {"count": 0, "worst_ratio": 0.0})

@@ -280,7 +280,7 @@ def test_06_hole_classification(stacks, scale2048):
     for pipe in list(stacks.values()) + [scale2048]:
         for r in pipe.rings:
             if r.kind == "OuterHole":
-                continue  # arcs are found by hull-edge length, not angle sum
+                continue  # arcs are found by hull-edge length, not by hull rank order
             target = 360.0 if r.kind == KIND_OUTER_BOUNDARY else -360.0
             pts = [pipe.topo.points[v] for v in r.members]
             area2 = sum(
@@ -288,8 +288,9 @@ def test_06_hole_classification(stacks, scale2048):
                 for i in range(len(pts))
             )
             # faces are walked with the region on the left: the outer
-            # boundary is clockwise (negative area, +360 turn total),
-            # holes are counterclockwise (positive area, -360)
+            # boundary is clockwise (negative area, hull ranks descending,
+            # +360), holes are counterclockwise (positive area, ranks
+            # ascending, -360)
             oracle_kind = KIND_OUTER_BOUNDARY if area2 < 0 else KIND_INNER
             checked += 1
             if abs(r.orientation_sum - target) > 1e-6:
@@ -298,8 +299,8 @@ def test_06_hole_classification(stacks, scale2048):
                 bad += 1
     ok = bad == 0 and checked > 0
     emit(
-        f"CRITERION 6 ring angle sums: {verdict(ok)} — {checked} classified rings, "
-        f"all within 1e-6 of +/-360 and kind matches the shoelace oracle: {bad == 0}"
+        f"CRITERION 6 ring orientation from hull rank order: {verdict(ok)} — {checked} classified rings, "
+        f"orientation_sum +/-360 (within 1e-6) and kind matches the shoelace oracle: {bad == 0}"
     )
     assert ok, (checked, bad)
 

@@ -196,7 +196,9 @@ def test_classification_matches_signed_area(grid):
 
 
 def test_classify_rejects_figure_eight():
-    # a bowtie walk's turns cancel to 0 degrees, not +-360
+    # a bowtie walk meets its 4-point hull out of hull order: the ranks
+    # read around the hull are a rotation of neither an ascending nor a
+    # descending list
     pts = {
         0: Point(0.0, 0.0),
         1: Point(0.8, 0.0),

@@ -23,6 +23,7 @@ from hullroute.errors import (
     ConfigError,
     DisconnectedError,
     NodeLookupError,
+    NoPathError,
     NotReadyError,
 )
 from hullroute.geometry import Point, Polygon
@@ -206,29 +207,32 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # ring's orientation off the merged hull's ranks; message counts and
 # long-range digests did not move.  The abstraction digests are those of the
 # ring-by-ring build; they changed once, in their dominating-set field
-# only, when the randomized dominating sets gave way to the rank rule.
+# only, when the randomized dominating sets gave way to the rank rule, and
+# once more when abstraction_digest() became the sha256 of
+# abstraction_dict(), which lists each ring's members besides its hull,
+# bays and dominating sets; the abstraction itself did not change.
 # The `href` traffic, one entry per hull node, is checked against
 # oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
         381, 26048,
         "43cebf4cf5c1370ece5f316c9674b19c42fe80dde7e8e1acbaf35a177540c105",
-        "167515271a2a6fe0f0f4ce2d41f30afb50a20d1c038a740e9c73a7fcea2996c7",
+        "a7b26bf1fb93bd01d77586086e75fb9820d9b268ce6a4c1e025621cc7c86b70c",
     ),
     "crescent-24": (
         1336, 86043,
         "3ee96c637c64114037e7116bcf2416ad15b9d690af4d867bb30973ff43747371",
-        "5ef187bed93cad33b7ac12095d12af1656e255349cc5fa6605727ab0e229df6a",
+        "29ab548323b7634d31b4f851a25c687c454eef3a19d19b0eefff3a81bfbfa89b",
     ),
     "star12-4": (
         1512, 98667,
         "9f7c664d398ec2d849f76d849e73b7d827c54c41d0c36716c91b1caae0e92550",
-        "64e300e5b6dceb5dd6953f4830f3666a1869794a546ff32d0893dbbfb1b6c921",
+        "3fd08477bcb17a9f374e537900974b98dda52db185b29e1eb86ef7347df63df0",
     ),
     "scale-512-1": (
         1928, 125906,
         "bd08a4a734935eb57f7d20c55f7c3d2e9707865b9349fa6759748d49e3980e81",
-        "d89677386b7240cc70ded07b762f05ab59f609d5529063c7552deed69a6a251a",
+        "c6cd8895cfd45b0508152e2a1b340b09ca3305ea86ce85402d66885427f54482",
     ),
 }
 
@@ -780,6 +784,56 @@ def test_query_ids_stay_out_of_the_next_builds_storage_audit(name):
     assert all(b["ok"] for b in pipe.bound_audit().values())
 
 
+def _strangers(pipe) -> tuple[int, int]:
+    """The first pair of nodes, by id, neither of which knows the other."""
+    knows, ids = pipe.topo.knows, pipe.topo.ids
+    return next((s, t) for s in ids for t in ids if s != t and t not in knows[s] and s not in knows[t])
+
+
+def test_query_leaves_both_ends_knowing_what_they_knew(monkeypatch):
+    # the source holds the target's id while the query runs and delivery
+    # teaches the target the source's; both ends forget them afterwards,
+    # also when routing raises
+    pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
+    pipe.build_abstraction()
+    knows = pipe.topo.knows
+    s, t = _strangers(pipe)
+    before = {v: set(knows[v]) for v in (s, t)}
+    route, held = pipe.router.route, []
+
+    def spy(engine, a, b):
+        res = route(engine, a, b)
+        held.append((b in knows[a], a in knows[b]))
+        return res
+
+    monkeypatch.setattr(pipe.router, "route", spy)
+    res = pipe.query(s, t)
+    assert (res.path[0], res.path[-1], held) == (s, t, [(True, True)])
+    assert {v: set(knows[v]) for v in (s, t)} == before
+
+    def fail(engine, a, b):
+        held.append((b in knows[a], a in knows[b]))
+        raise NoPathError("no walk")
+
+    monkeypatch.setattr(pipe.router, "route", fail)
+    with pytest.raises(NoPathError):
+        pipe.query(s, t)
+    assert held[-1] == (True, False)
+    assert {v: set(knows[v]) for v in (s, t)} == before
+
+
+@pytest.mark.parametrize("s,t", [(4, 9999), (9999, 4)])
+def test_query_rejects_an_unknown_endpoint_before_anything_is_learned(s, t):
+    pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
+    pipe.build_abstraction()
+    knows = {v: set(k) for v, k in pipe.topo.knows.items()}
+    rounds, sent = pipe.engine.round_no, len(pipe.engine.transcript)
+    with pytest.raises(NodeLookupError):
+        pipe.query(s, t)
+    assert pipe.topo.knows == knows
+    assert (pipe.engine.round_no, len(pipe.engine.transcript)) == (rounds, sent)
+
+
 def test_recompute_after_small_move_rebuilds_cleanly():
     pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
     pipe.run()
@@ -915,6 +969,17 @@ def test_cli_full_workflow(tmp_path, capsys):
     ]) == 0
     svg = svg_p.read_text()
     assert svg.count('class="route"') == 5
+
+
+def test_cli_route_prints_the_row_run_reports_for_the_pair(tmp_path, capsys):
+    topo_p, queries_p, report_p = tmp_path / "topo.json", tmp_path / "q.json", tmp_path / "report.json"
+    assert cli_main(["gen", "--fixture", "grid36-hole4", "--out", str(topo_p)]) == 0
+    queries_p.write_text(json.dumps([[4, 12]]))
+    assert cli_main(["run", "--topo", str(topo_p), "--queries", str(queries_p), "--report", str(report_p)]) == 0
+    capsys.readouterr()
+    assert cli_main(["route", "--topo", str(topo_p), "--src", "4", "--dst", "12"]) == 0
+    [row] = json.loads(report_p.read_text())["queries"]
+    assert json.loads(capsys.readouterr().out) == row
 
 
 def test_cli_timings_stay_out_of_the_report(tmp_path):
