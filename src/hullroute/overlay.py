@@ -56,7 +56,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import DegenerateInputError, GeometryInconsistencyError, SimulationAbortError
 from .geometry import monotone_hull
@@ -124,10 +124,13 @@ class BroadcastTree:
     parent: dict[NodeId, NodeId]
     height: int
 
-    def depths(self) -> dict[NodeId, int]:
-        """Each node's hops up to the root, read off `parent`."""
+    def depths(self, nodes: Iterable[NodeId]) -> dict[NodeId, int]:
+        """Hops up to the root of each of `nodes` and of every node on their root paths.
+
+        Walks only those paths, read off `parent`; the root is always in.
+        """
         depth = {self.root: 0}
-        for v in self.parent:
+        for v in nodes:
             path = []
             while v not in depth:
                 path.append(v)
@@ -666,44 +669,42 @@ def build_broadcast_tree(engine: RoundEngine, began: int) -> BroadcastTree:
 
 
 def distribute_hulls(
-    engine: RoundEngine,
-    tree: BroadcastTree,
-    hull_refs: list[tuple[NodeId, float, float, int]],
-) -> int:
+    engine: RoundEngine, tree: BroadcastTree, hulls: Mapping[Hashable, list[NodeId]]
+) -> None:
     """Gather one entry per hull node at the tree root, then cast them down a heap of hull nodes.
 
-    `hull_refs` holds one (id, x, y, ring) reference per hull node and
-    ring; a hull node's entry is [id, x, y, ring, ...], one point with
-    every ring it is a hull node of, so a node on two hulls ships its id
-    and position once.  Gather leg, a convergecast: a node at depth d
-    sends its parent every entry its subtree holds, once, in round
-    tree.height - d, when its children's have all arrived; only the
-    owners' root paths carry traffic.  In round tree.height the root
-    holds every entry and, from their introductions, every hull id.
-    Cast leg: the hull nodes form a binary heap over `order`, their
-    sorted ids.  The root sends every entry to order[0], or starts the
-    heap itself if it is order[0].  A hull node receives all of it in
-    one round, knows `order` from it and its own entry, and forwards to
-    its heap children 2i+1 and 2i+2 every entry but each child's own.  A
-    message carries at most ceil(log2 n) entries and introduces their
-    ids, which the entries leave out on the wire (_cut).
+    `hulls` holds each non-outer ring's hull node ids, by ring.  A hull
+    node's entry is [x, y, ring, ...], its position once and then every
+    ring it is a hull node of, in the order of `hulls`.  The phase is one
+    session whose members are the hull nodes, which own every entry, and
+    the tree root; a relay acts only when its children's entries arrive.
+    Gather leg, a convergecast: a node at depth d sends its parent every
+    entry its subtree holds, once, in round tree.height - d, when its
+    children's have all arrived; only the owners' root paths carry
+    traffic.  In round tree.height the root holds every entry and, from
+    their introductions, every hull id.  Cast leg: the hull nodes form a
+    binary heap over `order`, their sorted ids.  The root sends every
+    entry to order[0], or starts the heap itself if it is order[0].  A
+    hull node receives all of it in one round, knows `order` from it and
+    its own entry, and forwards to its heap children 2i+1 and 2i+2 every
+    entry but each child's own.  A message carries at most ceil(log2 n)
+    entries and introduces their ids, which the entries leave out on the
+    wire (_cut).
 
-    The hull nodes, which own every entry, keep the hull ids they learn.
-    Every other id the phase taught a node is forgotten once it ends, so
-    relays, a root that is no hull node included, end as they began.
-    Returns the number of entry deliveries.
+    The hull nodes keep the hull ids they learn.  Every other id the
+    phase taught a node on the owners' root paths, the only nodes that
+    hear anything, is forgotten once it ends, so relays, a root that is
+    no hull node included, end as they began.
     """
     topo = engine.topo
     height, start = tree.height, engine.round_no
-    depth = tree.depths()
-    before = {v: set(topo.knows[v]) for v in topo.ids}
-    # each hull node's entry as it goes on the wire, by id: [x, y, ring, ...]
     own: dict[NodeId, list] = {}
-    for v, x, y, ring in hull_refs:
-        own.setdefault(v, [x, y]).append(ring)
-    # the entries a node sends its parent in the gather: its own, its children's
-    held = {v: {v: entry} for v, entry in own.items()}
-    deliveries = 0
+    for ring, ids in hulls.items():
+        for v in ids:
+            p = topo.points[v]
+            own.setdefault(v, [p.x, p.y]).append(ring)
+    depth = tree.depths(own)
+    before = {v: set(topo.knows[v]) for v in depth}
 
     def send(eng: RoundEngine, v: NodeId, dst: NodeId, entries: dict) -> None:
         for chunk, ids in _cut(eng, entries):
@@ -717,18 +718,15 @@ def distribute_hulls(
             send(eng, v, c, {w: entries[w] for w in order if w != c})
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        nonlocal deliveries
         got = {w: e for m in inbox for w, e in _uncut(m, "refs").items()}
-        deliveries += sum(len(m.intro_ids) for m in inbox)
         t = eng.round_no - start
+        if v in own:
+            got[v] = own[v]
         if t > height:
-            if got:
-                serve(eng, v, {**got, v: own[v]})
-            return True
-        if got:
-            held.setdefault(v, {}).update(got)
-        if t == height - depth[v]:
-            sub = dict(sorted(held.pop(v, {}).items()))
+            if inbox:
+                serve(eng, v, got)
+        elif t == height - depth[v]:
+            sub = dict(sorted(got.items()))
             if v != tree.root:
                 send(eng, v, tree.parent[v], sub)
             elif sub:
@@ -739,13 +737,15 @@ def distribute_hulls(
                     send(eng, v, first, {w: e for w, e in sub.items() if w != first})
         return v != tree.root or t >= height
 
-    report = engine.run_phase("hull_distribution", handler, max_rounds=2 * height + 1)
+    members = {*own, tree.root}
+    rounds = engine.run_sessions(
+        "hull_distribution", {None: (members, handler)}, max_rounds=2 * height + 1
+    )[None].rounds
     _forget_learned(engine, before, dict.fromkeys(own, set(own)))
     log.debug(
         "hull distribution: gather %d rounds, cast %d rounds, %d references, heap of %d",
-        height, report.rounds - height, len(hull_refs), len(own),
+        height, rounds - height, sum(map(len, hulls.values())), len(own),
     )
-    return deliveries
 
 
 # ---------------------------------------------------------------------------

@@ -172,10 +172,9 @@ class Pipeline:
         self.build_longrange: dict[int, int] = {}
         self.build_adhoc = 0
         self._knows_after_build: dict[int, set[int]] | None = None
-        # the latest build's hull references and hull ids, and its storage
-        # audit once measured
-        self._refs: list[tuple[int, float, float, int]] = []
-        self._hull_ids: set[int] = set()
+        # the latest build's hull node ids of each non-outer ring, and its
+        # storage audit once measured
+        self._hulls: dict[int, list[int]] = {}
         self._storage: dict | None = None
 
     # -- abstraction phases --------------------------------------------------
@@ -199,38 +198,33 @@ class Pipeline:
         start = eng.round_no
         lr_start, adhoc_start = dict(eng.longrange_sent), eng.adhoc_sent
         own_start = [dict(d) for d in (eng.session_rounds, eng.session_longrange, eng.session_bytes)]
-        clock = time.perf_counter()
+        began, clock = start, time.perf_counter()
 
-        def mark(label: str, begin: int) -> None:
-            nonlocal clock
-            self.phase_rounds[label] = eng.round_no - begin
+        def mark(label: str) -> None:
+            nonlocal began, clock
+            self.phase_rounds[label] = eng.round_no - began
             now = time.perf_counter()
             self.seconds[f"{label}_s"] = now - clock
-            clock = now
+            began, clock = eng.round_no, now
 
-        t = eng.round_no
         eng.charge_rounds(LDEL_BUILD_ROUNDS, "ldel2_build")
         self.g = build_ldel2(self.topo)
-        mark("ldel2_build", t)
+        mark("ldel2_build")
 
-        t = eng.round_no
         eng.charge_rounds(RING_DETECT_ROUNDS, "ring_detect")
         self.rings = form_rings(self.g, detect_boundary_nodes(self.g))
-        mark("ring_detect", t)
+        mark("ring_detect")
 
-        t = eng.round_no
         members = {r.ring_id: r.members for r in self.rings}
         # through the module, where perfbench/tracer.py wraps them
         self.jumps = overlay.pointer_jumping(eng, members)
-        mark("classification", t)
+        mark("classification")
 
-        t = eng.round_no
         cubes = overlay.assign_hypercube_ids(eng, members, self.jumps)
         self.abstractions, self.protos = build_hull_abstraction(eng, self.rings, cubes)
         classify_rings(self.rings, self.protos)
-        mark("ring_hulls", t)
+        mark("ring_hulls")
 
-        t = eng.round_no
         outer = next(r for r in self.rings if r.kind == KIND_OUTER_BOUNDARY)
         arcs = detect_outer_holes(
             self.g,
@@ -243,21 +237,23 @@ class Pipeline:
         self.abstractions.update(arc_abstractions)
         self.protos.update(arc_protos)
         self.rings = self.rings + arcs
-        mark("outer_holes", t)
+        mark("outer_holes")
         self._record_ring_costs(own_start)
         self.wave_rounds = eng.round_no - start
 
         # the tree runs beside every phase since `start`; it is charged
         # here only for the rounds it still needs, and a reused one needs none
-        t = eng.round_no
         if self.tree is None:
             self.tree = build_broadcast_tree(eng, start)
-        mark("broadcast_tree", t)
+        mark("broadcast_tree")
 
-        t = eng.round_no
-        self._refs, self._hull_ids = self._hull_refs()
-        distribute_hulls(eng, self.tree, self._refs)
-        mark("hull_distribution", t)
+        self._hulls = {
+            r.ring_id: self.abstractions[r.ring_id].hull_nodes
+            for r in self.rings
+            if r.kind != KIND_OUTER_BOUNDARY
+        }
+        distribute_hulls(eng, self.tree, self._hulls)
+        mark("hull_distribution")
 
         self.protocol_rounds = eng.round_no - start
         self.build_longrange = {
@@ -295,18 +291,6 @@ class Pipeline:
                 rounds, longrange, nbytes,
             )
 
-    def _hull_refs(self):
-        refs: list[tuple[int, float, float, int]] = []
-        keep: set[int] = set()
-        for r in self.rings:
-            if r.kind == KIND_OUTER_BOUNDARY:
-                continue
-            for v in self.abstractions[r.ring_id].hull_nodes:
-                p = self.topo.points[v]
-                refs.append((v, p.x, p.y, r.ring_id))
-                keep.add(v)
-        return refs, keep
-
     # -- audits ----------------------------------------------------------------
 
     def storage_audit(self) -> dict:
@@ -315,7 +299,7 @@ class Pipeline:
             raise NotReadyError("abstraction not built")
         if self._storage is not None:
             return self._storage
-        hull_nodes = self._hull_ids
+        hull_nodes = set().union(*self._hulls.values())
         ring_members = set()
         for r in self.rings:
             ring_members.update(r.members)
@@ -325,8 +309,7 @@ class Pipeline:
             v: len(self._knows_after_build[v] - self.baseline_knows[v])
             for v in self.topo.ids
         }
-        # one reference per hull node per non-outer ring
-        sum_hull = len(self._refs)
+        sum_hull = sum(map(len, self._hulls.values()))
         max_p = max(len(r.members) for r in self.rings)
 
         def cls_stats(nodes: set[int], budget: float) -> dict:
@@ -404,7 +387,7 @@ class Pipeline:
             }
 
         # Case1 plans at any hull node, so each must hold every other hull id
-        hull_nodes = self._hull_ids
+        hull_nodes = set().union(*self._hulls.values())
         knows = self._knows_after_build
         missing = max((len(hull_nodes - knows[v] - {v}) for v in hull_nodes), default=0)
         bounds["hull_refs"] = {
@@ -462,11 +445,7 @@ class Pipeline:
         results = [self.query(s, tgt) for s, tgt in self.query_pairs()]
         self.phase_rounds["queries"] = self.engine.round_no - t
         self.seconds["queries_s"] = time.perf_counter() - clock
-        if results:
-            summary = measure_competitiveness(self.topo, results)
-        else:
-            summary = {"per_case": {}, "max_ratio": 0.0, "count": 0}
-        return results, summary
+        return results, measure_competitiveness(self.topo, results)
 
     # -- assembly ----------------------------------------------------------------
 
@@ -608,10 +587,11 @@ def bound_line(name: str, row: dict) -> str:
     if "rings" in row:
         worst = max((r["jump_rounds"] / r["round_bound"] for r in row["rings"]), default=0.0)
         return f"{name}: {len(row['rings'])} rings, worst ratio {worst:.3f}, ok={row['ok']}"
+    op = "<=" if row["ok"] else ">"
     if "measured" in row:
         ratio = row["measured"] / row["bound"]
-        return f"{name}: {row['measured']} <= {row['bound']:.1f} (ratio {ratio:.3f}), ok={row['ok']}"
-    return f"{name}: {row['measured_max']} <= {row['bound']:.1f}, ok={row['ok']}"
+        return f"{name}: {row['measured']} {op} {row['bound']:.1f} (ratio {ratio:.3f}), ok={row['ok']}"
+    return f"{name}: {row['measured_max']} {op} {row['bound']:.1f}, ok={row['ok']}"
 
 
 def run_pipeline(topo: HybridTopology, config: PipelineConfig | None = None) -> ExperimentReport:

@@ -684,10 +684,6 @@ def test_broadcast_tree_charges_only_the_rounds_it_still_needs(elapsed, charged)
     assert eng.transcript[-1]["tag"] == f"charge:broadcast_tree:{charged}"
 
 
-def _line_refs(owners):
-    return [(v, round(v * 0.9, 6), 0.0, ring) for v, ring in owners]
-
-
 def heap_tree(eng, ids):
     """The broadcast tree's heap layout over ids in the given order, edges known to both ends."""
     parent = {ids[i]: ids[(i - 1) // 2] for i in range(1, len(ids))}
@@ -697,42 +693,49 @@ def heap_tree(eng, ids):
     return BroadcastTree(ids[0], parent, len(ids).bit_length() - 1)
 
 
-# (nodes, the tree's heap order or None for the sorted ids, hull references)
+# (nodes, the tree's heap order or None for the sorted ids, hull ids by ring)
 FLOODS = [
     # every owner sits under the root's child 2; node 1's subtree holds none
-    (9, None, _line_refs([(2, 0), (5, 0)])),
+    (9, None, {0: [2, 5]}),
     # owners at depths 3 and 4, node 19 is on two hulls but has one entry,
     # and node 1 sends its subtree's nine entries up at once, in two
     # messages of at most ceil(log2 31) = 5
-    (31, None, _line_refs([(7, 0)] + [(v, 1) for v in range(15, 23)] + [(19, 2)])),
+    (31, None, {0: [7], 1: list(range(15, 23)), 2: [19]}),
     # the root is order[0] and starts the heap itself
-    (15, None, _line_refs([(0, 0), (4, 0), (9, 1), (12, 1), (13, 1)])),
+    (15, None, {0: [0, 4], 1: [9, 12, 13]}),
     # the root, node 6, is order[1]: it sends order[0] everything, then
     # hears it all again from order[0] in the cast
-    (15, [6] + [v for v in range(15) if v != 6], _line_refs([(2, 0), (6, 0), (9, 0), (13, 1)])),
-    # no reference at all
-    (9, None, []),
+    (15, [6] + [v for v in range(15) if v != 6], {0: [2, 6, 9], 1: [13]}),
+    # no hull node at all
+    (9, None, {}),
 ]
 
 
 def test_distribute_hulls_floods_once_and_forgets(monkeypatch):
-    for n, heap_ids, refs in FLOODS:
-        _check_flood(n, heap_ids, refs, monkeypatch)
+    for n, heap_ids, hulls in FLOODS:
+        _check_flood(n, heap_ids, hulls, monkeypatch)
 
 
-def _check_flood(n, heap_ids, refs, monkeypatch):
+def flood_tree(n, heap_ids):
     eng = line_engine(n)
     tree = build_broadcast_tree(eng, eng.round_no) if heap_ids is None else heap_tree(eng, heap_ids)
+    return eng, tree
+
+
+def _check_flood(n, heap_ids, hulls, monkeypatch):
+    eng, tree = flood_tree(n, heap_ids)
     cap = math.ceil(math.log2(n))
     # one entry per hull node: its id and position once, then its rings
     entries: dict = {}
-    for v, x, y, ring in refs:
-        entries.setdefault(v, [v, x, y]).append(ring)
+    for ring, ids in hulls.items():
+        for v in ids:
+            p = eng.topo.points[v]
+            entries.setdefault(v, [v, p.x, p.y]).append(ring)
     entries = {v: tuple(e) for v, e in entries.items()}
     keep = set(entries)
     pre = {v: set(eng.topo.knows[v]) for v in eng.topo.ids}
     start = eng.round_no
-    depth = tree.depths()
+    depth = tree.depths(eng.topo.ids)
     gather = {v: [] for v in eng.topo.ids}
     cast = {v: [] for v in eng.topo.ids}
     gather_sends: dict = {}
@@ -751,11 +754,10 @@ def _check_flood(n, heap_ids, refs, monkeypatch):
         send(src, dst, payload, **kw)
 
     monkeypatch.setattr(eng, "send", spy)
-    deliveries = distribute_hulls(eng, tree, refs)
+    distribute_hulls(eng, tree, hulls)
     phase = eng.phase_reports[-1]
     assert phase.label == "hull_distribution"
     assert phase.rounds <= 2 * tree.height + 1
-    assert deliveries == sum(len(got) for leg in (gather, cast) for got in leg.values())
     # a relay sends up once, in round height - depth, full messages but its last
     for v, sends in gather_sends.items():
         assert {r for r, _ in sends} == {start + tree.height - depth[v]}, v
@@ -777,13 +779,57 @@ def _check_flood(n, heap_ids, refs, monkeypatch):
     for v in set(eng.topo.ids) - keep:
         assert cast[v] == [], v
     hrefs = Counter((t["src"], t["dst"]) for t in eng.transcript if t["tag"] == "href")
-    assert hrefs == brute_hull_gather_cast(tree, [r[0] for r in refs])
+    assert hrefs == brute_hull_gather_cast(tree, [v for ids in hulls.values() for v in ids])
     for v in eng.topo.ids:
         if v in keep:
             assert keep - {v} <= eng.topo.knows[v]
             assert eng.topo.knows[v] - pre[v] <= keep
         else:
             assert eng.topo.knows[v] == pre[v]
+
+
+def root_paths(tree, owners):
+    """The tree root and every node on an owner's path up to it."""
+    out = {tree.root}
+    for v in owners:
+        while v != tree.root:
+            out.add(v)
+            v = tree.parent[v]
+    return out
+
+
+def test_distribute_hulls_wakes_only_the_owners_root_paths(monkeypatch):
+    # the handler runs for the hull nodes, the root and the relays between
+    # them; every other node is never called and its knowledge is untouched
+    woken, before = set(), {}
+    run_phase = RoundEngine.run_phase
+
+    def spy(eng, label, handler, max_rounds):
+        if label != "hull_distribution":
+            return run_phase(eng, label, handler, max_rounds)
+        before.update((v, set(eng.topo.knows[v])) for v in eng.topo.ids)
+
+        def called(e, v, inbox):
+            woken.add(v)
+            return handler(e, v, inbox)
+
+        return run_phase(eng, label, called, max_rounds)
+
+    monkeypatch.setattr(RoundEngine, "run_phase", spy)
+    pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
+    pipe.build_abstraction()
+    cases = [(pipe.tree, pipe._hulls, set(woken), dict(before), pipe._knows_after_build)]
+    for n, heap_ids, hulls in FLOODS:
+        woken.clear()
+        before.clear()
+        eng, tree = flood_tree(n, heap_ids)
+        distribute_hulls(eng, tree, hulls)
+        cases.append((tree, hulls, set(woken), dict(before), eng.topo.knows))
+    for tree, hulls, called, pre, knows in cases:
+        paths = root_paths(tree, set().union(*hulls.values()))
+        assert called == paths
+        assert all(knows[v] == pre[v] for v in pre.keys() - paths)
+    assert len(cases[0][2]) < len(pipe.topo.ids) // 2
 
 
 # ---------------------------------------------------------------------------

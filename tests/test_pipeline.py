@@ -172,6 +172,28 @@ def test_pipeline_strict_mode_raises_with_report_attached(monkeypatch):
     assert ei.value.report.bounds["storage_hull"]["ok"]
 
 
+def test_failed_bound_rows_read_greater_than(monkeypatch, caplog):
+    # a failed row says its measure is over the bound, in the `measured`
+    # and the `measured_max` shapes alike, on its line and in its warning;
+    # a row that holds keeps <=
+    monkeypatch.setattr(pipeline_mod, "C2", 0.01)
+    monkeypatch.setattr(pipeline_mod, "C_LONGRANGE", 0.01)
+    pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig(strict=False))
+    with caplog.at_level(logging.WARNING, logger="hullroute.pipeline"):
+        bounds = pipe.run().bounds
+    rounds, lr = bounds["protocol_rounds"], bounds["longrange_per_node"]
+    lines = {name: pipeline_mod.bound_line(name, bounds[name]) for name in bounds}
+    assert lines["protocol_rounds"] == (
+        f"protocol_rounds: {rounds['measured']} > {rounds['bound']:.1f} "
+        f"(ratio {rounds['measured'] / rounds['bound']:.3f}), ok=False"
+    )
+    assert lines["longrange_per_node"] == f"longrange_per_node: {lr['measured_max']} > {lr['bound']:.1f}, ok=False"
+    row = bounds["storage_hull"]
+    assert lines["storage_hull"] == f"storage_hull: {row['measured_max']} <= {row['bound']:.1f}, ok=True"
+    warned = [r.getMessage() for r in caplog.records if r.getMessage().startswith("bound failed: ")]
+    assert warned == [f"bound failed: {lines[name]}" for name in ("protocol_rounds", "longrange_per_node")]
+
+
 def test_pipeline_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="typo_key"):
         PipelineConfig.from_dict({"query_count": 10, "typo_key": 1})
@@ -265,9 +287,8 @@ def test_concurrent_build_matches_serial_build(name):
     assert pipe.build_adhoc == sum(1 for t in eng.transcript if t["channel"] == "adhoc")
     pairs = json.dumps(sorted(_longrange_recount(rest).items()))
     assert hashlib.sha256(pairs.encode()).hexdigest() == lr_digest
-    refs, _ = pipe._hull_refs()
     hrefs = Counter((t["src"], t["dst"]) for t in sent if t["tag"] == "href")
-    assert hrefs == brute_hull_gather_cast(pipe.tree, [r[0] for r in refs])
+    assert hrefs == brute_hull_gather_cast(pipe.tree, [v for ids in pipe._hulls.values() for v in ids])
 
 
 # sha256 of every build message as the earlier wire format carried it:
@@ -309,11 +330,12 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
     pipe.build_abstraction()
     pts = topo.points
     entry: dict = {}
-    for v, x, y, ring in pipe._refs:
-        entry.setdefault(v, [v, x, y]).append(ring)
+    for ring, ids in pipe._hulls.items():
+        for v in ids:
+            entry.setdefault(v, [v, pts[v].x, pts[v].y]).append(ring)
     (phase,) = [p for p in pipe.engine.phase_reports if p.label == "hull_distribution"]
     cast_from = pipe.engine.round_no - phase.rounds + pipe.tree.height
-    hull_ids = pipe._hull_ids
+    hull_ids = set(entry)
     cast = {v: Counter() for v in hull_ids}
     ells = Counter()
     stream = []
@@ -405,7 +427,7 @@ def test_case1_planners_know_their_waypoints(name):
     pipe = Pipeline(topo, PipelineConfig(query_count=100, query_seed=11))
     pipe.build_abstraction()
     results, _ = pipe.run_queries()
-    _, hull_ids = pipe._hull_refs()
+    hull_ids = set().union(*pipe._hulls.values())
     plans = [p for r in results if r.case_taken == "Case1" for p in r.plans]
     assert plans
     for planner, chain in plans:
@@ -482,13 +504,14 @@ def test_hull_refs_row_fails_a_build_that_withholds_a_reference(monkeypatch):
     pipe.build_abstraction()
     row = pipe.bound_audit()["hull_refs"]
     assert row["ok"] and row["measured_max"] == 0
-    assert row["hull_nodes"] == len(pipe._hull_refs()[1]) > 1
+    assert row["hull_nodes"] == len(set().union(*pipe._hulls.values())) > 1
     distribute = pipeline_mod.distribute_hulls
 
-    def withhold(engine, tree, refs):
-        # drop the one reference of a node on a single hull
-        i = next(i for i, r in enumerate(refs) if sum(q[0] == r[0] for q in refs) == 1)
-        return distribute(engine, tree, refs[:i] + refs[i + 1 :])
+    def withhold(engine, tree, hulls):
+        # drop a node on a single hull from that ring's list
+        rings = Counter(v for ids in hulls.values() for v in ids)
+        ring, v = next((ring, v) for ring, ids in hulls.items() for v in ids if rings[v] == 1)
+        distribute(engine, tree, {**hulls, ring: [w for w in hulls[ring] if w != v]})
 
     monkeypatch.setattr(pipeline_mod, "distribute_hulls", withhold)
     mutant = Pipeline(fixture_topology("star12-4"), PipelineConfig())
@@ -550,16 +573,16 @@ def test_hull_distribution_logs_its_two_legs(caplog):
     height = pipe.tree.height
     assert gather == height
     assert gather + cast == pipe.engine.phase_reports[-1].rounds <= 2 * height + 1
-    own, keep = pipe._hull_refs()
-    assert (refs, heap) == (len(own), len(keep)) and refs > heap > 1
+    hulls = pipe._hulls.values()
+    assert (refs, heap) == (sum(map(len, hulls)), len(set().union(*hulls))) and refs > heap > 1
 
 
 @pytest.mark.parametrize("name", ["grid36-hole4", "scale-512-1"])
 def test_holes_rows_report_each_rings_own_cost(name, caplog):
     # a ring's own cost is its sessions', election through hull broadcast;
-    # every phase but the hull distribution runs one session per ring, so
-    # the rows add up to those phases, and each row's rounds are the ones
-    # the wave's log line names
+    # every phase but the hull distribution, whose one session is no
+    # ring's, runs one session per ring, so the rows add up to those
+    # phases, and each row's rounds are the ones the wave's log line names
     topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     with caplog.at_level(logging.DEBUG, logger="hullroute.pipeline"):

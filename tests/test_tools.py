@@ -38,11 +38,26 @@ def test_allpairs_routes_every_pair_of_the_grid(monkeypatch, backend):
 
 
 def test_traffic_totals_match_a_fresh_build(monkeypatch, capsys):
-    send = RoundEngine.send
+    send, run_phase = RoundEngine.send, RoundEngine.run_phase
     _load(monkeypatch, "traffic").report("grid36-hole4", 3)
-    assert RoundEngine.send is send
-    first = capsys.readouterr().out.splitlines()[0]
+    assert RoundEngine.send is send and RoundEngine.run_phase is run_phase
+    out = capsys.readouterr().out.splitlines()
+    # the phase table runs from its header to the first blank line after it
+    at = next(i for i, line in enumerate(out) if line.split()[:3] == ["phase", "rounds", "calls"])
+    rows = [line.split() for line in out[at + 1 : out.index("", at)] if "(charged)" not in line]
+    calls = []
+
+    def counting(eng, label, handler, max_rounds):
+        def counted(e, v, inbox):
+            calls.append(label)
+            return handler(e, v, inbox)
+
+        return run_phase(eng, label, counted, max_rounds)
+
+    monkeypatch.setattr(RoundEngine, "run_phase", counting)
     pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
     pipe.build_abstraction()
     eng = pipe.engine
-    assert first.endswith(f", {eng.total_messages} messages, {eng.total_bytes} bytes")
+    assert out[0].endswith(f", {eng.total_messages} messages, {eng.total_bytes} bytes")
+    assert [row[0] for row in rows] == [p.label for p in eng.phase_reports]
+    assert sum(int(row[2]) for row in rows) == len(calls) > 0
