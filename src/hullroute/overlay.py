@@ -41,8 +41,10 @@ protocol ends (_forget_learned).
 The ring protocols take a mapping keyed by ring, of its members in ring
 order or, from the id deal on, of its cube, and run every ring in the
 same engine phases, one session per ring, so a step costs the rounds of
-its slowest ring rather than the sum over rings.  A single ring is the
-one-entry case.
+its slowest ring rather than the sum over rings, and each ring is held
+to its own round bound (_run_wave).  A single ring is the one-entry
+case.  A session starts at the nodes that act without mail
+(_Session.start); every other node acts only when mail reaches it.
 
 Ring nodes address each other only through ids they have learned:
 successors are radio neighbors, every longer link is created by an
@@ -142,13 +144,6 @@ class BroadcastTree:
         return depth
 
 
-def _ring_maps(members: list[NodeId]) -> tuple[dict, dict]:
-    k = len(members)
-    succ = {members[i]: members[(i + 1) % k] for i in range(k)}
-    pred = {members[i]: members[(i - 1) % k] for i in range(k)}
-    return succ, pred
-
-
 def _message_cap(engine: RoundEngine) -> int:
     """Most points one long-range message carries by design: ceil(log2 n).
 
@@ -205,9 +200,9 @@ def _forget_learned(
 
 @dataclass
 class _Session:
-    """One ring's part in a wave: who runs it, how, and for how long."""
+    """One ring's part in a wave: the nodes that act without mail, how, and for how long."""
 
-    members: list[NodeId]
+    start: list[NodeId]
     handler: Handler
     max_rounds: int
     finish: Callable[[PhaseReport], Any] = lambda report: None
@@ -216,12 +211,15 @@ class _Session:
 def _run_wave(
     engine: RoundEngine, label: str, sessions: Mapping[Hashable, _Session]
 ) -> dict[Hashable, Any]:
-    """Run every session in one phase; returns each session's finish()."""
+    """Run every session in one phase, each held to its own max_rounds; returns each finish()."""
     reports = engine.run_sessions(
         label,
-        {key: (s.members, s.handler) for key, s in sessions.items()},
+        {key: (s.start, s.handler) for key, s in sessions.items()},
         max((s.max_rounds for s in sessions.values()), default=0),
     )
+    for key, s in sessions.items():
+        if reports[key].rounds > s.max_rounds:
+            raise SimulationAbortError(-1, engine.round_no, f"{label} session {key!r} exceeded {s.max_rounds} rounds")
     return {key: s.finish(reports[key]) for key, s in sessions.items()}
 
 
@@ -255,23 +253,20 @@ def pointer_jumping(
 
 def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
     k = len(members)
-    succ0, pred0 = _ring_maps(members)
-
     st: dict[NodeId, dict] = {}
-    for v in members:
+    for i, v in enumerate(members):
+        succ = members[(i + 1) % k]
         st[v] = {
-            "succ": succ0[v],
-            "pred": pred0[v],
-            "l_succ": succ0[v],  # min id over (v -> succ]
+            "succ": succ,
+            "pred": members[i - 1],
+            "l_succ": succ,  # min id over (v -> succ]
             "l_pred": v,  # min id over (pred -> v]
             "level": 0,
             "done": False,
             "lame": 0,
             "msgs": 0,
         }
-    edges: list[JumpEdge] = [
-        JumpEdge((v, succ0[v]), st[v]["l_succ"], 0) for v in members
-    ]
+    edges: list[JumpEdge] = [JumpEdge((v, st[v]["succ"]), st[v]["l_succ"], 0) for v in members]
 
     def check_done(s: dict) -> None:
         if not s["done"] and s["l_pred"] == s["l_succ"]:
@@ -436,43 +431,38 @@ def _tree_cast(
 ) -> _Session:
     """Rank 0 of `ordered` reaches every rank down the binomial tree of jump edges.
 
-    Rank 0 starts with budget d; a node of rank r > 0 is reached with
-    budget i, the lowest set bit of r (r = 2^i times an odd number), so
-    no message carries a budget.  A node v of rank r reached with budget
-    b sends messages(inbox, r + 2^i, i), a list of (payload, introduced
-    ids) made from the messages v received (none at rank 0), to rank
-    r + 2^i over its level-i jump edge, for every i < b for which
-    forward(v, i) holds: exactly when r + 2^i < k.  A node reached by
-    several messages in one round is reached once.  The session aborts
-    unless every rank was reached, each in exactly one round.
+    The session starts at rank 0; every other rank acts once, when the
+    cast reaches it, and every call is the node's last.  A node of rank
+    r is reached with budget i, the lowest set bit of r (r = 2^i times
+    an odd number), and rank 0 with budget d, so no message carries a
+    budget.  A node v of rank r reached with budget b sends
+    messages(inbox, r + 2^i, i), a list of (payload, introduced ids)
+    made from the messages v received (none at rank 0), to rank r + 2^i
+    over its level-i jump edge, for every i < b for which forward(v, i)
+    holds: exactly when r + 2^i < k.  A node reached by several messages
+    in one round is reached once.  The session aborts unless every rank
+    was reached, each in exactly one round.
     """
     k = len(ordered)
     rank_of = {v: r for r, v in enumerate(ordered)}
     reached: set[NodeId] = set()
 
-    def fanout(eng: RoundEngine, v: NodeId, budget: int, inbox: list[Message]) -> None:
+    def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
+        if v in reached:
+            raise SimulationAbortError(v, eng.round_no, f"{tag} reached the node twice")
         reached.add(v)
         r = rank_of[v]
-        for i in range(budget):
+        for i in range((r & -r).bit_length() - 1 if r else d):
             if forward(v, i):
                 for payload, intro in messages(inbox, r + (1 << i), i):
                     eng.send(v, ordered[r + (1 << i)], payload, tag=tag, intro_ids=intro)
-
-    def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        if v == ordered[0] and v not in reached:
-            fanout(eng, v, d, [])
-        if inbox:
-            if v in reached:
-                raise SimulationAbortError(v, eng.round_no, f"{tag} reached the node twice")
-            r = rank_of[v]
-            fanout(eng, v, (r & -r).bit_length() - 1, inbox)
-        return v in reached
+        return True
 
     def finish(report: PhaseReport) -> None:
         if len(reached) != k:
             raise SimulationAbortError(ordered[0], engine.round_no, f"{tag} missed ring nodes")
 
-    return _Session(ordered, handler, 2 * d + 6, finish)
+    return _Session(ordered[:1], handler, 2 * d + 6, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +573,7 @@ def _merge_session(
             eng.send(v, cube.members[cube.id_map[v] - half], payload, tag="hm", intro_ids=ids)
         return not payloads
 
-    return _Session(cube.members, handler, 2 * half + 2)
+    return _Session(list(queue), handler, 2 * half + 2)
 
 
 def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: list) -> _Session:
@@ -676,8 +666,10 @@ def distribute_hulls(
     `hulls` holds each non-outer ring's hull node ids, by ring.  A hull
     node's entry is [x, y, ring, ...], its position once and then every
     ring it is a hull node of, in the order of `hulls`.  The phase is one
-    session whose members are the hull nodes, which own every entry, and
-    the tree root; a relay acts only when its children's entries arrive.
+    wave of one session that starts at the nodes that act without mail:
+    the hull nodes, which own every entry, and the tree root, which ends
+    the gather.  Each asks to run again until its send round below; a
+    relay acts only when its children's entries reach it.
     Gather leg, a convergecast: a node at depth d sends its parent every
     entry its subtree holds, once, in round tree.height - d, when its
     children's have all arrived; only the owners' root paths carry
@@ -723,8 +715,7 @@ def distribute_hulls(
         if v in own:
             got[v] = own[v]
         if t > height:
-            if inbox:
-                serve(eng, v, got)
+            serve(eng, v, got)
         elif t == height - depth[v]:
             sub = dict(sorted(got.items()))
             if v != tree.root:
@@ -735,12 +726,14 @@ def distribute_hulls(
                     serve(eng, v, sub)
                 else:
                     send(eng, v, first, {w: e for w, e in sub.items() if w != first})
-        return v != tree.root or t >= height
+        return t >= height - depth[v]
 
-    members = {*own, tree.root}
-    rounds = engine.run_sessions(
-        "hull_distribution", {None: (members, handler)}, max_rounds=2 * height + 1
-    )[None].rounds
+    # one session keyed None, as out-of-phase traffic is: it is no ring's
+    rounds = _run_wave(
+        engine,
+        "hull_distribution",
+        {None: _Session([*own, tree.root], handler, 2 * height + 1, lambda report: report.rounds)},
+    )[None]
     _forget_learned(engine, before, dict.fromkeys(own, set(own)))
     log.debug(
         "hull distribution: gather %d rounds, cast %d rounds, %d references, heap of %d",

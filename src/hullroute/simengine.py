@@ -10,7 +10,9 @@ further ids the sender knows, which the receiver learns on delivery.
 Protocols for many rings run side by side in one phase.  Each ring (or
 bay) is a session: its messages carry the session as a header, so a
 node on two rings keeps the two conversations apart, and each session
-reports the round at which it alone went quiet.
+reports the round at which it alone went quiet.  The protocols are
+message-driven, so one wake rule serves every session: after its first
+round a node acts only when mail reaches it or when it asked to.
 
 The engine is also the bookkeeper: every send is appended to a
 transcript and counted into per-phase, per-session and per-node
@@ -71,6 +73,7 @@ class PhaseReport:
 
 
 Handler = Callable[["RoundEngine", NodeId, list[Message]], bool]
+"""handler(engine, v, inbox) acts for v; False asks to run next round even without mail."""
 
 
 class RoundEngine:
@@ -232,11 +235,11 @@ class RoundEngine:
     ) -> dict[Hashable, PhaseReport]:
         """Run one phase for several sessions at once.
 
-        Each session is (members, handler).  A session's handler is
-        called for its members (and any node holding its mail) with that
-        session's mail only, and whatever it sends carries the session.
-        Returns one report per session, counting the rounds until that
-        session went quiet.
+        Each session is (start, handler): its start nodes are the ones
+        that act without mail.  A session's handler sees that session's
+        mail only, and whatever it sends carries the session.  Returns
+        one report per session, counting the rounds until that session
+        went quiet.
         """
         if not sessions:
             return {}
@@ -245,7 +248,7 @@ class RoundEngine:
         def dispatch(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
             return handlers[eng.session](eng, v, inbox)
 
-        self._sessions = {key: sorted(members) for key, (members, _) in sessions.items()}
+        self._sessions = {key: sorted(start) for key, (start, _) in sessions.items()}
         try:
             self.run_phase(label, dispatch, max_rounds)
             return self._reports
@@ -253,57 +256,50 @@ class RoundEngine:
             self._sessions = None
 
     def run_phase(self, label: str, handler: Handler, max_rounds: int) -> PhaseReport:
-        """Run handlers each round, ascending node id, until quiescent.
+        """Run the sessions run_sessions set up, round by round, until quiescent.
 
-        Without sessions every node is one session and is called every
-        round.  With sessions (see run_sessions) only the members of a
-        session still running, and any node with mail for it, are
-        called.  A session is finished when every node called for it
-        reported done and none of its messages is in flight; the phase
-        is finished when every session is.  Overrunning max_rounds
-        aborts the simulation rather than looping forever.
+        The wake rule: in a session's first round its start nodes are
+        called; after that a node is called, in ascending id order, when
+        it holds mail for the session or when its last call returned
+        False.  A session is finished when no node is pending and none
+        of its mail is in flight; the phase is finished when every
+        session is.  Overrunning max_rounds aborts the simulation rather
+        than looping forever.
         """
         report = PhaseReport(label=label)
-        running = {
-            key: (members, set(members))
-            for key, members in (self._sessions or {None: self.topo.ids}).items()
-        }
-        self._reports = {key: PhaseReport(label=label) for key in running}
+        # each running session's nodes called this round even without mail
+        pending = dict(self._sessions)
+        self._reports = {key: PhaseReport(label=label) for key in pending}
         self._phase = report
-        log.debug("phase %s begins at round %d, %d sessions", label, self.round_no, len(running))
+        log.debug("phase %s begins at round %d, %d sessions", label, self.round_no, len(pending))
         try:
             for rounds in range(max_rounds + 1):
-                finished = []
-                for key, (members, member_set) in running.items():
+                for key, due in pending.items():
                     self.session = key
                     self._tallies = (report, self._reports[key])
                     box = self._inbox.pop(key, {})
-                    wake = members
-                    if not box.keys() <= member_set:
-                        wake = sorted(member_set | box.keys())
-                    all_done = True
-                    for v in wake:
+                    again = []
+                    for v in sorted(box.keys() | due):
                         try:
                             done = handler(self, v, box.pop(v, []))
                         except (IllegalSendError, IllegalIntroductionError):
                             raise
                         except Exception as e:
                             raise SimulationAbortError(v, self.round_no, repr(e)) from e
-                        all_done = all_done and bool(done)
-                    if all_done:
-                        finished.append(key)
+                        if not done:
+                            again.append(v)
+                    pending[key] = again
                 self.session = None
                 in_flight = {m.session for m in self._outbox}
-                for key in finished:
-                    if key not in in_flight:
-                        del running[key]
-                        own = self._reports[key]
-                        own.rounds = rounds
-                        if key is not None:
-                            self.session_rounds[key] += rounds
-                            self.session_longrange[key] += own.messages_longrange
-                            self.session_bytes[key] += own.bytes_total
-                if not running:
+                for key in [key for key, due in pending.items() if not due and key not in in_flight]:
+                    del pending[key]
+                    own = self._reports[key]
+                    own.rounds = rounds
+                    if key is not None:
+                        self.session_rounds[key] += rounds
+                        self.session_longrange[key] += own.messages_longrange
+                        self.session_bytes[key] += own.bytes_total
+                if not pending:
                     return report
                 self.step_round()
             raise SimulationAbortError(

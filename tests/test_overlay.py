@@ -123,6 +123,43 @@ def test_mixed_wave_reports_each_rings_own_rounds():
     assert engine.phase_reports[-1].rounds == res["big"].jump_rounds + 1
 
 
+def test_wave_holds_each_session_to_its_own_bound():
+    # "short" asks to run again until round 3 against a bound of 2 while
+    # "long" keeps the phase going to round 6 within its bound of 8: the
+    # phase's bound alone, the largest, would let "short" through
+    def wait(until, bound):
+        return overlay_mod._Session([0], lambda eng, v, inbox: eng.round_no >= until, bound, lambda r: r.rounds)
+
+    with pytest.raises(SimulationAbortError, match="'short' exceeded 2 rounds"):
+        overlay_mod._run_wave(line_engine(3), "bounds", {"short": wait(3, 2), "long": wait(6, 8)})
+    ran = overlay_mod._run_wave(line_engine(3), "bounds", {"short": wait(2, 2), "long": wait(6, 8)})
+    assert ran == {"short": 2, "long": 6}
+
+
+def test_cast_and_merge_waves_make_no_idle_call(monkeypatch):
+    # in the id deal, every hull merge level and both hull broadcasts, a
+    # node is called only when mail reaches it or in a round it sends
+    calls, idle = Counter(), Counter()
+    run_phase = RoundEngine.run_phase
+
+    def spy(eng, label, handler, max_rounds):
+        def called(e, v, inbox):
+            sent = e.total_messages
+            done = handler(e, v, inbox)
+            calls[label] += 1
+            idle[label] += not inbox and e.total_messages == sent
+            return done
+
+        return run_phase(eng, label, called, max_rounds)
+
+    monkeypatch.setattr(RoundEngine, "run_phase", spy)
+    for topo in (fixture_topology("star12-4"), generate_scenario(scaling_spec(512, 1))):
+        Pipeline(topo, PipelineConfig()).build_abstraction()
+    watched = [label for label in calls if label == "hypercube_ids" or label.startswith(("hull_merge_", "hull_broadcast"))]
+    assert {"hypercube_ids", "hull_merge_1", "hull_broadcast"} <= set(watched)
+    assert {label: idle[label] for label in watched if idle[label]} == {}
+
+
 # ---------------------------------------------------------------------------
 # ring size merged up to the leader, orientation read off the hull's ranks
 

@@ -86,7 +86,7 @@ def test_run_phase_round_trip(line3):
             engine.send(0, 1, "ping")
         return True
 
-    report = eng.run_phase("pingpong", handler, max_rounds=10)
+    report = eng.run_sessions("pingpong", {None: (line3.ids, handler)}, max_rounds=10)[None]
     assert got == [(1, 1, "ping"), (2, 0, "pong")]
     assert report.rounds == 2
     assert report.messages_adhoc == 2
@@ -101,7 +101,7 @@ def test_run_phase_handler_order_is_ascending(line3):
         order.append(v)
         return True
 
-    eng.run_phase("noop", handler, max_rounds=1)
+    eng.run_sessions("noop", {None: ([2, 0, 1], handler)}, max_rounds=1)
     assert order == [0, 1, 2]
 
 
@@ -109,12 +109,13 @@ def test_run_phase_aborts_on_overrun(line3):
     eng = RoundEngine(line3)
 
     def chatty(engine, v, inbox):
-        if v == 0:
-            engine.send(0, 1, "again")
+        # 0 and 1 start and then answer every message: mail is always in flight
+        if v < 2:
+            engine.send(v, 1 - v, "again")
         return True
 
     with pytest.raises(SimulationAbortError):
-        eng.run_phase("chatty", chatty, max_rounds=5)
+        eng.run_sessions("chatty", {None: (line3.ids, chatty)}, max_rounds=5)
 
 
 def test_run_phase_wraps_handler_crash(line3):
@@ -124,7 +125,7 @@ def test_run_phase_wraps_handler_crash(line3):
         raise ValueError("boom")
 
     with pytest.raises(SimulationAbortError) as ei:
-        eng.run_phase("broken", broken, max_rounds=2)
+        eng.run_sessions("broken", {None: (line3.ids, broken)}, max_rounds=2)
     assert ei.value.node == 0
 
 
@@ -222,8 +223,8 @@ def test_sessions_sharing_nodes_are_demultiplexed(line3):
     assert got["b"] == [(1, 1, 1, "b"), (2, 2, 2, "b"), (3, 1, 3, "b"), (4, 0, 4, "b")]
     assert reports["a"].rounds == 2 and reports["b"].rounds == 4
     assert reports["a"].messages_adhoc == 2 and reports["b"].messages_adhoc == 4
-    # a quiet session is no longer called
-    assert calls == {"a": 3 * 2, "b": 5 * 3}
+    # the start nodes in round 0, then only the node the mail reaches
+    assert calls == {"a": 2 + 2, "b": 3 + 4}
     phase = eng.phase_reports[-1]
     assert phase.label == "shared"
     assert phase.rounds == 4 and phase.messages_adhoc == 6
@@ -232,6 +233,8 @@ def test_sessions_sharing_nodes_are_demultiplexed(line3):
 
 
 def test_sessions_wake_members_and_mail_holders_only(line3):
+    # the start node runs in round 0 and, done, not again; node 1 runs
+    # when the mail reaches it; node 2 hears nothing and never runs
     eng = RoundEngine(line3)
     calls = []
 
@@ -242,8 +245,40 @@ def test_sessions_wake_members_and_mail_holders_only(line3):
         return True
 
     reports = eng.run_sessions("solo", {"s": ([0], handler)}, max_rounds=3)
-    assert calls == [(0, 0, []), (1, 0, []), (1, 1, ["hi"])]
+    assert calls == [(0, 0, []), (1, 1, ["hi"])]
     assert reports["s"].rounds == 1
+
+
+def test_false_return_brings_the_node_back_with_an_empty_inbox(line3):
+    # node 0 asks to run again twice, then is done: the session lasts as
+    # long as it keeps asking, though no message is ever sent
+    eng = RoundEngine(line3)
+    calls = []
+
+    def handler(engine, v, inbox):
+        calls.append((engine.round_no, v, list(inbox)))
+        return engine.round_no >= 2
+
+    reports = eng.run_sessions("wait", {"s": ([0], handler)}, max_rounds=5)
+    assert calls == [(0, 0, []), (1, 0, []), (2, 0, [])]
+    assert reports["s"].rounds == 2 and eng.total_messages == 0
+
+
+def test_true_return_keeps_the_node_out_until_mail_arrives(line3):
+    # node 1 is done at once; node 0 waits two rounds, then mails it,
+    # and node 1 runs again only in the round that mail is delivered
+    eng = RoundEngine(line3)
+    calls = []
+
+    def handler(engine, v, inbox):
+        calls.append((engine.round_no, v, [m.payload for m in inbox]))
+        if v == 0 and engine.round_no == 2:
+            engine.send(0, 1, "late")
+        return v == 1 or engine.round_no >= 2
+
+    reports = eng.run_sessions("late", {"s": ([0, 1], handler)}, max_rounds=5)
+    assert calls == [(0, 0, []), (0, 1, []), (1, 0, []), (2, 0, []), (3, 1, ["late"])]
+    assert reports["s"].rounds == 3
 
 
 def test_no_sessions_runs_no_phase(line3):

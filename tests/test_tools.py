@@ -43,14 +43,18 @@ def test_traffic_totals_match_a_fresh_build(monkeypatch, capsys):
     assert RoundEngine.send is send and RoundEngine.run_phase is run_phase
     out = capsys.readouterr().out.splitlines()
     # the phase table runs from its header to the first blank line after it
-    at = next(i for i, line in enumerate(out) if line.split()[:3] == ["phase", "rounds", "calls"])
+    at = next(i for i, line in enumerate(out) if line.split()[:4] == ["phase", "rounds", "calls", "active"])
     rows = [line.split() for line in out[at + 1 : out.index("", at)] if "(charged)" not in line]
-    calls = []
+    calls, active = [], []
 
     def counting(eng, label, handler, max_rounds):
         def counted(e, v, inbox):
+            sent = e.total_messages
+            done = handler(e, v, inbox)
             calls.append(label)
-            return handler(e, v, inbox)
+            if inbox or e.total_messages != sent:
+                active.append(label)
+            return done
 
         return run_phase(eng, label, counted, max_rounds)
 
@@ -61,3 +65,4 @@ def test_traffic_totals_match_a_fresh_build(monkeypatch, capsys):
     assert out[0].endswith(f", {eng.total_messages} messages, {eng.total_bytes} bytes")
     assert [row[0] for row in rows] == [p.label for p in eng.phase_reports]
     assert sum(int(row[2]) for row in rows) == len(calls) > 0
+    assert sum(int(row[3]) for row in rows) == len(active) > 0

@@ -8,9 +8,10 @@ An instance is a fixture name (grid36-hole4, cshape-40, crescent-24,
 star12-4), scale-N-S for scaling_spec(N, S), or grid-N for
 holes_grid_spec(N). For each it builds the abstraction with the default
 config and prints three tables read off the engine's phase reports and
-transcript: every phase's rounds, node handler calls, messages, bytes
-and peak long-range sends by one node in one round (charged phases show
-rounds only); the
+transcript: every phase's rounds, node handler calls, the active ones
+among them (a call that had mail or sent, as perfbench's
+`handler_active` counts them), messages, bytes and peak long-range
+sends by one node in one round (charged phases show rounds only); the
 messages and bytes of every message tag, its bytes split into the
 envelope (tag and keys), the sorted `intro` list and the `data` payload,
 as `canonical_bytes` sizes them, so a fact sent twice in one message
@@ -43,8 +44,8 @@ def report(name: str, top: int) -> None:
     pipe = Pipeline(topology(name), PipelineConfig())
     # bytes of each tag's `intro` lists and `data` payloads, sized as the engine sizes them
     parts: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-    # handler calls of each engine phase, in the order of the phase reports
-    calls: list[int] = []
+    # handler calls and active ones of each engine phase, in the order of the phase reports
+    calls: list[list[int]] = []
     send, run_phase = RoundEngine.send, RoundEngine.run_phase
 
     def sizing(eng, src, dst, payload=None, **kw):
@@ -54,11 +55,14 @@ def report(name: str, top: int) -> None:
         send(eng, src, dst, payload, **kw)
 
     def counting(eng, label, handler, max_rounds):
-        calls.append(0)
+        calls.append([0, 0])
 
         def counted(e, v, inbox):
-            calls[-1] += 1
-            return handler(e, v, inbox)
+            sent = e.total_messages
+            done = handler(e, v, inbox)
+            calls[-1][0] += 1
+            calls[-1][1] += bool(inbox) or e.total_messages != sent
+            return done
 
         return run_phase(eng, label, counted, max_rounds)
 
@@ -75,12 +79,12 @@ def report(name: str, top: int) -> None:
         f"{sum(t['bytes'] for t in sent)} bytes"
     )
 
-    print(f"\n  {'phase':<26}{'rounds':>8}{'calls':>8}{'messages':>10}{'bytes':>12}{'peak':>6}")
+    print(f"\n  {'phase':<26}{'rounds':>8}{'calls':>8}{'active':>8}{'messages':>10}{'bytes':>12}{'peak':>6}")
     for label, rounds in eng.charged.items():
         print(f"  {label + ' (charged)':<26}{rounds:>8}")
-    for p, n in zip(eng.phase_reports, calls, strict=True):
+    for p, (n, active) in zip(eng.phase_reports, calls, strict=True):
         messages = p.messages_longrange + p.messages_adhoc
-        print(f"  {p.label:<26}{p.rounds:>8}{n:>8}{messages:>10}{p.bytes_total:>12}"
+        print(f"  {p.label:<26}{p.rounds:>8}{n:>8}{active:>8}{messages:>10}{p.bytes_total:>12}"
               f"{p.max_longrange_per_node_round:>6}")
 
     by_tag: dict[str, list[int]] = defaultdict(lambda: [0, 0])
