@@ -236,13 +236,15 @@ def pointer_jumping(
     current predecessor and vice versa, doubling the bridged span.  A
     node is done when the minimum id on its predecessor side equals the
     one on its successor side, which forces both to be the global
-    minimum.  Done nodes serve one extra round so late partners still
-    receive their final update.  A message carries ids only: the new
-    pointer is the one id it introduces, and its payload holds the arc
-    minimum only when the header does not already name it, that is,
-    when the minimum is neither the introduced id (pj_succ) nor the
-    sender (pj_pred).  All rings run at once; each result's jump_rounds
-    counts that ring's own rounds.
+    minimum.  A done node sends nothing more, as in Wyllie's list
+    ranking: its partners share the arcs on its two sides, so both
+    already hold the minimum on the side facing it.  It still reads mail
+    that arrives later.  A message carries ids only: the new pointer is
+    the one id it introduces, and its payload holds the arc minimum only
+    when the header does not already name it, that is, when the minimum
+    is neither the introduced id (pj_succ) nor the sender (pj_pred).  All
+    rings run at once; each result's jump_rounds counts that ring's own
+    rounds.
     """
     return _run_wave(
         engine,
@@ -262,23 +264,12 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
             "l_succ": succ,  # min id over (v -> succ]
             "l_pred": v,  # min id over (pred -> v]
             "level": 0,
-            "done": False,
-            "lame": 0,
             "msgs": 0,
         }
     edges: list[JumpEdge] = [JumpEdge((v, st[v]["succ"]), st[v]["l_succ"], 0) for v in members]
 
-    def check_done(s: dict) -> None:
-        if not s["done"] and s["l_pred"] == s["l_succ"]:
-            s["done"] = True
-            s["lame"] = 1  # one farewell round of intros
-
-    for v in members:
-        check_done(st[v])  # k == 1 degenerate guard; rings are >= 3
-
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         s = st[v]
-        grew = False
         for m in inbox:
             d = m.payload
             # the one id a message introduces is the receiver's new pointer;
@@ -289,16 +280,11 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
                 s["succ"] = m.intro_ids[0]
                 s["level"] += 1
                 edges.append(JumpEdge((v, s["succ"]), s["l_succ"], s["level"]))
-                grew = True
             elif m.tag == "pj_pred":
                 s["l_pred"] = min(s["l_pred"], d.get("ell", m.src))
                 s["pred"] = m.intro_ids[0]
-        if grew or inbox:
-            check_done(s)
-        if s["done"] and s["lame"] == 0:
-            return True
-        if s["done"]:
-            s["lame"] -= 1
+        if s["l_pred"] == s["l_succ"]:
+            return True  # done: both partners already hold the minimum on v's side
         # a pointer equal to v has wrapped the whole ring: nothing to bridge
         if s["pred"] != v:
             eng.send(

@@ -349,7 +349,7 @@ class Pipeline:
         ring_rows = []
         for rid, jump in self.jumps.items():
             k = self.protos[rid].ring_size
-            round_bound = math.ceil(math.log2(k)) + 1 if k > 1 else 1
+            round_bound = max(math.ceil(math.log2(k)), 1)
             msg_bound = 2 * round_bound
             msg_max = max(jump.messages_per_node.values())
             ring_rows.append(

@@ -321,7 +321,7 @@ def test_07_round_bounds(stacks, scale2048, holes2048):
     emit(
         f"CRITERION 7 round scaling: {verdict(ok)} — rounds {r512.protocol_rounds}@512 -> "
         f"{r2048.protocol_rounds}@2048, ratio {ratio:.3f}<=2.2; jump rounds worst "
-        f"{worst_jump:.3f} of ceil(log2 k)+1"
+        f"{worst_jump:.3f} of ceil(log2 k)"
     )
     assert ok, (ratio, jump_ok)
 
@@ -345,7 +345,7 @@ def test_08_message_work(stacks, scale2048, holes2048):
     ok = msg_ok and lr_ok
     emit(
         f"CRITERION 8 message work: {verdict(ok)} — pointer-jump msgs/node worst "
-        f"{worst_msg:.3f} of 2(ceil(log2 k)+1); long-range msgs/node worst "
+        f"{worst_msg:.3f} of 2*ceil(log2 k); long-range msgs/node worst "
         f"{worst_lr:.3f} of c*log2(n)^2 with c={c}"
     )
     assert ok, (worst_msg, worst_lr)

@@ -77,9 +77,30 @@ def test_pointer_jumping_elects_min_id(k):
     engine, members = ring_engine(k, seed=k)
     res = pointer_jumping(engine, {0: members})[0]
     assert res.leader == min(members)
-    bound = math.ceil(math.log2(k)) + 1
+    bound = math.ceil(math.log2(k))
     assert res.jump_rounds <= bound
     assert max(res.messages_per_node.values()) <= 2 * bound
+
+
+def test_pointer_jumping_on_rings_of_every_size():
+    # a done node sends nothing more, yet on every ring size, with ids in
+    # no order, each jump edge still bridges 2^level ranks and carries its
+    # arc's minimum, and the election keeps to ceil(log2 k) rounds and two
+    # messages per node and round
+    for k in [*range(3, 71), 127, 128, 129, 176, 255, 256, 257, 300]:
+        ids = list(range(1000, 1000 + k))
+        random.Random(k).shuffle(ids)
+        engine, members = ring_engine(k, ids=ids)
+        res = pointer_jumping(engine, {0: members})[0]
+        assert res.leader == min(members), k
+        for e in res.jump_edges:
+            u, w = e.endpoints
+            span = 1 << e.level
+            assert members[(members.index(u) + span) % k] == w, (k, e)
+            assert e.ell == brute_arc_min(members, u, span), (k, e)
+        bound = math.ceil(math.log2(k))
+        assert res.jump_rounds <= bound, k
+        assert max(res.messages_per_node.values()) <= 2 * bound, k
 
 
 def test_pointer_jumping_shuffled_ids():
@@ -113,7 +134,7 @@ def test_mixed_wave_reports_each_rings_own_rounds():
     res = pointer_jumping(engine, rings)
     for key, members in rings.items():
         k = len(members)
-        assert res[key].jump_rounds <= math.ceil(math.log2(k)) + 1
+        assert res[key].jump_rounds <= math.ceil(math.log2(k))
         assert res[key].leader == min(members)
         # the same rounds and messages as a ring running alone
         alone = pointer_jumping(ring_engine(k, ids=members)[0], {key: members})[key]

@@ -224,11 +224,12 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # same traffic, and abstraction_digest().  The three traffic figures pin
 # what the ring protocols send; they are re-recorded, with the reason in
 # CHANGES.md, only when a change to those protocols changes their
-# messages.  The bytes alone were last re-recorded when the merge
-# messages stopped carrying a turn-angle sum, since a leader reads its
-# ring's orientation off the merged hull's ranks; message counts and
-# long-range digests did not move.  The abstraction digests are those of the
-# ring-by-ring build; they changed once, in their dominating-set field
+# messages.  The bytes alone were re-recorded when the merge messages
+# stopped carrying a turn-angle sum, since a leader reads its ring's
+# orientation off the merged hull's ranks.  All three were last
+# re-recorded when pointer jumping dropped its farewell round: a node
+# that is done sends no more pj_succ/pj_pred messages.  The abstraction
+# digests are those of the ring-by-ring build; they changed once, in their dominating-set field
 # only, when the randomized dominating sets gave way to the rank rule, and
 # once more when abstraction_digest() became the sha256 of
 # abstraction_dict(), which lists each ring's members besides its hull,
@@ -237,23 +238,23 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        381, 26048,
-        "43cebf4cf5c1370ece5f316c9674b19c42fe80dde7e8e1acbaf35a177540c105",
+        341, 24190,
+        "298ca73ad3813f0b082019691351c69f144e513158ce30b1d2ff4dbf06ce7381",
         "a7b26bf1fb93bd01d77586086e75fb9820d9b268ce6a4c1e025621cc7c86b70c",
     ),
     "crescent-24": (
-        1336, 86043,
-        "3ee96c637c64114037e7116bcf2416ad15b9d690af4d867bb30973ff43747371",
+        1180, 78671,
+        "c146924d8c75dbffdfe83bc5b4324e7fc96c49866ee8c0686d46aa825cb6d466",
         "29ab548323b7634d31b4f851a25c687c454eef3a19d19b0eefff3a81bfbfa89b",
     ),
     "star12-4": (
-        1512, 98667,
-        "9f7c664d398ec2d849f76d849e73b7d827c54c41d0c36716c91b1caae0e92550",
+        1340, 90450,
+        "024e3d9df185347f5cf069b728507528e2e242f1ce48b3b430788c630a52c491",
         "3fd08477bcb17a9f374e537900974b98dda52db185b29e1eb86ef7347df63df0",
     ),
     "scale-512-1": (
-        1928, 125906,
-        "bd08a4a734935eb57f7d20c55f7c3d2e9707865b9349fa6759748d49e3980e81",
+        1716, 115744,
+        "95de757ac03a8ef9262b3b09476be94f54f867700472b85bddd0e78070c755d8",
         "c6cd8895cfd45b0508152e2a1b340b09ca3305ea86ce85402d66885427f54482",
     ),
 }
@@ -296,13 +297,15 @@ def test_concurrent_build_matches_serial_build(name):
 # stream was recorded from that format; the test puts the facts back from
 # each message's header and must find the same stream.  It was re-recorded
 # once, when the merge messages stopped carrying a turn-angle sum: the
-# earlier stream with `angle` taken out of every `hm` payload.
+# earlier stream with `angle` taken out of every `hm` payload; and once
+# more when pointer jumping dropped its farewell round, which removes
+# pj_succ/pj_pred messages and moves later phases' rounds.
 WIRE_STREAM = {
-    "crescent-24": "eae6ebe090415d3199b53874a350d850c250feddb9147a177ce1b7693e9ea6d1",
-    "cshape-40": "d4c49c14fd649d5fe3ad52749f805fcfe20e25d04650215040d36349ba907c30",
-    "grid36-hole4": "0a6d3b99aa62623bcee0a69a387badfb022938c76f4ec4b6a49d23e0532a80bf",
-    "scale-512-1": "c712bad1896e04329899a325723b50797a9022ca40d00df3bbdd46e9bde6a702",
-    "star12-4": "23008c93fa86f59b1d0c09b7f15d01892fac56ae570a1674eb52832a0c562ac7",
+    "crescent-24": "af7db26da32305e2abd1faf90c39498d5d711aa7cfd34172eedeaa4d3e35f2d8",
+    "cshape-40": "57bb005c8b118a92ceac89346843688fad2e2472475e8186acee45fcb52c6d7e",
+    "grid36-hole4": "b31ba697bb730b832884a6c0288ecb0ad74c711f20a6d319ae2be24d672397f4",
+    "scale-512-1": "3b747a44406078a3bb2702e69363454257c14c2986ed911057be3425cff509c2",
+    "star12-4": "3af2cb461e529922f25e5da66ff36e44c8c89028bc8b3c71db56591329c7020a",
 }
 
 
