@@ -27,7 +27,6 @@ from .geometry import (
 from .ldel import UNIT_RANGE, NodeId, PlanarGraph
 from .overlay import (
     HypercubeOverlay,
-    RingProtocolResult,
     dominating_set,
     pointer_jumping,  # not called here: bound for perfbench/tracer.py, which wraps it here
     rank_ring,  # likewise
@@ -129,15 +128,16 @@ def form_rings(g: PlanarGraph, boundary: set[NodeId]) -> list[HoleRing]:
     return rings
 
 
-def classify_rings(rings: Sequence[HoleRing], protos: Mapping[int, RingProtocolResult]) -> None:
+def classify_rings(rings: Sequence[HoleRing], orientations: Mapping[int, int]) -> None:
     """Each closed ring's kind from the orientation its leader read off the hull; takes no round.
 
-    The leader found its hull's ring ranks in ccw or cw order before the
-    hull broadcast (overlay.rank_ring).  A ccw walk is a hole, which
-    turns exactly -360 degrees; a cw walk the outer boundary, +360.
+    The leader found its hull's ring ranks in ccw (+1) or cw (-1) order
+    before the hull broadcast (overlay.rank_ring); orientations holds
+    them by ring_id.  A ccw walk is a hole, which turns exactly -360
+    degrees; a cw walk the outer boundary, +360.
     """
     for r in rings:
-        r.orientation_sum = -360.0 * protos[r.ring_id].orientation
+        r.orientation_sum = -360.0 * orientations[r.ring_id]
         r.kind = KIND_OUTER_BOUNDARY if r.orientation_sum > 0 else KIND_INNER
 
 
@@ -206,26 +206,27 @@ def build_hull_abstraction(
     engine: RoundEngine,
     rings: Sequence[HoleRing],
     cubes: Mapping[int, HypercubeOverlay],
-) -> tuple[dict[int, HullAbstraction], dict[int, RingProtocolResult]]:
+) -> tuple[dict[int, HullAbstraction], dict[int, int]]:
     """Distributed hull, bays, and one dominating set per bay, per ring.
 
     cubes holds each ring's ranks, keyed by ring_id: a closed ring's from
     the id deal, an outer-hole arc's from the outer ring's.  The rings
-    run concurrently (ring_protocol); a closed ring's leader ends with
-    the ring's size and orientation, which classify_rings reads.  Each
-    bay's dominating set then takes no round: its members decide from
-    the ring ranks the broadcast left them (dominating_set).  Results
-    are keyed by ring_id.
+    run concurrently (ring_protocol); a closed ring's leader checks the
+    ring's size and reads its orientation, which classify_rings takes.
+    Each bay's dominating set then takes no round: its members decide
+    from the ring ranks the broadcast left them (dominating_set).
+    Returns the abstractions and the closed rings' orientations, keyed
+    by ring_id.
     """
-    protos = ring_protocol(engine, cubes)
-    bays = {r.ring_id: compute_bays(r, protos[r.ring_id].hull) for r in rings}
+    hulls, orientations = ring_protocol(engine, cubes)
+    bays = {r.ring_id: compute_bays(r, hulls[r.ring_id]) for r in rings}
     paths = {(rid, i): bay.members for rid, bs in bays.items() for i, bay in enumerate(bs)}
     sets = dominating_set(paths)
     abstractions = {
-        rid: HullAbstraction(rid, protos[rid].hull, bs, {i: sets[(rid, i)] for i in range(len(bs))})
+        rid: HullAbstraction(rid, hulls[rid], bs, {i: sets[(rid, i)] for i in range(len(bs))})
         for rid, bs in bays.items()
     }
-    return abstractions, protos
+    return abstractions, orientations
 
 
 def hole_report(
@@ -240,7 +241,7 @@ def hole_report(
     """
     out = []
     for r in rings:
-        ha = abstractions.get(r.ring_id)
+        ha = abstractions[r.ring_id]
         out.append(
             {
                 "kind": r.kind,
@@ -248,8 +249,8 @@ def hole_report(
                 "perimeter": r.perimeter_length,
                 "area": r.enclosed_area,
                 "bbox_circumference": r.bounding_box_circumference,
-                "hull_size": len(ha.hull_nodes) if ha else 0,
-                "bay_count": len(ha.bay_areas) if ha else 0,
+                "hull_size": len(ha.hull_nodes),
+                "bay_count": len(ha.bay_areas),
                 **cost[r.ring_id],
             }
         )

@@ -314,8 +314,7 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
         return PointerJumpResult(
             leader=leader,
             jump_edges=edges,
-            # the ring's final round only flushes deliveries
-            jump_rounds=max(report.rounds - 1, 1),
+            jump_rounds=report.rounds,
             messages_per_node={v: st[v]["msgs"] for v in members},
         )
 
@@ -753,19 +752,9 @@ def dominating_set(paths: Mapping[Hashable, list[NodeId]]) -> dict[Hashable, set
 # combined driver: every step, every ring
 
 
-@dataclass
-class RingProtocolResult:
-    cube: HypercubeOverlay
-    hull: list[NodeId]
-    # the leader's merged ring size, and the walk's orientation read off the
-    # hull's ranks with polygon_orientation's sign (rank_ring); None on an arc
-    ring_size: int | None
-    orientation: int | None
-
-
 def ring_protocol(
     engine: RoundEngine, cubes: Mapping[Hashable, HypercubeOverlay]
-) -> dict[Hashable, RingProtocolResult]:
+) -> tuple[dict[Hashable, list[NodeId]], dict[Hashable, int]]:
     """Hull merge, the leaders' checks, hull broadcast, for every cube at once.
 
     The cubes come from the id deal (assign_hypercube_ids) or, for the
@@ -776,7 +765,9 @@ def ring_protocol(
     broadcasts the hull.  The merge teaches the left blocks'
     hosts the ids of the hulls shipped to them; once the hull is
     broadcast, each host forgets every id learned since the merge began
-    that is not a hull node of one of its rings.
+    that is not a hull node of one of its rings.  Returns each cube's
+    ccw hull node ids and each closed ring's orientation, with
+    polygon_orientation's sign, by key.
     """
     before = {v: set(engine.topo.knows[v]) for cube in cubes.values() for v in cube.members}
     chains, sizes = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes))
@@ -792,7 +783,4 @@ def ring_protocol(
         for v in cube.members:
             keep.setdefault(v, set()).update(hulls[key])
     _forget_learned(engine, before, keep)
-    return {
-        key: RingProtocolResult(cube, hulls[key], sizes.get(key), orientations.get(key))
-        for key, cube in cubes.items()
-    }
+    return hulls, orientations

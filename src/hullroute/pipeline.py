@@ -16,6 +16,7 @@ import logging
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -39,9 +40,9 @@ from .holes import (
 )
 from .ldel import HybridTopology, PlanarGraph, build_ldel2, check_connected
 from . import overlay
-from .overlay import BroadcastTree, RingProtocolResult, build_broadcast_tree, distribute_hulls
+from .overlay import BroadcastTree, HypercubeOverlay, build_broadcast_tree, distribute_hulls
 from .routing import BACKEND_VIS, RouteResult, Router, measure_competitiveness
-from .simengine import RoundEngine
+from .simengine import Channel, RoundEngine
 
 # localized construction: broadcast, 1-hop exchange, 2-hop exchange,
 # proposal, accept
@@ -156,7 +157,8 @@ class Pipeline:
         self.rings: list[HoleRing] = []
         self.abstractions: dict[int, HullAbstraction] = {}
         self.jumps: dict[int, overlay.PointerJumpResult] = {}
-        self.protos: dict[int, RingProtocolResult] = {}
+        # each ring's ranks as a cube, both waves', keyed by ring id
+        self.cubes: dict[int, HypercubeOverlay] = {}
         self.tree: BroadcastTree | None = None
         self.router: Router | None = None
         self.phase_rounds: dict[str, int] = {}
@@ -168,7 +170,8 @@ class Pipeline:
         # each ring's own rounds, long-range messages and bytes in the
         # latest build, keyed by ring id (_record_ring_costs)
         self.ring_cost: dict[int, dict[str, int]] = {}
-        # per-node long-range sends and ad hoc sends of the latest build
+        # per-node long-range sends and ad hoc sends of the latest build,
+        # counted off its transcript lines
         self.build_longrange: dict[int, int] = {}
         self.build_adhoc = 0
         self._knows_after_build: dict[int, set[int]] | None = None
@@ -196,8 +199,8 @@ class Pipeline:
         """
         eng = self.engine
         start = eng.round_no
-        lr_start, adhoc_start = dict(eng.longrange_sent), eng.adhoc_sent
-        own_start = [dict(d) for d in (eng.session_rounds, eng.session_longrange, eng.session_bytes)]
+        # the build's transcript lines and session reports are those past these
+        sent, quiet = len(eng.transcript), len(eng.session_reports)
         began, clock = start, time.perf_counter()
 
         def mark(label: str) -> None:
@@ -220,9 +223,9 @@ class Pipeline:
         self.jumps = overlay.pointer_jumping(eng, members)
         mark("classification")
 
-        cubes = overlay.assign_hypercube_ids(eng, members, self.jumps)
-        self.abstractions, self.protos = build_hull_abstraction(eng, self.rings, cubes)
-        classify_rings(self.rings, self.protos)
+        self.cubes = overlay.assign_hypercube_ids(eng, members, self.jumps)
+        self.abstractions, orientations = build_hull_abstraction(eng, self.rings, self.cubes)
+        classify_rings(self.rings, orientations)
         mark("ring_hulls")
 
         outer = next(r for r in self.rings if r.kind == KIND_OUTER_BOUNDARY)
@@ -232,13 +235,12 @@ class Pipeline:
             hull_nodes=self.abstractions[outer.ring_id].hull_nodes,
             first_id=max(r.ring_id for r in self.rings) + 1,
         )
-        cubes = {a.ring_id: self.protos[outer.ring_id].cube.arc(a.members) for a in arcs}
-        arc_abstractions, arc_protos = build_hull_abstraction(eng, arcs, cubes)
-        self.abstractions.update(arc_abstractions)
-        self.protos.update(arc_protos)
+        cubes = {a.ring_id: self.cubes[outer.ring_id].arc(a.members) for a in arcs}
+        self.abstractions.update(build_hull_abstraction(eng, arcs, cubes)[0])
+        self.cubes.update(cubes)
         self.rings = self.rings + arcs
         mark("outer_holes")
-        self._record_ring_costs(own_start)
+        self._record_ring_costs(quiet)
         self.wave_rounds = eng.round_no - start
 
         # the tree runs beside every phase since `start`; it is charged
@@ -256,12 +258,9 @@ class Pipeline:
         mark("hull_distribution")
 
         self.protocol_rounds = eng.round_no - start
-        self.build_longrange = {
-            v: c - lr_start.get(v, 0)
-            for v, c in eng.longrange_sent.items()
-            if c > lr_start.get(v, 0)
-        }
-        self.build_adhoc = eng.adhoc_sent - adhoc_start
+        lines = eng.transcript[sent:]
+        self.build_longrange = Counter(t["src"] for t in lines if t["channel"] == Channel.LONGRANGE)
+        self.build_adhoc = sum(t["channel"] == Channel.ADHOC for t in lines)
         # snapshot before queries: routing teaches endpoints each other's
         # ids, which is not abstraction storage
         self._knows_after_build = {v: set(self.topo.knows[v]) for v in self.topo.ids}
@@ -269,26 +268,28 @@ class Pipeline:
         self.router = Router(self.g, self.rings, self.abstractions, backend=self.config.backend)
         self.seconds["router_s"] = time.perf_counter() - clock
 
-    def _record_ring_costs(self, own_start: list[dict]) -> None:
+    def _record_ring_costs(self, quiet: int) -> None:
         """Record each ring's own cost in this build; one debug line per ring.
 
-        A ring's own cost is its session's, election through hull
-        broadcast: the rounds until it went quiet in each phase, its
-        long-range messages and the bytes of all its messages, less the
-        session ledger at the build's start.  Ring ids are unique within
-        a build, so one pass after wave two covers both waves.
+        A ring's own cost is the sum of its session's reports, election
+        through hull broadcast: the rounds until it went quiet in each
+        phase, its long-range messages and the bytes of all its messages.
+        This build's reports are those engine.session_reports gained past
+        index `quiet`, each keyed by its ring id.  Ring ids are unique
+        within a build, so one pass after wave two covers both waves.
         """
-        eng = self.engine
-        now = (eng.session_rounds, eng.session_longrange, eng.session_bytes)
-        self.ring_cost = {}
+        self.ring_cost = {r.ring_id: {"rounds": 0, "longrange_messages": 0, "bytes": 0} for r in self.rings}
+        for rid, rep in self.engine.session_reports[quiet:]:
+            cost = self.ring_cost[rid]
+            cost["rounds"] += rep.rounds
+            cost["longrange_messages"] += rep.messages_longrange
+            cost["bytes"] += rep.bytes_total
         for r in self.rings:
-            rid = r.ring_id
-            rounds, longrange, nbytes = (a.get(rid, 0) - b.get(rid, 0) for a, b in zip(now, own_start))
-            self.ring_cost[rid] = {"rounds": rounds, "longrange_messages": longrange, "bytes": nbytes}
+            cost = self.ring_cost[r.ring_id]
             log.debug(
                 "ring %d %s: size %d, hull %d, own rounds %d, %d long-range, %d bytes",
-                rid, r.kind, len(r.members), len(self.abstractions[rid].hull_nodes),
-                rounds, longrange, nbytes,
+                r.ring_id, r.kind, len(r.members), len(self.abstractions[r.ring_id].hull_nodes),
+                cost["rounds"], cost["longrange_messages"], cost["bytes"],
             )
 
     # -- audits ----------------------------------------------------------------
@@ -347,8 +348,9 @@ class Pipeline:
         }
 
         ring_rows = []
+        sizes = {r.ring_id: len(r.members) for r in self.rings}
         for rid, jump in self.jumps.items():
-            k = self.protos[rid].ring_size
+            k = sizes[rid]
             round_bound = max(math.ceil(math.log2(k)), 1)
             msg_bound = 2 * round_bound
             msg_max = max(jump.messages_per_node.values())

@@ -15,9 +15,11 @@ message-driven, so one wake rule serves every session: after its first
 round a node acts only when mail reaches it or when it asked to.
 
 The engine is also the bookkeeper: every send is appended to a
-transcript and counted into per-phase, per-session and per-node
-tallies, so round and message bounds can be checked after a run
-instead of trusted.
+transcript and counted into its phase's and its session's reports, and
+each keyed session's report is kept once the session goes quiet, so
+round and message bounds can be checked after a run instead of trusted.
+A caller costs a stretch of the run, such as one build, off the entries
+of both lists past the lengths they had when it began.
 """
 
 from __future__ import annotations
@@ -83,16 +85,10 @@ class RoundEngine:
         self.total_messages = 0
         self.total_bytes = 0
         self.max_longrange_per_node_round = 0
-        # running tallies; a caller diffs two snapshots to window them
-        self.longrange_sent: dict[NodeId, int] = defaultdict(int)
-        self.adhoc_sent = 0
         self.charged: dict[str, int] = defaultdict(int)
-        # per session over every phase: rounds until it went quiet,
-        # long-range messages, bytes of every message
-        self.session_rounds: dict[Hashable, int] = defaultdict(int)
-        self.session_longrange: dict[Hashable, int] = defaultdict(int)
-        self.session_bytes: dict[Hashable, int] = defaultdict(int)
         self.phase_reports: list[PhaseReport] = []
+        # each keyed session's report, in the order the sessions went quiet
+        self.session_reports: list[tuple[Hashable, PhaseReport]] = []
         self.transcript: list[dict] = []
         # the session whose handler runs now; sends are stamped with it
         self.session: Hashable = None
@@ -166,14 +162,11 @@ class RoundEngine:
         self.total_bytes += nbytes
         peak = 0
         if channel is Channel.LONGRANGE:
-            self.longrange_sent[src] += 1
             self._lr_this_round[src] += 1
             peak = self._lr_this_round[src]
             self.max_longrange_per_node_round = max(
                 self.max_longrange_per_node_round, peak
             )
-        else:
-            self.adhoc_sent += 1
         for rep in self._tallies:
             rep.bytes_total += nbytes
             if channel is Channel.ADHOC:
@@ -293,12 +286,9 @@ class RoundEngine:
                 in_flight = {m.session for m in self._outbox}
                 for key in [key for key, due in pending.items() if not due and key not in in_flight]:
                     del pending[key]
-                    own = self._reports[key]
-                    own.rounds = rounds
+                    self._reports[key].rounds = rounds
                     if key is not None:
-                        self.session_rounds[key] += rounds
-                        self.session_longrange[key] += own.messages_longrange
-                        self.session_bytes[key] += own.bytes_total
+                        self.session_reports.append((key, self._reports[key]))
                 if not pending:
                     return report
                 self.step_round()

@@ -293,14 +293,14 @@ def test_06_hole_classification(stacks, scale2048):
             # ascending, -360)
             oracle_kind = KIND_OUTER_BOUNDARY if area2 < 0 else KIND_INNER
             checked += 1
-            if abs(r.orientation_sum - target) > 1e-6:
+            if r.orientation_sum != target:
                 bad += 1
             elif r.kind != oracle_kind:
                 bad += 1
     ok = bad == 0 and checked > 0
     emit(
         f"CRITERION 6 ring orientation from hull rank order: {verdict(ok)} — {checked} classified rings, "
-        f"orientation_sum +/-360 (within 1e-6) and kind matches the shoelace oracle: {bad == 0}"
+        f"orientation_sum exactly +/-360 and kind matches the shoelace oracle: {bad == 0}"
     )
     assert ok, (checked, bad)
 

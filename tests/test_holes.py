@@ -39,13 +39,17 @@ from oracles import brute_hull, brute_outer_holes, shoelace
 
 
 def build(engine, rings, jumps=None):
-    """A build's wave one: elect (unless given the election), deal ids, build, classify."""
+    """A build's wave one: elect (unless given the election), deal ids, build, classify.
+
+    Returns the abstractions and the cubes, keyed by ring_id.
+    """
     members = {r.ring_id: r.members for r in rings}
     if jumps is None:
         jumps = pointer_jumping(engine, members)
-    out = build_hull_abstraction(engine, rings, assign_hypercube_ids(engine, members, jumps))
-    classify_rings(rings, out[1])
-    return out
+    cubes = assign_hypercube_ids(engine, members, jumps)
+    abstractions, orientations = build_hull_abstraction(engine, rings, cubes)
+    classify_rings(rings, orientations)
+    return abstractions, cubes
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +115,7 @@ def test_square_cycle_all_boundary():
     assert kinds == [KIND_INNER, KIND_OUTER_BOUNDARY]
     for r in rings:
         want = -360.0 if r.kind == KIND_INNER else 360.0
-        assert r.orientation_sum == pytest.approx(want, abs=1e-6)
+        assert r.orientation_sum == want
 
 
 def test_cavity_grid_rings(grid):
@@ -122,7 +126,7 @@ def test_cavity_grid_rings(grid):
     ]
     for r in rings:
         want = -360.0 if r.kind == KIND_INNER else 360.0
-        assert r.orientation_sum == pytest.approx(want, abs=1e-6)
+        assert r.orientation_sum == want
         assert r.perimeter_length > 0
         assert r.enclosed_area > 0
         assert r.bounding_box_circumference > 0
@@ -230,7 +234,7 @@ def test_cshape_has_one_outer_hole():
     mouth = holes[0]
     assert mouth.kind == KIND_OUTER_HOLE
     assert len(mouth.members) == 22
-    assert mouth.orientation_sum == pytest.approx(-360.0)
+    assert mouth.orientation_sum == -360.0
     # the virtual closing edge spans the mouth, longer than the radio range
     a, b = mouth.members[0], mouth.members[-1]
     assert dist(g.points[a], g.points[b]) > 3.0
@@ -420,9 +424,7 @@ def test_hull_abstraction_on_star():
     topo = build_udg(pts)
     engine = RoundEngine(topo)
     ring = HoleRing(ring_id=0, members=members)
-    abstractions, protos = build(engine, [ring])
-    ha, proto = abstractions[0], protos[0]
-    assert ha.hull_nodes == proto.hull
+    ha = build(engine, [ring])[0][0]
     assert sorted(ha.hull_nodes) == [0, 3, 6, 9]
     assert len(ha.bay_areas) == 4
     for i, bay in enumerate(ha.bay_areas):
@@ -441,23 +443,22 @@ def test_hull_abstraction_reuses_election(grid):
     jumps = pointer_jumping(engine, {inner.ring_id: inner.members})
     elected = sum(1 for t in engine.transcript if t["tag"] == "pj_succ")
     assert elected > 0
-    abstractions, protos = build(engine, [inner], jumps)
-    ha, proto = abstractions[inner.ring_id], protos[inner.ring_id]
+    abstractions, cubes = build(engine, [inner], jumps)
+    ha = abstractions[inner.ring_id]
     again = sum(1 for t in engine.transcript if t["tag"] == "pj_succ")
     assert again == elected  # no second election
-    assert proto.cube.members[0] == jumps[inner.ring_id].leader
+    assert cubes[inner.ring_id].members[0] == jumps[inner.ring_id].leader
     assert ha.hull_nodes == hull_node_ids(g.points, inner.members)
 
 
 def test_distributed_hull_matches_centralized_on_rings(grid):
     topo, g, _, rings, _, jumps = grid
     engine = RoundEngine(topo)
-    protos = build(engine, rings)[1]
+    abstractions = build(engine, rings)[0]
     for r in rings:
-        proto = protos[r.ring_id]
-        want = hull_node_ids(g.points, r.members)
-        assert proto.hull == want
-        got = sorted(tuple(topo.points[v]) for v in proto.hull)
+        hull = abstractions[r.ring_id].hull_nodes
+        assert hull == hull_node_ids(g.points, r.members)
+        got = sorted(tuple(topo.points[v]) for v in hull)
         assert got == brute_hull([tuple(topo.points[v]) for v in r.members])
 
 
@@ -465,14 +466,11 @@ def test_hole_report_shape(grid):
     topo, g, _, rings, _, jumps = grid
     engine = RoundEngine(topo)
     abstractions, _ = build(engine, rings)
-    cost = {
-        r.ring_id: {
-            "rounds": engine.session_rounds[r.ring_id],
-            "longrange_messages": engine.session_longrange[r.ring_id],
-            "bytes": engine.session_bytes[r.ring_id],
-        }
-        for r in rings
-    }
+    cost = {r.ring_id: {"rounds": 0, "longrange_messages": 0, "bytes": 0} for r in rings}
+    for rid, rep in engine.session_reports:
+        cost[rid]["rounds"] += rep.rounds
+        cost[rid]["longrange_messages"] += rep.messages_longrange
+        cost[rid]["bytes"] += rep.bytes_total
     rep = hole_report(rings, abstractions, cost)
     assert len(rep) == len(rings)
     for row in rep:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given
@@ -19,6 +20,7 @@ from hullroute.holes import hull_node_ids
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.overlay import (
     BroadcastTree,
+    HypercubeOverlay,
     assign_hypercube_ids,
     build_broadcast_tree,
     cube_over,
@@ -141,7 +143,8 @@ def test_mixed_wave_reports_each_rings_own_rounds():
         assert res[key].jump_rounds == alone.jump_rounds
         assert res[key].messages_per_node == alone.messages_per_node
     assert res["small"].jump_rounds < res["big"].jump_rounds
-    assert engine.phase_reports[-1].rounds == res["big"].jump_rounds + 1
+    # the phase lasts as long as the big ring's election, and no longer
+    assert engine.phase_reports[-1].rounds == res["big"].jump_rounds
 
 
 def test_wave_holds_each_session_to_its_own_bound():
@@ -185,14 +188,33 @@ def test_cast_and_merge_waves_make_no_idle_call(monkeypatch):
 # ring size merged up to the leader, orientation read off the hull's ranks
 
 
-def hull_protocol(engine, rings):
-    """Election, id deal and ring_protocol for rings (key -> members), as a build's wave one."""
-    return ring_protocol(engine, assign_hypercube_ids(engine, rings, pointer_jumping(engine, rings)))
+class RingRun(NamedTuple):
+    """One ring's ranks, hull node ids and orientation after a build's wave one."""
+
+    cube: HypercubeOverlay
+    hull: list
+    orientation: int
 
 
-def merged_totals(engine, members):
-    """The ring's protocol result: the size its leader merged, the orientation it read."""
-    return hull_protocol(engine, {0: members})[0]
+def one_ring(engine, members):
+    """Election, id deal and ring_protocol for the ring members, as a build's wave one."""
+    rings = {0: members}
+    cubes = assign_hypercube_ids(engine, rings, pointer_jumping(engine, rings))
+    hulls, orientations = ring_protocol(engine, cubes)
+    return RingRun(cubes[0], hulls[0], orientations[0])
+
+
+def merged_sizes(monkeypatch) -> dict:
+    """Fills with the ring size each leader ends the merge with, by key, as rank_ring checks it."""
+    sizes = {}
+    rank_ring = overlay_mod.rank_ring
+
+    def spy(engine, cubes, chains, merged):
+        sizes.update(merged)
+        return rank_ring(engine, cubes, chains, merged)
+
+    monkeypatch.setattr(overlay_mod, "rank_ring", spy)
+    return sizes
 
 
 @pytest.mark.parametrize("k", [3, 4, 6, 8, 12, 17])
@@ -207,8 +229,9 @@ def test_merged_totals_match_a_direct_sum(k, monkeypatch):
         send(src, dst, payload, **kw)
 
     monkeypatch.setattr(engine, "send", spy)
-    res = merged_totals(engine, members)
-    assert res.ring_size == k
+    sizes = merged_sizes(monkeypatch)
+    res = one_ring(engine, members)
+    assert sizes == {0: k}
     # a ccw walk: the hull's ranks ascend from the leader around the hull
     assert res.orientation == polygon_orientation([engine.topo.points[v] for v in members]) == 1
     # one merge message per merge of two blocks carries the right block's
@@ -218,10 +241,10 @@ def test_merged_totals_match_a_direct_sum(k, monkeypatch):
     assert tags == {"pj_succ", "pj_pred", "hc_assign", "hm", "hullb"}
 
 
-def test_merged_angle_total_flips_sign_clockwise():
+def test_hull_rank_order_flips_orientation_clockwise():
     engine, members = ring_engine(9, seed=77)
     cw = [members[0]] + members[1:][::-1]
-    assert merged_totals(engine, cw).orientation == -1
+    assert one_ring(engine, cw).orientation == -1
 
 
 # primitive lattice directions with coordinates in [-2, 2], counterclockwise
@@ -272,7 +295,7 @@ def test_rank_ring_reads_the_orientation_off_the_hull_ranks(spokes, start, clock
     # the leader, id 0, sits at walk position start; ids follow the walk
     ids = [(i - start) % k for i in range(k)]
     engine = RoundEngine(build_udg(dict(zip(ids, walk))))
-    res = merged_totals(engine, ids)
+    res = one_ring(engine, ids)
     assert res.orientation == polygon_orientation(walk) == (-1 if clockwise else 1)
     rank = res.cube.id_map
     chain = [[engine.topo.points[v].x, engine.topo.points[v].y, v, rank[v]] for v in res.hull]
@@ -300,7 +323,7 @@ def test_a_block_that_under_reports_its_count_aborts(monkeypatch):
 
     monkeypatch.setattr(engine, "send", spy)
     with pytest.raises(SimulationAbortError, match="lost nodes"):
-        merged_totals(engine, members)
+        one_ring(engine, members)
     assert mutated
     # the leader noticed before it broadcast the hull
     assert "hullb" not in {t["tag"] for t in engine.transcript}
@@ -409,7 +432,7 @@ def hull_ids(pts, members):
 @pytest.mark.parametrize("k,jitter", HULL_CASES)
 def test_parallel_hull_equals_centralized(k, jitter):
     engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
-    res = hull_protocol(engine, {0: members})[0]
+    res = one_ring(engine, members)
     pts = engine.topo.points
     assert res.hull == hull_ids(pts, members)
     # second, independently coded centralized route
@@ -436,7 +459,7 @@ def test_parallel_hull_drops_collinear_perimeter_points():
     pts = rect_ring_points(4, 3)
     engine = RoundEngine(build_udg(pts))
     members = list(range(len(pts)))
-    res = hull_protocol(engine, {0: members})[0]
+    res = one_ring(engine, members)
     assert res.hull == hull_ids(pts, members)
     assert len(res.hull) == 4  # corners only
     coord_of = {v: (pts[v].x, pts[v].y) for v in members}
@@ -484,8 +507,8 @@ def test_rank_merge_equals_the_centralized_hull(seed):
             pts, members = circle_points(k, seed=seed * 1000 + k, jitter=0.03 * shape)
         engine = RoundEngine(build_udg(pts))
         cube = jump_cube(engine, members)
-        res = ring_protocol(engine, {0: cube})[0]
-        assert res.hull == hull_ids(pts, members), (k, shape)
+        hulls, _ = ring_protocol(engine, {0: cube})
+        assert hulls[0] == hull_ids(pts, members), (k, shape)
 
 
 @pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1"])
@@ -499,7 +522,7 @@ def test_shipped_chains_merge_to_the_centralized_hull(name):
     assert len(pipe.abstractions) == len(pipe.rings)
     for r in pipe.rings:
         assert pipe.abstractions[r.ring_id].hull_nodes == hull_node_ids(topo.points, r.members)
-        assert pipe.protos[r.ring_id].hull == hull_ids(topo.points, r.members)
+        assert pipe.abstractions[r.ring_id].hull_nodes == hull_ids(topo.points, r.members)
 
 
 def _log_merge(monkeypatch) -> list:
@@ -564,7 +587,7 @@ def test_hull_merge_searches_both_tangents_at_once(k, jitter, monkeypatch):
     # level takes the one round of its ship
     merge_log = _log_merge(monkeypatch)
     engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
-    res = hull_protocol(engine, {0: members})[0]
+    res = one_ring(engine, members)
     assert _check_merge(engine, merge_log, {0: res.cube.dimension}) == [1] * res.cube.dimension
 
 
@@ -575,7 +598,7 @@ def test_hull_merge_searches_both_tangents_at_once_on_every_ring(monkeypatch):
         merge_log.clear()
         pipe = Pipeline(topo, PipelineConfig())
         pipe.build_abstraction()
-        cubes = {r.ring_id: pipe.protos[r.ring_id].cube.dimension for r in pipe.rings}
+        cubes = {r.ring_id: pipe.cubes[r.ring_id].dimension for r in pipe.rings}
         assert set(_check_merge(pipe.engine, merge_log, cubes)) == {1}
 
 
@@ -584,7 +607,7 @@ def test_merge_messages_stay_under_the_cap(monkeypatch):
     # takes several rounds, at cap messages a round
     merge_log = _log_merge(monkeypatch)
     engine, members = ring_engine(300)
-    res = hull_protocol(engine, {0: members})[0]
+    res = one_ring(engine, members)
     cap = math.ceil(math.log2(300))
     assert res.hull == hull_ids(engine.topo.points, members)
     assert len(res.hull) > cap * cap
@@ -622,11 +645,11 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
         own_hulls: dict = {}
         for key, cube in cubes.items():
             for v in cube.members:
-                own_hulls.setdefault(v, set()).update(out[key].hull)
+                own_hulls.setdefault(v, set()).update(out[0][key])
         for v, ids in learned[-1].items():
             assert ids & topo.knows[v] <= own_hulls.get(v, set()), v
             dropped += len(ids - topo.knows[v])
-        outside = set(topo.ids) - {v for res in out.values() for v in res.cube.members}
+        outside = set(topo.ids) - {v for cube in cubes.values() for v in cube.members}
         outside_learned += sum(len(learned[-1][v]) for v in outside)
         return out
 
@@ -639,23 +662,25 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     assert outside_learned == 0
 
 
-def test_ring_protocol_on_cavity_ring():
+def test_ring_protocol_on_cavity_ring(monkeypatch):
     topo = fixture_topology("grid36-hole4")
     g = build_ldel2(topo)
     ring = next(list(f) for f in g.faces if len(f) == 8)
     assert sorted(ring) == [8, 9, 13, 14, 17, 18, 22, 23]
     engine = RoundEngine(topo)
     jumps = pointer_jumping(engine, {0: ring})
-    res = ring_protocol(engine, assign_hypercube_ids(engine, {0: ring}, jumps))[0]
-    assert jumps[0].leader == res.cube.members[0] == 8
-    assert res.ring_size == 8
+    cubes = assign_hypercube_ids(engine, {0: ring}, jumps)
+    sizes = merged_sizes(monkeypatch)
+    hulls, orientations = ring_protocol(engine, cubes)
+    assert jumps[0].leader == cubes[0].members[0] == 8
+    assert sizes == {0: 8}
     # bounded faces are walked ccw
-    assert res.orientation == 1
+    assert orientations == {0: 1}
     pts = topo.points
     coord_of = {v: (pts[v].x, pts[v].y) for v in ring}
     id_at = {c: v for v, c in coord_of.items()}
     want = [id_at[c] for c in brute_hull_ccw(list(coord_of.values()))]
-    assert res.hull == want
+    assert hulls == {0: want}
 
 
 def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
@@ -676,7 +701,7 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
             send(src, dst, payload, **kw)
 
         monkeypatch.setattr(engine, "send", spy)
-        res = hull_protocol(engine, {0: members})[0]
+        res = one_ring(engine, members)
         rank = res.cube.id_map
         hull = sorted(rank[h] for h in res.hull)
         got: dict = {}

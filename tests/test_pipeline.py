@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hullroute.cli import main as cli_main
+import hullroute.overlay as overlay_mod
 import hullroute.pipeline as pipeline_mod
 from hullroute.errors import (
     BoundViolationError,
@@ -355,7 +356,7 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
             ells[tag, "ell" in d] += 1
             d.setdefault("ell", own)
         else:
-            rank = pipe.protos[session].cube.id_map
+            rank = pipe.cubes[session].id_map
             if tag in ("hm", "hullb"):
                 assert set(d) <= ({"hull", "count"} if tag == "hm" else {"hull", "size"})
                 d["hull"] = with_ids(d["hull"], intro, 2)
@@ -465,7 +466,7 @@ def test_ring_nodes_know_their_bay_ends(name, monkeypatch):
     knows = pipe._knows_after_build
     checked = Counter()
     for r in pipe.rings:
-        cube = pipe.protos[r.ring_id].cube
+        cube = pipe.cubes[r.ring_id]
         rank, k = cube.id_map, len(cube.members)
         ab = pipe.abstractions[r.ring_id]
         # the leader, rank 0 of a closed ring, ends the merge with the hull and k
@@ -702,7 +703,7 @@ def test_protocol_rounds_do_not_grow_with_hole_count():
     rows = four.bound_audit()["pointer_jumping"]["rings"]
     assert all(row["jump_rounds"] <= row["round_bound"] for row in rows)
     arc_ids = {r.ring_id for r in four.rings if r.kind == "OuterHole"}
-    arcs = [four.engine.session_rounds[rid] for rid in arc_ids]
+    arcs = [four.ring_cost[rid]["rounds"] for rid in arc_ids]
     assert min(arcs) < max(arcs)
 
 
@@ -710,13 +711,21 @@ def test_protocol_rounds_do_not_grow_with_hole_count():
 def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monkeypatch):
     topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
     build, knew, merged = pipeline_mod.build_hull_abstraction, [], []
+    rank_ring, sizes, orientations = overlay_mod.rank_ring, {}, {}
 
     def spy(engine, rings, cubes):
         if not any(c.closed for c in cubes.values()):  # wave two
             knew.append({v: set(topo.knows[v]) for v in topo.ids})
-        return build(engine, rings, cubes)
+        out = build(engine, rings, cubes)
+        orientations.update(out[1])
+        return out
+
+    def rank_spy(engine, cubes, chains, merged):
+        sizes.update(merged)
+        return rank_ring(engine, cubes, chains, merged)
 
     monkeypatch.setattr(pipeline_mod, "build_hull_abstraction", spy)
+    monkeypatch.setattr(overlay_mod, "rank_ring", rank_spy)
     pipe = Pipeline(topo, PipelineConfig())
     send = pipe.engine.send
 
@@ -732,23 +741,22 @@ def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monke
     assert any(two for two, _ in merged)
     assert not any(totals for two, totals in merged if two)
     for r in pipe.rings:
-        res = pipe.protos[r.ring_id]
         if r.kind == KIND_OUTER_HOLE:
-            assert res.ring_size is None and res.orientation is None
+            assert r.ring_id not in sizes and r.ring_id not in orientations
         else:
-            assert res.ring_size == len(r.members)
-            assert r.orientation_sum == -360.0 * res.orientation
+            assert sizes[r.ring_id] == len(r.members)
+            assert r.orientation_sum == -360.0 * orientations[r.ring_id]
     labels = [p.label for p in pipe.engine.phase_reports]
     wave_two = set(labels[labels.index("hull_broadcast") + 1 :])
     assert "hull_broadcast" in wave_two
     assert not {"pointer_jumping", "hypercube_ids"} & wave_two
     (knew,) = knew
-    ring = pipe.protos[next(r.ring_id for r in pipe.rings if r.kind == "OuterBoundary")].cube
+    ring = pipe.cubes[next(r.ring_id for r in pipe.rings if r.kind == "OuterBoundary")]
     rank, k = ring.id_map, len(ring.members)
     arcs = [r for r in pipe.rings if r.kind == KIND_OUTER_HOLE]
     assert arcs
     for arc in arcs:
-        cube = pipe.protos[arc.ring_id].cube
+        cube = pipe.cubes[arc.ring_id]
         assert cube.members == arc.members
         # slot s sits s outer ranks past the arc's first node
         start, m = rank[arc.members[0]], len(arc.members)
@@ -906,6 +914,11 @@ def test_recompute_after_moves_stores_no_more_than_a_fresh_build(seed):
     storage, want = pipe.storage_audit(), fresh.storage_audit()
     for cls in ("hull", "boundary", "other"):
         assert storage[cls]["max"] <= want[cls]["max"], cls
+    # the last recompute's window of the transcript and session reports
+    # costs what the fresh build's does
+    assert pipe.build_longrange == fresh.build_longrange
+    assert pipe.build_adhoc == fresh.build_adhoc
+    assert pipe.ring_cost == fresh.ring_cost
 
 
 @pytest.mark.parametrize("name", ["grid36-hole4", "cshape-40"])

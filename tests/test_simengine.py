@@ -228,7 +228,8 @@ def test_sessions_sharing_nodes_are_demultiplexed(line3):
     phase = eng.phase_reports[-1]
     assert phase.label == "shared"
     assert phase.rounds == 4 and phase.messages_adhoc == 6
-    assert eng.session_rounds == {"a": 2, "b": 4}
+    # each session's own report is kept as it goes quiet
+    assert eng.session_reports == [("a", reports["a"]), ("b", reports["b"])]
     assert eng.session is None
 
 
@@ -288,13 +289,22 @@ def test_no_sessions_runs_no_phase(line3):
 
 
 def test_running_tallies_by_channel(line3):
+    # a window of the transcript holds its sends by channel and sender
     line3.learn(0, 2)
     eng = RoundEngine(line3)
-    eng.send(0, 2, None, channel=Channel.LONGRANGE)
     eng.send(0, 1, None)
+    start = len(eng.transcript)
+    eng.send(0, 2, None, channel=Channel.LONGRANGE)
+    eng.send(1, 0, None)
     eng.step_round()
     eng.send(0, 2, None, channel=Channel.LONGRANGE)
     eng.charge_rounds(3, "tree")
-    assert dict(eng.longrange_sent) == {0: 2}
-    assert eng.adhoc_sent == 1
+    window = eng.transcript[start:]
+    assert [(t["src"], t["channel"]) for t in window] == [
+        (0, "longrange"),
+        (1, "adhoc"),
+        (0, "longrange"),
+        (None, "meta"),
+    ]
+    assert window[-1]["tag"] == "charge:tree:3"
     assert eng.charged == {"tree": 3}
