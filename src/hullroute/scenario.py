@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -184,8 +185,13 @@ def fixture_spec(name: str) -> ScenarioSpec:
 
 
 def fixture_topology(name: str) -> HybridTopology:
+    """A fixture, scale-N-S for scaling_spec(N, S) or grid-N for holes_grid_spec(N)."""
     if name == "cshape-40":
         return build_udg(_cshape_points(seed=3))
+    if m := re.fullmatch(r"scale-([1-9][0-9]*)-(0|[1-9][0-9]*)", name):
+        return generate_scenario(scaling_spec(int(m[1]), int(m[2])))
+    if m := re.fullmatch(r"grid-([1-9][0-9]*)", name):
+        return generate_scenario(holes_grid_spec(int(m[1])))
     return generate_scenario(fixture_spec(name))
 
 

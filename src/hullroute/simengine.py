@@ -20,6 +20,12 @@ each keyed session's report is kept once the session goes quiet, so
 round and message bounds can be checked after a run instead of trusted.
 A caller costs a stretch of the run, such as one build, off the entries
 of both lists past the lengths they had when it began.
+
+A transcript line's `bytes` are `canonical_bytes` of {tag, data, intro}
+(the sorted ids introduced; the session header, like src and dst, is not
+counted): 25 + len(json.dumps(tag)) of envelope, plus its `intro` bytes,
+kept on the line, plus the payload's.  The reports also count
+`run_phase`'s handler calls, and as `active` those that had mail or sent.
 """
 
 from __future__ import annotations
@@ -68,6 +74,9 @@ class Message:
 class PhaseReport:
     label: str
     rounds: int = 0
+    # handler calls, and those among them that had mail or sent
+    calls: int = 0
+    active: int = 0
     messages_adhoc: int = 0
     messages_longrange: int = 0
     bytes_total: int = 0
@@ -144,10 +153,8 @@ class RoundEngine:
                 )
         msg = Message(src, dst, payload, channel, tag, tuple(intro_ids), self.session)
         self._outbox.append(msg)
-        # the session header, like src and dst, is not part of the size
-        nbytes = canonical_bytes(
-            {"tag": tag, "data": payload, "intro": sorted(intro_ids)}
-        )
+        intro = sorted(intro_ids)
+        nbytes = canonical_bytes({"tag": tag, "data": payload, "intro": intro})
         self.transcript.append(
             {
                 "round": self.round_no,
@@ -155,6 +162,7 @@ class RoundEngine:
                 "dst": dst,
                 "channel": channel.value,
                 "bytes": nbytes,
+                "intro": canonical_bytes(intro),
                 "tag": tag,
             }
         )
@@ -214,6 +222,7 @@ class RoundEngine:
                 "dst": None,
                 "channel": Channel.META.value,
                 "bytes": 0,
+                "intro": 0,
                 "tag": f"charge:{label}:{n}",
             }
         )
@@ -273,14 +282,19 @@ class RoundEngine:
                     box = self._inbox.pop(key, {})
                     again = []
                     for v in sorted(box.keys() | due):
+                        inbox, sent = box.pop(v, []), self.total_messages
                         try:
-                            done = handler(self, v, box.pop(v, []))
+                            done = handler(self, v, inbox)
                         except (IllegalSendError, IllegalIntroductionError):
                             raise
                         except Exception as e:
                             raise SimulationAbortError(v, self.round_no, repr(e)) from e
                         if not done:
                             again.append(v)
+                        active = bool(inbox) or self.total_messages != sent
+                        for rep in self._tallies:
+                            rep.calls += 1
+                            rep.active += active
                     pending[key] = again
                 self.session = None
                 in_flight = {m.session for m in self._outbox}
@@ -301,10 +315,10 @@ class RoundEngine:
             self._phase = None
             self.phase_reports.append(report)
             log.debug(
-                "phase %s: %d rounds, %d long-range, %d ad hoc, %d bytes, "
-                "peak %d long-range per node and round",
-                label, report.rounds, report.messages_longrange, report.messages_adhoc,
-                report.bytes_total, report.max_longrange_per_node_round,
+                "phase %s: %d rounds, %d handler calls, %d active, %d long-range, "
+                "%d ad hoc, %d bytes, peak %d long-range per node and round",
+                label, report.rounds, report.calls, report.active, report.messages_longrange,
+                report.messages_adhoc, report.bytes_total, report.max_longrange_per_node_round,
             )
 
     # -- transcript ----------------------------------------------------------

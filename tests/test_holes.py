@@ -32,7 +32,7 @@ from hullroute.holes import (
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.overlay import assign_hypercube_ids, pointer_jumping
 from hullroute.pipeline import Pipeline, PipelineConfig
-from hullroute.scenario import fixture_topology, generate_scenario, holes_grid_spec, scaling_spec
+from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
 from hullroute.simengine import RoundEngine
 
 from oracles import brute_hull, brute_outer_holes, shoelace
@@ -309,13 +309,7 @@ def built():
 
     def get(name):
         if name not in cache:
-            if name.startswith("scale-"):
-                topo = generate_scenario(scaling_spec(int(name.split("-")[1]), 1))
-            elif name == "grid-2048":
-                topo = generate_scenario(holes_grid_spec(2048))
-            else:
-                topo = fixture_topology(name)
-            cache[name] = Pipeline(topo, PipelineConfig())
+            cache[name] = Pipeline(fixture_topology(name), PipelineConfig())
             cache[name].build_abstraction()
         return cache[name]
 

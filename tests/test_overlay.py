@@ -31,7 +31,7 @@ from hullroute.overlay import (
     ring_protocol,
 )
 from hullroute.pipeline import Pipeline, PipelineConfig
-from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
+from hullroute.scenario import fixture_topology
 from hullroute.simengine import RoundEngine
 
 from oracles import (
@@ -160,28 +160,19 @@ def test_wave_holds_each_session_to_its_own_bound():
     assert ran == {"short": 2, "long": 6}
 
 
-def test_cast_and_merge_waves_make_no_idle_call(monkeypatch):
+def test_cast_and_merge_waves_make_no_idle_call():
     # in the id deal, every hull merge level and both hull broadcasts, a
     # node is called only when mail reaches it or in a round it sends
-    calls, idle = Counter(), Counter()
-    run_phase = RoundEngine.run_phase
-
-    def spy(eng, label, handler, max_rounds):
-        def called(e, v, inbox):
-            sent = e.total_messages
-            done = handler(e, v, inbox)
-            calls[label] += 1
-            idle[label] += not inbox and e.total_messages == sent
-            return done
-
-        return run_phase(eng, label, called, max_rounds)
-
-    monkeypatch.setattr(RoundEngine, "run_phase", spy)
-    for topo in (fixture_topology("star12-4"), generate_scenario(scaling_spec(512, 1))):
-        Pipeline(topo, PipelineConfig()).build_abstraction()
-    watched = [label for label in calls if label == "hypercube_ids" or label.startswith(("hull_merge_", "hull_broadcast"))]
-    assert {"hypercube_ids", "hull_merge_1", "hull_broadcast"} <= set(watched)
-    assert {label: idle[label] for label in watched if idle[label]} == {}
+    watched = []
+    for name in ("star12-4", "scale-512-1"):
+        pipe = Pipeline(fixture_topology(name), PipelineConfig())
+        pipe.build_abstraction()
+        watched += [
+            p for p in pipe.engine.phase_reports
+            if p.label == "hypercube_ids" or p.label.startswith(("hull_merge_", "hull_broadcast"))
+        ]
+    assert {"hypercube_ids", "hull_merge_1", "hull_broadcast"} <= {p.label for p in watched}
+    assert [(p.label, p.calls - p.active) for p in watched if p.calls != p.active] == []
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +506,7 @@ def test_rank_merge_equals_the_centralized_hull(seed):
 def test_shipped_chains_merge_to_the_centralized_hull(name):
     # every right block ships its hull chain (tag `hm`); the left hosts'
     # merges end in the centralized hull of every ring
-    topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
+    topo = fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     pipe.build_abstraction()
     assert "hm" in {t["tag"] for t in pipe.engine.transcript}
@@ -594,7 +585,7 @@ def test_hull_merge_searches_both_tangents_at_once(k, jitter, monkeypatch):
 def test_hull_merge_searches_both_tangents_at_once_on_every_ring(monkeypatch):
     # both waves: the closed rings, then the outer-hole arcs
     merge_log = _log_merge(monkeypatch)
-    for topo in (fixture_topology("star12-4"), generate_scenario(scaling_spec(512, 1))):
+    for topo in (fixture_topology("star12-4"), fixture_topology("scale-512-1")):
         merge_log.clear()
         pipe = Pipeline(topo, PipelineConfig())
         pipe.build_abstraction()

@@ -20,6 +20,7 @@ from hullroute.cli import main as cli_main
 import hullroute.overlay as overlay_mod
 import hullroute.pipeline as pipeline_mod
 from hullroute.errors import (
+    AssumptionViolationError,
     BoundViolationError,
     ConfigError,
     DisconnectedError,
@@ -271,10 +272,7 @@ def _longrange_recount(transcript) -> dict[int, int]:
 
 @pytest.mark.parametrize("name", sorted(SERIAL_BUILD))
 def test_concurrent_build_matches_serial_build(name):
-    if name == "scale-512-1":
-        topo = generate_scenario(scaling_spec(512, 1))
-    else:
-        topo = fixture_topology(name)
+    topo = fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     pipe.build_abstraction()
     messages, nbytes, lr_digest, digest = SERIAL_BUILD[name]
@@ -320,7 +318,7 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
     # ones the earlier format carried.  The cast hands every hull node each
     # other hull node's entry once; a root that heads the heap has them all
     # from the gather instead.
-    topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
+    topo = fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     sent = []
     send = RoundEngine.send
@@ -409,10 +407,7 @@ ROUTE_ROWS = {
 
 @pytest.mark.parametrize("name,backend", sorted(ROUTE_ROWS))
 def test_route_rows_match_pinned_digests(name, backend):
-    if name == "scale-512-1":
-        topo = generate_scenario(scaling_spec(512, 1))
-    else:
-        topo = fixture_topology(name)
+    topo = fixture_topology(name)
     rep = Pipeline(topo, PipelineConfig(backend=backend, query_count=100, query_seed=11)).run()
     assert all(q["replans"] == max(len(q["planners"]) - 1, 0) for q in rep.queries)
     pinned = [{k: v for k, v in q.items() if k not in ("replans", "planners")} for q in rep.queries]
@@ -424,10 +419,7 @@ def test_route_rows_match_pinned_digests(name, backend):
 def test_case1_planners_know_their_waypoints(name):
     # a waypoint plan is made at a hull node from the references the build
     # left it; it may name no hull node whose id that node does not hold
-    if name == "scale-512-1":
-        topo = generate_scenario(scaling_spec(512, 1))
-    else:
-        topo = fixture_topology(name)
+    topo = fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig(query_count=100, query_seed=11))
     pipe.build_abstraction()
     results, _ = pipe.run_queries()
@@ -446,10 +438,7 @@ def test_ring_nodes_know_their_bay_ends(name, monkeypatch):
     # on a closed ring the ring size; so member j of a bay of m decides
     # alone whether it joins the bay's dominating set: when j % 3 == 1,
     # or j == m - 1 and j % 3 == 0
-    if name == "scale-512-1":
-        topo = generate_scenario(scaling_spec(512, 1))
-    else:
-        topo = fixture_topology(name)
+    topo = fixture_topology(name)
     heard, sizes = defaultdict(dict), {}
     send = RoundEngine.send
 
@@ -529,19 +518,19 @@ def test_each_engine_phase_logs_one_line_when_it_ends(caplog):
     with caplog.at_level(logging.DEBUG, logger="hullroute.simengine"):
         pipe.build_abstraction()
     line = re.compile(
-        r"phase (\S+): (\d+) rounds, (\d+) long-range, (\d+) ad hoc, (\d+) bytes, "
-        r"peak (\d+) long-range per node and round"
+        r"phase (\S+): (\d+) rounds, (\d+) handler calls, (\d+) active, (\d+) long-range, "
+        r"(\d+) ad hoc, (\d+) bytes, peak (\d+) long-range per node and round"
     )
     ends = [r.getMessage() for r in caplog.records if r.name == "hullroute.simengine" and "begins" not in r.getMessage()]
     rows = [line.fullmatch(msg).groups() for msg in ends]
     assert rows == [
-        (p.label, *map(str, (p.rounds, p.messages_longrange, p.messages_adhoc, p.bytes_total,
-                             p.max_longrange_per_node_round)))
+        (p.label, *map(str, (p.rounds, p.calls, p.active, p.messages_longrange, p.messages_adhoc,
+                             p.bytes_total, p.max_longrange_per_node_round)))
         for p in pipe.engine.phase_reports
     ]
     assert rows[-1][0] == "hull_distribution"
     hrefs = sum(t["tag"] == "href" for t in pipe.engine.transcript)
-    assert int(rows[-1][2]) + int(rows[-1][3]) == hrefs > 0
+    assert int(rows[-1][4]) + int(rows[-1][5]) == hrefs > 0
 
 
 def test_each_engine_phase_logs_one_line_when_it_begins(caplog):
@@ -587,7 +576,7 @@ def test_holes_rows_report_each_rings_own_cost(name, caplog):
     # every phase but the hull distribution, whose one session is no
     # ring's, runs one session per ring, so the rows add up to those
     # phases, and each row's rounds are the ones the wave's log line names
-    topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
+    topo = fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     with caplog.at_level(logging.DEBUG, logger="hullroute.pipeline"):
         pipe.build_abstraction()
@@ -644,7 +633,7 @@ PRE_TREE_PHASES = ("ldel2_build", "ring_detect", "classification", "ring_hulls",
 
 @pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1"])
 def test_broadcast_tree_is_charged_only_past_the_waves(name):
-    topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
+    topo = fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     pipe.build_abstraction()
     rounds = pipe.phase_rounds
@@ -709,7 +698,7 @@ def test_protocol_rounds_do_not_grow_with_hole_count():
 
 @pytest.mark.parametrize("name", ["crescent-24", "scale-512-1"])
 def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monkeypatch):
-    topo = generate_scenario(scaling_spec(512, 1)) if name == "scale-512-1" else fixture_topology(name)
+    topo = fixture_topology(name)
     build, knew, merged = pipeline_mod.build_hull_abstraction, [], []
     rank_ring, sizes, orientations = overlay_mod.rank_ring, {}, {}
 
@@ -885,15 +874,26 @@ def test_recompute_after_small_move_rebuilds_cleanly():
 @settings(max_examples=9)
 @given(st.sampled_from(["grid36-hole4", "star12-4", "crescent-24"]), st.randoms(use_true_random=False))
 def test_recompute_after_moves_equals_a_fresh_build(name, rng):
+    # moves may take the network outside the model (touching hulls): then
+    # the recompute refuses it as a fresh build does; otherwise it builds
+    # the same abstraction at the same cost
     pipe = Pipeline(fixture_topology(name), PipelineConfig())
     pipe.build_abstraction()
     for v in rng.sample(pipe.topo.ids, 4):
         p, r, a = pipe.topo.points[v], rng.uniform(0.0, 0.05), rng.uniform(0.0, 2 * math.pi)
         pipe.topo.move_node(v, Point(p.x + r * math.cos(a), p.y + r * math.sin(a)))
-    out = pipe.periodic_recompute()
     fresh = Pipeline(build_udg(dict(pipe.topo.points)), PipelineConfig())
-    fresh.build_abstraction()
+    try:
+        fresh.build_abstraction()
+    except AssumptionViolationError:
+        with pytest.raises(AssumptionViolationError):
+            pipe.periodic_recompute()
+        return
+    out = pipe.periodic_recompute()
     assert out["abstraction_digest"] == fresh.abstraction_digest()
+    assert pipe.build_longrange == fresh.build_longrange
+    assert pipe.build_adhoc == fresh.build_adhoc
+    assert pipe.ring_cost == fresh.ring_cost
 
 
 @pytest.mark.parametrize("seed", [2, 3])

@@ -64,12 +64,12 @@ from hullroute.routing import (
     measure_competitiveness,
     overlay_shortest_path,
 )
-from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
+from hullroute.scenario import fixture_topology
 
 
 def build_stack(name):
     """Fixture or scale-512-1 topology through the abstraction the pipeline ships."""
-    pipe = Pipeline(topology(name), PipelineConfig())
+    pipe = Pipeline(fixture_topology(name), PipelineConfig())
     pipe.build_abstraction()
     return pipe.topo, pipe.g, pipe.engine, pipe.rings, pipe.abstractions
 
@@ -785,12 +785,6 @@ def test_route_trivial_and_bay_to_outside_queries(crescent):
     assert res.path[0] == members[0] and res.path[-1] == outside
 
 
-def topology(name):
-    if name == "scale-512-1":
-        return generate_scenario(scaling_spec(512, 1))
-    return fixture_topology(name)
-
-
 def inside_pairs(topo, router, rng):
     """Same-bay pairs, pairs of nodes inside hulls, and inside/outside pairs."""
     pockets = nodes_by_pocket(topo, router)
@@ -828,7 +822,7 @@ INSIDE_ROWS = {
 def test_inside_hull_route_rows_match_pinned_digests():
     cases = {}
     for name, digest in INSIDE_ROWS.items():
-        topo = topology(name)
+        topo = fixture_topology(name)
         pipe = Pipeline(topo, PipelineConfig())
         pipe.build_abstraction()
         rows = []
@@ -871,7 +865,7 @@ def assert_inside_nodes_sit_in_bays(router):
 
 @pytest.mark.parametrize("name", ["grid36-hole4", "star12-4", "crescent-24", "cshape-40", "scale-512-1"])
 def test_every_node_inside_a_hull_sits_in_a_bay(name):
-    pipe = Pipeline(topology(name), PipelineConfig())
+    pipe = Pipeline(fixture_topology(name), PipelineConfig())
     pipe.build_abstraction()
     assert assert_inside_nodes_sit_in_bays(pipe.router) > 0
     rng = random.Random(3)

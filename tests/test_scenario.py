@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from hullroute.errors import DegenerateInputError
+from hullroute.errors import DegenerateInputError, GenerationError
 from hullroute.geometry import Point, Polygon, point_in_polygon
 from hullroute.scenario import (
     ScenarioSpec,
@@ -46,11 +46,8 @@ def topology_rows(topo) -> list:
 
 
 def pinned_topology(name: str):
-    if name.startswith("scale-"):
-        return generate_scenario(scaling_spec(int(name.split("-")[1]), 1))
-    if name == "holes-grid-2048":
-        return generate_scenario(holes_grid_spec(2048))
-    return fixture_topology(name)
+    # holes-grid-2048 was pinned before fixture_topology named it grid-2048
+    return fixture_topology(name.removeprefix("holes-"))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -59,6 +56,17 @@ def test_topology_matches_golden_digest(name):
     assert list(topo.points) == topo.ids == list(topo.adhoc) == list(topo.knows)
     rows = topology_rows(topo)
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name,spec", [("scale-300-2", scaling_spec(300, 2)), ("grid-400", holes_grid_spec(400))])
+def test_fixture_topology_names_generated_instances(name, spec):
+    assert fixture_topology(name).points == generate_scenario(spec).points
+
+
+@pytest.mark.parametrize("name", ["scale-512", "scale-512-1-2", "scale-x-1", "scale-0512-1", "grid-0", "grid-2048-1", ""])
+def test_fixture_topology_rejects_unknown_and_malformed_names(name):
+    with pytest.raises(GenerationError):
+        fixture_topology(name)
 
 
 def brute_grid_points(spec: ScenarioSpec, spacing: float, rng: random.Random) -> list[Point]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -146,9 +147,19 @@ def test_transcript_schema_and_bytes(tmp_path, line3):
     lines = [json.loads(s) for s in path.read_text().splitlines()]
     assert len(lines) == 1
     rec = lines[0]
-    assert set(rec) == {"round", "src", "dst", "channel", "bytes", "tag"}
+    assert set(rec) == {"round", "src", "dst", "channel", "bytes", "intro", "tag"}
     assert rec["src"] == 0 and rec["dst"] == 1 and rec["round"] == 0
     assert rec["bytes"] == canonical_bytes({"tag": "demo", "data": {"a": 1, "b": 2}, "intro": []})
+
+
+@pytest.mark.parametrize("tag", ["pj_succ", "href", "hm"])
+def test_transcript_bytes_are_envelope_intro_and_data(line3, tag):
+    # the envelope follows from the tag alone
+    eng, payload = RoundEngine(line3), {"hull": [[0.5, -1.25, 3]], "m": 2}
+    eng.send(1, 0, payload, tag=tag, intro_ids=(2, 1))
+    (line,) = eng.transcript
+    assert line["intro"] == canonical_bytes([1, 2])
+    assert line["bytes"] == 25 + len(json.dumps(tag)) + line["intro"] + canonical_bytes(payload)
 
 
 def test_longrange_per_round_peak(line3):
@@ -193,10 +204,8 @@ def test_longrange_this_round_is_per_node_over_the_phase(line3):
 def test_sessions_sharing_nodes_are_demultiplexed(line3):
     eng = RoundEngine(line3)
     got: dict[str, list] = {"a": [], "b": []}
-    calls = {"a": 0, "b": 0}
 
     def pingpong(engine, v, inbox):
-        calls["a"] += 1
         for m in inbox:
             got["a"].append((engine.round_no, v, m.payload, m.session))
             if m.payload == "ping":
@@ -207,7 +216,6 @@ def test_sessions_sharing_nodes_are_demultiplexed(line3):
 
     def relay(engine, v, inbox):
         # hop count rides along 0 -> 1 -> 2 -> 1 -> 0
-        calls["b"] += 1
         for m in inbox:
             got["b"].append((engine.round_no, v, m.payload, m.session))
             if m.payload < 4:
@@ -223,11 +231,13 @@ def test_sessions_sharing_nodes_are_demultiplexed(line3):
     assert got["b"] == [(1, 1, 1, "b"), (2, 2, 2, "b"), (3, 1, 3, "b"), (4, 0, 4, "b")]
     assert reports["a"].rounds == 2 and reports["b"].rounds == 4
     assert reports["a"].messages_adhoc == 2 and reports["b"].messages_adhoc == 4
-    # the start nodes in round 0, then only the node the mail reaches
-    assert calls == {"a": 2 + 2, "b": 3 + 4}
+    # the start nodes in round 0, then only the node the mail reaches; a
+    # start node with no mail that sends nothing is a call, not an active one
+    assert (reports["a"].calls, reports["a"].active) == (2 + 2, 1 + 2)
+    assert (reports["b"].calls, reports["b"].active) == (3 + 4, 1 + 4)
     phase = eng.phase_reports[-1]
     assert phase.label == "shared"
-    assert phase.rounds == 4 and phase.messages_adhoc == 6
+    assert (phase.rounds, phase.messages_adhoc, phase.calls, phase.active) == (4, 6, 11, 8)
     # each session's own report is kept as it goes quiet
     assert eng.session_reports == [("a", reports["a"]), ("b", reports["b"])]
     assert eng.session is None
@@ -248,6 +258,12 @@ def test_sessions_wake_members_and_mail_holders_only(line3):
     reports = eng.run_sessions("solo", {"s": ([0], handler)}, max_rounds=3)
     assert calls == [(0, 0, []), (1, 1, ["hi"])]
     assert reports["s"].rounds == 1
+    # traffic driven outside run_phase touches neither report
+    counted = asdict(eng.phase_reports[0]), asdict(reports["s"])
+    eng.send(0, 1, "late")
+    eng.step_round()
+    assert [m.payload for m in eng.collect(1)] == ["late"] and len(eng.transcript) == 2
+    assert (asdict(eng.phase_reports[0]), asdict(reports["s"])) == counted
 
 
 def test_false_return_brings_the_node_back_with_an_empty_inbox(line3):
@@ -263,6 +279,9 @@ def test_false_return_brings_the_node_back_with_an_empty_inbox(line3):
     reports = eng.run_sessions("wait", {"s": ([0], handler)}, max_rounds=5)
     assert calls == [(0, 0, []), (1, 0, []), (2, 0, [])]
     assert reports["s"].rounds == 2 and eng.total_messages == 0
+    # each waiting call is a call, none is active
+    (phase,) = eng.phase_reports
+    assert (reports["s"].calls, reports["s"].active) == (phase.calls, phase.active) == (3, 0)
 
 
 def test_true_return_keeps_the_node_out_until_mail_arrives(line3):

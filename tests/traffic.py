@@ -9,68 +9,29 @@ star12-4), scale-N-S for scaling_spec(N, S), or grid-N for
 holes_grid_spec(N). For each it builds the abstraction with the default
 config and prints three tables read off the engine's phase reports and
 transcript: every phase's rounds, node handler calls, the active ones
-among them (a call that had mail or sent, as perfbench's
-`handler_active` counts them), messages, bytes and peak long-range
-sends by one node in one round (charged phases show rounds only); the
-messages and bytes of every message tag, its bytes split into the
-envelope (tag and keys), the sorted `intro` list and the `data` payload,
-as `canonical_bytes` sizes them, so a fact sent twice in one message
-shows; and the K nodes (default 10) that sent the most long-range
-messages, with their bytes and a count per tag. The build is
+among them (a call that had mail or sent), messages, bytes and peak
+long-range sends by one node in one round (charged phases show rounds
+only); the messages and bytes of every message tag, its bytes split into
+the envelope (tag and keys), the sorted `intro` list and the `data`
+payload, as `canonical_bytes` sizes them, so a fact sent twice in one
+message shows; and the K nodes (default 10) that sent the most
+long-range messages, with their bytes and a count per tag. The build is
 deterministic, so two revisions can be compared line by line.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 from collections import Counter, defaultdict
 
 from hullroute.pipeline import Pipeline, PipelineConfig
-from hullroute.scenario import fixture_topology, generate_scenario, holes_grid_spec, scaling_spec
-from hullroute.simengine import RoundEngine, canonical_bytes
-
-
-def topology(name: str):
-    kind, _, rest = name.partition("-")
-    if kind == "scale":
-        n, seed = rest.split("-")
-        return generate_scenario(scaling_spec(int(n), int(seed)))
-    if kind == "grid":
-        return generate_scenario(holes_grid_spec(int(rest)))
-    return fixture_topology(name)
+from hullroute.scenario import fixture_topology
 
 
 def report(name: str, top: int) -> None:
-    pipe = Pipeline(topology(name), PipelineConfig())
-    # bytes of each tag's `intro` lists and `data` payloads, sized as the engine sizes them
-    parts: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-    # handler calls and active ones of each engine phase, in the order of the phase reports
-    calls: list[list[int]] = []
-    send, run_phase = RoundEngine.send, RoundEngine.run_phase
-
-    def sizing(eng, src, dst, payload=None, **kw):
-        part = parts[kw.get("tag", "")]
-        part[0] += canonical_bytes(sorted(kw.get("intro_ids", ())))
-        part[1] += canonical_bytes(payload)
-        send(eng, src, dst, payload, **kw)
-
-    def counting(eng, label, handler, max_rounds):
-        calls.append([0, 0])
-
-        def counted(e, v, inbox):
-            sent = e.total_messages
-            done = handler(e, v, inbox)
-            calls[-1][0] += 1
-            calls[-1][1] += bool(inbox) or e.total_messages != sent
-            return done
-
-        return run_phase(eng, label, counted, max_rounds)
-
-    RoundEngine.send, RoundEngine.run_phase = sizing, counting
-    try:
-        pipe.build_abstraction()
-    finally:
-        RoundEngine.send, RoundEngine.run_phase = send, run_phase
+    pipe = Pipeline(fixture_topology(name), PipelineConfig())
+    pipe.build_abstraction()
     eng = pipe.engine
     sent = [t for t in eng.transcript if t["channel"] != "meta"]
     print(
@@ -82,19 +43,23 @@ def report(name: str, top: int) -> None:
     print(f"\n  {'phase':<26}{'rounds':>8}{'calls':>8}{'active':>8}{'messages':>10}{'bytes':>12}{'peak':>6}")
     for label, rounds in eng.charged.items():
         print(f"  {label + ' (charged)':<26}{rounds:>8}")
-    for p, (n, active) in zip(eng.phase_reports, calls, strict=True):
+    for p in eng.phase_reports:
         messages = p.messages_longrange + p.messages_adhoc
-        print(f"  {p.label:<26}{p.rounds:>8}{n:>8}{active:>8}{messages:>10}{p.bytes_total:>12}"
+        print(f"  {p.label:<26}{p.rounds:>8}{p.calls:>8}{p.active:>8}{messages:>10}{p.bytes_total:>12}"
               f"{p.max_longrange_per_node_round:>6}")
 
-    by_tag: dict[str, list[int]] = defaultdict(lambda: [0, 0])
+    # messages, bytes and intro bytes of each tag
+    by_tag: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])
     for t in sent:
-        by_tag[t["tag"]][0] += 1
-        by_tag[t["tag"]][1] += t["bytes"]
+        row = by_tag[t["tag"]]
+        row[0] += 1
+        row[1] += t["bytes"]
+        row[2] += t["intro"]
     print(f"\n  {'tag':<26}{'messages':>10}{'bytes':>12}{'envelope':>10}{'intro':>10}{'data':>12}")
-    for tag, (messages, nbytes) in sorted(by_tag.items(), key=lambda kv: -kv[1][1]):
-        intro, data = parts[tag]
-        print(f"  {tag:<26}{messages:>10}{nbytes:>12}{nbytes - intro - data:>10}{intro:>10}{data:>12}")
+    for tag, (messages, nbytes, intro) in sorted(by_tag.items(), key=lambda kv: -kv[1][1]):
+        # {"data":…,"intro":…,"tag":…} is 25 characters besides the three values
+        envelope = messages * (25 + len(json.dumps(tag)))
+        print(f"  {tag:<26}{messages:>10}{nbytes:>12}{envelope:>10}{intro:>10}{nbytes - envelope - intro:>12}")
 
     tags: dict[int, Counter] = defaultdict(Counter)
     nbytes: Counter = Counter()
