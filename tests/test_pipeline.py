@@ -291,6 +291,24 @@ def test_concurrent_build_matches_serial_build(name):
     assert hrefs == brute_hull_gather_cast(pipe.tree, [v for ids in pipe._hulls.values() for v in ids])
 
 
+# sha256 of the sorted JSON of a build's per-phase reports, its per-ring
+# costs and its pointer-jumping audit rows: where the build's rounds,
+# messages and bytes went, phase by phase and ring by ring, beside the
+# totals SERIAL_BUILD pins.
+TRAFFIC_BREAKDOWN = {
+    "grid36-hole4": "b553d2a390f77b5cd6a5d55c501b9557cd83042bcb1634a482bab80413cadb4e",
+    "scale-512-1": "d5ddf42599fa8c56d662169f49cebcd37bf43234ad7d1459c7525cfd74ad5083",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAFFIC_BREAKDOWN))
+def test_traffic_breakdown_by_phase_and_ring_matches_pinned_digest(name):
+    rep = Pipeline(fixture_topology(name), PipelineConfig()).run()
+    breakdown = {"phases": rep.phases, "holes": rep.holes, "pointer_jumping": rep.bounds["pointer_jumping"]}
+    digest = hashlib.sha256(json.dumps(breakdown, sort_keys=True).encode()).hexdigest()
+    assert digest == TRAFFIC_BREAKDOWN[name]
+
+
 # sha256 of every build message as the earlier wire format carried it:
 # each item with its node id, every arc minimum, every cast budget.  The
 # stream was recorded from that format; the test puts the facts back from
