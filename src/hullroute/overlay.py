@@ -85,8 +85,6 @@ class JumpEdge:
 class PointerJumpResult:
     leader: NodeId
     jump_edges: list[JumpEdge]
-    jump_rounds: int
-    messages_per_node: dict[NodeId, int]
 
 
 @dataclass
@@ -243,8 +241,8 @@ def pointer_jumping(
     the one id it introduces, and its payload holds the arc minimum only
     when the header does not already name it, that is, when the minimum
     is neither the introduced id (pj_succ) nor the sender (pj_pred).  All
-    rings run at once; each result's jump_rounds counts that ring's own
-    rounds.
+    rings run at once, one session per ring: its rounds are its session
+    report's, its sends its pj_* transcript lines.
     """
     return _run_wave(
         engine,
@@ -264,7 +262,6 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
             "l_succ": succ,  # min id over (v -> succ]
             "l_pred": v,  # min id over (pred -> v]
             "level": 0,
-            "msgs": 0,
         }
     edges: list[JumpEdge] = [JumpEdge((v, st[v]["succ"]), st[v]["l_succ"], 0) for v in members]
 
@@ -294,7 +291,6 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
                 tag="pj_succ",
                 intro_ids=(s["succ"],),
             )
-            s["msgs"] += 1
         if s["succ"] != v:
             eng.send(
                 v,
@@ -303,7 +299,6 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
                 tag="pj_pred",
                 intro_ids=(s["pred"],),
             )
-            s["msgs"] += 1
         return False
 
     def finish(report: PhaseReport) -> PointerJumpResult:
@@ -311,12 +306,7 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
         for v in members:
             if st[v]["l_pred"] != leader or st[v]["l_succ"] != leader:
                 raise SimulationAbortError(v, engine.round_no, "ring min did not converge")
-        return PointerJumpResult(
-            leader=leader,
-            jump_edges=edges,
-            jump_rounds=report.rounds,
-            messages_per_node={v: st[v]["msgs"] for v in members},
-        )
+        return PointerJumpResult(leader=leader, jump_edges=edges)
 
     return _Session(members, handler, 2 * k + 8, finish)
 

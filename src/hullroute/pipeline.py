@@ -42,7 +42,7 @@ from .ldel import HybridTopology, PlanarGraph, build_ldel2, check_connected
 from . import overlay
 from .overlay import BroadcastTree, HypercubeOverlay, build_broadcast_tree, distribute_hulls
 from .routing import BACKEND_VIS, RouteResult, Router, measure_competitiveness
-from .simengine import Channel, RoundEngine
+from .simengine import RoundEngine, tally
 
 # localized construction: broadcast, 1-hop exchange, 2-hop exchange,
 # proposal, accept
@@ -174,6 +174,8 @@ class Pipeline:
         # counted off its transcript lines
         self.build_longrange: dict[int, int] = {}
         self.build_adhoc = 0
+        # where the latest build's transcript lines and session reports begin
+        self._window = (0, 0)
         self._knows_after_build: dict[int, set[int]] | None = None
         # the latest build's hull node ids of each non-outer ring, and its
         # storage audit once measured
@@ -200,7 +202,7 @@ class Pipeline:
         eng = self.engine
         start = eng.round_no
         # the build's transcript lines and session reports are those past these
-        sent, quiet = len(eng.transcript), len(eng.session_reports)
+        self._window = sent, quiet = len(eng.transcript), len(eng.session_reports)
         began, clock = start, time.perf_counter()
 
         def mark(label: str) -> None:
@@ -258,9 +260,9 @@ class Pipeline:
         mark("hull_distribution")
 
         self.protocol_rounds = eng.round_no - start
-        lines = eng.transcript[sent:]
-        self.build_longrange = Counter(t["src"] for t in lines if t["channel"] == Channel.LONGRANGE)
-        self.build_adhoc = sum(t["channel"] == Channel.ADHOC for t in lines)
+        by_src = tally(eng.transcript[sent:], lambda t: t["src"])
+        self.build_longrange = {v: c.messages_longrange for v, c in by_src.items() if c.messages_longrange}
+        self.build_adhoc = sum(c.messages_adhoc for c in by_src.values())
         # snapshot before queries: routing teaches endpoints each other's
         # ids, which is not abstraction storage
         self._knows_after_build = {v: set(self.topo.knows[v]) for v in self.topo.ids}
@@ -347,22 +349,28 @@ class Pipeline:
             }
         }
 
+        # each ring's election: its session's rounds and its nodes' pj_* sends in this build
+        eng, (sent, quiet) = self.engine, self._window
+        jump_rounds = {r: rep.rounds for r, rep in eng.session_reports[quiet:] if rep.label == "pointer_jumping"}
+        jump_lines = (t for t in eng.transcript[sent:] if t["tag"].startswith("pj_"))
+        jump_msgs = Counter()
+        for (rid, _), c in tally(jump_lines, lambda t: (t["session"], t["src"])).items():
+            jump_msgs[rid] = max(jump_msgs[rid], c.messages_adhoc + c.messages_longrange)
         ring_rows = []
         sizes = {r.ring_id: len(r.members) for r in self.rings}
-        for rid, jump in self.jumps.items():
-            k = sizes[rid]
+        for rid in self.jumps:
+            k, rounds, msg_max = sizes[rid], jump_rounds[rid], jump_msgs[rid]
             round_bound = max(math.ceil(math.log2(k)), 1)
             msg_bound = 2 * round_bound
-            msg_max = max(jump.messages_per_node.values())
             ring_rows.append(
                 {
                     "ring_id": rid,
                     "size": k,
-                    "jump_rounds": jump.jump_rounds,
+                    "jump_rounds": rounds,
                     "round_bound": round_bound,
                     "max_msgs_per_node": msg_max,
                     "msg_bound": msg_bound,
-                    "ok": jump.jump_rounds <= round_bound and msg_max <= msg_bound,
+                    "ok": rounds <= round_bound and msg_max <= msg_bound,
                 }
             )
         bounds["pointer_jumping"] = {
@@ -462,7 +470,9 @@ class Pipeline:
             "abstraction_longrange": sum(lr.values()),
             "longrange_per_node_max": max(lr.values()) if lr else 0,
             "longrange_per_node_mean": (sum(lr.values()) / len(lr)) if lr else 0.0,
-            "max_longrange_per_node_round": eng.max_longrange_per_node_round,
+            "max_longrange_per_node_round": max(
+                (rep.max_longrange_per_node_round for rep in tally(eng.transcript).values()), default=0
+            ),
         }
         ok = all(v["ok"] for v in bounds.values())
         return ExperimentReport(

@@ -644,7 +644,7 @@ class Router:
         The one query entry. A query between two nodes of one bay (Case5)
         stays in that bay.
         """
-        if engine._phase is not None:
+        if engine._sessions is not None:
             raise NotReadyError("route query during a protocol phase")
         if s not in self.g.points or t not in self.g.points:
             raise NodeLookupError(f"route endpoints {s},{t} not in graph")

@@ -14,12 +14,14 @@ reports the round at which it alone went quiet.  The protocols are
 message-driven, so one wake rule serves every session: after its first
 round a node acts only when mail reaches it or when it asked to.
 
-The engine is also the bookkeeper: every send is appended to a
-transcript and counted into its phase's and its session's reports, and
-each keyed session's report is kept once the session goes quiet, so
-round and message bounds can be checked after a run instead of trusted.
-A caller costs a stretch of the run, such as one build, off the entries
-of both lists past the lengths they had when it began.
+The engine is also the bookkeeper: a send is recorded once, as a
+transcript line naming its session (null outside a phase), and tally()
+alone turns lines into counts.  When a phase ends, its report and each
+session's are counted off the phase's lines (a session's peak off its
+own sends only), and each keyed session's report is kept, so round and
+message bounds can be checked after a run instead of trusted.  A caller
+costs a stretch of the run, such as one build, off the entries of the
+transcript and session_reports past the lengths they had when it began.
 
 A transcript line's `bytes` are `canonical_bytes` of {tag, data, intro}
 (the sorted ids introduced; the session header, like src and dst, is not
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -72,6 +74,8 @@ class Message:
 
 @dataclass
 class PhaseReport:
+    """A phase's or session's rounds and handler calls; its sends, counted off the transcript at phase end."""
+
     label: str
     rounds: int = 0
     # handler calls, and those among them that had mail or sent
@@ -87,30 +91,53 @@ Handler = Callable[["RoundEngine", NodeId, list[Message]], bool]
 """handler(engine, v, inbox) acts for v; False asks to run next round even without mail."""
 
 
+def tally(lines: Iterable[dict], key: Callable[[dict], Hashable] = lambda line: None, *,
+          channel: Channel | None = None, into: dict | None = None) -> dict[Hashable, PhaseReport]:
+    """Count transcript lines into one report per group key(line), taken from `into` or made.
+
+    A group's ad hoc and long-range messages, their bytes, and its most
+    long-range sends by one node in one round, keyed by (round, src).
+    Meta lines never count, nor lines off `channel` when it is given.
+    """
+    reports = {} if into is None else into
+    sent: Counter = Counter()
+    for line in lines:
+        kind = line["channel"]
+        if kind == Channel.META or channel not in (None, kind):
+            continue
+        group = key(line)
+        rep = reports.get(group) or reports.setdefault(group, PhaseReport(""))
+        rep.bytes_total += line["bytes"]
+        if kind == Channel.ADHOC:
+            rep.messages_adhoc += 1
+        else:
+            rep.messages_longrange += 1
+            slot = (group, line["round"], line["src"])
+            sent[slot] += 1
+            rep.max_longrange_per_node_round = max(rep.max_longrange_per_node_round, sent[slot])
+    return reports
+
+
 class RoundEngine:
     def __init__(self, topo: HybridTopology):
         self.topo = topo
         self.round_no = 0
         self.total_messages = 0
         self.total_bytes = 0
-        self.max_longrange_per_node_round = 0
-        self.charged: dict[str, int] = defaultdict(int)
         self.phase_reports: list[PhaseReport] = []
         # each keyed session's report, in the order the sessions went quiet
         self.session_reports: list[tuple[Hashable, PhaseReport]] = []
         self.transcript: list[dict] = []
-        # the session whose handler runs now; sends are stamped with it
+        # the session whose handler runs now; sends and their lines carry it
         self.session: Hashable = None
         self._sessions: dict[Hashable, list[NodeId]] | None = None
         self._outbox: list[Message] = []
         self._inbox: dict[Hashable, dict[NodeId, list[Message]]] = defaultdict(
             lambda: defaultdict(list)
         )
+        # the merge's pacing state: long-range sends per node this round
         self._lr_this_round: dict[NodeId, int] = defaultdict(int)
-        self._phase: PhaseReport | None = None
         self._reports: dict[Hashable, PhaseReport] = {}
-        # reports a send is counted into: the phase's and its session's
-        self._tallies: tuple[PhaseReport, ...] = ()
 
     # -- sending ---------------------------------------------------------
 
@@ -155,35 +182,11 @@ class RoundEngine:
         self._outbox.append(msg)
         intro = sorted(intro_ids)
         nbytes = canonical_bytes({"tag": tag, "data": payload, "intro": intro})
-        self.transcript.append(
-            {
-                "round": self.round_no,
-                "src": src,
-                "dst": dst,
-                "channel": channel.value,
-                "bytes": nbytes,
-                "intro": canonical_bytes(intro),
-                "tag": tag,
-            }
-        )
+        self._record(src, dst, channel, nbytes, canonical_bytes(intro), tag)
         self.total_messages += 1
         self.total_bytes += nbytes
-        peak = 0
         if channel is Channel.LONGRANGE:
             self._lr_this_round[src] += 1
-            peak = self._lr_this_round[src]
-            self.max_longrange_per_node_round = max(
-                self.max_longrange_per_node_round, peak
-            )
-        for rep in self._tallies:
-            rep.bytes_total += nbytes
-            if channel is Channel.ADHOC:
-                rep.messages_adhoc += 1
-            else:
-                rep.messages_longrange += 1
-                rep.max_longrange_per_node_round = max(
-                    rep.max_longrange_per_node_round, peak
-                )
 
     def longrange_this_round(self, v: NodeId) -> int:
         """Long-range messages v has sent this round, over every session of the phase."""
@@ -200,8 +203,6 @@ class RoundEngine:
         """Deliver everything in flight and advance the clock."""
         self.round_no += 1
         self._lr_this_round.clear()
-        if self._phase:
-            self._phase.rounds += 1
         pending, self._outbox = self._outbox, []
         for m in pending:
             self.topo.learn(m.dst, m.src)
@@ -210,22 +211,15 @@ class RoundEngine:
             self._inbox[m.session][m.dst].append(m)
 
     def charge_rounds(self, n: int, label: str) -> None:
-        """Account for a harness-assisted phase without simulating it."""
+        """Account for a harness-assisted phase without simulating it; its rounds end the current one."""
         self.round_no += n
-        self.charged[label] += n
-        if self._phase:
-            self._phase.rounds += n
-        self.transcript.append(
-            {
-                "round": self.round_no,
-                "src": None,
-                "dst": None,
-                "channel": Channel.META.value,
-                "bytes": 0,
-                "intro": 0,
-                "tag": f"charge:{label}:{n}",
-            }
-        )
+        self._lr_this_round.clear()
+        self._record(None, None, Channel.META, 0, 0, f"charge:{label}:{n}")
+
+    def _record(self, src: NodeId | None, dst: NodeId | None, channel: Channel, nbytes: int, intro: int, tag: str):
+        """Append the transcript line of a send or a charge, with the round and the running session."""
+        self.transcript.append({"round": self.round_no, "src": src, "dst": dst, "channel": channel.value,
+                                "bytes": nbytes, "intro": intro, "tag": tag, "session": self.session})
 
     # -- phase driver ------------------------------------------------------
 
@@ -268,17 +262,16 @@ class RoundEngine:
         session is.  Overrunning max_rounds aborts the simulation rather
         than looping forever.
         """
-        report = PhaseReport(label=label)
         # each running session's nodes called this round even without mail
         pending = dict(self._sessions)
         self._reports = {key: PhaseReport(label=label) for key in pending}
-        self._phase = report
-        log.debug("phase %s begins at round %d, %d sessions", label, self.round_no, len(pending))
+        start, first = self.round_no, len(self.transcript)
+        log.debug("phase %s begins at round %d, %d sessions", label, start, len(pending))
         try:
             for rounds in range(max_rounds + 1):
                 for key, due in pending.items():
                     self.session = key
-                    self._tallies = (report, self._reports[key])
+                    rep = self._reports[key]
                     box = self._inbox.pop(key, {})
                     again = []
                     for v in sorted(box.keys() | due):
@@ -291,10 +284,8 @@ class RoundEngine:
                             raise SimulationAbortError(v, self.round_no, repr(e)) from e
                         if not done:
                             again.append(v)
-                        active = bool(inbox) or self.total_messages != sent
-                        for rep in self._tallies:
-                            rep.calls += 1
-                            rep.active += active
+                        rep.calls += 1
+                        rep.active += bool(inbox) or self.total_messages != sent
                     pending[key] = again
                 self.session = None
                 in_flight = {m.session for m in self._outbox}
@@ -304,15 +295,18 @@ class RoundEngine:
                     if key is not None:
                         self.session_reports.append((key, self._reports[key]))
                 if not pending:
-                    return report
+                    break
                 self.step_round()
-            raise SimulationAbortError(
-                -1, self.round_no, f"phase {label!r} exceeded {max_rounds} rounds"
-            )
+            else:
+                raise SimulationAbortError(-1, self.round_no, f"phase {label!r} exceeded {max_rounds} rounds")
         finally:
             self.session = None
-            self._tallies = ()
-            self._phase = None
+            reps = self._reports.values()
+            calls, active = sum(r.calls for r in reps), sum(r.active for r in reps)
+            report = PhaseReport(label, self.round_no - start, calls, active)
+            window = self.transcript[first:]
+            tally(window, into={None: report})
+            tally(window, lambda line: line["session"], into=self._reports)
             self.phase_reports.append(report)
             log.debug(
                 "phase %s: %d rounds, %d handler calls, %d active, %d long-range, "
@@ -320,6 +314,7 @@ class RoundEngine:
                 label, report.rounds, report.calls, report.active, report.messages_longrange,
                 report.messages_adhoc, report.bytes_total, report.max_longrange_per_node_round,
             )
+        return report
 
     # -- transcript ----------------------------------------------------------
 

@@ -563,7 +563,7 @@ def test_each_engine_phase_logs_one_line_when_it_begins(caplog):
     start = pipeline_mod.LDEL_BUILD_ROUNDS + pipeline_mod.RING_DETECT_ROUNDS
     for m, p in zip(rows, eng.phase_reports):
         if p.label == "hull_distribution":
-            start += eng.charged["broadcast_tree"]
+            start += pipe.phase_rounds["broadcast_tree"]
         assert int(m[2]) == start, p.label
         start += p.rounds
     assert start == eng.round_no
@@ -659,7 +659,8 @@ def test_broadcast_tree_is_charged_only_past_the_waves(name):
     before = sum(rounds[p] for p in PRE_TREE_PHASES)
     rep = pipe.report([], {"per_case": {}, "max_ratio": 0.0, "count": 0})
     assert rep.wave_rounds == pipe.wave_rounds == before
-    assert rounds["broadcast_tree"] == max(0, tree - before) == pipe.engine.charged["broadcast_tree"]
+    (charge,) = [t["tag"] for t in pipe.engine.transcript if t["tag"].startswith("charge:broadcast_tree:")]
+    assert rounds["broadcast_tree"] == max(0, tree - before) == int(charge.rsplit(":", 1)[1])
     assert pipe.protocol_rounds == max(tree, before) + rounds["hull_distribution"]
     assert pipe.protocol_rounds == sum(rounds[p] for p in (*PRE_TREE_PHASES, "broadcast_tree", "hull_distribution"))
     # the tree is never cheaper than its full rounds from the build's start
@@ -950,7 +951,9 @@ def test_recompute_that_rebuilds_the_tree_fails_at_no_charge(name):
     with pytest.raises(BoundViolationError) as ei:
         pipe.periodic_recompute()
     out = ei.value.report
-    assert pipe.tree is not None and pipe.engine.charged["broadcast_tree"] == 0
+    # the tree was built once in each build, at no charge either time
+    charges = [t["tag"] for t in pipe.engine.transcript if t["tag"].startswith("charge:broadcast_tree:")]
+    assert pipe.tree is not None and charges == ["charge:broadcast_tree:0"] * 2
     assert out["rounds"] <= out["bound"]
     assert not out["tree_reused"] and not out["ok"]
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -14,7 +14,7 @@ from hullroute.errors import (
 )
 from hullroute.geometry import Point
 from hullroute.ldel import build_udg
-from hullroute.simengine import Channel, Message, RoundEngine, canonical_bytes
+from hullroute.simengine import Channel, Message, RoundEngine, canonical_bytes, tally
 
 
 @pytest.fixture
@@ -147,8 +147,10 @@ def test_transcript_schema_and_bytes(tmp_path, line3):
     lines = [json.loads(s) for s in path.read_text().splitlines()]
     assert len(lines) == 1
     rec = lines[0]
-    assert set(rec) == {"round", "src", "dst", "channel", "bytes", "intro", "tag"}
+    assert set(rec) == {"round", "src", "dst", "channel", "bytes", "intro", "tag", "session"}
     assert rec["src"] == 0 and rec["dst"] == 1 and rec["round"] == 0
+    # sent outside any phase; the session is not counted in the bytes
+    assert rec["session"] is None
     assert rec["bytes"] == canonical_bytes({"tag": "demo", "data": {"a": 1, "b": 2}, "intro": []})
 
 
@@ -169,7 +171,23 @@ def test_longrange_per_round_peak(line3):
     eng.send(0, 2, None, channel=Channel.LONGRANGE)
     eng.step_round()
     eng.send(0, 2, None, channel=Channel.LONGRANGE)
-    assert eng.max_longrange_per_node_round == 2
+    (whole,) = tally(eng.transcript).values()
+    assert (whole.messages_longrange, whole.max_longrange_per_node_round) == (3, 2)
+
+
+def test_charge_ends_the_round_for_the_per_round_count(line3):
+    # charged rounds pass like simulated ones: a send after the charge is
+    # the first of its round, for the merge's pacing and for the peak
+    line3.learn(0, 2)
+    eng = RoundEngine(line3)
+    eng.send(0, 2, None, channel=Channel.LONGRANGE)
+    eng.charge_rounds(3, "x")
+    assert eng.longrange_this_round(0) == 0
+    eng.send(0, 2, None, channel=Channel.LONGRANGE)
+    assert eng.longrange_this_round(0) == 1
+    assert [t["round"] for t in eng.transcript] == [0, 3, 3]
+    (whole,) = tally(eng.transcript).values()
+    assert whole.max_longrange_per_node_round == 1
 
 
 def test_longrange_this_round_is_per_node_over_the_phase(line3):
@@ -187,8 +205,11 @@ def test_longrange_this_round_is_per_node_over_the_phase(line3):
         seen[engine.round_no, engine.session, v] = engine.longrange_this_round(v)
         return True
 
-    eng.run_sessions("budget", {"a": ([0, 2], handler), "b": ([0, 2], handler)}, max_rounds=3)
+    reports = eng.run_sessions("budget", {"a": ([0, 2], handler), "b": ([0, 2], handler)}, max_rounds=3)
     assert seen[0, "a", 0] == 1 and seen[0, "b", 0] == 2
+    # the peaks: a session's counts its own sends, the phase's every session's
+    assert [reports[key].max_longrange_per_node_round for key in "ab"] == [1, 1]
+    assert eng.phase_reports[-1].max_longrange_per_node_round == 2
     assert seen[0, "a", 2] == seen[0, "b", 2] == 0
     assert all(count == 0 for (r, _, _), count in seen.items() if r == 1)
     eng.send(0, 2, None, channel=Channel.LONGRANGE)
@@ -241,6 +262,18 @@ def test_sessions_sharing_nodes_are_demultiplexed(line3):
     # each session's own report is kept as it goes quiet
     assert eng.session_reports == [("a", reports["a"]), ("b", reports["b"])]
     assert eng.session is None
+    # each line names the session that sent it, and each report's sends
+    # are the ledger's count of its session's lines
+    assert [(t["round"], t["src"], t["session"]) for t in eng.transcript] == [
+        (0, 0, "a"), (0, 0, "b"), (1, 1, "a"), (1, 1, "b"), (2, 2, "b"), (3, 1, "b"),
+    ]
+    counted = tally(eng.transcript, lambda t: t["session"])
+    for key, rep in reports.items():
+        mine = tally(t for t in eng.transcript if t["session"] == key)[None]
+        assert counted[key] == mine
+        assert replace(mine, label="shared", rounds=rep.rounds, calls=rep.calls, active=rep.active) == rep
+    (whole,) = tally(eng.transcript).values()
+    assert (phase.messages_adhoc, phase.bytes_total) == (whole.messages_adhoc, whole.bytes_total)
 
 
 def test_sessions_wake_members_and_mail_holders_only(line3):
@@ -308,7 +341,8 @@ def test_no_sessions_runs_no_phase(line3):
 
 
 def test_running_tallies_by_channel(line3):
-    # a window of the transcript holds its sends by channel and sender
+    # a window of the transcript holds its sends by channel and sender,
+    # and a charge as a meta line the ledger does not count
     line3.learn(0, 2)
     eng = RoundEngine(line3)
     eng.send(0, 1, None)
@@ -326,4 +360,6 @@ def test_running_tallies_by_channel(line3):
         (None, "meta"),
     ]
     assert window[-1]["tag"] == "charge:tree:3"
-    assert eng.charged == {"tree": 3}
+    by_src = tally(window, lambda t: t["src"])
+    assert [(v, c.messages_longrange, c.messages_adhoc) for v, c in by_src.items()] == [(0, 2, 0), (1, 0, 1)]
+    assert tally(window, lambda t: t["src"], channel=Channel.ADHOC).keys() == {1}
