@@ -42,7 +42,7 @@ from .ldel import HybridTopology, PlanarGraph, build_ldel2, check_connected
 from . import overlay
 from .overlay import BroadcastTree, HypercubeOverlay, build_broadcast_tree, distribute_hulls
 from .routing import BACKEND_VIS, RouteResult, Router, measure_competitiveness
-from .simengine import RoundEngine, tally
+from .simengine import PhaseReport, RoundEngine, tally
 
 # localized construction: broadcast, 1-hop exchange, 2-hop exchange,
 # proposal, accept
@@ -156,14 +156,13 @@ class Pipeline:
         self.g: PlanarGraph | None = None
         self.rings: list[HoleRing] = []
         self.abstractions: dict[int, HullAbstraction] = {}
-        self.jumps: dict[int, overlay.PointerJumpResult] = {}
         # each ring's ranks as a cube, both waves', keyed by ring id
         self.cubes: dict[int, HypercubeOverlay] = {}
         self.tree: BroadcastTree | None = None
         self.router: Router | None = None
         self.phase_rounds: dict[str, int] = {}
         # wall-clock seconds of the latest build's phases, its Router and
-        # the queries, keyed "<phase>_s"; never part of the report
+        # the queries since, keyed "<phase>_s"; never part of the report
         self.seconds: dict[str, float] = {}
         self.wave_rounds = 0
         self.protocol_rounds = 0
@@ -174,8 +173,8 @@ class Pipeline:
         # counted off its transcript lines
         self.build_longrange: dict[int, int] = {}
         self.build_adhoc = 0
-        # where the latest build's transcript lines and session reports begin
-        self._window = (0, 0)
+        # the latest build's transcript lines, session reports and phase reports
+        self._window = (slice(0, 0),) * 3
         self._knows_after_build: dict[int, set[int]] | None = None
         # the latest build's hull node ids of each non-outer ring, and its
         # storage audit once measured
@@ -201,8 +200,10 @@ class Pipeline:
         """
         eng = self.engine
         start = eng.round_no
-        # the build's transcript lines and session reports are those past these
-        self._window = sent, quiet = len(eng.transcript), len(eng.session_reports)
+        # the build's transcript lines, session reports and phase reports begin here
+        ledgers = eng.transcript, eng.session_reports, eng.phase_reports
+        first = [len(entries) for entries in ledgers]
+        self.phase_rounds, self.seconds = {}, {}
         began, clock = start, time.perf_counter()
 
         def mark(label: str) -> None:
@@ -222,10 +223,10 @@ class Pipeline:
 
         members = {r.ring_id: r.members for r in self.rings}
         # through the module, where perfbench/tracer.py wraps them
-        self.jumps = overlay.pointer_jumping(eng, members)
+        jumps = overlay.pointer_jumping(eng, members)
         mark("classification")
 
-        self.cubes = overlay.assign_hypercube_ids(eng, members, self.jumps)
+        self.cubes = overlay.assign_hypercube_ids(eng, members, jumps)
         self.abstractions, orientations = build_hull_abstraction(eng, self.rings, self.cubes)
         classify_rings(self.rings, orientations)
         mark("ring_hulls")
@@ -242,7 +243,7 @@ class Pipeline:
         self.cubes.update(cubes)
         self.rings = self.rings + arcs
         mark("outer_holes")
-        self._record_ring_costs(quiet)
+        self._record_ring_costs(first[1])
         self.wave_rounds = eng.round_no - start
 
         # the tree runs beside every phase since `start`; it is charged
@@ -260,7 +261,8 @@ class Pipeline:
         mark("hull_distribution")
 
         self.protocol_rounds = eng.round_no - start
-        by_src = tally(eng.transcript[sent:], lambda t: t["src"])
+        self._window = tuple(slice(a, len(entries)) for a, entries in zip(first, ledgers))
+        by_src = tally(eng.transcript[self._window[0]], lambda t: t["src"])
         self.build_longrange = {v: c.messages_longrange for v, c in by_src.items() if c.messages_longrange}
         self.build_adhoc = sum(c.messages_adhoc for c in by_src.values())
         # snapshot before queries: routing teaches endpoints each other's
@@ -350,33 +352,22 @@ class Pipeline:
         }
 
         # each ring's election: its session's rounds and its nodes' pj_* sends in this build
-        eng, (sent, quiet) = self.engine, self._window
-        jump_rounds = {r: rep.rounds for r, rep in eng.session_reports[quiet:] if rep.label == "pointer_jumping"}
-        jump_lines = (t for t in eng.transcript[sent:] if t["tag"].startswith("pj_"))
+        eng, (lines, sessions, _) = self.engine, self._window
+        jump_rounds = {r: rep.rounds for r, rep in eng.session_reports[sessions] if rep.label == "pointer_jumping"}
+        jump_lines = (t for t in eng.transcript[lines] if t["tag"].startswith("pj_"))
         jump_msgs = Counter()
         for (rid, _), c in tally(jump_lines, lambda t: (t["session"], t["src"])).items():
             jump_msgs[rid] = max(jump_msgs[rid], c.messages_adhoc + c.messages_longrange)
         ring_rows = []
         sizes = {r.ring_id: len(r.members) for r in self.rings}
-        for rid in self.jumps:
+        for rid in sorted(jump_rounds):
             k, rounds, msg_max = sizes[rid], jump_rounds[rid], jump_msgs[rid]
             round_bound = max(math.ceil(math.log2(k)), 1)
             msg_bound = 2 * round_bound
-            ring_rows.append(
-                {
-                    "ring_id": rid,
-                    "size": k,
-                    "jump_rounds": rounds,
-                    "round_bound": round_bound,
-                    "max_msgs_per_node": msg_max,
-                    "msg_bound": msg_bound,
-                    "ok": rounds <= round_bound and msg_max <= msg_bound,
-                }
-            )
-        bounds["pointer_jumping"] = {
-            "rings": ring_rows,
-            "ok": all(row["ok"] for row in ring_rows),
-        }
+            ok = rounds <= round_bound and msg_max <= msg_bound
+            ring_rows.append({"ring_id": rid, "size": k, "jump_rounds": rounds, "round_bound": round_bound,
+                              "max_msgs_per_node": msg_max, "msg_bound": msg_bound, "ok": ok})
+        bounds["pointer_jumping"] = {"rings": ring_rows, "ok": all(row["ok"] for row in ring_rows)}
 
         lr = self.build_longrange
         lr_max = max(lr.values()) if lr else 0
@@ -460,19 +451,19 @@ class Pipeline:
     # -- assembly ----------------------------------------------------------------
 
     def report(self, results, summary) -> ExperimentReport:
-        eng = self.engine
+        """The latest build's phases, traffic, storage and bounds, and the queries' rows."""
+        eng, (lines, _, phases) = self.engine, self._window
         bounds = self.bound_audit()
+        build = tally(eng.transcript[lines], into={None: PhaseReport("build")})[None]
         lr = self.build_longrange
         message_stats = {
-            "total_messages": eng.total_messages,
-            "total_bytes": eng.total_bytes,
+            "total_messages": build.messages_adhoc + build.messages_longrange,
+            "total_bytes": build.bytes_total,
             "abstraction_adhoc": self.build_adhoc,
             "abstraction_longrange": sum(lr.values()),
             "longrange_per_node_max": max(lr.values()) if lr else 0,
             "longrange_per_node_mean": (sum(lr.values()) / len(lr)) if lr else 0.0,
-            "max_longrange_per_node_round": max(
-                (rep.max_longrange_per_node_round for rep in tally(eng.transcript).values()), default=0
-            ),
+            "max_longrange_per_node_round": build.max_longrange_per_node_round,
         }
         ok = all(v["ok"] for v in bounds.values())
         return ExperimentReport(
@@ -481,7 +472,7 @@ class Pipeline:
             phase_rounds=dict(self.phase_rounds),
             wave_rounds=self.wave_rounds,
             protocol_rounds=self.protocol_rounds,
-            phases=[asdict(p) for p in eng.phase_reports],
+            phases=[asdict(p) for p in eng.phase_reports[phases]],
             message_stats=message_stats,
             storage=self.storage_audit(),
             bounds=bounds,
@@ -533,10 +524,9 @@ class Pipeline:
         overlay._forget_learned(self.engine, self.baseline_knows, ties)
         for v in self.topo.ids:
             self.baseline_knows[v] |= self.topo.adhoc[v]
-        start_round = self.engine.round_no
         self.router = None
         self.build_abstraction()
-        rounds = self.engine.round_no - start_round
+        rounds = self.protocol_rounds
         reused = self.tree is tree
         n = len(self.topo.points)
         log2n = math.log2(n) if n > 1 else 1.0

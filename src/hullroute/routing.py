@@ -7,8 +7,8 @@ waypoint graph over the hole hulls: the full visibility graph, or its
 constrained-Delaunay thinning. `Router` ties everything together: it
 classifies a query into one of five cases by hull containment, fetches
 waypoint node ids from the backend it built, realizes every leg with
-`chew_route`, and drives the actual transmission through the round engine
-so that data only ever rides ad hoc links.
+`chew_route`, and runs each query as one phase of the round engine, in
+which data only ever rides ad hoc links.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .holes import (
     HullAbstraction,
 )
 from .ldel import HybridTopology, NodeId, PlanarGraph, edge_key
-from .simengine import Channel, RoundEngine
+from .simengine import Channel, Message, RoundEngine
 
 CHEW_BOUND = 5.9
 CASE1_BOUND_VIS = 17.7
@@ -644,8 +644,6 @@ class Router:
         The one query entry. A query between two nodes of one bay (Case5)
         stays in that bay.
         """
-        if engine._sessions is not None:
-            raise NotReadyError("route query during a protocol phase")
         if s not in self.g.points or t not in self.g.points:
             raise NodeLookupError(f"route endpoints {s},{t} not in graph")
         if s == t:
@@ -704,20 +702,28 @@ class Router:
     # -- engine traffic -----------------------------------------------------------
 
     def _transmit(self, engine: RoundEngine, s: NodeId, t: NodeId, path: Sequence[NodeId]) -> tuple[int, int]:
-        # position handshake: one long-range round trip
-        engine.send(s, t, None, channel=Channel.LONGRANGE, tag="rt_query")
-        engine.step_round()
-        engine.collect(t)
-        engine.send(t, s, {"x": self.g.points[t].x, "y": self.g.points[t].y},
-                    channel=Channel.LONGRANGE, tag="rt_pos")
-        engine.step_round()
-        engine.collect(s)
-        # data rides ad hoc links only, one hop per round
-        for i, (u, v) in enumerate(zip(path, path[1:])):
-            engine.send(u, v, {"seq": i}, channel=Channel.ADHOC, tag="rt_data")
-            engine.step_round()
-            engine.collect(v)
-        return 2 + (len(path) - 1), 2
+        """Run the query as one session keyed None; returns its rounds and long-range messages.
+
+        s asks t's position over the long-range channel, then hop i carries
+        seq i from path[i] to path[i + 1] ad hoc, so a walk may revisit nodes.
+        """
+        pos = self.g.points[t]
+
+        def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
+            # one message is in flight at a time; only s, in round 0, runs without mail
+            m = inbox[0] if inbox else None
+            if m is None:
+                eng.send(s, t, None, channel=Channel.LONGRANGE, tag="rt_query")
+            elif m.tag == "rt_query":
+                eng.send(t, s, {"x": pos.x, "y": pos.y}, channel=Channel.LONGRANGE, tag="rt_pos")
+            else:  # the answer starts hop 0, and the data of hop seq starts hop seq + 1
+                i = m.payload["seq"] + 1 if m.tag == "rt_data" else 0
+                if i < len(path) - 1:
+                    eng.send(v, path[i + 1], {"seq": i}, channel=Channel.ADHOC, tag="rt_data")
+            return True
+
+        rep = engine.run_sessions("query", {None: ([s], handler)}, 2 + (len(path) - 1))[None]
+        return rep.rounds, rep.messages_longrange
 
 
 def _extreme_points(points: Mapping[NodeId, Point], sub: Sequence[NodeId]) -> list[NodeId]:

