@@ -210,7 +210,7 @@ def build_hull_abstraction(
     """Distributed hull, bays, and one dominating set per bay, per ring.
 
     cubes holds each ring's ranks, keyed by ring_id: a closed ring's from
-    the id deal, an outer-hole arc's from the outer ring's.  The rings
+    its election, an outer-hole arc's from the outer ring's.  The rings
     run concurrently (ring_protocol); a closed ring's leader checks the
     ring's size and reads its orientation, which classify_rings takes.
     Each bay's dominating set then takes no round: its members decide

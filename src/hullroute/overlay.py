@@ -1,20 +1,20 @@
 """Long-range overlay protocols over hole rings.
 
 Everything here runs as node handlers inside the round engine: pointer
-jumping for leader election and jump-edge construction, hypercube id
-assignment, distributed convex hull by merging blocks of consecutive
-ranks, a broadcast tree over all nodes, and hull reference
-distribution.  The hypercube ids and the finished hull, scoped to each
-subtree, travel the same binomial tree of jump edges from the ring
-leader (_tree_cast); in the id deal a node picks the ranks it serves
-from its own jump edges, so no node needs the ring size.  On a closed
-ring the hull merge doubles as the list ranking: it carries each
-block's node count, so the leader ends with the exact ring size, and
-its merged hull holds each hull node's ring rank, whose order around
-the hull is the ring's orientation; the leader checks both before it
-broadcasts the hull (rank_ring).  The per-bay dominating set takes no
-round: every bay member decides from ring ranks the hull broadcast
-left it.
+jumping for leader election, jump edges and ring ranks, distributed
+convex hull by merging blocks of consecutive ranks, a broadcast tree
+over all nodes, and hull reference distribution.  The election is also
+Wyllie's list ranking, so every node knows its hypercube slot with no
+message of its own (assign_hypercube_ids), and level 1 of the merge, a
+node and its radio-neighbour successor, is local.  The finished hull,
+scoped to each subtree, travels the binomial tree of jump edges from
+the ring leader (_tree_cast).  On a closed ring the hull merge carries
+each block's node count, so the leader ends with the exact ring size,
+and its merged hull holds each hull node's ring rank, whose order
+around the hull is the ring's orientation; the leader checks both
+before it broadcasts the hull (rank_ring).  The per-bay dominating set
+takes no round: every bay member decides from ring ranks the hull
+broadcast left it.
 
 Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Every sender cuts what it ships into messages of at
@@ -29,21 +29,22 @@ among the message's sorted introductions, and the payload lists the
 items without it, in the same order (_cut, _uncut), so an entry goes
 as [x, y, ring, ...] and a hull point as [x, y, rank]; a pointer-jump
 message holds its arc minimum only when that is neither the id it
-introduces nor its sender; and a tree cast holds no budget, since a
+introduces nor its sender, and a pj_pred's minimum brings its hops
+back from the sender along; and a tree cast holds no budget, since a
 node reads it off its own rank (_tree_cast).  In the merge a host
 sends at most that many long-range messages a round, as counted by
-the engine.  The hull broadcast is scoped: each tree edge
-carries only the hull points of the child's subtree of ranks and the
-two hull points that bracket it, so every ring node learns its bay's
-two hull ends.  Ids a node learns only in transit are forgotten once a
-protocol ends (_forget_learned).
+the engine.  The hull broadcast is scoped: each tree edge carries only
+the hull points of the child's subtree of ranks and the two hull
+points that bracket it, so every ring node learns its bay's two hull
+ends.  Ids a node learns only in transit are forgotten once a protocol
+ends (_forget_learned).
 
 The ring protocols take a mapping keyed by ring, of its members in ring
-order or, from the id deal on, of its cube, and run every ring in the
-same engine phases, one session per ring, so a step costs the rounds of
-its slowest ring rather than the sum over rings, and each ring is held
-to its own round bound (_run_wave).  A single ring is the one-entry
-case.  A session starts at the nodes that act without mail
+order or, once the election has ranked it, of its cube, and run every
+ring in the same engine phases, one session per ring, so a step costs
+the rounds of its slowest ring rather than the sum over rings, and each
+ring is held to its own round bound (_run_wave).  A single ring is the
+one-entry case.  A session starts at the nodes that act without mail
 (_Session.start); every other node acts only when mail reaches it.
 
 Ring nodes address each other only through ids they have learned:
@@ -85,6 +86,7 @@ class JumpEdge:
 class PointerJumpResult:
     leader: NodeId
     jump_edges: list[JumpEdge]
+    ranks: dict[NodeId, int]  # each node's hops back to the leader
 
 
 @dataclass
@@ -240,9 +242,15 @@ def pointer_jumping(
     that arrives later.  A message carries ids only: the new pointer is
     the one id it introduces, and its payload holds the arc minimum only
     when the header does not already name it, that is, when the minimum
-    is neither the introduced id (pj_succ) nor the sender (pj_pred).  All
-    rings run at once, one session per ring: its rounds are its session
-    report's, its sends its pj_* transcript lines.
+    is neither the introduced id (pj_succ) nor the sender (pj_pred).
+    The election also ranks the ring, as Wyllie's list ranking does: a
+    node keeps the hops back to its pred-side minimum, and a pj_pred
+    that carries the minimum carries those hops from the sender as `o`.
+    A node takes a minimum only when it is smaller than its own, 2^level
+    + o hops back, since its predecessor is 2^level hops back when the
+    message was sent.  Once the minimum is the leader, the hops are the
+    node's rank.  All rings run at once, one session per ring: its
+    rounds are its session report's, its sends its pj_* transcript lines.
     """
     return _run_wave(
         engine,
@@ -261,12 +269,14 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
             "pred": members[i - 1],
             "l_succ": succ,  # min id over (v -> succ]
             "l_pred": v,  # min id over (pred -> v]
+            "o_pred": 0,  # hops back from v to l_pred
             "level": 0,
         }
     edges: list[JumpEdge] = [JumpEdge((v, st[v]["succ"]), st[v]["l_succ"], 0) for v in members]
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         s = st[v]
+        back = 1 << s["level"]  # hops back to the pred that sent this round's pj_pred
         for m in inbox:
             d = m.payload
             # the one id a message introduces is the receiver's new pointer;
@@ -278,7 +288,9 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
                 s["level"] += 1
                 edges.append(JumpEdge((v, s["succ"]), s["l_succ"], s["level"]))
             elif m.tag == "pj_pred":
-                s["l_pred"] = min(s["l_pred"], d.get("ell", m.src))
+                ell = d.get("ell", m.src)
+                if ell < s["l_pred"]:
+                    s["l_pred"], s["o_pred"] = ell, back + d.get("o", 0)
                 s["pred"] = m.intro_ids[0]
         if s["l_pred"] == s["l_succ"]:
             return True  # done: both partners already hold the minimum on v's side
@@ -295,7 +307,7 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
             eng.send(
                 v,
                 s["succ"],
-                {} if s["l_pred"] == v else {"ell": s["l_pred"]},
+                {} if s["l_pred"] == v else {"ell": s["l_pred"], "o": s["o_pred"]},
                 tag="pj_pred",
                 intro_ids=(s["pred"],),
             )
@@ -303,10 +315,13 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
 
     def finish(report: PhaseReport) -> PointerJumpResult:
         leader = min(members)
-        for v in members:
+        at = members.index(leader)
+        for i, v in enumerate(members):
             if st[v]["l_pred"] != leader or st[v]["l_succ"] != leader:
                 raise SimulationAbortError(v, engine.round_no, "ring min did not converge")
-        return PointerJumpResult(leader=leader, jump_edges=edges)
+            if st[v]["o_pred"] != (i - at) % k:
+                raise SimulationAbortError(v, engine.round_no, "rank did not converge")
+        return PointerJumpResult(leader, edges, {v: st[v]["o_pred"] for v in members})
 
     return _Session(members, handler, 2 * k + 8, finish)
 
@@ -348,52 +363,22 @@ def rank_ring(
 
 
 # ---------------------------------------------------------------------------
-# hypercube id assignment
+# hypercube ids
 
 
-def assign_hypercube_ids(
-    engine: RoundEngine,
-    rings: Mapping[Hashable, list[NodeId]],
-    results: Mapping[Hashable, PointerJumpResult],
-) -> dict[Hashable, HypercubeOverlay]:
-    """Rank distribution from each leader down the binomial tree of jump edges.
+def assign_hypercube_ids(results: Mapping[Hashable, PointerJumpResult]) -> dict[Hashable, HypercubeOverlay]:
+    """Each ring's cube, slot s hosted by the node the election ranked s; takes no round.
 
-    The node bridged by the leader's level-j jump edge receives the id
-    with bit j set, then hands out ids below its own budget bit to its
-    own jump neighbors (see _tree_cast).  No node needs the ring size:
-    a node passes an id over its level-i edge only when that edge's arc
-    minimum is not the leader, that is, when the arc does not wrap past
-    rank 0, and the leader's budget is the first level whose arc holds
-    the leader itself, ceil(log2 k).
+    Every node ends the election knowing its rank, its hops back to the
+    leader (pointer_jumping), so it knows its slot and no message deals
+    it.  The name stays because perfbench traces this step as a span of
+    its own and the build calls it through this module.
     """
-    # each ring's order rotated so its leader is rank 0
-    ordered = {}
-    for key, members in rings.items():
-        at = members.index(results[key].leader)
-        ordered[key] = members[at:] + members[:at]
-    _run_wave(
-        engine,
-        "hypercube_ids",
-        {key: _hypercube_session(engine, order, results[key]) for key, order in ordered.items()},
-    )
-    return {key: cube_over(order, 0, len(order)) for key, order in ordered.items()}
-
-
-def _hypercube_session(
-    engine: RoundEngine, ordered: list[NodeId], result: PointerJumpResult
-) -> _Session:
-    leader = result.leader
-    ell = {(e.endpoints[0], e.level): e.ell for e in result.jump_edges}
-    d = min(e.level for e in result.jump_edges if e.endpoints[0] == leader and e.ell == leader)
-    return _tree_cast(
-        engine,
-        ordered,
-        d,
-        "hc_assign",
-        lambda inbox, rank, budget: [({"rank": rank}, ())],
-        # no edge at a level past the one whose arc held the leader: no send
-        lambda v, i: ell.get((v, i), leader) != leader,
-    )
+    cubes = {}
+    for key, result in results.items():
+        order = sorted(result.ranks, key=result.ranks.__getitem__)
+        cubes[key] = cube_over(order, 0, len(order))
+    return cubes
 
 
 def _tree_cast(
@@ -402,7 +387,6 @@ def _tree_cast(
     d: int,
     tag: str,
     messages: Callable[[list[Message], int, int], list[tuple[dict, tuple[NodeId, ...]]]],
-    forward: Callable[[NodeId, int], bool],
 ) -> _Session:
     """Rank 0 of `ordered` reaches every rank down the binomial tree of jump edges.
 
@@ -413,10 +397,10 @@ def _tree_cast(
     budget.  A node v of rank r reached with budget b sends
     messages(inbox, r + 2^i, i), a list of (payload, introduced ids)
     made from the messages v received (none at rank 0), to rank r + 2^i
-    over its level-i jump edge, for every i < b for which forward(v, i)
-    holds: exactly when r + 2^i < k.  A node reached by several messages
-    in one round is reached once.  The session aborts unless every rank
-    was reached, each in exactly one round.
+    over its level-i jump edge, for every i < b with r + 2^i < k.  A
+    node reached by several messages in one round is reached once.  The
+    session aborts unless every rank was reached, each in exactly one
+    round.
     """
     k = len(ordered)
     rank_of = {v: r for r, v in enumerate(ordered)}
@@ -428,7 +412,7 @@ def _tree_cast(
         reached.add(v)
         r = rank_of[v]
         for i in range((r & -r).bit_length() - 1 if r else d):
-            if forward(v, i):
+            if r + (1 << i) < k:
                 for payload, intro in messages(inbox, r + (1 << i), i):
                     eng.send(v, ordered[r + (1 << i)], payload, tag=tag, intro_ids=intro)
         return True
@@ -470,25 +454,34 @@ def parallel_convex_hull(
     """Divide and conquer over blocks of consecutive slots, every cube at once.
 
     Slot s starts with its own host's point as its hull.  At level L
-    every block of 2^L slots from a base merges its halves: the right
-    half's host ships its ccw hull to the left half's host over their
-    2^(L-1) jump edge, and the left host keeps the hull of the union
-    (geometry.monotone_hull, the centralized oracle's chain).  A right
-    half starting at or past k has nothing to merge.  A message carries
-    at most _message_cap points and a host sends merge messages while it
-    has sent fewer than that many long-range messages this round, so a
-    level takes one round unless a hull exceeds cap^2 points.  On a
-    closed cube every host starts with count 1, and the right half's
-    first message also carries the half's node count, which the left
-    host adds to its own.  An arc's cube carries none; the arc's
+    every block of 2^L slots from a base merges its halves: the left
+    half's host keeps the hull of the union (geometry.monotone_hull, the
+    centralized oracle's chain).  Level 1 takes no message and no round:
+    slot 2j + 1 is 2j's ring successor and radio neighbour, whose point
+    2j has held since the LDel2 build.  From level 2 on, the right
+    half's host ships its ccw hull over their 2^(L-1) jump edge.  A
+    right half starting at or past k has nothing to merge.  A message
+    carries at most _message_cap points and a host sends merge messages
+    while it has sent fewer than that many long-range messages this
+    round, so a level takes one round unless a hull exceeds cap^2
+    points.  On a closed cube every host starts with count 1, and the
+    left host adds the right half's count, which from level 2 on rides
+    the half's first message.  An arc's cube carries none; the arc's
     orientation is detect_outer_holes' exact sign.  Returns each cube's
     ccw hull as slot keys, whose ranks give a closed ring's orientation
     (rank_ring), and slot 0's count for the closed cubes.
     """
     hulls = {key: [[q] for q in slot_keys[key]] for key in cubes}
     counts = {key: [1] * len(cube.members) for key, cube in cubes.items() if cube.closed}
+    for key, cube in cubes.items():
+        for s in range(0, len(cube.members) - 1, 2):
+            if cube.members[s + 1] not in engine.topo.adhoc[cube.members[s]]:
+                raise SimulationAbortError(cube.members[s], engine.round_no, "slot successor is no radio neighbour")
+            hulls[key][s] = monotone_hull(sorted(hulls[key][s] + hulls[key][s + 1]))
+            if key in counts:
+                counts[key][s] += 1
     top = max((cube.dimension for cube in cubes.values()), default=0)
-    for level in range(1, top + 1):
+    for level in range(2, top + 1):
         _run_wave(
             engine,
             f"hull_merge_{level}",
@@ -552,7 +545,7 @@ def _merge_session(
 
 
 def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: list) -> _Session:
-    """The leader sends each subtree of the tree that dealt the ids its part of the hull.
+    """The leader sends each subtree of the binomial tree of jump edges its part of the hull.
 
     The child c = r + 2^i of rank r roots the ranks [c, e), with
     e = min(c + 2^i, k).  Its message carries the hull points ranked in
@@ -571,8 +564,8 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
     a closed ring each message also carries the ring size k, which the
     leader ends the merge with: the bay that wraps past rank 0 counts its
     members modulo k (dominating_set).  No message carries a budget
-    (_tree_cast): a node of a closed ring holds its rank from the id
-    deal, and a node of an arc its rank on the arc, its outer rank less
+    (_tree_cast): a node of a closed ring holds its rank from the
+    election, and a node of an arc its rank on the arc, its outer rank less
     that of its bay's first end, both of which wave one's broadcast left
     it.
     """
@@ -591,14 +584,7 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
         sent = _hull_items([part[r] for r in sorted(part)])
         return [({"hull": chunk, **size}, ids) for chunk, ids in _cut(engine, sent)]
 
-    return _tree_cast(
-        engine,
-        cube.members,
-        cube.dimension,
-        "hullb",
-        scoped,
-        lambda v, i: cube.id_map[v] + (1 << i) < k,
-    )
+    return _tree_cast(engine, cube.members, cube.dimension, "hullb", scoped)
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +733,10 @@ def ring_protocol(
 ) -> tuple[dict[Hashable, list[NodeId]], dict[Hashable, int]]:
     """Hull merge, the leaders' checks, hull broadcast, for every cube at once.
 
-    The cubes come from the id deal (assign_hypercube_ids) or, for the
-    outer-hole arcs, from the outer ring's ranks (HypercubeOverlay.arc).
+    The cubes come from the ranks the election left every node
+    (assign_hypercube_ids) or, for the outer-hole arcs, from the outer
+    ring's ranks (HypercubeOverlay.arc).  The merge's first level is
+    local, so its first phase is hull_merge_2.
     Every closed ring merges its size up to its leader along with the
     hull, and the leader checks the size and reads the ring's
     orientation off the merged hull's ranks (rank_ring) before it

@@ -187,10 +187,11 @@ class Pipeline:
         """Every phase in dependency order; rings run concurrently in two waves.
 
         Wave one is every closed ring: the election, which is all the
-        "classification" rounds, the id deal, then hull, bays and
-        dominating sets (build_hull_abstraction), after which each ring's
-        kind is read off the orientation its leader found in the merged
-        hull's ring ranks (classify_rings).  Wave two is the outer-hole
+        "classification" rounds and leaves every node its ring rank, so
+        the cubes take no round, then hull, bays and dominating sets
+        (build_hull_abstraction), after which each ring's kind is read
+        off the orientation its leader found in the merged hull's ring
+        ranks (classify_rings).  Wave two is the outer-hole
         arcs, which hang off the outer boundary's hull and reuse that
         ring's ranks and jump edges: the same call with the arcs' cubes.
         The dominating sets take no round.  The broadcast tree needs no
@@ -226,7 +227,7 @@ class Pipeline:
         jumps = overlay.pointer_jumping(eng, members)
         mark("classification")
 
-        self.cubes = overlay.assign_hypercube_ids(eng, members, jumps)
+        self.cubes = overlay.assign_hypercube_ids(jumps)
         self.abstractions, orientations = build_hull_abstraction(eng, self.rings, self.cubes)
         classify_rings(self.rings, orientations)
         mark("ring_hulls")

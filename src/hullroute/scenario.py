@@ -185,13 +185,13 @@ def fixture_spec(name: str) -> ScenarioSpec:
 
 
 def fixture_topology(name: str) -> HybridTopology:
-    """A fixture, scale-N-S for scaling_spec(N, S) or grid-N for holes_grid_spec(N)."""
+    """A fixture, scale-N-S for scaling_spec(N, S) or grid-N[-K] for holes_grid_spec(N, k=K)."""
     if name == "cshape-40":
         return build_udg(_cshape_points(seed=3))
     if m := re.fullmatch(r"scale-([1-9][0-9]*)-(0|[1-9][0-9]*)", name):
         return generate_scenario(scaling_spec(int(m[1]), int(m[2])))
-    if m := re.fullmatch(r"grid-([1-9][0-9]*)", name):
-        return generate_scenario(holes_grid_spec(int(m[1])))
+    if m := re.fullmatch(r"grid-([1-9][0-9]*)(?:-([1-9][0-9]*))?", name):
+        return generate_scenario(holes_grid_spec(int(m[1]), k=int(m[2]) if m[2] else None))
     return generate_scenario(fixture_spec(name))
 
 
@@ -212,15 +212,15 @@ def scaling_spec(n: int, seed: int = 5) -> ScenarioSpec:
     )
 
 
-def holes_grid_spec(n: int, seed: int = 5) -> ScenarioSpec:
+def holes_grid_spec(n: int, seed: int = 5, k: int | None = None) -> ScenarioSpec:
     """scaling_spec(n, seed)'s lattice with a k x k grid of square holes.
 
-    k = round(sqrt(n) / 7.5), so the hole count grows in proportion to n
-    (6 x 6 at n = 2048).  Square (i, j), side 1.5, is centred at
-    step * (i + 1/2, j + 1/2) with step = width / k.
+    k defaults to round(sqrt(n) / 7.5), so the hole count grows in
+    proportion to n (6 x 6 at n = 2048).  Square (i, j), side 1.5, is
+    centred at step * (i + 1/2, j + 1/2) with step = width / k.
     """
     base = scaling_spec(n, seed)
-    k = max(1, round(math.isqrt(n) / 7.5))
+    k = k or max(1, round(math.isqrt(n) / 7.5))
     x0, y0, x1, _ = base.region
     step = (x1 - x0) / k
     base.obstacles = [

@@ -234,10 +234,14 @@ class RoundEngine:
         mail only, and whatever it sends carries the session.  Returns
         one report per session, counting the rounds until that session
         went quiet.  Raises NotReadyError, touching nothing, while a
-        phase runs.
+        phase runs, and IllegalSendError, touching nothing, while mail
+        sent outside any phase, or left by an aborted one, waits: no
+        session may read it as its own.
         """
         if self._sessions is not None:
             raise NotReadyError(f"phase {label!r} started while a phase runs")
+        if self._outbox or any(self._inbox.values()):
+            raise IllegalSendError(f"phase {label!r} started while undelivered mail waits")
         if not sessions:
             return {}
         handlers = {key: h for key, (_, h) in sessions.items()}

@@ -39,14 +39,14 @@ from oracles import brute_hull, brute_outer_holes, shoelace
 
 
 def build(engine, rings, jumps=None):
-    """A build's wave one: elect (unless given the election), deal ids, build, classify.
+    """A build's wave one: elect (unless given the election), lay out the ranks, build, classify.
 
     Returns the abstractions and the cubes, keyed by ring_id.
     """
     members = {r.ring_id: r.members for r in rings}
     if jumps is None:
         jumps = pointer_jumping(engine, members)
-    cubes = assign_hypercube_ids(engine, members, jumps)
+    cubes = assign_hypercube_ids(jumps)
     abstractions, orientations = build_hull_abstraction(engine, rings, cubes)
     classify_rings(rings, orientations)
     return abstractions, cubes

@@ -96,7 +96,8 @@ def test_pointer_jumping_elects_min_id(k):
 def test_pointer_jumping_on_rings_of_every_size():
     # a done node sends nothing more, yet on every ring size, with ids in
     # no order, each jump edge still bridges 2^level ranks and carries its
-    # arc's minimum, and the election keeps to ceil(log2 k) rounds and two
+    # arc's minimum, every node ends knowing its rank, its hops back to
+    # the leader, and the election keeps to ceil(log2 k) rounds and two
     # messages per node and round
     for k in [*range(3, 71), 127, 128, 129, 176, 255, 256, 257, 300]:
         ids = list(range(1000, 1000 + k))
@@ -104,6 +105,8 @@ def test_pointer_jumping_on_rings_of_every_size():
         engine, members = ring_engine(k, ids=ids)
         res = pointer_jumping(engine, {0: members})[0]
         assert res.leader == min(members), k
+        li = members.index(res.leader)
+        assert res.ranks == {v: (i - li) % k for i, v in enumerate(members)}, k
         for e in res.jump_edges:
             u, w = e.endpoints
             span = 1 << e.level
@@ -113,6 +116,26 @@ def test_pointer_jumping_on_rings_of_every_size():
         rounds, sends = election_costs(engine, 0)
         assert rounds <= bound, k
         assert max(sends.values()) <= 2 * bound, k
+
+
+def test_a_pj_pred_that_overstates_its_hops_aborts_the_election(monkeypatch):
+    # one pj_pred carrying the leader with one hop too many: the node that
+    # takes it ends one rank off, and the election refuses to finish
+    engine, members = ring_engine(12, seed=8)
+    leader = min(members)
+    send = engine.send
+    mutated = []
+
+    def spy(src, dst, payload=None, **kw):
+        if kw.get("tag") == "pj_pred" and payload.get("ell") == leader and not mutated:
+            mutated.append(dst)
+            payload = {**payload, "o": payload["o"] + 1}
+        send(src, dst, payload, **kw)
+
+    monkeypatch.setattr(engine, "send", spy)
+    with pytest.raises(SimulationAbortError, match="rank did not converge"):
+        pointer_jumping(engine, {0: members})
+    assert mutated
 
 
 def test_pointer_jumping_shuffled_ids():
@@ -172,17 +195,17 @@ def test_wave_holds_each_session_to_its_own_bound():
 
 
 def test_cast_and_merge_waves_make_no_idle_call():
-    # in the id deal, every hull merge level and both hull broadcasts, a
-    # node is called only when mail reaches it or in a round it sends
+    # in every hull merge level, which starts at 2, and both hull
+    # broadcasts, a node is called only when mail reaches it or in a
+    # round it sends
     watched = []
     for name in ("star12-4", "scale-512-1"):
         pipe = Pipeline(fixture_topology(name), PipelineConfig())
         pipe.build_abstraction()
-        watched += [
-            p for p in pipe.engine.phase_reports
-            if p.label == "hypercube_ids" or p.label.startswith(("hull_merge_", "hull_broadcast"))
-        ]
-    assert {"hypercube_ids", "hull_merge_1", "hull_broadcast"} <= {p.label for p in watched}
+        watched += [p for p in pipe.engine.phase_reports if p.label.startswith(("hull_merge_", "hull_broadcast"))]
+    labels = {p.label for p in watched}
+    assert {"hull_merge_2", "hull_merge_3", "hull_broadcast"} <= labels
+    assert "hull_merge_1" not in labels
     assert [(p.label, p.calls - p.active) for p in watched if p.calls != p.active] == []
 
 
@@ -199,9 +222,9 @@ class RingRun(NamedTuple):
 
 
 def one_ring(engine, members):
-    """Election, id deal and ring_protocol for the ring members, as a build's wave one."""
+    """Election, the cube of its ranks and ring_protocol for the ring members, as a build's wave one."""
     rings = {0: members}
-    cubes = assign_hypercube_ids(engine, rings, pointer_jumping(engine, rings))
+    cubes = assign_hypercube_ids(pointer_jumping(engine, rings))
     hulls, orientations = ring_protocol(engine, cubes)
     return RingRun(cubes[0], hulls[0], orientations[0])
 
@@ -236,11 +259,12 @@ def test_merged_totals_match_a_direct_sum(k, monkeypatch):
     assert sizes == {0: k}
     # a ccw walk: the hull's ranks ascend from the leader around the hull
     assert res.orientation == polygon_orientation([engine.topo.points[v] for v in members]) == 1
-    # one merge message per merge of two blocks carries the right block's
-    # count, and k slots take k - 1 merges
-    assert len(carried) == k - 1
+    # k slots take k - 1 merges; the floor(k/2) of level 1 are local, and
+    # one merge message per merge from level 2 on carries the right
+    # block's count
+    assert len(carried) == k - 1 - k // 2
     tags = {t["tag"] for t in engine.transcript}
-    assert tags == {"pj_succ", "pj_pred", "hc_assign", "hm", "hullb"}
+    assert tags == {"pj_succ", "pj_pred", "hm", "hullb"}
 
 
 def test_hull_rank_order_flips_orientation_clockwise():
@@ -339,7 +363,7 @@ def test_a_block_that_under_reports_its_count_aborts(monkeypatch):
 def test_hypercube_ids_follow_ring_rank(k):
     engine, members = ring_engine(k, seed=k + 9)
     res = pointer_jumping(engine, {0: members})[0]
-    cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
+    cube = assign_hypercube_ids({0: res})[0]
     d = max(1, math.ceil(math.log2(k)))
     assert cube.dimension == d
     assert len(cube.members) == k
@@ -353,32 +377,19 @@ def test_hypercube_ids_follow_ring_rank(k):
 
 
 @pytest.mark.parametrize("k", [3, 5, 12, 17, 33])
-def test_id_cast_reaches_every_rank_once_over_jump_edges(k, monkeypatch):
+def test_id_cast_reaches_every_rank_once_over_jump_edges(k):
+    # no id is cast any more: the election leaves every node its ring rank,
+    # its hops back to the leader, and the cube is laid out from those
+    # ranks with no message, no phase and no round
     engine, members = ring_engine(k, seed=21)
     res = pointer_jumping(engine, {0: members})[0]
-    ell = {(e.endpoints, e.level): e.ell for e in res.jump_edges}
-    cast = []
-    send = engine.send
-
-    def spy(src, dst, payload=None, **kw):
-        if kw.get("tag") == "hc_assign":
-            cast.append((src, dst, payload))
-        send(src, dst, payload, **kw)
-
-    monkeypatch.setattr(engine, "send", spy)
-    cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
     li = members.index(res.leader)
     rank = {v: (i - li) % k for i, v in enumerate(members)}
-    # every rank but the leader's is reached by exactly one message
-    assert sorted(dst for _, dst, _ in cast) == sorted(set(members) - {res.leader})
-    for src, dst, payload in cast:
-        # the payload is the rank alone: rank r is reached with budget i,
-        # the lowest set bit of r, over the sender's level-i jump edge,
-        # whose arc does not wrap past the leader
-        assert payload == {"rank": rank[dst]}
-        i = (rank[dst] & -rank[dst]).bit_length() - 1
-        assert rank[dst] - rank[src] == 1 << i
-        assert ell[(src, dst), i] != res.leader
+    assert res.ranks == rank
+    before = (engine.round_no, len(engine.phase_reports), len(engine.transcript))
+    cube = assign_hypercube_ids({0: res})[0]
+    assert (engine.round_no, len(engine.phase_reports), len(engine.transcript)) == before
+    assert "hc_assign" not in {t["tag"] for t in engine.transcript}
     assert cube.id_map == rank
     assert cube.dimension == math.ceil(math.log2(k))
 
@@ -387,7 +398,7 @@ def test_id_cast_reaches_every_rank_once_over_jump_edges(k, monkeypatch):
 def test_cube_has_no_padding_and_its_edges_are_known_jump_edges(k):
     engine, members = ring_engine(k, seed=21)
     res = pointer_jumping(engine, {0: members})[0]
-    cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
+    cube = assign_hypercube_ids({0: res})[0]
     # no padding: only the k ranks are slots, each hosted by its own node
     assert len(set(cube.members)) == len(cube.id_map) == k
     assert 1 << (cube.dimension - 1) < k <= 1 << cube.dimension
@@ -409,7 +420,7 @@ def test_cube_has_no_padding_and_its_edges_are_known_jump_edges(k):
 def test_hypercube_sort_lays_keys_out_by_rank(k):
     engine, members = ring_engine(k, seed=k + 123, jitter=0.03)
     res = pointer_jumping(engine, {0: members})[0]
-    cube = assign_hypercube_ids(engine, {0: members}, {0: res})[0]
+    cube = assign_hypercube_ids({0: res})[0]
     pts = engine.topo.points
     before = (engine.round_no, len(engine.phase_reports), engine.total_messages)
     slot_keys = hypercube_sort(engine, {0: cube})[0]
@@ -546,9 +557,10 @@ def _check_merge(engine, merge_log, dimensions) -> list[int]:
 
     A message holds at most cap points, a host sends at most cap of them a
     round, a ship fills every message but its last, and a phase takes as
-    many rounds as its busiest host needs at cap messages a round.  Every
-    cube (session -> dimension d) merges in the first d levels of its
-    ring_protocol call, and the call runs as many levels as its largest d.
+    many rounds as its busiest host needs at cap messages a round.  Level
+    1 is local, so the phases start at hull_merge_2: every cube (session ->
+    dimension d) merges in the first d - 1 phases of its ring_protocol
+    call, and the call runs as many phases as its largest d less one.
     """
     cap = math.ceil(math.log2(len(engine.topo.ids)))
     assert merge_log
@@ -561,7 +573,8 @@ def _check_merge(engine, merge_log, dimensions) -> list[int]:
         assert len(sizes) == -(-sum(sizes) // cap)
     calls: list[list[int]] = []  # the merge phases of each ring_protocol call
     for i, rep in enumerate(engine.phase_reports):
-        if rep.label == "hull_merge_1":
+        assert rep.label != "hull_merge_1"
+        if rep.label == "hull_merge_2":
             calls.append([])
         if rep.label.startswith("hull_merge_"):
             calls[-1].append(i)
@@ -575,9 +588,9 @@ def _check_merge(engine, merge_log, dimensions) -> list[int]:
     }
     for call in calls:
         inside = {key: d for key, d in dimensions.items() if merged[key][0] in call}
-        assert len(call) == max(inside.values())
+        assert len(call) == max(inside.values()) - 1
         for key, d in inside.items():
-            assert merged[key] == call[:d], key
+            assert merged[key] == call[: d - 1], key
     assert sum(len(call) for call in calls) == len(levels)
     return [engine.phase_reports[i].rounds for i in levels]
 
@@ -586,11 +599,11 @@ def _check_merge(engine, merge_log, dimensions) -> list[int]:
 def test_hull_merge_searches_both_tangents_at_once(k, jitter, monkeypatch):
     # the left host finds both tangents between the two blocks' hulls at
     # once, as the bridges of one local hull of their union, so a merge
-    # level takes the one round of its ship
+    # level from 2 on takes the one round of its ship
     merge_log = _log_merge(monkeypatch)
     engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
     res = one_ring(engine, members)
-    assert _check_merge(engine, merge_log, {0: res.cube.dimension}) == [1] * res.cube.dimension
+    assert _check_merge(engine, merge_log, {0: res.cube.dimension}) == [1] * (res.cube.dimension - 1)
 
 
 def test_hull_merge_searches_both_tangents_at_once_on_every_ring(monkeypatch):
@@ -602,6 +615,26 @@ def test_hull_merge_searches_both_tangents_at_once_on_every_ring(monkeypatch):
         pipe.build_abstraction()
         cubes = {r.ring_id: pipe.cubes[r.ring_id].dimension for r in pipe.rings}
         assert set(_check_merge(pipe.engine, merge_log, cubes)) == {1}
+
+
+def test_no_level_one_merge_message_in_either_wave(monkeypatch):
+    # a host merges its ring successor's point without a message, so every
+    # `hm` goes back 2^(L-1) >= 2 slots, on the closed rings and on the arcs
+    sent = []
+    send = RoundEngine.send
+
+    def spy(self, src, dst, payload=None, **kw):
+        if kw.get("tag") == "hm":
+            sent.append((self.session, src, dst))
+        send(self, src, dst, payload, **kw)
+
+    monkeypatch.setattr(RoundEngine, "send", spy)
+    pipe = Pipeline(fixture_topology("scale-512-1"), PipelineConfig())
+    pipe.build_abstraction()
+    gaps = {pipe.cubes[key].id_map[src] - pipe.cubes[key].id_map[dst] for key, src, dst in sent}
+    assert min(gaps) == 2 and all(gap & (gap - 1) == 0 for gap in gaps)
+    assert {pipe.cubes[key].closed for key, _, _ in sent} == {True, False}
+    assert "hull_merge_1" not in {p.label for p in pipe.engine.phase_reports}
 
 
 def test_merge_messages_stay_under_the_cap(monkeypatch):
@@ -671,7 +704,7 @@ def test_ring_protocol_on_cavity_ring(monkeypatch):
     assert sorted(ring) == [8, 9, 13, 14, 17, 18, 22, 23]
     engine = RoundEngine(topo)
     jumps = pointer_jumping(engine, {0: ring})
-    cubes = assign_hypercube_ids(engine, {0: ring}, jumps)
+    cubes = assign_hypercube_ids(jumps)
     sizes = merged_sizes(monkeypatch)
     hulls, orientations = ring_protocol(engine, cubes)
     assert jumps[0].leader == cubes[0].members[0] == 8

@@ -58,12 +58,15 @@ def test_topology_matches_golden_digest(name):
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name,spec", [("scale-300-2", scaling_spec(300, 2)), ("grid-400", holes_grid_spec(400))])
+@pytest.mark.parametrize(
+    "name,spec",
+    [("scale-300-2", scaling_spec(300, 2)), ("grid-400", holes_grid_spec(400)), ("grid-400-2", holes_grid_spec(400, k=2))],
+)
 def test_fixture_topology_names_generated_instances(name, spec):
     assert fixture_topology(name).points == generate_scenario(spec).points
 
 
-@pytest.mark.parametrize("name", ["scale-512", "scale-512-1-2", "scale-x-1", "scale-0512-1", "grid-0", "grid-2048-1", ""])
+@pytest.mark.parametrize("name", ["scale-512", "scale-512-1-2", "scale-x-1", "scale-0512-1", "grid-0", "grid-2048-0", ""])
 def test_fixture_topology_rejects_unknown_and_malformed_names(name):
     with pytest.raises(GenerationError):
         fixture_topology(name)

@@ -362,6 +362,31 @@ def test_sessions_started_inside_a_phase_are_refused_untouched(line3):
     assert eng.run_sessions("after", {"n": ([0], nested)}, max_rounds=1)["n"].messages_adhoc == 1
 
 
+def test_mail_sent_outside_any_phase_is_refused_untouched(line3):
+    # "stray" waits in node 1's inbox; no later phase may read it as its own
+    eng = RoundEngine(line3)
+    eng.send(0, 1, "stray")
+    eng.step_round()
+    calls = []
+
+    def handler(engine, v, inbox):
+        calls.append((v, [m.payload for m in inbox]))
+        return True
+
+    state = (eng.round_no, len(eng.transcript), len(eng.phase_reports), len(eng.session_reports))
+    for key in (None, "ring"):
+        with pytest.raises(IllegalSendError, match="undelivered mail"):
+            eng.run_sessions("later", {key: ([2], handler)}, max_rounds=3)
+    assert calls == []
+    assert (eng.round_no, len(eng.transcript), len(eng.phase_reports), len(eng.session_reports)) == state
+    # mail still in flight is refused too
+    eng = RoundEngine(line3)
+    eng.send(0, 1, "stray")
+    with pytest.raises(IllegalSendError):
+        eng.run_sessions("later", {None: ([2], handler)}, max_rounds=3)
+    assert calls == [] and eng.phase_reports == []
+
+
 def test_no_sessions_runs_no_phase(line3):
     eng = RoundEngine(line3)
     assert eng.run_sessions("empty", {}, max_rounds=3) == {}

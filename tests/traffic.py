@@ -5,8 +5,8 @@ Run by hand, from the repository root:
     PYTHONPATH=src python tests/traffic.py [--top K] instance [instance ...]
 
 An instance is a fixture name (grid36-hole4, cshape-40, crescent-24,
-star12-4), scale-N-S for scaling_spec(N, S), or grid-N for
-holes_grid_spec(N). For each it builds the abstraction with the default
+star12-4), scale-N-S for scaling_spec(N, S), grid-N for
+holes_grid_spec(N), or grid-N-K for holes_grid_spec(N, k=K). For each it builds the abstraction with the default
 config and prints three tables read off the engine's phase reports and
 transcript, every count through `simengine.tally`: every phase's rounds,
 node handler calls, the active ones among them (a call that had mail or
