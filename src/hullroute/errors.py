@@ -26,10 +26,17 @@ class IllegalIntroductionError(HullrouteError):
 
 
 class SimulationAbortError(HullrouteError):
-    """A node handler raised; carries node id and round for diagnosis."""
+    """A node handler raised or a protocol check failed; carries node id and round for diagnosis.
 
-    def __init__(self, node: int, round_no: int, cause: BaseException):
-        super().__init__(f"handler of node {node} failed in round {round_no}: {cause!r}")
+    node is None when no one node is at fault, as when a phase runs over
+    its rounds; then the message names none.
+    """
+
+    def __init__(self, node: int | None, round_no: int, cause: BaseException | str):
+        if node is None:
+            super().__init__(f"simulation aborted in round {round_no}: {cause}")
+        else:
+            super().__init__(f"handler of node {node} failed in round {round_no}: {cause!r}")
         self.node = node
         self.round_no = round_no
         self.cause = cause

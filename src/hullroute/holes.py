@@ -26,7 +26,6 @@ from .geometry import (
 )
 from .ldel import UNIT_RANGE, NodeId, PlanarGraph
 from .overlay import (
-    HypercubeOverlay,
     dominating_set,
     pointer_jumping,  # not called here: bound for perfbench/tracer.py, which wraps it here
     rank_ring,  # likewise
@@ -205,20 +204,23 @@ def detect_outer_holes(
 def build_hull_abstraction(
     engine: RoundEngine,
     rings: Sequence[HoleRing],
-    cubes: Mapping[int, HypercubeOverlay],
+    orders: Mapping[int, list[NodeId]],
 ) -> tuple[dict[int, HullAbstraction], dict[int, int]]:
     """Distributed hull, bays, and one dominating set per bay, per ring.
 
-    cubes holds each ring's ranks, keyed by ring_id: a closed ring's from
-    its election, an outer-hole arc's from the outer ring's.  The rings
-    run concurrently (ring_protocol); a closed ring's leader checks the
-    ring's size and reads its orientation, which classify_rings takes.
+    orders holds each ring's members in rank order, keyed by ring_id: a
+    closed ring's from its election, an outer-hole arc's as its members.
+    A ring of kind KIND_OUTER_HOLE is an arc; every other ring is closed.
+    The rings run concurrently (ring_protocol); a closed ring's leader
+    checks the ring's size and reads its orientation, which
+    classify_rings takes.
     Each bay's dominating set then takes no round: its members decide
     from the ring ranks the broadcast left them (dominating_set).
     Returns the abstractions and the closed rings' orientations, keyed
     by ring_id.
     """
-    hulls, orientations = ring_protocol(engine, cubes)
+    arcs = {r.ring_id for r in rings if r.kind == KIND_OUTER_HOLE}
+    hulls, orientations = ring_protocol(engine, orders, arcs)
     bays = {r.ring_id: compute_bays(r, hulls[r.ring_id]) for r in rings}
     paths = {(rid, i): bay.members for rid, bs in bays.items() for i, bay in enumerate(bs)}
     sets = dominating_set(paths)

@@ -1,20 +1,21 @@
 """Long-range overlay protocols over hole rings.
 
 Everything here runs as node handlers inside the round engine: pointer
-jumping for leader election, jump edges and ring ranks, distributed
-convex hull by merging blocks of consecutive ranks, a broadcast tree
-over all nodes, and hull reference distribution.  The election is also
-Wyllie's list ranking, so every node knows its hypercube slot with no
-message of its own (assign_hypercube_ids), and level 1 of the merge, a
-node and its radio-neighbour successor, is local.  The finished hull,
-scoped to each subtree, travels the binomial tree of jump edges from
-the ring leader (_tree_cast).  On a closed ring the hull merge carries
-each block's node count, so the leader ends with the exact ring size,
-and its merged hull holds each hull node's ring rank, whose order
-around the hull is the ring's orientation; the leader checks both
-before it broadcasts the hull (rank_ring).  The per-bay dominating set
-takes no round: every bay member decides from ring ranks the hull
-broadcast left it.
+jumping for leader election and ring ranks, distributed convex hull by
+merging blocks of consecutive ranks, a broadcast tree over all nodes,
+and hull reference distribution.  The election is also Wyllie's list
+ranking, so every node ends it knowing its rank, and a ring's layout is
+its members in rank order, which no message deals (assign_hypercube_ids).
+Ranks s and s + 2^j know each other: pointer jumping introduced them.
+Level 1 of the merge, a node and its radio-neighbour successor, is
+local.  The finished hull, scoped to each subtree, travels the binomial
+tree over the ranks from the ring leader (_tree_cast).  On a closed
+ring the hull merge carries each block's node count, so the leader
+ends with the exact ring size, and its merged hull holds each hull
+node's ring rank, whose order around the hull is the ring's
+orientation; the leader checks both before it broadcasts the hull
+(rank_ring).  The per-bay dominating set takes no round: every bay
+member decides from ring ranks the hull broadcast left it.
 
 Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Every sender cuts what it ships into messages of at
@@ -31,7 +32,7 @@ as [x, y, ring, ...] and a hull point as [x, y, rank]; a pointer-jump
 message holds its arc minimum only when that is neither the id it
 introduces nor its sender, and a pj_pred's minimum brings its hops
 back from the sender along; and a tree cast holds no budget, since a
-node reads it off its own rank (_tree_cast).  In the merge a host
+node reads it off its own rank (_tree_cast).  In the merge a node
 sends at most that many long-range messages a round, as counted by
 the engine.  The hull broadcast is scoped: each tree edge carries only
 the hull points of the child's subtree of ranks and the two hull
@@ -40,7 +41,7 @@ ends.  Ids a node learns only in transit are forgotten once a protocol
 ends (_forget_learned).
 
 The ring protocols take a mapping keyed by ring, of its members in ring
-order or, once the election has ranked it, of its cube, and run every
+order or, once the election has ranked it, in rank order, and run every
 ring in the same engine phases, one session per ring, so a step costs
 the rounds of its slowest ring rather than the sum over rings, and each
 ring is held to its own round bound (_run_wave).  A single ring is the
@@ -59,7 +60,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Callable, Collection, Hashable, Iterable, Mapping
 
 from .errors import DegenerateInputError, GeometryInconsistencyError, SimulationAbortError
 from .geometry import monotone_hull
@@ -67,57 +68,6 @@ from .ldel import NodeId
 from .simengine import Handler, Message, PhaseReport, RoundEngine
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class JumpEdge:
-    """Overlay edge bridging 2^level consecutive ring nodes.
-
-    ell is the minimum node id over the bridged arc, half open: the arc
-    behind `endpoints[1]` back to but excluding `endpoints[0]`.
-    """
-
-    endpoints: tuple[NodeId, NodeId]
-    ell: NodeId
-    level: int
-
-
-@dataclass
-class PointerJumpResult:
-    leader: NodeId
-    jump_edges: list[JumpEdge]
-    ranks: dict[NodeId, int]  # each node's hops back to the leader
-
-
-@dataclass
-class HypercubeOverlay:
-    """Ring ranks as hypercube slots; slot s is hosted by members[s].
-
-    Only slots below the ring size exist: the hull merge and the tree
-    casts use no others.  Slot s + 2^j is 2^j ranks past slot s, so every
-    cube edge is a ring jump edge.  An arc's cube is not closed: its last
-    slot is not followed by slot 0 on the ring.
-    """
-
-    dimension: int
-    id_map: dict[NodeId, int]
-    members: list[NodeId]  # by rank; rank == hypercube slot
-    closed: bool
-
-    def arc(self, members: list[NodeId]) -> HypercubeOverlay:
-        """The cube of an arc of this ring, in ring order."""
-        return cube_over(self.members, self.id_map[members[0]], len(members))
-
-
-def cube_over(order: list[NodeId], start: int, m: int) -> HypercubeOverlay:
-    """The cube of the m ranks from start on of a ring in rank order."""
-    members = [order[(start + s) % len(order)] for s in range(m)]
-    return HypercubeOverlay(
-        max(1, math.ceil(math.log2(m))),
-        {v: r for r, v in enumerate(members)},
-        members,
-        m == len(order),
-    )
 
 
 @dataclass
@@ -182,6 +132,11 @@ def _hull_points(inbox: list[Message]) -> list[list]:
     return [[x, y, v, r] for m in inbox for v, (x, y, r) in _uncut(m, "hull").items()]
 
 
+def _levels(k: int) -> int:
+    """Merge levels, and cast levels below rank 0, of a ring of k ranks: ceil(log2 k), at least 1."""
+    return max(1, (k - 1).bit_length())
+
+
 def _forget_learned(
     engine: RoundEngine,
     before: Mapping[NodeId, set[NodeId]],
@@ -219,7 +174,7 @@ def _run_wave(
     )
     for key, s in sessions.items():
         if reports[key].rounds > s.max_rounds:
-            raise SimulationAbortError(-1, engine.round_no, f"{label} session {key!r} exceeded {s.max_rounds} rounds")
+            raise SimulationAbortError(None, engine.round_no, f"{label} session {key!r} exceeded {s.max_rounds} rounds")
     return {key: s.finish(reports[key]) for key, s in sessions.items()}
 
 
@@ -229,7 +184,7 @@ def _run_wave(
 
 def pointer_jumping(
     engine: RoundEngine, rings: Mapping[Hashable, list[NodeId]]
-) -> dict[Hashable, PointerJumpResult]:
+) -> dict[Hashable, dict[NodeId, int]]:
     """Leader election by pointer doubling along each ring.
 
     Every round each active node introduces its current successor to its
@@ -251,6 +206,8 @@ def pointer_jumping(
     message was sent.  Once the minimum is the leader, the hops are the
     node's rank.  All rings run at once, one session per ring: its
     rounds are its session report's, its sends its pj_* transcript lines.
+    Returns each ring's ranks, {node: hops back to the leader}, as the
+    nodes hold them.
     """
     return _run_wave(
         engine,
@@ -272,7 +229,6 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
             "o_pred": 0,  # hops back from v to l_pred
             "level": 0,
         }
-    edges: list[JumpEdge] = [JumpEdge((v, st[v]["succ"]), st[v]["l_succ"], 0) for v in members]
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         s = st[v]
@@ -286,7 +242,6 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
                 s["l_succ"] = min(s["l_succ"], d.get("ell", m.intro_ids[0]))
                 s["succ"] = m.intro_ids[0]
                 s["level"] += 1
-                edges.append(JumpEdge((v, s["succ"]), s["l_succ"], s["level"]))
             elif m.tag == "pj_pred":
                 ell = d.get("ell", m.src)
                 if ell < s["l_pred"]:
@@ -313,7 +268,7 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
             )
         return False
 
-    def finish(report: PhaseReport) -> PointerJumpResult:
+    def finish(report: PhaseReport) -> dict[NodeId, int]:
         leader = min(members)
         at = members.index(leader)
         for i, v in enumerate(members):
@@ -321,7 +276,7 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
                 raise SimulationAbortError(v, engine.round_no, "ring min did not converge")
             if st[v]["o_pred"] != (i - at) % k:
                 raise SimulationAbortError(v, engine.round_no, "rank did not converge")
-        return PointerJumpResult(leader, edges, {v: st[v]["o_pred"] for v in members})
+        return {v: st[v]["o_pred"] for v in members}
 
     return _Session(members, handler, 2 * k + 8, finish)
 
@@ -332,13 +287,13 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
 
 def rank_ring(
     engine: RoundEngine,
-    cubes: Mapping[Hashable, HypercubeOverlay],
+    orders: Mapping[Hashable, list[NodeId]],
     chains: Mapping[Hashable, list[list]],
     sizes: Mapping[Hashable, int],
 ) -> dict[Hashable, int]:
     """Each leader checks its merged ring size and reads the ring's orientation off its hull; takes no round.
 
-    Slot 0 of a closed cube ends the merge with the ring's size k and
+    Rank 0 of a closed ring ends the merge with the ring's size k and
     its ccw hull as [x, y, id, rank] (parallel_convex_hull); a size other
     than k means the merge lost nodes.  A simple ring meets its hull
     vertices in hull order (compute_bays relies on it), so their ranks
@@ -351,9 +306,9 @@ def rank_ring(
     """
     out = {}
     for key, size in sizes.items():
-        leader = cubes[key].members[0]
-        if size != len(cubes[key].members):
-            raise SimulationAbortError(leader, engine.round_no, "hull merge lost nodes on the ring")
+        order = orders[key]
+        if size != len(order):
+            raise SimulationAbortError(order[0], engine.round_no, "hull merge lost nodes on the ring")
         ranks = [q[3] for q in chains[key]]
         descents = sum(a > b for a, b in zip(ranks, ranks[1:] + ranks[:1]))
         if descents not in (1, len(ranks) - 1):
@@ -363,46 +318,42 @@ def rank_ring(
 
 
 # ---------------------------------------------------------------------------
-# hypercube ids
+# rank order
 
 
-def assign_hypercube_ids(results: Mapping[Hashable, PointerJumpResult]) -> dict[Hashable, HypercubeOverlay]:
-    """Each ring's cube, slot s hosted by the node the election ranked s; takes no round.
+def assign_hypercube_ids(ranks: Mapping[Hashable, Mapping[NodeId, int]]) -> dict[Hashable, list[NodeId]]:
+    """Each ring's members in rank order, the layout every later step uses; takes no round.
 
     Every node ends the election knowing its rank, its hops back to the
-    leader (pointer_jumping), so it knows its slot and no message deals
-    it.  The name stays because perfbench traces this step as a span of
-    its own and the build calls it through this module.
+    leader (pointer_jumping), so no message deals it.  The name, from when
+    this step dealt hypercube ids, stays because perfbench traces it as a
+    span of its own and the build calls it through this module.
     """
-    cubes = {}
-    for key, result in results.items():
-        order = sorted(result.ranks, key=result.ranks.__getitem__)
-        cubes[key] = cube_over(order, 0, len(order))
-    return cubes
+    return {key: sorted(r, key=r.__getitem__) for key, r in ranks.items()}
 
 
 def _tree_cast(
     engine: RoundEngine,
     ordered: list[NodeId],
-    d: int,
     tag: str,
     messages: Callable[[list[Message], int, int], list[tuple[dict, tuple[NodeId, ...]]]],
 ) -> _Session:
-    """Rank 0 of `ordered` reaches every rank down the binomial tree of jump edges.
+    """Rank 0 of `ordered` reaches every rank down the binomial tree over the ranks.
 
     The session starts at rank 0; every other rank acts once, when the
     cast reaches it, and every call is the node's last.  A node of rank
     r is reached with budget i, the lowest set bit of r (r = 2^i times
-    an odd number), and rank 0 with budget d, so no message carries a
-    budget.  A node v of rank r reached with budget b sends
+    an odd number), and rank 0 with budget d = _levels(k), so no message
+    carries a budget.  A node v of rank r reached with budget b sends
     messages(inbox, r + 2^i, i), a list of (payload, introduced ids)
-    made from the messages v received (none at rank 0), to rank r + 2^i
-    over its level-i jump edge, for every i < b with r + 2^i < k.  A
-    node reached by several messages in one round is reached once.  The
-    session aborts unless every rank was reached, each in exactly one
-    round.
+    made from the messages v received (none at rank 0), to rank r + 2^i,
+    whose id pointer jumping taught it, for every i < b with r + 2^i < k.
+    A node reached by several messages in one round is reached once.
+    The session aborts unless every rank was reached, each in exactly
+    one round.
     """
     k = len(ordered)
+    d = _levels(k)
     rank_of = {v: r for r, v in enumerate(ordered)}
     reached: set[NodeId] = set()
 
@@ -429,123 +380,124 @@ def _tree_cast(
 
 
 def hypercube_sort(
-    engine: RoundEngine, cubes: Mapping[Hashable, HypercubeOverlay]
+    engine: RoundEngine, orders: Mapping[Hashable, list[NodeId]]
 ) -> dict[Hashable, list[list]]:
-    """Each cube's hosts as [x, y, id, rank] keys laid out by slot, which is ring rank; takes no round.
+    """Each ring's members as [x, y, id, rank] keys in rank order; takes no round.
 
     Nothing is sorted: the hull merge works on blocks of consecutive
-    ranks, so slot s just holds its own host's key.  The rank rides the
+    ranks, so rank s just holds its own node's key.  The rank rides the
     merge with the point, so the leader ends it knowing every hull
-    node's rank.  The name stays because perfbench traces this step as a
-    span of its own.
+    node's rank.  The name, from when this step sorted over a hypercube,
+    stays because perfbench traces it as a span of its own.
     """
     pts = engine.topo.points
     return {
-        key: [[pts[v].x, pts[v].y, v, s] for s, v in enumerate(cube.members)]
-        for key, cube in cubes.items()
+        key: [[pts[v].x, pts[v].y, v, s] for s, v in enumerate(order)]
+        for key, order in orders.items()
     }
 
 
 def parallel_convex_hull(
     engine: RoundEngine,
-    cubes: Mapping[Hashable, HypercubeOverlay],
-    slot_keys: Mapping[Hashable, list[list]],
+    orders: Mapping[Hashable, list[NodeId]],
+    rank_keys: Mapping[Hashable, list[list]],
+    arcs: Collection[Hashable],
 ) -> tuple[dict[Hashable, list[list]], dict[Hashable, int]]:
-    """Divide and conquer over blocks of consecutive slots, every cube at once.
+    """Divide and conquer over blocks of consecutive ranks, every ring at once.
 
-    Slot s starts with its own host's point as its hull.  At level L
-    every block of 2^L slots from a base merges its halves: the left
-    half's host keeps the hull of the union (geometry.monotone_hull, the
+    Rank s starts with its own point as its hull.  At level L every
+    block of 2^L ranks from a base merges its halves: the left half's
+    first node keeps the hull of the union (geometry.monotone_hull, the
     centralized oracle's chain).  Level 1 takes no message and no round:
-    slot 2j + 1 is 2j's ring successor and radio neighbour, whose point
+    rank 2j + 1 is 2j's ring successor and radio neighbour, whose point
     2j has held since the LDel2 build.  From level 2 on, the right
-    half's host ships its ccw hull over their 2^(L-1) jump edge.  A
-    right half starting at or past k has nothing to merge.  A message
-    carries at most _message_cap points and a host sends merge messages
-    while it has sent fewer than that many long-range messages this
-    round, so a level takes one round unless a hull exceeds cap^2
-    points.  On a closed cube every host starts with count 1, and the
-    left host adds the right half's count, which from level 2 on rides
-    the half's first message.  An arc's cube carries none; the arc's
-    orientation is detect_outer_holes' exact sign.  Returns each cube's
-    ccw hull as slot keys, whose ranks give a closed ring's orientation
-    (rank_ring), and slot 0's count for the closed cubes.
+    half's first node ships its ccw hull to the left's, 2^(L-1) ranks
+    back, whose id pointer jumping taught it.  A right half starting at
+    or past k has nothing to merge; a ring of k ranks merges in
+    _levels(k) levels.  A message carries at most _message_cap points
+    and a node sends merge messages while it has sent fewer than that
+    many long-range messages this round, so a level takes one round
+    unless a hull exceeds cap^2 points.  On a closed ring every node
+    starts with count 1, and the left node adds the right half's count,
+    which from level 2 on rides the half's first message.  The rings
+    keyed in `arcs` are outer-hole arcs, which carry no count; an arc's
+    orientation is detect_outer_holes' exact sign.  Returns each ring's
+    ccw hull as rank keys, whose ranks give a closed ring's orientation
+    (rank_ring), and rank 0's count for the closed rings.
     """
-    hulls = {key: [[q] for q in slot_keys[key]] for key in cubes}
-    counts = {key: [1] * len(cube.members) for key, cube in cubes.items() if cube.closed}
-    for key, cube in cubes.items():
-        for s in range(0, len(cube.members) - 1, 2):
-            if cube.members[s + 1] not in engine.topo.adhoc[cube.members[s]]:
-                raise SimulationAbortError(cube.members[s], engine.round_no, "slot successor is no radio neighbour")
+    hulls = {key: [[q] for q in rank_keys[key]] for key in orders}
+    counts = {key: [1] * len(order) for key, order in orders.items() if key not in arcs}
+    for key, order in orders.items():
+        for s in range(0, len(order) - 1, 2):
+            if order[s + 1] not in engine.topo.adhoc[order[s]]:
+                raise SimulationAbortError(order[s], engine.round_no, "rank successor is no radio neighbour")
             hulls[key][s] = monotone_hull(sorted(hulls[key][s] + hulls[key][s + 1]))
             if key in counts:
                 counts[key][s] += 1
-    top = max((cube.dimension for cube in cubes.values()), default=0)
-    for level in range(2, top + 1):
+    levels = {key: _levels(len(order)) for key, order in orders.items()}
+    for level in range(2, max(levels.values(), default=0) + 1):
         _run_wave(
             engine,
             f"hull_merge_{level}",
             {
-                key: _merge_session(engine, cube, hulls[key], counts.get(key), level)
-                for key, cube in cubes.items()
-                if cube.dimension >= level
+                key: _merge_session(engine, order, hulls[key], counts.get(key), level)
+                for key, order in orders.items()
+                if levels[key] >= level
             },
         )
-    for key in cubes:
+    for key in orders:
         if len(hulls[key][0]) < 3:
             raise DegenerateInputError("hull of fewer than 3 distinct points")
-    return {key: hulls[key][0] for key in cubes}, {key: c[0] for key, c in counts.items()}
+    return {key: hulls[key][0] for key in orders}, {key: c[0] for key, c in counts.items()}
 
 
 def _merge_session(
     engine: RoundEngine,
-    cube: HypercubeOverlay,
+    order: list[NodeId],
     hulls: list[list],
     counts: list[int] | None,
     level: int,
 ) -> _Session:
-    """Merge every pair of 2^(level-1)-slot blocks of one cube.
+    """Merge every pair of 2^(level-1)-rank blocks of one ring in rank order.
 
-    Each right block's host cuts its hull into messages (_cut) and sends
-    them from the level's first round on, while the engine counts fewer
-    than cap long-range sends by it in the round, over every cube; on a
-    closed cube the first one also carries the block's node count from
-    `counts`.  The left block's host merges whatever arrives into its
-    hull and count.  A merged point keeps its rank, so the leader's hull
-    holds every hull node's rank.
+    Each right block's first node cuts its hull into messages (_cut) and
+    sends them from the level's first round on, while the engine counts
+    fewer than cap long-range sends by it in the round, over every ring;
+    on a closed ring the first one also carries the block's node count
+    from `counts`.  The left block's first node merges whatever arrives
+    into its hull and count.  A merged point keeps its rank, so the
+    leader's hull holds every hull node's rank.
     """
     half = 1 << (level - 1)
     cap = _message_cap(engine)
+    rank_of = {v: s for s, v in enumerate(order)}
 
-    def ship(slot: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
-        out = [({"hull": chunk}, ids) for chunk, ids in _cut(engine, _hull_items(hulls[slot]))]
+    def ship(s: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
+        out = [({"hull": chunk}, ids) for chunk, ids in _cut(engine, _hull_items(hulls[s]))]
         if counts is not None:
-            out[0][0]["count"] = counts[slot]
+            out[0][0]["count"] = counts[s]
         return out
 
-    queue = {
-        cube.members[base + half]: ship(base + half)
-        for base in range(0, len(cube.members) - half, 1 << level)
-    }
+    queue = {order[base + half]: ship(base + half) for base in range(0, len(order) - half, 1 << level)}
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
+        s = rank_of[v]
         if inbox:
-            slot = cube.id_map[v]
-            hulls[slot] = monotone_hull(sorted(hulls[slot] + _hull_points(inbox)))
+            hulls[s] = monotone_hull(sorted(hulls[s] + _hull_points(inbox)))
             for m in inbox:
                 if "count" in m.payload:
-                    counts[slot] += m.payload["count"]
+                    counts[s] += m.payload["count"]
         payloads = queue.get(v, [])
         while payloads and eng.longrange_this_round(v) < cap:
             payload, ids = payloads.pop(0)
-            eng.send(v, cube.members[cube.id_map[v] - half], payload, tag="hm", intro_ids=ids)
+            eng.send(v, order[s - half], payload, tag="hm", intro_ids=ids)
         return not payloads
 
     return _Session(list(queue), handler, 2 * half + 2)
 
 
-def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: list) -> _Session:
-    """The leader sends each subtree of the binomial tree of jump edges its part of the hull.
+def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list, size: int | None) -> _Session:
+    """The leader sends each subtree of the binomial tree over the ranks its part of the hull.
 
     The child c = r + 2^i of rank r roots the ranks [c, e), with
     e = min(c + 2^i, k).  Its message carries the hull points ranked in
@@ -554,23 +506,23 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
     each node of the subtree learns the nearest
     hull node before and after it on the ring, its bay's two ends (a
     hull node, its two hull neighbors).  On a closed ring both brackets
-    wrap past rank 0.  An arc's first and last slots are hull nodes, so
+    wrap past rank 0.  An arc's first and last ranks are hull nodes, so
     its brackets never wrap and a subtree that ends with the arc has no
     after-bracket.  A node cuts its children's points from the points
     it holds, the leader from its merged hull, whose points carry their
     ranks: a child's ranks and brackets lie within its parent's, so a
     sender knows every id it introduces.  Messages carry at most
     _message_cap points, each introducing the ids of its own points.  On
-    a closed ring each message also carries the ring size k, which the
-    leader ends the merge with: the bay that wraps past rank 0 counts its
-    members modulo k (dominating_set).  No message carries a budget
-    (_tree_cast): a node of a closed ring holds its rank from the
-    election, and a node of an arc its rank on the arc, its outer rank less
-    that of its bay's first end, both of which wave one's broadcast left
-    it.
+    a closed ring each message also carries the ring size k, `size`, which
+    the leader ends the merge with (None on an arc): the bay that wraps
+    past rank 0 counts its members modulo k (dominating_set).  No message
+    carries a budget (_tree_cast): a node of a closed ring holds its rank
+    from the election, and a node of an arc its rank on the arc, its outer
+    rank less that of its bay's first end, both of which wave one's
+    broadcast left it.
     """
-    k = len(cube.members)
-    size = {"size": k} if cube.closed else {}
+    k = len(order)
+    header = {} if size is None else {"size": size}
 
     def scoped(inbox: list[Message], c: int, i: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
         pts = _hull_points(inbox) or ccw
@@ -578,13 +530,13 @@ def _hull_broadcast_session(engine: RoundEngine, cube: HypercubeOverlay, ccw: li
         part = {q[3]: q for q in pts if c <= q[3] < e}
         before = max(pts, key=lambda q: (q[3] - c) % k)
         part.setdefault(before[3], before)
-        if e < k or cube.closed:
+        if e < k or size is not None:
             after = min(pts, key=lambda q: (q[3] - e) % k)
             part.setdefault(after[3], after)
         sent = _hull_items([part[r] for r in sorted(part)])
-        return [({"hull": chunk, **size}, ids) for chunk, ids in _cut(engine, sent)]
+        return [({"hull": chunk, **header}, ids) for chunk, ids in _cut(engine, sent)]
 
-    return _tree_cast(engine, cube.members, cube.dimension, "hullb", scoped)
+    return _tree_cast(engine, order, "hullb", scoped)
 
 
 # ---------------------------------------------------------------------------
@@ -729,36 +681,37 @@ def dominating_set(paths: Mapping[Hashable, list[NodeId]]) -> dict[Hashable, set
 
 
 def ring_protocol(
-    engine: RoundEngine, cubes: Mapping[Hashable, HypercubeOverlay]
+    engine: RoundEngine, orders: Mapping[Hashable, list[NodeId]], arcs: Collection[Hashable]
 ) -> tuple[dict[Hashable, list[NodeId]], dict[Hashable, int]]:
-    """Hull merge, the leaders' checks, hull broadcast, for every cube at once.
+    """Hull merge, the leaders' checks, hull broadcast, for every ring at once.
 
-    The cubes come from the ranks the election left every node
-    (assign_hypercube_ids) or, for the outer-hole arcs, from the outer
-    ring's ranks (HypercubeOverlay.arc).  The merge's first level is
-    local, so its first phase is hull_merge_2.
+    `orders` holds each ring's members in rank order: a closed ring's
+    from the ranks the election left every node (assign_hypercube_ids),
+    an outer-hole arc's, keyed in `arcs`, as the arc's members, from its
+    first hull end on.  The merge's first level is local, so its first
+    phase is hull_merge_2.
     Every closed ring merges its size up to its leader along with the
     hull, and the leader checks the size and reads the ring's
     orientation off the merged hull's ranks (rank_ring) before it
-    broadcasts the hull.  The merge teaches the left blocks'
-    hosts the ids of the hulls shipped to them; once the hull is
-    broadcast, each host forgets every id learned since the merge began
-    that is not a hull node of one of its rings.  Returns each cube's
-    ccw hull node ids and each closed ring's orientation, with
+    broadcasts the hull.  The merge teaches the left blocks' first
+    nodes the ids of the hulls shipped to them; once the hull is
+    broadcast, each ring node forgets every id learned since the merge
+    began that is not a hull node of one of its rings.  Returns each
+    ring's ccw hull node ids and each closed ring's orientation, with
     polygon_orientation's sign, by key.
     """
-    before = {v: set(engine.topo.knows[v]) for cube in cubes.values() for v in cube.members}
-    chains, sizes = parallel_convex_hull(engine, cubes, hypercube_sort(engine, cubes))
-    orientations = rank_ring(engine, cubes, chains, sizes)
+    before = {v: set(engine.topo.knows[v]) for order in orders.values() for v in order}
+    chains, sizes = parallel_convex_hull(engine, orders, hypercube_sort(engine, orders), arcs)
+    orientations = rank_ring(engine, orders, chains, sizes)
     _run_wave(
         engine,
         "hull_broadcast",
-        {k: _hull_broadcast_session(engine, c, chains[k]) for k, c in cubes.items()},
+        {key: _hull_broadcast_session(engine, order, chains[key], sizes.get(key)) for key, order in orders.items()},
     )
-    hulls = {key: [q[2] for q in chains[key]] for key in cubes}
+    hulls = {key: [q[2] for q in chains[key]] for key in orders}
     keep: dict[NodeId, set[NodeId]] = {}
-    for key, cube in cubes.items():
-        for v in cube.members:
+    for key, order in orders.items():
+        for v in order:
             keep.setdefault(v, set()).update(hulls[key])
     _forget_learned(engine, before, keep)
     return hulls, orientations

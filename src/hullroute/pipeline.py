@@ -40,7 +40,7 @@ from .holes import (
 )
 from .ldel import HybridTopology, PlanarGraph, build_ldel2, check_connected
 from . import overlay
-from .overlay import BroadcastTree, HypercubeOverlay, build_broadcast_tree, distribute_hulls
+from .overlay import BroadcastTree, build_broadcast_tree, distribute_hulls
 from .routing import BACKEND_VIS, RouteResult, Router, measure_competitiveness
 from .simengine import PhaseReport, RoundEngine, tally
 
@@ -156,8 +156,8 @@ class Pipeline:
         self.g: PlanarGraph | None = None
         self.rings: list[HoleRing] = []
         self.abstractions: dict[int, HullAbstraction] = {}
-        # each ring's ranks as a cube, both waves', keyed by ring id
-        self.cubes: dict[int, HypercubeOverlay] = {}
+        # each ring's members in rank order, both waves', keyed by ring id
+        self.orders: dict[int, list[int]] = {}
         self.tree: BroadcastTree | None = None
         self.router: Router | None = None
         self.phase_rounds: dict[str, int] = {}
@@ -188,12 +188,13 @@ class Pipeline:
 
         Wave one is every closed ring: the election, which is all the
         "classification" rounds and leaves every node its ring rank, so
-        the cubes take no round, then hull, bays and dominating sets
-        (build_hull_abstraction), after which each ring's kind is read
-        off the orientation its leader found in the merged hull's ring
-        ranks (classify_rings).  Wave two is the outer-hole
-        arcs, which hang off the outer boundary's hull and reuse that
-        ring's ranks and jump edges: the same call with the arcs' cubes.
+        laying each ring out in rank order takes no round, then hull,
+        bays and dominating sets (build_hull_abstraction), after which
+        each ring's kind is read off the orientation its leader found in
+        the merged hull's ring ranks (classify_rings).  Wave two is the
+        outer-hole arcs, which hang off the outer boundary's hull and
+        reuse the links pointer jumping made on that ring: the same call,
+        each arc laid out as its members, from its first hull end on.
         The dominating sets take no round.  The broadcast tree needs no
         ring and runs from the build's first round, so the build takes
         max(tree rounds, rounds up to wave two's end) before the hull
@@ -224,11 +225,11 @@ class Pipeline:
 
         members = {r.ring_id: r.members for r in self.rings}
         # through the module, where perfbench/tracer.py wraps them
-        jumps = overlay.pointer_jumping(eng, members)
+        ranks = overlay.pointer_jumping(eng, members)
         mark("classification")
 
-        self.cubes = overlay.assign_hypercube_ids(jumps)
-        self.abstractions, orientations = build_hull_abstraction(eng, self.rings, self.cubes)
+        self.orders = overlay.assign_hypercube_ids(ranks)
+        self.abstractions, orientations = build_hull_abstraction(eng, self.rings, self.orders)
         classify_rings(self.rings, orientations)
         mark("ring_hulls")
 
@@ -239,9 +240,9 @@ class Pipeline:
             hull_nodes=self.abstractions[outer.ring_id].hull_nodes,
             first_id=max(r.ring_id for r in self.rings) + 1,
         )
-        cubes = {a.ring_id: self.cubes[outer.ring_id].arc(a.members) for a in arcs}
-        self.abstractions.update(build_hull_abstraction(eng, arcs, cubes)[0])
-        self.cubes.update(cubes)
+        orders = {a.ring_id: a.members for a in arcs}
+        self.abstractions.update(build_hull_abstraction(eng, arcs, orders)[0])
+        self.orders.update(orders)
         self.rings = self.rings + arcs
         mark("outer_holes")
         self._record_ring_costs(first[1])

@@ -235,8 +235,8 @@ class RoundEngine:
         one report per session, counting the rounds until that session
         went quiet.  Raises NotReadyError, touching nothing, while a
         phase runs, and IllegalSendError, touching nothing, while mail
-        sent outside any phase, or left by an aborted one, waits: no
-        session may read it as its own.
+        sent outside any phase waits: no session may read it as its own.
+        An aborted phase leaves no mail behind (run_phase).
         """
         if self._sessions is not None:
             raise NotReadyError(f"phase {label!r} started while a phase runs")
@@ -265,7 +265,8 @@ class RoundEngine:
         False.  A session is finished when no node is pending and none
         of its mail is in flight; the phase is finished when every
         session is.  Overrunning max_rounds aborts the simulation rather
-        than looping forever.
+        than looping forever.  A phase that raises drops the mail it
+        left in flight and undelivered.
         """
         # each running session's nodes called this round even without mail
         pending = dict(self._sessions)
@@ -303,7 +304,14 @@ class RoundEngine:
                     break
                 self.step_round()
             else:
-                raise SimulationAbortError(-1, self.round_no, f"phase {label!r} exceeded {max_rounds} rounds")
+                raise SimulationAbortError(None, self.round_no, f"phase {label!r} exceeded {max_rounds} rounds")
+        except Exception:
+            # the phase began with no mail waiting, so all that waits now is
+            # its own: drop it, so the engine can run the next phase
+            self._outbox.clear()
+            self._inbox.clear()
+            self._lr_this_round.clear()
+            raise
         finally:
             self.session = None
             reps = self._reports.values()

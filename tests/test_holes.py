@@ -39,17 +39,17 @@ from oracles import brute_hull, brute_outer_holes, shoelace
 
 
 def build(engine, rings, jumps=None):
-    """A build's wave one: elect (unless given the election), lay out the ranks, build, classify.
+    """A build's wave one: elect (unless given the election's ranks), lay out the ranks, build, classify.
 
-    Returns the abstractions and the cubes, keyed by ring_id.
+    Returns the abstractions and the rank orders, keyed by ring_id.
     """
     members = {r.ring_id: r.members for r in rings}
     if jumps is None:
         jumps = pointer_jumping(engine, members)
-    cubes = assign_hypercube_ids(jumps)
-    abstractions, orientations = build_hull_abstraction(engine, rings, cubes)
+    orders = assign_hypercube_ids(jumps)
+    abstractions, orientations = build_hull_abstraction(engine, rings, orders)
     classify_rings(rings, orientations)
-    return abstractions, cubes
+    return abstractions, orders
 
 
 @pytest.fixture(scope="module")
@@ -437,11 +437,12 @@ def test_hull_abstraction_reuses_election(grid):
     jumps = pointer_jumping(engine, {inner.ring_id: inner.members})
     elected = sum(1 for t in engine.transcript if t["tag"] == "pj_succ")
     assert elected > 0
-    abstractions, cubes = build(engine, [inner], jumps)
+    abstractions, orders = build(engine, [inner], jumps)
     ha = abstractions[inner.ring_id]
     again = sum(1 for t in engine.transcript if t["tag"] == "pj_succ")
     assert again == elected  # no second election
-    assert cubes[inner.ring_id].members[0] == jumps[inner.ring_id].leader
+    leader = orders[inner.ring_id][0]
+    assert leader == min(inner.members) and jumps[inner.ring_id][leader] == 0
     assert ha.hull_nodes == hull_node_ids(g.points, inner.members)
 
 

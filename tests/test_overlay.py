@@ -1,4 +1,4 @@
-"""Ring overlay protocols: election, id cast, merged size and orientation, slot layout, hull, trees, DS."""
+"""Ring overlay protocols: election, rank order, merged size and orientation, hull, trees, DS."""
 
 from __future__ import annotations
 
@@ -20,10 +20,8 @@ from hullroute.holes import hull_node_ids
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.overlay import (
     BroadcastTree,
-    HypercubeOverlay,
     assign_hypercube_ids,
     build_broadcast_tree,
-    cube_over,
     distribute_hulls,
     dominating_set,
     hypercube_sort,
@@ -74,6 +72,63 @@ def line_engine(n, step=0.9):
 KS = [2, 3, 4, 5, 8, 12, 16, 17, 33]
 
 
+def levels(k):
+    """Merge levels of a ring of k ranks, and cast levels below rank 0: ceil(log2 k), at least 1."""
+    return max(1, math.ceil(math.log2(k)))
+
+
+def rank_of(order):
+    """Each node's rank in a ring's rank order."""
+    return {v: s for s, v in enumerate(order)}
+
+
+def jump_sends(monkeypatch) -> list:
+    """Log every pj_succ and pj_pred send as (round, tag, src, dst, introduced id, payload)."""
+    sent: list = []
+    send = RoundEngine.send
+
+    def spy(self, src, dst, payload=None, **kw):
+        if kw.get("tag") in ("pj_succ", "pj_pred"):
+            sent.append((self.round_no, kw["tag"], src, dst, kw["intro_ids"][0], dict(payload)))
+        send(self, src, dst, payload, **kw)
+
+    monkeypatch.setattr(RoundEngine, "send", spy)
+    return sent
+
+
+def check_jump_sends(members, sent) -> None:
+    """Every pointer-jump message bridges 2^level ring nodes and carries its arc's minimum.
+
+    A node's level on a side is the messages of that side's tag it was
+    sent in earlier rounds.  A pj_succ from v introduces the node 2^level
+    past v and carries the minimum over the arc behind it, back to but
+    excluding v; a pj_pred from v introduces the node 2^level before v and
+    carries the minimum over the arc behind v, back to but excluding that
+    node, with its hops back from v as `o`.  A minimum is left out when
+    it is the introduced id (pj_succ) or the sender (pj_pred).
+    """
+    k = len(members)
+    at = {v: i for i, v in enumerate(members)}
+    level: Counter = Counter()
+    arrived: Counter = Counter()
+    last = None
+    for rnd, tag, v, dst, w, d in sent:
+        if rnd != last:
+            level.update(arrived)
+            arrived.clear()
+            last = rnd
+        span = 1 << level[tag, v]
+        if tag == "pj_succ":
+            assert members[(at[v] + span) % k] == w, (rnd, v, span)
+            assert d.get("ell", w) == brute_arc_min(members, v, span), (rnd, v, span)
+        else:
+            assert members[(at[v] - span) % k] == w, (rnd, v, span)
+            ell = d.get("ell", v)
+            assert ell == brute_arc_min(members, w, span), (rnd, v, span)
+            assert d.get("o", 0) == (at[v] - at[ell]) % k, (rnd, v, span)
+        arrived[tag, dst] += 1
+
+
 def election_costs(engine, key):
     """Ring `key`'s election rounds and each node's sends, off the engine's session report and transcript."""
     (rounds,) = [rep.rounds for k, rep in engine.session_reports if k == key and rep.label == "pointer_jumping"]
@@ -85,33 +140,30 @@ def election_costs(engine, key):
 @pytest.mark.parametrize("k", KS)
 def test_pointer_jumping_elects_min_id(k):
     engine, members = ring_engine(k, seed=k)
-    res = pointer_jumping(engine, {0: members})[0]
-    assert res.leader == min(members)
+    ranks = pointer_jumping(engine, {0: members})[0]
+    assert ranks[min(members)] == 0
     bound = math.ceil(math.log2(k))
     rounds, sends = election_costs(engine, 0)
     assert rounds <= bound
     assert max(sends.values()) <= 2 * bound
 
 
-def test_pointer_jumping_on_rings_of_every_size():
+def test_pointer_jumping_on_rings_of_every_size(monkeypatch):
     # a done node sends nothing more, yet on every ring size, with ids in
-    # no order, each jump edge still bridges 2^level ranks and carries its
-    # arc's minimum, every node ends knowing its rank, its hops back to
-    # the leader, and the election keeps to ceil(log2 k) rounds and two
-    # messages per node and round
+    # no order, each pointer-jump message still bridges 2^level ring nodes
+    # and carries its arc's minimum, every node ends knowing its rank, its
+    # hops back to the leader, and the election keeps to ceil(log2 k)
+    # rounds and two messages per node and round
+    sent = jump_sends(monkeypatch)
     for k in [*range(3, 71), 127, 128, 129, 176, 255, 256, 257, 300]:
         ids = list(range(1000, 1000 + k))
         random.Random(k).shuffle(ids)
         engine, members = ring_engine(k, ids=ids)
-        res = pointer_jumping(engine, {0: members})[0]
-        assert res.leader == min(members), k
-        li = members.index(res.leader)
-        assert res.ranks == {v: (i - li) % k for i, v in enumerate(members)}, k
-        for e in res.jump_edges:
-            u, w = e.endpoints
-            span = 1 << e.level
-            assert members[(members.index(u) + span) % k] == w, (k, e)
-            assert e.ell == brute_arc_min(members, u, span), (k, e)
+        sent.clear()
+        ranks = pointer_jumping(engine, {0: members})[0]
+        li = members.index(min(members))
+        assert ranks == {v: (i - li) % k for i, v in enumerate(members)}, k
+        check_jump_sends(members, sent)
         bound = math.ceil(math.log2(k))
         rounds, sends = election_costs(engine, 0)
         assert rounds <= bound, k
@@ -142,21 +194,21 @@ def test_pointer_jumping_shuffled_ids():
     # leadership must follow ids, not ring positions
     ids = [104, 101, 107, 100, 106, 103, 102, 105, 108, 110, 109]
     engine, members = ring_engine(len(ids), ids=ids, seed=4)
-    res = pointer_jumping(engine, {0: members})[0]
-    assert res.leader == 100
+    ranks = pointer_jumping(engine, {0: members})[0]
+    assert ranks[100] == 0
 
 
-def test_jump_edges_carry_arc_minima():
+def test_jump_edges_carry_arc_minima(monkeypatch):
+    # the election keeps no log of its links: the arc minimum each message
+    # carries, or leaves to its header, is read off the sends themselves
+    sent = jump_sends(monkeypatch)
     engine, members = ring_engine(13, seed=3, jitter=0.02)
-    res = pointer_jumping(engine, {0: members})[0]
-    k = len(members)
-    assert res.jump_edges, "no overlay edges built"
-    for e in res.jump_edges:
-        u, w = e.endpoints
-        span = 1 << e.level
-        i = members.index(u)
-        assert members[(i + span) % k] == w
-        assert e.ell == brute_arc_min(members, u, span)
+    pointer_jumping(engine, {0: members})
+    assert {tag for _, tag, *_ in sent} == {"pj_succ", "pj_pred"}
+    assert {(tag, "ell" in d) for _, tag, *_, d in sent} == {
+        (tag, carried) for tag in ("pj_succ", "pj_pred") for carried in (True, False)
+    }
+    check_jump_sends(members, sent)
 
 
 def test_mixed_wave_reports_each_rings_own_rounds():
@@ -171,7 +223,7 @@ def test_mixed_wave_reports_each_rings_own_rounds():
     for key, members in rings.items():
         k = len(members)
         assert costs[key][0] <= math.ceil(math.log2(k))
-        assert res[key].leader == min(members)
+        assert res[key][min(members)] == 0
         # the same rounds and messages as a ring running alone
         alone = ring_engine(k, ids=members)[0]
         pointer_jumping(alone, {key: members})
@@ -214,19 +266,19 @@ def test_cast_and_merge_waves_make_no_idle_call():
 
 
 class RingRun(NamedTuple):
-    """One ring's ranks, hull node ids and orientation after a build's wave one."""
+    """One ring's rank order, hull node ids and orientation after a build's wave one."""
 
-    cube: HypercubeOverlay
+    order: list
     hull: list
     orientation: int
 
 
 def one_ring(engine, members):
-    """Election, the cube of its ranks and ring_protocol for the ring members, as a build's wave one."""
+    """Election, its rank order and ring_protocol for the ring members, as a build's wave one."""
     rings = {0: members}
-    cubes = assign_hypercube_ids(pointer_jumping(engine, rings))
-    hulls, orientations = ring_protocol(engine, cubes)
-    return RingRun(cubes[0], hulls[0], orientations[0])
+    orders = assign_hypercube_ids(pointer_jumping(engine, rings))
+    hulls, orientations = ring_protocol(engine, orders, ())
+    return RingRun(orders[0], hulls[0], orientations[0])
 
 
 def merged_sizes(monkeypatch) -> dict:
@@ -234,9 +286,9 @@ def merged_sizes(monkeypatch) -> dict:
     sizes = {}
     rank_ring = overlay_mod.rank_ring
 
-    def spy(engine, cubes, chains, merged):
+    def spy(engine, orders, chains, merged):
         sizes.update(merged)
-        return rank_ring(engine, cubes, chains, merged)
+        return rank_ring(engine, orders, chains, merged)
 
     monkeypatch.setattr(overlay_mod, "rank_ring", spy)
     return sizes
@@ -259,7 +311,7 @@ def test_merged_totals_match_a_direct_sum(k, monkeypatch):
     assert sizes == {0: k}
     # a ccw walk: the hull's ranks ascend from the leader around the hull
     assert res.orientation == polygon_orientation([engine.topo.points[v] for v in members]) == 1
-    # k slots take k - 1 merges; the floor(k/2) of level 1 are local, and
+    # k ranks take k - 1 merges; the floor(k/2) of level 1 are local, and
     # one merge message per merge from level 2 on carries the right
     # block's count
     assert len(carried) == k - 1 - k // 2
@@ -323,9 +375,9 @@ def test_rank_ring_reads_the_orientation_off_the_hull_ranks(spokes, start, clock
     engine = RoundEngine(build_udg(dict(zip(ids, walk))))
     res = one_ring(engine, ids)
     assert res.orientation == polygon_orientation(walk) == (-1 if clockwise else 1)
-    rank = res.cube.id_map
+    rank = rank_of(res.order)
     chain = [[engine.topo.points[v].x, engine.topo.points[v].y, v, rank[v]] for v in res.hull]
-    assert overlay_mod.rank_ring(engine, {0: res.cube}, {0: chain}, {0: k}) == {0: res.orientation}
+    assert overlay_mod.rank_ring(engine, {0: res.order}, {0: chain}, {0: k}) == {0: res.orientation}
     # two hull neighbours' ranks swapped read neither way round; a triangle is
     # exempt, since any order of three ranks is one way round or the other
     if len(chain) >= 4:
@@ -333,7 +385,7 @@ def test_rank_ring_reads_the_orientation_off_the_hull_ranks(spokes, start, clock
         j = (i + 1) % len(chain)
         chain[i][3], chain[j][3] = chain[j][3], chain[i][3]
         with pytest.raises(GeometryInconsistencyError):
-            overlay_mod.rank_ring(engine, {0: res.cube}, {0: chain}, {0: k})
+            overlay_mod.rank_ring(engine, {0: res.order}, {0: chain}, {0: k})
 
 
 def test_a_block_that_under_reports_its_count_aborts(monkeypatch):
@@ -356,75 +408,65 @@ def test_a_block_that_under_reports_its_count_aborts(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# hypercube ids
+# rank order
 
 
 @pytest.mark.parametrize("k", [3, 4, 8, 12, 16, 17])
 def test_hypercube_ids_follow_ring_rank(k):
+    # the layout is the ring from its minimum id on, in its own direction,
+    # with no padding: k = 12 lays out 12 ranks, not 16
     engine, members = ring_engine(k, seed=k + 9)
-    res = pointer_jumping(engine, {0: members})[0]
-    cube = assign_hypercube_ids({0: res})[0]
-    d = max(1, math.ceil(math.log2(k)))
-    assert cube.dimension == d
-    assert len(cube.members) == k
-    assert sorted(cube.id_map.values()) == list(range(k))
-    assert cube.id_map[res.leader] == 0
-    li = members.index(res.leader)
-    for v in members:
-        assert cube.id_map[v] == (members.index(v) - li) % k
-    if k == 12:
-        assert (cube.dimension, len(cube.members)) == (4, 12)  # no padding to 16
+    ranks = pointer_jumping(engine, {0: members})[0]
+    order = assign_hypercube_ids({0: ranks})[0]
+    li = members.index(min(members))
+    assert order == members[li:] + members[:li]
+    assert [ranks[v] for v in order] == list(range(k))
 
 
 @pytest.mark.parametrize("k", [3, 5, 12, 17, 33])
 def test_id_cast_reaches_every_rank_once_over_jump_edges(k):
     # no id is cast any more: the election leaves every node its ring rank,
-    # its hops back to the leader, and the cube is laid out from those
-    # ranks with no message, no phase and no round
+    # its hops back to the leader, and the ring is laid out in rank order
+    # with no message, no phase and no round
     engine, members = ring_engine(k, seed=21)
-    res = pointer_jumping(engine, {0: members})[0]
-    li = members.index(res.leader)
+    ranks = pointer_jumping(engine, {0: members})[0]
+    li = members.index(min(members))
     rank = {v: (i - li) % k for i, v in enumerate(members)}
-    assert res.ranks == rank
+    assert ranks == rank
     before = (engine.round_no, len(engine.phase_reports), len(engine.transcript))
-    cube = assign_hypercube_ids({0: res})[0]
+    order = assign_hypercube_ids({0: ranks})[0]
     assert (engine.round_no, len(engine.phase_reports), len(engine.transcript)) == before
     assert "hc_assign" not in {t["tag"] for t in engine.transcript}
-    assert cube.id_map == rank
-    assert cube.dimension == math.ceil(math.log2(k))
+    assert rank_of(order) == rank
 
 
 @pytest.mark.parametrize("k", [3, 5, 12, 17, 33])
 def test_cube_has_no_padding_and_its_edges_are_known_jump_edges(k):
     engine, members = ring_engine(k, seed=21)
-    res = pointer_jumping(engine, {0: members})[0]
-    cube = assign_hypercube_ids({0: res})[0]
-    # no padding: only the k ranks are slots, each hosted by its own node
-    assert len(set(cube.members)) == len(cube.id_map) == k
-    assert 1 << (cube.dimension - 1) < k <= 1 << cube.dimension
-    # a hypercube edge below k joins two ring nodes 2^j ranks apart, which
-    # pointer jumping taught each other
+    order = assign_hypercube_ids(pointer_jumping(engine, {0: members}))[0]
+    # no padding: the k ranks, each held by its own ring node
+    assert sorted(order) == sorted(members)
+    # ranks s and s + 2^j below k, which the merge and the casts link,
+    # are ring nodes 2^j apart that pointer jumping taught each other
     for s in range(k):
-        for j in range(cube.dimension):
-            if s & (1 << j) == 0 and s + (1 << j) < k:
-                u, w = cube.members[s], cube.members[s + (1 << j)]
-                assert (cube.id_map[u], cube.id_map[w]) == (s, s + (1 << j))
+        for j in range(levels(k)):
+            if s + (1 << j) < k:
+                u, w = order[s], order[s + (1 << j)]
                 assert w in engine.topo.knows[u] and u in engine.topo.knows[w], (s, j)
 
 
 # ---------------------------------------------------------------------------
-# slot layout
+# rank keys
 
 
 @pytest.mark.parametrize("k", [4, 7, 12, 16, 23])
 def test_hypercube_sort_lays_keys_out_by_rank(k):
     engine, members = ring_engine(k, seed=k + 123, jitter=0.03)
-    res = pointer_jumping(engine, {0: members})[0]
-    cube = assign_hypercube_ids({0: res})[0]
+    order = assign_hypercube_ids(pointer_jumping(engine, {0: members}))[0]
     pts = engine.topo.points
     before = (engine.round_no, len(engine.phase_reports), engine.total_messages)
-    slot_keys = hypercube_sort(engine, {0: cube})[0]
-    assert slot_keys == [[pts[v].x, pts[v].y, v, s] for s, v in enumerate(cube.members)]
+    keys = hypercube_sort(engine, {0: order})[0]
+    assert keys == [[pts[v].x, pts[v].y, v, s] for s, v in enumerate(order)]
     # a layout, not a protocol: no round, no phase, no message
     assert (engine.round_no, len(engine.phase_reports), engine.total_messages) == before
 
@@ -492,12 +534,11 @@ def collinear_ring_points(k):
     return pts
 
 
-def jump_cube(engine, members):
-    """The cube of a ring whose nodes know only their jump edges.
+def teach_jump_links(engine, members):
+    """Teach each ring node only the ids pointer jumping would: those 2^j ranks ahead and behind.
 
-    Each node learns the ids 2^j ranks ahead and behind, as pointer
-    jumping leaves them, and rank 0 is members[0]; the engine then
-    rejects any message that travels neither a jump edge nor a radio link.
+    Rank 0 is members[0]; the engine then rejects any message that
+    travels neither such a link nor a radio link.
     """
     k = len(members)
     for r, v in enumerate(members):
@@ -505,7 +546,6 @@ def jump_cube(engine, members):
             if 1 << j < k:
                 engine.topo.learn(v, members[(r + (1 << j)) % k])
                 engine.topo.learn(v, members[(r - (1 << j)) % k])
-    return cube_over(members, 0, k)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -519,8 +559,8 @@ def test_rank_merge_equals_the_centralized_hull(seed):
         else:
             pts, members = circle_points(k, seed=seed * 1000 + k, jitter=0.03 * shape)
         engine = RoundEngine(build_udg(pts))
-        cube = jump_cube(engine, members)
-        hulls, _ = ring_protocol(engine, {0: cube})
+        teach_jump_links(engine, members)
+        hulls, _ = ring_protocol(engine, {0: members}, ())
         assert hulls[0] == hull_ids(pts, members), (k, shape)
 
 
@@ -552,14 +592,14 @@ def _log_merge(monkeypatch) -> list:
     return sent
 
 
-def _check_merge(engine, merge_log, dimensions) -> list[int]:
+def _check_merge(engine, merge_log, depths) -> list[int]:
     """Check the caps and the rounds of every merge phase; returns their rounds.
 
     A message holds at most cap points, a host sends at most cap of them a
     round, a ship fills every message but its last, and a phase takes as
     many rounds as its busiest host needs at cap messages a round.  Level
-    1 is local, so the phases start at hull_merge_2: every cube (session ->
-    dimension d) merges in the first d - 1 phases of its ring_protocol
+    1 is local, so the phases start at hull_merge_2: every ring (session ->
+    its levels d) merges in the first d - 1 phases of its ring_protocol
     call, and the call runs as many phases as its largest d less one.
     """
     cap = math.ceil(math.log2(len(engine.topo.ids)))
@@ -584,10 +624,10 @@ def _check_merge(engine, merge_log, dimensions) -> list[int]:
         assert engine.phase_reports[i].rounds == -(-max(busiest.values()) // cap)
     merged = {
         session: sorted({phase for phase, key, *_ in merge_log if key == session})
-        for session in dimensions
+        for session in depths
     }
     for call in calls:
-        inside = {key: d for key, d in dimensions.items() if merged[key][0] in call}
+        inside = {key: d for key, d in depths.items() if merged[key][0] in call}
         assert len(call) == max(inside.values()) - 1
         for key, d in inside.items():
             assert merged[key] == call[: d - 1], key
@@ -603,7 +643,7 @@ def test_hull_merge_searches_both_tangents_at_once(k, jitter, monkeypatch):
     merge_log = _log_merge(monkeypatch)
     engine, members = ring_engine(k, seed=200 + k, jitter=jitter)
     res = one_ring(engine, members)
-    assert _check_merge(engine, merge_log, {0: res.cube.dimension}) == [1] * (res.cube.dimension - 1)
+    assert _check_merge(engine, merge_log, {0: levels(k)}) == [1] * (levels(k) - 1)
 
 
 def test_hull_merge_searches_both_tangents_at_once_on_every_ring(monkeypatch):
@@ -613,13 +653,13 @@ def test_hull_merge_searches_both_tangents_at_once_on_every_ring(monkeypatch):
         merge_log.clear()
         pipe = Pipeline(topo, PipelineConfig())
         pipe.build_abstraction()
-        cubes = {r.ring_id: pipe.cubes[r.ring_id].dimension for r in pipe.rings}
-        assert set(_check_merge(pipe.engine, merge_log, cubes)) == {1}
+        depths = {key: levels(len(order)) for key, order in pipe.orders.items()}
+        assert set(_check_merge(pipe.engine, merge_log, depths)) == {1}
 
 
 def test_no_level_one_merge_message_in_either_wave(monkeypatch):
     # a host merges its ring successor's point without a message, so every
-    # `hm` goes back 2^(L-1) >= 2 slots, on the closed rings and on the arcs
+    # `hm` goes back 2^(L-1) >= 2 ranks, on the closed rings and on the arcs
     sent = []
     send = RoundEngine.send
 
@@ -631,9 +671,11 @@ def test_no_level_one_merge_message_in_either_wave(monkeypatch):
     monkeypatch.setattr(RoundEngine, "send", spy)
     pipe = Pipeline(fixture_topology("scale-512-1"), PipelineConfig())
     pipe.build_abstraction()
-    gaps = {pipe.cubes[key].id_map[src] - pipe.cubes[key].id_map[dst] for key, src, dst in sent}
+    rank = {key: rank_of(order) for key, order in pipe.orders.items()}
+    gaps = {rank[key][src] - rank[key][dst] for key, src, dst in sent}
     assert min(gaps) == 2 and all(gap & (gap - 1) == 0 for gap in gaps)
-    assert {pipe.cubes[key].closed for key, _, _ in sent} == {True, False}
+    kinds = {r.ring_id: r.kind for r in pipe.rings}
+    assert {kinds[key] == holes_mod.KIND_OUTER_HOLE for key, _, _ in sent} == {True, False}
     assert "hull_merge_1" not in {p.label for p in pipe.engine.phase_reports}
 
 
@@ -646,15 +688,14 @@ def test_merge_messages_stay_under_the_cap(monkeypatch):
     cap = math.ceil(math.log2(300))
     assert res.hull == hull_ids(engine.topo.points, members)
     assert len(res.hull) > cap * cap
-    rounds = _check_merge(engine, merge_log, {0: res.cube.dimension})
+    rounds = _check_merge(engine, merge_log, {0: levels(300)})
     assert max(rounds) > 1
 
 
 def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     # ids learned from the hulls shipped to a node are dropped once the
     # hull is known, unless they are hull nodes of its own rings; a node
-    # that hosts no rank of any cube of the wave takes no part in the
-    # merge and learns nothing
+    # on no ring of the wave takes no part in the merge and learns nothing
     topo = fixture_topology("star12-4")
     sort, hull, protocol = (
         overlay_mod.hypercube_sort,
@@ -665,26 +706,26 @@ def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     dropped = 0
     outside_learned = 0
 
-    def sort_spy(engine, cubes):
+    def sort_spy(engine, orders):
         learned.append({v: set(topo.knows[v]) for v in topo.ids})
-        return sort(engine, cubes)
+        return sort(engine, orders)
 
-    def hull_spy(engine, cubes, slot_keys):
-        out = hull(engine, cubes, slot_keys)
+    def hull_spy(engine, *args):
+        out = hull(engine, *args)
         learned[-1] = {v: topo.knows[v] - known for v, known in learned[-1].items()}
         return out
 
-    def protocol_spy(engine, cubes):
+    def protocol_spy(engine, orders, *args):
         nonlocal dropped, outside_learned
-        out = protocol(engine, cubes)
+        out = protocol(engine, orders, *args)
         own_hulls: dict = {}
-        for key, cube in cubes.items():
-            for v in cube.members:
+        for key, order in orders.items():
+            for v in order:
                 own_hulls.setdefault(v, set()).update(out[0][key])
         for v, ids in learned[-1].items():
             assert ids & topo.knows[v] <= own_hulls.get(v, set()), v
             dropped += len(ids - topo.knows[v])
-        outside = set(topo.ids) - {v for cube in cubes.values() for v in cube.members}
+        outside = set(topo.ids) - {v for order in orders.values() for v in order}
         outside_learned += sum(len(learned[-1][v]) for v in outside)
         return out
 
@@ -703,11 +744,11 @@ def test_ring_protocol_on_cavity_ring(monkeypatch):
     ring = next(list(f) for f in g.faces if len(f) == 8)
     assert sorted(ring) == [8, 9, 13, 14, 17, 18, 22, 23]
     engine = RoundEngine(topo)
-    jumps = pointer_jumping(engine, {0: ring})
-    cubes = assign_hypercube_ids(jumps)
+    ranks = pointer_jumping(engine, {0: ring})
+    orders = assign_hypercube_ids(ranks)
     sizes = merged_sizes(monkeypatch)
-    hulls, orientations = ring_protocol(engine, cubes)
-    assert jumps[0].leader == cubes[0].members[0] == 8
+    hulls, orientations = ring_protocol(engine, orders, ())
+    assert orders[0][0] == 8 and ranks[0][8] == 0
     assert sizes == {0: 8}
     # bounded faces are walked ccw
     assert orientations == {0: 1}
@@ -737,7 +778,7 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
 
         monkeypatch.setattr(engine, "send", spy)
         res = one_ring(engine, members)
-        rank = res.cube.id_map
+        rank = rank_of(res.order)
         hull = sorted(rank[h] for h in res.hull)
         got: dict = {}
         for rnd, dst, chunk in sent:

@@ -385,7 +385,7 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
             if tag == "pj_pred":
                 d.setdefault("o", 0)
         else:
-            rank = pipe.cubes[session].id_map
+            rank = {v: s for s, v in enumerate(pipe.orders[session])}
             assert set(d) <= ({"hull", "count"} if tag == "hm" else {"hull", "size"})
             d["hull"] = with_ids(d["hull"], intro, 2)
             assert d["hull"] == [[pts[q[2]].x, pts[q[2]].y, q[2], rank[q[2]]] for q in d["hull"]]
@@ -483,21 +483,21 @@ def test_ring_nodes_know_their_bay_ends(name, monkeypatch):
     knows = pipe._knows_after_build
     checked = Counter()
     for r in pipe.rings:
-        cube = pipe.cubes[r.ring_id]
-        rank, k = cube.id_map, len(cube.members)
+        order = pipe.orders[r.ring_id]
+        rank, k, closed = {v: s for s, v in enumerate(order)}, len(order), r.kind != KIND_OUTER_HOLE
         ab = pipe.abstractions[r.ring_id]
         # the leader, rank 0 of a closed ring, ends the merge with the hull and k
-        heard[r.ring_id, cube.members[0]] = {h: rank[h] for h in ab.hull_nodes}
-        sizes[r.ring_id, cube.members[0]] = k if cube.closed else None
+        heard[r.ring_id, order[0]] = {h: rank[h] for h in ab.hull_nodes}
+        sizes[r.ring_id, order[0]] = k if closed else None
         for i, bay in enumerate(ab.bay_areas):
             a, b = (rank[e] for e in bay.edge)
             for v in bay.members:
                 assert set(bay.edge) <= knows[v], (r.ring_id, v, bay.edge)
                 assert {e: heard[r.ring_id, v].get(e) for e in bay.edge} == dict(zip(bay.edge, (a, b)))
-                assert sizes[r.ring_id, v] == (k if cube.closed else None), (r.ring_id, v)
+                assert sizes[r.ring_id, v] == (k if closed else None), (r.ring_id, v)
                 # an arc's ranks never wrap; a closed ring's wrap past rank 0
                 j, m = rank[v] - a - 1, b - a - 1
-                if cube.closed:
+                if closed:
                     j, m = j % k, m % k
                 assert (j, m) == (bay.members.index(v), len(bay.members)), (r.ring_id, v)
                 joins = j % 3 == 1 or j == m - 1 and j % 3 == 0
@@ -743,16 +743,16 @@ def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monke
     build, knew, merged = pipeline_mod.build_hull_abstraction, [], []
     rank_ring, sizes, orientations = overlay_mod.rank_ring, {}, {}
 
-    def spy(engine, rings, cubes):
-        if not any(c.closed for c in cubes.values()):  # wave two
+    def spy(engine, rings, orders):
+        if any(r.kind == KIND_OUTER_HOLE for r in rings):  # wave two
             knew.append({v: set(topo.knows[v]) for v in topo.ids})
-        out = build(engine, rings, cubes)
+        out = build(engine, rings, orders)
         orientations.update(out[1])
         return out
 
-    def rank_spy(engine, cubes, chains, merged):
+    def rank_spy(engine, orders, chains, merged):
         sizes.update(merged)
-        return rank_ring(engine, cubes, chains, merged)
+        return rank_ring(engine, orders, chains, merged)
 
     monkeypatch.setattr(pipeline_mod, "build_hull_abstraction", spy)
     monkeypatch.setattr(overlay_mod, "rank_ring", rank_spy)
@@ -781,22 +781,43 @@ def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monke
     assert "hull_broadcast" in wave_two
     assert "pointer_jumping" not in wave_two
     (knew,) = knew
-    ring = pipe.cubes[next(r.ring_id for r in pipe.rings if r.kind == "OuterBoundary")]
-    rank, k = ring.id_map, len(ring.members)
+    ring = pipe.orders[next(r.ring_id for r in pipe.rings if r.kind == "OuterBoundary")]
+    rank, k = {v: s for s, v in enumerate(ring)}, len(ring)
     arcs = [r for r in pipe.rings if r.kind == KIND_OUTER_HOLE]
     assert arcs
     for arc in arcs:
-        cube = pipe.cubes[arc.ring_id]
-        assert cube.members == arc.members
-        # slot s sits s outer ranks past the arc's first node
+        order = pipe.orders[arc.ring_id]
+        assert order == arc.members
+        # arc rank s sits s outer ranks past the arc's first node
         start, m = rank[arc.members[0]], len(arc.members)
-        assert [rank[v] for v in cube.members] == [(start + s) % k for s in range(m)]
-        # every cube edge below m, so every merge and broadcast send, was known
+        assert [rank[v] for v in order] == [(start + s) % k for s in range(m)]
+        # arc ranks s and s ^ 2^j below m, so every merge and broadcast
+        # send, were outer ranks 2^j apart that pointer jumping linked
         for s in range(m):
-            for j in range(cube.dimension):
+            for j in range(m.bit_length()):
                 if s ^ 1 << j < m:
-                    u, w = cube.members[s], cube.members[s ^ 1 << j]
+                    u, w = order[s], order[s ^ 1 << j]
                     assert w in knew[u], (arc.ring_id, s, j)
+
+
+@pytest.mark.parametrize(
+    "name", ["grid36-hole4", "cshape-40", "crescent-24", "star12-4", "scale-512-1", "grid-512-3"]
+)
+def test_each_rings_layout_is_its_rank_order(name):
+    # the election ranks a closed ring from its minimum id on, in the
+    # ring's own walk direction, and an outer-hole arc is laid out as its
+    # members, from its first hull end on: neither layout holds anything
+    # the ring does not
+    pipe = Pipeline(fixture_topology(name), PipelineConfig())
+    pipe.build_abstraction()
+    assert set(pipe.orders) == {r.ring_id for r in pipe.rings}
+    for r in pipe.rings:
+        if r.kind == KIND_OUTER_HOLE:
+            want = r.members
+        else:
+            at = r.members.index(min(r.members))
+            want = r.members[at:] + r.members[:at]
+        assert pipe.orders[r.ring_id] == want, r.ring_id
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,48 @@ def test_run_phase_aborts_on_overrun(line3):
         eng.run_sessions("chatty", {None: (line3.ids, chatty)}, max_rounds=5)
 
 
+def test_an_aborted_phase_leaves_no_mail_behind(line3):
+    # "chatty" overruns 5 rounds with mail in flight and mail delivered but
+    # unread; the abort names no node, and a fresh phase on the same engine
+    # runs, in either kind of session, and hears none of that mail
+    eng = RoundEngine(line3)
+
+    def chatty(engine, v, inbox):
+        if v < 2:
+            engine.send(v, 1 - v, "again")
+        return True
+
+    with pytest.raises(SimulationAbortError, match="phase 'chatty' exceeded 5 rounds") as ei:
+        eng.run_sessions("chatty", {None: (line3.ids, chatty)}, max_rounds=5)
+    assert ei.value.node is None and "node" not in str(ei.value)
+    seen = []
+
+    def quiet(engine, v, inbox):
+        seen.append((v, [m.payload for m in inbox]))
+        return True
+
+    for key in (None, "ring"):
+        seen.clear()
+        reports = eng.run_sessions("after", {key: (line3.ids, quiet)}, max_rounds=2)
+        assert seen == [(v, []) for v in line3.ids], key
+        assert (reports[key].rounds, reports[key].active) == (0, 0), key
+    assert [p.label for p in eng.phase_reports] == ["chatty", "after", "after"]
+    # a handler that raises leaves no mail behind either
+    def crash(engine, v, inbox):
+        if v == 0:
+            engine.send(0, 1, "lost")
+        if v == 2:
+            raise ValueError("boom")
+        return True
+
+    with pytest.raises(SimulationAbortError) as ei:
+        eng.run_sessions("crash", {"ring": (line3.ids, crash)}, max_rounds=2)
+    assert ei.value.node == 2
+    seen.clear()
+    eng.run_sessions("after", {"ring": (line3.ids, quiet)}, max_rounds=2)
+    assert seen == [(v, []) for v in line3.ids]
+
+
 def test_run_phase_wraps_handler_crash(line3):
     eng = RoundEngine(line3)
 

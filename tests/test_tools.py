@@ -1,12 +1,14 @@
 """The by-hand tools in tests/ and the benchmark tracer agree with the pipeline.
 
-allpairs.py, traffic.py and perfbench/tracer.py are scripts, not test
-modules; each is loaded from its file, as test_tracing.py loads the tracer.
+allpairs.py, traffic.py, sweep.py and perfbench/tracer.py are scripts,
+not test modules; each is loaded from its file, as test_tracing.py loads
+the tracer.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -59,6 +61,23 @@ def test_traffic_totals_match_a_fresh_build(monkeypatch, capsys):
         for p in eng.phase_reports
     ]
     assert 0 < sum(p.active for p in eng.phase_reports) < sum(p.calls for p in eng.phase_reports)
+
+
+def test_sweep_row_matches_the_report_of_a_fresh_build(monkeypatch):
+    engine = dict(vars(RoundEngine))
+    row = _load(monkeypatch, TESTS / "sweep.py").row("grid36-hole4")
+    assert dict(vars(RoundEngine)) == engine
+    rep = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig()).run()
+    assert row == {
+        "n": rep.n,
+        "hull": rep.storage["hull"]["nodes"],
+        "rounds": rep.protocol_rounds,
+        "waves": rep.wave_rounds,
+        "charged": rep.phase_rounds["broadcast_tree"],
+        "peak": rep.message_stats["max_longrange_per_node_round"],
+        "cap": math.ceil(math.log2(rep.n)),
+        "bytes": rep.message_stats["total_bytes"],
+    }
 
 
 def test_engine_call_counts_match_the_tracer(monkeypatch):
