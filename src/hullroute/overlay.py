@@ -9,10 +9,10 @@ its members in rank order, which no message deals (assign_hypercube_ids).
 Ranks s and s + 2^j know each other: pointer jumping introduced them.
 Level 1 of the merge, a node and its radio-neighbour successor, is
 local.  The finished hull, scoped to each subtree, travels the binomial
-tree over the ranks from the ring leader (_tree_cast).  On a closed
-ring the hull merge carries each block's node count, so the leader
-ends with the exact ring size, and its merged hull holds each hull
-node's ring rank, whose order around the hull is the ring's
+tree over the ranks from the ring leader (_hull_broadcast_session).
+On a closed ring the hull merge carries each block's node count, so
+the leader ends with the exact ring size, and its merged hull holds
+each hull node's ring rank, whose order around the hull is the ring's
 orientation; the leader checks both before it broadcasts the hull
 (rank_ring).  The per-bay dominating set takes no round: every bay
 member decides from ring ranks the hull broadcast left it.
@@ -31,22 +31,22 @@ items without it, in the same order (_cut, _uncut), so an entry goes
 as [x, y, ring, ...] and a hull point as [x, y, rank]; a pointer-jump
 message holds its arc minimum only when that is neither the id it
 introduces nor its sender, and a pj_pred's minimum brings its hops
-back from the sender along; and a tree cast holds no budget, since a
-node reads it off its own rank (_tree_cast).  In the merge a node
-sends at most that many long-range messages a round, as counted by
-the engine.  The hull broadcast is scoped: each tree edge carries only
-the hull points of the child's subtree of ranks and the two hull
-points that bracket it, so every ring node learns its bay's two hull
-ends.  Ids a node learns only in transit are forgotten once a protocol
+back from the sender along; and the hull broadcast holds no budget,
+since a node reads it off its own rank.  In the merge a node sends at
+most that many long-range messages a round, as counted by the engine.
+The hull broadcast is scoped: each tree edge carries only the hull
+points of the child's subtree of ranks and the two hull points that
+bracket it, so every ring node learns its bay's two hull ends.  Ids a node learns only in transit are forgotten once a protocol
 ends (_forget_learned).
 
 The ring protocols take a mapping keyed by ring, of its members in ring
 order or, once the election has ranked it, in rank order, and run every
 ring in the same engine phases, one session per ring, so a step costs
 the rounds of its slowest ring rather than the sum over rings, and each
-ring is held to its own round bound (_run_wave).  A single ring is the
-one-entry case.  A session starts at the nodes that act without mail
-(_Session.start); every other node acts only when mail reaches it.
+ring brings its own round bound, at which the engine aborts a ring
+that is still busy (_run_wave).  A single ring is the one-entry case.
+A session starts at the nodes that act without mail (_Session.start);
+every other node acts only when mail reaches it.
 
 Ring nodes address each other only through ids they have learned:
 successors are radio neighbors, every longer link is created by an
@@ -167,14 +167,7 @@ def _run_wave(
     engine: RoundEngine, label: str, sessions: Mapping[Hashable, _Session]
 ) -> dict[Hashable, Any]:
     """Run every session in one phase, each held to its own max_rounds; returns each finish()."""
-    reports = engine.run_sessions(
-        label,
-        {key: (s.start, s.handler) for key, s in sessions.items()},
-        max((s.max_rounds for s in sessions.values()), default=0),
-    )
-    for key, s in sessions.items():
-        if reports[key].rounds > s.max_rounds:
-            raise SimulationAbortError(None, engine.round_no, f"{label} session {key!r} exceeded {s.max_rounds} rounds")
+    reports = engine.run_sessions(label, {key: (s.start, s.handler, s.max_rounds) for key, s in sessions.items()})
     return {key: s.finish(reports[key]) for key, s in sessions.items()}
 
 
@@ -332,49 +325,6 @@ def assign_hypercube_ids(ranks: Mapping[Hashable, Mapping[NodeId, int]]) -> dict
     return {key: sorted(r, key=r.__getitem__) for key, r in ranks.items()}
 
 
-def _tree_cast(
-    engine: RoundEngine,
-    ordered: list[NodeId],
-    tag: str,
-    messages: Callable[[list[Message], int, int], list[tuple[dict, tuple[NodeId, ...]]]],
-) -> _Session:
-    """Rank 0 of `ordered` reaches every rank down the binomial tree over the ranks.
-
-    The session starts at rank 0; every other rank acts once, when the
-    cast reaches it, and every call is the node's last.  A node of rank
-    r is reached with budget i, the lowest set bit of r (r = 2^i times
-    an odd number), and rank 0 with budget d = _levels(k), so no message
-    carries a budget.  A node v of rank r reached with budget b sends
-    messages(inbox, r + 2^i, i), a list of (payload, introduced ids)
-    made from the messages v received (none at rank 0), to rank r + 2^i,
-    whose id pointer jumping taught it, for every i < b with r + 2^i < k.
-    A node reached by several messages in one round is reached once.
-    The session aborts unless every rank was reached, each in exactly
-    one round.
-    """
-    k = len(ordered)
-    d = _levels(k)
-    rank_of = {v: r for r, v in enumerate(ordered)}
-    reached: set[NodeId] = set()
-
-    def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        if v in reached:
-            raise SimulationAbortError(v, eng.round_no, f"{tag} reached the node twice")
-        reached.add(v)
-        r = rank_of[v]
-        for i in range((r & -r).bit_length() - 1 if r else d):
-            if r + (1 << i) < k:
-                for payload, intro in messages(inbox, r + (1 << i), i):
-                    eng.send(v, ordered[r + (1 << i)], payload, tag=tag, intro_ids=intro)
-        return True
-
-    def finish(report: PhaseReport) -> None:
-        if len(reached) != k:
-            raise SimulationAbortError(ordered[0], engine.round_no, f"{tag} missed ring nodes")
-
-    return _Session(ordered[:1], handler, 2 * d + 6, finish)
-
-
 # ---------------------------------------------------------------------------
 # distributed convex hull over blocks of consecutive ranks
 
@@ -499,44 +449,62 @@ def _merge_session(
 def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list, size: int | None) -> _Session:
     """The leader sends each subtree of the binomial tree over the ranks its part of the hull.
 
-    The child c = r + 2^i of rank r roots the ranks [c, e), with
-    e = min(c + 2^i, k).  Its message carries the hull points ranked in
-    [c, e), the last hull point before c and the first at or after e,
-    as [x, y, id, rank] with the id among the introductions (_cut):
-    each node of the subtree learns the nearest
-    hull node before and after it on the ring, its bay's two ends (a
-    hull node, its two hull neighbors).  On a closed ring both brackets
-    wrap past rank 0.  An arc's first and last ranks are hull nodes, so
-    its brackets never wrap and a subtree that ends with the arc has no
-    after-bracket.  A node cuts its children's points from the points
-    it holds, the leader from its merged hull, whose points carry their
-    ranks: a child's ranks and brackets lie within its parent's, so a
-    sender knows every id it introduces.  Messages carry at most
-    _message_cap points, each introducing the ids of its own points.  On
-    a closed ring each message also carries the ring size k, `size`, which
-    the leader ends the merge with (None on an arc): the bay that wraps
-    past rank 0 counts its members modulo k (dominating_set).  No message
-    carries a budget (_tree_cast): a node of a closed ring holds its rank
-    from the election, and a node of an arc its rank on the arc, its outer
-    rank less that of its bay's first end, both of which wave one's
-    broadcast left it.
+    The session starts at the leader, rank 0; every other rank acts once,
+    when the cast reaches it, and every call is its last.  Rank r = 2^b
+    times an odd number sends to each rank c = r + 2^i < k with i < b,
+    and rank 0 to each c = 2^i < k, i < _levels(k), whose ids pointer
+    jumping taught it.  No message carries a budget: a node of a closed
+    ring holds its rank from the election, and a node of an arc its rank
+    on the arc, its outer rank less that of its bay's first end, both of
+    which wave one's broadcast left it.  Child c roots the ranks [c, e),
+    with e = min(c + 2^i, k).  Its message carries the hull points ranked
+    in [c, e), the last hull point before c and the first at or after e,
+    as [x, y, id, rank] with the id among the introductions (_cut): each
+    node of the subtree learns the nearest hull node before and after it
+    on the ring, its bay's two ends (a hull node, its two hull
+    neighbors).  On a closed ring both brackets wrap past rank 0.  An
+    arc's first and last ranks are hull nodes, so its brackets never
+    wrap and a subtree that ends with the arc has no after-bracket.  A
+    node cuts its children's points from the points it received, the
+    leader from its merged hull, whose points carry their ranks: a
+    child's ranks and brackets lie within its parent's, so a sender
+    knows every id it introduces.  Messages carry at most _message_cap
+    points, each introducing the ids of its own points.  On a closed
+    ring each message also carries the ring size k, `size`, which the
+    leader ends the merge with (None on an arc): the bay that wraps past
+    rank 0 counts its members modulo k (dominating_set).  A node reached
+    by several messages in one round is reached once; the session aborts
+    unless every rank was reached, each in exactly one round.
     """
-    k = len(order)
+    k, d = len(order), _levels(len(order))
+    rank_of = {v: r for r, v in enumerate(order)}
     header = {} if size is None else {"size": size}
+    reached: set[NodeId] = set()
 
-    def scoped(inbox: list[Message], c: int, i: int) -> list[tuple[dict, tuple[NodeId, ...]]]:
-        pts = _hull_points(inbox) or ccw
-        e = min(c + (1 << i), k)
-        part = {q[3]: q for q in pts if c <= q[3] < e}
-        before = max(pts, key=lambda q: (q[3] - c) % k)
-        part.setdefault(before[3], before)
-        if e < k or size is not None:
-            after = min(pts, key=lambda q: (q[3] - e) % k)
-            part.setdefault(after[3], after)
-        sent = _hull_items([part[r] for r in sorted(part)])
-        return [({"hull": chunk, **header}, ids) for chunk, ids in _cut(engine, sent)]
+    def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
+        if v in reached:
+            raise SimulationAbortError(v, eng.round_no, "hullb reached the node twice")
+        reached.add(v)
+        r, pts = rank_of[v], _hull_points(inbox) or ccw
+        for i in range((r & -r).bit_length() - 1 if r else d):
+            c, e = r + (1 << i), min(r + (2 << i), k)
+            if c >= k:
+                break
+            part = {q[3]: q for q in pts if c <= q[3] < e}
+            before = max(pts, key=lambda q: (q[3] - c) % k)
+            part.setdefault(before[3], before)
+            if e < k or size is not None:
+                after = min(pts, key=lambda q: (q[3] - e) % k)
+                part.setdefault(after[3], after)
+            for chunk, ids in _cut(eng, _hull_items([part[s] for s in sorted(part)])):
+                eng.send(v, order[c], {"hull": chunk, **header}, tag="hullb", intro_ids=ids)
+        return True
 
-    return _tree_cast(engine, order, "hullb", scoped)
+    def finish(report: PhaseReport) -> None:
+        if len(reached) != k:
+            raise SimulationAbortError(order[0], engine.round_no, "hullb missed ring nodes")
+
+    return _Session(order[:1], handler, 2 * d + 6, finish)
 
 
 # ---------------------------------------------------------------------------

@@ -722,7 +722,7 @@ class Router:
                     eng.send(v, path[i + 1], {"seq": i}, channel=Channel.ADHOC, tag="rt_data")
             return True
 
-        rep = engine.run_sessions("query", {None: ([s], handler)}, 2 + (len(path) - 1))[None]
+        rep = engine.run_sessions("query", {None: ([s], handler, 2 + (len(path) - 1))})[None]
         return rep.rounds, rep.messages_longrange
 
 

@@ -11,10 +11,11 @@ Mail is read only inside a phase, which run_sessions starts.  Each ring
 (or bay) is a session, and rings run side by side in one phase: their
 messages carry the session as a header, so a node on two rings keeps the
 conversations apart, and each session reports the round it went quiet.
-The hull distribution and each query are one session keyed None.  The
-protocols are message-driven, so one wake rule serves every session:
-after its first round a node acts only when mail reaches it or when it
-asked to.
+Each session brings its own round cap, and a session still busy after
+it aborts the run in that round, naming the session.  The hull
+distribution and each query are one session keyed None.  The protocols
+are message-driven, so one wake rule serves every session: after its
+first round a node acts only when mail reaches it or when it asked to.
 
 The engine is also the bookkeeper: a send is recorded once, as a
 transcript line naming its session (null when keyed None), and tally()
@@ -95,18 +96,18 @@ Handler = Callable[["RoundEngine", NodeId, list[Message]], bool]
 
 
 def tally(lines: Iterable[dict], key: Callable[[dict], Hashable] = lambda line: None, *,
-          channel: Channel | None = None, into: dict | None = None) -> dict[Hashable, PhaseReport]:
+          into: dict | None = None) -> dict[Hashable, PhaseReport]:
     """Count transcript lines into one report per group key(line), taken from `into` or made.
 
     A group's ad hoc and long-range messages, their bytes, and its most
     long-range sends by one node in one round, keyed by (round, src).
-    Meta lines never count, nor lines off `channel` when it is given.
+    Meta lines never count.
     """
     reports = {} if into is None else into
     sent: Counter = Counter()
     for line in lines:
         kind = line["channel"]
-        if kind == Channel.META or channel not in (None, kind):
+        if kind == Channel.META:
             continue
         group = key(line)
         rep = reports.get(group) or reports.setdefault(group, PhaseReport(""))
@@ -133,14 +134,13 @@ class RoundEngine:
         self.transcript: list[dict] = []
         # the session whose handler runs now; sends and their lines carry it
         self.session: Hashable = None
-        self._sessions: dict[Hashable, list[NodeId]] | None = None
+        self._sessions: Mapping[Hashable, tuple[Iterable[NodeId], Handler, int]] | None = None
         self._outbox: list[Message] = []
         self._inbox: dict[Hashable, dict[NodeId, list[Message]]] = defaultdict(
             lambda: defaultdict(list)
         )
         # the merge's pacing state: long-range sends per node this round
         self._lr_this_round: dict[NodeId, int] = defaultdict(int)
-        self._reports: dict[Hashable, PhaseReport] = {}
 
     # -- sending ---------------------------------------------------------
 
@@ -224,19 +224,19 @@ class RoundEngine:
     def run_sessions(
         self,
         label: str,
-        sessions: Mapping[Hashable, tuple[Iterable[NodeId], Handler]],
-        max_rounds: int,
+        sessions: Mapping[Hashable, tuple[Iterable[NodeId], Handler, int]],
     ) -> dict[Hashable, PhaseReport]:
         """Run one phase for several sessions at once.
 
-        Each session is (start, handler): its start nodes are the ones
-        that act without mail.  A session's handler sees that session's
-        mail only, and whatever it sends carries the session.  Returns
-        one report per session, counting the rounds until that session
-        went quiet.  Raises NotReadyError, touching nothing, while a
-        phase runs, and IllegalSendError, touching nothing, while mail
-        sent outside any phase waits: no session may read it as its own.
-        An aborted phase leaves no mail behind (run_phase).
+        Each session is (start, handler, max_rounds): its start nodes are
+        the ones that act without mail, and it may take max_rounds rounds
+        (run_phase).  A session's handler sees that session's mail only,
+        and whatever it sends carries the session.  Returns one report
+        per session, counting the rounds until that session went quiet.
+        Raises NotReadyError, touching nothing, while a phase runs, and
+        IllegalSendError, touching nothing, while mail sent outside any
+        phase waits: no session may read it as its own.  An aborted
+        phase leaves no mail behind (run_phase).
         """
         if self._sessions is not None:
             raise NotReadyError(f"phase {label!r} started while a phase runs")
@@ -244,19 +244,17 @@ class RoundEngine:
             raise IllegalSendError(f"phase {label!r} started while undelivered mail waits")
         if not sessions:
             return {}
-        handlers = {key: h for key, (_, h) in sessions.items()}
 
         def dispatch(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-            return handlers[eng.session](eng, v, inbox)
+            return sessions[eng.session][1](eng, v, inbox)
 
-        self._sessions = {key: sorted(start) for key, (start, _) in sessions.items()}
+        self._sessions = sessions
         try:
-            self.run_phase(label, dispatch, max_rounds)
-            return self._reports
+            return self.run_phase(label, dispatch, max(cap for _, _, cap in sessions.values()))
         finally:
             self._sessions = None
 
-    def run_phase(self, label: str, handler: Handler, max_rounds: int) -> PhaseReport:
+    def run_phase(self, label: str, handler: Handler, max_rounds: int) -> dict[Hashable, PhaseReport]:
         """Run the sessions run_sessions set up, round by round, until quiescent.
 
         The wake rule: in a session's first round its start nodes are
@@ -264,30 +262,35 @@ class RoundEngine:
         it holds mail for the session or when its last call returned
         False.  A session is finished when no node is pending and none
         of its mail is in flight; the phase is finished when every
-        session is.  Overrunning max_rounds aborts the simulation rather
-        than looping forever.  A phase that raises drops the mail it
-        left in flight and undelivered.
+        session is.  A session still busy after its own max_rounds
+        aborts the simulation in that round, naming the session unless
+        it is keyed None; max_rounds, the largest session's, bounds the
+        loop.  A handler's own SimulationAbortError and illegal sends
+        pass through unchanged, and any other exception it raises is
+        wrapped with its node and round.  A phase that raises drops the
+        mail it left in flight and undelivered.  Returns each session's
+        report.
         """
         # each running session's nodes called this round even without mail
-        pending = dict(self._sessions)
-        self._reports = {key: PhaseReport(label=label) for key in pending}
+        pending = {key: sorted(start) for key, (start, _, _) in self._sessions.items()}
+        reports = {key: PhaseReport(label=label) for key in pending}
         start, first = self.round_no, len(self.transcript)
         log.debug("phase %s begins at round %d, %d sessions", label, start, len(pending))
         try:
             for rounds in range(max_rounds + 1):
                 for key, due in pending.items():
                     self.session = key
-                    rep = self._reports[key]
+                    rep = reports[key]
                     box = self._inbox.pop(key, {})
                     again = []
                     for v in sorted(box.keys() | due):
                         inbox, sent = box.pop(v, []), self.total_messages
                         try:
                             done = handler(self, v, inbox)
-                        except (IllegalSendError, IllegalIntroductionError):
+                        except (IllegalSendError, IllegalIntroductionError, SimulationAbortError):
                             raise
                         except Exception as e:
-                            raise SimulationAbortError(v, self.round_no, repr(e)) from e
+                            raise SimulationAbortError(v, self.round_no, e) from e
                         if not done:
                             again.append(v)
                         rep.calls += 1
@@ -297,14 +300,17 @@ class RoundEngine:
                 in_flight = {m.session for m in self._outbox}
                 for key in [key for key, due in pending.items() if not due and key not in in_flight]:
                     del pending[key]
-                    self._reports[key].rounds = rounds
+                    reports[key].rounds = rounds
                     if key is not None:
-                        self.session_reports.append((key, self._reports[key]))
+                        self.session_reports.append((key, reports[key]))
+                for key in pending:
+                    cap = self._sessions[key][2]
+                    if rounds == cap:
+                        who = "" if key is None else f" session {key!r}"
+                        raise SimulationAbortError(None, self.round_no, f"phase {label!r}{who} exceeded {cap} rounds")
                 if not pending:
                     break
                 self.step_round()
-            else:
-                raise SimulationAbortError(None, self.round_no, f"phase {label!r} exceeded {max_rounds} rounds")
         except Exception:
             # the phase began with no mail waiting, so all that waits now is
             # its own: drop it, so the engine can run the next phase
@@ -314,12 +320,11 @@ class RoundEngine:
             raise
         finally:
             self.session = None
-            reps = self._reports.values()
-            calls, active = sum(r.calls for r in reps), sum(r.active for r in reps)
+            calls, active = sum(r.calls for r in reports.values()), sum(r.active for r in reports.values())
             report = PhaseReport(label, self.round_no - start, calls, active)
             window = self.transcript[first:]
             tally(window, into={None: report})
-            tally(window, lambda line: line["session"], into=self._reports)
+            tally(window, lambda line: line["session"], into=reports)
             self.phase_reports.append(report)
             log.debug(
                 "phase %s: %d rounds, %d handler calls, %d active, %d long-range, "
@@ -327,7 +332,7 @@ class RoundEngine:
                 label, report.rounds, report.calls, report.active, report.messages_longrange,
                 report.messages_adhoc, report.bytes_total, report.max_longrange_per_node_round,
             )
-        return report
+        return reports
 
     # -- transcript ----------------------------------------------------------
 

@@ -246,6 +246,33 @@ def test_wave_holds_each_session_to_its_own_bound():
     assert ran == {"short": 2, "long": 6}
 
 
+def test_a_stalled_session_aborts_in_the_round_it_overruns_its_own_bound():
+    # "short" never goes quiet, its two ends mailing each other every
+    # round; it aborts in round 2, its own bound, not past "long"'s 8,
+    # the abort names it and no node, and none of its mail outlives it
+    engine = line_engine(3)
+
+    def chatter(eng, v, inbox):
+        eng.send(v, 1 - v, "again")
+        return True
+
+    sessions = {
+        "short": overlay_mod._Session([0, 1], chatter, 2),
+        "long": overlay_mod._Session([2], lambda eng, v, inbox: eng.round_no >= 6, 8),
+    }
+    with pytest.raises(SimulationAbortError, match="phase 'bounds' session 'short' exceeded 2 rounds") as ei:
+        overlay_mod._run_wave(engine, "bounds", sessions)
+    assert (ei.value.node, ei.value.round_no, engine.round_no) == (None, 2, 2)
+    heard = []
+
+    def listen(eng, v, inbox):
+        heard.extend(m.payload for m in inbox)
+        return True
+
+    reports = engine.run_sessions("after", {"short": ([0, 1, 2], listen, 1)})
+    assert heard == [] and reports["short"].rounds == 0
+
+
 def test_cast_and_merge_waves_make_no_idle_call():
     # in every hull merge level, which starts at 2, and both hull
     # broadcasts, a node is called only when mail reaches it or in a

@@ -1026,7 +1026,7 @@ def test_route_rejected_during_protocol_phase(grid):
             hits.append(True)
         return True
 
-    eng.run_sessions("query_during_phase", {None: (topo.ids, handler)}, max_rounds=2)
+    eng.run_sessions("query_during_phase", {None: (topo.ids, handler, 2)})
     assert hits
 
 

@@ -88,7 +88,7 @@ def test_run_phase_round_trip(line3):
             engine.send(0, 1, "ping")
         return True
 
-    report = eng.run_sessions("pingpong", {None: (line3.ids, handler)}, max_rounds=10)[None]
+    report = eng.run_sessions("pingpong", {None: (line3.ids, handler, 10)})[None]
     assert got == [(1, 1, "ping"), (2, 0, "pong")]
     assert report.rounds == 2
     assert report.messages_adhoc == 2
@@ -103,7 +103,7 @@ def test_run_phase_handler_order_is_ascending(line3):
         order.append(v)
         return True
 
-    eng.run_sessions("noop", {None: ([2, 0, 1], handler)}, max_rounds=1)
+    eng.run_sessions("noop", {None: ([2, 0, 1], handler, 1)})
     assert order == [0, 1, 2]
 
 
@@ -117,7 +117,7 @@ def test_run_phase_aborts_on_overrun(line3):
         return True
 
     with pytest.raises(SimulationAbortError):
-        eng.run_sessions("chatty", {None: (line3.ids, chatty)}, max_rounds=5)
+        eng.run_sessions("chatty", {None: (line3.ids, chatty, 5)})
 
 
 def test_an_aborted_phase_leaves_no_mail_behind(line3):
@@ -132,7 +132,7 @@ def test_an_aborted_phase_leaves_no_mail_behind(line3):
         return True
 
     with pytest.raises(SimulationAbortError, match="phase 'chatty' exceeded 5 rounds") as ei:
-        eng.run_sessions("chatty", {None: (line3.ids, chatty)}, max_rounds=5)
+        eng.run_sessions("chatty", {None: (line3.ids, chatty, 5)})
     assert ei.value.node is None and "node" not in str(ei.value)
     seen = []
 
@@ -142,7 +142,7 @@ def test_an_aborted_phase_leaves_no_mail_behind(line3):
 
     for key in (None, "ring"):
         seen.clear()
-        reports = eng.run_sessions("after", {key: (line3.ids, quiet)}, max_rounds=2)
+        reports = eng.run_sessions("after", {key: (line3.ids, quiet, 2)})
         assert seen == [(v, []) for v in line3.ids], key
         assert (reports[key].rounds, reports[key].active) == (0, 0), key
     assert [p.label for p in eng.phase_reports] == ["chatty", "after", "after"]
@@ -155,10 +155,10 @@ def test_an_aborted_phase_leaves_no_mail_behind(line3):
         return True
 
     with pytest.raises(SimulationAbortError) as ei:
-        eng.run_sessions("crash", {"ring": (line3.ids, crash)}, max_rounds=2)
+        eng.run_sessions("crash", {"ring": (line3.ids, crash, 2)})
     assert ei.value.node == 2
     seen.clear()
-    eng.run_sessions("after", {"ring": (line3.ids, quiet)}, max_rounds=2)
+    eng.run_sessions("after", {"ring": (line3.ids, quiet, 2)})
     assert seen == [(v, []) for v in line3.ids]
 
 
@@ -169,8 +169,31 @@ def test_run_phase_wraps_handler_crash(line3):
         raise ValueError("boom")
 
     with pytest.raises(SimulationAbortError) as ei:
-        eng.run_sessions("broken", {None: (line3.ids, broken)}, max_rounds=2)
+        eng.run_sessions("broken", {None: (line3.ids, broken, 2)})
     assert ei.value.node == 0
+
+
+def test_a_handlers_own_abort_passes_through_and_a_crash_keeps_its_exception(line3):
+    # an abort the handler raised itself surfaces as it was, not wrapped in
+    # a second one; any other exception is wrapped with the exception itself
+    eng = RoundEngine(line3)
+    own = SimulationAbortError(0, 0, "tree cast reached the node twice")
+
+    def aborts(engine, v, inbox):
+        raise own
+
+    with pytest.raises(SimulationAbortError) as ei:
+        eng.run_sessions("own", {None: (line3.ids, aborts, 2)})
+    assert ei.value is own
+    assert str(ei.value) == "handler of node 0 failed in round 0: 'tree cast reached the node twice'"
+
+    def crashes(engine, v, inbox):
+        raise KeyError(5)
+
+    with pytest.raises(SimulationAbortError) as ei:
+        eng.run_sessions("crash", {"ring": (line3.ids, crashes, 2)})
+    assert str(ei.value) == "handler of node 0 failed in round 0: KeyError(5)"
+    assert isinstance(ei.value.cause, KeyError) and ei.value.cause is ei.value.__cause__
 
 
 def test_charge_rounds_advances_clock(line3):
@@ -248,7 +271,7 @@ def test_longrange_this_round_is_per_node_over_the_phase(line3):
         seen[engine.round_no, engine.session, v] = engine.longrange_this_round(v)
         return True
 
-    reports = eng.run_sessions("budget", {"a": ([0, 2], handler), "b": ([0, 2], handler)}, max_rounds=3)
+    reports = eng.run_sessions("budget", {"a": ([0, 2], handler, 3), "b": ([0, 2], handler, 3)})
     assert seen[0, "a", 0] == 1 and seen[0, "b", 0] == 2
     # the peaks: a session's counts its own sends, the phase's every session's
     assert [reports[key].max_longrange_per_node_round for key in "ab"] == [1, 1]
@@ -289,7 +312,7 @@ def test_sessions_sharing_nodes_are_demultiplexed(line3):
         return True
 
     reports = eng.run_sessions(
-        "shared", {"a": ([1, 0], pingpong), "b": ([0, 1, 2], relay)}, max_rounds=10
+        "shared", {"a": ([1, 0], pingpong, 10), "b": ([0, 1, 2], relay, 10)}
     )
     assert got["a"] == [(1, 1, "ping", "a"), (2, 0, "pong", "a")]
     assert got["b"] == [(1, 1, 1, "b"), (2, 2, 2, "b"), (3, 1, 3, "b"), (4, 0, 4, "b")]
@@ -331,7 +354,7 @@ def test_sessions_wake_members_and_mail_holders_only(line3):
             engine.send(0, 1, "hi")
         return True
 
-    reports = eng.run_sessions("solo", {"s": ([0], handler)}, max_rounds=3)
+    reports = eng.run_sessions("solo", {"s": ([0], handler, 3)})
     assert calls == [(0, 0, []), (1, 1, ["hi"])]
     assert reports["s"].rounds == 1
     # traffic driven outside run_phase touches neither report
@@ -352,7 +375,7 @@ def test_false_return_brings_the_node_back_with_an_empty_inbox(line3):
         calls.append((engine.round_no, v, list(inbox)))
         return engine.round_no >= 2
 
-    reports = eng.run_sessions("wait", {"s": ([0], handler)}, max_rounds=5)
+    reports = eng.run_sessions("wait", {"s": ([0], handler, 5)})
     assert calls == [(0, 0, []), (1, 0, []), (2, 0, [])]
     assert reports["s"].rounds == 2 and eng.total_messages == 0
     # each waiting call is a call, none is active
@@ -372,7 +395,7 @@ def test_true_return_keeps_the_node_out_until_mail_arrives(line3):
             engine.send(0, 1, "late")
         return v == 1 or engine.round_no >= 2
 
-    reports = eng.run_sessions("late", {"s": ([0, 1], handler)}, max_rounds=5)
+    reports = eng.run_sessions("late", {"s": ([0, 1], handler, 5)})
     assert calls == [(0, 0, []), (0, 1, []), (1, 0, []), (2, 0, []), (3, 1, ["late"])]
     assert reports["s"].rounds == 3
 
@@ -390,18 +413,18 @@ def test_sessions_started_inside_a_phase_are_refused_untouched(line3):
 
     def handler(engine, v, inbox):
         state = (engine.round_no, engine.session, len(engine.transcript), len(engine.phase_reports))
-        for sessions in ({"n": ([0], nested)}, {}):
+        for sessions in ({"n": ([0], nested, 1)}, {}):
             with pytest.raises(NotReadyError):
-                engine.run_sessions("nested", sessions, max_rounds=1)
+                engine.run_sessions("nested", sessions)
         seen.append(state == (engine.round_no, engine.session, len(engine.transcript), len(engine.phase_reports)))
         return True
 
-    reports = eng.run_sessions("outer", {"s": ([0, 2], handler)}, max_rounds=2)
+    reports = eng.run_sessions("outer", {"s": ([0, 2], handler, 2)})
     assert seen == [True, True]
     assert reports.keys() == {"s"} and (reports["s"].rounds, reports["s"].calls) == (0, 2)
     assert [p.label for p in eng.phase_reports] == ["outer"] and eng.transcript == []
     # the refusal left no phase marked as running
-    assert eng.run_sessions("after", {"n": ([0], nested)}, max_rounds=1)["n"].messages_adhoc == 1
+    assert eng.run_sessions("after", {"n": ([0], nested, 1)})["n"].messages_adhoc == 1
 
 
 def test_mail_sent_outside_any_phase_is_refused_untouched(line3):
@@ -418,20 +441,20 @@ def test_mail_sent_outside_any_phase_is_refused_untouched(line3):
     state = (eng.round_no, len(eng.transcript), len(eng.phase_reports), len(eng.session_reports))
     for key in (None, "ring"):
         with pytest.raises(IllegalSendError, match="undelivered mail"):
-            eng.run_sessions("later", {key: ([2], handler)}, max_rounds=3)
+            eng.run_sessions("later", {key: ([2], handler, 3)})
     assert calls == []
     assert (eng.round_no, len(eng.transcript), len(eng.phase_reports), len(eng.session_reports)) == state
     # mail still in flight is refused too
     eng = RoundEngine(line3)
     eng.send(0, 1, "stray")
     with pytest.raises(IllegalSendError):
-        eng.run_sessions("later", {None: ([2], handler)}, max_rounds=3)
+        eng.run_sessions("later", {None: ([2], handler, 3)})
     assert calls == [] and eng.phase_reports == []
 
 
 def test_no_sessions_runs_no_phase(line3):
     eng = RoundEngine(line3)
-    assert eng.run_sessions("empty", {}, max_rounds=3) == {}
+    assert eng.run_sessions("empty", {}) == {}
     assert eng.phase_reports == [] and eng.round_no == 0
 
 
@@ -457,4 +480,4 @@ def test_running_tallies_by_channel(line3):
     assert window[-1]["tag"] == "charge:tree:3"
     by_src = tally(window, lambda t: t["src"])
     assert [(v, c.messages_longrange, c.messages_adhoc) for v, c in by_src.items()] == [(0, 2, 0), (1, 0, 1)]
-    assert tally(window, lambda t: t["src"], channel=Channel.ADHOC).keys() == {1}
+    assert tally((t for t in window if t["channel"] == "adhoc"), lambda t: t["src"]).keys() == {1}

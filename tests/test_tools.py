@@ -61,6 +61,14 @@ def test_traffic_totals_match_a_fresh_build(monkeypatch, capsys):
         for p in eng.phase_reports
     ]
     assert 0 < sum(p.active for p in eng.phase_reports) < sum(p.calls for p in eng.phase_reports)
+    # the sender table lists the top 3 long-range senders, most messages
+    # first, each with the build's count and a per-tag split that sums to it
+    at = next(i for i, line in enumerate(out) if line.split()[:2] == ["long-range", "sender"])
+    senders = [line.split() for line in out[at + 1 : out.index("", at)]]
+    ranked = sorted(pipe.build_longrange.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert [(int(row[0]), int(row[1])) for row in senders] == ranked[:3]
+    for v, count, _, *split in senders:
+        assert sum(int(c.rstrip(",")) for c in split[1::2]) == int(count)
 
 
 def test_sweep_row_matches_the_report_of_a_fresh_build(monkeypatch):

@@ -29,7 +29,7 @@ from collections import Counter, defaultdict
 
 from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.scenario import fixture_topology
-from hullroute.simengine import Channel, tally
+from hullroute.simengine import tally
 
 
 def report(name: str, top: int) -> None:
@@ -70,7 +70,8 @@ def report(name: str, top: int) -> None:
 
     tags: dict[int, Counter] = defaultdict(Counter)
     nbytes: Counter = Counter()
-    for (v, tag), c in tally(eng.transcript, lambda t: (t["src"], t["tag"]), channel=Channel.LONGRANGE).items():
+    longrange = (t for t in eng.transcript if t["channel"] == "longrange")
+    for (v, tag), c in tally(longrange, lambda t: (t["src"], t["tag"])).items():
         tags[v][tag] = c.messages_longrange
         nbytes[v] += c.bytes_total
     senders = sorted(tags, key=lambda v: (-sum(tags[v].values()), v))[:top]
