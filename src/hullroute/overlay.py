@@ -20,24 +20,29 @@ member decides from ring ranks the hull broadcast left it.
 Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Every sender cuts what it ships into messages of at
 most that many points, each introducing only the ids of its own points
-(_cut): one entry (id, x, y, ring, ...) per hull node in the
-distribution, a block's hull as (x, y, id, rank) in the merge, a
-subtree's part of the hull in the broadcast.  No fact crosses a link
-twice: a pointer-jump message carries the new pointer only as its
-introduction, and a relay of the distribution sends each entry up
-once.  Nor does a payload repeat its header: an item's id rides only
-among the message's sorted introductions, and the payload lists the
-items without it, in the same order (_cut, _uncut), so an entry goes
-as [x, y, ring, ...] and a hull point as [x, y, rank]; a pointer-jump
-message holds its arc minimum only when that is neither the id it
-introduces nor its sender, and a pj_pred's minimum brings its hops
-back from the sender along; and the hull broadcast holds no budget,
-since a node reads it off its own rank.  In the merge a node sends at
-most that many long-range messages a round, as counted by the engine.
-The hull broadcast is scoped: each tree edge carries only the hull
-points of the child's subtree of ranks and the two hull points that
-bracket it, so every ring node learns its bay's two hull ends.  Ids a node learns only in transit are forgotten once a protocol
-ends (_forget_learned).
+(_cut): one entry (id, x, y, rings) per node in the distribution, a
+block's hull as (x, y, id, rank) in the merge, a subtree's part of the
+hull in the broadcast.  No fact crosses a link twice: a pointer-jump
+message carries the new pointer only as its introduction, and a relay
+of the distribution sends each entry up once, two entries of a node
+merged into one.  Nor does a payload
+repeat its header: an item's id rides only among the message's sorted
+introductions, and the payload lists the items without it, in the same
+order (_cut, _uncut), so an entry goes as [x, y, rings] and a hull point
+as [x, y, rank]; a pointer-jump message holds its arc minimum only when
+that is neither the id it introduces nor its sender, and a pj_pred's
+minimum brings its hops back from the sender along; and the hull
+broadcast holds no budget, since a node reads it off its own rank.  In
+the merge a node sends at most that many long-range messages a round,
+as counted by the engine.  The hull broadcast is scoped: each tree edge
+carries only the hull points of the child's subtree of ranks and the
+two hull points that bracket it, so every ring node learns its bay's
+two hull ends, and each message also introduces rank 0, so every ring
+node learns its ring's planner.  The full abstraction, every hull
+node's entry, is kept at the planners only, one per ring
+(distribute_hulls); a hull node plans by asking its ring's planner.
+Ids a node learns only in transit are forgotten once a protocol ends
+(_forget_learned).
 
 The ring protocols take a mapping keyed by ring, of its members in ring
 order or, once the election has ranked it, in rank order, and run every
@@ -118,8 +123,12 @@ def _cut(engine: RoundEngine, items: Mapping[NodeId, list]) -> list[tuple[list, 
 
 
 def _uncut(m: Message, key: str) -> dict[NodeId, list]:
-    """The items of m.payload[key], keyed by the ids m introduces (_cut)."""
-    return dict(zip(m.intro_ids, m.payload[key], strict=True))
+    """The items of m.payload[key], keyed by the first ids m introduces (_cut).
+
+    Any id introduced past them names no item: a hullb's rank 0.
+    """
+    items = m.payload[key]
+    return dict(zip(m.intro_ids[: len(items)], items, strict=True))
 
 
 def _hull_items(points: list[list]) -> dict[NodeId, list]:
@@ -469,7 +478,9 @@ def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list,
     leader from its merged hull, whose points carry their ranks: a
     child's ranks and brackets lie within its parent's, so a sender
     knows every id it introduces.  Messages carry at most _message_cap
-    points, each introducing the ids of its own points.  On a closed
+    points, each introducing the ids of its own points, and also rank 0,
+    the ring's planner (distribute_hulls), unless it sends the message
+    or is among them.  On a closed
     ring each message also carries the ring size k, `size`, which the
     leader ends the merge with (None on an arc): the bay that wraps past
     rank 0 counts its members modulo k (dominating_set).  A node reached
@@ -497,7 +508,8 @@ def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list,
                 after = min(pts, key=lambda q: (q[3] - e) % k)
                 part.setdefault(after[3], after)
             for chunk, ids in _cut(eng, _hull_items([part[s] for s in sorted(part)])):
-                eng.send(v, order[c], {"hull": chunk, **header}, tag="hullb", intro_ids=ids)
+                lead = () if v == order[0] or order[0] in ids else (order[0],)
+                eng.send(v, order[c], {"hull": chunk, **header}, tag="hullb", intro_ids=ids + lead)
         return True
 
     def finish(report: PhaseReport) -> None:
@@ -540,42 +552,61 @@ def build_broadcast_tree(engine: RoundEngine, began: int) -> BroadcastTree:
 
 
 def distribute_hulls(
-    engine: RoundEngine, tree: BroadcastTree, hulls: Mapping[Hashable, list[NodeId]]
+    engine: RoundEngine,
+    tree: BroadcastTree,
+    hulls: Mapping[int, list[NodeId]],
+    planners: Mapping[int, NodeId],
 ) -> None:
-    """Gather one entry per hull node at the tree root, then cast them down a heap of hull nodes.
+    """Gather every ring's entries at the tree root, then cast them down a heap of the planners.
 
-    `hulls` holds each non-outer ring's hull node ids, by ring.  A hull
-    node's entry is [x, y, ring, ...], its position once and then every
-    ring it is a hull node of, in the order of `hulls`.  The phase is one
-    wave of one session that starts at the nodes that act without mail:
-    the hull nodes, which own every entry, and the tree root, which ends
-    the gather.  Each asks to run again until its send round below; a
-    relay acts only when its children's entries reach it.
+    `hulls` holds each non-outer ring's hull node ids and `planners` its
+    planner, rank 0 of its layout, which ended the hull merge holding the
+    ring's whole hull.  A node's entry is [x, y, mark, ...]: its position,
+    then, sorted, each ring it is a hull node of and, as ~ring, each ring
+    it plans.  So a planner that is no hull node has an entry too, and its
+    id rides the gather like a hull id.  The phase is one wave of one
+    session that starts at the nodes that act without mail: the planners,
+    which own their rings' entries and their own, and the tree root, which
+    ends the gather.  Each asks to run again until its send round below; a
+    relay acts only when its children's entries reach it.  Hull nodes that
+    plan nothing take no part.
     Gather leg, a convergecast: a node at depth d sends its parent every
     entry its subtree holds, once, in round tree.height - d, when its
-    children's have all arrived; only the owners' root paths carry
-    traffic.  In round tree.height the root holds every entry and, from
-    their introductions, every hull id.  Cast leg: the hull nodes form a
-    binary heap over `order`, their sorted ids.  The root sends every
-    entry to order[0], or starts the heap itself if it is order[0].  A
-    hull node receives all of it in one round, knows `order` from it and
-    its own entry, and forwards to its heap children 2i+1 and 2i+2 every
-    entry but each child's own.  A message carries at most ceil(log2 n)
-    entries and introduces their ids, which the entries leave out on the
-    wire (_cut).
+    children's have all arrived, two entries of one node merged into one;
+    only the planners' root paths carry traffic.  In round tree.height the
+    root holds every entry.  Cast leg: the planners but the root form a
+    binary heap over `order`, their ids sorted from the largest down, and
+    the root sends order[0] its part.  The tree lays the ids out in heap
+    order too, so the smallest planners sit nearest its root, where the
+    gather loads them most; in `order` they are the heap's leaves, which
+    cast nothing.  A planner receives all of its part in one round,
+    knows `order` from the ~ring marks and its own entry, and sends each
+    heap child 2i+1 and 2i+2 its part: every entry but those the child
+    owns whole, whose marks all name rings it plans.  A message carries
+    at most ceil(log2 n) entries and introduces their ids, which the
+    entries leave out on the wire (_cut).  So the cast sends about H
+    entries to each of L planners, H x L in all, for H hull nodes and L
+    rings.
 
-    The hull nodes keep the hull ids they learn.  Every other id the
-    phase taught a node on the owners' root paths, the only nodes that
-    hear anything, is forgotten once it ends, so relays, a root that is
-    no hull node included, end as they began.
+    The planners keep the hull ids they learn.  Every other id the phase
+    taught a node on the planners' root paths, the only nodes that hear
+    anything, is forgotten once it ends, so relays, a root that plans
+    nothing included, end as they began.
     """
     topo = engine.topo
     height, start = tree.height, engine.round_no
-    own: dict[NodeId, list] = {}
+    own: dict[NodeId, dict[NodeId, list]] = {}
+
+    def merge(into: dict[NodeId, list], entries: Mapping[NodeId, list]) -> None:
+        for w, e in entries.items():
+            marks = set(e[2:]) | set(into.get(w, ())[2:])
+            into[w] = [*e[:2], *sorted(marks)]
+
+    pts = topo.points
     for ring, ids in hulls.items():
-        for v in ids:
-            p = topo.points[v]
-            own.setdefault(v, [p.x, p.y]).append(ring)
+        held = own.setdefault(planners[ring], {})
+        for v, mark in [(planners[ring], ~ring), *((v, ring) for v in ids)]:
+            merge(held, {v: [pts[v].x, pts[v].y, mark]})
     depth = tree.depths(own)
     before = {v: set(topo.knows[v]) for v in depth}
 
@@ -583,30 +614,34 @@ def distribute_hulls(
         for chunk, ids in _cut(eng, entries):
             eng.send(v, dst, {"refs": chunk}, tag="href", intro_ids=ids)
 
+    def part(entries: dict, c: NodeId) -> dict:
+        """Every entry but those c owns whole, whose marks all name rings c plans; by sorted id."""
+        mine = {m for m in entries[c][2:] if m < 0}
+        mine |= {~m for m in mine}
+        return {w: entries[w] for w in sorted(entries) if not set(entries[w][2:]) <= mine}
+
     def serve(eng: RoundEngine, v: NodeId, entries: dict) -> None:
-        """Hull node v holds every entry: pass them on to its heap children."""
-        order = sorted(entries)
-        i = order.index(v)
-        for c in order[2 * i + 1 : 2 * i + 3]:
-            send(eng, v, c, {w: entries[w] for w in order if w != c})
+        """v, the root or a planner, holds every entry: pass its heap children their parts.
+
+        With the root before `order`, seq[j]'s children are seq[2j] and
+        seq[2j + 1], and the root's seq[1] alone.
+        """
+        order = sorted((w for w, e in entries.items() if w != tree.root and min(e[2:]) < 0), reverse=True)
+        seq = [tree.root, *order]
+        j = seq.index(v)
+        for c in seq[max(2 * j, 1) : 2 * j + 2]:
+            send(eng, v, c, part(entries, c))
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        got = {w: e for m in inbox for w, e in _uncut(m, "refs").items()}
+        got: dict[NodeId, list] = {}
+        for m in inbox:
+            merge(got, _uncut(m, "refs"))
+        merge(got, own.get(v, {}))
         t = eng.round_no - start
-        if v in own:
-            got[v] = own[v]
-        if t > height:
+        if t == height - depth[v] and v != tree.root:
+            send(eng, v, tree.parent[v], dict(sorted(got.items())))
+        elif t >= height:
             serve(eng, v, got)
-        elif t == height - depth[v]:
-            sub = dict(sorted(got.items()))
-            if v != tree.root:
-                send(eng, v, tree.parent[v], sub)
-            elif sub:
-                first = min(sub)
-                if first == v:
-                    serve(eng, v, sub)
-                else:
-                    send(eng, v, first, {w: e for w, e in sub.items() if w != first})
         return t >= height - depth[v]
 
     # one session keyed None, as out-of-phase traffic is: it is no ring's
@@ -615,10 +650,11 @@ def distribute_hulls(
         "hull_distribution",
         {None: _Session([*own, tree.root], handler, 2 * height + 1, lambda report: report.rounds)},
     )[None]
-    _forget_learned(engine, before, dict.fromkeys(own, set(own)))
+    hull_ids = set().union(*hulls.values())
+    _forget_learned(engine, before, dict.fromkeys(own, hull_ids))
     log.debug(
-        "hull distribution: gather %d rounds, cast %d rounds, %d references, heap of %d",
-        height, rounds - height, sum(map(len, hulls.values())), len(own),
+        "hull distribution: gather %d rounds, cast %d rounds, %d hull nodes, %d planners",
+        height, rounds - height, len(hull_ids), len(own),
     )
 
 
@@ -664,7 +700,8 @@ def ring_protocol(
     broadcasts the hull.  The merge teaches the left blocks' first
     nodes the ids of the hulls shipped to them; once the hull is
     broadcast, each ring node forgets every id learned since the merge
-    began that is not a hull node of one of its rings.  Returns each
+    began that is neither a hull node nor rank 0 of one of its rings.
+    Returns each
     ring's ccw hull node ids and each closed ring's orientation, with
     polygon_orientation's sign, by key.
     """
@@ -680,6 +717,6 @@ def ring_protocol(
     keep: dict[NodeId, set[NodeId]] = {}
     for key, order in orders.items():
         for v in order:
-            keep.setdefault(v, set()).update(hulls[key])
+            keep.setdefault(v, set()).update(hulls[key], order[:1])
     _forget_learned(engine, before, keep)
     return hulls, orientations

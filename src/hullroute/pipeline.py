@@ -4,7 +4,8 @@ The driver executes the protocol phases in their dependency order and
 meters every bound the artifact promises: total abstraction rounds
 against c2*log2(n)^2, pointer-jumping rounds and per-node messages per
 closed ring, per-node long-range message counts, and the three-class
-storage shape (hull nodes, other boundary nodes, everyone else).  Every
+storage shape (hull nodes and planners, other boundary nodes, everyone
+else).  Every
 bound is evaluated and recorded; nothing is skipped silently.
 """
 
@@ -259,7 +260,7 @@ class Pipeline:
             for r in self.rings
             if r.kind != KIND_OUTER_BOUNDARY
         }
-        distribute_hulls(eng, self.tree, self._hulls)
+        distribute_hulls(eng, self.tree, self._hulls, {rid: self.abstractions[rid].planner for rid in self._hulls})
         mark("hull_distribution")
 
         self.protocol_rounds = eng.round_no - start
@@ -301,12 +302,17 @@ class Pipeline:
     # -- audits ----------------------------------------------------------------
 
     def storage_audit(self) -> dict:
-        """Persisted-knowledge deltas by node class, with budgets; measured once per build."""
+        """Persisted-knowledge deltas by node class, with budgets; measured once per build.
+
+        The "hull" class holds the hull nodes and the planners, the nodes
+        that may hold hull ids of every ring; a planner is mostly a hull
+        node, but a ring's leader need not be.
+        """
         if self._knows_after_build is None:
             raise NotReadyError("abstraction not built")
         if self._storage is not None:
             return self._storage
-        hull_nodes = set().union(*self._hulls.values())
+        hull_nodes = set().union(*self._hulls.values(), (self.abstractions[rid].planner for rid in self._hulls))
         ring_members = set()
         for r in self.rings:
             ring_members.update(r.members)
@@ -389,15 +395,21 @@ class Pipeline:
                 "ok": storage[cls]["ok"],
             }
 
-        # Case1 plans at any hull node, so each must hold every other hull id
+        # Case1 plans at a hull node, which asks a planner of one of its
+        # rings: each planner must hold every hull id, and each hull node
+        # the planner of each ring it is a hull node of
         hull_nodes = set().union(*self._hulls.values())
         knows = self._knows_after_build
-        missing = max((len(hull_nodes - knows[v] - {v}) for v in hull_nodes), default=0)
-        bounds["hull_refs"] = {
+        planners = {rid: self.abstractions[rid].planner for rid in self._hulls}
+        missing = Counter({p: len(hull_nodes - knows[p] - {p}) for p in planners.values()})
+        for rid, ids in self._hulls.items():
+            missing.update(v for v in ids if v != planners[rid] and planners[rid] not in knows[v])
+        bounds["planner_refs"] = {
             "hull_nodes": len(hull_nodes),
-            "measured_max": missing,
+            "planners": len(set(planners.values())),
+            "measured_max": max(missing.values(), default=0),
             "bound": 0,
-            "ok": missing == 0,
+            "ok": not any(missing.values()),
         }
         for name, b in bounds.items():
             if not b["ok"]:

@@ -453,6 +453,12 @@ class Router:
                     self._face_ring[g.face_left[ring.members[0], ring.members[1]]] = ctx
         if g.outer_face not in self._face_ring:
             raise NotReadyError("outer boundary ring missing")
+        # the planner a plan made at each hull node asks: a planner asks no
+        # one, any other hull node the planner of its first ring
+        self._planner_of = {c.abstraction.planner: c.abstraction.planner for c in self.obstacles}
+        for c in self.obstacles:
+            for h in c.abstraction.hull_nodes:
+                self._planner_of.setdefault(h, c.abstraction.planner)
         vis = build_visibility_graph([c.polygon for c in self.obstacles])
         self.waypoints = vis if backend == BACKEND_VIS else build_overlay_delaunay(vis)
 
@@ -541,12 +547,12 @@ class Router:
     # -- case 1: both endpoints outside all hulls ------------------------------
 
     def _route_outside(self, s: NodeId, t: NodeId):
-        """Walk, case, waypoint legs and plans; every plan after the first is a re-plan."""
+        """Walk, case, waypoint legs and plans with their path indices; every plan after the first re-plans."""
         path, out = chew_route(self.g, s, t)
         if isinstance(out, ReachedTarget):
             return path, "Visible", [], []
         legs: list[tuple[float, float]] = []
-        plans: list[tuple[NodeId, list[NodeId]]] = []
+        plans: list[tuple[NodeId, list[NodeId], int]] = []
         budget = 4 * len(self.obstacles) + 8
         points = self.g.points
         while budget > 0:
@@ -555,7 +561,7 @@ class Router:
             walk = self._nearest_hull(ctx, out.node)
             path += walk[1:]
             chain = overlay_shortest_path(self.waypoints, path[-1], t, points)
-            plans.append((path[-1], chain))
+            plans.append((path[-1], chain, len(path) - 1))
             done = True
             for a, b in zip(chain, chain[1:]):
                 leg_path, hit = self._leg(a, b)
@@ -664,7 +670,7 @@ class Router:
         return self._deliver(engine, s, t, path, case, legs, e_route, plans)
 
     def _plan(self, s, t, ls, lt, case):
-        """The walk of one query, with its refined case, waypoint legs, |E| and waypoint plans."""
+        """The walk of one query, its refined case, waypoint legs, |E|, and plans with their path indices."""
         if case == "Case5":
             path, e_route = self._bay_core(*ls, s, t)
             return path, case, [], e_route, []
@@ -675,6 +681,7 @@ class Router:
         legs, plans = [], []
         if a != b:
             p, outside, legs, plans = self._route_outside(a, b)
+            plans = [(h, chain, len(path) - 1 + i) for h, chain, i in plans]
             path += p[1:]
             if case == "Case1":
                 case = outside
@@ -685,10 +692,19 @@ class Router:
         return path, case, legs, e_route, plans
 
     def _deliver(self, engine, s, t, path, case, legs, e_route, plans) -> RouteResult:
-        """Send the data along the planned walk and measure it."""
-        path = _dedup_consecutive(path)
+        """Send the data along the planned walk and measure it.
+
+        Each plan made at a hull node that is no planner is asked of the
+        planner that node holds (_planner_of), where the walk reaches it.
+        The walk's pieces meet end to end, so no node follows itself.
+        """
         _check_walkable(self.g, path)
-        rounds, lr = self._transmit(engine, s, t, path)
+        asks = [
+            (i, self._planner_of[h], [self.g.points[w] for w in chain])
+            for h, chain, i in plans
+            if self._planner_of.get(h, h) != h
+        ]
+        rounds, lr = self._transmit(engine, s, t, path, asks)
         if path[0] != s or path[-1] != t:
             raise GeometryInconsistencyError(f"{case}: path endpoints {path[0]},{path[-1]} != {s},{t}")
         length = _polyline_length(self.g, path)
@@ -697,17 +713,30 @@ class Router:
         ratio = length / d if d > 0 else 1.0
         replans = max(len(plans) - 1, 0)
         log.debug("query %d->%d: %s, %d hops, %d replans", s, t, case, len(path) - 1, replans)
+        plans = [(h, chain) for h, chain, _ in plans]
         return RouteResult(list(path), length, d, sl, ratio, case, rounds, lr, e_route, legs, plans)
 
     # -- engine traffic -----------------------------------------------------------
 
-    def _transmit(self, engine: RoundEngine, s: NodeId, t: NodeId, path: Sequence[NodeId]) -> tuple[int, int]:
+    def _transmit(
+        self,
+        engine: RoundEngine,
+        s: NodeId,
+        t: NodeId,
+        path: Sequence[NodeId],
+        asks: Sequence[tuple[int, NodeId, list[Point]]] = (),
+    ) -> tuple[int, int]:
         """Run the query as one session keyed None; returns its rounds and long-range messages.
 
         s asks t's position over the long-range channel, then hop i carries
         seq i from path[i] to path[i + 1] ad hoc, so a walk may revisit nodes.
+        `asks` holds, in path order, each plan made away from its planner:
+        (i, planner, the chain's waypoint positions).  Before hop i, path[i]
+        sends the planner t's position (rt_plan) and the planner answers
+        with the chain (rt_chain): one long-range round trip per plan.
         """
         pos = self.g.points[t]
+        queue, asked = list(asks), []
 
         def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
             # one message is in flight at a time; only s, in round 0, runs without mail
@@ -716,13 +745,24 @@ class Router:
                 eng.send(s, t, None, channel=Channel.LONGRANGE, tag="rt_query")
             elif m.tag == "rt_query":
                 eng.send(t, s, {"x": pos.x, "y": pos.y}, channel=Channel.LONGRANGE, tag="rt_pos")
-            else:  # the answer starts hop 0, and the data of hop seq starts hop seq + 1
-                i = m.payload["seq"] + 1 if m.tag == "rt_data" else 0
-                if i < len(path) - 1:
+            elif m.tag == "rt_plan":
+                answer = {"seq": m.payload["seq"], "chain": [[q.x, q.y] for q in asked.pop()]}
+                eng.send(v, m.src, answer, channel=Channel.LONGRANGE, tag="rt_chain")
+            else:
+                # the answer starts hop 0, the data of hop seq starts hop
+                # seq + 1, and a chain the hop its plan was asked for
+                i = 0 if m.tag == "rt_pos" else m.payload["seq"] + (m.tag == "rt_data")
+                if queue and queue[0][0] == i:
+                    _, planner, chain = queue.pop(0)
+                    asked.append(chain)
+                    ask = {"seq": i, "x": pos.x, "y": pos.y}
+                    eng.send(v, planner, ask, channel=Channel.LONGRANGE, tag="rt_plan")
+                elif i < len(path) - 1:
                     eng.send(v, path[i + 1], {"seq": i}, channel=Channel.ADHOC, tag="rt_data")
             return True
 
-        rep = engine.run_sessions("query", {None: ([s], handler, 2 + (len(path) - 1))})[None]
+        rounds = 2 + (len(path) - 1) + 2 * len(asks)
+        rep = engine.run_sessions("query", {None: ([s], handler, rounds)})[None]
         return rep.rounds, rep.messages_longrange
 
 

@@ -184,8 +184,24 @@ def fixture_spec(name: str) -> ScenarioSpec:
     raise GenerationError(f"unknown fixture {name!r}")
 
 
+def shuffled_ids(ids: list[int], seed: int) -> dict[int, int]:
+    """A relabelling of `ids` onto themselves, drawn with `seed`: {old id: new id}."""
+    new = list(ids)
+    random.Random(seed).shuffle(new)
+    return dict(zip(ids, new))
+
+
 def fixture_topology(name: str) -> HybridTopology:
-    """A fixture, scale-N-S for scaling_spec(N, S) or grid-N[-K] for holes_grid_spec(N, k=K)."""
+    """A fixture, scale-N-S for scaling_spec(N, S) or grid-N[-K] for holes_grid_spec(N, k=K).
+
+    A `~S` suffix on any of these names, as in star12-4~2, relabels the
+    instance's ids by shuffled_ids(ids, S): the same positions, the ids
+    dealt at random instead of in generation order.
+    """
+    if m := re.fullmatch(r"(.+)~(0|[1-9][0-9]*)", name):
+        topo = fixture_topology(m[1])
+        relabel = shuffled_ids(topo.ids, int(m[2]))
+        return build_udg(dict(sorted((relabel[v], p) for v, p in topo.points.items())))
     if name == "cshape-40":
         return build_udg(_cshape_points(seed=3))
     if m := re.fullmatch(r"scale-([1-9][0-9]*)-(0|[1-9][0-9]*)", name):

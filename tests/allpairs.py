@@ -7,8 +7,10 @@ Run by hand, from the repository root:
 The default is all four fixtures; crescent-24 and star12-4 take a few
 minutes per backend. Each line holds the pairs routed, the failures
 (queries that raised a HullrouteError), every case's count and worst
-competitive ratio, the share of walks that visit a node twice, and a
-sha256 over the (s, t, case, path) of every routed pair in order, so two
+competitive ratio, the share of walks that visit a node twice, the
+query rounds spent on plans asked of a planner (two per long-range
+round trip, beyond 2 + hops) and the pairs that spent any, and a sha256
+over the (s, t, case, path) of every routed pair in order, so two
 revisions route the same iff their digests agree. It exits with status 1
 when any pair failed, 0 otherwise, so it can serve as a check.
 """
@@ -33,7 +35,7 @@ def sweep(name: str, backend: str) -> dict:
     topo = pipe.topo
     digest = hashlib.sha256()
     cases: dict[str, dict] = {}
-    routed = failures = revisits = 0
+    routed = failures = revisits = plan_rounds = planned = 0
     for s in topo.ids:
         for t in topo.ids:
             if s == t:
@@ -47,6 +49,9 @@ def sweep(name: str, backend: str) -> dict:
                 pipe.engine.transcript.clear()
             routed += 1
             revisits += len(set(res.path)) < len(res.path)
+            extra = res.rounds_used - 2 - (len(res.path) - 1)
+            plan_rounds += extra
+            planned += extra > 0
             slot = cases.setdefault(res.case_taken, {"count": 0, "worst_ratio": 0.0})
             slot["count"] += 1
             slot["worst_ratio"] = max(slot["worst_ratio"], res.competitive_ratio)
@@ -58,6 +63,8 @@ def sweep(name: str, backend: str) -> dict:
         "failures": failures,
         "cases": {k: cases[k] for k in sorted(cases)},
         "revisit_share": revisits / routed if routed else 0.0,
+        "plan_rounds": plan_rounds,
+        "planned_pairs": planned,
         "sha256": digest.hexdigest(),
     }
 

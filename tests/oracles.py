@@ -585,36 +585,44 @@ def with_ids(items, ids, at):
     return [list(q[:at]) + [v] + list(q[at:]) for q, v in zip(items, ids)]
 
 
-def brute_hull_gather_cast(tree, owners):
-    """Messages per directed edge of the hull-entry gather and cast.
+def brute_hull_gather_cast(tree, hulls, planners):
+    """Messages per directed edge of the hull distribution's gather and cast.
 
-    `owners` holds the owner of each hull reference; a node on two hulls
-    appears twice but ships one entry. Computed from closed forms, not by
-    running rounds, with cap = ceil(log2 n) entries to a message. Gather:
-    each node on an owner's root path sends its parent, once,
-    ceil(entries in its subtree / cap) messages. Cast: `order` is the
-    sorted distinct owners; the root sends order[0] every entry not its
-    own unless it is order[0] itself, and order[i] sends each heap child
-    order[c] (c = 2i+1, 2i+2) every entry not order[c]'s own, so each
-    receives ceil((len(order) - 1) / cap) messages. Returns
-    {(src, dst): messages}.
+    `hulls` holds each ring's hull node ids and `planners` its planner,
+    which owns the entries of the ring's hull nodes and its own; a node's
+    entry names every ring it is a hull node of and every ring it plans.
+    Computed from closed forms, not by running rounds, with cap =
+    ceil(log2 n) entries to a message. Gather: each node on a planner's
+    root path sends its parent, once, ceil(k / cap) messages, k the nodes
+    whose entries the planners in its subtree own. Cast: `order` is the
+    planners but the tree root, largest id first; the root sends order[0], and
+    order[i] each heap child order[c] (c = 2i+1, 2i+2), ceil(k / cap)
+    messages, k the nodes that plan a ring order[c] does not plan or are
+    hull nodes of one. Returns {(src, dst): messages}.
     """
     n = len(tree.parent) + 1
     cap = max(1, (n - 1).bit_length())
-    order = sorted(set(owners))
-    subtree = Counter()
-    for o in order:
-        x = o
+    owned, rings_of = {}, {}
+    for ring, ids in hulls.items():
+        owned.setdefault(planners[ring], {planners[ring]}).update(ids)
+        for v in ids:
+            rings_of.setdefault(v, set()).add(ring)
+    subtree = {}
+    for p, ids in owned.items():
+        x = p
         while x in tree.parent:
-            subtree[x] += 1
+            subtree.setdefault(x, set()).update(ids)
             x = tree.parent[x]
-    out = Counter({(x, tree.parent[x]): -(-k // cap) for x, k in subtree.items()})
-    rest = -(-(len(order) - 1) // cap) if order else 0
-    if rest:
-        if order[0] != tree.root:
-            out[(tree.root, order[0])] += rest
-        for c in range(1, len(order)):
-            out[(order[(c - 1) // 2], order[c])] += rest
+    out = Counter({(x, tree.parent[x]): -(-len(ids) // cap) for x, ids in subtree.items()})
+    every = set().union(*owned.values())
+    order = sorted(set(owned) - {tree.root}, reverse=True)
+    plans_of = {}
+    for ring, p in planners.items():
+        plans_of.setdefault(p, set()).add(ring)
+    for c, dst in enumerate(order):
+        k = sum(not rings_of.get(w, set()) | plans_of.get(w, set()) <= plans_of[dst] for w in every)
+        if k:
+            out[(tree.root if c == 0 else order[(c - 1) // 2], dst)] += -(-k // cap)
     return dict(out)
 
 

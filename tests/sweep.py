@@ -2,19 +2,22 @@
 
 Run by hand, from the repository root:
 
-    PYTHONPATH=src python tests/sweep.py
+    PYTHONPATH=src python tests/sweep.py [instance ...]
 
 Prints two tables, one build with the default config per row.  The
 hole-count table builds grid-2048-K, the n = 2048 lattice with a K x K
 grid of square holes, for K in HOLES; the n table builds scale-N-1,
-scaling_spec(N, 1) with its two cavities, for N in SIZES.  The columns
-are n; the hull nodes of every ring but the outer boundary; protocol
-rounds; wave_rounds, the rounds up to wave two's end; the broadcast
-tree's charged rounds; the peak, the most long-range messages one node
-sent in one round, against the message cap ceil(log2 n); and the build's
-bytes.  Peak and bytes are counted off the transcript by
-`simengine.tally`, and the rounds are the pipeline's own; nothing is
-wrapped.  Rings run in parallel, so wave_rounds should not grow with K.
+scaling_spec(N, 1) with its two cavities, for N in SIZES.  Given
+instance names instead, as tests/traffic.py takes them (a `~S` suffix
+shuffles the ids with seed S), it prints one table of those.  The
+columns are n; the hull nodes of every ring but the outer boundary;
+protocol rounds; wave_rounds, the rounds up to wave two's end; the
+broadcast tree's charged rounds; the peak, the most long-range messages
+one node sent in one round, against the message cap ceil(log2 n); the
+most long-range messages one node sent in the whole build; the build's
+bytes; and the bytes of its hull distribution (`href`).  The counts are
+read off the transcript, and the rounds are the pipeline's own; nothing
+is wrapped.  Rings run in parallel, so wave_rounds should not grow with K.
 The builds are deterministic, so two revisions can be compared
 line by line.
 """
@@ -22,6 +25,7 @@ line by line.
 from __future__ import annotations
 
 import math
+import sys
 
 from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.scenario import fixture_topology
@@ -29,7 +33,7 @@ from hullroute.simengine import tally
 
 HOLES = (1, 2, 3, 4)
 SIZES = (512, 1024, 2048, 4096)
-COLUMNS = ("n", "hull", "rounds", "waves", "charged", "peak", "cap", "bytes")
+COLUMNS = ("n", "hull", "rounds", "waves", "charged", "peak", "cap", "lr_max", "bytes", "href")
 
 
 def row(name: str) -> dict[str, int]:
@@ -40,29 +44,34 @@ def row(name: str) -> dict[str, int]:
     n = len(pipe.topo.ids)
     return {
         "n": n,
-        "hull": pipe.storage_audit()["hull"]["nodes"],
+        "hull": len(set().union(*pipe._hulls.values())),
         "rounds": pipe.protocol_rounds,
         "waves": pipe.wave_rounds,
         "charged": pipe.phase_rounds["broadcast_tree"],
         "peak": total.max_longrange_per_node_round,
         "cap": math.ceil(math.log2(n)),
+        "lr_max": max(pipe.build_longrange.values(), default=0),
         "bytes": total.bytes_total,
+        "href": sum(t["bytes"] for t in pipe.engine.transcript if t["tag"] == "href"),
     }
 
 
 def table(title: str, names: list[str]) -> None:
     print(title)
-    print(f"  {'instance':<16}" + "".join(f"{c:>10}" for c in COLUMNS))
+    print(f"  {'instance':<18}" + "".join(f"{c:>10}" for c in COLUMNS))
     for name in names:
         r = row(name)
-        print(f"  {name:<16}" + "".join(f"{r[c]:>10}" for c in COLUMNS))
+        print(f"  {name:<18}" + "".join(f"{r[c]:>10}" for c in COLUMNS), flush=True)
     print()
 
 
-def main() -> None:
+def main(argv: list[str]) -> None:
+    if argv:
+        table("instances", argv)
+        return
     table("hole count: grid-2048-K", [f"grid-2048-{k}" for k in HOLES])
     table("n: scale-N-1", [f"scale-{n}-1" for n in SIZES])
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -800,7 +800,8 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
         def spy(src, dst, payload=None, **kw):
             if kw.get("tag") == "hullb":
                 assert "budget" not in payload
-                sent.append((engine.round_no, dst, with_ids(payload["hull"], kw["intro_ids"], 2)))
+                ids, lead = kw["intro_ids"][: len(payload["hull"])], kw["intro_ids"][len(payload["hull"]) :]
+                sent.append((engine.round_no, src, dst, with_ids(payload["hull"], ids, 2), lead))
             send(src, dst, payload, **kw)
 
         monkeypatch.setattr(engine, "send", spy)
@@ -808,8 +809,11 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
         rank = rank_of(res.order)
         hull = sorted(rank[h] for h in res.hull)
         got: dict = {}
-        for rnd, dst, chunk in sent:
+        for rnd, src, dst, chunk, lead in sent:
             assert len(chunk) <= cap
+            # past its points, a message introduces rank 0 unless it sends it or is among them
+            leader = res.order[0]
+            assert lead == (() if src == leader or leader in {q[2] for q in chunk} else (leader,))
             assert all(q == [pts[q[2]].x, pts[q[2]].y, q[2], rank[q[2]]] for q in chunk)
             got.setdefault(rank[dst], []).append((rnd, chunk))
         assert set(got) == set(range(1, k))
@@ -878,46 +882,60 @@ def heap_tree(eng, ids):
     return BroadcastTree(ids[0], parent, len(ids).bit_length() - 1)
 
 
-# (nodes, the tree's heap order or None for the sorted ids, hull ids by ring)
+# (nodes, the tree's heap order or None for the sorted ids, hull ids by
+# ring, planner by ring)
 FLOODS = [
-    # every owner sits under the root's child 2; node 1's subtree holds none
-    (9, None, {0: [2, 5]}),
-    # owners at depths 3 and 4, node 19 is on two hulls but has one entry,
+    # the one planner, 6, is no hull node and sits under the root's child
+    # 2; node 1's subtree holds none, and the root sends 6 nothing, since
+    # every entry is of 6's own ring
+    (9, None, {0: [2, 5]}, {0: 6}),
+    # planners at depths 2 and 4, node 19 is on two hulls planned in both
+    # of the root's subtrees, so its two entries first meet at the root,
     # and node 1 sends its subtree's nine entries up at once, in two
     # messages of at most ceil(log2 31) = 5
-    (31, None, {0: [7], 1: list(range(15, 23)), 2: [19]}),
-    # the root is order[0] and starts the heap itself
-    (15, None, {0: [0, 4], 1: [9, 12, 13]}),
-    # the root, node 6, is order[1]: it sends order[0] everything, then
-    # hears it all again from order[0] in the cast
-    (15, [6] + [v for v in range(15) if v != 6], {0: [2, 6, 9], 1: [13]}),
+    (31, None, {0: [7], 1: list(range(15, 23)), 2: [19]}, {0: 7, 1: 15, 2: 30}),
+    # the root, node 0, plans ring 0 and stays out of the heap: it sends
+    # node 9 ring 0's entries and its own
+    (15, None, {0: [0, 4], 1: [9, 12, 13]}, {0: 0, 1: 9}),
+    # the root, node 6, is a hull node but plans nothing; node 13, the
+    # largest planner, heads the heap, and node 5 plans two rings
+    (15, [6] + [v for v in range(15) if v != 6], {0: [2, 6, 9], 1: [13], 2: [4, 6]}, {0: 5, 1: 13, 2: 5}),
+    # seven planners, the largest first in the heap: 14 casts to 12 and
+    # 11, 12 to 10 and 8, 11 to 7 and 3
+    (15, None, {r: [r, (r + 5) % 15] for r in range(7)}, {0: 14, 1: 12, 2: 11, 3: 10, 4: 8, 5: 7, 6: 3}),
     # no hull node at all
-    (9, None, {}),
+    (9, None, {}, {}),
 ]
 
 
 def test_distribute_hulls_floods_once_and_forgets(monkeypatch):
-    for n, heap_ids, hulls in FLOODS:
-        _check_flood(n, heap_ids, hulls, monkeypatch)
+    for n, heap_ids, hulls, planners in FLOODS:
+        _check_flood(n, heap_ids, hulls, planners, monkeypatch)
 
 
-def flood_tree(n, heap_ids):
+def flood_tree(n, heap_ids, hulls, planners):
+    """The line's engine and broadcast tree, each planner taught its rings' hull ids as the merge would."""
     eng = line_engine(n)
     tree = build_broadcast_tree(eng, eng.round_no) if heap_ids is None else heap_tree(eng, heap_ids)
+    for ring, ids in hulls.items():
+        for v in ids:
+            eng.topo.learn(planners[ring], v)
     return eng, tree
 
 
-def _check_flood(n, heap_ids, hulls, monkeypatch):
-    eng, tree = flood_tree(n, heap_ids)
+def _check_flood(n, heap_ids, hulls, planners, monkeypatch):
+    eng, tree = flood_tree(n, heap_ids, hulls, planners)
     cap = math.ceil(math.log2(n))
-    # one entry per hull node: its id and position once, then its rings
-    entries: dict = {}
+    # a node's entry: its id and position, then, sorted, the rings it is a
+    # hull node of and, as ~ring, those it plans
+    marks, owned = {}, {}
     for ring, ids in hulls.items():
+        owned.setdefault(planners[ring], {planners[ring]}).update(ids)
+        marks.setdefault(planners[ring], set()).add(~ring)
         for v in ids:
-            p = eng.topo.points[v]
-            entries.setdefault(v, [v, p.x, p.y]).append(ring)
-    entries = {v: tuple(e) for v, e in entries.items()}
-    keep = set(entries)
+            marks.setdefault(v, set()).add(ring)
+    entries = {v: (v, eng.topo.points[v].x, eng.topo.points[v].y, *sorted(m)) for v, m in marks.items()}
+    hull_ids = set().union(*hulls.values())
     pre = {v: set(eng.topo.knows[v]) for v in eng.topo.ids}
     start = eng.round_no
     depth = tree.depths(eng.topo.ids)
@@ -930,7 +948,9 @@ def _check_flood(n, heap_ids, hulls, monkeypatch):
         if kw.get("tag") == "href":
             got = [tuple(e) for e in with_ids(payload["refs"], kw["intro_ids"], 0)]
             assert 0 < len(got) <= cap
-            assert len({e[0] for e in got}) == len(got)
+            for e in got:
+                # a gathered entry may name only some of its node's rings
+                assert e[:3] == entries[e[0]][:3] and set(e[3:]) <= set(entries[e[0]][3:])
             if eng.round_no - start < tree.height:
                 gather[dst] += got
                 gather_sends.setdefault(src, []).append((eng.round_no, len(got)))
@@ -939,7 +959,7 @@ def _check_flood(n, heap_ids, hulls, monkeypatch):
         send(src, dst, payload, **kw)
 
     monkeypatch.setattr(eng, "send", spy)
-    distribute_hulls(eng, tree, hulls)
+    distribute_hulls(eng, tree, hulls, planners)
     phase = eng.phase_reports[-1]
     assert phase.label == "hull_distribution"
     assert phase.rounds <= 2 * tree.height + 1
@@ -947,28 +967,31 @@ def _check_flood(n, heap_ids, hulls, monkeypatch):
     for v, sends in gather_sends.items():
         assert {r for r, _ in sends} == {start + tree.height - depth[v]}, v
         assert all(size == cap for _, size in sends[:-1]), v
-    # the root gathers every entry but its own
-    assert Counter(gather[tree.root]) == Counter(e for v, e in entries.items() if v != tree.root)
-    first = min(keep, default=None)
-    for v in keep:
-        want = Counter(e for w, e in entries.items() if w != v)
-        assert Counter(cast[v]) == (Counter() if v == tree.root == first else want), v
+    # the root gathers every entry but those it owns
+    assert {e[0] for e in gather[tree.root]} == set(entries) - owned.get(tree.root, set())
+    # each planner but the root is cast, each whole, every entry but those
+    # it owns whole: of hull nodes of its own rings only, and its own
+    # unless it is a hull node of a ring it does not plan
+    for v in eng.topo.ids:
+        plans = {ring for ring, p in planners.items() if p == v}
+        want = Counter(
+            e for e in entries.values() if not {m if m >= 0 else ~m for m in e[3:]} <= plans
+        ) if v in owned and v != tree.root else Counter()
+        assert Counter(cast[v]) == want, v
     paths = set()
-    for v in keep:
+    for v in owned:
         while v not in paths:
             paths.add(v)
             v = tree.parent.get(v, v)
-    assert len(paths | keep) < n
-    for v in set(eng.topo.ids) - paths - keep:
+    assert len(paths) < n
+    for v in set(eng.topo.ids) - paths:
         assert gather[v] == cast[v] == [], v
-    for v in set(eng.topo.ids) - keep:
-        assert cast[v] == [], v
     hrefs = Counter((t["src"], t["dst"]) for t in eng.transcript if t["tag"] == "href")
-    assert hrefs == brute_hull_gather_cast(tree, [v for ids in hulls.values() for v in ids])
+    assert hrefs == brute_hull_gather_cast(tree, hulls, planners)
     for v in eng.topo.ids:
-        if v in keep:
-            assert keep - {v} <= eng.topo.knows[v]
-            assert eng.topo.knows[v] - pre[v] <= keep
+        if v in owned:
+            assert hull_ids - {v} <= eng.topo.knows[v]
+            assert eng.topo.knows[v] - pre[v] <= hull_ids
         else:
             assert eng.topo.knows[v] == pre[v]
 
@@ -984,8 +1007,9 @@ def root_paths(tree, owners):
 
 
 def test_distribute_hulls_wakes_only_the_owners_root_paths(monkeypatch):
-    # the handler runs for the hull nodes, the root and the relays between
-    # them; every other node is never called and its knowledge is untouched
+    # the handler runs for the planners, the root and the relays between
+    # them; every other node, hull nodes that plan nothing included, is
+    # never called and its knowledge is untouched
     woken, before = set(), {}
     run_phase = RoundEngine.run_phase
 
@@ -1003,18 +1027,19 @@ def test_distribute_hulls_wakes_only_the_owners_root_paths(monkeypatch):
     monkeypatch.setattr(RoundEngine, "run_phase", spy)
     pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
     pipe.build_abstraction()
-    cases = [(pipe.tree, pipe._hulls, set(woken), dict(before), pipe._knows_after_build)]
-    for n, heap_ids, hulls in FLOODS:
+    planners = {rid: pipe.abstractions[rid].planner for rid in pipe._hulls}
+    cases = [(pipe.tree, planners, set(woken), dict(before), pipe._knows_after_build)]
+    for n, heap_ids, hulls, planners in FLOODS:
         woken.clear()
         before.clear()
-        eng, tree = flood_tree(n, heap_ids)
-        distribute_hulls(eng, tree, hulls)
-        cases.append((tree, hulls, set(woken), dict(before), eng.topo.knows))
-    for tree, hulls, called, pre, knows in cases:
-        paths = root_paths(tree, set().union(*hulls.values()))
+        eng, tree = flood_tree(n, heap_ids, hulls, planners)
+        distribute_hulls(eng, tree, hulls, planners)
+        cases.append((tree, planners, set(woken), dict(before), eng.topo.knows))
+    for tree, planners, called, pre, knows in cases:
+        paths = root_paths(tree, set(planners.values()))
         assert called == paths
         assert all(knows[v] == pre[v] for v in pre.keys() - paths)
-    assert len(cases[0][2]) < len(pipe.topo.ids) // 2
+    assert len(cases[0][2]) < len(set().union(*pipe._hulls.values()))
 
 
 # ---------------------------------------------------------------------------

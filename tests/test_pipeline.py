@@ -41,6 +41,7 @@ from hullroute.scenario import (
     generate_scenario,
     load_topology,
     scaling_spec,
+    shuffled_ids,
 )
 from hullroute.simengine import RoundEngine
 
@@ -82,7 +83,7 @@ def test_pipeline_grid_fixture_all_bounds_hold(grid_pipe):
         "storage_hull",
         "storage_boundary",
         "storage_other",
-        "hull_refs",
+        "planner_refs",
     } <= set(rep.bounds)
     for name, b in rep.bounds.items():
         assert b["ok"], name
@@ -233,36 +234,42 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # sends no more pj_succ/pj_pred messages; and last when the election
 # began to rank the ring, which adds `o` to the pj_pred messages that
 # carry `ell` and removes the `hc_assign` id deal and the level-1 `hm`
-# merge messages.  The abstraction
+# merge messages.  The bytes alone were re-recorded when every `hullb`
+# message began to introduce its ring's rank 0, the planner.  The abstraction
 # digests are those of the ring-by-ring build; they changed once, in their dominating-set field
 # only, when the randomized dominating sets gave way to the rank rule, and
 # once more when abstraction_digest() became the sha256 of
 # abstraction_dict(), which lists each ring's members besides its hull,
 # bays and dominating sets; the abstraction itself did not change.
-# The `href` traffic, one entry per hull node, is checked against
-# oracles.brute_hull_gather_cast.
+# The `href` traffic, entries gathered from the planners and cast to
+# them, is checked against oracles.brute_hull_gather_cast.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        290, 20890,
+        290, 20927,
         "52927e05861153e918c4b6757999f0401d488c471a23046c90bd6cd3bf19c495",
         "a7b26bf1fb93bd01d77586086e75fb9820d9b268ce6a4c1e025621cc7c86b70c",
     ),
     "crescent-24": (
-        1038, 70077,
+        1038, 70288,
         "86bc6245515a369357005f6ed3450a47fa9befa46296cf5e9d37aff2f586d7cc",
         "29ab548323b7634d31b4f851a25c687c454eef3a19d19b0eefff3a81bfbfa89b",
     ),
     "star12-4": (
-        1175, 80385,
+        1175, 80627,
         "151424630ee903ca3eddd0da67921355010562d846190161bb9a41dc72a1c86d",
         "3fd08477bcb17a9f374e537900974b98dda52db185b29e1eb86ef7347df63df0",
     ),
     "scale-512-1": (
-        1516, 103523,
+        1516, 103853,
         "39a3002e3e82ee5c4635e86fcc27402031e2b5eec5bc0c7b0c81c4d4795f1796",
         "c6cd8895cfd45b0508152e2a1b340b09ca3305ea86ce85402d66885427f54482",
     ),
 }
+
+
+def planners_of(pipe) -> dict[int, int]:
+    """The planner of each ring the build distributed."""
+    return {rid: pipe.abstractions[rid].planner for rid in pipe._hulls}
 
 
 def _longrange_recount(transcript) -> dict[int, int]:
@@ -291,7 +298,7 @@ def test_concurrent_build_matches_serial_build(name):
     pairs = json.dumps(sorted(_longrange_recount(rest).items()))
     assert hashlib.sha256(pairs.encode()).hexdigest() == lr_digest
     hrefs = Counter((t["src"], t["dst"]) for t in sent if t["tag"] == "href")
-    assert hrefs == brute_hull_gather_cast(pipe.tree, [v for ids in pipe._hulls.values() for v in ids])
+    assert hrefs == brute_hull_gather_cast(pipe.tree, pipe._hulls, planners_of(pipe))
 
 
 # sha256 of the sorted JSON of a build's per-phase reports, its per-ring
@@ -299,10 +306,11 @@ def test_concurrent_build_matches_serial_build(name):
 # messages and bytes went, phase by phase and ring by ring, beside the
 # totals SERIAL_BUILD pins.  Re-recorded when the election began to rank
 # the ring: the hypercube_ids phase is gone and the merge phases start
-# at hull_merge_2.
+# at hull_merge_2; and again when the hull distribution began to cast to
+# one planner per ring and every `hullb` to introduce rank 0.
 TRAFFIC_BREAKDOWN = {
-    "grid36-hole4": "fde86356041cdb3534b224b7b14050e14425de59a45d85641098dad94c0ac574",
-    "scale-512-1": "1c8ea630d9218392c0016d7ac68026cbea88441daf748353f69ab3a3e797c151",
+    "grid36-hole4": "0c1f15fd096d1e3a17fb882ecda4085672a4fd86ee23bb124335a76945748d23",
+    "scale-512-1": "90b6e0e5de2d3844d6a263a818e8f7c4547ba2bc4cd9e76dc57132b79f066b7f",
 }
 
 
@@ -324,13 +332,16 @@ def test_traffic_breakdown_by_phase_and_ring_matches_pinned_digest(name):
 # pj_succ/pj_pred messages and moves later phases' rounds; and once more
 # when the election began to rank the ring, which adds `o` to every
 # pj_pred that carries `ell`, removes the id deal's `hc_assign` messages
-# and the level-1 `hm` messages, and moves later phases' rounds.
+# and the level-1 `hm` messages, and moves later phases' rounds; and once
+# more when the distribution began to gather from and cast to one planner
+# per ring, whose entries mark the rings it plans, and every `hullb` to
+# introduce rank 0 past its points.
 WIRE_STREAM = {
-    "crescent-24": "822216a78ae27622433bd8424252080428666a4a4fa24f230d68caa63fc34434",
-    "cshape-40": "af5e79650a917c7fb7a0873b5c9589027f80eeb433a524ae149473f0a236beb5",
-    "grid36-hole4": "3e80d25017e2858fcad8c8a12ab6033118d56fb526897428e971b08076f0936e",
-    "scale-512-1": "3b337de825a5907b4c0815766c8d310bf572e390bc1086991e80c148064acb9b",
-    "star12-4": "00552053ba03861ffaf53a2d418eb4bd5794b00247878c85e026058c4d617553",
+    "crescent-24": "c69dfe3bd4bf22c09f1c8e6c71130ad83a0cc07367550efe9b29b8d18381a9c7",
+    "cshape-40": "4d655937cdf99948619e9aa79e430c653ec9443e347752638102b4c20b0f530c",
+    "grid36-hole4": "3e9715e38132c11d1aa4c63399fb2a59ae3842caabad2bc211d93baa9c4c35bf",
+    "scale-512-1": "9801cacb0e992dc8dc48a8c8598c521ac93238fb767e0bdc666bb5ccb7c69bde",
+    "star12-4": "40f9e1033a6c133db89a557634bd8ce8760cf0c824e639af63c467d32aa10735",
 }
 
 
@@ -343,9 +354,11 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
     # sender as `o` only beside it (0 when the sender is the minimum), and
     # a cast carries no budget, since rank r > 0 is
     # reached with the lowest set bit of r.  Put back, the facts are the
-    # ones the earlier format carried.  The cast hands every hull node each
-    # other hull node's entry once; a root that heads the heap has them all
-    # from the gather instead.
+    # ones the earlier format carried.  A gathered entry may name only some
+    # of its node's rings; the cast hands each planner but the tree root,
+    # once and whole, every entry it does not own whole: all but those of
+    # hull nodes of its own rings only, and its own unless it is a hull
+    # node of a ring it does not plan.
     topo = fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     sent = []
@@ -359,22 +372,25 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
     monkeypatch.setattr(RoundEngine, "send", spy)
     pipe.build_abstraction()
     pts = topo.points
-    entry: dict = {}
+    planners = planners_of(pipe)
+    marks = defaultdict(set)
     for ring, ids in pipe._hulls.items():
+        marks[planners[ring]].add(~ring)
         for v in ids:
-            entry.setdefault(v, [v, pts[v].x, pts[v].y]).append(ring)
+            marks[v].add(ring)
+    entry = {v: [v, pts[v].x, pts[v].y, *sorted(m)] for v, m in marks.items()}
     (phase,) = [p for p in pipe.engine.phase_reports if p.label == "hull_distribution"]
     cast_from = pipe.engine.round_no - phase.rounds + pipe.tree.height
-    hull_ids = set(entry)
-    cast = {v: Counter() for v in hull_ids}
+    cast = defaultdict(Counter)
     ells = Counter()
     stream = []
     for rnd, src, dst, tag, session, d, intro in sent:
         if tag == "href":
             assert set(d) == {"refs"}
             d["refs"] = with_ids(d["refs"], intro, 0)
-            assert d["refs"] == [entry[q[0]] for q in d["refs"]]
-            if rnd >= cast_from or dst == pipe.tree.root == min(hull_ids):
+            assert all(q[:3] == entry[q[0]][:3] and set(q[3:]) <= set(entry[q[0]][3:]) for q in d["refs"])
+            if rnd >= cast_from:
+                assert d["refs"] == [entry[q[0]] for q in d["refs"]]
                 cast[dst].update(intro)
         elif tag in ("pj_succ", "pj_pred"):
             own = intro[0] if tag == "pj_succ" else src
@@ -387,19 +403,26 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
         else:
             rank = {v: s for s, v in enumerate(pipe.orders[session])}
             assert set(d) <= ({"hull", "count"} if tag == "hm" else {"hull", "size"})
-            d["hull"] = with_ids(d["hull"], intro, 2)
+            lead = intro[len(d["hull"]) :]
+            assert lead == () if tag == "hm" else lead in ((), (pipe.orders[session][0],))
+            d["hull"] = with_ids(d["hull"], intro[: len(d["hull"])], 2)
             assert d["hull"] == [[pts[q[2]].x, pts[q[2]].y, q[2], rank[q[2]]] for q in d["hull"]]
             if tag != "hm":
                 i = (rank[dst] & -rank[dst]).bit_length() - 1
                 assert rank[src] + (1 << i) == rank[dst]
                 d["budget"] = i
         stream.append(json.dumps([rnd, src, dst, tag, str(session), d, list(intro)], sort_keys=True))
-    assert {line[3] for line in sent} == {"pj_succ", "pj_pred", "hm", "hullb", "href"}
+    # a lone planner at the tree root needs no hull distribution
+    tags = {"pj_succ", "pj_pred", "hm", "hullb"} | ({"href"} if set(planners.values()) - {pipe.tree.root} else set())
+    assert {line[3] for line in sent} == tags
     assert set(ells) == {(tag, present) for tag in ("pj_succ", "pj_pred") for present in (True, False)}
     digest = hashlib.sha256("\n".join(sorted(stream)).encode()).hexdigest()
     assert digest == WIRE_STREAM[name]
-    for v in hull_ids:
-        assert cast[v] == Counter(hull_ids - {v}), v
+    for v in pipe.topo.ids:
+        plans = {ring for ring, p in planners.items() if p == v}
+        held = {w for w, m in marks.items() if {r if r >= 0 else ~r for r in m} <= plans}
+        want = set(entry) - held if v in planners.values() and v != pipe.tree.root else set()
+        assert cast[v] == Counter(want), v
 
 
 def test_build_runs_no_ranking_pass(grid_pipe):
@@ -417,19 +440,22 @@ def test_build_runs_no_ranking_pass(grid_pipe):
 # query_seed=11, recorded from the router that still mapped waypoint
 # positions back to node ids; any change to a route, case or ratio shows.
 # The crescent-24 and scale-512-1 rows were re-recorded when the bay
-# dominating sets, where bay legs are anchored, became the rank rule's.
+# dominating sets, where bay legs are anchored, became the rank rule's,
+# and every row when a plan made at a hull node that plans no ring began
+# to cost a long-range round trip to a planner: of the fields, only
+# `rounds_used` and `longrange_msgs` moved.
 # The pins cover the fields a row had when they were recorded; `replans`
 # and `planners`, read off each route's plans, came later and are left out
 # of the digest (test_query_rows_name_their_replans_and_planners).
 ROUTE_ROWS = {
-    ("crescent-24", "overlay-delaunay"): "6e9e1753450c3ad1ca37e68bcc36cf439167d55bd36c6343addb19f17a08ea4e",
-    ("crescent-24", "visibility"): "6e9e1753450c3ad1ca37e68bcc36cf439167d55bd36c6343addb19f17a08ea4e",
-    ("grid36-hole4", "overlay-delaunay"): "510ffb124bcf524235c8d90d68ed2c0e95a496975fb5ec35c2948521fa7c7abe",
-    ("grid36-hole4", "visibility"): "510ffb124bcf524235c8d90d68ed2c0e95a496975fb5ec35c2948521fa7c7abe",
-    ("scale-512-1", "overlay-delaunay"): "40caa9afc87fe03d5eaf0e6b4f02816d2519e3db599367549bb48e4a30577c3a",
-    ("scale-512-1", "visibility"): "9f146c7d8a16783d55a837dc7e55e71410647a93fcf629129dbe4eaf308d31fc",
-    ("star12-4", "overlay-delaunay"): "505bbc2cc53518eefa9efe7a9af8e5d09c1e5963c68572baa544d0492c1e86cc",
-    ("star12-4", "visibility"): "351bfce4815a125c550c0e7218d33214d5585fe283db6df3cc2e15c345d4d3a3",
+    ("crescent-24", "overlay-delaunay"): "f78be7df035d8e5f50303c94cd7eef3e99c795b13b14cae884d09874939f4b31",
+    ("crescent-24", "visibility"): "f78be7df035d8e5f50303c94cd7eef3e99c795b13b14cae884d09874939f4b31",
+    ("grid36-hole4", "overlay-delaunay"): "02d451918a901bebe63086f64edec2a7879624bdd0b1525cfe085ceeef200c68",
+    ("grid36-hole4", "visibility"): "02d451918a901bebe63086f64edec2a7879624bdd0b1525cfe085ceeef200c68",
+    ("scale-512-1", "overlay-delaunay"): "d858279a7b432cba6b1415d2fda2fa88166118166fb0f4dcb8a4da681e9276b2",
+    ("scale-512-1", "visibility"): "5b8292e216394bbf429a149f2d1307dd587c99522fb689b175ae9f68196d2936",
+    ("star12-4", "overlay-delaunay"): "31edbb1dcb2d9fe6af4f27dc0a1e52db089a37072daf8118e785204ebe571748",
+    ("star12-4", "visibility"): "0f51b60b88ca9749b602992bdb701905795463e357ea74fdb92e1208ce5b165c",
 }
 
 
@@ -443,20 +469,30 @@ def test_route_rows_match_pinned_digests(name, backend):
     assert hashlib.sha256(rows.encode()).hexdigest() == ROUTE_ROWS[(name, backend)]
 
 
-@pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1"])
+@pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1", "star12-4~2"])
 def test_case1_planners_know_their_waypoints(name):
-    # a waypoint plan is made at a hull node from the references the build
-    # left it; it may name no hull node whose id that node does not hold
+    # a waypoint plan is made at a hull node, which asks a planner of one
+    # of its rings unless it plans one itself; the plan may name no hull
+    # node whose id that planner does not hold, and the hull node holds
+    # the planner's id
     topo = fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig(query_count=100, query_seed=11))
     pipe.build_abstraction()
     results, _ = pipe.run_queries()
     hull_ids = set().union(*pipe._hulls.values())
+    planners = planners_of(pipe)
+    knows = pipe._knows_after_build
     plans = [p for r in results if r.case_taken == "Case1" for p in r.plans]
     assert plans
-    for planner, chain in plans:
-        assert planner in hull_ids
-        assert set(chain) & hull_ids - {planner} <= pipe._knows_after_build[planner], (planner, chain)
+    asked = 0
+    for h, chain in plans:
+        assert h in hull_ids
+        planner = h if h in planners.values() else next(planners[rid] for rid, ids in pipe._hulls.items() if h in ids)
+        assert planner == pipe.router._planner_of[h]
+        assert planner == h or planner in knows[h], (h, planner)
+        assert set(chain) & hull_ids - {planner} <= knows[planner], (planner, chain)
+        asked += planner != h
+    assert asked
 
 
 @pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1"])
@@ -472,7 +508,7 @@ def test_ring_nodes_know_their_bay_ends(name, monkeypatch):
 
     def spy(engine, src, dst, payload=None, **kw):
         if kw.get("tag") == "hullb":
-            hull = with_ids(payload["hull"], kw["intro_ids"], 2)
+            hull = with_ids(payload["hull"], kw["intro_ids"][: len(payload["hull"])], 2)
             heard[engine.session, dst].update({q[2]: q[3] for q in hull})
             sizes[engine.session, dst] = payload.get("size")
         return send(engine, src, dst, payload, **kw)
@@ -489,6 +525,8 @@ def test_ring_nodes_know_their_bay_ends(name, monkeypatch):
         # the leader, rank 0 of a closed ring, ends the merge with the hull and k
         heard[r.ring_id, order[0]] = {h: rank[h] for h in ab.hull_nodes}
         sizes[r.ring_id, order[0]] = k if closed else None
+        # and every ring node holds rank 0, its ring's planner
+        assert all(order[0] in knows[v] for v in order[1:]), r.ring_id
         for i, bay in enumerate(ab.bay_areas):
             a, b = (rank[e] for e in bay.edge)
             for v in bay.members:
@@ -520,25 +558,91 @@ def test_hull_broadcast_sends_at_most_seven_per_node_and_round_on_cshape():
     assert 0 < max(sends.values()) <= 7
 
 
-def test_hull_refs_row_fails_a_build_that_withholds_a_reference(monkeypatch):
+def test_relabelled_ids_keep_the_hulls_and_every_bound():
+    # star12-4~2 deals star12-4's ids at random: a ring's leader, the
+    # minimum id, is then no hull node, so its hull nodes learn their
+    # planner only from the hull broadcast's introductions
+    base = Pipeline(fixture_topology("star12-4"), PipelineConfig())
+    base.build_abstraction()
+    pipe = Pipeline(fixture_topology("star12-4~2"), PipelineConfig())
+    pipe.build_abstraction()
+    relabel = shuffled_ids(base.topo.ids, 2)
+    assert {relabel[v]: p for v, p in base.topo.points.items()} == pipe.topo.points
+    assert any(pipe.abstractions[rid].planner not in ids for rid, ids in pipe._hulls.items())
+    bounds = pipe.bound_audit()
+    assert all(row["ok"] for row in bounds.values()), [k for k, row in bounds.items() if not row["ok"]]
+    assert bounds["planner_refs"]["measured_max"] == 0
+
+    def hulls(p, label):
+        # each ring's kind and ccw hull, started at its smallest id
+        out = set()
+        for r in p.rings:
+            ids = [label(v) for v in p.abstractions[r.ring_id].hull_nodes]
+            at = ids.index(min(ids))
+            out.add((r.kind, tuple(ids[at:] + ids[:at])))
+        return out
+
+    assert hulls(pipe, lambda v: v) == hulls(base, relabel.__getitem__)
+
+
+def withholding_mutant(monkeypatch, name, drop):
+    """A build of `name` whose sends pass through drop(engine, src, dst, payload, kw) first."""
+    send = RoundEngine.send
+
+    def spy(eng, src, dst, payload=None, **kw):
+        payload, kw = drop(eng, src, dst, payload, kw)
+        send(eng, src, dst, payload, **kw)
+
+    monkeypatch.setattr(RoundEngine, "send", spy)
+    pipe = Pipeline(fixture_topology(name), PipelineConfig())
+    pipe.build_abstraction()
+    return pipe
+
+
+def test_planner_refs_row_fails_a_distribution_that_withholds_an_entry(monkeypatch):
     pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
     pipe.build_abstraction()
-    row = pipe.bound_audit()["hull_refs"]
+    row = pipe.bound_audit()["planner_refs"]
     assert row["ok"] and row["measured_max"] == 0
-    assert row["hull_nodes"] == len(set().union(*pipe._hulls.values())) > 1
-    distribute = pipeline_mod.distribute_hulls
+    assert row["hull_nodes"] == len(set().union(*pipe._hulls.values())) > row["planners"] > 2
+    # a planner on no other planner's root path hears only the cast
+    planners, parent, above = set(planners_of(pipe).values()), pipe.tree.parent, set()
+    for v in planners:
+        while v in parent:
+            v = parent[v]
+            above.add(v)
+    victim = max(planners - above)
+    dropped = []
 
-    def withhold(engine, tree, hulls):
-        # drop a node on a single hull from that ring's list
-        rings = Counter(v for ids in hulls.values() for v in ids)
-        ring, v = next((ring, v) for ring, ids in hulls.items() for v in ids if rings[v] == 1)
-        distribute(engine, tree, {**hulls, ring: [w for w in hulls[ring] if w != v]})
+    def drop(eng, src, dst, payload, kw):
+        # the first entry the victim does not hold yet is left out of its message
+        if kw.get("tag") == "href" and dst == victim and not dropped:
+            ids = kw["intro_ids"]
+            j = next((j for j, v in enumerate(ids) if v not in eng.topo.knows[dst]), None)
+            if j is not None:
+                dropped.append(ids[j])
+                refs = payload["refs"][:j] + payload["refs"][j + 1 :]
+                return {"refs": refs}, {**kw, "intro_ids": ids[:j] + ids[j + 1 :]}
+        return payload, kw
 
-    monkeypatch.setattr(pipeline_mod, "distribute_hulls", withhold)
-    mutant = Pipeline(fixture_topology("star12-4"), PipelineConfig())
-    mutant.build_abstraction()
-    row = mutant.bound_audit()["hull_refs"]
-    assert not row["ok"] and row["measured_max"] > 0
+    mutant = withholding_mutant(monkeypatch, "star12-4", drop)
+    assert dropped
+    bounds = mutant.bound_audit()
+    assert not bounds["planner_refs"]["ok"] and bounds["planner_refs"]["measured_max"] == 1
+    assert all(row["ok"] for name, row in bounds.items() if name != "planner_refs")
+
+
+def test_planner_refs_row_fails_a_hull_broadcast_that_leaves_out_rank_0(monkeypatch):
+    def drop(eng, src, dst, payload, kw):
+        # a hullb introduces its points only, not rank 0 past them
+        if kw.get("tag") == "hullb":
+            return payload, {**kw, "intro_ids": kw["intro_ids"][: len(payload["hull"])]}
+        return payload, kw
+
+    mutant = withholding_mutant(monkeypatch, "star12-4~2", drop)
+    bounds = mutant.bound_audit()
+    assert not bounds["planner_refs"]["ok"] and bounds["planner_refs"]["measured_max"] > 0
+    assert all(row["ok"] for name, row in bounds.items() if name != "planner_refs")
 
 
 def test_each_engine_phase_logs_one_line_when_it_ends(caplog):
@@ -587,15 +691,14 @@ def test_hull_distribution_logs_its_two_legs(caplog):
     with caplog.at_level(logging.DEBUG, logger="hullroute.overlay"):
         pipe.build_abstraction()
     line = re.compile(
-        r"hull distribution: gather (\d+) rounds, cast (\d+) rounds, (\d+) references, heap of (\d+)"
+        r"hull distribution: gather (\d+) rounds, cast (\d+) rounds, (\d+) hull nodes, (\d+) planners"
     )
     (row,) = [line.fullmatch(r.getMessage()) for r in caplog.records if "distribution" in r.getMessage()]
-    gather, cast, refs, heap = map(int, row.groups())
+    gather, cast, hull_nodes, planners = map(int, row.groups())
     height = pipe.tree.height
     assert gather == height
     assert gather + cast == pipe.engine.phase_reports[-1].rounds <= 2 * height + 1
-    hulls = pipe._hulls.values()
-    assert (refs, heap) == (sum(map(len, hulls)), len(set().union(*hulls))) and refs > heap > 1
+    assert hull_nodes == len(set().union(*pipe._hulls.values())) > planners == len(set(planners_of(pipe).values())) > 1
 
 
 @pytest.mark.parametrize("name", ["grid36-hole4", "scale-512-1"])
@@ -946,7 +1049,7 @@ def test_recompute_after_small_move_rebuilds_cleanly():
     out = pipe.periodic_recompute()
     assert out["ok"] and out["tree_reused"]
     assert sorted(pipe.tree.parent.items()) == tree_before
-    res = pipe.router.route(pipe.engine, 4, 12)
+    res = pipe.query(4, 12)
     assert res.path[0] == 4 and res.path[-1] == 12
 
 

@@ -10,6 +10,7 @@ import logging
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -632,6 +633,9 @@ def test_route_visible_and_case1_bounds_both_backends(grid):
 
 
 def test_route_round_and_message_accounting(grid):
+    # grid36-hole4's Case1 query 4 -> 12 is planned at hull node 9, which
+    # plans no ring: it asks its ring's planner for the chain over one
+    # long-range round trip before the data leaves it
     topo, g, eng, rings, ab, router = grid
     s, t = 4, 12
     topo.learn(s, t)
@@ -639,8 +643,12 @@ def test_route_round_and_message_accounting(grid):
     res = router.route(eng, s, t)
     lines = eng.transcript[before:]
     hops = len(res.path) - 1
-    assert res.rounds_used == 2 + hops
-    assert res.longrange_msgs == 2
+    ((h, chain),) = res.plans
+    planner = router._planner_of[h]
+    assert res.case_taken == "Case1" and h != planner
+    assert planner in {c.abstraction.planner for c in router.obstacles if h in c.abstraction.hull_nodes}
+    assert res.rounds_used == 2 + hops + 2
+    assert res.longrange_msgs == 4
     # the query is one phase, keyed None: its costs are that phase's report
     # and a count of its own transcript lines
     (phase,) = eng.phase_reports[phases:]
@@ -650,12 +658,35 @@ def test_route_round_and_message_accounting(grid):
     assert dataclasses.replace(mine, label="query", rounds=phase.rounds, calls=phase.calls, active=phase.active) == phase
     lr = [l for l in lines if l["channel"] == "longrange"]
     data = [l for l in lines if l["tag"] == "rt_data"]
-    assert [l["tag"] for l in lr] == ["rt_query", "rt_pos"]
+    assert [(l["tag"], l["src"], l["dst"]) for l in lr] == [
+        ("rt_query", s, t), ("rt_pos", t, s), ("rt_plan", h, planner), ("rt_chain", planner, h),
+    ]
     assert len(data) == hops
     assert all(l["channel"] == "adhoc" for l in data)
-    # consecutive custody: hop k starts where hop k-1 ended
+    # consecutive custody: hop k starts where hop k-1 ended, and the hop
+    # out of the plan node waits for the chain
     assert [l["src"] for l in data] == res.path[:-1]
     assert [l["dst"] for l in data] == res.path[1:]
+    at = res.path.index(h)
+    rounds = [l["round"] for l in lines]
+    assert rounds == sorted(rounds)
+    assert [l["tag"] for l in lines].index("rt_plan") == 2 + at
+
+
+def test_query_rounds_count_one_round_trip_per_plan_away_from_its_planner(grid, star):
+    # rounds_used is 2 + hops + 2p, p the plans made at a hull node that
+    # plans no ring; such queries exist, and so do ones without
+    trips = Counter()
+    for topo, g, eng, rings, ab, router in (grid, star):
+        planners = {c.abstraction.planner for c in router.obstacles}
+        for s, t in sample_pairs(topo, 60, seed=3):
+            topo.learn(s, t)
+            res = router.route(eng, s, t)
+            p = sum(h not in planners for h, _ in res.plans)
+            assert res.rounds_used == (2 + len(res.path) - 1 + 2 * p if len(res.path) > 1 else 0), (s, t)
+            assert res.longrange_msgs == (2 + 2 * p if len(res.path) > 1 else 0), (s, t)
+            trips[p > 0, bool(res.plans)] += 1
+    assert trips[True, True] and trips[False, True] and trips[False, False]
 
 
 def test_transmit_follows_a_walk_that_revisits_nodes(grid):
@@ -831,12 +862,15 @@ def route_row(router, eng, s, t):
 # both backends, errors included; recorded from the router that still had a
 # second, bay-only query entry beside `route`, with that entry's rows left
 # out; star12-4 and scale-512-1 were re-recorded when the bay dominating
-# sets, where bay legs are anchored, became the rank rule's
+# sets, where bay legs are anchored, became the rank rule's, and every
+# fixture when a plan made at a hull node that plans no ring began to
+# cost a long-range round trip to a planner: only `rounds_used` and
+# `longrange_msgs` moved
 INSIDE_ROWS = {
-    "crescent-24": "a81a5c33f983492d9ec0dd5944187641b0a136c41f3e1858c2484a648185384d",
-    "star12-4": "244bcbd9229b670528344f00023a923531a381009799f00d2e6454f5e048c4fa",
-    "cshape-40": "df37d358dba4dc48f16543274cbbcb859b1891ec4385b93b352ec1e33834dbec",
-    "scale-512-1": "526d0d174ae56c0236bf1b833be6e85ef2b80300eb47752b6fc6a1fba24623ff",
+    "crescent-24": "4de13a993193df0c44a5ffd17113ad391868a43249a34c0d01b775188cf4f307",
+    "star12-4": "fdd18a8a90534c78c888c14ddf45dfacae256f94180d70c3ff3f607df173ccb6",
+    "cshape-40": "b4bc27b61d252e0529d00e3846f1b9244a49dcee80132e807ad04e18f84104e9",
+    "scale-512-1": "aaa54453953337fe2d649fc9475639da185c6d4bb736a820c39020e4bc8d8c8b",
 }
 
 

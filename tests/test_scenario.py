@@ -66,7 +66,10 @@ def test_fixture_topology_names_generated_instances(name, spec):
     assert fixture_topology(name).points == generate_scenario(spec).points
 
 
-@pytest.mark.parametrize("name", ["scale-512", "scale-512-1-2", "scale-x-1", "scale-0512-1", "grid-0", "grid-2048-0", ""])
+@pytest.mark.parametrize(
+    "name",
+    ["scale-512", "scale-512-1-2", "scale-x-1", "scale-0512-1", "grid-0", "grid-2048-0", "", "star12-4~", "star12-4~02", "~1"],
+)
 def test_fixture_topology_rejects_unknown_and_malformed_names(name):
     with pytest.raises(GenerationError):
         fixture_topology(name)

@@ -41,6 +41,8 @@ def _load(monkeypatch, path: Path):
 def test_allpairs_routes_every_pair_of_the_grid(monkeypatch, backend):
     row = _load(monkeypatch, TESTS / "allpairs.py").sweep("grid36-hole4", backend)
     assert (row["pairs"], row["failures"], row["sha256"]) == (32 * 31, 0, GRID_ROUTES)
+    # each plan asked of a planner costs a two-round long-range round trip
+    assert row["plan_rounds"] % 2 == 0 and row["plan_rounds"] >= 2 * row["planned_pairs"] > 0
 
 
 def test_traffic_totals_match_a_fresh_build(monkeypatch, capsys):
@@ -78,13 +80,15 @@ def test_sweep_row_matches_the_report_of_a_fresh_build(monkeypatch):
     rep = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig()).run()
     assert row == {
         "n": rep.n,
-        "hull": rep.storage["hull"]["nodes"],
+        "hull": rep.bounds["planner_refs"]["hull_nodes"],
         "rounds": rep.protocol_rounds,
         "waves": rep.wave_rounds,
         "charged": rep.phase_rounds["broadcast_tree"],
         "peak": rep.message_stats["max_longrange_per_node_round"],
         "cap": math.ceil(math.log2(rep.n)),
+        "lr_max": rep.message_stats["longrange_per_node_max"],
         "bytes": rep.message_stats["total_bytes"],
+        "href": sum(p["bytes_total"] for p in rep.phases if p["label"] == "hull_distribution"),
     }
 
 

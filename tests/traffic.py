@@ -6,7 +6,9 @@ Run by hand, from the repository root:
 
 An instance is a fixture name (grid36-hole4, cshape-40, crescent-24,
 star12-4), scale-N-S for scaling_spec(N, S), grid-N for
-holes_grid_spec(N), or grid-N-K for holes_grid_spec(N, k=K). For each it builds the abstraction with the default
+holes_grid_spec(N), or grid-N-K for holes_grid_spec(N, k=K), any of
+them with a `~S` suffix to shuffle the ids with seed S
+(scenario.fixture_topology). For each it builds the abstraction with the default
 config and prints three tables read off the engine's phase reports and
 transcript, every count through `simengine.tally`: every phase's rounds,
 node handler calls, the active ones among them (a call that had mail or
