@@ -39,8 +39,10 @@ carries only the hull points of the child's subtree of ranks and the
 two hull points that bracket it, so every ring node learns its bay's
 two hull ends, and each message also introduces rank 0, so every ring
 node learns its ring's planner.  The full abstraction, every hull
-node's entry, is kept at the planners only, one per ring
-(distribute_hulls); a hull node plans by asking its ring's planner.
+node's entry, is kept at the planners only, one per ring, to which the
+tree root casts it down two heaps, each heap carrying half the entries,
+so no planner casts it twice (distribute_hulls); a hull node plans by
+asking its ring's planner.
 Ids a node learns only in transit are forgotten once a protocol ends
 (_forget_learned).
 
@@ -557,7 +559,7 @@ def distribute_hulls(
     hulls: Mapping[int, list[NodeId]],
     planners: Mapping[int, NodeId],
 ) -> None:
-    """Gather every ring's entries at the tree root, then cast them down a heap of the planners.
+    """Gather every ring's entries at the tree root, then cast them down two heaps of the planners.
 
     `hulls` holds each non-outer ring's hull node ids and `planners` its
     planner, rank 0 of its layout, which ended the hull merge holding the
@@ -574,19 +576,32 @@ def distribute_hulls(
     entry its subtree holds, once, in round tree.height - d, when its
     children's have all arrived, two entries of one node merged into one;
     only the planners' root paths carry traffic.  In round tree.height the
-    root holds every entry.  Cast leg: the planners but the root form a
-    binary heap over `order`, their ids sorted from the largest down, and
-    the root sends order[0] its part.  The tree lays the ids out in heap
-    order too, so the smallest planners sit nearest its root, where the
-    gather loads them most; in `order` they are the heap's leaves, which
-    cast nothing.  A planner receives all of its part in one round,
-    knows `order` from the ~ring marks and its own entry, and sends each
-    heap child 2i+1 and 2i+2 its part: every entry but those the child
-    owns whole, whose marks all name rings it plans.  A message carries
-    at most ceil(log2 n) entries and introduces their ids, which the
-    entries leave out on the wire (_cut).  So the cast sends about H
-    entries to each of L planners, H x L in all, for H hull nodes and L
-    rings.
+    root holds every entry.  Cast leg, a two-tree broadcast (Sanders,
+    Speck & Traeff 2009): the m planners but the root, their ids sorted
+    from the largest down as `order`, form two binary heaps, heap 0 laid
+    out over `order` and heap 1 over `order` reversed.  A planner's home
+    is the heap it sits higher in, heap 0 in the middle of an odd m, and
+    it is interior in no other: heap 0's interior is the first
+    floor(m/2) of `order`, heap 1's the last floor(m/2).  An entry's half
+    is its id's parity, but a planner's entry rides the half of its
+    receiver's home, so a planner holds every planner's entry, thus
+    `order` and each heap child's rings, in the round its home's half
+    reaches it.  The root sends each heap's root that heap's half, and a
+    planner, in that round, sends each of its home children 2i+1 and
+    2i+2 that half but the entries the child owns whole, whose marks all
+    name rings it plans; its other half comes from its parent in the
+    other heap.  So every planner gets every entry it does not own whole,
+    once and whole, the last 1 + floor(log2 m) rounds after the gather.
+    The tree lays the ids out in heap order too, so the smallest planners
+    sit nearest its root, where the gather loads them most; they cast
+    only in heap 1.  A message carries at most ceil(log2 n) entries and
+    introduces their ids, which the entries leave out on the wire (_cut).
+    So the cast sends about H entries to each of L planners, H x L in
+    all, for H hull nodes and L rings, and an interior planner about
+    H/2 + L to each of its two children, where one heap's sent about H.
+    At worst every hull node's id has one parity: then one heap casts
+    what a single heap did, less some planners' entries, and the other
+    the planners' entries alone, in the same rounds.
 
     The planners keep the hull ids they learn.  Every other id the phase
     taught a node on the planners' root paths, the only nodes that hear
@@ -620,41 +635,53 @@ def distribute_hulls(
         mine |= {~m for m in mine}
         return {w: entries[w] for w in sorted(entries) if not set(entries[w][2:]) <= mine}
 
-    def serve(eng: RoundEngine, v: NodeId, entries: dict) -> None:
-        """v, the root or a planner, holds every entry: pass its heap children their parts.
+    def plans(e: list) -> bool:
+        return min(e[2:]) < 0
 
-        With the root before `order`, seq[j]'s children are seq[2j] and
-        seq[2j + 1], and the root's seq[1] alone.
+    def serve(eng: RoundEngine, v: NodeId, entries: dict) -> None:
+        """v, the root or a planner in its home heap's round, holds that half and every planner's entry.
+
+        With the root before each heap, seq[j]'s children are seq[2j] and
+        seq[2j + 1], and the root's seq[1] alone; each gets the heap's
+        half of its part.
         """
-        order = sorted((w for w, e in entries.items() if w != tree.root and min(e[2:]) < 0), reverse=True)
-        seq = [tree.root, *order]
-        j = seq.index(v)
-        for c in seq[max(2 * j, 1) : 2 * j + 2]:
-            send(eng, v, c, part(entries, c))
+        order = sorted((w for w, e in entries.items() if w != tree.root and plans(e)), reverse=True)
+        home = {w: int(2 * i >= len(order)) for i, w in enumerate(order)}
+        for h, heap in enumerate((order, order[::-1])):
+            if v != tree.root and home[v] != h:
+                continue
+            seq = [tree.root, *heap]
+            j = seq.index(v)
+            for c in seq[max(2 * j, 1) : 2 * j + 2]:
+                send(eng, v, c, {w: e for w, e in part(entries, c).items() if (home[c] if plans(e) else w & 1) == h})
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         got: dict[NodeId, list] = {}
         for m in inbox:
             merge(got, _uncut(m, "refs"))
+        # a planner's entries come only with its own heap's half
+        casts = v == tree.root or any(plans(e) for e in got.values())
         merge(got, own.get(v, {}))
         t = eng.round_no - start
         if t == height - depth[v] and v != tree.root:
             send(eng, v, tree.parent[v], dict(sorted(got.items())))
-        elif t >= height:
+        elif t >= height and casts:
             serve(eng, v, got)
         return t >= height - depth[v]
 
-    # one session keyed None, as out-of-phase traffic is: it is no ring's
+    # one session keyed None, as out-of-phase traffic is: it is no ring's;
+    # the cast's last heap level ends height + 1 + floor(log2 m) rounds in
+    m = len(own.keys() - {tree.root})
     rounds = _run_wave(
         engine,
         "hull_distribution",
-        {None: _Session([*own, tree.root], handler, 2 * height + 1, lambda report: report.rounds)},
+        {None: _Session([*own, tree.root], handler, height + m.bit_length(), lambda report: report.rounds)},
     )[None]
     hull_ids = set().union(*hulls.values())
     _forget_learned(engine, before, dict.fromkeys(own, hull_ids))
     log.debug(
-        "hull distribution: gather %d rounds, cast %d rounds, %d hull nodes, %d planners",
-        height, rounds - height, len(hull_ids), len(own),
+        "hull distribution: gather %d rounds, cast %d rounds, %d hull nodes, %d planners, two heaps of %d",
+        height, rounds - height, len(hull_ids), len(own), m,
     )
 
 

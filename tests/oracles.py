@@ -595,10 +595,15 @@ def brute_hull_gather_cast(tree, hulls, planners):
     ceil(log2 n) entries to a message. Gather: each node on a planner's
     root path sends its parent, once, ceil(k / cap) messages, k the nodes
     whose entries the planners in its subtree own. Cast: `order` is the
-    planners but the tree root, largest id first; the root sends order[0], and
-    order[i] each heap child order[c] (c = 2i+1, 2i+2), ceil(k / cap)
-    messages, k the nodes that plan a ring order[c] does not plan or are
-    hull nodes of one. Returns {(src, dst): messages}.
+    planners but the tree root, largest id first, m of them; heap 0 is
+    `order`, heap 1 `order` reversed, and a planner's home is heap 0 when
+    it sits at index i < m / 2 of `order`, else heap 1. In heap h the root
+    sends heap[0], and heap[i] each child heap[c] (c = 2i+1, 2i+2),
+    ceil(k / cap) messages, k the entries of half h that heap[c] does not
+    own whole: a planner's entry is in half h when heap[c]'s home is h,
+    any other node's when its id is h modulo 2, and heap[c] owns an entry
+    whole when every ring it names is one heap[c] plans. Returns
+    {(src, dst): messages}.
     """
     n = len(tree.parent) + 1
     cap = max(1, (n - 1).bit_length())
@@ -616,13 +621,19 @@ def brute_hull_gather_cast(tree, hulls, planners):
     out = Counter({(x, tree.parent[x]): -(-len(ids) // cap) for x, ids in subtree.items()})
     every = set().union(*owned.values())
     order = sorted(set(owned) - {tree.root}, reverse=True)
+    home = {p: int(2 * i >= len(order)) for i, p in enumerate(order)}
     plans_of = {}
     for ring, p in planners.items():
         plans_of.setdefault(p, set()).add(ring)
-    for c, dst in enumerate(order):
-        k = sum(not rings_of.get(w, set()) | plans_of.get(w, set()) <= plans_of[dst] for w in every)
-        if k:
-            out[(tree.root if c == 0 else order[(c - 1) // 2], dst)] += -(-k // cap)
+    for h, heap in enumerate((order, order[::-1])):
+        for c, dst in enumerate(heap):
+            k = sum(
+                (home[dst] if w in plans_of else w % 2) == h
+                and not rings_of.get(w, set()) | plans_of.get(w, set()) <= plans_of[dst]
+                for w in every
+            )
+            if k:
+                out[(tree.root if c == 0 else heap[(c - 1) // 2], dst)] += -(-k // cap)
     return dict(out)
 
 

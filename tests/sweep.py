@@ -13,9 +13,12 @@ shuffles the ids with seed S), it prints one table of those.  The
 columns are n; the hull nodes of every ring but the outer boundary;
 protocol rounds; wave_rounds, the rounds up to wave two's end; the
 broadcast tree's charged rounds; the peak, the most long-range messages
-one node sent in one round, against the message cap ceil(log2 n); the
-most long-range messages one node sent in the whole build; the build's
-bytes; and the bytes of its hull distribution (`href`).  The counts are
+one node sent in one round, against the message cap ceil(log2 n);
+dist_peak, the same peak within the hull distribution alone, so the
+cast can be told apart from the merge (`hm`) and the hull broadcast
+(`hullb`); the most long-range messages one node sent in the whole
+build; the build's bytes; and the bytes of its hull distribution
+(`href`).  The counts are
 read off the transcript, and the rounds are the pipeline's own; nothing
 is wrapped.  Rings run in parallel, so wave_rounds should not grow with K.
 The builds are deterministic, so two revisions can be compared
@@ -33,7 +36,7 @@ from hullroute.simengine import tally
 
 HOLES = (1, 2, 3, 4)
 SIZES = (512, 1024, 2048, 4096)
-COLUMNS = ("n", "hull", "rounds", "waves", "charged", "peak", "cap", "lr_max", "bytes", "href")
+COLUMNS = ("n", "hull", "rounds", "waves", "charged", "peak", "dist_peak", "cap", "lr_max", "bytes", "href")
 
 
 def row(name: str) -> dict[str, int]:
@@ -41,6 +44,7 @@ def row(name: str) -> dict[str, int]:
     pipe = Pipeline(fixture_topology(name), PipelineConfig())
     pipe.build_abstraction()
     (total,) = tally(pipe.engine.transcript).values()
+    (dist,) = [p for p in pipe.engine.phase_reports if p.label == "hull_distribution"]
     n = len(pipe.topo.ids)
     return {
         "n": n,
@@ -49,6 +53,7 @@ def row(name: str) -> dict[str, int]:
         "waves": pipe.wave_rounds,
         "charged": pipe.phase_rounds["broadcast_tree"],
         "peak": total.max_longrange_per_node_round,
+        "dist_peak": dist.max_longrange_per_node_round,
         "cap": math.ceil(math.log2(n)),
         "lr_max": max(pipe.build_longrange.values(), default=0),
         "bytes": total.bytes_total,

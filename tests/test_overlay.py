@@ -898,11 +898,28 @@ FLOODS = [
     # node 9 ring 0's entries and its own
     (15, None, {0: [0, 4], 1: [9, 12, 13]}, {0: 0, 1: 9}),
     # the root, node 6, is a hull node but plans nothing; node 13, the
-    # largest planner, heads the heap, and node 5 plans two rings
+    # larger planner, heads heap 0, and node 5, which plans two rings,
+    # heads heap 1
     (15, [6] + [v for v in range(15) if v != 6], {0: [2, 6, 9], 1: [13], 2: [4, 6]}, {0: 5, 1: 13, 2: 5}),
-    # seven planners, the largest first in the heap: 14 casts to 12 and
-    # 11, 12 to 10 and 8, 11 to 7 and 3
+    # seven planners: heap 0 is 14, 12, 11, 10, 8, 7, 3, so 14 casts the
+    # even ids to 12 and 11, 12 to 10 and 8, 11 to 7 and 3; heap 1 is the
+    # reverse, so 3 casts the odd ids to 7 and 8, 7 to 10 and 11, 8 to 12
+    # and 14; 10, in the middle, is a leaf of both, with its home heap 0
     (15, None, {r: [r, (r + 5) % 15] for r in range(7)}, {0: 14, 1: 12, 2: 11, 3: 10, 4: 8, 5: 7, 6: 3}),
+    # the root, 0, plans ring 0, so its entry rides to each planner with
+    # the half of its home heap; of the two planners, 12 heads heap 0 and
+    # 7 heap 1, each is cast its own heap's half by the root and casts the
+    # other its half but the planners' entries; 12 is a hull node of 7's
+    # ring, and 8 of two rings
+    (15, None, {0: [0, 3, 4, 8], 1: [8, 11, 5, 13], 2: [12, 1]}, {0: 0, 1: 12, 2: 7}),
+    # four planners: heap 0 is 29, 21, 16, 10 and heap 1 the reverse, so
+    # 29 and 21 cast the even ids, 10 and 16 the odd ones; 16, whose home
+    # is heap 1, hears the planners' entries from 10
+    (31, None, {0: [2, 3, 29], 1: [5, 8, 13, 21], 2: [16, 17, 18], 3: [1, 10, 30]}, {0: 29, 1: 21, 2: 16, 3: 10}),
+    # six planners, every hull id even: heap 1 carries the planners'
+    # entries only, to the three whose home it is, and heap 0 all the
+    # rest, as the one heap did
+    (31, None, {r: [2 * r, 2 * r + 12] for r in range(6)}, {0: 30, 1: 25, 2: 20, 3: 15, 4: 9, 5: 3}),
     # no hull node at all
     (9, None, {}, {}),
 ]
@@ -962,13 +979,15 @@ def _check_flood(n, heap_ids, hulls, planners, monkeypatch):
     distribute_hulls(eng, tree, hulls, planners)
     phase = eng.phase_reports[-1]
     assert phase.label == "hull_distribution"
-    assert phase.rounds <= 2 * tree.height + 1
+    # the cast's last heap level is reached 1 + floor(log2 m) rounds after the gather
+    m = len(set(owned) - {tree.root})
+    assert phase.rounds <= tree.height + m.bit_length()
     # a relay sends up once, in round height - depth, full messages but its last
     for v, sends in gather_sends.items():
         assert {r for r, _ in sends} == {start + tree.height - depth[v]}, v
         assert all(size == cap for _, size in sends[:-1]), v
-    # the root gathers every entry but those it owns
-    assert {e[0] for e in gather[tree.root]} == set(entries) - owned.get(tree.root, set())
+    # the root gathers every entry the other planners own
+    assert {e[0] for e in gather[tree.root]} == set().union(*(ids for p, ids in owned.items() if p != tree.root))
     # each planner but the root is cast, each whole, every entry but those
     # it owns whole: of hull nodes of its own rings only, and its own
     # unless it is a hull node of a ring it does not plan
@@ -1040,6 +1059,29 @@ def test_distribute_hulls_wakes_only_the_owners_root_paths(monkeypatch):
         assert called == paths
         assert all(knows[v] == pre[v] for v in pre.keys() - paths)
     assert len(cases[0][2]) < len(set().union(*pipe._hulls.values()))
+
+
+def test_distribute_hulls_aborts_when_a_heap_node_idles_one_round(monkeypatch):
+    # seven planners but the root, 3 the smallest: it is the last of heap
+    # 0, one of the planners its half reaches last, 1 + floor(log2 7) = 3
+    # rounds after the gather's 3, which is the session's cap; a 3 that
+    # asks to run once more after its mail overruns the cap, and the phase
+    # aborts in that round, naming itself and its cap
+    n, heap_ids, hulls, planners = FLOODS[4]
+    eng, tree = flood_tree(n, heap_ids, hulls, planners)
+    victim = min(planners.values())
+    run_phase = RoundEngine.run_phase
+
+    def spy(eng, label, handler, max_rounds):
+        def idle(e, v, inbox):
+            return handler(e, v, inbox) and not (v == victim and inbox)
+
+        return run_phase(eng, label, idle, max_rounds)
+
+    monkeypatch.setattr(RoundEngine, "run_phase", spy)
+    with pytest.raises(SimulationAbortError, match="phase 'hull_distribution' exceeded 6 rounds"):
+        distribute_hulls(eng, tree, hulls, planners)
+    assert eng.phase_reports[-1].rounds == tree.height + 3
 
 
 # ---------------------------------------------------------------------------

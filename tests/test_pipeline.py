@@ -306,11 +306,13 @@ def test_concurrent_build_matches_serial_build(name):
 # messages and bytes went, phase by phase and ring by ring, beside the
 # totals SERIAL_BUILD pins.  Re-recorded when the election began to rank
 # the ring: the hypercube_ids phase is gone and the merge phases start
-# at hull_merge_2; and again when the hull distribution began to cast to
-# one planner per ring and every `hullb` to introduce rank 0.
+# at hull_merge_2; again when the hull distribution began to cast to
+# one planner per ring and every `hullb` to introduce rank 0; and again,
+# in the hull_distribution phase's row alone, when the cast became two
+# heaps that each carry half the entries.
 TRAFFIC_BREAKDOWN = {
-    "grid36-hole4": "0c1f15fd096d1e3a17fb882ecda4085672a4fd86ee23bb124335a76945748d23",
-    "scale-512-1": "90b6e0e5de2d3844d6a263a818e8f7c4547ba2bc4cd9e76dc57132b79f066b7f",
+    "grid36-hole4": "cf4b91eebc95eb6ee70c12b6a4ed6c98465996f15a7e2b04081dae50a8e4bf23",
+    "scale-512-1": "03dafb9b524d3324c92188b85742a35e720f5ef8def93aaaab2348ae205b3b0e",
 }
 
 
@@ -335,13 +337,15 @@ def test_traffic_breakdown_by_phase_and_ring_matches_pinned_digest(name):
 # and the level-1 `hm` messages, and moves later phases' rounds; and once
 # more when the distribution began to gather from and cast to one planner
 # per ring, whose entries mark the rings it plans, and every `hullb` to
-# introduce rank 0 past its points.
+# introduce rank 0 past its points; and once more, in the cast's `href`
+# lines alone, when the cast became two heaps that each carry half the
+# entries (cshape-40, whose one planner is the tree root, casts nothing).
 WIRE_STREAM = {
-    "crescent-24": "c69dfe3bd4bf22c09f1c8e6c71130ad83a0cc07367550efe9b29b8d18381a9c7",
+    "crescent-24": "500078552268bff46a99e0cbadd99d26a663c1bdb0a1aa19afbb9c903af594b1",
     "cshape-40": "4d655937cdf99948619e9aa79e430c653ec9443e347752638102b4c20b0f530c",
-    "grid36-hole4": "3e9715e38132c11d1aa4c63399fb2a59ae3842caabad2bc211d93baa9c4c35bf",
-    "scale-512-1": "9801cacb0e992dc8dc48a8c8598c521ac93238fb767e0bdc666bb5ccb7c69bde",
-    "star12-4": "40f9e1033a6c133db89a557634bd8ce8760cf0c824e639af63c467d32aa10735",
+    "grid36-hole4": "1e4fc206393c678568e8a6f16357e62dc64bb48e6e0eb8685498aaaf773acb9c",
+    "scale-512-1": "d02a94352f619c5b7a874ad4adbf2ac5e734a07c1eb17e18bdc4e754a43dec80",
+    "star12-4": "4b4d67cc2991264fcac4d7185cf4886c1f33bc9dcd3c5155cd342824e4d634ed",
 }
 
 
@@ -358,7 +362,9 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
     # of its node's rings; the cast hands each planner but the tree root,
     # once and whole, every entry it does not own whole: all but those of
     # hull nodes of its own rings only, and its own unless it is a hull
-    # node of a ring it does not plan.
+    # node of a ring it does not plan.  An `href` introduces its entries'
+    # ids and no more: a planner reads both heaps off the planners'
+    # entries, which reach it with its own heap's half.
     topo = fixture_topology(name)
     pipe = Pipeline(topo, PipelineConfig())
     sent = []
@@ -558,20 +564,44 @@ def test_hull_broadcast_sends_at_most_seven_per_node_and_round_on_cshape():
     assert 0 < max(sends.values()) <= 7
 
 
-def test_relabelled_ids_keep_the_hulls_and_every_bound():
-    # star12-4~2 deals star12-4's ids at random: a ring's leader, the
-    # minimum id, is then no hull node, so its hull nodes learn their
-    # planner only from the hull broadcast's introductions
-    base = Pipeline(fixture_topology("star12-4"), PipelineConfig())
-    base.build_abstraction()
-    pipe = Pipeline(fixture_topology("star12-4~2"), PipelineConfig())
+@pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1", "star12-4~2"])
+def test_each_planner_casts_one_half_down_one_heap(name):
+    # the two-tree cast: heap 0 lays the planners but the tree root out
+    # largest id first, heap 1 smallest first, and no planner is interior
+    # in both; a planner casts only to its children in the heap it is
+    # interior in, at most ceil(|half| / cap) messages to each, its half
+    # being the nodes of its heap's id parity and the planners; and no
+    # node sends more than ceil(H / cap) + 2 long-range messages in one
+    # round of the phase, for H hull nodes, where one heap sent 2H entries
+    pipe = Pipeline(fixture_topology(name), PipelineConfig())
     pipe.build_abstraction()
-    relabel = shuffled_ids(base.topo.ids, 2)
-    assert {relabel[v]: p for v, p in base.topo.points.items()} == pipe.topo.points
-    assert any(pipe.abstractions[rid].planner not in ids for rid, ids in pipe._hulls.items())
-    bounds = pipe.bound_audit()
-    assert all(row["ok"] for row in bounds.values()), [k for k, row in bounds.items() if not row["ok"]]
-    assert bounds["planner_refs"]["measured_max"] == 0
+    planners, root = set(planners_of(pipe).values()), pipe.tree.root
+    order = sorted(planners - {root}, reverse=True)
+    kids = [{v: heap[2 * j + 1 : 2 * j + 3] for j, v in enumerate(heap)} for heap in (order, order[::-1])]
+    interior = [{v for v, ks in heap.items() if ks} for heap in kids]
+    assert not interior[0] & interior[1]
+    cap = math.ceil(math.log2(len(pipe.topo.ids)))
+    (phase,) = [p for p in pipe.engine.phase_reports if p.label == "hull_distribution"]
+    cast_from = pipe.engine.round_no - phase.rounds + pipe.tree.height
+    sends = defaultdict(Counter)
+    for t in pipe.engine.transcript:
+        if t["tag"] == "href" and t["round"] >= cast_from and t["src"] != root:
+            sends[t["src"]][t["dst"]] += 1
+    hull = set().union(*pipe._hulls.values())
+    for v, to in sends.items():
+        (h,) = [h for h in (0, 1) if v in interior[h]]
+        assert set(to) <= set(kids[h][v]), v
+        half = {w for w in hull | planners if w in planners or w % 2 == h}
+        assert max(to.values()) <= math.ceil(len(half) / cap), v
+    assert bool(sends) == (len(order) > 1)
+    assert phase.max_longrange_per_node_round <= math.ceil(len(hull) / cap) + 2
+
+
+def test_relabelled_ids_keep_the_hulls_and_every_bound():
+    # name~seed deals name's ids at random, and the election, the
+    # distribution's heaps and its split all choose by id; on star12-4~2
+    # a ring's leader, the minimum id, is no hull node, so its hull nodes
+    # learn their planner only from the hull broadcast's introductions
 
     def hulls(p, label):
         # each ring's kind and ccw hull, started at its smallest id
@@ -582,7 +612,19 @@ def test_relabelled_ids_keep_the_hulls_and_every_bound():
             out.add((r.kind, tuple(ids[at:] + ids[:at])))
         return out
 
-    assert hulls(pipe, lambda v: v) == hulls(base, relabel.__getitem__)
+    for name, seed in [("star12-4", 2), ("grid36-hole4", 1), ("crescent-24", 1), ("scale-512-1", 1)]:
+        base = Pipeline(fixture_topology(name), PipelineConfig())
+        base.build_abstraction()
+        pipe = Pipeline(fixture_topology(f"{name}~{seed}"), PipelineConfig())
+        pipe.build_abstraction()
+        relabel = shuffled_ids(base.topo.ids, seed)
+        assert {relabel[v]: p for v, p in base.topo.points.items()} == pipe.topo.points
+        if name == "star12-4":
+            assert any(pipe.abstractions[rid].planner not in ids for rid, ids in pipe._hulls.items())
+        bounds = pipe.bound_audit()
+        assert all(row["ok"] for row in bounds.values()), (name, [k for k, row in bounds.items() if not row["ok"]])
+        assert bounds["planner_refs"]["measured_max"] == 0, name
+        assert hulls(pipe, lambda v: v) == hulls(base, relabel.__getitem__), name
 
 
 def withholding_mutant(monkeypatch, name, drop):
@@ -691,13 +733,16 @@ def test_hull_distribution_logs_its_two_legs(caplog):
     with caplog.at_level(logging.DEBUG, logger="hullroute.overlay"):
         pipe.build_abstraction()
     line = re.compile(
-        r"hull distribution: gather (\d+) rounds, cast (\d+) rounds, (\d+) hull nodes, (\d+) planners"
+        r"hull distribution: gather (\d+) rounds, cast (\d+) rounds, (\d+) hull nodes, (\d+) planners, "
+        r"two heaps of (\d+)"
     )
     (row,) = [line.fullmatch(r.getMessage()) for r in caplog.records if "distribution" in r.getMessage()]
-    gather, cast, hull_nodes, planners = map(int, row.groups())
+    gather, cast, hull_nodes, planners, m = map(int, row.groups())
     height = pipe.tree.height
     assert gather == height
-    assert gather + cast == pipe.engine.phase_reports[-1].rounds <= 2 * height + 1
+    # the cast's last heap level is reached 1 + floor(log2 m) rounds after the gather
+    assert m == len(set(planners_of(pipe).values()) - {pipe.tree.root}) > 1
+    assert gather + cast == pipe.engine.phase_reports[-1].rounds == height + m.bit_length()
     assert hull_nodes == len(set().union(*pipe._hulls.values())) > planners == len(set(planners_of(pipe).values())) > 1
 
 

@@ -85,6 +85,7 @@ def test_sweep_row_matches_the_report_of_a_fresh_build(monkeypatch):
         "waves": rep.wave_rounds,
         "charged": rep.phase_rounds["broadcast_tree"],
         "peak": rep.message_stats["max_longrange_per_node_round"],
+        "dist_peak": next(p["max_longrange_per_node_round"] for p in rep.phases if p["label"] == "hull_distribution"),
         "cap": math.ceil(math.log2(rep.n)),
         "lr_max": rep.message_stats["longrange_per_node_max"],
         "bytes": rep.message_stats["total_bytes"],
