@@ -2,10 +2,12 @@
 
 Everything here runs as node handlers inside the round engine: pointer
 jumping for leader election and ring ranks, distributed convex hull by
-merging blocks of consecutive ranks, a broadcast tree over all nodes,
-and hull reference distribution.  The election is also Wyllie's list
-ranking, so every node ends it knowing its rank, and a ring's layout is
-its members in rank order, which no message deals (assign_hypercube_ids).
+merging blocks of consecutive ranks, and hull reference distribution.
+The overlay tree over all nodes is charged, not simulated, and leaves
+every node its root's id and nothing more (build_broadcast_tree).  The
+election is also Wyllie's list ranking, so every node ends it knowing
+its rank, and a ring's layout is its members in rank order, which no
+message deals (assign_hypercube_ids).
 Ranks s and s + 2^j know each other: pointer jumping introduced them.
 Level 1 of the merge, a node and its radio-neighbour successor, is
 local.  The finished hull, scoped to each subtree, travels the binomial
@@ -23,9 +25,9 @@ most that many points, each introducing only the ids of its own points
 (_cut): one entry (id, x, y, rings) per node in the distribution, a
 block's hull as (x, y, id, rank) in the merge, a subtree's part of the
 hull in the broadcast.  No fact crosses a link twice: a pointer-jump
-message carries the new pointer only as its introduction, and a relay
-of the distribution sends each entry up once, two entries of a node
-merged into one.  Nor does a payload
+message carries the new pointer only as its introduction, and a
+planner sends the tree root each entry it owns once, the root merging
+two entries of one node into one.  Nor does a payload
 repeat its header: an item's id rides only among the message's sorted
 introductions, and the payload lists the items without it, in the same
 order (_cut, _uncut), so an entry goes as [x, y, rings] and a hull point
@@ -39,10 +41,11 @@ carries only the hull points of the child's subtree of ranks and the
 two hull points that bracket it, so every ring node learns its bay's
 two hull ends, and each message also introduces rank 0, so every ring
 node learns its ring's planner.  The full abstraction, every hull
-node's entry, is kept at the planners only, one per ring, to which the
-tree root casts it down two heaps, each heap carrying half the entries,
-so no planner casts it twice (distribute_hulls); a hull node plans by
-asking its ring's planner.
+node's entry, is kept at the planners only, one per ring: each sends
+its ring's entries straight to the tree root, which casts them down two
+heaps of the planners, each heap carrying half the entries, so no
+planner casts it twice (distribute_hulls); a hull node plans by asking
+its ring's planner.
 Ids a node learns only in transit are forgotten once a protocol ends
 (_forget_learned).
 
@@ -67,7 +70,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Hashable, Iterable, Mapping
+from typing import Any, Callable, Collection, Hashable, Mapping
 
 from .errors import DegenerateInputError, GeometryInconsistencyError, SimulationAbortError
 from .geometry import monotone_hull
@@ -79,26 +82,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class BroadcastTree:
+    """What the overlay tree leaves every node: the id of its root."""
+
     root: NodeId
-    parent: dict[NodeId, NodeId]
-    height: int
-
-    def depths(self, nodes: Iterable[NodeId]) -> dict[NodeId, int]:
-        """Hops up to the root of each of `nodes` and of every node on their root paths.
-
-        Walks only those paths, read off `parent`; the root is always in.
-        """
-        depth = {self.root: 0}
-        for v in nodes:
-            path = []
-            while v not in depth:
-                path.append(v)
-                v = self.parent[v]
-            d = depth[v]
-            for w in reversed(path):
-                d += 1
-                depth[w] = d
-        return depth
 
 
 def _message_cap(engine: RoundEngine) -> int:
@@ -210,8 +196,12 @@ def pointer_jumping(
     message was sent.  Once the minimum is the leader, the hops are the
     node's rank.  All rings run at once, one session per ring: its
     rounds are its session report's, its sends its pj_* transcript lines.
-    Returns each ring's ranks, {node: hops back to the leader}, as the
-    nodes hold them.
+    A ring of k nodes goes quiet within _levels(k) = ceil(log2 k) rounds,
+    its session's cap: after round j a node's pointers are 2^j hops away
+    on each side and its two minima cover those arcs, so by the round j
+    with 2^j >= k each arc is the whole ring, both minima are the
+    leader, and the node is done and sends nothing.  Returns each ring's
+    ranks, {node: hops back to the leader}, as the nodes hold them.
     """
     return _run_wave(
         engine,
@@ -282,7 +272,7 @@ def _jump_session(engine: RoundEngine, members: list[NodeId]) -> _Session:
                 raise SimulationAbortError(v, engine.round_no, "rank did not converge")
         return {v: st[v]["o_pred"] for v in members}
 
-    return _Session(members, handler, 2 * k + 8, finish)
+    return _Session(members, handler, _levels(k), finish)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +477,10 @@ def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list,
     leader ends the merge with (None on an arc): the bay that wraps past
     rank 0 counts its members modulo k (dominating_set).  A node reached
     by several messages in one round is reached once; the session aborts
-    unless every rank was reached, each in exactly one round.
+    unless every rank was reached, each in exactly one round.  Rank r is
+    reached after one hop per set bit of r, and r < k <= 2^d has at most
+    d = _levels(k) of them, so the session goes quiet within d rounds,
+    its cap.
     """
     k, d = len(order), _levels(len(order))
     rank_of = {v: r for r, v in enumerate(order)}
@@ -518,30 +511,30 @@ def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list,
         if len(reached) != k:
             raise SimulationAbortError(order[0], engine.round_no, "hullb missed ring nodes")
 
-    return _Session(order[:1], handler, 2 * d + 6, finish)
+    return _Session(order[:1], handler, d, finish)
 
 
 # ---------------------------------------------------------------------------
-# broadcast tree over all nodes
+# the broadcast tree's root, and the hull distribution to the planners
 
 
 def build_broadcast_tree(engine: RoundEngine, began: int) -> BroadcastTree:
-    """Balanced binary tree over node ids in heap layout.
+    """Teach every node the id of the overlay tree's root, the smallest id.
 
-    Stands in for the overlay-tree protocol this pipeline treats as a
-    black box, and the tree edges are entered into the knowledge
-    relation directly.  The construction takes ceil(log2(n)^2) rounds.
-    It needs only the radio graph, so it starts in round `began`, the
-    build's first, and runs beside every phase since; the engine charges
-    only the rounds it still needs when it is called, none once that
-    many have passed.
+    Stands in for the overlay-tree construction this pipeline treats as
+    a black box (Gmyr, Hinnenthal, Scheideler & Sohler, ICALP 2017),
+    which can tell every node the root's id within its rounds.  That id
+    is all any protocol here uses of the tree, so it alone is entered
+    into the knowledge relation, directly, and no tree link is.  The
+    construction takes ceil(log2(n)^2) rounds.  It needs only the radio
+    graph, so it starts in round `began`, the build's first, and runs
+    beside every phase since; the engine charges only the rounds it
+    still needs when it is called, none once that many have passed.
     """
     ids = engine.topo.ids
     n = len(ids)
-    parent = {ids[i]: ids[(i - 1) // 2] for i in range(1, n)}
-    for child, p in parent.items():
-        engine.topo.learn(p, child)
-        engine.topo.learn(child, p)
+    for v in ids[1:]:
+        engine.topo.learn(v, ids[0])
     rounds = math.ceil(math.log2(n) ** 2) if n > 1 else 0
     beside = min(rounds, engine.round_no - began)
     charged = rounds - beside
@@ -550,7 +543,7 @@ def build_broadcast_tree(engine: RoundEngine, began: int) -> BroadcastTree:
         "broadcast tree: %d rounds, %d beside the earlier phases, %d charged",
         rounds, beside, charged,
     )
-    return BroadcastTree(root=ids[0], parent=parent, height=n.bit_length() - 1)
+    return BroadcastTree(root=ids[0])
 
 
 def distribute_hulls(
@@ -559,7 +552,7 @@ def distribute_hulls(
     hulls: Mapping[int, list[NodeId]],
     planners: Mapping[int, NodeId],
 ) -> None:
-    """Gather every ring's entries at the tree root, then cast them down two heaps of the planners.
+    """Gather every ring's entries at the tree root in one hop, then cast them down two heaps of the planners.
 
     `hulls` holds each non-outer ring's hull node ids and `planners` its
     planner, rank 0 of its layout, which ended the hull merge holding the
@@ -567,49 +560,42 @@ def distribute_hulls(
     then, sorted, each ring it is a hull node of and, as ~ring, each ring
     it plans.  So a planner that is no hull node has an entry too, and its
     id rides the gather like a hull id.  The phase is one wave of one
-    session that starts at the nodes that act without mail: the planners,
-    which own their rings' entries and their own, and the tree root, which
-    ends the gather.  Each asks to run again until its send round below; a
-    relay acts only when its children's entries reach it.  Hull nodes that
-    plan nothing take no part.
-    Gather leg, a convergecast: a node at depth d sends its parent every
-    entry its subtree holds, once, in round tree.height - d, when its
-    children's have all arrived, two entries of one node merged into one;
-    only the planners' root paths carry traffic.  In round tree.height the
-    root holds every entry.  Cast leg, a two-tree broadcast (Sanders,
-    Speck & Traeff 2009): the m planners but the root, their ids sorted
-    from the largest down as `order`, form two binary heaps, heap 0 laid
-    out over `order` and heap 1 over `order` reversed.  A planner's home
-    is the heap it sits higher in, heap 0 in the middle of an odd m, and
-    it is interior in no other: heap 0's interior is the first
-    floor(m/2) of `order`, heap 1's the last floor(m/2).  An entry's half
-    is its id's parity, but a planner's entry rides the half of its
-    receiver's home, so a planner holds every planner's entry, thus
-    `order` and each heap child's rings, in the round its home's half
-    reaches it.  The root sends each heap's root that heap's half, and a
-    planner, in that round, sends each of its home children 2i+1 and
-    2i+2 that half but the entries the child owns whole, whose marks all
-    name rings it plans; its other half comes from its parent in the
+    session, which starts at the planners but the tree root; every other
+    node acts only when mail reaches it, and only the planners and the
+    root hear anything.  Hull nodes that plan nothing take no part.
+    Gather: in round 0 each planner but the root sends the root, whose id
+    every node holds (build_broadcast_tree), the entries it owns, its
+    rings' and its own.  In round 1 the root holds every entry, two
+    entries of one node merged into one.  Cast, a two-tree broadcast
+    (Sanders, Speck & Traeff 2009): the m planners but the root, their
+    ids sorted from the largest down as `order`, form two binary heaps,
+    heap 0 laid out over `order` and heap 1 over `order` reversed.  A
+    planner's home is the heap it sits higher in, heap 0 in the middle
+    of an odd m, and it is interior in no other: heap 0's interior is
+    the first floor(m/2) of `order`, heap 1's the last floor(m/2).  An
+    entry's half is its id's parity, but a planner's entry rides the half
+    of its receiver's home, so a planner holds every planner's entry,
+    thus `order` and each heap child's rings, in the round its home's
+    half reaches it.  The root sends each heap's root that heap's half,
+    and a planner, in that round, sends each of its home children 2i+1
+    and 2i+2 that half but the entries the child owns whole, whose marks
+    all name rings it plans; its other half comes from its parent in the
     other heap.  So every planner gets every entry it does not own whole,
-    once and whole, the last 1 + floor(log2 m) rounds after the gather.
-    The tree lays the ids out in heap order too, so the smallest planners
-    sit nearest its root, where the gather loads them most; they cast
-    only in heap 1.  A message carries at most ceil(log2 n) entries and
-    introduces their ids, which the entries leave out on the wire (_cut).
-    So the cast sends about H entries to each of L planners, H x L in
-    all, for H hull nodes and L rings, and an interior planner about
-    H/2 + L to each of its two children, where one heap's sent about H.
-    At worst every hull node's id has one parity: then one heap casts
-    what a single heap did, less some planners' entries, and the other
-    the planners' entries alone, in the same rounds.
+    once and whole, by round 2 + floor(log2 m).  A message carries at
+    most ceil(log2 n) entries and introduces their ids, which the entries
+    leave out on the wire (_cut).  So the root receives about H + L
+    entries in round 1, and the cast sends about H entries to each of L
+    planners, H x L in all, for H hull nodes and L rings, and an interior
+    planner about H/2 + L to each of its two children.  At worst every
+    hull node's id has one parity: then one heap casts every entry but
+    some planners', and the other the planners' entries alone, in the
+    same rounds.
 
     The planners keep the hull ids they learn.  Every other id the phase
-    taught a node on the planners' root paths, the only nodes that hear
-    anything, is forgotten once it ends, so relays, a root that plans
-    nothing included, end as they began.
+    taught a planner or the root is forgotten once it ends, so a root
+    that plans nothing ends as it began.
     """
-    topo = engine.topo
-    height, start = tree.height, engine.round_no
+    topo, root = engine.topo, tree.root
     own: dict[NodeId, dict[NodeId, list]] = {}
 
     def merge(into: dict[NodeId, list], entries: Mapping[NodeId, list]) -> None:
@@ -622,8 +608,7 @@ def distribute_hulls(
         held = own.setdefault(planners[ring], {})
         for v, mark in [(planners[ring], ~ring), *((v, ring) for v in ids)]:
             merge(held, {v: [pts[v].x, pts[v].y, mark]})
-    depth = tree.depths(own)
-    before = {v: set(topo.knows[v]) for v in depth}
+    before = {v: set(topo.knows[v]) for v in {*own, root}}
 
     def send(eng: RoundEngine, v: NodeId, dst: NodeId, entries: dict) -> None:
         for chunk, ids in _cut(eng, entries):
@@ -645,43 +630,45 @@ def distribute_hulls(
         seq[2j + 1], and the root's seq[1] alone; each gets the heap's
         half of its part.
         """
-        order = sorted((w for w, e in entries.items() if w != tree.root and plans(e)), reverse=True)
+        order = sorted((w for w, e in entries.items() if w != root and plans(e)), reverse=True)
         home = {w: int(2 * i >= len(order)) for i, w in enumerate(order)}
         for h, heap in enumerate((order, order[::-1])):
-            if v != tree.root and home[v] != h:
+            if v != root and home[v] != h:
                 continue
-            seq = [tree.root, *heap]
+            seq = [root, *heap]
             j = seq.index(v)
             for c in seq[max(2 * j, 1) : 2 * j + 2]:
                 send(eng, v, c, {w: e for w, e in part(entries, c).items() if (home[c] if plans(e) else w & 1) == h})
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
+        if not inbox:
+            # the only call without mail: a planner's round 0, its gather
+            send(eng, v, root, dict(sorted(own[v].items())))
+            return True
         got: dict[NodeId, list] = {}
         for m in inbox:
             merge(got, _uncut(m, "refs"))
         # a planner's entries come only with its own heap's half
-        casts = v == tree.root or any(plans(e) for e in got.values())
-        merge(got, own.get(v, {}))
-        t = eng.round_no - start
-        if t == height - depth[v] and v != tree.root:
-            send(eng, v, tree.parent[v], dict(sorted(got.items())))
-        elif t >= height and casts:
+        if v == root or any(plans(e) for e in got.values()):
+            merge(got, own.get(v, {}))
             serve(eng, v, got)
-        return t >= height - depth[v]
+        return True
 
     # one session keyed None, as out-of-phase traffic is: it is no ring's;
-    # the cast's last heap level ends height + 1 + floor(log2 m) rounds in
-    m = len(own.keys() - {tree.root})
+    # the cast's last heap level ends 1 + floor(log2 m) rounds after the gather's one
+    start = sorted(own.keys() - {root})
+    m = len(start)
     rounds = _run_wave(
         engine,
         "hull_distribution",
-        {None: _Session([*own, tree.root], handler, height + m.bit_length(), lambda report: report.rounds)},
+        {None: _Session(start, handler, 1 + m.bit_length(), lambda report: report.rounds)},
     )[None]
     hull_ids = set().union(*hulls.values())
     _forget_learned(engine, before, dict.fromkeys(own, hull_ids))
+    gather = int(m > 0)
     log.debug(
         "hull distribution: gather %d rounds, cast %d rounds, %d hull nodes, %d planners, two heaps of %d",
-        height, rounds - height, len(hull_ids), len(own), m,
+        gather, rounds - gather, len(hull_ids), len(own), m,
     )
 
 

@@ -170,10 +170,9 @@ class Pipeline:
         # each ring's own rounds, long-range messages and bytes in the
         # latest build, keyed by ring id (_record_ring_costs)
         self.ring_cost: dict[int, dict[str, int]] = {}
-        # per-node long-range sends and ad hoc sends of the latest build,
-        # counted off its transcript lines
+        # per-node long-range sends of the latest build, counted off its
+        # transcript lines
         self.build_longrange: dict[int, int] = {}
-        self.build_adhoc = 0
         # the latest build's transcript lines, session reports and phase reports
         self._window = (slice(0, 0),) * 3
         self._knows_after_build: dict[int, set[int]] | None = None
@@ -267,7 +266,6 @@ class Pipeline:
         self._window = tuple(slice(a, len(entries)) for a, entries in zip(first, ledgers))
         by_src = tally(eng.transcript[self._window[0]], lambda t: t["src"])
         self.build_longrange = {v: c.messages_longrange for v, c in by_src.items() if c.messages_longrange}
-        self.build_adhoc = sum(c.messages_adhoc for c in by_src.values())
         # snapshot before queries: routing teaches endpoints each other's
         # ids, which is not abstraction storage
         self._knows_after_build = {v: set(self.topo.knows[v]) for v in self.topo.ids}
@@ -473,7 +471,7 @@ class Pipeline:
         message_stats = {
             "total_messages": build.messages_adhoc + build.messages_longrange,
             "total_bytes": build.bytes_total,
-            "abstraction_adhoc": self.build_adhoc,
+            "abstraction_adhoc": build.messages_adhoc,
             "abstraction_longrange": sum(lr.values()),
             "longrange_per_node_max": max(lr.values()) if lr else 0,
             "longrange_per_node_mean": (sum(lr.values()) / len(lr)) if lr else 0.0,
@@ -529,12 +527,10 @@ class Pipeline:
         check_connected(self.topo.adhoc)
         tree = self.tree
         # a node keeps across builds its first ids, its radio neighbours,
-        # which are no storage either, and its tree neighbours; it forgets
+        # which are no storage either, and the tree's root; it forgets
         # every other id the earlier builds taught it
-        ties: dict[int, set[int]] = {v: set(self.topo.adhoc[v]) for v in self.topo.ids}
-        for child, parent in tree.parent.items() if tree else ():
-            ties[child].add(parent)
-            ties[parent].add(child)
+        root = {tree.root} if tree else set()
+        ties = {v: self.topo.adhoc[v] | root for v in self.topo.ids}
         overlay._forget_learned(self.engine, self.baseline_knows, ties)
         for v in self.topo.ids:
             self.baseline_knows[v] |= self.topo.adhoc[v]

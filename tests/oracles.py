@@ -585,19 +585,19 @@ def with_ids(items, ids, at):
     return [list(q[:at]) + [v] + list(q[at:]) for q, v in zip(items, ids)]
 
 
-def brute_hull_gather_cast(tree, hulls, planners):
+def brute_hull_gather_cast(n, root, hulls, planners):
     """Messages per directed edge of the hull distribution's gather and cast.
 
     `hulls` holds each ring's hull node ids and `planners` its planner,
     which owns the entries of the ring's hull nodes and its own; a node's
     entry names every ring it is a hull node of and every ring it plans.
     Computed from closed forms, not by running rounds, with cap =
-    ceil(log2 n) entries to a message. Gather: each node on a planner's
-    root path sends its parent, once, ceil(k / cap) messages, k the nodes
-    whose entries the planners in its subtree own. Cast: `order` is the
-    planners but the tree root, largest id first, m of them; heap 0 is
-    `order`, heap 1 `order` reversed, and a planner's home is heap 0 when
-    it sits at index i < m / 2 of `order`, else heap 1. In heap h the root
+    ceil(log2 n) entries to a message, for n nodes. Gather: each planner
+    but the tree root `root` sends the root ceil(k / cap) messages, k the
+    nodes whose entries it owns. Cast: `order` is the planners but the
+    root, largest id first, m of them; heap 0 is `order`, heap 1 `order`
+    reversed, and a planner's home is heap 0 when it sits at index
+    i < m / 2 of `order`, else heap 1. In heap h the root
     sends heap[0], and heap[i] each child heap[c] (c = 2i+1, 2i+2),
     ceil(k / cap) messages, k the entries of half h that heap[c] does not
     own whole: a planner's entry is in half h when heap[c]'s home is h,
@@ -605,22 +605,15 @@ def brute_hull_gather_cast(tree, hulls, planners):
     whole when every ring it names is one heap[c] plans. Returns
     {(src, dst): messages}.
     """
-    n = len(tree.parent) + 1
     cap = max(1, (n - 1).bit_length())
     owned, rings_of = {}, {}
     for ring, ids in hulls.items():
         owned.setdefault(planners[ring], {planners[ring]}).update(ids)
         for v in ids:
             rings_of.setdefault(v, set()).add(ring)
-    subtree = {}
-    for p, ids in owned.items():
-        x = p
-        while x in tree.parent:
-            subtree.setdefault(x, set()).update(ids)
-            x = tree.parent[x]
-    out = Counter({(x, tree.parent[x]): -(-len(ids) // cap) for x, ids in subtree.items()})
+    out = Counter({(p, root): -(-len(ids) // cap) for p, ids in owned.items() if p != root})
     every = set().union(*owned.values())
-    order = sorted(set(owned) - {tree.root}, reverse=True)
+    order = sorted(set(owned) - {root}, reverse=True)
     home = {p: int(2 * i >= len(order)) for i, p in enumerate(order)}
     plans_of = {}
     for ring, p in planners.items():
@@ -633,7 +626,7 @@ def brute_hull_gather_cast(tree, hulls, planners):
                 for w in every
             )
             if k:
-                out[(tree.root if c == 0 else heap[(c - 1) // 2], dst)] += -(-k // cap)
+                out[(root if c == 0 else heap[(c - 1) // 2], dst)] += -(-k // cap)
     return dict(out)
 
 

@@ -16,8 +16,10 @@ broadcast tree's charged rounds; the peak, the most long-range messages
 one node sent in one round, against the message cap ceil(log2 n);
 dist_peak, the same peak within the hull distribution alone, so the
 cast can be told apart from the merge (`hm`) and the hull broadcast
-(`hullb`); the most long-range messages one node sent in the whole
-build; the build's bytes; and the bytes of its hull distribution
+(`hullb`); dist_recv, the most long-range messages one node received in
+one round of the hull distribution, which the tree root sets when the
+gather reaches it; the most long-range messages one node sent in the
+whole build; the build's bytes; and the bytes of its hull distribution
 (`href`).  The counts are
 read off the transcript, and the rounds are the pipeline's own; nothing
 is wrapped.  Rings run in parallel, so wave_rounds should not grow with K.
@@ -32,11 +34,11 @@ import sys
 
 from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.scenario import fixture_topology
-from hullroute.simengine import tally
+from hullroute.simengine import PhaseReport, tally
 
 HOLES = (1, 2, 3, 4)
 SIZES = (512, 1024, 2048, 4096)
-COLUMNS = ("n", "hull", "rounds", "waves", "charged", "peak", "dist_peak", "cap", "lr_max", "bytes", "href")
+COLUMNS = ("n", "hull", "rounds", "waves", "charged", "peak", "dist_peak", "dist_recv", "cap", "lr_max", "bytes", "href")
 
 
 def row(name: str) -> dict[str, int]:
@@ -45,6 +47,10 @@ def row(name: str) -> dict[str, int]:
     pipe.build_abstraction()
     (total,) = tally(pipe.engine.transcript).values()
     (dist,) = [p for p in pipe.engine.phase_reports if p.label == "hull_distribution"]
+    # the distribution is the build's last phase; its receives, tallied as if each receiver sent them
+    start = pipe.engine.round_no - dist.rounds
+    received = ({**t, "src": t["dst"]} for t in pipe.engine.transcript if t["round"] >= start)
+    recv = tally(received, into={None: PhaseReport("dist_recv")})[None]
     n = len(pipe.topo.ids)
     return {
         "n": n,
@@ -54,6 +60,7 @@ def row(name: str) -> dict[str, int]:
         "charged": pipe.phase_rounds["broadcast_tree"],
         "peak": total.max_longrange_per_node_round,
         "dist_peak": dist.max_longrange_per_node_round,
+        "dist_recv": recv.max_longrange_per_node_round,
         "cap": math.ceil(math.log2(n)),
         "lr_max": max(pipe.build_longrange.values(), default=0),
         "bytes": total.bytes_total,

@@ -273,17 +273,52 @@ def test_a_stalled_session_aborts_in_the_round_it_overruns_its_own_bound():
     assert heard == [] and reports["short"].rounds == 0
 
 
+def idling(monkeypatch, label, victim):
+    """Phases labelled `label` keep `victim` pending one round past each call that had mail."""
+    run_phase = RoundEngine.run_phase
+
+    def spy(eng, phase, handler, max_rounds):
+        def idle(e, v, inbox):
+            return handler(e, v, inbox) and not (v == victim and inbox)
+
+        return run_phase(eng, phase, idle if phase == label else handler, max_rounds)
+
+    monkeypatch.setattr(RoundEngine, "run_phase", spy)
+
+
+def test_an_election_node_that_idles_one_round_aborts_its_session(monkeypatch):
+    # on a ring of 8 no node is done before round ceil(log2 8) = 3, the
+    # session's cap, so the leader hears mail in round 3; if it asks to
+    # run once more, the phase aborts in that round, naming the ring
+    engine, members = ring_engine(8)
+    idling(monkeypatch, "pointer_jumping", min(members))
+    with pytest.raises(SimulationAbortError, match="phase 'pointer_jumping' session 0 exceeded 3 rounds"):
+        pointer_jumping(engine, {0: members})
+    assert engine.phase_reports[-1].rounds == 3
+
+
+def test_a_hull_broadcast_node_that_idles_one_round_aborts_its_session(monkeypatch):
+    # rank 7 of a ring of 8 is reached last, one hop per set bit, in round
+    # ceil(log2 8) = 3, the session's cap; if it asks to run once more,
+    # the phase aborts in that round, naming the ring
+    engine, members = ring_engine(8)
+    idling(monkeypatch, "hull_broadcast", members[7])
+    with pytest.raises(SimulationAbortError, match="phase 'hull_broadcast' session 0 exceeded 3 rounds"):
+        one_ring(engine, members)
+    assert engine.phase_reports[-1].rounds == 3
+
+
 def test_cast_and_merge_waves_make_no_idle_call():
-    # in every hull merge level, which starts at 2, and both hull
-    # broadcasts, a node is called only when mail reaches it or in a
-    # round it sends
+    # in every hull merge level, which starts at 2, both hull broadcasts
+    # and the hull distribution, a node is called only when mail reaches
+    # it or in a round it sends
     watched = []
-    for name in ("star12-4", "scale-512-1"):
+    for name in ("grid36-hole4", "crescent-24", "star12-4", "cshape-40", "scale-512-1"):
         pipe = Pipeline(fixture_topology(name), PipelineConfig())
         pipe.build_abstraction()
-        watched += [p for p in pipe.engine.phase_reports if p.label.startswith(("hull_merge_", "hull_broadcast"))]
+        watched += [p for p in pipe.engine.phase_reports if p.label.startswith("hull_")]
     labels = {p.label for p in watched}
-    assert {"hull_merge_2", "hull_merge_3", "hull_broadcast"} <= labels
+    assert {"hull_merge_2", "hull_merge_3", "hull_broadcast", "hull_distribution"} <= labels
     assert "hull_merge_1" not in labels
     assert [(p.label, p.calls - p.active) for p in watched if p.calls != p.active] == []
 
@@ -834,32 +869,36 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
 # broadcast tree and hull distribution
 
 
-def max_degree(tree):
-    """The most tree edges at one node: its children and its parent."""
-    degree = Counter(tree.parent.values())
-    degree.update(tree.parent.keys())
-    return max(degree.values())
-
-
-def test_broadcast_tree_heap_shape():
+def test_broadcast_tree_teaches_every_node_the_root_and_no_link(monkeypatch):
+    # the tree leaves every node the smallest id, its root, and nothing
+    # else; a recompute keeps, besides that id, only each node's radio
+    # links, which are all it knew before the first build
     eng = line_engine(15)
+    pre = {v: set(eng.topo.knows[v]) for v in eng.topo.ids}
     tree = build_broadcast_tree(eng, eng.round_no)
-    assert tree.root == 0
-    assert tree.height == 3
-    assert max_degree(tree) == 3
-    for v in range(1, 15):
-        assert tree.parent[v] == (v - 1) // 2
-        assert v in eng.topo.knows[tree.parent[v]]
-        assert tree.parent[v] in eng.topo.knows[v]
+    assert tree == BroadcastTree(0)
+    assert all(eng.topo.knows[v] == pre[v] | {0} - {v} for v in eng.topo.ids)
     charged = [t for t in eng.transcript if t["tag"].startswith("charge:broadcast_tree")]
     assert charged and charged[0]["tag"].endswith(":16")  # ceil(log2(15)^2)
+    assert build_broadcast_tree(line_engine(1), 0) == BroadcastTree(0)
 
+    pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
+    topo = pipe.topo
+    assert all(topo.knows[v] == topo.adhoc[v] for v in topo.ids)
+    pipe.build_abstraction()
+    root = pipe.tree.root
+    assert root == topo.ids[0]
+    assert all(root in topo.knows[v] for v in topo.ids if v != root)
+    kept = []
+    build = pipe.build_abstraction
 
-def test_broadcast_tree_sizes():
-    assert build_broadcast_tree(line_engine(1), 0).height == 0
-    big = build_broadcast_tree(line_engine(1000), 0)
-    assert big.height == 9
-    assert max_degree(big) <= 3
+    def spy():
+        kept.append({v: set(topo.knows[v]) for v in topo.ids})
+        build()
+
+    monkeypatch.setattr(pipe, "build_abstraction", spy)
+    assert pipe.periodic_recompute()["tree_reused"]
+    assert kept == [{v: topo.adhoc[v] | {root} - {v} for v in topo.ids}]
 
 
 @pytest.mark.parametrize("elapsed,charged", [(0, 16), (10, 6), (16, 0), (40, 0)])
@@ -873,26 +912,16 @@ def test_broadcast_tree_charges_only_the_rounds_it_still_needs(elapsed, charged)
     assert eng.transcript[-1]["tag"] == f"charge:broadcast_tree:{charged}"
 
 
-def heap_tree(eng, ids):
-    """The broadcast tree's heap layout over ids in the given order, edges known to both ends."""
-    parent = {ids[i]: ids[(i - 1) // 2] for i in range(1, len(ids))}
-    for c, p in parent.items():
-        eng.topo.learn(p, c)
-        eng.topo.learn(c, p)
-    return BroadcastTree(ids[0], parent, len(ids).bit_length() - 1)
-
-
-# (nodes, the tree's heap order or None for the sorted ids, hull ids by
-# ring, planner by ring)
+# (nodes, the tree's root or None for the smallest id, hull ids by ring,
+# planner by ring)
 FLOODS = [
-    # the one planner, 6, is no hull node and sits under the root's child
-    # 2; node 1's subtree holds none, and the root sends 6 nothing, since
-    # every entry is of 6's own ring
+    # the one planner, 6, is no hull node; it sends the root its ring's
+    # entries and its own, and the root sends 6 nothing, since every
+    # entry is of 6's own ring
     (9, None, {0: [2, 5]}, {0: 6}),
-    # planners at depths 2 and 4, node 19 is on two hulls planned in both
-    # of the root's subtrees, so its two entries first meet at the root,
-    # and node 1 sends its subtree's nine entries up at once, in two
-    # messages of at most ceil(log2 31) = 5
+    # node 19 is on two hulls, planned by 15 and 30, so its two entries
+    # first meet at the root; 15 sends its nine entries in two messages
+    # of at most ceil(log2 31) = 5
     (31, None, {0: [7], 1: list(range(15, 23)), 2: [19]}, {0: 7, 1: 15, 2: 30}),
     # the root, node 0, plans ring 0 and stays out of the heap: it sends
     # node 9 ring 0's entries and its own
@@ -900,7 +929,7 @@ FLOODS = [
     # the root, node 6, is a hull node but plans nothing; node 13, the
     # larger planner, heads heap 0, and node 5, which plans two rings,
     # heads heap 1
-    (15, [6] + [v for v in range(15) if v != 6], {0: [2, 6, 9], 1: [13], 2: [4, 6]}, {0: 5, 1: 13, 2: 5}),
+    (15, 6, {0: [2, 6, 9], 1: [13], 2: [4, 6]}, {0: 5, 1: 13, 2: 5}),
     # seven planners: heap 0 is 14, 12, 11, 10, 8, 7, 3, so 14 casts the
     # even ids to 12 and 11, 12 to 10 and 8, 11 to 7 and 3; heap 1 is the
     # reverse, so 3 casts the odd ids to 7 and 8, 7 to 10 and 11, 8 to 12
@@ -926,23 +955,28 @@ FLOODS = [
 
 
 def test_distribute_hulls_floods_once_and_forgets(monkeypatch):
-    for n, heap_ids, hulls, planners in FLOODS:
-        _check_flood(n, heap_ids, hulls, planners, monkeypatch)
+    for n, root, hulls, planners in FLOODS:
+        _check_flood(n, root, hulls, planners, monkeypatch)
 
 
-def flood_tree(n, heap_ids, hulls, planners):
+def flood_tree(n, root, hulls, planners):
     """The line's engine and broadcast tree, each planner taught its rings' hull ids as the merge would."""
     eng = line_engine(n)
-    tree = build_broadcast_tree(eng, eng.round_no) if heap_ids is None else heap_tree(eng, heap_ids)
+    if root is None:
+        tree = build_broadcast_tree(eng, eng.round_no)
+    else:
+        tree = BroadcastTree(root)
+        for v in eng.topo.ids:
+            eng.topo.learn(v, root)
     for ring, ids in hulls.items():
         for v in ids:
             eng.topo.learn(planners[ring], v)
     return eng, tree
 
 
-def _check_flood(n, heap_ids, hulls, planners, monkeypatch):
-    eng, tree = flood_tree(n, heap_ids, hulls, planners)
-    cap = math.ceil(math.log2(n))
+def _check_flood(n, root, hulls, planners, monkeypatch):
+    eng, tree = flood_tree(n, root, hulls, planners)
+    root, cap = tree.root, math.ceil(math.log2(n))
     # a node's entry: its id and position, then, sorted, the rings it is a
     # hull node of and, as ~ring, those it plans
     marks, owned = {}, {}
@@ -955,7 +989,6 @@ def _check_flood(n, heap_ids, hulls, planners, monkeypatch):
     hull_ids = set().union(*hulls.values())
     pre = {v: set(eng.topo.knows[v]) for v in eng.topo.ids}
     start = eng.round_no
-    depth = tree.depths(eng.topo.ids)
     gather = {v: [] for v in eng.topo.ids}
     cast = {v: [] for v in eng.topo.ids}
     gather_sends: dict = {}
@@ -968,9 +1001,9 @@ def _check_flood(n, heap_ids, hulls, planners, monkeypatch):
             for e in got:
                 # a gathered entry may name only some of its node's rings
                 assert e[:3] == entries[e[0]][:3] and set(e[3:]) <= set(entries[e[0]][3:])
-            if eng.round_no - start < tree.height:
+            if eng.round_no == start:
                 gather[dst] += got
-                gather_sends.setdefault(src, []).append((eng.round_no, len(got)))
+                gather_sends.setdefault(src, []).append(len(got))
             else:
                 cast[dst] += got
         send(src, dst, payload, **kw)
@@ -979,15 +1012,16 @@ def _check_flood(n, heap_ids, hulls, planners, monkeypatch):
     distribute_hulls(eng, tree, hulls, planners)
     phase = eng.phase_reports[-1]
     assert phase.label == "hull_distribution"
-    # the cast's last heap level is reached 1 + floor(log2 m) rounds after the gather
-    m = len(set(owned) - {tree.root})
-    assert phase.rounds <= tree.height + m.bit_length()
-    # a relay sends up once, in round height - depth, full messages but its last
-    for v, sends in gather_sends.items():
-        assert {r for r, _ in sends} == {start + tree.height - depth[v]}, v
-        assert all(size == cap for _, size in sends[:-1]), v
-    # the root gathers every entry the other planners own
-    assert {e[0] for e in gather[tree.root]} == set().union(*(ids for p, ids in owned.items() if p != tree.root))
+    # the cast's last heap level is reached 1 + floor(log2 m) rounds after the gather's one
+    m = len(set(owned) - {root})
+    assert phase.rounds <= 1 + m.bit_length()
+    # in round 0, each planner but the root sends the root the entries it
+    # owns, full messages but its last, and the root gathers them all
+    assert set(gather_sends) == set(owned) - {root}
+    for sizes in gather_sends.values():
+        assert all(size == cap for size in sizes[:-1])
+    assert all(not got for v, got in gather.items() if v != root)
+    assert {e[0] for e in gather[root]} == set().union(*(ids for p, ids in owned.items() if p != root))
     # each planner but the root is cast, each whole, every entry but those
     # it owns whole: of hull nodes of its own rings only, and its own
     # unless it is a hull node of a ring it does not plan
@@ -995,18 +1029,10 @@ def _check_flood(n, heap_ids, hulls, planners, monkeypatch):
         plans = {ring for ring, p in planners.items() if p == v}
         want = Counter(
             e for e in entries.values() if not {m if m >= 0 else ~m for m in e[3:]} <= plans
-        ) if v in owned and v != tree.root else Counter()
+        ) if v in owned and v != root else Counter()
         assert Counter(cast[v]) == want, v
-    paths = set()
-    for v in owned:
-        while v not in paths:
-            paths.add(v)
-            v = tree.parent.get(v, v)
-    assert len(paths) < n
-    for v in set(eng.topo.ids) - paths:
-        assert gather[v] == cast[v] == [], v
     hrefs = Counter((t["src"], t["dst"]) for t in eng.transcript if t["tag"] == "href")
-    assert hrefs == brute_hull_gather_cast(tree, hulls, planners)
+    assert hrefs == brute_hull_gather_cast(n, root, hulls, planners)
     for v in eng.topo.ids:
         if v in owned:
             assert hull_ids - {v} <= eng.topo.knows[v]
@@ -1015,20 +1041,12 @@ def _check_flood(n, heap_ids, hulls, planners, monkeypatch):
             assert eng.topo.knows[v] == pre[v]
 
 
-def root_paths(tree, owners):
-    """The tree root and every node on an owner's path up to it."""
-    out = {tree.root}
-    for v in owners:
-        while v != tree.root:
-            out.add(v)
-            v = tree.parent[v]
-    return out
-
-
 def test_distribute_hulls_wakes_only_the_owners_root_paths(monkeypatch):
-    # the handler runs for the planners, the root and the relays between
-    # them; every other node, hull nodes that plan nothing included, is
-    # never called and its knowledge is untouched
+    # an owner's root path is one hop, the planner and the tree root: the
+    # handler runs for them alone, each call with mail or sending, and
+    # only if some planner is not the root; every other node, hull nodes
+    # that plan nothing included, is never called and its knowledge is
+    # untouched
     woken, before = set(), {}
     run_phase = RoundEngine.run_phase
 
@@ -1047,41 +1065,34 @@ def test_distribute_hulls_wakes_only_the_owners_root_paths(monkeypatch):
     pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
     pipe.build_abstraction()
     planners = {rid: pipe.abstractions[rid].planner for rid in pipe._hulls}
-    cases = [(pipe.tree, planners, set(woken), dict(before), pipe._knows_after_build)]
-    for n, heap_ids, hulls, planners in FLOODS:
+    cases = [(pipe.tree, planners, set(woken), dict(before), pipe._knows_after_build, pipe.engine)]
+    for n, root, hulls, planners in FLOODS:
         woken.clear()
         before.clear()
-        eng, tree = flood_tree(n, heap_ids, hulls, planners)
+        eng, tree = flood_tree(n, root, hulls, planners)
         distribute_hulls(eng, tree, hulls, planners)
-        cases.append((tree, planners, set(woken), dict(before), eng.topo.knows))
-    for tree, planners, called, pre, knows in cases:
-        paths = root_paths(tree, set(planners.values()))
-        assert called == paths
-        assert all(knows[v] == pre[v] for v in pre.keys() - paths)
+        cases.append((tree, planners, set(woken), dict(before), eng.topo.knows, eng))
+    for tree, planners, called, pre, knows, eng in cases:
+        owners = set(planners.values())
+        assert called == (owners | {tree.root} if owners - {tree.root} else set())
+        (phase,) = [p for p in eng.phase_reports if p.label == "hull_distribution"]
+        assert phase.calls == phase.active
+        assert all(knows[v] == pre[v] for v in pre.keys() - called)
     assert len(cases[0][2]) < len(set().union(*pipe._hulls.values()))
 
 
 def test_distribute_hulls_aborts_when_a_heap_node_idles_one_round(monkeypatch):
     # seven planners but the root, 3 the smallest: it is the last of heap
     # 0, one of the planners its half reaches last, 1 + floor(log2 7) = 3
-    # rounds after the gather's 3, which is the session's cap; a 3 that
-    # asks to run once more after its mail overruns the cap, and the phase
-    # aborts in that round, naming itself and its cap
-    n, heap_ids, hulls, planners = FLOODS[4]
-    eng, tree = flood_tree(n, heap_ids, hulls, planners)
-    victim = min(planners.values())
-    run_phase = RoundEngine.run_phase
-
-    def spy(eng, label, handler, max_rounds):
-        def idle(e, v, inbox):
-            return handler(e, v, inbox) and not (v == victim and inbox)
-
-        return run_phase(eng, label, idle, max_rounds)
-
-    monkeypatch.setattr(RoundEngine, "run_phase", spy)
-    with pytest.raises(SimulationAbortError, match="phase 'hull_distribution' exceeded 6 rounds"):
+    # rounds after the gather's one, in round 4, the session's cap; a 3
+    # that asks to run once more after its mail overruns the cap, and the
+    # phase aborts in that round, naming itself and its cap
+    n, root, hulls, planners = FLOODS[4]
+    eng, tree = flood_tree(n, root, hulls, planners)
+    idling(monkeypatch, "hull_distribution", min(planners.values()))
+    with pytest.raises(SimulationAbortError, match="phase 'hull_distribution' exceeded 4 rounds"):
         distribute_hulls(eng, tree, hulls, planners)
-    assert eng.phase_reports[-1].rounds == tree.height + 3
+    assert eng.phase_reports[-1].rounds == 4
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,15 @@ def planners_of(pipe) -> dict[int, int]:
     return {rid: pipe.abstractions[rid].planner for rid in pipe._hulls}
 
 
+# the summary of no queries, for a report of the build alone
+NO_QUERIES = {"per_case": {}, "max_ratio": 0.0}
+
+
+def adhoc(pipe) -> int:
+    """The latest build's ad hoc messages, as its report counts them."""
+    return pipe.report([], NO_QUERIES).message_stats["abstraction_adhoc"]
+
+
 def _longrange_recount(transcript) -> dict[int, int]:
     counts: dict[int, int] = {}
     for line in transcript:
@@ -294,11 +303,11 @@ def test_concurrent_build_matches_serial_build(name):
     # the engine's running tallies agree with a recount of the transcript
     assert len(sent) == eng.total_messages
     assert pipe.build_longrange == _longrange_recount(eng.transcript)
-    assert pipe.build_adhoc == sum(1 for t in eng.transcript if t["channel"] == "adhoc")
+    assert adhoc(pipe) == sum(1 for t in eng.transcript if t["channel"] == "adhoc")
     pairs = json.dumps(sorted(_longrange_recount(rest).items()))
     assert hashlib.sha256(pairs.encode()).hexdigest() == lr_digest
     hrefs = Counter((t["src"], t["dst"]) for t in sent if t["tag"] == "href")
-    assert hrefs == brute_hull_gather_cast(pipe.tree, pipe._hulls, planners_of(pipe))
+    assert hrefs == brute_hull_gather_cast(len(topo.ids), pipe.tree.root, pipe._hulls, planners_of(pipe))
 
 
 # sha256 of the sorted JSON of a build's per-phase reports, its per-ring
@@ -309,10 +318,12 @@ def test_concurrent_build_matches_serial_build(name):
 # at hull_merge_2; again when the hull distribution began to cast to
 # one planner per ring and every `hullb` to introduce rank 0; and again,
 # in the hull_distribution phase's row alone, when the cast became two
-# heaps that each carry half the entries.
+# heaps that each carry half the entries; and again, in that row alone,
+# when the planners began to send their entries straight to the tree
+# root instead of up the tree's convergecast.
 TRAFFIC_BREAKDOWN = {
-    "grid36-hole4": "cf4b91eebc95eb6ee70c12b6a4ed6c98465996f15a7e2b04081dae50a8e4bf23",
-    "scale-512-1": "03dafb9b524d3324c92188b85742a35e720f5ef8def93aaaab2348ae205b3b0e",
+    "grid36-hole4": "1ed97520c3e6dfc99f895f64541bcd1c9b333ecb960d672f029274d2975515af",
+    "scale-512-1": "c99bea7f1e1abd3dea64ed711ea611cb5a618458401530a807842d952958230b",
 }
 
 
@@ -339,13 +350,15 @@ def test_traffic_breakdown_by_phase_and_ring_matches_pinned_digest(name):
 # per ring, whose entries mark the rings it plans, and every `hullb` to
 # introduce rank 0 past its points; and once more, in the cast's `href`
 # lines alone, when the cast became two heaps that each carry half the
-# entries (cshape-40, whose one planner is the tree root, casts nothing).
+# entries (cshape-40, whose one planner is the tree root, casts nothing);
+# and once more, in the `href` lines alone, when each planner began to
+# send its entries straight to the tree root in the phase's first round.
 WIRE_STREAM = {
-    "crescent-24": "500078552268bff46a99e0cbadd99d26a663c1bdb0a1aa19afbb9c903af594b1",
+    "crescent-24": "37f8f0db7af37b22c0ba353b714b0b9208eb2cc7f840e01b40081600315626c5",
     "cshape-40": "4d655937cdf99948619e9aa79e430c653ec9443e347752638102b4c20b0f530c",
-    "grid36-hole4": "1e4fc206393c678568e8a6f16357e62dc64bb48e6e0eb8685498aaaf773acb9c",
-    "scale-512-1": "d02a94352f619c5b7a874ad4adbf2ac5e734a07c1eb17e18bdc4e754a43dec80",
-    "star12-4": "4b4d67cc2991264fcac4d7185cf4886c1f33bc9dcd3c5155cd342824e4d634ed",
+    "grid36-hole4": "7451b5a50426e7fbe90b85a6daebb0178a051885fea5424504ad4352bedf6c71",
+    "scale-512-1": "d3e9d8760f3dbc5668d68566dcc289eedce16bd3800db521643adea41c1da15f",
+    "star12-4": "5001b882cb8cf0f03560daa253f5a0928f8c6b7447588ad3eb25a1cd9ea17662",
 }
 
 
@@ -386,7 +399,8 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
             marks[v].add(ring)
     entry = {v: [v, pts[v].x, pts[v].y, *sorted(m)] for v, m in marks.items()}
     (phase,) = [p for p in pipe.engine.phase_reports if p.label == "hull_distribution"]
-    cast_from = pipe.engine.round_no - phase.rounds + pipe.tree.height
+    # the gather is the phase's first round, the cast every later one
+    cast_from = pipe.engine.round_no - phase.rounds + 1
     cast = defaultdict(Counter)
     ells = Counter()
     stream = []
@@ -582,7 +596,7 @@ def test_each_planner_casts_one_half_down_one_heap(name):
     assert not interior[0] & interior[1]
     cap = math.ceil(math.log2(len(pipe.topo.ids)))
     (phase,) = [p for p in pipe.engine.phase_reports if p.label == "hull_distribution"]
-    cast_from = pipe.engine.round_no - phase.rounds + pipe.tree.height
+    cast_from = pipe.engine.round_no - phase.rounds + 1
     sends = defaultdict(Counter)
     for t in pipe.engine.transcript:
         if t["tag"] == "href" and t["round"] >= cast_from and t["src"] != root:
@@ -647,13 +661,8 @@ def test_planner_refs_row_fails_a_distribution_that_withholds_an_entry(monkeypat
     row = pipe.bound_audit()["planner_refs"]
     assert row["ok"] and row["measured_max"] == 0
     assert row["hull_nodes"] == len(set().union(*pipe._hulls.values())) > row["planners"] > 2
-    # a planner on no other planner's root path hears only the cast
-    planners, parent, above = set(planners_of(pipe).values()), pipe.tree.parent, set()
-    for v in planners:
-        while v in parent:
-            v = parent[v]
-            above.add(v)
-    victim = max(planners - above)
+    # a planner but the tree root hears only the cast
+    victim = max(set(planners_of(pipe).values()) - {pipe.tree.root})
     dropped = []
 
     def drop(eng, src, dst, payload, kw):
@@ -738,11 +747,10 @@ def test_hull_distribution_logs_its_two_legs(caplog):
     )
     (row,) = [line.fullmatch(r.getMessage()) for r in caplog.records if "distribution" in r.getMessage()]
     gather, cast, hull_nodes, planners, m = map(int, row.groups())
-    height = pipe.tree.height
-    assert gather == height
+    assert gather == 1
     # the cast's last heap level is reached 1 + floor(log2 m) rounds after the gather
     assert m == len(set(planners_of(pipe).values()) - {pipe.tree.root}) > 1
-    assert gather + cast == pipe.engine.phase_reports[-1].rounds == height + m.bit_length()
+    assert gather + cast == pipe.engine.phase_reports[-1].rounds == 1 + m.bit_length()
     assert hull_nodes == len(set().union(*pipe._hulls.values())) > planners == len(set(planners_of(pipe).values())) > 1
 
 
@@ -756,8 +764,7 @@ def test_holes_rows_report_each_rings_own_cost(name, caplog):
     pipe = Pipeline(topo, PipelineConfig())
     with caplog.at_level(logging.DEBUG, logger="hullroute.pipeline"):
         pipe.build_abstraction()
-    no_queries = {"per_case": {}, "max_ratio": 0.0}
-    rows = pipe.report([], no_queries).holes
+    rows = pipe.report([], NO_QUERIES).holes
     line = re.compile(r"ring (\d+) \S+: size \d+, hull \d+, own rounds (\d+), (\d+) long-range, (\d+) bytes")
     logged = [line.fullmatch(r.getMessage()) for r in caplog.records if r.getMessage().startswith("ring ")]
     assert [int(m[1]) for m in logged] == [r.ring_id for r in pipe.rings]
@@ -770,7 +777,7 @@ def test_holes_rows_report_each_rings_own_cost(name, caplog):
     assert all(0 < row["rounds"] <= sum(p.rounds for p in ring_phases) for row in rows)
     # a recompute's rows count its own build only
     pipe.periodic_recompute()
-    assert pipe.report([], no_queries).holes == rows
+    assert pipe.report([], NO_QUERIES).holes == rows
 
 
 def test_query_rows_name_their_replans_and_planners(monkeypatch):
@@ -815,7 +822,7 @@ def test_broadcast_tree_is_charged_only_past_the_waves(name):
     rounds = pipe.phase_rounds
     tree = math.ceil(math.log2(len(topo.ids)) ** 2)
     before = sum(rounds[p] for p in PRE_TREE_PHASES)
-    rep = pipe.report([], {"per_case": {}, "max_ratio": 0.0, "count": 0})
+    rep = pipe.report([], NO_QUERIES)
     assert rep.wave_rounds == pipe.wave_rounds == before
     (charge,) = [t["tag"] for t in pipe.engine.transcript if t["tag"].startswith("charge:broadcast_tree:")]
     assert rounds["broadcast_tree"] == max(0, tree - before) == int(charge.rsplit(":", 1)[1])
@@ -995,7 +1002,7 @@ def test_audit_window_is_the_latest_build():
     assert out["abstraction_digest"] == pipe.abstraction_digest()
     # an unmoved network rebuilds with the very same messages
     assert pipe.build_longrange == first
-    again = pipe.report([], {"per_case": {}, "max_ratio": 0.0, "count": 0})
+    again = pipe.report([], NO_QUERIES)
     for key in ("abstraction_adhoc", "abstraction_longrange", "longrange_per_node_max"):
         assert again.message_stats[key] == rep.message_stats[key], key
     assert again.bounds["longrange_per_node"] == rep.bounds["longrange_per_node"]
@@ -1087,13 +1094,13 @@ def test_query_rejects_an_unknown_endpoint_before_anything_is_learned(s, t):
 def test_recompute_after_small_move_rebuilds_cleanly():
     pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
     pipe.run()
-    tree_before = sorted(pipe.tree.parent.items())
+    tree = pipe.tree
     v = pipe.topo.ids[3]
     p = pipe.topo.points[v]
     pipe.topo.move_node(v, Point(p.x + 0.05, p.y))
     out = pipe.periodic_recompute()
     assert out["ok"] and out["tree_reused"]
-    assert sorted(pipe.tree.parent.items()) == tree_before
+    assert pipe.tree is tree
     res = pipe.query(4, 12)
     assert res.path[0] == 4 and res.path[-1] == 12
 
@@ -1119,7 +1126,7 @@ def test_recompute_after_moves_equals_a_fresh_build(name, rng):
     out = pipe.periodic_recompute()
     assert out["abstraction_digest"] == fresh.abstraction_digest()
     assert pipe.build_longrange == fresh.build_longrange
-    assert pipe.build_adhoc == fresh.build_adhoc
+    assert adhoc(pipe) == adhoc(fresh)
     assert pipe.ring_cost == fresh.ring_cost
 
 
@@ -1144,7 +1151,7 @@ def test_recompute_after_moves_stores_no_more_than_a_fresh_build(seed):
     # the last recompute's window of the transcript and session reports
     # costs what the fresh build's does
     assert pipe.build_longrange == fresh.build_longrange
-    assert pipe.build_adhoc == fresh.build_adhoc
+    assert adhoc(pipe) == adhoc(fresh)
     assert pipe.ring_cost == fresh.ring_cost
 
 
