@@ -869,10 +869,9 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
 # broadcast tree and hull distribution
 
 
-def test_broadcast_tree_teaches_every_node_the_root_and_no_link(monkeypatch):
-    # the tree leaves every node the smallest id, its root, and nothing
-    # else; a recompute keeps, besides that id, only each node's radio
-    # links, which are all it knew before the first build
+def test_broadcast_tree_heap_shape():
+    # what the tree's shape leaves each node is one hop to the root, the
+    # smallest id, and no other link
     eng = line_engine(15)
     pre = {v: set(eng.topo.knows[v]) for v in eng.topo.ids}
     tree = build_broadcast_tree(eng, eng.round_no)
@@ -880,8 +879,23 @@ def test_broadcast_tree_teaches_every_node_the_root_and_no_link(monkeypatch):
     assert all(eng.topo.knows[v] == pre[v] | {0} - {v} for v in eng.topo.ids)
     charged = [t for t in eng.transcript if t["tag"].startswith("charge:broadcast_tree")]
     assert charged and charged[0]["tag"].endswith(":16")  # ceil(log2(15)^2)
-    assert build_broadcast_tree(line_engine(1), 0) == BroadcastTree(0)
 
+
+def test_broadcast_tree_sizes():
+    one = line_engine(1)
+    assert build_broadcast_tree(one, 0) == BroadcastTree(0)
+    assert one.round_no == 0
+    assert one.transcript[-1]["tag"] == "charge:broadcast_tree:0"
+    big = line_engine(1000)
+    assert build_broadcast_tree(big, 0) == BroadcastTree(0)
+    assert big.round_no == 100  # ceil(log2(1000)^2)
+    assert all(0 in big.topo.knows[v] for v in big.topo.ids[1:])
+
+
+def test_broadcast_tree_teaches_every_node_the_root_and_no_link(monkeypatch):
+    # the tree leaves every node the smallest id, its root, and nothing
+    # else; a recompute keeps, besides that id, only each node's radio
+    # links, which are all it knew before the first build
     pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
     topo = pipe.topo
     assert all(topo.knows[v] == topo.adhoc[v] for v in topo.ids)
