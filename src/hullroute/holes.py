@@ -68,9 +68,6 @@ class Bay:
 class HullAbstraction:
     ring_id: int
     hull_nodes: list[NodeId]  # counterclockwise
-    # rank 0 of the ring's layout, which ends the hull merge holding the
-    # whole hull: a non-outer ring's planner (overlay.distribute_hulls)
-    planner: NodeId
     bay_areas: list[Bay] = field(default_factory=list)
     dominating_sets: dict[int, set[NodeId]] = field(default_factory=dict)
 
@@ -218,8 +215,7 @@ def build_hull_abstraction(
     checks the ring's size and reads its orientation, which
     classify_rings takes.
     Each bay's dominating set then takes no round: its members decide
-    from the ring ranks the broadcast left them (dominating_set).  Each
-    ring's planner is rank 0 of its order.
+    from the ring ranks the broadcast left them (dominating_set).
     Returns the abstractions and the closed rings' orientations, keyed
     by ring_id.
     """
@@ -229,7 +225,7 @@ def build_hull_abstraction(
     paths = {(rid, i): bay.members for rid, bs in bays.items() for i, bay in enumerate(bs)}
     sets = dominating_set(paths)
     abstractions = {
-        rid: HullAbstraction(rid, hulls[rid], orders[rid][0], bs, {i: sets[(rid, i)] for i in range(len(bs))})
+        rid: HullAbstraction(rid, hulls[rid], bs, {i: sets[(rid, i)] for i in range(len(bs))})
         for rid, bs in bays.items()
     }
     return abstractions, orientations

@@ -2,7 +2,8 @@
 
 Everything here runs as node handlers inside the round engine: pointer
 jumping for leader election and ring ranks, distributed convex hull by
-merging blocks of consecutive ranks, and hull reference distribution.
+merging blocks of consecutive ranks, and the hull gather at the
+overlay tree's root.
 The overlay tree over all nodes is charged, not simulated, and leaves
 every node its root's id and nothing more (build_broadcast_tree).  The
 election is also Wyllie's list ranking, so every node ends it knowing
@@ -22,30 +23,26 @@ member decides from ring ranks the hull broadcast left it.
 Message model: a long-range message is sized for ceil(log2 n) points
 (_message_cap).  Every sender cuts what it ships into messages of at
 most that many points, each introducing only the ids of its own points
-(_cut): one entry (id, x, y, rings) per node in the distribution, a
-block's hull as (x, y, id, rank) in the merge, a subtree's part of the
-hull in the broadcast.  No fact crosses a link twice: a pointer-jump
-message carries the new pointer only as its introduction, and a
-planner sends the tree root each entry it owns once, the root merging
-two entries of one node into one.  Nor does a payload
-repeat its header: an item's id rides only among the message's sorted
-introductions, and the payload lists the items without it, in the same
-order (_cut, _uncut), so an entry goes as [x, y, rings] and a hull point
-as [x, y, rank]; a pointer-jump message holds its arc minimum only when
-that is neither the id it introduces nor its sender, and a pj_pred's
-minimum brings its hops back from the sender along; and the hull
-broadcast holds no budget, since a node reads it off its own rank.  In
-the merge a node sends at most that many long-range messages a round,
-as counted by the engine.  The hull broadcast is scoped: each tree edge
-carries only the hull points of the child's subtree of ranks and the
-two hull points that bracket it, so every ring node learns its bay's
-two hull ends, and each message also introduces rank 0, so every ring
-node learns its ring's planner.  The full abstraction, every hull
-node's entry, is kept at the planners only, one per ring: each sends
-its ring's entries straight to the tree root, which casts them down two
-heaps of the planners, each heap carrying half the entries, so no
-planner casts it twice (distribute_hulls); a hull node plans by asking
-its ring's planner.
+(_cut): one entry (id, x, y, rings) per hull node in the distribution,
+a block's hull as (x, y, id, rank) in the merge, a subtree's part of
+the hull in the broadcast.  No fact crosses a link twice: a pointer-jump
+message carries the new pointer only as its introduction, and a leader
+sends the tree root each entry of its rings once, the root merging two
+entries of one node into one.  Nor does a payload repeat its header: an
+item's id rides only among the message's sorted introductions, and the
+payload lists the items without it, in the same order (_cut, _uncut),
+so an entry goes as [x, y, rings] and a hull point as [x, y, rank]; a
+pointer-jump message holds its arc minimum only when that is neither
+the id it introduces nor its sender, and a pj_pred's minimum brings its
+hops back from the sender along; and the hull broadcast holds no
+budget, since a node reads it off its own rank.  In the merge a node
+sends at most that many long-range messages a round, as counted by the
+engine.  The hull broadcast is scoped: each tree edge carries only the
+hull points of the child's subtree of ranks and the two hull points
+that bracket it, so every ring node learns its bay's two hull ends.
+The full abstraction, every hull node's entry, is kept at the tree
+root alone: each ring's leader sends it its ring's entries in one hop
+(distribute_hulls), and a hull node plans by asking the root.
 Ids a node learns only in transit are forgotten once a protocol ends
 (_forget_learned).
 
@@ -111,12 +108,8 @@ def _cut(engine: RoundEngine, items: Mapping[NodeId, list]) -> list[tuple[list, 
 
 
 def _uncut(m: Message, key: str) -> dict[NodeId, list]:
-    """The items of m.payload[key], keyed by the first ids m introduces (_cut).
-
-    Any id introduced past them names no item: a hullb's rank 0.
-    """
-    items = m.payload[key]
-    return dict(zip(m.intro_ids[: len(items)], items, strict=True))
+    """The items of m.payload[key], keyed by the ids m introduces (_cut)."""
+    return dict(zip(m.intro_ids, m.payload[key], strict=True))
 
 
 def _hull_items(points: list[list]) -> dict[NodeId, list]:
@@ -470,9 +463,7 @@ def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list,
     leader from its merged hull, whose points carry their ranks: a
     child's ranks and brackets lie within its parent's, so a sender
     knows every id it introduces.  Messages carry at most _message_cap
-    points, each introducing the ids of its own points, and also rank 0,
-    the ring's planner (distribute_hulls), unless it sends the message
-    or is among them.  On a closed
+    points, each introducing the ids of its own points.  On a closed
     ring each message also carries the ring size k, `size`, which the
     leader ends the merge with (None on an arc): the bay that wraps past
     rank 0 counts its members modulo k (dominating_set).  A node reached
@@ -503,8 +494,7 @@ def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list,
                 after = min(pts, key=lambda q: (q[3] - e) % k)
                 part.setdefault(after[3], after)
             for chunk, ids in _cut(eng, _hull_items([part[s] for s in sorted(part)])):
-                lead = () if v == order[0] or order[0] in ids else (order[0],)
-                eng.send(v, order[c], {"hull": chunk, **header}, tag="hullb", intro_ids=ids + lead)
+                eng.send(v, order[c], {"hull": chunk, **header}, tag="hullb", intro_ids=ids)
         return True
 
     def finish(report: PhaseReport) -> None:
@@ -515,7 +505,7 @@ def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list,
 
 
 # ---------------------------------------------------------------------------
-# the broadcast tree's root, and the hull distribution to the planners
+# the broadcast tree's root, and the hull gather at it
 
 
 def build_broadcast_tree(engine: RoundEngine, began: int) -> BroadcastTree:
@@ -550,125 +540,50 @@ def distribute_hulls(
     engine: RoundEngine,
     tree: BroadcastTree,
     hulls: Mapping[int, list[NodeId]],
-    planners: Mapping[int, NodeId],
+    leaders: Mapping[int, NodeId],
 ) -> None:
-    """Gather every ring's entries at the tree root in one hop, then cast them down two heaps of the planners.
+    """Gather every hull node's entry at the tree root, in one hop.
 
-    `hulls` holds each non-outer ring's hull node ids and `planners` its
-    planner, rank 0 of its layout, which ended the hull merge holding the
-    ring's whole hull.  A node's entry is [x, y, mark, ...]: its position,
-    then, sorted, each ring it is a hull node of and, as ~ring, each ring
-    it plans.  So a planner that is no hull node has an entry too, and its
-    id rides the gather like a hull id.  The phase is one wave of one
-    session, which starts at the planners but the tree root; every other
-    node acts only when mail reaches it, and only the planners and the
-    root hear anything.  Hull nodes that plan nothing take no part.
-    Gather: in round 0 each planner but the root sends the root, whose id
-    every node holds (build_broadcast_tree), the entries it owns, its
-    rings' and its own.  In round 1 the root holds every entry, two
-    entries of one node merged into one.  Cast, a two-tree broadcast
-    (Sanders, Speck & Traeff 2009): the m planners but the root, their
-    ids sorted from the largest down as `order`, form two binary heaps,
-    heap 0 laid out over `order` and heap 1 over `order` reversed.  A
-    planner's home is the heap it sits higher in, heap 0 in the middle
-    of an odd m, and it is interior in no other: heap 0's interior is
-    the first floor(m/2) of `order`, heap 1's the last floor(m/2).  An
-    entry's half is its id's parity, but a planner's entry rides the half
-    of its receiver's home, so a planner holds every planner's entry,
-    thus `order` and each heap child's rings, in the round its home's
-    half reaches it.  The root sends each heap's root that heap's half,
-    and a planner, in that round, sends each of its home children 2i+1
-    and 2i+2 that half but the entries the child owns whole, whose marks
-    all name rings it plans; its other half comes from its parent in the
-    other heap.  So every planner gets every entry it does not own whole,
-    once and whole, by round 2 + floor(log2 m).  A message carries at
-    most ceil(log2 n) entries and introduces their ids, which the entries
-    leave out on the wire (_cut).  So the root receives about H + L
-    entries in round 1, and the cast sends about H entries to each of L
-    planners, H x L in all, for H hull nodes and L rings, and an interior
-    planner about H/2 + L to each of its two children.  At worst every
-    hull node's id has one parity: then one heap casts every entry but
-    some planners', and the other the planners' entries alone, in the
-    same rounds.
-
-    The planners keep the hull ids they learn.  Every other id the phase
-    taught a planner or the root is forgotten once it ends, so a root
-    that plans nothing ends as it began.
+    `hulls` holds each non-outer ring's hull node ids and `leaders` its
+    rank 0, a closed ring's leader or an arc's first hull end, which
+    ended the hull merge holding the ring's whole hull.  A hull node's
+    entry is [x, y, ring, ...]: its position, then, sorted, each ring it
+    is a hull node of.  The phase is one session whose cap is one round.
+    In round 0 each leader but the tree root sends the root, whose id
+    every node holds (build_broadcast_tree), the entries of the rings it
+    leads, cut into messages of at most ceil(log2 n) entries that
+    introduce their ids (_cut).  In round 1 the root holds every entry,
+    two entries of one node merged into one: it is the one node that
+    holds the full abstraction, and a plan made at any other hull node
+    is asked of it (routing.Router).  Only the leaders and the root are
+    called, each call with mail or a send, and hull nodes that lead
+    nothing take no part.  The root keeps the hull ids and forgets the
+    leaders' other ids once the phase ends.
     """
-    topo, root = engine.topo, tree.root
-    own: dict[NodeId, dict[NodeId, list]] = {}
-
-    def merge(into: dict[NodeId, list], entries: Mapping[NodeId, list]) -> None:
-        for w, e in entries.items():
-            marks = set(e[2:]) | set(into.get(w, ())[2:])
-            into[w] = [*e[:2], *sorted(marks)]
-
-    pts = topo.points
+    topo, root, pts = engine.topo, tree.root, engine.topo.points
+    # each leader's hull nodes, each with the rings it leads that it is a hull node of
+    led: dict[NodeId, dict[NodeId, set[int]]] = {}
     for ring, ids in hulls.items():
-        held = own.setdefault(planners[ring], {})
-        for v, mark in [(planners[ring], ~ring), *((v, ring) for v in ids)]:
-            merge(held, {v: [pts[v].x, pts[v].y, mark]})
-    before = {v: set(topo.knows[v]) for v in {*own, root}}
-
-    def send(eng: RoundEngine, v: NodeId, dst: NodeId, entries: dict) -> None:
-        for chunk, ids in _cut(eng, entries):
-            eng.send(v, dst, {"refs": chunk}, tag="href", intro_ids=ids)
-
-    def part(entries: dict, c: NodeId) -> dict:
-        """Every entry but those c owns whole, whose marks all name rings c plans; by sorted id."""
-        mine = {m for m in entries[c][2:] if m < 0}
-        mine |= {~m for m in mine}
-        return {w: entries[w] for w in sorted(entries) if not set(entries[w][2:]) <= mine}
-
-    def plans(e: list) -> bool:
-        return min(e[2:]) < 0
-
-    def serve(eng: RoundEngine, v: NodeId, entries: dict) -> None:
-        """v, the root or a planner in its home heap's round, holds that half and every planner's entry.
-
-        With the root before each heap, seq[j]'s children are seq[2j] and
-        seq[2j + 1], and the root's seq[1] alone; each gets the heap's
-        half of its part.
-        """
-        order = sorted((w for w, e in entries.items() if w != root and plans(e)), reverse=True)
-        home = {w: int(2 * i >= len(order)) for i, w in enumerate(order)}
-        for h, heap in enumerate((order, order[::-1])):
-            if v != root and home[v] != h:
-                continue
-            seq = [root, *heap]
-            j = seq.index(v)
-            for c in seq[max(2 * j, 1) : 2 * j + 2]:
-                send(eng, v, c, {w: e for w, e in part(entries, c).items() if (home[c] if plans(e) else w & 1) == h})
+        for v in ids:
+            led.setdefault(leaders[ring], {}).setdefault(v, set()).add(ring)
+    before = {root: set(topo.knows[root])}
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
-        if not inbox:
-            # the only call without mail: a planner's round 0, its gather
-            send(eng, v, root, dict(sorted(own[v].items())))
-            return True
-        got: dict[NodeId, list] = {}
-        for m in inbox:
-            merge(got, _uncut(m, "refs"))
-        # a planner's entries come only with its own heap's half
-        if v == root or any(plans(e) for e in got.values()):
-            merge(got, own.get(v, {}))
-            serve(eng, v, got)
+        # a leader's one call, round 0, gathers; the root's, round 1, only receives
+        if v != root:
+            entries = {w: [pts[w].x, pts[w].y, *sorted(rings)] for w, rings in sorted(led[v].items())}
+            for chunk, ids in _cut(eng, entries):
+                eng.send(v, root, {"refs": chunk}, tag="href", intro_ids=ids)
         return True
 
-    # one session keyed None, as out-of-phase traffic is: it is no ring's;
-    # the cast's last heap level ends 1 + floor(log2 m) rounds after the gather's one
-    start = sorted(own.keys() - {root})
-    m = len(start)
-    rounds = _run_wave(
-        engine,
-        "hull_distribution",
-        {None: _Session(start, handler, 1 + m.bit_length(), lambda report: report.rounds)},
-    )[None]
+    # one session keyed None, as out-of-phase traffic is: it is no ring's
+    start = sorted(led.keys() - {root})
+    _run_wave(engine, "hull_distribution", {None: _Session(start, handler, 1)})
     hull_ids = set().union(*hulls.values())
-    _forget_learned(engine, before, dict.fromkeys(own, hull_ids))
-    gather = int(m > 0)
+    _forget_learned(engine, before, {root: hull_ids})
     log.debug(
-        "hull distribution: gather %d rounds, cast %d rounds, %d hull nodes, %d planners, two heaps of %d",
-        gather, rounds - gather, len(hull_ids), len(own), m,
+        "hull distribution: %d leaders send %d hull nodes to root %d",
+        len(start), len(hull_ids), root,
     )
 
 
@@ -714,8 +629,7 @@ def ring_protocol(
     broadcasts the hull.  The merge teaches the left blocks' first
     nodes the ids of the hulls shipped to them; once the hull is
     broadcast, each ring node forgets every id learned since the merge
-    began that is neither a hull node nor rank 0 of one of its rings.
-    Returns each
+    began that is no hull node of one of its rings.  Returns each
     ring's ccw hull node ids and each closed ring's orientation, with
     polygon_orientation's sign, by key.
     """
@@ -731,6 +645,6 @@ def ring_protocol(
     keep: dict[NodeId, set[NodeId]] = {}
     for key, order in orders.items():
         for v in order:
-            keep.setdefault(v, set()).update(hulls[key], order[:1])
+            keep.setdefault(v, set()).update(hulls[key])
     _forget_learned(engine, before, keep)
     return hulls, orientations

@@ -4,9 +4,9 @@ The driver executes the protocol phases in their dependency order and
 meters every bound the artifact promises: total abstraction rounds
 against c2*log2(n)^2, pointer-jumping rounds and per-node messages per
 closed ring, per-node long-range message counts, and the three-class
-storage shape (hull nodes and planners, other boundary nodes, everyone
-else).  Every
-bound is evaluated and recorded; nothing is skipped silently.
+storage shape (hull nodes and the tree root, other boundary nodes,
+everyone else).  Every bound is evaluated and recorded; nothing is
+skipped silently.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ class Pipeline:
             for r in self.rings
             if r.kind != KIND_OUTER_BOUNDARY
         }
-        distribute_hulls(eng, self.tree, self._hulls, {rid: self.abstractions[rid].planner for rid in self._hulls})
+        distribute_hulls(eng, self.tree, self._hulls, {rid: self.orders[rid][0] for rid in self._hulls})
         mark("hull_distribution")
 
         self.protocol_rounds = eng.round_no - start
@@ -270,7 +270,7 @@ class Pipeline:
         # ids, which is not abstraction storage
         self._knows_after_build = {v: set(self.topo.knows[v]) for v in self.topo.ids}
         self._storage = None
-        self.router = Router(self.g, self.rings, self.abstractions, backend=self.config.backend)
+        self.router = Router(self.g, self.rings, self.abstractions, self.tree.root, backend=self.config.backend)
         self.seconds["router_s"] = time.perf_counter() - clock
 
     def _record_ring_costs(self, quiet: int) -> None:
@@ -302,20 +302,20 @@ class Pipeline:
     def storage_audit(self) -> dict:
         """Persisted-knowledge deltas by node class, with budgets; measured once per build.
 
-        The "hull" class holds the hull nodes and the planners, the nodes
-        that may hold hull ids of every ring; a planner is mostly a hull
-        node, but a ring's leader need not be.
+        The "hull" class holds the hull nodes and the tree root, the nodes
+        that may hold hull ids of every ring; the root need not be a hull
+        node, nor on any ring.
         """
         if self._knows_after_build is None:
             raise NotReadyError("abstraction not built")
         if self._storage is not None:
             return self._storage
-        hull_nodes = set().union(*self._hulls.values(), (self.abstractions[rid].planner for rid in self._hulls))
+        hull_nodes = set().union(*self._hulls.values(), {self.tree.root})
         ring_members = set()
         for r in self.rings:
             ring_members.update(r.members)
         boundary = ring_members - hull_nodes
-        other = set(self.topo.ids) - ring_members
+        other = set(self.topo.ids) - ring_members - hull_nodes
         delta = {
             v: len(self._knows_after_build[v] - self.baseline_knows[v])
             for v in self.topo.ids
@@ -393,18 +393,14 @@ class Pipeline:
                 "ok": storage[cls]["ok"],
             }
 
-        # Case1 plans at a hull node, which asks a planner of one of its
-        # rings: each planner must hold every hull id, and each hull node
-        # the planner of each ring it is a hull node of
+        # Case1 plans at a hull node, which asks the tree root: the root
+        # must hold every hull id, and each hull node the root's
         hull_nodes = set().union(*self._hulls.values())
-        knows = self._knows_after_build
-        planners = {rid: self.abstractions[rid].planner for rid in self._hulls}
-        missing = Counter({p: len(hull_nodes - knows[p] - {p}) for p in planners.values()})
-        for rid, ids in self._hulls.items():
-            missing.update(v for v in ids if v != planners[rid] and planners[rid] not in knows[v])
+        knows, root = self._knows_after_build, self.tree.root
+        missing = Counter({root: len(hull_nodes - knows[root] - {root})})
+        missing.update(v for v in hull_nodes if v != root and root not in knows[v])
         bounds["planner_refs"] = {
             "hull_nodes": len(hull_nodes),
-            "planners": len(set(planners.values())),
             "measured_max": max(missing.values(), default=0),
             "bound": 0,
             "ok": not any(missing.values()),

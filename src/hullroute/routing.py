@@ -430,11 +430,15 @@ class Router:
         g: PlanarGraph,
         rings: Sequence[HoleRing],
         abstractions: Mapping[int, HullAbstraction],
+        root: NodeId,
         backend: str = BACKEND_VIS,
     ):
         if backend not in (BACKEND_VIS, BACKEND_ODEL):
             raise DispatchError(f"unknown backend {backend!r}")
         self.g = g
+        # the overlay tree's root, the one node that holds every hull and
+        # so the one every plan is asked of (overlay.distribute_hulls)
+        self.root = root
         self.obstacles: list[_RingCtx] = []
         self._face_ring: dict[int, _RingCtx] = {}
         for ring in rings:
@@ -453,12 +457,6 @@ class Router:
                     self._face_ring[g.face_left[ring.members[0], ring.members[1]]] = ctx
         if g.outer_face not in self._face_ring:
             raise NotReadyError("outer boundary ring missing")
-        # the planner a plan made at each hull node asks: a planner asks no
-        # one, any other hull node the planner of its first ring
-        self._planner_of = {c.abstraction.planner: c.abstraction.planner for c in self.obstacles}
-        for c in self.obstacles:
-            for h in c.abstraction.hull_nodes:
-                self._planner_of.setdefault(h, c.abstraction.planner)
         vis = build_visibility_graph([c.polygon for c in self.obstacles])
         self.waypoints = vis if backend == BACKEND_VIS else build_overlay_delaunay(vis)
 
@@ -694,16 +692,12 @@ class Router:
     def _deliver(self, engine, s, t, path, case, legs, e_route, plans) -> RouteResult:
         """Send the data along the planned walk and measure it.
 
-        Each plan made at a hull node that is no planner is asked of the
-        planner that node holds (_planner_of), where the walk reaches it.
-        The walk's pieces meet end to end, so no node follows itself.
+        Each plan made at a hull node other than the tree root is asked
+        of the root, where the walk reaches that node.  The walk's pieces
+        meet end to end, so no node follows itself.
         """
         _check_walkable(self.g, path)
-        asks = [
-            (i, self._planner_of[h], [self.g.points[w] for w in chain])
-            for h, chain, i in plans
-            if self._planner_of.get(h, h) != h
-        ]
+        asks = [(i, [self.g.points[w] for w in chain]) for h, chain, i in plans if h != self.root]
         rounds, lr = self._transmit(engine, s, t, path, asks)
         if path[0] != s or path[-1] != t:
             raise GeometryInconsistencyError(f"{case}: path endpoints {path[0]},{path[-1]} != {s},{t}")
@@ -724,15 +718,15 @@ class Router:
         s: NodeId,
         t: NodeId,
         path: Sequence[NodeId],
-        asks: Sequence[tuple[int, NodeId, list[Point]]] = (),
+        asks: Sequence[tuple[int, list[Point]]] = (),
     ) -> tuple[int, int]:
         """Run the query as one session keyed None; returns its rounds and long-range messages.
 
         s asks t's position over the long-range channel, then hop i carries
         seq i from path[i] to path[i + 1] ad hoc, so a walk may revisit nodes.
-        `asks` holds, in path order, each plan made away from its planner:
-        (i, planner, the chain's waypoint positions).  Before hop i, path[i]
-        sends the planner t's position (rt_plan) and the planner answers
+        `asks` holds, in path order, each plan made away from the tree
+        root: (i, the chain's waypoint positions).  Before hop i,
+        path[i] sends the root t's position (rt_plan) and the root answers
         with the chain (rt_chain): one long-range round trip per plan.
         """
         pos = self.g.points[t]
@@ -753,10 +747,9 @@ class Router:
                 # seq + 1, and a chain the hop its plan was asked for
                 i = 0 if m.tag == "rt_pos" else m.payload["seq"] + (m.tag == "rt_data")
                 if queue and queue[0][0] == i:
-                    _, planner, chain = queue.pop(0)
-                    asked.append(chain)
+                    asked.append(queue.pop(0)[1])
                     ask = {"seq": i, "x": pos.x, "y": pos.y}
-                    eng.send(v, planner, ask, channel=Channel.LONGRANGE, tag="rt_plan")
+                    eng.send(v, self.root, ask, channel=Channel.LONGRANGE, tag="rt_plan")
                 elif i < len(path) - 1:
                     eng.send(v, path[i + 1], {"seq": i}, channel=Channel.ADHOC, tag="rt_data")
             return True

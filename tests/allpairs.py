@@ -8,7 +8,7 @@ The default is all four fixtures; crescent-24 and star12-4 take a few
 minutes per backend. Each line holds the pairs routed, the failures
 (queries that raised a HullrouteError), every case's count and worst
 competitive ratio, the share of walks that visit a node twice, the
-query rounds spent on plans asked of a planner (two per long-range
+query rounds spent on plans asked of the tree root (two per long-range
 round trip, beyond 2 + hops) and the pairs that spent any, and a sha256
 over the (s, t, case, path) of every routed pair in order, so two
 revisions route the same iff their digests agree. It exits with status 1

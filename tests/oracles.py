@@ -10,7 +10,7 @@ the predicates.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -585,49 +585,22 @@ def with_ids(items, ids, at):
     return [list(q[:at]) + [v] + list(q[at:]) for q, v in zip(items, ids)]
 
 
-def brute_hull_gather_cast(n, root, hulls, planners):
-    """Messages per directed edge of the hull distribution's gather and cast.
+def brute_hull_gather(n, root, hulls, leaders):
+    """Messages per directed edge of the hull distribution's one-hop gather.
 
-    `hulls` holds each ring's hull node ids and `planners` its planner,
-    which owns the entries of the ring's hull nodes and its own; a node's
-    entry names every ring it is a hull node of and every ring it plans.
-    Computed from closed forms, not by running rounds, with cap =
-    ceil(log2 n) entries to a message, for n nodes. Gather: each planner
-    but the tree root `root` sends the root ceil(k / cap) messages, k the
-    nodes whose entries it owns. Cast: `order` is the planners but the
-    root, largest id first, m of them; heap 0 is `order`, heap 1 `order`
-    reversed, and a planner's home is heap 0 when it sits at index
-    i < m / 2 of `order`, else heap 1. In heap h the root
-    sends heap[0], and heap[i] each child heap[c] (c = 2i+1, 2i+2),
-    ceil(k / cap) messages, k the entries of half h that heap[c] does not
-    own whole: a planner's entry is in half h when heap[c]'s home is h,
-    any other node's when its id is h modulo 2, and heap[c] owns an entry
-    whole when every ring it names is one heap[c] plans. Returns
-    {(src, dst): messages}.
+    `hulls` holds each ring's hull node ids and `leaders` its rank 0,
+    which owns the entries of the ring's hull nodes; a node on two hulls
+    led by one leader is one entry. Computed from a closed form, not by
+    running rounds, with cap = ceil(log2 n) entries to a message, for n
+    nodes: each leader but the tree root `root` sends the root
+    ceil(k / cap) messages, k the hull nodes of the rings it leads.
+    Returns {(src, dst): messages}.
     """
     cap = max(1, (n - 1).bit_length())
-    owned, rings_of = {}, {}
+    led = {}
     for ring, ids in hulls.items():
-        owned.setdefault(planners[ring], {planners[ring]}).update(ids)
-        for v in ids:
-            rings_of.setdefault(v, set()).add(ring)
-    out = Counter({(p, root): -(-len(ids) // cap) for p, ids in owned.items() if p != root})
-    every = set().union(*owned.values())
-    order = sorted(set(owned) - {root}, reverse=True)
-    home = {p: int(2 * i >= len(order)) for i, p in enumerate(order)}
-    plans_of = {}
-    for ring, p in planners.items():
-        plans_of.setdefault(p, set()).add(ring)
-    for h, heap in enumerate((order, order[::-1])):
-        for c, dst in enumerate(heap):
-            k = sum(
-                (home[dst] if w in plans_of else w % 2) == h
-                and not rings_of.get(w, set()) | plans_of.get(w, set()) <= plans_of[dst]
-                for w in every
-            )
-            if k:
-                out[(root if c == 0 else heap[(c - 1) // 2], dst)] += -(-k // cap)
-    return dict(out)
+        led.setdefault(leaders[ring], set()).update(ids)
+    return {(p, root): -(-len(ids) // cap) for p, ids in led.items() if p != root}
 
 
 def crossing_edge_pairs(points: dict, edges):

@@ -14,11 +14,11 @@ columns are n; the hull nodes of every ring but the outer boundary;
 protocol rounds; wave_rounds, the rounds up to wave two's end; the
 broadcast tree's charged rounds; the peak, the most long-range messages
 one node sent in one round, against the message cap ceil(log2 n);
-dist_peak, the same peak within the hull distribution alone, so the
-cast can be told apart from the merge (`hm`) and the hull broadcast
-(`hullb`); dist_recv, the most long-range messages one node received in
-one round of the hull distribution, which the tree root sets when the
-gather reaches it; the most long-range messages one node sent in the
+dist_peak, the same peak within the hull distribution alone, the
+leaders' one-hop gather to the tree root, so it can be told apart from
+the merge (`hm`) and the hull broadcast (`hullb`); dist_recv, the most
+long-range messages one node received in one round of the hull
+distribution, which the tree root sets when the gather reaches it; the most long-range messages one node sent in the
 whole build; the build's bytes; and the bytes of its hull distribution
 (`href`).  The counts are
 read off the transcript, and the rounds are the pipeline's own; nothing

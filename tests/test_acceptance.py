@@ -117,7 +117,7 @@ def sweep_routes(pipe: Pipeline, backend: str, sample_cap: int, seed: int):
     router = (
         pipe.router
         if backend == pipe.config.backend
-        else Router(pipe.g, pipe.rings, pipe.abstractions, backend=backend)
+        else Router(pipe.g, pipe.rings, pipe.abstractions, pipe.tree.root, backend=backend)
     )
     ids = sorted(pipe.topo.points)
     pairs = list(itertools.combinations(ids, 2))

@@ -36,7 +36,7 @@ from oracles import (
     brute_arc_min,
     brute_hull,
     brute_hull_ccw,
-    brute_hull_gather_cast,
+    brute_hull_gather,
     brute_min_path_ds,
     path_ds_optimum,
     with_ids,
@@ -835,8 +835,7 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
         def spy(src, dst, payload=None, **kw):
             if kw.get("tag") == "hullb":
                 assert "budget" not in payload
-                ids, lead = kw["intro_ids"][: len(payload["hull"])], kw["intro_ids"][len(payload["hull"]) :]
-                sent.append((engine.round_no, src, dst, with_ids(payload["hull"], ids, 2), lead))
+                sent.append((engine.round_no, src, dst, with_ids(payload["hull"], kw["intro_ids"], 2)))
             send(src, dst, payload, **kw)
 
         monkeypatch.setattr(engine, "send", spy)
@@ -844,11 +843,8 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
         rank = rank_of(res.order)
         hull = sorted(rank[h] for h in res.hull)
         got: dict = {}
-        for rnd, src, dst, chunk, lead in sent:
+        for rnd, src, dst, chunk in sent:
             assert len(chunk) <= cap
-            # past its points, a message introduces rank 0 unless it sends it or is among them
-            leader = res.order[0]
-            assert lead == (() if src == leader or leader in {q[2] for q in chunk} else (leader,))
             assert all(q == [pts[q[2]].x, pts[q[2]].y, q[2], rank[q[2]]] for q in chunk)
             got.setdefault(rank[dst], []).append((rnd, chunk))
         assert set(got) == set(range(1, k))
@@ -927,54 +923,33 @@ def test_broadcast_tree_charges_only_the_rounds_it_still_needs(elapsed, charged)
 
 
 # (nodes, the tree's root or None for the smallest id, hull ids by ring,
-# planner by ring)
+# leader by ring)
 FLOODS = [
-    # the one planner, 6, is no hull node; it sends the root its ring's
-    # entries and its own, and the root sends 6 nothing, since every
-    # entry is of 6's own ring
+    # the one leader, 6, is no hull node; it sends the root its ring's
+    # two entries
     (9, None, {0: [2, 5]}, {0: 6}),
-    # node 19 is on two hulls, planned by 15 and 30, so its two entries
-    # first meet at the root; 15 sends its nine entries in two messages
-    # of at most ceil(log2 31) = 5
+    # node 19 is on two hulls, led by 15 and 30, so its two entries first
+    # meet at the root; 15 sends its eight entries in two messages of at
+    # most ceil(log2 31) = 5
     (31, None, {0: [7], 1: list(range(15, 23)), 2: [19]}, {0: 7, 1: 15, 2: 30}),
-    # the root, node 0, plans ring 0 and stays out of the heap: it sends
-    # node 9 ring 0's entries and its own
+    # the root, node 0, leads ring 0 and sends nothing; 9 sends ring 1's
+    # entries
     (15, None, {0: [0, 4], 1: [9, 12, 13]}, {0: 0, 1: 9}),
-    # the root, node 6, is a hull node but plans nothing; node 13, the
-    # larger planner, heads heap 0, and node 5, which plans two rings,
-    # heads heap 1
+    # the root, node 6, is a hull node but leads nothing; node 5 leads two
+    # rings and sends their entries, 6's two as one
     (15, 6, {0: [2, 6, 9], 1: [13], 2: [4, 6]}, {0: 5, 1: 13, 2: 5}),
-    # seven planners: heap 0 is 14, 12, 11, 10, 8, 7, 3, so 14 casts the
-    # even ids to 12 and 11, 12 to 10 and 8, 11 to 7 and 3; heap 1 is the
-    # reverse, so 3 casts the odd ids to 7 and 8, 7 to 10 and 11, 8 to 12
-    # and 14; 10, in the middle, is a leaf of both, with its home heap 0
-    (15, None, {r: [r, (r + 5) % 15] for r in range(7)}, {0: 14, 1: 12, 2: 11, 3: 10, 4: 8, 5: 7, 6: 3}),
-    # the root, 0, plans ring 0, so its entry rides to each planner with
-    # the half of its home heap; of the two planners, 12 heads heap 0 and
-    # 7 heap 1, each is cast its own heap's half by the root and casts the
-    # other its half but the planners' entries; 12 is a hull node of 7's
-    # ring, and 8 of two rings
-    (15, None, {0: [0, 3, 4, 8], 1: [8, 11, 5, 13], 2: [12, 1]}, {0: 0, 1: 12, 2: 7}),
-    # four planners: heap 0 is 29, 21, 16, 10 and heap 1 the reverse, so
-    # 29 and 21 cast the even ids, 10 and 16 the odd ones; 16, whose home
-    # is heap 1, hears the planners' entries from 10
-    (31, None, {0: [2, 3, 29], 1: [5, 8, 13, 21], 2: [16, 17, 18], 3: [1, 10, 30]}, {0: 29, 1: 21, 2: 16, 3: 10}),
-    # six planners, every hull id even: heap 1 carries the planners'
-    # entries only, to the three whose home it is, and heap 0 all the
-    # rest, as the one heap did
-    (31, None, {r: [2 * r, 2 * r + 12] for r in range(6)}, {0: 30, 1: 25, 2: 20, 3: 15, 4: 9, 5: 3}),
     # no hull node at all
     (9, None, {}, {}),
 ]
 
 
 def test_distribute_hulls_floods_once_and_forgets(monkeypatch):
-    for n, root, hulls, planners in FLOODS:
-        _check_flood(n, root, hulls, planners, monkeypatch)
+    for n, root, hulls, leaders in FLOODS:
+        _check_flood(n, root, hulls, leaders, monkeypatch)
 
 
-def flood_tree(n, root, hulls, planners):
-    """The line's engine and broadcast tree, each planner taught its rings' hull ids as the merge would."""
+def flood_tree(n, root, hulls, leaders):
+    """The line's engine and broadcast tree, each leader taught its rings' hull ids as the merge would."""
     eng = line_engine(n)
     if root is None:
         tree = build_broadcast_tree(eng, eng.round_no)
@@ -984,83 +959,63 @@ def flood_tree(n, root, hulls, planners):
             eng.topo.learn(v, root)
     for ring, ids in hulls.items():
         for v in ids:
-            eng.topo.learn(planners[ring], v)
+            eng.topo.learn(leaders[ring], v)
     return eng, tree
 
 
-def _check_flood(n, root, hulls, planners, monkeypatch):
-    eng, tree = flood_tree(n, root, hulls, planners)
+def _check_flood(n, root, hulls, leaders, monkeypatch):
+    eng, tree = flood_tree(n, root, hulls, leaders)
     root, cap = tree.root, math.ceil(math.log2(n))
-    # a node's entry: its id and position, then, sorted, the rings it is a
-    # hull node of and, as ~ring, those it plans
-    marks, owned = {}, {}
+    # each leader's hull nodes, and each hull node's rings
+    led, rings_of = {}, {}
     for ring, ids in hulls.items():
-        owned.setdefault(planners[ring], {planners[ring]}).update(ids)
-        marks.setdefault(planners[ring], set()).add(~ring)
+        led.setdefault(leaders[ring], set()).update(ids)
         for v in ids:
-            marks.setdefault(v, set()).add(ring)
-    entries = {v: (v, eng.topo.points[v].x, eng.topo.points[v].y, *sorted(m)) for v, m in marks.items()}
+            rings_of.setdefault(v, set()).add(ring)
     hull_ids = set().union(*hulls.values())
     pre = {v: set(eng.topo.knows[v]) for v in eng.topo.ids}
     start = eng.round_no
-    gather = {v: [] for v in eng.topo.ids}
-    cast = {v: [] for v in eng.topo.ids}
-    gather_sends: dict = {}
+    gathered, sends = Counter(), {}
     send = eng.send
 
     def spy(src, dst, payload=None, **kw):
         if kw.get("tag") == "href":
-            got = [tuple(e) for e in with_ids(payload["refs"], kw["intro_ids"], 0)]
+            assert (eng.round_no, dst) == (start, root)
+            got = with_ids(payload["refs"], kw["intro_ids"], 0)
             assert 0 < len(got) <= cap
-            for e in got:
-                # a gathered entry may name only some of its node's rings
-                assert e[:3] == entries[e[0]][:3] and set(e[3:]) <= set(entries[e[0]][3:])
-            if eng.round_no == start:
-                gather[dst] += got
-                gather_sends.setdefault(src, []).append(len(got))
-            else:
-                cast[dst] += got
+            for v, x, y, *rings in got:
+                # an entry names each ring its sender leads that the node is a hull node of
+                assert (x, y) == tuple(eng.topo.points[v])
+                assert rings == sorted(r for r in rings_of[v] if leaders[r] == src)
+            sends.setdefault(src, []).append(len(got))
+            gathered.update(e[0] for e in got)
         send(src, dst, payload, **kw)
 
     monkeypatch.setattr(eng, "send", spy)
-    distribute_hulls(eng, tree, hulls, planners)
+    distribute_hulls(eng, tree, hulls, leaders)
     phase = eng.phase_reports[-1]
     assert phase.label == "hull_distribution"
-    # the cast's last heap level is reached 1 + floor(log2 m) rounds after the gather's one
-    m = len(set(owned) - {root})
-    assert phase.rounds <= 1 + m.bit_length()
-    # in round 0, each planner but the root sends the root the entries it
-    # owns, full messages but its last, and the root gathers them all
-    assert set(gather_sends) == set(owned) - {root}
-    for sizes in gather_sends.values():
+    assert phase.rounds == int(bool(set(led) - {root}))
+    # in round 0, each leader but the root sends the root each of its
+    # hull nodes' entries once, in full messages but its last
+    assert set(sends) == set(led) - {root}
+    for src, sizes in sends.items():
         assert all(size == cap for size in sizes[:-1])
-    assert all(not got for v, got in gather.items() if v != root)
-    assert {e[0] for e in gather[root]} == set().union(*(ids for p, ids in owned.items() if p != root))
-    # each planner but the root is cast, each whole, every entry but those
-    # it owns whole: of hull nodes of its own rings only, and its own
-    # unless it is a hull node of a ring it does not plan
-    for v in eng.topo.ids:
-        plans = {ring for ring, p in planners.items() if p == v}
-        want = Counter(
-            e for e in entries.values() if not {m if m >= 0 else ~m for m in e[3:]} <= plans
-        ) if v in owned and v != root else Counter()
-        assert Counter(cast[v]) == want, v
+        assert sum(sizes) == len(led[src])
+    assert set(gathered) == set().union(*(ids for p, ids in led.items() if p != root))
     hrefs = Counter((t["src"], t["dst"]) for t in eng.transcript if t["tag"] == "href")
-    assert hrefs == brute_hull_gather_cast(n, root, hulls, planners)
-    for v in eng.topo.ids:
-        if v in owned:
-            assert hull_ids - {v} <= eng.topo.knows[v]
-            assert eng.topo.knows[v] - pre[v] <= hull_ids
-        else:
-            assert eng.topo.knows[v] == pre[v]
+    assert hrefs == brute_hull_gather(n, root, hulls, leaders)
+    # the root keeps the hull ids and nothing else; no other node learns anything
+    assert hull_ids - {root} <= eng.topo.knows[root]
+    assert eng.topo.knows[root] - pre[root] <= hull_ids
+    assert all(eng.topo.knows[v] == pre[v] for v in eng.topo.ids if v != root)
 
 
 def test_distribute_hulls_wakes_only_the_owners_root_paths(monkeypatch):
-    # an owner's root path is one hop, the planner and the tree root: the
-    # handler runs for them alone, each call with mail or sending, and
-    # only if some planner is not the root; every other node, hull nodes
-    # that plan nothing included, is never called and its knowledge is
-    # untouched
+    # a leader's root path is one hop: the handler runs for the leaders
+    # and the tree root alone, each call with mail or sending, and only if
+    # some leader is not the root; every other node, hull nodes that lead
+    # nothing included, is never called and its knowledge is untouched
     woken, before = set(), {}
     run_phase = RoundEngine.run_phase
 
@@ -1078,16 +1033,16 @@ def test_distribute_hulls_wakes_only_the_owners_root_paths(monkeypatch):
     monkeypatch.setattr(RoundEngine, "run_phase", spy)
     pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
     pipe.build_abstraction()
-    planners = {rid: pipe.abstractions[rid].planner for rid in pipe._hulls}
-    cases = [(pipe.tree, planners, set(woken), dict(before), pipe._knows_after_build, pipe.engine)]
-    for n, root, hulls, planners in FLOODS:
+    leaders = {rid: pipe.orders[rid][0] for rid in pipe._hulls}
+    cases = [(pipe.tree, leaders, set(woken), dict(before), pipe._knows_after_build, pipe.engine)]
+    for n, root, hulls, leaders in FLOODS:
         woken.clear()
         before.clear()
-        eng, tree = flood_tree(n, root, hulls, planners)
-        distribute_hulls(eng, tree, hulls, planners)
-        cases.append((tree, planners, set(woken), dict(before), eng.topo.knows, eng))
-    for tree, planners, called, pre, knows, eng in cases:
-        owners = set(planners.values())
+        eng, tree = flood_tree(n, root, hulls, leaders)
+        distribute_hulls(eng, tree, hulls, leaders)
+        cases.append((tree, leaders, set(woken), dict(before), eng.topo.knows, eng))
+    for tree, leaders, called, pre, knows, eng in cases:
+        owners = set(leaders.values())
         assert called == (owners | {tree.root} if owners - {tree.root} else set())
         (phase,) = [p for p in eng.phase_reports if p.label == "hull_distribution"]
         assert phase.calls == phase.active
@@ -1095,18 +1050,29 @@ def test_distribute_hulls_wakes_only_the_owners_root_paths(monkeypatch):
     assert len(cases[0][2]) < len(set().union(*pipe._hulls.values()))
 
 
-def test_distribute_hulls_aborts_when_a_heap_node_idles_one_round(monkeypatch):
-    # seven planners but the root, 3 the smallest: it is the last of heap
-    # 0, one of the planners its half reaches last, 1 + floor(log2 7) = 3
-    # rounds after the gather's one, in round 4, the session's cap; a 3
-    # that asks to run once more after its mail overruns the cap, and the
-    # phase aborts in that round, naming itself and its cap
-    n, root, hulls, planners = FLOODS[4]
-    eng, tree = flood_tree(n, root, hulls, planners)
-    idling(monkeypatch, "hull_distribution", min(planners.values()))
-    with pytest.raises(SimulationAbortError, match="phase 'hull_distribution' exceeded 4 rounds"):
-        distribute_hulls(eng, tree, hulls, planners)
-    assert eng.phase_reports[-1].rounds == 4
+def test_distribute_hulls_aborts_when_a_gather_sender_idles_one_round(monkeypatch):
+    # the gather takes one round, the session's cap: a leader that idles
+    # through round 0 and sends in round 1 leaves mail in flight at the
+    # cap, and the phase aborts in that round, naming itself and its cap
+    n, root, hulls, leaders = FLOODS[1]
+    eng, tree = flood_tree(n, root, hulls, leaders)
+    victim, start, idled = min(leaders.values()), eng.round_no, []
+    run_phase = RoundEngine.run_phase
+
+    def spy(eng, label, handler, max_rounds):
+        def late(e, v, inbox):
+            if v == victim and not idled:
+                idled.append(e.round_no)
+                return False
+            return handler(e, v, inbox)
+
+        return run_phase(eng, label, late, max_rounds)
+
+    monkeypatch.setattr(RoundEngine, "run_phase", spy)
+    with pytest.raises(SimulationAbortError, match="phase 'hull_distribution' exceeded 1 rounds"):
+        distribute_hulls(eng, tree, hulls, leaders)
+    assert idled == [start]
+    assert eng.phase_reports[-1].rounds == 1
 
 
 # ---------------------------------------------------------------------------

@@ -70,28 +70,25 @@ from hullroute.simengine import tally
 
 
 def build_stack(name):
-    """Fixture or scale-512-1 topology through the abstraction the pipeline ships."""
+    """Fixture or scale-512-1 topology through the abstraction and the visibility Router the pipeline ships."""
     pipe = Pipeline(fixture_topology(name), PipelineConfig())
     pipe.build_abstraction()
-    return pipe.topo, pipe.g, pipe.engine, pipe.rings, pipe.abstractions
+    return pipe.topo, pipe.g, pipe.engine, pipe.rings, pipe.abstractions, pipe.router
 
 
 @pytest.fixture(scope="module")
 def grid():
-    topo, g, eng, rings, ab = build_stack("grid36-hole4")
-    return topo, g, eng, rings, ab, Router(g, rings, ab)
+    return build_stack("grid36-hole4")
 
 
 @pytest.fixture(scope="module")
 def star():
-    topo, g, eng, rings, ab = build_stack("star12-4")
-    return topo, g, eng, rings, ab, Router(g, rings, ab)
+    return build_stack("star12-4")
 
 
 @pytest.fixture(scope="module")
 def crescent():
-    topo, g, eng, rings, ab = build_stack("crescent-24")
-    return topo, g, eng, rings, ab, Router(g, rings, ab)
+    return build_stack("crescent-24")
 
 
 def path_length(g, path):
@@ -513,8 +510,8 @@ def test_overlay_drops_both_diagonals_of_a_cocircular_quad():
 def test_overlay_on_fixture_hulls_is_planar_and_constrained(grid, star):
     from hullroute.geometry import segments_properly_intersect
 
-    for topo, g, eng, rings, ab in (grid[:5], star[:5], build_stack("scale-512-1")):
-        od = Router(g, rings, ab, backend=BACKEND_ODEL).waypoints
+    for topo, g, eng, rings, ab, router in (grid, star, build_stack("scale-512-1")):
+        od = Router(g, rings, ab, router.root, backend=BACKEND_ODEL).waypoints
         edges = sorted({(u, v) for u in od.adj for v in od.adj[u] if u < v})
         n = len(od.positions)
         if n >= 3:
@@ -610,10 +607,10 @@ def test_route_visible_and_case1_bounds_both_backends(grid):
     # every pair of grid36-hole4 and of cshape-40, whose outer hole is one
     # long bay; every route runs along radio edges, and Visible and Case1
     # keep their bounds (Cases 2-4 have none yet)
-    stacks = {"grid36-hole4": grid[:5], "cshape-40": build_stack("cshape-40")}
-    for name, (topo, g, eng, rings, ab) in stacks.items():
+    stacks = {"grid36-hole4": grid, "cshape-40": build_stack("cshape-40")}
+    for name, (topo, g, eng, rings, ab, built) in stacks.items():
         for backend, bound in ((BACKEND_VIS, 17.7), (BACKEND_ODEL, 35.37)):
-            router = Router(g, rings, ab, backend=backend)
+            router = Router(g, rings, ab, built.root, backend=backend)
             seen = {"Visible": 0, "Case1": 0}
             for s, t in itertools.combinations(sorted(topo.points), 2):
                 topo.learn(s, t)
@@ -634,7 +631,7 @@ def test_route_visible_and_case1_bounds_both_backends(grid):
 
 def test_route_round_and_message_accounting(grid):
     # grid36-hole4's Case1 query 4 -> 12 is planned at hull node 9, which
-    # plans no ring: it asks its ring's planner for the chain over one
+    # is not the tree root: it asks the root for the chain over one
     # long-range round trip before the data leaves it
     topo, g, eng, rings, ab, router = grid
     s, t = 4, 12
@@ -644,9 +641,8 @@ def test_route_round_and_message_accounting(grid):
     lines = eng.transcript[before:]
     hops = len(res.path) - 1
     ((h, chain),) = res.plans
-    planner = router._planner_of[h]
-    assert res.case_taken == "Case1" and h != planner
-    assert planner in {c.abstraction.planner for c in router.obstacles if h in c.abstraction.hull_nodes}
+    root = router.root
+    assert res.case_taken == "Case1" and h != root
     assert res.rounds_used == 2 + hops + 2
     assert res.longrange_msgs == 4
     # the query is one phase, keyed None: its costs are that phase's report
@@ -659,7 +655,7 @@ def test_route_round_and_message_accounting(grid):
     lr = [l for l in lines if l["channel"] == "longrange"]
     data = [l for l in lines if l["tag"] == "rt_data"]
     assert [(l["tag"], l["src"], l["dst"]) for l in lr] == [
-        ("rt_query", s, t), ("rt_pos", t, s), ("rt_plan", h, planner), ("rt_chain", planner, h),
+        ("rt_query", s, t), ("rt_pos", t, s), ("rt_plan", h, root), ("rt_chain", root, h),
     ]
     assert len(data) == hops
     assert all(l["channel"] == "adhoc" for l in data)
@@ -674,15 +670,15 @@ def test_route_round_and_message_accounting(grid):
 
 
 def test_query_rounds_count_one_round_trip_per_plan_away_from_its_planner(grid, star):
-    # rounds_used is 2 + hops + 2p, p the plans made at a hull node that
-    # plans no ring; such queries exist, and so do ones without
+    # rounds_used is 2 + hops + 2p, p the plans made at a hull node other
+    # than the tree root, which holds every hull; such queries exist, and
+    # so do ones without
     trips = Counter()
     for topo, g, eng, rings, ab, router in (grid, star):
-        planners = {c.abstraction.planner for c in router.obstacles}
         for s, t in sample_pairs(topo, 60, seed=3):
             topo.learn(s, t)
             res = router.route(eng, s, t)
-            p = sum(h not in planners for h, _ in res.plans)
+            p = sum(h != router.root for h, _ in res.plans)
             assert res.rounds_used == (2 + len(res.path) - 1 + 2 * p if len(res.path) > 1 else 0), (s, t)
             assert res.longrange_msgs == (2 + 2 * p if len(res.path) > 1 else 0), (s, t)
             trips[p > 0, bool(res.plans)] += 1
@@ -865,12 +861,15 @@ def route_row(router, eng, s, t):
 # sets, where bay legs are anchored, became the rank rule's, and every
 # fixture when a plan made at a hull node that plans no ring began to
 # cost a long-range round trip to a planner: only `rounds_used` and
+# `longrange_msgs` moved.  star12-4 and scale-512-1 again when the tree
+# root became the one planner, so a plan made at a ring's rank 0 other
+# than the root costs that round trip too: again only `rounds_used` and
 # `longrange_msgs` moved
 INSIDE_ROWS = {
     "crescent-24": "4de13a993193df0c44a5ffd17113ad391868a43249a34c0d01b775188cf4f307",
-    "star12-4": "fdd18a8a90534c78c888c14ddf45dfacae256f94180d70c3ff3f607df173ccb6",
+    "star12-4": "c911db7dbc8c2b8f1671b103224efb751ef77328118ed74307955d426cdbcd78",
     "cshape-40": "b4bc27b61d252e0529d00e3846f1b9244a49dcee80132e807ad04e18f84104e9",
-    "scale-512-1": "aaa54453953337fe2d649fc9475639da185c6d4bb736a820c39020e4bc8d8c8b",
+    "scale-512-1": "c35c0479f75e85c64ecbead9982aa41d8d8862d4ec9ae77989450be1155bdc07",
 }
 
 
@@ -882,7 +881,7 @@ def test_inside_hull_route_rows_match_pinned_digests():
         pipe.build_abstraction()
         rows = []
         for backend in (BACKEND_VIS, BACKEND_ODEL):
-            router = Router(pipe.g, pipe.rings, pipe.abstractions, backend=backend)
+            router = Router(pipe.g, pipe.rings, pipe.abstractions, pipe.tree.root, backend=backend)
             for s, t in inside_pairs(topo, router, random.Random(5)):
                 topo.learn(s, t)
                 rows.append(route_row(router, pipe.engine, s, t))
@@ -938,7 +937,7 @@ def test_locate_rejects_an_inside_node_without_a_bay(star):
     rid = ctx.ring.ring_id
     stripped = {**ab, rid: dataclasses.replace(ab[rid], bay_areas=[], dominating_sets={})}
     with pytest.raises(GeometryInconsistencyError, match=f"node {v}"):
-        Router(g, rings, stripped).locate(v)
+        Router(g, rings, stripped, router.root).locate(v)
 
 
 def test_bay_anchor_is_the_ring_edge_the_segment_crosses(star):
@@ -962,17 +961,17 @@ def test_bay_anchor_is_the_ring_edge_the_segment_crosses(star):
 
 
 def test_router_requires_classified_rings_and_abstractions(grid):
-    topo, g, eng, rings, ab, _ = grid
+    topo, g, eng, rings, ab, router = grid
     partial = dict(ab)
     partial.pop(rings[0].ring_id)
     with pytest.raises(NotReadyError):
-        Router(g, rings, partial)
+        Router(g, rings, partial, router.root)
     with pytest.raises(DispatchError):
-        Router(g, rings, ab, backend="magic")
+        Router(g, rings, ab, router.root, backend="magic")
 
 
 def test_router_builds_only_its_backend(grid, monkeypatch):
-    topo, g, eng, rings, ab, _ = grid
+    topo, g, eng, rings, ab, router = grid
     calls = {"disjoint": 0, "overlay": 0}
     check, thin = routing_mod._check_disjoint, routing_mod.build_overlay_delaunay
 
@@ -986,9 +985,9 @@ def test_router_builds_only_its_backend(grid, monkeypatch):
 
     monkeypatch.setattr(routing_mod, "_check_disjoint", counted_check)
     monkeypatch.setattr(routing_mod, "build_overlay_delaunay", counted_thin)
-    vis = Router(g, rings, ab, backend=BACKEND_VIS).waypoints
+    vis = Router(g, rings, ab, router.root, backend=BACKEND_VIS).waypoints
     assert calls == {"disjoint": 1, "overlay": 0}
-    od = Router(g, rings, ab, backend=BACKEND_ODEL).waypoints
+    od = Router(g, rings, ab, router.root, backend=BACKEND_ODEL).waypoints
     assert calls == {"disjoint": 2, "overlay": 1}
     # the thinning keeps a subset of the visibility edges, hull edges included
     assert od.constraints == vis.constraints

@@ -42,7 +42,7 @@ def _load(monkeypatch, path: Path):
 def test_allpairs_routes_every_pair_of_the_grid(monkeypatch, backend):
     row = _load(monkeypatch, TESTS / "allpairs.py").sweep("grid36-hole4", backend)
     assert (row["pairs"], row["failures"], row["sha256"]) == (32 * 31, 0, GRID_ROUTES)
-    # each plan asked of a planner costs a two-round long-range round trip
+    # each plan asked of the tree root costs a two-round long-range round trip
     assert row["plan_rounds"] % 2 == 0 and row["plan_rounds"] >= 2 * row["planned_pairs"] > 0
 
 
