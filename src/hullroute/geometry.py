@@ -8,8 +8,8 @@ sign when it clears Shewchuk's (1997) static error bound, and recompute
 it with `fractions.Fraction` otherwise.  `angle_key`,
 `segments_properly_intersect`, `_on_segment`, `point_in_polygon` and the
 bay legs' `ring_crossings` and `segment_crosses_polygon` are built on
-them; floats only order a segment's ring crossings, and Fractions do so
-where two lie within rounding.  `circumcenter` rejects a collinear
+them; `ring_crossings` orders a segment's crossings by their exact
+Fraction parameters along it.  `circumcenter` rejects a collinear
 triple, or one too flat for a float circumcircle, with
 DegenerateInputError.
 """
@@ -268,21 +268,9 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
 
 
 def _meet_terms(a, b, c, d):
-    """Line cd meets line ab at a + t(b - a), t = num / den: num, den and their permanents."""
+    """Line cd meets line ab at a + t(b - a), t = num / den: num and den."""
     ex, ey = d[0] - c[0], d[1] - c[1]
-    nl, nr, dl, dr = (c[0] - a[0]) * ey, (c[1] - a[1]) * ex, (b[0] - a[0]) * ey, (b[1] - a[1]) * ex
-    return nl - nr, dl - dr, abs(nl) + abs(nr), abs(dl) + abs(dr)
-
-
-def _meet(a: Point, b: Point, c: Point, d: Point) -> tuple[float, float]:
-    """_meet_terms' t in floats and a bound on its error, infinite when den's sign is in doubt:
-    num and den keep orient2d's bound, and t's follows, doubled for its own rounding."""
-    num, den, pn, pd = _meet_terms(a, b, c, d)
-    en, ed = _CCW_BOUND * pn + _UNDERFLOW, _CCW_BOUND * pd + _UNDERFLOW
-    if abs(den) <= 2.0 * ed:
-        return 0.0, math.inf
-    t = num / den
-    return t, 2.0 * ((en + abs(t) * ed) / (abs(den) - ed) + _U * abs(t))
+    return (c[0] - a[0]) * ey - (c[1] - a[1]) * ex, (b[0] - a[0]) * ey - (b[1] - a[1]) * ex
 
 
 def ring_crossings(a: Point, b: Point, poly: Sequence[Point]) -> list[int]:
@@ -290,8 +278,8 @@ def ring_crossings(a: Point, b: Point, poly: Sequence[Point]) -> list[int]:
 
     Edges that ab runs along are skipped, and a vertex on ab counts once,
     under the smaller index of its edges off ab's line. orient2d signs
-    decide every hit; float parameters order them, and Fractions do when
-    two lie within their error bounds.
+    decide every hit, and each hit's parameter along ab, in Fractions,
+    orders them.
     """
     n = len(poly)
     side = [orient2d(a, b, p) for p in poly]
@@ -304,12 +292,12 @@ def ring_crossings(a: Point, b: Point, poly: Sequence[Point]) -> list[int]:
         elif side[i] == 0 and a != v != b and _on_segment(v, a, b):
             off = [e for e, s in (((i - 1) % n, side[i - 1]), (i, side[j])) if s]
             hits += sorted(off)[:1]
-    ends = {i: (a, b, poly[i], poly[(i + 1) % n]) for i in hits}
-    cuts = sorted((*_meet(*ends[i]), i) for i in hits)
-    if any(t + e >= u - f for (t, e, _), (u, f, _) in zip(cuts, cuts[1:])):
-        exact = {i: _meet_terms(*([Fraction(v) for v in p] for p in ends[i])) for i in hits}
-        cuts.sort(key=lambda c: (exact[c[2]][0] / exact[c[2]][1], c[2]))
-    return [i for *_, i in cuts]
+
+    def at(i: int) -> tuple[Fraction, int]:
+        num, den = _meet_terms(*([Fraction(v) for v in p] for p in (a, b, poly[i], poly[(i + 1) % n])))
+        return num / den, i
+
+    return sorted(hits, key=at)
 
 
 def segment_crosses_polygon(

@@ -4,8 +4,9 @@ Everything here runs as node handlers inside the round engine: pointer
 jumping for leader election and ring ranks, distributed convex hull by
 merging blocks of consecutive ranks, and the hull gather at the
 overlay tree's root.
-The overlay tree over all nodes is charged, not simulated, and leaves
-every node its root's id and nothing more (build_broadcast_tree).  The
+The overlay tree over all nodes is charged, not simulated: it leaves
+every node its root's id and nothing more, and that id is all
+build_broadcast_tree returns and the hull gather takes.  The
 election is also Wyllie's list ranking, so every node ends it knowing
 its rank, and a ring's layout is its members in rank order, which no
 message deals (assign_hypercube_ids).
@@ -75,13 +76,6 @@ from .ldel import NodeId
 from .simengine import Handler, Message, PhaseReport, RoundEngine
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class BroadcastTree:
-    """What the overlay tree leaves every node: the id of its root."""
-
-    root: NodeId
 
 
 def _message_cap(engine: RoundEngine) -> int:
@@ -508,8 +502,8 @@ def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list,
 # the broadcast tree's root, and the hull gather at it
 
 
-def build_broadcast_tree(engine: RoundEngine, began: int) -> BroadcastTree:
-    """Teach every node the id of the overlay tree's root, the smallest id.
+def build_broadcast_tree(engine: RoundEngine, began: int) -> NodeId:
+    """Teach every node the id of the overlay tree's root, the smallest id; returns it.
 
     Stands in for the overlay-tree construction this pipeline treats as
     a black box (Gmyr, Hinnenthal, Scheideler & Sohler, ICALP 2017),
@@ -533,12 +527,12 @@ def build_broadcast_tree(engine: RoundEngine, began: int) -> BroadcastTree:
         "broadcast tree: %d rounds, %d beside the earlier phases, %d charged",
         rounds, beside, charged,
     )
-    return BroadcastTree(root=ids[0])
+    return ids[0]
 
 
 def distribute_hulls(
     engine: RoundEngine,
-    tree: BroadcastTree,
+    root: NodeId,
     hulls: Mapping[int, list[NodeId]],
     leaders: Mapping[int, NodeId],
 ) -> None:
@@ -560,7 +554,7 @@ def distribute_hulls(
     nothing take no part.  The root keeps the hull ids and forgets the
     leaders' other ids once the phase ends.
     """
-    topo, root, pts = engine.topo, tree.root, engine.topo.points
+    topo, pts = engine.topo, engine.topo.points
     # each leader's hull nodes, each with the rings it leads that it is a hull node of
     led: dict[NodeId, dict[NodeId, set[int]]] = {}
     for ring, ids in hulls.items():

@@ -41,7 +41,7 @@ from .holes import (
 )
 from .ldel import HybridTopology, PlanarGraph, build_ldel2, check_connected
 from . import overlay
-from .overlay import BroadcastTree, build_broadcast_tree, distribute_hulls
+from .overlay import build_broadcast_tree, distribute_hulls
 from .routing import BACKEND_VIS, RouteResult, Router, measure_competitiveness
 from .simengine import PhaseReport, RoundEngine, tally
 
@@ -159,7 +159,8 @@ class Pipeline:
         self.abstractions: dict[int, HullAbstraction] = {}
         # each ring's members in rank order, both waves', keyed by ring id
         self.orders: dict[int, list[int]] = {}
-        self.tree: BroadcastTree | None = None
+        # the overlay tree's root, all the pipeline keeps of the tree
+        self.root: int | None = None
         self.router: Router | None = None
         self.phase_rounds: dict[str, int] = {}
         # wall-clock seconds of the latest build's phases, its Router and
@@ -250,8 +251,8 @@ class Pipeline:
 
         # the tree runs beside every phase since `start`; it is charged
         # here only for the rounds it still needs, and a reused one needs none
-        if self.tree is None:
-            self.tree = build_broadcast_tree(eng, start)
+        if self.root is None:
+            self.root = build_broadcast_tree(eng, start)
         mark("broadcast_tree")
 
         self._hulls = {
@@ -259,7 +260,7 @@ class Pipeline:
             for r in self.rings
             if r.kind != KIND_OUTER_BOUNDARY
         }
-        distribute_hulls(eng, self.tree, self._hulls, {rid: self.orders[rid][0] for rid in self._hulls})
+        distribute_hulls(eng, self.root, self._hulls, {rid: self.orders[rid][0] for rid in self._hulls})
         mark("hull_distribution")
 
         self.protocol_rounds = eng.round_no - start
@@ -270,7 +271,7 @@ class Pipeline:
         # ids, which is not abstraction storage
         self._knows_after_build = {v: set(self.topo.knows[v]) for v in self.topo.ids}
         self._storage = None
-        self.router = Router(self.g, self.rings, self.abstractions, self.tree.root, backend=self.config.backend)
+        self.router = Router(self.g, self.rings, self.abstractions, self.root, backend=self.config.backend)
         self.seconds["router_s"] = time.perf_counter() - clock
 
     def _record_ring_costs(self, quiet: int) -> None:
@@ -310,7 +311,7 @@ class Pipeline:
             raise NotReadyError("abstraction not built")
         if self._storage is not None:
             return self._storage
-        hull_nodes = set().union(*self._hulls.values(), {self.tree.root})
+        hull_nodes = set().union(*self._hulls.values(), {self.root})
         ring_members = set()
         for r in self.rings:
             ring_members.update(r.members)
@@ -396,7 +397,7 @@ class Pipeline:
         # Case1 plans at a hull node, which asks the tree root: the root
         # must hold every hull id, and each hull node the root's
         hull_nodes = set().union(*self._hulls.values())
-        knows, root = self._knows_after_build, self.tree.root
+        knows, root = self._knows_after_build, self.root
         missing = Counter({root: len(hull_nodes - knows[root] - {root})})
         missing.update(v for v in hull_nodes if v != root and root not in knows[v])
         bounds["planner_refs"] = {
@@ -426,22 +427,10 @@ class Pipeline:
         return [tuple(rng.sample(ids, 2)) for _ in range(cfg.query_count)]
 
     def query(self, s: int, t: int) -> RouteResult:
-        """Route one query from s to t.
-
-        The model: the source holds the target's id, and delivery teaches
-        the target the source's.  Neither is abstraction storage, so both
-        ends forget what the query taught them, also when routing fails.
-        """
+        """Route one query from s to t through the built Router (Router.route)."""
         if self.router is None:
             raise NotReadyError("abstraction not built")
-        if s not in self.topo.points or t not in self.topo.points:
-            raise NodeLookupError(f"query endpoint {s},{t} unknown")
-        before = {v: set(self.topo.knows[v]) for v in (s, t)}
-        self.topo.learn(s, t)
-        try:
-            return self.router.route(self.engine, s, t)
-        finally:
-            overlay._forget_learned(self.engine, before, {})
+        return self.router.route(self.engine, s, t)
 
     def run_queries(self) -> tuple[list[RouteResult], dict]:
         """Every pair of query_pairs() through query(), and their competitiveness summary.
@@ -509,23 +498,23 @@ class Pipeline:
         return hashlib.sha256(json.dumps(self.abstraction_dict(), sort_keys=True).encode()).hexdigest()
 
     def periodic_recompute(self, interval: int = 0) -> dict:
-        """Re-run every abstraction phase, reusing the broadcast tree.
+        """Re-run every abstraction phase, reusing the broadcast tree's root.
 
         Surfaces DisconnectedError if node movement split the radio
-        graph.  A tree built inside the recompute window, which may add
-        no round of its own, fails the verdict: the window keeps the tree
-        only if the tree object is still the one it began with.
+        graph.  A window that began with no root known has to build the
+        tree, which may add no round of its own, so it fails the verdict
+        (tree_reused).
         """
         if self._knows_after_build is None:
             raise NotReadyError("abstraction not built")
         if interval:
             self.engine.charge_rounds(interval, "idle")
         check_connected(self.topo.adhoc)
-        tree = self.tree
+        reused = self.root is not None
         # a node keeps across builds its first ids, its radio neighbours,
-        # which are no storage either, and the tree's root; it forgets
-        # every other id the earlier builds taught it
-        root = {tree.root} if tree else set()
+        # which are no storage either, and the root; it forgets every other
+        # id the earlier builds taught it
+        root = {self.root} if reused else set()
         ties = {v: self.topo.adhoc[v] | root for v in self.topo.ids}
         overlay._forget_learned(self.engine, self.baseline_knows, ties)
         for v in self.topo.ids:
@@ -533,7 +522,6 @@ class Pipeline:
         self.router = None
         self.build_abstraction()
         rounds = self.protocol_rounds
-        reused = self.tree is tree
         n = len(self.topo.points)
         log2n = math.log2(n) if n > 1 else 1.0
         budget = C3 * log2n**2

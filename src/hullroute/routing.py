@@ -53,6 +53,7 @@ from .holes import (
     HullAbstraction,
 )
 from .ldel import HybridTopology, NodeId, PlanarGraph, edge_key
+from .overlay import _forget_learned
 from .simengine import Channel, Message, RoundEngine
 
 CHEW_BOUND = 5.9
@@ -646,7 +647,10 @@ class Router:
         """Leave s's bay through a hull node, route outside, enter t's bay.
 
         The one query entry. A query between two nodes of one bay (Case5)
-        stays in that bay.
+        stays in that bay. The knowledge model: s holds t's id before
+        anything is sent, and delivery teaches t the id of s. Neither is
+        abstraction storage, so both ends forget what the query taught
+        them, also when delivery fails. Planning sends nothing.
         """
         if s not in self.g.points or t not in self.g.points:
             raise NodeLookupError(f"route endpoints {s},{t} not in graph")
@@ -665,7 +669,12 @@ class Router:
             path, case, legs, e_route, plans = self._plan(s, t, ls, lt, case)
         except (NoPathError, GeometryInconsistencyError) as exc:
             raise type(exc)(f"{case}: {exc}") from exc
-        return self._deliver(engine, s, t, path, case, legs, e_route, plans)
+        before = {v: set(engine.topo.knows[v]) for v in (s, t)}
+        engine.topo.learn(s, t)
+        try:
+            return self._deliver(engine, s, t, path, case, legs, e_route, plans)
+        finally:
+            _forget_learned(engine, before, {})
 
     def _plan(self, s, t, ls, lt, case):
         """The walk of one query, its refined case, waypoint legs, |E|, and plans with their path indices."""

@@ -69,7 +69,6 @@ class Message:
     src: NodeId
     dst: NodeId
     payload: Any
-    channel: Channel
     tag: str
     intro_ids: tuple[NodeId, ...] = ()
     # header like src/dst: routes the message to its session's handler call
@@ -181,7 +180,7 @@ class RoundEngine:
                 raise IllegalIntroductionError(
                     f"round {self.round_no}: {src} introduces id {x} it does not know"
                 )
-        msg = Message(src, dst, payload, channel, tag, tuple(intro_ids), self.session)
+        msg = Message(src, dst, payload, tag, tuple(intro_ids), self.session)
         self._outbox.append(msg)
         intro = sorted(intro_ids)
         nbytes = canonical_bytes({"tag": tag, "data": payload, "intro": intro})

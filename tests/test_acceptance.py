@@ -117,7 +117,7 @@ def sweep_routes(pipe: Pipeline, backend: str, sample_cap: int, seed: int):
     router = (
         pipe.router
         if backend == pipe.config.backend
-        else Router(pipe.g, pipe.rings, pipe.abstractions, pipe.tree.root, backend=backend)
+        else Router(pipe.g, pipe.rings, pipe.abstractions, pipe.root, backend=backend)
     )
     ids = sorted(pipe.topo.points)
     pairs = list(itertools.combinations(ids, 2))
@@ -125,7 +125,6 @@ def sweep_routes(pipe: Pipeline, backend: str, sample_cap: int, seed: int):
         pairs = random.Random(seed).sample(pairs, sample_cap)
     results = []
     for s, t in pairs:
-        pipe.topo.learn(s, t)
         results.append(router.route(pipe.engine, s, t))
     return results
 
@@ -240,7 +239,6 @@ def test_04_bay_routing(stacks):
                 pockets.setdefault((loc[0].ring.ring_id, loc[1]), []).append(v)
         for members in pockets.values():
             for s, t in itertools.combinations(members, 2):
-                pipe.topo.learn(s, t)
                 res = router.route(pipe.engine, s, t)
                 assert res.case_taken == "Case5", (name, s, t, res.case_taken)
                 bound = (2 + res.e_route) * 5.9

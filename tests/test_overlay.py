@@ -19,7 +19,6 @@ from hullroute.geometry import Point, convex_hull_oracle, polygon_orientation
 from hullroute.holes import hull_node_ids
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.overlay import (
-    BroadcastTree,
     assign_hypercube_ids,
     build_broadcast_tree,
     distribute_hulls,
@@ -870,8 +869,7 @@ def test_broadcast_tree_heap_shape():
     # smallest id, and no other link
     eng = line_engine(15)
     pre = {v: set(eng.topo.knows[v]) for v in eng.topo.ids}
-    tree = build_broadcast_tree(eng, eng.round_no)
-    assert tree == BroadcastTree(0)
+    assert build_broadcast_tree(eng, eng.round_no) == 0
     assert all(eng.topo.knows[v] == pre[v] | {0} - {v} for v in eng.topo.ids)
     charged = [t for t in eng.transcript if t["tag"].startswith("charge:broadcast_tree")]
     assert charged and charged[0]["tag"].endswith(":16")  # ceil(log2(15)^2)
@@ -879,11 +877,11 @@ def test_broadcast_tree_heap_shape():
 
 def test_broadcast_tree_sizes():
     one = line_engine(1)
-    assert build_broadcast_tree(one, 0) == BroadcastTree(0)
+    assert build_broadcast_tree(one, 0) == 0
     assert one.round_no == 0
     assert one.transcript[-1]["tag"] == "charge:broadcast_tree:0"
     big = line_engine(1000)
-    assert build_broadcast_tree(big, 0) == BroadcastTree(0)
+    assert build_broadcast_tree(big, 0) == 0
     assert big.round_no == 100  # ceil(log2(1000)^2)
     assert all(0 in big.topo.knows[v] for v in big.topo.ids[1:])
 
@@ -896,7 +894,7 @@ def test_broadcast_tree_teaches_every_node_the_root_and_no_link(monkeypatch):
     topo = pipe.topo
     assert all(topo.knows[v] == topo.adhoc[v] for v in topo.ids)
     pipe.build_abstraction()
-    root = pipe.tree.root
+    root = pipe.root
     assert root == topo.ids[0]
     assert all(root in topo.knows[v] for v in topo.ids if v != root)
     kept = []
@@ -949,23 +947,22 @@ def test_distribute_hulls_floods_once_and_forgets(monkeypatch):
 
 
 def flood_tree(n, root, hulls, leaders):
-    """The line's engine and broadcast tree, each leader taught its rings' hull ids as the merge would."""
+    """The line's engine and broadcast tree root, each leader taught its rings' hull ids as the merge would."""
     eng = line_engine(n)
     if root is None:
-        tree = build_broadcast_tree(eng, eng.round_no)
+        root = build_broadcast_tree(eng, eng.round_no)
     else:
-        tree = BroadcastTree(root)
         for v in eng.topo.ids:
             eng.topo.learn(v, root)
     for ring, ids in hulls.items():
         for v in ids:
             eng.topo.learn(leaders[ring], v)
-    return eng, tree
+    return eng, root
 
 
 def _check_flood(n, root, hulls, leaders, monkeypatch):
-    eng, tree = flood_tree(n, root, hulls, leaders)
-    root, cap = tree.root, math.ceil(math.log2(n))
+    eng, root = flood_tree(n, root, hulls, leaders)
+    cap = math.ceil(math.log2(n))
     # each leader's hull nodes, and each hull node's rings
     led, rings_of = {}, {}
     for ring, ids in hulls.items():
@@ -992,7 +989,7 @@ def _check_flood(n, root, hulls, leaders, monkeypatch):
         send(src, dst, payload, **kw)
 
     monkeypatch.setattr(eng, "send", spy)
-    distribute_hulls(eng, tree, hulls, leaders)
+    distribute_hulls(eng, root, hulls, leaders)
     phase = eng.phase_reports[-1]
     assert phase.label == "hull_distribution"
     assert phase.rounds == int(bool(set(led) - {root}))
@@ -1034,16 +1031,16 @@ def test_distribute_hulls_wakes_only_the_owners_root_paths(monkeypatch):
     pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
     pipe.build_abstraction()
     leaders = {rid: pipe.orders[rid][0] for rid in pipe._hulls}
-    cases = [(pipe.tree, leaders, set(woken), dict(before), pipe._knows_after_build, pipe.engine)]
+    cases = [(pipe.root, leaders, set(woken), dict(before), pipe._knows_after_build, pipe.engine)]
     for n, root, hulls, leaders in FLOODS:
         woken.clear()
         before.clear()
-        eng, tree = flood_tree(n, root, hulls, leaders)
-        distribute_hulls(eng, tree, hulls, leaders)
-        cases.append((tree, leaders, set(woken), dict(before), eng.topo.knows, eng))
-    for tree, leaders, called, pre, knows, eng in cases:
+        eng, root = flood_tree(n, root, hulls, leaders)
+        distribute_hulls(eng, root, hulls, leaders)
+        cases.append((root, leaders, set(woken), dict(before), eng.topo.knows, eng))
+    for root, leaders, called, pre, knows, eng in cases:
         owners = set(leaders.values())
-        assert called == (owners | {tree.root} if owners - {tree.root} else set())
+        assert called == (owners | {root} if owners - {root} else set())
         (phase,) = [p for p in eng.phase_reports if p.label == "hull_distribution"]
         assert phase.calls == phase.active
         assert all(knows[v] == pre[v] for v in pre.keys() - called)
@@ -1055,7 +1052,7 @@ def test_distribute_hulls_aborts_when_a_gather_sender_idles_one_round(monkeypatc
     # through round 0 and sends in round 1 leaves mail in flight at the
     # cap, and the phase aborts in that round, naming itself and its cap
     n, root, hulls, leaders = FLOODS[1]
-    eng, tree = flood_tree(n, root, hulls, leaders)
+    eng, root = flood_tree(n, root, hulls, leaders)
     victim, start, idled = min(leaders.values()), eng.round_no, []
     run_phase = RoundEngine.run_phase
 
@@ -1070,7 +1067,7 @@ def test_distribute_hulls_aborts_when_a_gather_sender_idles_one_round(monkeypatc
 
     monkeypatch.setattr(RoundEngine, "run_phase", spy)
     with pytest.raises(SimulationAbortError, match="phase 'hull_distribution' exceeded 1 rounds"):
-        distribute_hulls(eng, tree, hulls, leaders)
+        distribute_hulls(eng, root, hulls, leaders)
     assert idled == [start]
     assert eng.phase_reports[-1].rounds == 1
 

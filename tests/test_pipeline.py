@@ -309,7 +309,7 @@ def test_concurrent_build_matches_serial_build(name):
     pairs = json.dumps(sorted(_longrange_recount(rest).items()))
     assert hashlib.sha256(pairs.encode()).hexdigest() == lr_digest
     hrefs = Counter((t["src"], t["dst"]) for t in sent if t["tag"] == "href")
-    assert hrefs == brute_hull_gather(len(topo.ids), pipe.tree.root, pipe._hulls, leaders_of(pipe))
+    assert hrefs == brute_hull_gather(len(topo.ids), pipe.root, pipe._hulls, leaders_of(pipe))
 
 
 # sha256 of the sorted JSON of a build's per-phase reports, its per-ring
@@ -397,7 +397,7 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
 
     monkeypatch.setattr(RoundEngine, "send", spy)
     pipe.build_abstraction()
-    pts, root = topo.points, pipe.tree.root
+    pts, root = topo.points, pipe.root
     leaders = leaders_of(pipe)
     gathered = Counter()
     ells = Counter()
@@ -494,7 +494,7 @@ def test_case1_planners_know_their_waypoints(name):
     pipe.build_abstraction()
     results, _ = pipe.run_queries()
     hull_ids = set().union(*pipe._hulls.values())
-    root, knows = pipe.tree.root, pipe._knows_after_build
+    root, knows = pipe.root, pipe._knows_after_build
     assert pipe.router.root == root
     plans = [p for r in results if r.case_taken == "Case1" for p in r.plans]
     assert plans
@@ -610,7 +610,7 @@ def test_relabelled_ids_keep_the_hulls_and_every_bound():
         bounds = pipe.bound_audit()
         assert all(row["ok"] for row in bounds.values()), (name, [k for k, row in bounds.items() if not row["ok"]])
         assert bounds["planner_refs"]["measured_max"] == 0, name
-        root, hull_ids = pipe.tree.root, set().union(*pipe._hulls.values())
+        root, hull_ids = pipe.root, set().union(*pipe._hulls.values())
         assert pipe.storage_audit()["hull"]["nodes"] == len(hull_ids | {root}), name
         if not any(root in r.members for r in pipe.rings):
             off_rings.append(name)
@@ -648,7 +648,7 @@ def test_planner_refs_row_fails_a_distribution_that_withholds_an_entry(monkeypat
         return False
 
     mutant = withholding_mutant(monkeypatch, "star12-4", drop)
-    root = mutant.tree.root
+    root = mutant.root
     lost = set(dropped) - mutant._knows_after_build[root] - {root}
     bounds = mutant.bound_audit()
     assert not bounds["planner_refs"]["ok"] and bounds["planner_refs"]["measured_max"] == len(lost) > 0
@@ -664,14 +664,14 @@ def test_planner_refs_row_fails_a_tree_that_leaves_a_hull_node_without_the_root(
 
     def tree(engine, began):
         knew = {v: set(engine.topo.knows[v]) for v in engine.topo.ids}
-        built = build(engine, began)
+        root = build(engine, began)
         leaders = {order[0] for order in pipe.orders.values()}
         hull_ids = (
             v for r in pipe.rings if r.kind != KIND_OUTER_BOUNDARY for v in pipe.abstractions[r.ring_id].hull_nodes
         )
-        skipped.append(max(v for v in hull_ids if v not in leaders and built.root not in knew[v] | {v}))
-        engine.topo.forget(skipped[0], built.root)
-        return built
+        skipped.append(max(v for v in hull_ids if v not in leaders and root not in knew[v] | {v}))
+        engine.topo.forget(skipped[0], root)
+        return root
 
     monkeypatch.setattr(pipeline_mod, "build_broadcast_tree", tree)
     pipe.build_abstraction()
@@ -728,7 +728,7 @@ def test_hull_distribution_logs_its_gather(caplog):
     line = re.compile(r"hull distribution: (\d+) leaders send (\d+) hull nodes to root (\d+)")
     (row,) = [line.fullmatch(r.getMessage()) for r in caplog.records if "distribution" in r.getMessage()]
     leaders, hull_nodes, root = map(int, row.groups())
-    assert root == pipe.tree.root
+    assert root == pipe.root
     assert leaders == len(set(leaders_of(pipe).values()) - {root}) > 1
     assert hull_nodes == len(set().union(*pipe._hulls.values())) > leaders
     # the gather is one hop, so the phase takes one round
@@ -1030,31 +1030,31 @@ def _strangers(pipe) -> tuple[int, int]:
 
 
 def test_query_leaves_both_ends_knowing_what_they_knew(monkeypatch):
-    # the source holds the target's id while the query runs and delivery
-    # teaches the target the source's; both ends forget them afterwards,
-    # also when routing raises
+    # the source holds the target's id while the query's traffic runs and
+    # delivery teaches the target the source's; both ends forget them
+    # afterwards, also when delivery raises
     pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
     pipe.build_abstraction()
     knows = pipe.topo.knows
     s, t = _strangers(pipe)
     before = {v: set(knows[v]) for v in (s, t)}
-    route, held = pipe.router.route, []
+    transmit, held = pipe.router._transmit, []
 
-    def spy(engine, a, b):
-        res = route(engine, a, b)
+    def spy(engine, a, b, *rest):
+        out = transmit(engine, a, b, *rest)
         held.append((b in knows[a], a in knows[b]))
-        return res
+        return out
 
-    monkeypatch.setattr(pipe.router, "route", spy)
+    monkeypatch.setattr(pipe.router, "_transmit", spy)
     res = pipe.query(s, t)
     assert (res.path[0], res.path[-1], held) == (s, t, [(True, True)])
     assert {v: set(knows[v]) for v in (s, t)} == before
 
-    def fail(engine, a, b):
+    def fail(engine, a, b, *rest):
         held.append((b in knows[a], a in knows[b]))
         raise NoPathError("no walk")
 
-    monkeypatch.setattr(pipe.router, "route", fail)
+    monkeypatch.setattr(pipe.router, "_transmit", fail)
     with pytest.raises(NoPathError):
         pipe.query(s, t)
     assert held[-1] == (True, False)
@@ -1076,13 +1076,13 @@ def test_query_rejects_an_unknown_endpoint_before_anything_is_learned(s, t):
 def test_recompute_after_small_move_rebuilds_cleanly():
     pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
     pipe.run()
-    tree = pipe.tree
+    root = pipe.root
     v = pipe.topo.ids[3]
     p = pipe.topo.points[v]
     pipe.topo.move_node(v, Point(p.x + 0.05, p.y))
     out = pipe.periodic_recompute()
     assert out["ok"] and out["tree_reused"]
-    assert pipe.tree is tree
+    assert pipe.root == root
     res = pipe.query(4, 12)
     assert res.path[0] == 4 and res.path[-1] == 12
 
@@ -1141,19 +1141,19 @@ def test_recompute_after_moves_stores_no_more_than_a_fresh_build(seed):
 def test_recompute_that_rebuilds_the_tree_fails_at_no_charge(name):
     # the waves cover all of the tree's rounds here (cshape-40) or all but
     # two (grid36-hole4), so a rebuilt tree keeps the recompute within its
-    # round bound, and only the tree's identity tells it was built inside
-    # the window
+    # round bound, and only a root unknown when the window began tells it
+    # was built inside the window
     pipe = Pipeline(fixture_topology(name), PipelineConfig())
     pipe.build_abstraction()
     charged = pipe.phase_rounds["broadcast_tree"]
     assert charged == {"grid36-hole4": 2, "cshape-40": 0}[name]
-    pipe.tree = None
+    pipe.root = None
     with pytest.raises(BoundViolationError) as ei:
         pipe.periodic_recompute()
     out = ei.value.report
     # the tree was built once in each build, at the same charge both times
     charges = [t["tag"] for t in pipe.engine.transcript if t["tag"].startswith("charge:broadcast_tree:")]
-    assert pipe.tree is not None and charges == [f"charge:broadcast_tree:{charged}"] * 2
+    assert pipe.root is not None and charges == [f"charge:broadcast_tree:{charged}"] * 2
     assert out["rounds"] <= out["bound"]
     assert not out["tree_reused"] and not out["ok"]
 

@@ -613,7 +613,6 @@ def test_route_visible_and_case1_bounds_both_backends(grid):
             router = Router(g, rings, ab, built.root, backend=backend)
             seen = {"Visible": 0, "Case1": 0}
             for s, t in itertools.combinations(sorted(topo.points), 2):
-                topo.learn(s, t)
                 res = router.route(eng, s, t)
                 assert res.path[0] == s and res.path[-1] == t
                 assert res.competitive_ratio >= 1.0 - 1e-9
@@ -635,7 +634,6 @@ def test_route_round_and_message_accounting(grid):
     # long-range round trip before the data leaves it
     topo, g, eng, rings, ab, router = grid
     s, t = 4, 12
-    topo.learn(s, t)
     before, phases = len(eng.transcript), len(eng.phase_reports)
     res = router.route(eng, s, t)
     lines = eng.transcript[before:]
@@ -676,7 +674,6 @@ def test_query_rounds_count_one_round_trip_per_plan_away_from_its_planner(grid, 
     trips = Counter()
     for topo, g, eng, rings, ab, router in (grid, star):
         for s, t in sample_pairs(topo, 60, seed=3):
-            topo.learn(s, t)
             res = router.route(eng, s, t)
             p = sum(h != router.root for h, _ in res.plans)
             assert res.rounds_used == (2 + len(res.path) - 1 + 2 * p if len(res.path) > 1 else 0), (s, t)
@@ -689,9 +686,11 @@ def test_transmit_follows_a_walk_that_revisits_nodes(grid):
     # the data's seq tells a node it passes twice where to send it each time
     topo, g, eng, rings, ab, router = grid
     s, t = 4, 12
-    topo.learn(s, t)
     path = router.route(eng, s, t).path
     walk = path[:2] + path
+    # _transmit is the query's traffic alone; route gives s the id of t
+    # only while it runs
+    topo.learn(s, t)
     before = len(eng.transcript)
     assert router._transmit(eng, s, t, walk) == (2 + len(walk) - 1, 2)
     data = [(l["src"], l["dst"], l["channel"]) for l in eng.transcript[before:] if l["tag"] == "rt_data"]
@@ -713,11 +712,36 @@ def test_route_unknown_endpoint(grid):
         router.route(eng, 0, 10_000)
 
 
+@pytest.mark.parametrize("stack", ["grid", "star"])
+def test_route_leaves_every_node_knowing_what_it_knew(stack, request, monkeypatch):
+    # route applies the query model itself: s learns t's id before anything
+    # is sent, delivery teaches t the id of s, and both forget once the
+    # query ends, also when its traffic raises after delivery
+    topo, g, eng, rings, ab, router = request.getfixturevalue(stack)
+    pairs = [(s, t) for s, t in sample_pairs(topo, 40, seed=11) if t not in topo.knows[s]]
+    before = {v: set(k) for v, k in topo.knows.items()}
+    assert len(pairs) >= 20
+    for s, t in pairs:
+        router.route(eng, s, t)
+        assert topo.knows == before, (s, t)
+    transmit = router._transmit
+
+    def fail(engine, a, b, *rest):
+        transmit(engine, a, b, *rest)
+        assert a in topo.knows[b]
+        raise NoPathError("lost after delivery")
+
+    monkeypatch.setattr(router, "_transmit", fail)
+    for s, t in pairs[:5]:
+        with pytest.raises(NoPathError):
+            router.route(eng, s, t)
+        assert topo.knows == before, (s, t)
+
+
 def test_route_waypoint_legs_within_chew_bound(grid):
     topo, g, eng, rings, ab, router = grid
     checked = 0
     for s, t in sample_pairs(topo, 120, seed=5):
-        topo.learn(s, t)
         res = router.route(eng, s, t)
         for d_m, realized in res.legs:
             assert realized <= 5.9 * d_m + 1e-9, (s, t, d_m, realized)
@@ -764,7 +788,6 @@ def test_route_case2_one_endpoint_inside(star):
     pockets = nodes_by_pocket(topo, router)
     inside = next(iter(sorted(pockets.items())))[1][0]
     outside = next(v for v in sorted(topo.points) if router.locate(v) is None)
-    topo.learn(inside, outside)
     res = router.route(eng, inside, outside)
     assert res.case_taken == "Case2"
     assert res.path[0] == inside and res.path[-1] == outside
@@ -782,7 +805,6 @@ def test_route_case3_different_hulls(star):
     rids = sorted(by_ring)
     assert len(rids) >= 2, "fixture must provide two separate obstacles with interior nodes"
     s, t = by_ring[rids[0]][0], by_ring[rids[1]][0]
-    topo.learn(s, t)
     res = router.route(eng, s, t)
     assert res.case_taken == "Case3"
     assert res.path[0] == s and res.path[-1] == t
@@ -797,7 +819,6 @@ def test_route_case4_same_hull_different_bays(star):
     rid, bays = next((r, b) for r, b in sorted(by_ring.items()) if len(b) >= 2)
     bay_ids = sorted(bays)
     s, t = bays[bay_ids[0]][0], bays[bay_ids[1]][0]
-    topo.learn(s, t)
     res = router.route(eng, s, t)
     assert res.case_taken == "Case4"
     assert res.path[0] == s and res.path[-1] == t
@@ -810,7 +831,6 @@ def test_route_case5_stays_in_the_bay_within_its_bound(crescent):
     assert len(members) >= 6
     saw_extreme = False
     for s, t in itertools.combinations(members, 2):
-        topo.learn(s, t)
         res = router.route(eng, s, t)
         assert res.case_taken == "Case5"
         bound = (2 + res.e_route) * 5.9
@@ -827,7 +847,6 @@ def test_route_trivial_and_bay_to_outside_queries(crescent):
     assert res.path == [members[0]]
     assert res.euclidean_length == 0.0
     outside = next(v for v in sorted(topo.points) if router.locate(v) is None)
-    topo.learn(members[0], outside)
     res = router.route(eng, members[0], outside)
     assert res.case_taken == "Case2"
     assert res.path[0] == members[0] and res.path[-1] == outside
@@ -881,9 +900,8 @@ def test_inside_hull_route_rows_match_pinned_digests():
         pipe.build_abstraction()
         rows = []
         for backend in (BACKEND_VIS, BACKEND_ODEL):
-            router = Router(pipe.g, pipe.rings, pipe.abstractions, pipe.tree.root, backend=backend)
+            router = Router(pipe.g, pipe.rings, pipe.abstractions, pipe.root, backend=backend)
             for s, t in inside_pairs(topo, router, random.Random(5)):
-                topo.learn(s, t)
                 rows.append(route_row(router, pipe.engine, s, t))
         for r in rows:
             cases[r[2]] = cases.get(r[2], 0) + 1
@@ -1021,7 +1039,6 @@ def test_route_logs_one_line_per_query_with_replans(grid, caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="hullroute.routing"):
         results = []
         for s, t in pairs:
-            topo.learn(s, t)
             results.append(router.route(eng, s, t))
     rows = [line.fullmatch(r.getMessage()).groups() for r in caplog.records]
     assert rows == [
@@ -1067,7 +1084,6 @@ def test_measure_competitiveness_agrees_with_router(grid):
     topo, g, eng, rings, ab, router = grid
     results = []
     for s, t in sample_pairs(topo, 60, seed=9):
-        topo.learn(s, t)
         results.append(router.route(eng, s, t))
     own = [r.udg_shortest for r in results]
     report = measure_competitiveness(topo, results)
