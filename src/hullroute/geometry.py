@@ -309,8 +309,8 @@ def segment_crosses_polygon(
     on it: the piece leaving such a vertex toward b is inside iff b lies in
     the vertex's open interior cone, and the piece leaving a is inside iff
     b lies on the inner side of the edge a is on, or else iff a is inside.
-    Each test is an orient2d sign, flipped for a clockwise poly.  A caller
-    that tests one poly often passes its polygon_orientation once taken.
+    Each test is an orient2d sign, flipped for a clockwise poly.  The
+    router passes a ring's orientation as its leader read it off the hull.
     """
     if a == b:
         return point_in_polygon(a, poly)

@@ -3,8 +3,8 @@
 A planarized graph ends up with two kinds of interesting faces: bounded
 faces of four or more corners (the network grew around an obstacle) and
 the outer face.  Both become rings here.  Classification tells them
-apart by the direction the ring is walked, which its leader reads off
-the ring ranks of its distributed hull (overlay.rank_ring), so the
+apart by the direction the ring is walked, which its leader, an arc's
+too, reads off the ring ranks of its hull (overlay.rank_ring), so the
 result is exact and something the nodes themselves know.
 """
 
@@ -19,7 +19,6 @@ from .geometry import (
     bounding_box,
     convex_hull_oracle,
     dist,
-    polygon_orientation,
     polygon_perimeter,
     polygon_signed_area,
     _on_segment,
@@ -128,16 +127,16 @@ def form_rings(g: PlanarGraph, boundary: set[NodeId]) -> list[HoleRing]:
 
 
 def classify_rings(rings: Sequence[HoleRing], orientations: Mapping[int, int]) -> None:
-    """Each closed ring's kind from the orientation its leader read off the hull; takes no round.
+    """Each ring's turn, and a kind where it has none, off its leader's orientation; takes no round.
 
-    The leader found its hull's ring ranks in ccw (+1) or cw (-1) order
-    before the hull broadcast (overlay.rank_ring); orientations holds
-    them by ring_id.  A ccw walk is a hole, which turns exactly -360
-    degrees; a cw walk the outer boundary, +360.
+    Every ring's leader, an arc's too, read its hull's ring ranks in ccw
+    (+1) or cw (-1) order (overlay.rank_ring); orientations holds them
+    by ring_id.  A ccw walk turns exactly -360 degrees, a cw walk +360,
+    and a closed ring, which has no kind yet, is a hole or the outer boundary.
     """
     for r in rings:
         r.orientation_sum = -360.0 * orientations[r.ring_id]
-        r.kind = KIND_OUTER_BOUNDARY if r.orientation_sum > 0 else KIND_INNER
+        r.kind = r.kind or (KIND_OUTER_BOUNDARY if r.orientation_sum > 0 else KIND_INNER)
 
 
 def hull_node_ids(points: dict[NodeId, Point], members: list[NodeId]) -> list[NodeId]:
@@ -182,7 +181,8 @@ def detect_outer_holes(
     closed polygon's.  Ring edges are radio links, so a long hull edge
     always has ring nodes between its ends and no arc is lost.
     hull_nodes is the ring's distributed hull; without it the
-    centralized oracle's hull stands in.
+    centralized oracle's hull stands in.  classify_rings sets each
+    arc's orientation_sum, read by its leader off the arc's hull.
     """
     if outer.kind != KIND_OUTER_BOUNDARY:
         raise AssumptionViolationError("outer holes hang off the outer boundary")
@@ -195,8 +195,6 @@ def detect_outer_holes(
             continue  # a short chord, or a straight stretch of boundary that encloses nothing
         ring = _measured_ring(first_id + len(out), bay.strip, g.points)
         ring.kind = KIND_OUTER_HOLE
-        # the arc and its chord close a simple polygon: a clockwise one turns +360
-        ring.orientation_sum = 360.0 if polygon_orientation([g.points[v] for v in ring.members]) < 0 else -360.0
         out.append(ring)
     return out
 
@@ -212,12 +210,12 @@ def build_hull_abstraction(
     closed ring's from its election, an outer-hole arc's as its members.
     A ring of kind KIND_OUTER_HOLE is an arc; every other ring is closed.
     The rings run concurrently (ring_protocol); a closed ring's leader
-    checks the ring's size and reads its orientation, which
-    classify_rings takes.
+    checks the ring's size, and every ring's leader reads its
+    orientation, which classify_rings takes.
     Each bay's dominating set then takes no round: its members decide
     from the ring ranks the broadcast left them (dominating_set).
-    Returns the abstractions and the closed rings' orientations, keyed
-    by ring_id.
+    Returns the abstractions and every ring's orientation, keyed by
+    ring_id.
     """
     arcs = {r.ring_id for r in rings if r.kind == KIND_OUTER_HOLE}
     hulls, orientations = ring_protocol(engine, orders, arcs)

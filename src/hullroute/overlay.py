@@ -14,11 +14,11 @@ Ranks s and s + 2^j know each other: pointer jumping introduced them.
 Level 1 of the merge, a node and its radio-neighbour successor, is
 local.  The finished hull, scoped to each subtree, travels the binomial
 tree over the ranks from the ring leader (_hull_broadcast_session).
-On a closed ring the hull merge carries each block's node count, so
-the leader ends with the exact ring size, and its merged hull holds
-each hull node's ring rank, whose order around the hull is the ring's
-orientation; the leader checks both before it broadcasts the hull
-(rank_ring).  The per-bay dominating set takes no round: every bay
+On a closed ring the hull merge carries each block's node count, so the
+leader ends with the exact ring size, and on every ring its merged hull
+holds each hull node's ring rank, whose order around the hull is the
+ring's orientation; the leader checks both before it broadcasts the
+hull (rank_ring).  The per-bay dominating set takes no round: every bay
 member decides from ring ranks the hull broadcast left it.
 
 Message model: a long-range message is sized for ceil(log2 n) points
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Hashable, Mapping
 
@@ -272,23 +273,23 @@ def rank_ring(
     chains: Mapping[Hashable, list[list]],
     sizes: Mapping[Hashable, int],
 ) -> dict[Hashable, int]:
-    """Each leader checks its merged ring size and reads the ring's orientation off its hull; takes no round.
+    """Each leader checks its merged ring size and reads its ring's orientation off its hull; takes no round.
 
-    Rank 0 of a closed ring ends the merge with the ring's size k and
-    its ccw hull as [x, y, id, rank] (parallel_convex_hull); a size other
-    than k means the merge lost nodes.  A simple ring meets its hull
-    vertices in hull order (compute_bays relies on it), so their ranks
-    are a rotation of an ascending list when the ring is walked ccw, +1
-    as polygon_orientation signs it, or of a descending one when it is
+    Rank 0 of every ring ends the merge with its ccw hull as [x, y, id,
+    rank], and that of a closed ring with its size k, in `sizes`
+    (parallel_convex_hull); another size means the merge lost nodes.  A
+    simple ring, or an arc closed by its chord, meets its hull vertices
+    in hull order (compute_bays relies on it), so their ranks are a
+    rotation of an ascending list when the ring is walked ccw, +1 as
+    polygon_orientation signs it, or of a descending one when it is
     walked cw, -1.  Any other order aborts before the hull broadcast; a
     hull has at least 3 points, so the two cases differ.  Returns each
-    closed ring's orientation.  The name stays because perfbench traces
-    this step as a span of its own.
+    ring's orientation.  The name stays because perfbench traces this
+    step as a span of its own.
     """
     out = {}
-    for key, size in sizes.items():
-        order = orders[key]
-        if size != len(order):
+    for key, order in orders.items():
+        if sizes.get(key, len(order)) != len(order):
             raise SimulationAbortError(order[0], engine.round_no, "hull merge lost nodes on the ring")
         ranks = [q[3] for q in chains[key]]
         descents = sum(a > b for a, b in zip(ranks, ranks[1:] + ranks[:1]))
@@ -358,10 +359,12 @@ def parallel_convex_hull(
     unless a hull exceeds cap^2 points.  On a closed ring every node
     starts with count 1, and the left node adds the right half's count,
     which from level 2 on rides the half's first message.  The rings
-    keyed in `arcs` are outer-hole arcs, which carry no count; an arc's
-    orientation is detect_outer_holes' exact sign.  Returns each ring's
-    ccw hull as rank keys, whose ranks give a closed ring's orientation
-    (rank_ring), and rank 0's count for the closed rings.
+    keyed in `arcs` are outer-hole arcs, which carry no count.  A node
+    that ships m messages at a level, over every ring, sends cap of them
+    a round until its queues drain, so a ring's cap at the level is the
+    largest ceil(m / cap) of its shipping nodes.  Returns each ring's ccw
+    hull as rank keys, whose ranks give its orientation (rank_ring), and
+    rank 0's count for the closed rings.
     """
     hulls = {key: [[q] for q in rank_keys[key]] for key in orders}
     counts = {key: [1] * len(order) for key, order in orders.items() if key not in arcs}
@@ -373,16 +376,17 @@ def parallel_convex_hull(
             if key in counts:
                 counts[key][s] += 1
     levels = {key: _levels(len(order)) for key, order in orders.items()}
+    cap = _message_cap(engine)
     for level in range(2, max(levels.values(), default=0) + 1):
-        _run_wave(
-            engine,
-            f"hull_merge_{level}",
-            {
-                key: _merge_session(engine, order, hulls[key], counts.get(key), level)
-                for key, order in orders.items()
-                if levels[key] >= level
-            },
-        )
+        shipped: Counter[NodeId] = Counter()
+        sessions = {
+            key: _merge_session(engine, order, hulls[key], counts.get(key), level, shipped)
+            for key, order in orders.items()
+            if levels[key] >= level
+        }
+        for session in sessions.values():
+            session.max_rounds = max(-(-shipped[v] // cap) for v in session.start)
+        _run_wave(engine, f"hull_merge_{level}", sessions)
     for key in orders:
         if len(hulls[key][0]) < 3:
             raise DegenerateInputError("hull of fewer than 3 distinct points")
@@ -395,10 +399,12 @@ def _merge_session(
     hulls: list[list],
     counts: list[int] | None,
     level: int,
+    shipped: Counter[NodeId],
 ) -> _Session:
     """Merge every pair of 2^(level-1)-rank blocks of one ring in rank order.
 
-    Each right block's first node cuts its hull into messages (_cut) and
+    Each right block's first node cuts its hull into messages (_cut),
+    counted in `shipped`, whence parallel_convex_hull sets the cap, and
     sends them from the level's first round on, while the engine counts
     fewer than cap long-range sends by it in the round, over every ring;
     on a closed ring the first one also carries the block's node count
@@ -417,6 +423,7 @@ def _merge_session(
         return out
 
     queue = {order[base + half]: ship(base + half) for base in range(0, len(order) - half, 1 << level)}
+    shipped.update({v: len(payloads) for v, payloads in queue.items()})
 
     def handler(eng: RoundEngine, v: NodeId, inbox: list[Message]) -> bool:
         s = rank_of[v]
@@ -431,7 +438,7 @@ def _merge_session(
             eng.send(v, order[s - half], payload, tag="hm", intro_ids=ids)
         return not payloads
 
-    return _Session(list(queue), handler, 2 * half + 2)
+    return _Session(list(queue), handler, 0)
 
 
 def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list, size: int | None) -> _Session:
@@ -618,13 +625,13 @@ def ring_protocol(
     first hull end on.  The merge's first level is local, so its first
     phase is hull_merge_2.
     Every closed ring merges its size up to its leader along with the
-    hull, and the leader checks the size and reads the ring's
-    orientation off the merged hull's ranks (rank_ring) before it
-    broadcasts the hull.  The merge teaches the left blocks' first
-    nodes the ids of the hulls shipped to them; once the hull is
-    broadcast, each ring node forgets every id learned since the merge
-    began that is no hull node of one of its rings.  Returns each
-    ring's ccw hull node ids and each closed ring's orientation, with
+    hull, and the leader checks the size; every ring's leader, an arc's
+    rank 0 too, reads the ring's orientation off the merged hull's
+    ranks (rank_ring) before it broadcasts the hull.  The merge teaches
+    the left blocks' first nodes the ids of the hulls shipped to them;
+    once the hull is broadcast, each ring node forgets every id learned
+    since the merge began that is no hull node of one of its rings.
+    Returns each ring's ccw hull node ids and its orientation, with
     polygon_orientation's sign, by key.
     """
     before = {v: set(engine.topo.knows[v]) for order in orders.values() for v in order}

@@ -195,11 +195,11 @@ class Pipeline:
         the merged hull's ring ranks (classify_rings).  Wave two is the
         outer-hole arcs, which hang off the outer boundary's hull and
         reuse the links pointer jumping made on that ring: the same call,
-        each arc laid out as its members, from its first hull end on.
-        The dominating sets take no round.  The broadcast tree needs no
-        ring and runs from the build's first round, so the build takes
-        max(tree rounds, rounds up to wave two's end) before the hull
-        distribution.
+        each arc laid out as its members, from its first hull end on, and
+        oriented by its leader too.  The dominating sets take no round.
+        The broadcast tree needs no ring and runs from the build's first
+        round, so the build takes max(tree rounds, rounds up to wave
+        two's end) before the hull distribution.
         """
         eng = self.engine
         start = eng.round_no
@@ -242,7 +242,9 @@ class Pipeline:
             first_id=max(r.ring_id for r in self.rings) + 1,
         )
         orders = {a.ring_id: a.members for a in arcs}
-        self.abstractions.update(build_hull_abstraction(eng, arcs, orders)[0])
+        abstractions, orientations = build_hull_abstraction(eng, arcs, orders)
+        classify_rings(arcs, orientations)
+        self.abstractions.update(abstractions)
         self.orders.update(orders)
         self.rings = self.rings + arcs
         mark("outer_holes")
@@ -369,7 +371,7 @@ class Pipeline:
         sizes = {r.ring_id: len(r.members) for r in self.rings}
         for rid in sorted(jump_rounds):
             k, rounds, msg_max = sizes[rid], jump_rounds[rid], jump_msgs[rid]
-            round_bound = max(math.ceil(math.log2(k)), 1)
+            round_bound = overlay._levels(k)  # the session's cap, at which the engine aborts it
             msg_bound = 2 * round_bound
             ok = rounds <= round_bound and msg_max <= msg_bound
             ring_rows.append({"ring_id": rid, "size": k, "jump_rounds": rounds, "round_bound": round_bound,
@@ -457,7 +459,7 @@ class Pipeline:
             "total_messages": build.messages_adhoc + build.messages_longrange,
             "total_bytes": build.bytes_total,
             "abstraction_adhoc": build.messages_adhoc,
-            "abstraction_longrange": sum(lr.values()),
+            "abstraction_longrange": build.messages_longrange,
             "longrange_per_node_max": max(lr.values()) if lr else 0,
             "longrange_per_node_mean": (sum(lr.values()) / len(lr)) if lr else 0.0,
             "max_longrange_per_node_round": build.max_longrange_per_node_round,

@@ -39,7 +39,6 @@ from .geometry import (
     monotone_hull,
     orient2d,
     point_in_polygon,
-    polygon_orientation,
     ring_crossings,
     segment_crosses_polygon,
     segments_properly_intersect,
@@ -414,8 +413,6 @@ class _RingCtx:
     abstraction: HullAbstraction
     polygon: HullPolygon
     ring_pts: list[Point]
-    # polygon_orientation(ring_pts), taken once for every bay leg's test
-    ring_sign: int
     pos_of: dict[NodeId, int]
     bay_polys: list[list[Point]]
     # outer-hole rings are open arcs: their chord is virtual, walks on the
@@ -443,7 +440,7 @@ class Router:
         self.obstacles: list[_RingCtx] = []
         self._face_ring: dict[int, _RingCtx] = {}
         for ring in rings:
-            if ring.kind is None:
+            if not ring.orientation_sum:  # classify_rings sets it on every ring, arcs too
                 raise NotReadyError(f"ring {ring.ring_id} not classified yet")
             ab = abstractions.get(ring.ring_id)
             if ab is None:
@@ -468,10 +465,7 @@ class Router:
         poly = hull_polygon(self.g.points, ring.ring_id, ab.hull_nodes)
         pos_of = {v: i for i, v in enumerate(ring.members)}
         bay_polys = [[self.g.points[v] for v in bay.strip] for bay in ab.bay_areas]
-        return _RingCtx(
-            ring, ab, poly, pts, polygon_orientation(pts), pos_of, bay_polys,
-            closed=ring.kind != KIND_OUTER_HOLE,
-        )
+        return _RingCtx(ring, ab, poly, pts, pos_of, bay_polys, closed=ring.kind != KIND_OUTER_HOLE)
 
     # -- placement ----------------------------------------------------------
 
@@ -596,12 +590,10 @@ class Router:
 
         sub = self._bay_subpath(ctx, bay_idx, p1, pt_node)
         extremes = _extreme_points(self.g.points, sub)
+        # the orientation the ring's leader read off its hull, -1 for a turn of +360
+        sign = round(ctx.ring.orientation_sum / -360)
         e_t = next(
-            (
-                e
-                for e in extremes
-                if not segment_crosses_polygon(self.g.points[e], pb, ctx.ring_pts, ctx.ring_sign)
-            ),
+            (e for e in extremes if not segment_crosses_polygon(self.g.points[e], pb, ctx.ring_pts, sign)),
             extremes[-1],
         )
         chain = extremes[: extremes.index(e_t) + 1]

@@ -307,6 +307,18 @@ def test_a_hull_broadcast_node_that_idles_one_round_aborts_its_session(monkeypat
     assert engine.phase_reports[-1].rounds == 3
 
 
+def test_a_hull_merge_node_that_idles_one_round_aborts_its_session(monkeypatch):
+    # every ship of star12-4's level 2 fits one message, so the level's
+    # derived cap is 1 round (the guess 2 * 2^(L-1) + 2 gave it 6); the
+    # outer ring's leader, node 0, receives rank 2's ship in that round,
+    # and if it asks to run once more, the phase aborts, naming the ring
+    pipe = Pipeline(fixture_topology("star12-4"), PipelineConfig())
+    idling(monkeypatch, "hull_merge_2", 0)
+    with pytest.raises(SimulationAbortError, match="phase 'hull_merge_2' session 0 exceeded 1 rounds"):
+        pipe.build_abstraction()
+    assert pipe.engine.phase_reports[-1].rounds == 1
+
+
 def test_cast_and_merge_waves_make_no_idle_call():
     # in every hull merge level, which starts at 2, both hull broadcasts
     # and the hull distribution, a node is called only when mail reaches

@@ -591,12 +591,19 @@ def test_relabelled_ids_keep_the_hulls_and_every_bound():
     # audited in the hull class and holds every hull id
 
     def hulls(p, label):
-        # each ring's kind and ccw hull, started at its smallest id
+        # each ring's kind, member set and ccw hull, started at its smallest
+        # id, and its bays' strips (ends and members in order), each with
+        # its dominating set
         out = set()
         for r in p.rings:
-            ids = [label(v) for v in p.abstractions[r.ring_id].hull_nodes]
+            ab = p.abstractions[r.ring_id]
+            ids = [label(v) for v in ab.hull_nodes]
             at = ids.index(min(ids))
-            out.add((r.kind, tuple(ids[at:] + ids[:at])))
+            bays = frozenset(
+                (tuple(map(label, bay.strip)), frozenset(map(label, ab.dominating_sets[i])))
+                for i, bay in enumerate(ab.bay_areas)
+            )
+            out.add((r.kind, frozenset(map(label, r.members)), tuple(ids[at:] + ids[:at]), bays))
         return out
 
     off_rings = []
@@ -903,16 +910,16 @@ def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monke
 
     monkeypatch.setattr(pipe.engine, "send", send_spy)
     pipe.build_abstraction()
-    # only the closed rings merge a size, and only their leaders read an orientation
+    # only the closed rings merge a size, and every ring's leader reads an orientation
     assert any(totals for two, totals in merged if not two)
     assert any(two for two, _ in merged)
     assert not any(totals for two, totals in merged if two)
     for r in pipe.rings:
         if r.kind == KIND_OUTER_HOLE:
-            assert r.ring_id not in sizes and r.ring_id not in orientations
+            assert r.ring_id not in sizes
         else:
             assert sizes[r.ring_id] == len(r.members)
-            assert r.orientation_sum == -360.0 * orientations[r.ring_id]
+        assert r.orientation_sum == -360.0 * orientations[r.ring_id]
     labels = [p.label for p in pipe.engine.phase_reports]
     wave_two = set(labels[labels.index("hull_broadcast") + 1 :])
     assert "hull_broadcast" in wave_two

@@ -988,6 +988,17 @@ def test_router_requires_classified_rings_and_abstractions(grid):
         Router(g, rings, ab, router.root, backend="magic")
 
 
+def test_router_rejects_an_arc_with_a_kind_but_no_orientation(grid):
+    # detect_outer_holes kinds an arc, and classify_rings orients it once
+    # its leader has read the orientation; the bay legs test crossings with
+    # that sign, so an arc without it is not ready
+    topo, g, eng, rings, ab, router = grid
+    arc = next(r for r in rings if r.kind == routing_mod.KIND_OUTER_HOLE)
+    bare = [dataclasses.replace(r, orientation_sum=0.0) if r is arc else r for r in rings]
+    with pytest.raises(NotReadyError, match=f"ring {arc.ring_id} not classified yet"):
+        Router(g, bare, ab, router.root)
+
+
 def test_router_builds_only_its_backend(grid, monkeypatch):
     topo, g, eng, rings, ab, router = grid
     calls = {"disjoint": 0, "overlay": 0}
