@@ -9,7 +9,9 @@ it with `fractions.Fraction` otherwise.  `angle_key`,
 `segments_properly_intersect`, `_on_segment`, `point_in_polygon` and the
 bay legs' `ring_crossings` and `segment_crosses_polygon` are built on
 them; `ring_crossings` orders a segment's crossings by their exact
-Fraction parameters along it.  `circumcenter` rejects a collinear
+Fraction parameters along it, and `segment_crosses_polygon` takes the
+polygon's turn from its caller, which for a ring is the one its leader
+read off the hull (overlay.rank_ring).  `circumcenter` rejects a collinear
 triple, or one too flat for a float circumcircle, with
 DegenerateInputError.
 """
@@ -184,13 +186,6 @@ def polygon_signed_area(pts: Sequence[Point]) -> float:
     return area / 2.0
 
 
-def polygon_orientation(pts: Sequence[Point]) -> int:
-    """Exact sign of a simple polygon's area: orient2d at its lexicographically smallest,
-    so convex, vertex."""
-    i = min(range(len(pts)), key=lambda j: (pts[j][0], pts[j][1]))
-    return orient2d(pts[i - 1], pts[i], pts[(i + 1) % len(pts)])
-
-
 def polygon_perimeter(pts: Sequence[Point]) -> float:
     return sum(dist(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))
 
@@ -300,22 +295,20 @@ def ring_crossings(a: Point, b: Point, poly: Sequence[Point]) -> list[int]:
     return sorted(hits, key=at)
 
 
-def segment_crosses_polygon(
-    a: Point, b: Point, poly: Sequence[Point], orientation: int | None = None
-) -> bool:
+def segment_crosses_polygon(a: Point, b: Point, poly: Sequence[Point], orientation: int) -> bool:
     """True iff the open segment ab intersects the open region bounded by poly.
 
+    orientation is poly's turn, +1 counterclockwise and -1 clockwise; the
+    router passes each ring's as its leader read it off the hull.
     Without a proper edge crossing, ab changes region only at the vertices
     on it: the piece leaving such a vertex toward b is inside iff b lies in
     the vertex's open interior cone, and the piece leaving a is inside iff
     b lies on the inner side of the edge a is on, or else iff a is inside.
-    Each test is an orient2d sign, flipped for a clockwise poly.  The
-    router passes a ring's orientation as its leader read it off the hull.
+    Each test is an orient2d sign, times orientation.
     """
     if a == b:
         return point_in_polygon(a, poly)
     n = len(poly)
-    s = polygon_orientation(poly) if orientation is None else orientation
     side = [orient2d(a, b, p) for p in poly]
     for i in range(n):
         u, v, w = poly[i - 1], poly[i], poly[(i + 1) % n]
@@ -323,12 +316,12 @@ def segment_crosses_polygon(
             if orient2d(v, w, a) * orient2d(v, w, b) < 0:
                 return True
         elif side[i] == 0 and v != b and _on_segment(v, a, b):
-            into, out = s * orient2d(u, v, b) > 0, s * orient2d(v, w, b) > 0
-            if (into and out) if s * orient2d(u, v, w) >= 0 else (into or out):
+            into, out = orientation * orient2d(u, v, b) > 0, orientation * orient2d(v, w, b) > 0
+            if (into and out) if orientation * orient2d(u, v, w) >= 0 else (into or out):
                 return True
     for c, d in zip(poly, [*poly[1:], poly[0]]):
         if _on_segment(a, c, d):
-            return a != c and a != d and s * orient2d(c, d, b) > 0
+            return a != c and a != d and orientation * orient2d(c, d, b) > 0
     return point_in_polygon(a, poly)
 
 

@@ -2,15 +2,16 @@
 
 A planarized graph ends up with two kinds of interesting faces: bounded
 faces of four or more corners (the network grew around an obstacle) and
-the outer face.  Both become rings here.  Classification tells them
-apart by the direction the ring is walked, which its leader, an arc's
-too, reads off the ring ranks of its hull (overlay.rank_ring), so the
-result is exact and something the nodes themselves know.
+the outer face, the faces PlanarGraph.is_blocked_face accepts.  Both
+become rings here.  Classification tells them apart by the direction
+the ring is walked, which its leader, an arc's too, reads off the ring
+ranks of its hull (overlay.rank_ring), so the result is exact and
+something the nodes themselves know.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import AssumptionViolationError, EmbeddingCorruptionError
@@ -67,15 +68,15 @@ class Bay:
 class HullAbstraction:
     ring_id: int
     hull_nodes: list[NodeId]  # counterclockwise
-    bay_areas: list[Bay] = field(default_factory=list)
-    dominating_sets: dict[int, set[NodeId]] = field(default_factory=dict)
+    bay_areas: list[Bay]
+    dominating_sets: dict[int, set[NodeId]]
 
 
 def detect_boundary_nodes(g: PlanarGraph) -> set[NodeId]:
-    """Nodes incident to any face of size >= 4, plus the outer face."""
+    """Nodes on a blocked face, a hole or the outer face (PlanarGraph.is_blocked_face)."""
     out: set[NodeId] = set()
     for fi, face in enumerate(g.faces):
-        if fi == g.outer_face or len(face) >= 4:
+        if g.is_blocked_face(fi):
             out.update(face)
     return out
 
@@ -93,7 +94,7 @@ def _measured_ring(rid: int, members: list[NodeId], points: dict[NodeId, Point])
 
 
 def form_rings(g: PlanarGraph, boundary: set[NodeId]) -> list[HoleRing]:
-    """One ring per hole face and one for the outer face.
+    """One ring per blocked face (PlanarGraph.is_blocked_face): each hole and the outer face.
 
     Face walks come from the rotation system, which is the centralized
     equivalent of every node sorting its boundary neighbors by angle.
@@ -101,7 +102,7 @@ def form_rings(g: PlanarGraph, boundary: set[NodeId]) -> list[HoleRing]:
     """
     rings: list[HoleRing] = []
     for fi, face in enumerate(g.faces):
-        if fi != g.outer_face and len(face) < 4:
+        if not g.is_blocked_face(fi):
             continue
         members = list(face)
         if len(set(members)) != len(members):

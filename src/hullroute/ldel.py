@@ -208,7 +208,7 @@ class PlanarGraph:
         return edge_key(u, v) in self.edges
 
     def is_blocked_face(self, f: int) -> bool:
-        """Faces a route cannot cross: holes (>= 4 nodes) and the outer face."""
+        """The ring rule: holes (>= 4 nodes) and the outer face, which routes cannot cross."""
         return f == self.outer_face or len(self.faces[f]) >= 4
 
 

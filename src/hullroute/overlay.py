@@ -280,8 +280,8 @@ def rank_ring(
     (parallel_convex_hull); another size means the merge lost nodes.  A
     simple ring, or an arc closed by its chord, meets its hull vertices
     in hull order (compute_bays relies on it), so their ranks are a
-    rotation of an ascending list when the ring is walked ccw, +1 as
-    polygon_orientation signs it, or of a descending one when it is
+    rotation of an ascending list when the ring is walked ccw, +1, the
+    sign of the walk's enclosed area, or of a descending one when it is
     walked cw, -1.  Any other order aborts before the hull broadcast; a
     hull has at least 3 points, so the two cases differ.  Returns each
     ring's orientation.  The name stays because perfbench traces this
@@ -631,8 +631,8 @@ def ring_protocol(
     the left blocks' first nodes the ids of the hulls shipped to them;
     once the hull is broadcast, each ring node forgets every id learned
     since the merge began that is no hull node of one of its rings.
-    Returns each ring's ccw hull node ids and its orientation, with
-    polygon_orientation's sign, by key.
+    Returns each ring's ccw hull node ids and its orientation, +1 for a
+    ccw walk and -1 for a cw one, by key.
     """
     before = {v: set(engine.topo.knows[v]) for order in orders.values() for v in order}
     chains, sizes = parallel_convex_hull(engine, orders, hypercube_sort(engine, orders), arcs)

@@ -45,7 +45,6 @@ from .geometry import (
     _on_segment,
 )
 from .holes import (
-    KIND_INNER,
     KIND_OUTER_BOUNDARY,
     KIND_OUTER_HOLE,
     HoleRing,
@@ -417,7 +416,7 @@ class _RingCtx:
     bay_polys: list[list[Point]]
     # outer-hole rings are open arcs: their chord is virtual, walks on the
     # members list must never wrap across it
-    closed: bool = True
+    closed: bool
 
 
 class Router:
@@ -437,22 +436,18 @@ class Router:
         # the overlay tree's root, the one node that holds every hull and
         # so the one every plan is asked of (overlay.distribute_hulls)
         self.root = root
-        self.obstacles: list[_RingCtx] = []
-        self._face_ring: dict[int, _RingCtx] = {}
+        ctxs: list[_RingCtx] = []
         for ring in rings:
             if not ring.orientation_sum:  # classify_rings sets it on every ring, arcs too
                 raise NotReadyError(f"ring {ring.ring_id} not classified yet")
             ab = abstractions.get(ring.ring_id)
             if ab is None:
                 raise NotReadyError(f"ring {ring.ring_id} has no hull abstraction")
-            ctx = self._make_ctx(ring, ab)
-            if ring.kind == KIND_OUTER_BOUNDARY:
-                self._face_ring[g.outer_face] = ctx
-            else:
-                self.obstacles.append(ctx)
-                if ring.kind == KIND_INNER:
-                    # form_rings keeps the face walk's order, so this is the ring's face
-                    self._face_ring[g.face_left[ring.members[0], ring.members[1]]] = ctx
+            ctxs.append(self._make_ctx(ring, ab))
+        self.obstacles = [c for c in ctxs if c.ring.kind != KIND_OUTER_BOUNDARY]
+        # form_rings keeps each face walk's order, so a closed ring's first
+        # edge has its face on the left: a hole's, or the outer face
+        self._face_ring = {g.face_left[c.ring.members[0], c.ring.members[1]]: c for c in ctxs if c.closed}
         if g.outer_face not in self._face_ring:
             raise NotReadyError("outer boundary ring missing")
         vis = build_visibility_graph([c.polygon for c in self.obstacles])

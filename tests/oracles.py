@@ -107,6 +107,14 @@ def shoelace(pts):
     return area / 2.0
 
 
+def polygon_orientation(pts):
+    """+1 for a counterclockwise simple polygon, -1 for a clockwise one: the sign of its
+    shoelace sum, exact on the integer-scaled coordinates."""
+    _, pts = _integers((), pts)
+    area = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+    return (area > 0) - (area < 0)
+
+
 def brute_hull(pts):
     """Hull as sorted vertex set, via gift wrapping (Jarvis march)."""
     uniq = sorted(set(tuple(p) for p in pts))

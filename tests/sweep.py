@@ -9,7 +9,10 @@ hole-count table builds grid-2048-K, the n = 2048 lattice with a K x K
 grid of square holes, for K in HOLES; the n table builds scale-N-1,
 scaling_spec(N, 1) with its two cavities, for N in SIZES.  Given
 instance names instead, as tests/traffic.py takes them (a `~S` suffix
-shuffles the ids with seed S), it prints one table of those.  The
+shuffles the ids with seed S), it prints one table of those.  Every
+instance built without a suffix gets a second row, `<name>~1`, the same
+points with the ids shuffled, so each figure is read under both
+labelings (the protocols choose leaders and the root by id).  The
 columns are n; the hull nodes of every ring but the outer boundary;
 protocol rounds; wave_rounds, the rounds up to wave two's end; the
 broadcast tree's charged rounds; the peak, the most long-range messages
@@ -72,8 +75,9 @@ def table(title: str, names: list[str]) -> None:
     print(title)
     print(f"  {'instance':<18}" + "".join(f"{c:>10}" for c in COLUMNS))
     for name in names:
-        r = row(name)
-        print(f"  {name:<18}" + "".join(f"{r[c]:>10}" for c in COLUMNS), flush=True)
+        for label in [name] if "~" in name else [name, f"{name}~1"]:
+            r = row(label)
+            print(f"  {label:<18}" + "".join(f"{r[c]:>10}" for c in COLUMNS), flush=True)
     print()
 
 

@@ -19,13 +19,12 @@ from hullroute.geometry import (
     incircle_sos,
     orient2d,
     point_in_polygon,
-    polygon_orientation,
     polygon_signed_area,
     ring_crossings,
     segment_crosses_polygon,
     segments_properly_intersect,
 )
-from oracles import brute_hull, brute_ring_crossings, brute_segment_crosses_polygon
+from oracles import brute_hull, brute_ring_crossings, brute_segment_crosses_polygon, polygon_orientation
 
 
 def test_orientation_basic():
@@ -105,12 +104,12 @@ def test_point_in_polygon():
 
 def test_segment_crosses_polygon():
     sq = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
-    assert segment_crosses_polygon(Point(-1, 1), Point(3, 1), sq)
-    assert not segment_crosses_polygon(Point(-1, 3), Point(3, 3), sq)
+    assert segment_crosses_polygon(Point(-1, 1), Point(3, 1), sq, 1)
+    assert not segment_crosses_polygon(Point(-1, 3), Point(3, 3), sq, 1)
     # diagonal between two corners passes through the interior
-    assert segment_crosses_polygon(Point(0, 0), Point(2, 2), sq)
+    assert segment_crosses_polygon(Point(0, 0), Point(2, 2), sq, 1)
     # edge itself does not enter the open interior
-    assert not segment_crosses_polygon(Point(0, 0), Point(2, 0), sq)
+    assert not segment_crosses_polygon(Point(0, 0), Point(2, 0), sq, 1)
 
 
 def test_polygon_validation():
@@ -209,13 +208,15 @@ def test_ring_walk_matches_the_exact_oracle_on_near_degenerate_segments():
         fa, fb = Point(a[0] * s, a[1] * s), Point(b[0] * s, b[1] * s)
         fpoly = [Point(x * s, y * s) for x, y in poly]
         assert ring_crossings(fa, fb, fpoly) == brute_ring_crossings(fa, fb, fpoly), (case, fa, fb, fpoly)
-        assert segment_crosses_polygon(fa, fb, fpoly) == brute_segment_crosses_polygon(fa, fb, fpoly), (
+        sign = polygon_orientation(fpoly)
+        assert segment_crosses_polygon(fa, fb, fpoly, sign) == brute_segment_crosses_polygon(fa, fb, fpoly), (
             case, fa, fb, fpoly,
         )
 
 
 def test_segment_crosses_polygon_with_the_orientation_given_answers_alike():
-    # a caller that tests one ring often passes its orientation, taken once
+    # a caller passes the ring's orientation, taken once; the answer is
+    # the exact oracle's, on unscaled lattice shapes of either turn
     rng = random.Random(12)
     for case in range(1000):
         poly = [Point(*p) for p in _lattice_polygon(rng)]
@@ -223,7 +224,7 @@ def test_segment_crosses_polygon_with_the_orientation_given_answers_alike():
             poly.reverse()
         a, b = (Point(*p) for p in _near_degenerate_segment(rng, poly))
         sign = polygon_orientation(poly)
-        assert segment_crosses_polygon(a, b, poly, sign) == segment_crosses_polygon(a, b, poly), case
+        assert segment_crosses_polygon(a, b, poly, sign) == brute_segment_crosses_polygon(a, b, poly), case
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +356,8 @@ def test_polygon_edges_never_cross_the_open_interior(corners, s):
         tri.reverse()
     for i in range(3):
         c, d = tri[i], tri[(i + 1) % 3]
-        assert not segment_crosses_polygon(c, d, tri)
-        assert not segment_crosses_polygon(d, c, tri)
+        assert not segment_crosses_polygon(c, d, tri, 1)
+        assert not segment_crosses_polygon(d, c, tri, 1)
 
 
 @given(

@@ -29,7 +29,7 @@ from hullroute.holes import (
     hole_report,
     hull_node_ids,
 )
-from hullroute.ldel import build_ldel2, build_udg
+from hullroute.ldel import PlanarGraph, build_ldel2, build_udg
 from hullroute.overlay import assign_hypercube_ids, pointer_jumping
 from hullroute.pipeline import Pipeline, PipelineConfig
 from hullroute.scenario import fixture_topology, generate_scenario, scaling_spec
@@ -165,6 +165,7 @@ def test_form_rings_rejects_broken_chain(grid):
         points = g.points
         faces = [tuple([8, 9, 23, 22])]  # 9->23 is not an edge
         outer_face = 0
+        is_blocked_face = PlanarGraph.is_blocked_face
 
         def has_edge(self, u, w):
             return g.has_edge(u, w)
@@ -180,6 +181,7 @@ def test_form_rings_rejects_revisited_node(grid):
         points = g.points
         faces = [tuple([8, 9, 8, 22])]
         outer_face = 0
+        is_blocked_face = PlanarGraph.is_blocked_face
 
         def has_edge(self, u, w):
             return g.has_edge(u, w)

@@ -15,7 +15,7 @@ import hullroute.holes as holes_mod
 import hullroute.overlay as overlay_mod
 
 from hullroute.errors import GeometryInconsistencyError, SimulationAbortError
-from hullroute.geometry import Point, convex_hull_oracle, polygon_orientation
+from hullroute.geometry import Point, convex_hull_oracle
 from hullroute.holes import hull_node_ids
 from hullroute.ldel import build_ldel2, build_udg
 from hullroute.overlay import (
@@ -38,6 +38,7 @@ from oracles import (
     brute_hull_gather,
     brute_min_path_ds,
     path_ds_optimum,
+    polygon_orientation,
     with_ids,
 )
 

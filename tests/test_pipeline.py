@@ -33,7 +33,15 @@ from hullroute.holes import KIND_INNER, KIND_OUTER_BOUNDARY, KIND_OUTER_HOLE, hu
 from hullroute.ldel import build_udg
 from hullroute.pipeline import Pipeline, PipelineConfig, run_pipeline
 from hullroute.render import render_svg
-from hullroute.routing import HitHoleNode, chew_route
+from hullroute.routing import (
+    BACKEND_ODEL,
+    CASE1_BOUND_ODEL,
+    CASE1_BOUND_VIS,
+    CHEW_BOUND,
+    HitHoleNode,
+    Router,
+    chew_route,
+)
 from hullroute.scenario import (
     ScenarioSpec,
     fixture_spec,
@@ -588,7 +596,8 @@ def test_relabelled_ids_keep_the_hulls_and_every_bound():
     # name~seed deals name's ids at random, and the election and the tree
     # root choose by id; with shuffled ids the root, the smallest id, is
     # often no hull node, and on crescent-24~1 it is on no ring, yet it is
-    # audited in the hull class and holds every hull id
+    # audited in the hull class and holds every hull id; the routes, whose
+    # ties break by id, stay within the gated bounds on both backends
 
     def hulls(p, label):
         # each ring's kind, member set and ccw hull, started at its smallest
@@ -606,12 +615,23 @@ def test_relabelled_ids_keep_the_hulls_and_every_bound():
             out.add((r.kind, frozenset(map(label, r.members)), tuple(ids[at:] + ids[:at]), bays))
         return out
 
+    def check_face_map(p):
+        # the Router finds a blocked face's ring in one map: its keys are the
+        # blocked faces, each held by the closed ring that walks it, no arc
+        g, face_ring = p.g, p.router._face_ring
+        assert set(face_ring) == {f for f in range(len(g.faces)) if g.is_blocked_face(f)}
+        for f, ctx in face_ring.items():
+            assert ctx.ring in p.rings and ctx.ring.kind != KIND_OUTER_HOLE
+            assert ctx.ring.members == list(g.faces[f])
+
     off_rings = []
     for name, seed in [("star12-4", 2), ("grid36-hole4", 1), ("crescent-24", 1), ("scale-512-1", 1), ("cshape-40", 1)]:
         base = Pipeline(fixture_topology(name), PipelineConfig())
         base.build_abstraction()
-        pipe = Pipeline(fixture_topology(f"{name}~{seed}"), PipelineConfig())
+        pipe = Pipeline(fixture_topology(f"{name}~{seed}"), PipelineConfig(query_count=100, query_seed=11))
         pipe.build_abstraction()
+        check_face_map(base)
+        check_face_map(pipe)
         relabel = shuffled_ids(base.topo.ids, seed)
         assert {relabel[v]: p for v, p in base.topo.points.items()} == pipe.topo.points
         bounds = pipe.bound_audit()
@@ -622,6 +642,17 @@ def test_relabelled_ids_keep_the_hulls_and_every_bound():
         if not any(root in r.members for r in pipe.rings):
             off_rings.append(name)
         assert hulls(pipe, lambda v: v) == hulls(base, relabel.__getitem__), name
+        odel = Router(pipe.g, pipe.rings, pipe.abstractions, pipe.root, backend=BACKEND_ODEL)
+        for router, case1 in ((pipe.router, CASE1_BOUND_VIS), (odel, CASE1_BOUND_ODEL)):
+            for s, t in pipe.query_pairs():
+                res = router.route(pipe.engine, s, t)
+                at = (name, case1, s, t, res.case_taken)
+                if res.case_taken == "Visible":
+                    assert res.euclidean_length <= CHEW_BOUND * res.straight_line + 1e-9, at
+                elif res.case_taken == "Case1":
+                    assert res.competitive_ratio <= case1 + 1e-9, at
+                elif res.case_taken == "Case5":
+                    assert res.competitive_ratio <= (2 + res.e_route) * CHEW_BOUND + 1e-9, at
     assert off_rings == ["crescent-24"]
 
 

@@ -293,7 +293,7 @@ def test_visibility_allows_shared_tangent_edge():
         assert a.nodes[0] in vg.adj[a.nodes[-1]], (a, b)
         for u, v in itertools.combinations(sorted(vg.positions), 2):
             pu, pv = vg.positions[u], vg.positions[v]
-            want = not any(segment_crosses_polygon(pu, pv, h.pts) for h in (a, b))
+            want = not any(segment_crosses_polygon(pu, pv, h.pts, 1) for h in (a, b))
             assert (v in vg.adj[u]) == want, (a, b, u, v)
 
 
@@ -349,7 +349,7 @@ def test_crosses_hull_matches_general_polygon_test():
             a, b = probe_segment(rng, hull, 8)
             if a == b:
                 continue  # no caller asks about a point
-            want = segment_crosses_polygon(a, b, hull)
+            want = segment_crosses_polygon(a, b, hull, 1)
             assert routing_mod._crosses_hull(a, b, hull) == want, (a, b, hull)
             cases += 1
             crossing += want

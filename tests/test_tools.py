@@ -75,31 +75,34 @@ def test_traffic_totals_match_a_fresh_build(monkeypatch, capsys):
 
 
 def test_sweep_row_matches_the_report_of_a_fresh_build(monkeypatch):
+    # the sweep prints each instance under its generated ids and shuffled
     engine = dict(vars(RoundEngine))
-    row = _load(monkeypatch, TESTS / "sweep.py").row("grid36-hole4")
-    assert dict(vars(RoundEngine)) == engine
-    pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
-    rep = pipe.run()
-    # the distribution, the build's last phase, ends in the engine's round
-    start = pipe.engine.round_no - rep.phase_rounds["hull_distribution"]
-    received = Counter(
-        (t["round"], t["dst"]) for t in pipe.engine.transcript if t["channel"] == "longrange" and t["round"] >= start
-    )
-    assert row["dist_recv"] > 0
-    assert row == {
-        "n": rep.n,
-        "hull": rep.bounds["planner_refs"]["hull_nodes"],
-        "rounds": rep.protocol_rounds,
-        "waves": rep.wave_rounds,
-        "charged": rep.phase_rounds["broadcast_tree"],
-        "peak": rep.message_stats["max_longrange_per_node_round"],
-        "dist_peak": next(p["max_longrange_per_node_round"] for p in rep.phases if p["label"] == "hull_distribution"),
-        "dist_recv": max(received.values()),
-        "cap": math.ceil(math.log2(rep.n)),
-        "lr_max": rep.message_stats["longrange_per_node_max"],
-        "bytes": rep.message_stats["total_bytes"],
-        "href": sum(p["bytes_total"] for p in rep.phases if p["label"] == "hull_distribution"),
-    }
+    sweep = _load(monkeypatch, TESTS / "sweep.py")
+    for name in ("grid36-hole4", "grid36-hole4~1"):
+        row = sweep.row(name)
+        assert dict(vars(RoundEngine)) == engine
+        pipe = Pipeline(fixture_topology(name), PipelineConfig())
+        rep = pipe.run()
+        # the distribution, the build's last phase, ends in the engine's round
+        start = pipe.engine.round_no - rep.phase_rounds["hull_distribution"]
+        received = Counter(
+            (t["round"], t["dst"]) for t in pipe.engine.transcript if t["channel"] == "longrange" and t["round"] >= start
+        )
+        assert row["dist_recv"] > 0, name
+        assert row == {
+            "n": rep.n,
+            "hull": rep.bounds["planner_refs"]["hull_nodes"],
+            "rounds": rep.protocol_rounds,
+            "waves": rep.wave_rounds,
+            "charged": rep.phase_rounds["broadcast_tree"],
+            "peak": rep.message_stats["max_longrange_per_node_round"],
+            "dist_peak": next(p["max_longrange_per_node_round"] for p in rep.phases if p["label"] == "hull_distribution"),
+            "dist_recv": max(received.values()),
+            "cap": math.ceil(math.log2(rep.n)),
+            "lr_max": rep.message_stats["longrange_per_node_max"],
+            "bytes": rep.message_stats["total_bytes"],
+            "href": sum(p["bytes_total"] for p in rep.phases if p["label"] == "hull_distribution"),
+        }, name
 
 
 def test_engine_call_counts_match_the_tracer(monkeypatch):
