@@ -45,7 +45,8 @@ class HoleRing:
     ring_id: int
     members: list[NodeId]
     kind: str | None = None
-    orientation_sum: float = 0.0
+    # the turn its leader read off its hull: +1 ccw, -1 cw, 0 until read
+    orientation: int = 0
     perimeter_length: float = 0.0
     enclosed_area: float = 0.0
     bounding_box_circumference: float = 0.0
@@ -128,16 +129,16 @@ def form_rings(g: PlanarGraph, boundary: set[NodeId]) -> list[HoleRing]:
 
 
 def classify_rings(rings: Sequence[HoleRing], orientations: Mapping[int, int]) -> None:
-    """Each ring's turn, and a kind where it has none, off its leader's orientation; takes no round.
+    """Each ring's orientation, and a kind where it has none, off its leader's; takes no round.
 
     Every ring's leader, an arc's too, read its hull's ring ranks in ccw
     (+1) or cw (-1) order (overlay.rank_ring); orientations holds them
-    by ring_id.  A ccw walk turns exactly -360 degrees, a cw walk +360,
-    and a closed ring, which has no kind yet, is a hole or the outer boundary.
+    by ring_id.  A closed ring, which has no kind yet, is the outer
+    boundary if it is walked cw, and a hole otherwise.
     """
     for r in rings:
-        r.orientation_sum = -360.0 * orientations[r.ring_id]
-        r.kind = r.kind or (KIND_OUTER_BOUNDARY if r.orientation_sum > 0 else KIND_INNER)
+        r.orientation = orientations[r.ring_id]
+        r.kind = r.kind or (KIND_OUTER_BOUNDARY if r.orientation == -1 else KIND_INNER)
 
 
 def hull_node_ids(points: dict[NodeId, Point], members: list[NodeId]) -> list[NodeId]:
@@ -183,7 +184,7 @@ def detect_outer_holes(
     always has ring nodes between its ends and no arc is lost.
     hull_nodes is the ring's distributed hull; without it the
     centralized oracle's hull stands in.  classify_rings sets each
-    arc's orientation_sum, read by its leader off the arc's hull.
+    arc's orientation, read by its leader off the arc's hull.
     """
     if outer.kind != KIND_OUTER_BOUNDARY:
         raise AssumptionViolationError("outer holes hang off the outer boundary")

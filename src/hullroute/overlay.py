@@ -37,10 +37,11 @@ pointer-jump message holds its arc minimum only when that is neither
 the id it introduces nor its sender, and a pj_pred's minimum brings its
 hops back from the sender along; and the hull broadcast holds no
 budget, since a node reads it off its own rank.  In the merge a node
-sends at most that many long-range messages a round, as counted by the
-engine.  The hull broadcast is scoped: each tree edge carries only the
-hull points of the child's subtree of ranks and the two hull points
-that bracket it, so every ring node learns its bay's two hull ends.
+sends at most that many messages a round over every ring, as the merge
+counts them itself.  The hull broadcast is scoped: each tree edge
+carries only the hull points of the child's subtree of ranks and the
+two hull points that bracket it, so every ring node learns its bay's
+two hull ends.
 The full abstraction, every hull node's entry, is kept at the tree
 root alone: each ring's leader sends it its ring's entries in one hop
 (distribute_hulls), and a hull node plans by asking the root.
@@ -80,11 +81,11 @@ log = logging.getLogger(__name__)
 
 
 def _message_cap(engine: RoundEngine) -> int:
-    """Most points one long-range message carries by design: ceil(log2 n).
+    """Most points one long-range message carries by design: ceil(log2 n), at least 1 (_levels).
 
     Hull references in distribute_hulls, whole chains in the hull merge.
     """
-    return max(1, math.ceil(math.log2(len(engine.topo.ids))))
+    return _levels(len(engine.topo.ids))
 
 
 def _cut(engine: RoundEngine, items: Mapping[NodeId, list]) -> list[tuple[list, tuple[NodeId, ...]]]:
@@ -339,34 +340,35 @@ def hypercube_sort(
 def parallel_convex_hull(
     engine: RoundEngine,
     orders: Mapping[Hashable, list[NodeId]],
-    rank_keys: Mapping[Hashable, list[list]],
     arcs: Collection[Hashable],
 ) -> tuple[dict[Hashable, list[list]], dict[Hashable, int]]:
     """Divide and conquer over blocks of consecutive ranks, every ring at once.
 
-    Rank s starts with its own point as its hull.  At level L every
-    block of 2^L ranks from a base merges its halves: the left half's
-    first node keeps the hull of the union (geometry.monotone_hull, the
-    centralized oracle's chain).  Level 1 takes no message and no round:
-    rank 2j + 1 is 2j's ring successor and radio neighbour, whose point
-    2j has held since the LDel2 build.  From level 2 on, the right
-    half's first node ships its ccw hull to the left's, 2^(L-1) ranks
-    back, whose id pointer jumping taught it.  A right half starting at
-    or past k has nothing to merge; a ring of k ranks merges in
-    _levels(k) levels.  A message carries at most _message_cap points
-    and a node sends merge messages while it has sent fewer than that
-    many long-range messages this round, so a level takes one round
-    unless a hull exceeds cap^2 points.  On a closed ring every node
-    starts with count 1, and the left node adds the right half's count,
-    which from level 2 on rides the half's first message.  The rings
-    keyed in `arcs` are outer-hole arcs, which carry no count.  A node
-    that ships m messages at a level, over every ring, sends cap of them
-    a round until its queues drain, so a ring's cap at the level is the
-    largest ceil(m / cap) of its shipping nodes.  Returns each ring's ccw
-    hull as rank keys, whose ranks give its orientation (rank_ring), and
-    rank 0's count for the closed rings.
+    Rank s starts with its own rank key as its hull (hypercube_sort).
+    At level L every block of 2^L ranks from a base merges its halves:
+    the left half's first node keeps the hull of the union
+    (geometry.monotone_hull, the centralized oracle's chain).  Level 1
+    takes no message and no round: rank 2j + 1 is 2j's ring successor
+    and radio neighbour, whose point 2j has held since the LDel2 build.
+    From level 2 on, the right half's first node ships its ccw hull to
+    the left's, 2^(L-1) ranks back, whose id pointer jumping taught it.
+    A right half starting at or past k has nothing to merge; a ring of k
+    ranks merges in _levels(k) levels.  A message carries at most
+    _message_cap points, and a node sends merge messages while it has
+    sent fewer than that many this round over every ring, counted in the
+    level's `sent`, so a level takes one round unless a hull exceeds
+    cap^2 points.  On a closed ring every node starts with count 1, and
+    the left node adds the right half's count, which from level 2 on
+    rides the half's first message.  The rings keyed in `arcs` are
+    outer-hole arcs, which carry no count.  A node that ships m messages
+    at a level, over every ring, sends cap of them a round until its
+    queues drain, so a ring's cap at the level is the largest
+    ceil(m / cap) of its shipping nodes.  Returns each ring's ccw hull
+    as rank keys, whose ranks give its orientation (rank_ring), and rank
+    0's count for the closed rings.
     """
-    hulls = {key: [[q] for q in rank_keys[key]] for key in orders}
+    # looked up on this module, so a wrapper set on it (perfbench's tracer) sees the call
+    hulls = {key: [[q] for q in keys] for key, keys in hypercube_sort(engine, orders).items()}
     counts = {key: [1] * len(order) for key, order in orders.items() if key not in arcs}
     for key, order in orders.items():
         for s in range(0, len(order) - 1, 2):
@@ -379,8 +381,9 @@ def parallel_convex_hull(
     cap = _message_cap(engine)
     for level in range(2, max(levels.values(), default=0) + 1):
         shipped: Counter[NodeId] = Counter()
+        sent: Counter[tuple[int, NodeId]] = Counter()
         sessions = {
-            key: _merge_session(engine, order, hulls[key], counts.get(key), level, shipped)
+            key: _merge_session(engine, order, hulls[key], counts.get(key), level, shipped, sent)
             for key, order in orders.items()
             if levels[key] >= level
         }
@@ -400,17 +403,19 @@ def _merge_session(
     counts: list[int] | None,
     level: int,
     shipped: Counter[NodeId],
+    sent: Counter[tuple[int, NodeId]],
 ) -> _Session:
     """Merge every pair of 2^(level-1)-rank blocks of one ring in rank order.
 
     Each right block's first node cuts its hull into messages (_cut),
     counted in `shipped`, whence parallel_convex_hull sets the cap, and
-    sends them from the level's first round on, while the engine counts
-    fewer than cap long-range sends by it in the round, over every ring;
-    on a closed ring the first one also carries the block's node count
-    from `counts`.  The left block's first node merges whatever arrives
-    into its hull and count.  A merged point keeps its rank, so the
-    leader's hull holds every hull node's rank.
+    sends them from the level's first round on, while `sent`, keyed by
+    (round, node) and shared by the level's sessions, counts fewer than
+    cap sends by it in the round over every ring; on a closed ring the
+    first one also carries the block's node count from `counts`.  The
+    left block's first node merges whatever arrives into its hull and
+    count.  A merged point keeps its rank, so the leader's hull holds
+    every hull node's rank.
     """
     half = 1 << (level - 1)
     cap = _message_cap(engine)
@@ -433,9 +438,10 @@ def _merge_session(
                 if "count" in m.payload:
                     counts[s] += m.payload["count"]
         payloads = queue.get(v, [])
-        while payloads and eng.longrange_this_round(v) < cap:
+        while payloads and sent[eng.round_no, v] < cap:
             payload, ids = payloads.pop(0)
             eng.send(v, order[s - half], payload, tag="hm", intro_ids=ids)
+            sent[eng.round_no, v] += 1
         return not payloads
 
     return _Session(list(queue), handler, 0)
@@ -635,7 +641,7 @@ def ring_protocol(
     ccw walk and -1 for a cw one, by key.
     """
     before = {v: set(engine.topo.knows[v]) for order in orders.values() for v in order}
-    chains, sizes = parallel_convex_hull(engine, orders, hypercube_sort(engine, orders), arcs)
+    chains, sizes = parallel_convex_hull(engine, orders, arcs)
     orientations = rank_ring(engine, orders, chains, sizes)
     _run_wave(
         engine,

@@ -438,7 +438,7 @@ class Router:
         self.root = root
         ctxs: list[_RingCtx] = []
         for ring in rings:
-            if not ring.orientation_sum:  # classify_rings sets it on every ring, arcs too
+            if not ring.orientation:  # classify_rings sets it on every ring, arcs too
                 raise NotReadyError(f"ring {ring.ring_id} not classified yet")
             ab = abstractions.get(ring.ring_id)
             if ab is None:
@@ -585,8 +585,8 @@ class Router:
 
         sub = self._bay_subpath(ctx, bay_idx, p1, pt_node)
         extremes = _extreme_points(self.g.points, sub)
-        # the orientation the ring's leader read off its hull, -1 for a turn of +360
-        sign = round(ctx.ring.orientation_sum / -360)
+        # the orientation the ring's leader read off its hull
+        sign = ctx.ring.orientation
         e_t = next(
             (e for e in extremes if not segment_crosses_polygon(self.g.points[e], pb, ctx.ring_pts, sign)),
             extremes[-1],

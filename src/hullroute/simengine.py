@@ -138,8 +138,6 @@ class RoundEngine:
         self._inbox: dict[Hashable, dict[NodeId, list[Message]]] = defaultdict(
             lambda: defaultdict(list)
         )
-        # the merge's pacing state: long-range sends per node this round
-        self._lr_this_round: dict[NodeId, int] = defaultdict(int)
 
     # -- sending ---------------------------------------------------------
 
@@ -187,19 +185,12 @@ class RoundEngine:
         self._record(src, dst, channel, nbytes, canonical_bytes(intro), tag)
         self.total_messages += 1
         self.total_bytes += nbytes
-        if channel is Channel.LONGRANGE:
-            self._lr_this_round[src] += 1
-
-    def longrange_this_round(self, v: NodeId) -> int:
-        """Long-range messages v has sent this round, over every session of the phase."""
-        return self._lr_this_round.get(v, 0)
 
     # -- round advancement -------------------------------------------------
 
     def step_round(self) -> None:
         """Deliver everything in flight and advance the clock."""
         self.round_no += 1
-        self._lr_this_round.clear()
         pending, self._outbox = self._outbox, []
         for m in pending:
             self.topo.learn(m.dst, m.src)
@@ -210,7 +201,6 @@ class RoundEngine:
     def charge_rounds(self, n: int, label: str) -> None:
         """Account for a harness-assisted phase without simulating it; its rounds end the current one."""
         self.round_no += n
-        self._lr_this_round.clear()
         self._record(None, None, Channel.META, 0, 0, f"charge:{label}:{n}")
 
     def _record(self, src: NodeId | None, dst: NodeId | None, channel: Channel, nbytes: int, intro: int, tag: str):
@@ -315,7 +305,6 @@ class RoundEngine:
             # its own: drop it, so the engine can run the next phase
             self._outbox.clear()
             self._inbox.clear()
-            self._lr_this_round.clear()
             raise
         finally:
             self.session = None

@@ -279,7 +279,7 @@ def test_06_hole_classification(stacks, scale2048):
         for r in pipe.rings:
             if r.kind == "OuterHole":
                 continue  # arcs are found by hull-edge length, not by hull rank order
-            target = 360.0 if r.kind == KIND_OUTER_BOUNDARY else -360.0
+            target = -1 if r.kind == KIND_OUTER_BOUNDARY else 1
             pts = [pipe.topo.points[v] for v in r.members]
             area2 = sum(
                 pts[i].x * pts[(i + 1) % len(pts)].y - pts[(i + 1) % len(pts)].x * pts[i].y
@@ -287,18 +287,18 @@ def test_06_hole_classification(stacks, scale2048):
             )
             # faces are walked with the region on the left: the outer
             # boundary is clockwise (negative area, hull ranks descending,
-            # +360), holes are counterclockwise (positive area, ranks
-            # ascending, -360)
+            # -1), holes are counterclockwise (positive area, ranks
+            # ascending, +1)
             oracle_kind = KIND_OUTER_BOUNDARY if area2 < 0 else KIND_INNER
             checked += 1
-            if r.orientation_sum != target:
+            if r.orientation != target:
                 bad += 1
             elif r.kind != oracle_kind:
                 bad += 1
     ok = bad == 0 and checked > 0
     emit(
         f"CRITERION 6 ring orientation from hull rank order: {verdict(ok)} — {checked} classified rings, "
-        f"orientation_sum exactly +/-360 and kind matches the shoelace oracle: {bad == 0}"
+        f"orientation exactly -1 outer / +1 hole and kind matches the shoelace oracle: {bad == 0}"
     )
     assert ok, (checked, bad)
 

@@ -114,8 +114,7 @@ def test_square_cycle_all_boundary():
     kinds = sorted(r.kind for r in rings)
     assert kinds == [KIND_INNER, KIND_OUTER_BOUNDARY]
     for r in rings:
-        want = -360.0 if r.kind == KIND_INNER else 360.0
-        assert r.orientation_sum == want
+        assert r.orientation == (1 if r.kind == KIND_INNER else -1)
 
 
 def test_cavity_grid_rings(grid):
@@ -125,8 +124,7 @@ def test_cavity_grid_rings(grid):
         (KIND_OUTER_BOUNDARY, 20),
     ]
     for r in rings:
-        want = -360.0 if r.kind == KIND_INNER else 360.0
-        assert r.orientation_sum == want
+        assert r.orientation == (1 if r.kind == KIND_INNER else -1)
         assert r.perimeter_length > 0
         assert r.enclosed_area > 0
         assert r.bounding_box_circumference > 0
@@ -195,10 +193,8 @@ def test_classification_matches_signed_area(grid):
     topo, _, _, rings, _, _ = grid
     for r in rings:
         area = shoelace([tuple(topo.points[v]) for v in r.members])
-        if r.orientation_sum < 0:
-            assert area > 0  # ccw walk
-        else:
-            assert area < 0  # cw walk
+        # a ccw walk (+1) has positive area, a cw walk (-1) negative
+        assert r.orientation in (1, -1) and r.orientation * area > 0
 
 
 def test_classify_rejects_figure_eight():
@@ -284,11 +280,14 @@ def test_outer_holes_need_outer_boundary(grid):
 
 
 # sha256 of abstraction_dict() and each ring's (ring_id, kind, members,
-# orientation_sum, perimeter_length, enclosed_area) after a pipeline build;
-# recorded while outer holes still came from a hull-arc walk of their own.
-# star12-4, scale-512-1 and grid-2048 were re-pinned when orientation_sum
-# became exactly +-360, read off the hull's ranks, where a float sum of
-# turn angles had been within rounding of it; nothing else moved.
+# turn, perimeter_length, enclosed_area) after a pipeline build; recorded
+# while outer holes still came from a hull-arc walk of their own.
+# star12-4, scale-512-1 and grid-2048 were re-pinned when the turn, then
+# a float field of degrees, became exactly +-360, read off the hull's
+# ranks, where a float sum of turn angles had been within rounding of it.
+# The turn is now the int orientation, +1 ccw and -1 cw, and the digest
+# hashes it as those degrees, -360.0 * orientation, so every pin stays
+# byte-identical: that they still match shows nothing else moved.
 ABSTRACTION_PINS = {
     "grid36-hole4": "a83c235b429873cb78c648ec8b8afab17e732f2ddbe99f5879baee2534a219dc",
     "star12-4": "976331c31563b72a2a2345eabdf64e55f3c42969734e9c7e12cd13559b904e00",
@@ -318,7 +317,7 @@ def built():
 def test_abstraction_and_rings_match_pinned_digest(built, name):
     pipe = built(name)
     rings = [
-        [r.ring_id, r.kind, r.members, r.orientation_sum, r.perimeter_length, r.enclosed_area]
+        [r.ring_id, r.kind, r.members, -360.0 * r.orientation, r.perimeter_length, r.enclosed_area]
         for r in sorted(pipe.rings, key=lambda r: r.ring_id)
     ]
     payload = json.dumps([pipe.abstraction_dict(), rings], sort_keys=True)
@@ -334,7 +333,7 @@ def test_outer_holes_match_the_arc_walk_oracle(built, name):
     assert [r.members for r in arcs] == brute_outer_holes(pipe.g.points, outer.members, hull)
     for r in arcs:
         area = shoelace([pipe.g.points[v] for v in r.members])
-        assert r.orientation_sum == (360.0 if area < 0 else -360.0)
+        assert r.orientation == (-1 if area < 0 else 1)
 
 
 @pytest.mark.parametrize("seed", range(1, 6))

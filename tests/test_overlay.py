@@ -766,6 +766,18 @@ def test_merge_messages_stay_under_the_cap(monkeypatch):
     assert max(rounds) > 1
 
 
+def test_merge_budget_is_shared_by_every_ring_of_a_node(monkeypatch):
+    # two rings on the same 300 nodes: a host ships both rings' hulls at a
+    # level, and its cap messages a round count the sends of both sessions
+    merge_log = _log_merge(monkeypatch)
+    engine, members = ring_engine(300)
+    orders = assign_hypercube_ids(pointer_jumping(engine, {0: members, 1: members}))
+    hulls, _ = ring_protocol(engine, orders, ())
+    assert hulls == {key: hull_ids(engine.topo.points, members) for key in (0, 1)}
+    rounds = _check_merge(engine, merge_log, {0: levels(300), 1: levels(300)})
+    assert max(rounds) > 1
+
+
 def test_ring_nodes_forget_the_sort_and_merge_transit_ids(monkeypatch):
     # ids learned from the hulls shipped to a node are dropped once the
     # hull is known, unless they are hull nodes of its own rings; a node

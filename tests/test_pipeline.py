@@ -950,7 +950,7 @@ def test_outer_hole_arcs_run_on_the_outer_rings_ranks_and_jump_edges(name, monke
             assert r.ring_id not in sizes
         else:
             assert sizes[r.ring_id] == len(r.members)
-        assert r.orientation_sum == -360.0 * orientations[r.ring_id]
+        assert r.orientation == orientations[r.ring_id]
     labels = [p.label for p in pipe.engine.phase_reports]
     wave_two = set(labels[labels.index("hull_broadcast") + 1 :])
     assert "hull_broadcast" in wave_two

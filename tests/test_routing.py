@@ -994,7 +994,7 @@ def test_router_rejects_an_arc_with_a_kind_but_no_orientation(grid):
     # that sign, so an arc without it is not ready
     topo, g, eng, rings, ab, router = grid
     arc = next(r for r in rings if r.kind == routing_mod.KIND_OUTER_HOLE)
-    bare = [dataclasses.replace(r, orientation_sum=0.0) if r is arc else r for r in rings]
+    bare = [dataclasses.replace(r, orientation=0) if r is arc else r for r in rings]
     with pytest.raises(NotReadyError, match=f"ring {arc.ring_id} not classified yet"):
         Router(g, bare, ab, router.root)
 
