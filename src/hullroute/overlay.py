@@ -12,7 +12,7 @@ its rank, and a ring's layout is its members in rank order, which no
 message deals (assign_hypercube_ids).
 Ranks s and s + 2^j know each other: pointer jumping introduced them.
 Level 1 of the merge, a node and its radio-neighbour successor, is
-local.  The finished hull, scoped to each subtree, travels the binomial
+local.  The finished hull, scoped to each subtree, travels the halving
 tree over the ranks from the ring leader (_hull_broadcast_session).
 On a closed ring the hull merge carries each block's node count, so the
 leader ends with the exact ring size, and on every ring its merged hull
@@ -121,6 +121,16 @@ def _hull_points(inbox: list[Message]) -> list[list]:
 def _levels(k: int) -> int:
     """Merge levels, and cast levels below rank 0, of a ring of k ranks: ceil(log2 k), at least 1."""
     return max(1, (k - 1).bit_length())
+
+
+def _halving_children(r: int, k: int) -> list[tuple[int, int]]:
+    """The ranges [c, e) rank r hands its children in the halving tree over [0, k), walked down from [0, k)."""
+    b, e = 0, k
+    while True:
+        p = 1 << (e - b - 1).bit_length() >> 1  # the largest power of two below e - b, 0 for one rank
+        if b == r:
+            return [(c, f) for c, f in ((b + 1, b + p), (b + p, e)) if b < c < f]
+        b, e = (b + 1, b + p) if r < b + p else (b + p, e)
 
 
 def _forget_learned(
@@ -448,37 +458,36 @@ def _merge_session(
 
 
 def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list, size: int | None) -> _Session:
-    """The leader sends each subtree of the binomial tree over the ranks its part of the hull.
+    """The leader sends each subtree of the halving tree over the ranks its part of the hull.
 
     The session starts at the leader, rank 0; every other rank acts once,
-    when the cast reaches it, and every call is its last.  Rank r = 2^b
-    times an odd number sends to each rank c = r + 2^i < k with i < b,
-    and rank 0 to each c = 2^i < k, i < _levels(k), whose ids pointer
-    jumping taught it.  No message carries a budget: a node of a closed
-    ring holds its rank from the election, and a node of an arc its rank
-    on the arc, its outer rank less that of its bay's first end, both of
-    which wave one's broadcast left it.  Child c roots the ranks [c, e),
-    with e = min(c + 2^i, k).  Its message carries the hull points ranked
-    in [c, e), the last hull point before c and the first at or after e,
-    as [x, y, id, rank] with the id among the introductions (_cut): each
-    node of the subtree learns the nearest hull node before and after it
-    on the ring, its bay's two ends (a hull node, its two hull
-    neighbors).  On a closed ring both brackets wrap past rank 0.  An
-    arc's first and last ranks are hull nodes, so its brackets never
-    wrap and a subtree that ends with the arc has no after-bracket.  A
-    node cuts its children's points from the points it received, the
-    leader from its merged hull, whose points carry their ranks: a
+    when the cast reaches it, and every call is its last.  Rank r roots
+    the ranks [r, e), the leader [0, k); with P the largest power of two
+    below e - r, it sends [r + 1, r + P) to r + 1, its radio neighbour,
+    and [r + P, e) to r + P, its one long-range child.  No message
+    carries a range: a node walks down from [0, k) to its rank
+    (_halving_children), the election's on a closed ring, and on an arc
+    its outer rank less that of its bay's first end, which wave one's
+    broadcast left it.  Child c's message carries the hull points ranked
+    in its range [c, e), the last hull point before c and the first at
+    or after e, as [x, y, id, rank] with the id among the introductions
+    (_cut), so each ring node learns its bay's two ends.  On a closed
+    ring both brackets wrap past rank 0; an arc's first and last ranks
+    are hull nodes, so its brackets never wrap and a subtree that ends
+    with the arc has no after-bracket.  A node cuts its children's points
+    from the points it received, the leader from its merged hull: a
     child's ranks and brackets lie within its parent's, so a sender
-    knows every id it introduces.  Messages carry at most _message_cap
-    points, each introducing the ids of its own points.  On a closed
-    ring each message also carries the ring size k, `size`, which the
-    leader ends the merge with (None on an arc): the bay that wraps past
-    rank 0 counts its members modulo k (dominating_set).  A node reached
-    by several messages in one round is reached once; the session aborts
-    unless every rank was reached, each in exactly one round.  Rank r is
-    reached after one hop per set bit of r, and r < k <= 2^d has at most
-    d = _levels(k) of them, so the session goes quiet within d rounds,
-    its cap.
+    knows every id it introduces.  On a closed ring each message also
+    carries the ring size k, `size` (None on an arc): the bay that wraps
+    past rank 0 counts its members modulo k (dominating_set).  A child's
+    range is at most P, half the power of two at or above its parent's,
+    so with d = _levels(k) a node j hops down roots at most 2^(d-j)
+    ranks and the session goes quiet within d rounds, its cap.  The
+    leader jumps 2^(d-1), any other node at most 2^(d-2), and pointer
+    jumping leaves every rank, an outer arc's too, the rank 2^i ahead
+    for each 2^i < k.  A node reached by several messages in one round
+    is reached once; the session aborts unless every rank was reached,
+    each in exactly one round.
     """
     k, d = len(order), _levels(len(order))
     rank_of = {v: r for r, v in enumerate(order)}
@@ -490,10 +499,7 @@ def _hull_broadcast_session(engine: RoundEngine, order: list[NodeId], ccw: list,
             raise SimulationAbortError(v, eng.round_no, "hullb reached the node twice")
         reached.add(v)
         r, pts = rank_of[v], _hull_points(inbox) or ccw
-        for i in range((r & -r).bit_length() - 1 if r else d):
-            c, e = r + (1 << i), min(r + (2 << i), k)
-            if c >= k:
-                break
+        for c, e in _halving_children(r, k):
             part = {q[3]: q for q in pts if c <= q[3] < e}
             before = max(pts, key=lambda q: (q[3] - c) % k)
             part.setdefault(before[3], before)

@@ -387,6 +387,9 @@ class Pipeline:
             "c": C_LONGRANGE,
             "ok": lr_max <= lr_budget,
         }
+        peak = tally(eng.transcript[lines], into={None: PhaseReport("build")})[None].max_longrange_per_node_round
+        cap = overlay._levels(n)  # the message cap, ceil(log2 n): no node sends more long-range in one round
+        bounds["longrange_sends_per_round"] = {"measured_max": peak, "bound": cap, "ok": peak <= cap}
 
         storage = self.storage_audit()
         for cls in ("hull", "boundary", "other"):

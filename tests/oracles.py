@@ -611,6 +611,27 @@ def brute_hull_gather(n, root, hulls, leaders):
     return {(p, root): -(-len(ids) // cap) for p, ids in led.items() if p != root}
 
 
+def brute_halving_tree(k):
+    """Each rank's parent and range end in the hull broadcast's halving tree over k ranks.
+
+    Built top down from the definition: rank c roots [c, e), the leader
+    [0, k); with p the largest power of two below e - c, found by
+    doubling, c hands [c + 1, c + p) to c + 1 and [c + p, e) to c + p.
+    An empty range goes to no one.  Returns {rank: (parent, e)}, the
+    leader's parent None.
+    """
+    tree, todo = {}, [(None, 0, k)]
+    while todo:
+        parent, c, e = todo.pop()
+        tree[c] = (parent, e)
+        p = 1
+        while 2 * p < e - c:
+            p *= 2
+        if e - c > 1:
+            todo += [(c, a, b) for a, b in ((c + 1, c + p), (c + p, e)) if a < b]
+    return tree
+
+
 def crossing_edge_pairs(points: dict, edges):
     """Pairs of edges whose open segments share a point.
 

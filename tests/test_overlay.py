@@ -33,6 +33,7 @@ from hullroute.simengine import RoundEngine, tally
 
 from oracles import (
     brute_arc_min,
+    brute_halving_tree,
     brute_hull,
     brute_hull_ccw,
     brute_hull_gather,
@@ -298,9 +299,10 @@ def test_an_election_node_that_idles_one_round_aborts_its_session(monkeypatch):
 
 
 def test_a_hull_broadcast_node_that_idles_one_round_aborts_its_session(monkeypatch):
-    # rank 7 of a ring of 8 is reached last, one hop per set bit, in round
-    # ceil(log2 8) = 3, the session's cap; if it asks to run once more,
-    # the phase aborts in that round, naming the ring
+    # rank 7 of a ring of 8 is reached last, down the halving tree's
+    # ranges [0, 8), [4, 8), [6, 8), [7, 8), in round ceil(log2 8) = 3,
+    # the session's cap; if it asks to run once more, the phase aborts in
+    # that round, naming the ring
     engine, members = ring_engine(8)
     idling(monkeypatch, "hull_broadcast", members[7])
     with pytest.raises(SimulationAbortError, match="phase 'hull_broadcast' session 0 exceeded 3 rounds"):
@@ -872,10 +874,12 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
             assert all(q == [pts[q[2]].x, pts[q[2]].y, q[2], rank[q[2]]] for q in chunk)
             got.setdefault(rank[dst], []).append((rnd, chunk))
         assert set(got) == set(range(1, k))
+        tree = brute_halving_tree(k)
         for c, parts in got.items():
             assert len({rnd for rnd, _ in parts}) == 1, c
-            # rank c roots the ranks [c, e) of the binomial tree
-            e = min(c + (c & -c), k)
+            # rank c roots the ranks [c, e) of the halving tree, and hears them from its parent
+            parent, e = tree[c]
+            assert {rank[src] for _, src, dst, _ in sent if rank[dst] == c} == {parent}, c
             before = max(hull, key=lambda h: (h - c) % k)
             after = min(hull, key=lambda h: (h - e) % k)
             want = sorted({h for h in hull if c <= h < e} | {before, after})
@@ -883,6 +887,25 @@ def test_hull_broadcast_sends_at_most_cap_points_per_message(monkeypatch):
             assert len(parts) == math.ceil(len(want) / cap), c
             # so rank c holds the nearest hull node after it, too
             assert min(hull, key=lambda h: (h - c - 1) % k) in want, c
+
+
+def test_halving_tree_reaches_every_rank_once_within_the_cap():
+    # walked down from the leader, the ranges each rank derives from its
+    # rank and k alone reach every rank exactly once, no deeper than the
+    # session's cap ceil(log2 k), and hand each rank at most one child
+    # besides its radio neighbour r + 1, so a node sends long-range to at
+    # most one child a round; the ranges are the halving tree's
+    for k in range(2, 1025):
+        depth, todo, tree = {0: 0}, [0], brute_halving_tree(k)
+        while todo:
+            r = todo.pop()
+            kids = overlay_mod._halving_children(r, k)
+            assert len({c for c, _ in kids} - {r + 1}) <= 1, (k, r)
+            for c, e in kids:
+                assert c not in depth and tree[c] == (r, e), (k, r, c)
+                depth[c] = depth[r] + 1
+                todo.append(c)
+        assert sorted(depth) == list(range(k)) and max(depth.values()) <= overlay_mod._levels(k), k
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from hullroute.scenario import (
 )
 from hullroute.simengine import RoundEngine
 
-from oracles import brute_hull_gather, crossing_edge_pairs, with_ids
+from oracles import brute_halving_tree, brute_hull_gather, crossing_edge_pairs, with_ids
 
 
 @pytest.fixture(scope="module")
@@ -251,27 +251,31 @@ def test_pipeline_determinism_reports_and_transcripts(tmp_path):
 # bays and dominating sets; the abstraction itself did not change.
 # The bytes alone were re-recorded when `hullb` messages stopped
 # introducing rank 0, since no hull node asks its ring's rank 0 any more.
+# All three traffic figures were re-recorded when the hull broadcast's
+# binomial tree gave way to the halving tree: each node's `hullb` parts
+# and long-range sends change, and a part may be cut into one more
+# message; the abstraction digests did not change.
 # The `href` traffic, entries gathered at the tree root, is checked
 # against oracles.brute_hull_gather.
 SERIAL_BUILD = {
     "grid36-hole4": (
-        290, 20890,
-        "52927e05861153e918c4b6757999f0401d488c471a23046c90bd6cd3bf19c495",
+        292, 21451,
+        "6dbf653ab71a2a1740a4b8919fabd3518439a1a54f12a22f9f370d9526cc7149",
         "a7b26bf1fb93bd01d77586086e75fb9820d9b268ce6a4c1e025621cc7c86b70c",
     ),
     "crescent-24": (
-        1038, 70077,
-        "86bc6245515a369357005f6ed3450a47fa9befa46296cf5e9d37aff2f586d7cc",
+        1038, 71395,
+        "4e7545439de366a4c25ad91df206ae9d64433353378ab461ce7518f20e06fb8d",
         "29ab548323b7634d31b4f851a25c687c454eef3a19d19b0eefff3a81bfbfa89b",
     ),
     "star12-4": (
-        1175, 80385,
-        "151424630ee903ca3eddd0da67921355010562d846190161bb9a41dc72a1c86d",
+        1175, 81419,
+        "3e4b0c0d7327704b6a699fd77dd702cb860560ba6336cadf64c3dca7377052bc",
         "3fd08477bcb17a9f374e537900974b98dda52db185b29e1eb86ef7347df63df0",
     ),
     "scale-512-1": (
-        1516, 103523,
-        "39a3002e3e82ee5c4635e86fcc27402031e2b5eec5bc0c7b0c81c4d4795f1796",
+        1517, 105123,
+        "d44221ef3abb36488e8efbc1208493b9d4ae6221861a7b7d641394fbc304ed2b",
         "c6cd8895cfd45b0508152e2a1b340b09ca3305ea86ce85402d66885427f54482",
     ),
 }
@@ -333,10 +337,13 @@ def test_concurrent_build_matches_serial_build(name):
 # root instead of up the tree's convergecast; and again when the
 # distribution became that gather alone, with no cast, and `hullb`
 # messages stopped introducing rank 0: the hull_distribution row and
-# the bytes of the hull_broadcast row and of each ring's row change.
+# the bytes of the hull_broadcast row and of each ring's row change; and
+# again when the hull broadcast became the halving tree, whose parts
+# change the hull_broadcast rows' messages, bytes and peaks and each
+# ring's messages and bytes.
 TRAFFIC_BREAKDOWN = {
-    "grid36-hole4": "a0ffdc0eee934ec4019999d91e69d892a674a51e59a15244dd64175ad13440f0",
-    "scale-512-1": "a8392bdc374224ca3322821ca2e6bfa447eb0bef630bdfd49ecad646bc928b9c",
+    "grid36-hole4": "c99eba2b3a9b3b1057d1f00ee3b9894f356b46fd138934da9e4627eeed93a34e",
+    "scale-512-1": "8dd6a2c2b91cd702371e15eb202f32918bd617f0e229fa992fb34bf1747ffaaf",
 }
 
 
@@ -349,7 +356,8 @@ def test_traffic_breakdown_by_phase_and_ring_matches_pinned_digest(name):
 
 
 # sha256 of every build message as the earlier wire format carried it:
-# each item with its node id, every arc minimum, every cast budget.  The
+# each item with its node id, every arc minimum, every cast's extent (its
+# budget until the halving tree, the end of its range since).  The
 # stream was recorded from that format; the test puts the facts back from
 # each message's header and must find the same stream.  It was re-recorded
 # once, when the merge messages stopped carrying a turn-angle sum: the
@@ -370,13 +378,16 @@ def test_traffic_breakdown_by_phase_and_ring_matches_pinned_digest(name):
 # entries name only the rings a node is a hull node of, and `hullb`
 # messages stopped introducing rank 0 past their points (the `href` and
 # `hullb` lines change; cshape-40, whose one leader is the tree root,
-# gathers nothing).
+# gathers nothing); and once more, in the `hullb` lines alone, when the
+# hull broadcast became the halving tree: a cast's budget, the lowest set
+# bit of its receiver's rank, is put back as the end of the receiver's
+# range instead, and the parts and their senders change.
 WIRE_STREAM = {
-    "crescent-24": "ac14f93f9c3550fc7264a61f91cc2c2690db3f267f28c503cdf1ca5b5d18b42f",
-    "cshape-40": "5a4dd4ae2b384f0de9f73d0b3b026b23657e1ad8508deacd74d65719ae685d26",
-    "grid36-hole4": "e3f8c43c4867da3975cc396d12c6ab3944ee86f53b8b0cfb5ada69832b84e2ba",
-    "scale-512-1": "432f27338dee6acccfaab0111786fe3756bbad6c3567382e8e35243a676db388",
-    "star12-4": "acdeab2b979fa0785bbe6f865e4e3b51b604069abca830eec0db8aba59046b2c",
+    "crescent-24": "09b6efce75b590b615edca75ebf45267168536a92a07eefa2060a5ba5f0e47d4",
+    "cshape-40": "6c211688a0dc2b8f594e35f0af2142e76bf24fff303d21f9ac85fa16014d41e2",
+    "grid36-hole4": "ba8953b4bf1389b83a979467dd9aea5a325c159e79ddfabe15f9b6cb1d251348",
+    "scale-512-1": "69aba3d3fd8d776b2b54928f4c47922936802bf6250cf3b4c24da217e8bd3f8b",
+    "star12-4": "95948bf6e818f488330705ecd550a945b8255712e0d4443789480039f2ce6691",
 }
 
 
@@ -387,9 +398,9 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
     # is left out exactly when it is the introduced id (pj_succ) or the
     # sender (pj_pred), a pj_pred's minimum brings its hops back from the
     # sender as `o` only beside it (0 when the sender is the minimum), and
-    # a cast carries no budget, since rank r > 0 is
-    # reached with the lowest set bit of r.  Put back, the facts are the
-    # ones the earlier format carried.  A message introduces its items'
+    # a cast carries no range, since rank c derives the end e of its
+    # halving-tree range [c, e) from c and the ring size k alone.  Put
+    # back, the facts are the ones the earlier format carried.  A message introduces its items'
     # ids and no more.  A gathered entry names the rings its sender leads
     # that its node is a hull node of, and the tree root hears each hull
     # node once from each leader of one of its rings, but itself.
@@ -431,9 +442,8 @@ def test_each_fact_crosses_the_wire_once(name, monkeypatch):
             d["hull"] = with_ids(d["hull"], intro, 2)
             assert d["hull"] == [[pts[q[2]].x, pts[q[2]].y, q[2], rank[q[2]]] for q in d["hull"]]
             if tag != "hm":
-                i = (rank[dst] & -rank[dst]).bit_length() - 1
-                assert rank[src] + (1 << i) == rank[dst]
-                d["budget"] = i
+                parent, d["end"] = brute_halving_tree(len(rank))[rank[dst]]
+                assert rank[src] == parent
         stream.append(json.dumps([rnd, src, dst, tag, str(session), d, list(intro)], sort_keys=True))
     # a lone leader at the tree root needs no hull distribution
     tags = {"pj_succ", "pj_pred", "hm", "hullb"} | ({"href"} if set(leaders.values()) - {root} else set())
@@ -562,34 +572,70 @@ def test_ring_nodes_know_their_bay_ends(name, monkeypatch):
     assert checked[KIND_OUTER_HOLE] > 0
 
 
-def test_hull_broadcast_sends_at_most_seven_per_node_and_round_on_cshape():
-    # each tree edge carries only its subtree's part of the hull, so the
-    # outer ring's leader no longer sends 16 long-range hullb messages in
-    # its first round
-    pipe = Pipeline(fixture_topology("cshape-40"), PipelineConfig())
+# the fixtures, the n = 469 lattice, the 16-hole lattice and shuffled ids
+PER_ROUND = ["grid36-hole4", "cshape-40", "crescent-24", "star12-4", "scale-512-1", "grid-2048-4", "star12-4~2"]
+
+
+@pytest.mark.parametrize("name", PER_ROUND)
+def test_hull_broadcast_sends_at_most_one_long_range_per_node_session_and_round(name):
+    # in the halving tree a node hands one range to its ring successor, a
+    # radio neighbour, and the rest to one other rank, so within a ring's
+    # cast a node's long-range hullb messages in a round all go to one
+    # child, its part cut at ceil(log2 n) points a message; the binomial
+    # tree had cshape-40's outer ring leader send to 7 children at once
+    pipe = Pipeline(fixture_topology(name), PipelineConfig())
     pipe.build_abstraction()
-    sends = Counter(
-        (t["round"], t["src"])
-        for t in pipe.engine.transcript
-        if t["tag"] == "hullb" and t["channel"] == "longrange"
-    )
-    assert 0 < max(sends.values()) <= 7
+    children = defaultdict(set)
+    for t in pipe.engine.transcript:
+        if t["tag"] == "hullb" and t["channel"] == "longrange":
+            children[t["session"], t["round"], t["src"]].add(t["dst"])
+    assert children and {len(dsts) for dsts in children.values()} == {1}
 
 
-@pytest.mark.parametrize("name", ["grid36-hole4", "crescent-24", "star12-4", "scale-512-1", "grid-2048-4", "star12-4~2"])
+@pytest.mark.parametrize("name", PER_ROUND)
 def test_build_sends_at_most_cap_long_range_per_node_and_round(name):
     # a node's long-range budget is O(log n) messages a round: counted off
     # the transcript, no node sends more than ceil(log2 n) in any round of
-    # a build, the hull distribution's one-hop gather included.  cshape-40
-    # is left out: its outer ring's leader still sends 7 `hullb` messages
-    # in one round against a cap of 6, a known excess of the hull broadcast
+    # a build, the hull distribution's one-hop gather included, and the
+    # audit's longrange_sends_per_round row reads the same peak
     pipe = Pipeline(fixture_topology(name), PipelineConfig())
     pipe.build_abstraction()
     sends = Counter((t["round"], t["src"]) for t in pipe.engine.transcript if t["channel"] == "longrange")
     cap = math.ceil(math.log2(len(pipe.topo.ids)))
     assert 0 < max(sends.values()) <= cap
+    row = pipe.bound_audit()["longrange_sends_per_round"]
+    assert row == {"measured_max": max(sends.values()), "bound": cap, "ok": True}
+    # cshape-40's one leader is the tree root, so its distribution sends nothing and takes no round
     (phase,) = [p for p in pipe.engine.phase_reports if p.label == "hull_distribution"]
-    assert phase.rounds == 1 and phase.max_longrange_per_node_round <= cap
+    assert phase.rounds == (phase.messages_longrange > 0) and phase.max_longrange_per_node_round <= cap
+
+
+def test_longrange_sends_per_round_row_fails_a_node_that_sends_one_over_the_cap(monkeypatch):
+    # a mutant whose first long-range hullb sender sends cap + 1 copies of
+    # that message in its round fails this row alone: the child reads the
+    # copies as one part, and the other rows count no more than they did
+    pipe = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
+    pipe.build_abstraction()
+    cap = pipe.bound_audit()["longrange_sends_per_round"]["bound"]
+    send, copied = RoundEngine.send, []
+
+    def spy(eng, src, dst, payload=None, **kw):
+        copies = 1
+        if kw.get("tag") == "hullb" and eng.auto_channel(src, dst) == "longrange" and not copied:
+            copied.append((eng.round_no, src))
+            copies = cap + 1
+        for _ in range(copies):
+            send(eng, src, dst, payload, **kw)
+
+    monkeypatch.setattr(RoundEngine, "send", spy)
+    mutant = Pipeline(fixture_topology("grid36-hole4"), PipelineConfig())
+    mutant.build_abstraction()
+    bounds = mutant.bound_audit()
+    (at,) = copied
+    assert Counter((t["round"], t["src"]) for t in mutant.engine.transcript if t["channel"] == "longrange")[at] > cap
+    assert bounds["longrange_sends_per_round"] == {"measured_max": cap + 1, "bound": cap, "ok": False}
+    assert all(row["ok"] for name, row in bounds.items() if name != "longrange_sends_per_round")
+    assert mutant.abstraction_digest() == pipe.abstraction_digest()
 
 
 def test_relabelled_ids_keep_the_hulls_and_every_bound():

@@ -18,9 +18,10 @@ rounds the transcript's `charge:<label>:<n>` lines add up to; the
 messages and bytes of every message tag, its bytes split into the
 envelope (tag and keys), the sorted `intro` list and the `data` payload,
 as `canonical_bytes` sizes them, so a fact sent twice in one message
-shows; and the K nodes (default 10) that sent the most long-range
-messages, with their bytes and a count per tag. The build is
-deterministic, so two revisions can be compared line by line.
+shows, and the most long-range messages of the tag that one node sent
+over the build (`node_max`); and the K nodes (default 10) that sent the
+most long-range messages, with their bytes and a count per tag. The
+build is deterministic, so two revisions can be compared line by line.
 """
 
 from __future__ import annotations
@@ -58,24 +59,27 @@ def report(name: str, top: int) -> None:
         print(f"  {p.label:<26}{p.rounds:>8}{p.calls:>8}{p.active:>8}{messages:>10}{p.bytes_total:>12}"
               f"{p.max_longrange_per_node_round:>6}")
 
-    # messages, bytes and intro bytes of each tag
-    intros: Counter = Counter()
-    for t in eng.transcript:
-        intros[t["tag"]] += t["intro"]
-    by_tag = tally(eng.transcript, lambda t: t["tag"])
-    print(f"\n  {'tag':<26}{'messages':>10}{'bytes':>12}{'envelope':>10}{'intro':>10}{'data':>12}")
-    for tag, c in sorted(by_tag.items(), key=lambda kv: -kv[1].bytes_total):
-        messages, nbytes, intro = c.messages_adhoc + c.messages_longrange, c.bytes_total, intros[tag]
-        # {"data":…,"intro":…,"tag":…} is 25 characters besides the three values
-        envelope = messages * (25 + len(json.dumps(tag)))
-        print(f"  {tag:<26}{messages:>10}{nbytes:>12}{envelope:>10}{intro:>10}{nbytes - envelope - intro:>12}")
-
+    # each node's long-range messages and bytes, by tag
     tags: dict[int, Counter] = defaultdict(Counter)
     nbytes: Counter = Counter()
     longrange = (t for t in eng.transcript if t["channel"] == "longrange")
     for (v, tag), c in tally(longrange, lambda t: (t["src"], t["tag"])).items():
         tags[v][tag] = c.messages_longrange
         nbytes[v] += c.bytes_total
+
+    # messages, bytes and intro bytes of each tag, and its most long-range messages from one node
+    intros: Counter = Counter()
+    for t in eng.transcript:
+        intros[t["tag"]] += t["intro"]
+    by_tag = tally(eng.transcript, lambda t: t["tag"])
+    print(f"\n  {'tag':<26}{'messages':>10}{'bytes':>12}{'envelope':>10}{'intro':>10}{'data':>12}{'node_max':>10}")
+    for tag, c in sorted(by_tag.items(), key=lambda kv: -kv[1].bytes_total):
+        messages, nbytes_tag, intro = c.messages_adhoc + c.messages_longrange, c.bytes_total, intros[tag]
+        # {"data":…,"intro":…,"tag":…} is 25 characters besides the three values
+        envelope = messages * (25 + len(json.dumps(tag)))
+        node_max = max((sent[tag] for sent in tags.values()), default=0)
+        print(f"  {tag:<26}{messages:>10}{nbytes_tag:>12}{envelope:>10}{intro:>10}"
+              f"{nbytes_tag - envelope - intro:>12}{node_max:>10}")
     senders = sorted(tags, key=lambda v: (-sum(tags[v].values()), v))[:top]
     print(f"\n  {'long-range sender':<26}{'messages':>10}{'bytes':>12}  by tag")
     for v in senders:
